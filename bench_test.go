@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (see DESIGN.md §3 for the experiment index and EXPERIMENTS.md
-// for the paper-vs-measured comparison), plus the ablations and
-// micro-benchmarks of the core machinery.
+// evaluation (the package comment of internal/experiments is the
+// experiment index), plus the ablations and micro-benchmarks of the core
+// machinery.
 //
 // The table/figure benches run their experiment driver end to end with a
 // scaled budget, so their reported time is the cost of reproducing the
@@ -237,6 +237,45 @@ func BenchmarkParallelWarmMining(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkPhase1Warm is the search kernel alone: the benchmark's `wide`
+// relation (13 columns, planted chain, 1 % noise) on a warm session, so
+// every entropy is a memo hit and no partition is intersected; what is
+// timed and counted (-benchmem) is MineMinSeps → ReduceMinSep →
+// SeparatorHolds → GetFullMVDs and the H lookups under them, at the
+// three thresholds of the warm_sweep workload.
+func BenchmarkPhase1Warm(b *testing.B) {
+	r, _, err := datagen.Planted(datagen.PlantedSpec{
+		Bags: datagen.ChainBags(13, 4, 1), RootTuples: 120, ExtPerSep: 3, NoiseCells: 0.01, Seed: 7,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := Open(r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	sweep := []float64{0.02, 0.05, 0.1}
+	for _, eps := range sweep {
+		if _, err := s.MineMVDs(ctx, WithEpsilon(eps)); err != nil {
+			b.Fatal(err) // warm the oracle
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, eps := range sweep {
+			res, err := s.MineMVDs(ctx, WithEpsilon(eps))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(res.MVDs) == 0 {
+				b.Fatal("no MVDs mined")
+			}
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Command experiments regenerates the paper's tables and figures on the
-// synthetic analog datasets (see DESIGN.md for the experiment index and
-// EXPERIMENTS.md for paper-vs-measured notes). The ε-sweep drivers build
+// synthetic analog datasets (the package comment of internal/experiments
+// is the experiment index). The ε-sweep drivers build
 // one entropy oracle per dataset and reuse it across the whole sweep —
 // the warm-session pattern of the public API — so a sweep pays the PLI
 // and entropy cost once instead of once per threshold.

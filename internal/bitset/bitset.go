@@ -9,9 +9,10 @@
 package bitset
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -251,17 +252,19 @@ func Parse(s string) (AttrSet, error) {
 	return out, nil
 }
 
-// SortSets orders a slice of sets by cardinality, breaking ties by value.
-// This is the canonical ordering used across the library so enumeration
-// results are deterministic.
-func SortSets(sets []AttrSet) {
-	sort.Slice(sets, func(i, j int) bool {
-		if li, lj := sets[i].Len(), sets[j].Len(); li != lj {
-			return li < lj
-		}
-		return sets[i] < sets[j]
-	})
+// Compare is the canonical order on sets: by cardinality, ties broken by
+// value. It returns -1, 0 or +1 like cmp.Compare.
+func Compare(a, b AttrSet) int {
+	if c := cmp.Compare(a.Len(), b.Len()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a, b)
 }
+
+// SortSets orders a slice of sets by Compare. This is the canonical
+// ordering used across the library so enumeration results are
+// deterministic.
+func SortSets(sets []AttrSet) { slices.SortFunc(sets, Compare) }
 
 // Minimal reports whether target has no proper subset within sets.
 // It is a convenience for tests over small families.

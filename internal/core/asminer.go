@@ -142,7 +142,7 @@ func (m *Miner) buildIncompatibilityGraph(g *mis.Graph, ms []mvd.MVD) (bool, int
 				// Poll the stop conditions without mutating shared miner
 				// state (stopped() records the cause; the parent does
 				// that once, after the join).
-				if m.ctx.Err() != nil || m.opts.expired() {
+				if m.done.Load() || m.opts.expired() {
 					bail.Store(true)
 					return
 				}

@@ -1,6 +1,9 @@
 package core
 
-import "context"
+import (
+	"context"
+	"sync/atomic"
+)
 
 // WithContext binds ctx to the miner: every mining loop polls it alongside
 // the wall-clock deadline and stops early — with valid partial results —
@@ -8,12 +11,26 @@ import "context"
 // chaining at construction and clears any stop cause recorded under the
 // previous context. NewMiner binds context.Background(). Must not be
 // called while a mining phase is in flight.
+//
+// The loops poll once per candidate, from every worker, and ctx.Err()
+// takes the context's mutex; so the binding registers a context.AfterFunc
+// that raises a flag the workers share, and the loops read the flag. A
+// context that is already done raises it here, synchronously, so the
+// first poll sees it. The registration is dropped when ctx ends; session
+// mines always bind a context they cancel on return.
 func (m *Miner) WithContext(ctx context.Context) *Miner {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	m.ctx = ctx
 	m.cause = nil
+	done := new(atomic.Bool) // a fresh flag: the previous context's callback may still fire
+	m.done = done
+	if ctx.Err() != nil {
+		done.Store(true)
+	} else {
+		context.AfterFunc(ctx, func() { done.Store(true) })
+	}
 	return m
 }
 
@@ -35,10 +52,10 @@ func (m *Miner) Context() context.Context { return m.ctx }
 // first cause observed for interruptErr. Every inner mining loop polls it
 // once per candidate, so cancellation latency is one candidate evaluation.
 func (m *Miner) stopped() bool {
-	if err := m.ctx.Err(); err != nil {
+	if m.done.Load() {
 		m.searchStats.TimeoutHit = true
 		if m.cause == nil {
-			m.cause = err
+			m.cause = m.ctx.Err()
 		}
 		return true
 	}

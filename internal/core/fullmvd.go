@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/entropy"
@@ -21,10 +23,17 @@ type Miner struct {
 	// itself on a serial miner, a worker-local entropy.Local (carrying a
 	// per-goroutine PLI arena) on the forked workers of the parallel
 	// pipeline — same memo and counters either way.
-	src   info.Source
+	src   source
 	opts  Options
-	ctx   context.Context // bound by WithContext; polled by every loop
+	ctx   context.Context // bound by WithContext
+	done  *atomic.Bool    // set once ctx is done; what the loops poll
 	cause error           // first stop cause (context error or ErrInterrupted)
+
+	// keys holds each separator key's search root for the duration of
+	// the mine; forked workers share it. scratch is this miner's own
+	// search storage.
+	keys    *keyMemo
+	scratch searchScratch
 
 	// searchStats accumulates across getFullMVDs invocations; curVisited
 	// counts candidates inspected by the invocation in flight (for
@@ -41,13 +50,24 @@ type Miner struct {
 	stages stageAccum
 }
 
+// source is what the search asks of the entropy layer: the J-measures'
+// H and MI, plus MI with its two scan-invariant terms supplied. Both
+// *entropy.Oracle and *entropy.Local provide it.
+type source interface {
+	info.Source
+	MIGiven(hxy, hx float64, y, z, x bitset.AttrSet) float64
+}
+
 // SearchStats counts getFullMVDs work across a mining run.
 type SearchStats struct {
-	Searches   int // getFullMVDs invocations
-	Visited    int // candidate MVDs popped and evaluated
-	Pruned     int // candidates discarded by the pairwise-consistency repair
-	Truncated  int // searches that hit MaxVisitedPerSearch
-	JEvals     int // J-measure evaluations
+	Searches  int // getFullMVDs invocations
+	Visited   int // candidate MVDs popped and evaluated
+	Pruned    int // candidates discarded by the pairwise-consistency repair
+	Truncated int // searches that hit MaxVisitedPerSearch
+	// JEvals counts the J-measures the searches consulted, one per
+	// candidate visited. A search's root is scored once per key and mine
+	// and read from the key memo by every later search with that key.
+	JEvals     int
 	Repairs    int // getPairwiseConsistentMVD merge steps performed
 	TimeoutHit bool
 }
@@ -60,7 +80,7 @@ func NewMiner(o *entropy.Oracle, opts Options) *Miner {
 	} else {
 		tr.Reset()
 	}
-	return &Miner{oracle: o, src: o, opts: opts, ctx: context.Background(), trace: tr}
+	return &Miner{oracle: o, src: o, opts: opts, ctx: context.Background(), done: new(atomic.Bool), keys: newKeyMemo(), trace: tr}
 }
 
 // Oracle exposes the underlying entropy oracle (stats reporting).
@@ -89,140 +109,246 @@ func (m *Miner) J(phi mvd.MVD) float64 {
 // Options.PairwiseConsistency is set, candidates are first repaired with
 // the forced merges of getPairwiseConsistentMVD (Fig. 16).
 func (m *Miner) GetFullMVDs(sep bitset.AttrSet, a, b int, k int) []mvd.MVD {
+	m.search(sep, a, b, k, true)
+	// Keep only refinement-maximal holders: a holder refined by another
+	// holder is not full. (Holders reached along different DFS paths can
+	// be coarsenings of one another.) Only the survivors leave the
+	// scratch storage.
+	s := &m.scratch
+	var out []mvd.MVD
+	for i, ri := range s.holders {
+		phi := mvd.MVD{Key: sep, Deps: s.deps(ri)}
+		dominated := false
+		for j, rj := range s.holders {
+			if i != j && (mvd.MVD{Key: sep, Deps: s.deps(rj)}).StrictlyRefines(phi) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			out = append(out, mvd.MVD{Key: sep, Deps: slices.Clone(phi.Deps)})
+		}
+	}
+	mvd.Sort(out)
+	return out
+}
+
+// SeparatorHolds reports whether sep admits any ε-MVD separating a and b —
+// the test used by MineMinSeps and ReduceMinSep (K = 1 call sites).
+func (m *Miner) SeparatorHolds(sep bitset.AttrSet, a, b int) bool {
+	return m.search(sep, a, b, 1, false) > 0
+}
+
+// search is the lattice walk behind GetFullMVDs and SeparatorHolds. It
+// returns the number of holders found — it stops at k when k > 0 — and,
+// when collect is set, leaves them in scratch.holders in discovery order.
+//
+// The walk runs in the miner's scratch storage (see searchScratch) and
+// allocates nothing once the scratch has grown to the search's size.
+func (m *Miner) search(sep bitset.AttrSet, a, b, k int, collect bool) int {
 	m.searchStats.Searches++
-	n := m.oracle.NumAttrs()
 	if sep.Contains(a) || sep.Contains(b) {
 		panic(fmt.Sprintf("core: separator %v contains one of the pair (%d,%d)", sep, a, b))
 	}
-	root, err := mvd.Singletons(sep, n)
-	if err != nil {
-		return nil // fewer than two free attributes: no MVD with this key
+	s := &m.scratch
+	s.reset()
+	root := m.keyRoot(sep)
+	if root.aborted || !(mvd.MVD{Key: sep, Deps: root.deps}).Separates(a, b) {
+		return 0
 	}
-	if m.opts.PairwiseConsistency {
-		repaired, ok := m.pairwiseConsistent(root, a, b)
-		if !ok {
-			return nil
-		}
-		root = repaired
-	}
+	rootRef, _ := s.keep(append(s.tail(len(root.deps)), root.deps...))
+	s.stack = append(s.stack, rootRef)
 
-	var out []mvd.MVD
-	visited := map[string]bool{root.Fingerprint(): true}
-	stack := []mvd.MVD{root}
+	found := 0
 	truncated := false
-	for len(stack) > 0 {
-		if k > 0 && len(out) >= k {
+	for len(s.stack) > 0 {
+		if k > 0 && found >= k {
 			break
 		}
-		if m.opts.MaxVisitedPerSearch > 0 && m.searchVisited() {
+		if m.opts.MaxVisitedPerSearch > 0 && m.curVisited >= m.opts.MaxVisitedPerSearch {
 			truncated = true
 			break
 		}
 		if m.stopped() {
 			break
 		}
-		phi := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+		ref := s.stack[len(s.stack)-1]
+		s.stack = s.stack[:len(s.stack)-1]
 		m.searchStats.Visited++
 		m.curVisited++
-		if info.LeqEps(m.J(phi), m.opts.Epsilon) {
-			out = append(out, phi)
+		// The root's J comes with it from the key memo; it still counts
+		// as this search's evaluation, so the per-stage J counts do not
+		// depend on which search happened to reach a key first.
+		j := root.j
+		if ref == rootRef {
+			m.searchStats.JEvals++
+		} else {
+			j = m.J(mvd.MVD{Key: sep, Deps: s.deps(ref)})
+		}
+		if info.LeqEps(j, m.opts.Epsilon) {
+			found++
+			if collect {
+				s.holders = append(s.holders, ref)
+			}
 			continue
 		}
-		for _, nb := range phi.Neighbors(a, b) {
-			cand := nb
-			if m.opts.PairwiseConsistency {
-				repaired, ok := m.pairwiseConsistent(nb, a, b)
-				if !ok {
-					m.searchStats.Pruned++
-					continue
-				}
-				cand = repaired
-			}
-			fp := cand.Fingerprint()
-			if !visited[fp] {
-				visited[fp] = true
-				stack = append(stack, cand)
-			}
-		}
+		m.expand(sep, ref, a, b)
 	}
 	m.curVisited = 0
 	if truncated {
 		m.searchStats.Truncated++
 	}
-	// Keep only refinement-maximal outputs: a holder refined by another
-	// holder is not full. (Outputs reached along different DFS paths can
-	// be coarsenings of one another; see DESIGN.md.)
-	return fullOnly(out)
+	return found
 }
 
-// curVisited tracks per-search visited count for MaxVisitedPerSearch.
-func (m *Miner) searchVisited() bool {
-	return m.curVisited >= m.opts.MaxVisitedPerSearch
-}
-
-// pairwiseConsistent is getPairwiseConsistentMVD (Fig. 16): while some
-// dependent pair Ci,Cj has I(Ci;Cj|S) > ε, merge it (the merge is forced:
-// any ε-MVD coarsening phi must unite that pair, by Prop. 5.1/5.2). It
-// fails when a and b end up in the same dependent.
-func (m *Miner) pairwiseConsistent(phi mvd.MVD, a, b int) (mvd.MVD, bool) {
-	for {
-		if !phi.Separates(a, b) {
-			return mvd.MVD{}, false
+// expand pushes the not-yet-visited search-space neighbors of the
+// candidate at ref (Eq. 13): every merge of two of its dependents that
+// keeps a and b apart, repaired first when pruning is on. Neighbors are
+// built one at a time at the arena's tail, in canonical (i, j) order, and
+// only the new ones stay there.
+func (m *Miner) expand(sep bitset.AttrSet, ref candRef, a, b int) {
+	s := &m.scratch
+	n := int(ref.n)
+	cur := mvd.MVD{Key: sep, Deps: s.deps(ref)}
+	ia, ib := cur.DepIndexOf(a), cur.DepIndexOf(b)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if (i == ia && j == ib) || (i == ib && j == ia) {
+				continue // would merge a's and b's dependents together
+			}
+			tail := s.tail(n - 1)
+			phi := s.deps(ref)
+			cand := mvd.MergeDeps(tail, phi, i, j)
+			if m.opts.PairwiseConsistency {
+				// phi is pairwise consistent (it was repaired before it
+				// was pushed), so in its neighbor only the pairs of the
+				// merged dependent are open.
+				m.markConsistentExcept(cand, phi[i].Union(phi[j]))
+				var ok bool
+				if cand, ok = m.repair(sep, cand, a, b); !ok {
+					m.searchStats.Pruned++
+					continue
+				}
+			}
+			if nb, isNew := s.keep(cand); isNew {
+				s.stack = append(s.stack, nb)
+			}
 		}
-		// A single repair pass costs O(m²) mutual-information evaluations
+	}
+}
+
+// keyRoot returns the root candidate of every search with key sep — the
+// all-singletons MVD, repaired when pruning is on — and its J, computing
+// them on the first request of the mine (see keyMemo).
+func (m *Miner) keyRoot(sep bitset.AttrSet) *keyRoot {
+	r, owner := m.keys.acquire(sep)
+	if !owner {
+		return r
+	}
+	deps := m.scratch.root[:0]
+	for rest := sep.Complement(m.oracle.NumAttrs()); rest != 0; rest &= rest - 1 {
+		deps = append(deps, rest&-rest)
+	}
+	if m.opts.PairwiseConsistency {
+		m.scratch.consistent = [bitset.MaxAttrs]uint64{} // nothing is known yet
+		var ok bool
+		// No pair: the closure runs to the end, and each search checks
+		// its own pair against the result. Merges only ever unite, so a
+		// pair united on the way is still united there.
+		if deps, ok = m.repair(sep, deps, -1, -1); !ok {
+			m.keys.abort(sep, r)
+			return r
+		}
+	}
+	r.publish(deps, info.JMVD(m.src, mvd.MVD{Key: sep, Deps: deps}))
+	return r
+}
+
+// repair is getPairwiseConsistentMVD (Fig. 16), in place: while some
+// dependent pair Ci,Cj of deps has I(Ci;Cj|key) > ε, merge the first such
+// pair in canonical order (the merge is forced: any ε-MVD coarsening the
+// candidate must unite that pair, by Prop. 5.1/5.2). It returns the
+// repaired list, or false when the merges united a and b (pass a < 0 for
+// no such pair) or the mine was stopped.
+//
+// The scan skips pairs the miner's consistency matrix already marks: a
+// pair of dependents neither of which changed has the same mutual
+// information bit for bit. Dependents are disjoint, so each is named by
+// its lowest attribute, and consistent[min Ci] has bit (min Cj) set once
+// I(Ci;Cj|key) ≤ ε is known; a merge clears the row and column of the
+// dependent it made. The caller seeds the matrix (markConsistentExcept).
+// Skipping never reorders anything — the first inconsistent pair of a
+// scan is the one a scan from scratch would find.
+func (m *Miner) repair(key bitset.AttrSet, deps []bitset.AttrSet, a, b int) ([]bitset.AttrSet, bool) {
+	for {
+		// A single pass costs up to O(m²) mutual-information evaluations
 		// (m up to 45 on the widest dataset), so the deadline and the
 		// context must be honored here too; under timeout results are
 		// partial anyway.
 		if m.stopped() {
-			return mvd.MVD{}, false
+			return nil, false
 		}
-		i, j := m.findInconsistentPair(phi)
+		i, j := m.findInconsistentPair(key, deps)
 		if i < 0 {
-			return phi, true
+			return deps, true
 		}
 		m.searchStats.Repairs++
-		phi = phi.Merge(i, j)
+		u := deps[i].Union(deps[j])
+		if a >= 0 && u.Contains(a) && u.Contains(b) {
+			return nil, false
+		}
+		deps = mvd.MergeDeps(deps[:0], deps, i, j)
+		open := ^(uint64(1) << uint(u.Min()))
+		for _, d := range deps {
+			m.scratch.consistent[d.Min()] &= open
+		}
+		m.scratch.consistent[u.Min()] = 0
 	}
+}
+
+// markConsistentExcept seeds the consistency matrix for a repair of deps:
+// every pair is marked consistent except those of the dependent changed.
+func (m *Miner) markConsistentExcept(deps []bitset.AttrSet, changed bitset.AttrSet) {
+	rows := &m.scratch.consistent
+	var names uint64
+	for _, d := range deps {
+		names |= 1 << uint(d.Min())
+	}
+	names &^= 1 << uint(changed.Min())
+	for _, d := range deps {
+		rows[d.Min()] = names
+	}
+	rows[changed.Min()] = 0
 }
 
 // findInconsistentPair returns the first dependent pair (canonical order)
-// violating I(Ci;Cj|S) ≤ ε, or (-1,-1).
-func (m *Miner) findInconsistentPair(phi mvd.MVD) (int, int) {
-	for i := 0; i < len(phi.Deps); i++ {
-		for j := i + 1; j < len(phi.Deps); j++ {
-			if !info.LeqEps(m.src.MI(phi.Deps[i], phi.Deps[j], phi.Key), m.opts.Epsilon) {
+// violating I(Ci;Cj|key) ≤ ε, or (-1,-1), marking the pairs it finds
+// consistent on the way. H(key) and H(key ∪ Ci) are read once per scan and
+// once per row, not once per pair; MIGiven sums them in MI's order.
+func (m *Miner) findInconsistentPair(key bitset.AttrSet, deps []bitset.AttrSet) (int, int) {
+	rows := &m.scratch.consistent
+	hKey, haveKey := 0.0, false
+	for i, ci := range deps {
+		ri := ci.Min()
+		hi, haveRow := 0.0, false
+		for j := i + 1; j < len(deps); j++ {
+			cj := deps[j]
+			rj := cj.Min()
+			if rows[ri]&(1<<uint(rj)) != 0 {
+				continue
+			}
+			if !haveKey {
+				hKey, haveKey = m.src.H(key), true
+			}
+			if !haveRow {
+				hi, haveRow = m.src.H(key.Union(ci)), true
+			}
+			if !info.LeqEps(m.src.MIGiven(hi, hKey, ci, cj, key), m.opts.Epsilon) {
 				return i, j
 			}
+			rows[ri] |= 1 << uint(rj)
+			rows[rj] |= 1 << uint(ri)
 		}
 	}
 	return -1, -1
-}
-
-// SeparatorHolds reports whether sep admits any ε-MVD separating a and b —
-// the test used by MineMinSeps and ReduceMinSep (K = 1 call sites).
-func (m *Miner) SeparatorHolds(sep bitset.AttrSet, a, b int) bool {
-	return len(m.GetFullMVDs(sep, a, b, 1)) > 0
-}
-
-// fullOnly removes every MVD strictly refined by another member.
-func fullOnly(ms []mvd.MVD) []mvd.MVD {
-	var out []mvd.MVD
-	for i, phi := range ms {
-		dominated := false
-		for j, psi := range ms {
-			if i == j {
-				continue
-			}
-			if psi.StrictlyRefines(phi) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, phi)
-		}
-	}
-	mvd.Sort(out)
-	return out
 }

@@ -22,7 +22,7 @@ import (
 // entropy source starts as the shared oracle; the fan-out rebinds it to a
 // worker-local view (bindLocal) for the goroutine's lifetime.
 func (m *Miner) fork() *Miner {
-	w := &Miner{oracle: m.oracle, src: m.oracle, opts: m.opts, ctx: m.ctx}
+	w := &Miner{oracle: m.oracle, src: m.oracle, opts: m.opts, ctx: m.ctx, done: m.done, keys: m.keys}
 	w.opts.Progress = nil
 	return w
 }

@@ -9,7 +9,7 @@ import (
 
 // DatasetSpec describes one Table-2 dataset and its synthetic analog.
 // PaperRows/PaperCols are the sizes the paper reports; Rows is the scaled
-// default used by the reproduction (DESIGN.md §4.1). PaperRuntime and
+// default used by the reproduction. PaperRuntime and
 // PaperFullMVDs reproduce the Table-2 reference columns ("TL" = the
 // paper's 5-hour time limit was hit, "NA" = no count reported).
 type DatasetSpec struct {

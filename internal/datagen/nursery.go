@@ -10,7 +10,7 @@ import (
 // hierarchical decision model (domain sizes 3,5,4,4,3,2,3,3,5 — exactly
 // the sizes the paper quotes in Sec. 8.1). The 12960 = 3·5·4·4·3·2·3·3
 // tuples are therefore fully reproducible; only the class rule is an
-// approximation of the original DEX model (see DESIGN.md §4.2).
+// approximation of the original DEX model.
 var nurseryDomains = []struct {
 	name   string
 	values []string

@@ -1,8 +1,8 @@
 // Package datagen generates the synthetic workloads of the reproduction.
 //
 // The paper evaluates on 20 real-world Metanome CSVs and the UCI Nursery
-// dataset, none of which are available offline; DESIGN.md §4 documents the
-// substitution. This package provides:
+// dataset, none of which are available offline. This package provides the
+// substitutes:
 //
 //   - Planted: relations constructed as explicit acyclic joins so that a
 //     known join tree's support MVDs hold *exactly*, with optional noise —

@@ -411,7 +411,21 @@ func (o *Oracle) countMI(x bitset.AttrSet) {
 // floating-point cancellation can produce.
 func (o *Oracle) MI(y, z, x bitset.AttrSet) float64 {
 	o.countMI(x)
-	v := o.H(x.Union(y)) + o.H(x.Union(z)) - o.H(x.Union(y).Union(z)) - o.H(x)
+	return miSum(o.H(x.Union(y)), o.H(x.Union(z)), o.H(x.Union(y).Union(z)), o.H(x))
+}
+
+// MIGiven is MI(y, z, x) for a caller that already holds the two terms
+// that do not depend on z — hxy = H(x∪y) and hx = H(x) — so a scan over
+// many z for one (y, x) reads them once. It counts as one MI evaluation
+// and sums in MI's order, so the value is bit-identical to MI's.
+func (o *Oracle) MIGiven(hxy, hx float64, y, z, x bitset.AttrSet) float64 {
+	o.countMI(x)
+	return miSum(hxy, o.H(x.Union(z)), o.H(x.Union(y).Union(z)), hx)
+}
+
+// miSum is Eq. 2 in the one summation order every MI path uses.
+func miSum(hxy, hxz, hxyz, hx float64) float64 {
+	v := hxy + hxz - hxyz - hx
 	if v < 0 {
 		return 0
 	}
@@ -435,24 +449,83 @@ func (o *Oracle) LogN() float64 { return o.logN }
 // bound); hits on it count as cached H calls in worker-private counters
 // that Release flushes into the shared stats — workers release their
 // views before each phase barrier, so phase-boundary Stats snapshots see
-// the same HCalls/HCached totals as a serial mine. Entropies are
+// the same HCalls/HCached/MICalls totals as a serial mine. Entropies are
 // immutable, so a locally retained value an entropy budget has since
 // evicted from the shared shards is still exact.
 //
 // A Local is bound to one goroutine at a time; Release returns its arena
-// to the pool. H/CondH/MI are semantically identical to the oracle's own
-// (same memo, same single-flight, same counters), so a Local satisfies
-// the same entropy-source contract miners program against.
+// to the pool. H/CondH/MI/MIGiven are semantically identical to the
+// oracle's own (same memo, same single-flight, same counters), so a Local
+// satisfies the same entropy-source contract miners program against.
 type Local struct {
-	o               *Oracle
-	a               *pli.Arena
-	memo            map[bitset.AttrSet]float64
-	hCalls, hCached int
+	o                        *Oracle
+	a                        *pli.Arena
+	memo                     localMemo
+	hCalls, hCached, miCalls int
 }
 
 // localMemoCap bounds a view's read-through memo; past it, new sets pass
 // through to the shared shards uncached (existing entries keep serving).
 const localMemoCap = 1 << 16
+
+// localMemo is the view's read-through memo: an open-addressed
+// AttrSet → entropy table with linear probing, indexed by stripe.Hash and
+// kept at most half full. A warm H is the mining search's innermost
+// operation, and a Go map probe was a fifth of the search profile. The
+// empty set is never stored (H answers it first), so key 0 marks a vacant
+// slot; nothing is ever deleted.
+type localMemo struct {
+	slots []localSlot // power-of-two length, or nil before the first put
+	n     int
+}
+
+type localSlot struct {
+	key bitset.AttrSet
+	h   float64
+}
+
+func (t *localMemo) get(k bitset.AttrSet) (float64, bool) {
+	if t.slots == nil {
+		return 0, false
+	}
+	mask := uint64(len(t.slots) - 1)
+	for i := stripe.Hash(uint64(k)) & mask; ; i = (i + 1) & mask {
+		switch s := &t.slots[i]; s.key {
+		case k:
+			return s.h, true
+		case 0:
+			return 0, false
+		}
+	}
+}
+
+// put records k → h unless the memo is at localMemoCap; k must be
+// non-empty and absent.
+func (t *localMemo) put(k bitset.AttrSet, h float64) {
+	if t.n >= localMemoCap {
+		return
+	}
+	if 2*(t.n+1) > len(t.slots) {
+		old := t.slots
+		t.slots = make([]localSlot, max(512, 2*len(old)))
+		for _, s := range old {
+			if s.key != 0 {
+				t.place(s)
+			}
+		}
+	}
+	t.place(localSlot{key: k, h: h})
+	t.n++
+}
+
+func (t *localMemo) place(s localSlot) {
+	mask := uint64(len(t.slots) - 1)
+	i := stripe.Hash(uint64(s.key)) & mask
+	for t.slots[i].key != 0 {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = s
+}
 
 // Local checks a worker-local view out of the arena pool.
 func (o *Oracle) Local() *Local {
@@ -466,15 +539,16 @@ func (l *Local) Oracle() *Oracle { return l.o }
 // counters into the shared stats, and drops the private memo; the Local
 // must not be used afterwards.
 func (l *Local) Release() {
-	if l.o.shared && l.hCalls > 0 {
+	if l.o.shared && l.hCalls+l.miCalls > 0 {
 		sh := &l.o.shards[0]
 		sh.mu.Lock()
 		sh.hCalls += l.hCalls
 		sh.hCached += l.hCached
 		sh.mu.Unlock()
-		l.hCalls, l.hCached = 0, 0
+		sh.miCalls.Add(int64(l.miCalls))
+		l.hCalls, l.hCached, l.miCalls = 0, 0, 0
 	}
-	l.memo = nil
+	l.memo = localMemo{}
 	if l.a != nil {
 		pli.PutArena(l.a)
 		l.a = nil
@@ -482,29 +556,26 @@ func (l *Local) Release() {
 }
 
 // H is Oracle.H computed on the view's arena, read through the view's
-// private memo: a repeat read is a map probe and two counter bumps, no
+// private memo: a repeat read is a table probe and two counter bumps, no
 // shard lock, no allocation.
 func (l *Local) H(attrs bitset.AttrSet) float64 {
 	if !l.o.shared {
 		return l.o.unsharedH(attrs)
 	}
-	if h, ok := l.memo[attrs]; ok {
+	// The empty set is answered without a memo — a call, never a cached
+	// one, exactly as the oracle counts it — and stays out of the local
+	// memo, whose vacant-slot mark it is.
+	if attrs.IsEmpty() {
+		l.hCalls++
+		return 0
+	}
+	if h, ok := l.memo.get(attrs); ok {
 		l.hCalls++
 		l.hCached++
 		return h
 	}
 	h := l.o.sharedH(l.a, attrs)
-	// The empty set is answered before the shared memo probe and never
-	// counts as cached; keep it out of the local memo so the counter
-	// totals match a serial mine exactly.
-	if !attrs.IsEmpty() {
-		if l.memo == nil {
-			l.memo = make(map[bitset.AttrSet]float64, 256)
-		}
-		if len(l.memo) < localMemoCap {
-			l.memo[attrs] = h
-		}
-	}
+	l.memo.put(attrs, h)
 	return h
 }
 
@@ -515,12 +586,25 @@ func (l *Local) CondH(y, x bitset.AttrSet) float64 {
 
 // MI is Oracle.MI computed on the view's arena.
 func (l *Local) MI(y, z, x bitset.AttrSet) float64 {
-	l.o.countMI(x)
-	v := l.H(x.Union(y)) + l.H(x.Union(z)) - l.H(x.Union(y).Union(z)) - l.H(x)
-	if v < 0 {
-		return 0
+	l.countMI()
+	return miSum(l.H(x.Union(y)), l.H(x.Union(z)), l.H(x.Union(y).Union(z)), l.H(x))
+}
+
+// MIGiven is Oracle.MIGiven computed on the view's arena.
+func (l *Local) MIGiven(hxy, hx float64, y, z, x bitset.AttrSet) float64 {
+	l.countMI()
+	return miSum(hxy, l.H(x.Union(z)), l.H(x.Union(y).Union(z)), hx)
+}
+
+// countMI counts one MI evaluation in a view-private int that Release
+// flushes, like the H counters — not with a cross-core atomic add per
+// call.
+func (l *Local) countMI() {
+	if l.o.shared {
+		l.miCalls++
+	} else {
+		l.o.stats.MICalls++
 	}
-	return v
 }
 
 // NaiveH computes H(Xα) directly by grouping projected rows, without the

@@ -155,9 +155,63 @@ func TestLocalReadThroughCounters(t *testing.T) {
 	}
 }
 
+// TestLocalMatchesOracleCounts replays one read sequence — every subset of
+// eleven attributes, enough to grow the view's table several times, the
+// empty set included, then MI and MIGiven over them — through a fresh
+// oracle directly and through a Local view of another, and requires the
+// same values bit for bit and, after Release, the same HCalls, HCached and
+// MICalls. The empty set is a call that is never cached on both paths.
+func TestLocalMatchesOracleCounts(t *testing.T) {
+	r := datagen.Uniform(200, 11, 3, 77)
+	type source interface {
+		H(bitset.AttrSet) float64
+		MI(y, z, x bitset.AttrSet) float64
+		MIGiven(hxy, hx float64, y, z, x bitset.AttrSet) float64
+	}
+	replay := func(src source) []float64 {
+		var out []float64
+		for round := 0; round < 2; round++ {
+			bitset.Full(11).Subsets(func(s bitset.AttrSet) bool {
+				out = append(out, src.H(s))
+				return true
+			})
+		}
+		for _, x := range []bitset.AttrSet{bitset.Empty(), bitset.Of(3), bitset.Of(0, 9)} {
+			y, z := bitset.Of(1, 2), bitset.Of(4, 10)
+			mi := src.MI(y, z, x)
+			given := src.MIGiven(src.H(x.Union(y)), src.H(x), y, z, x)
+			if mi != given {
+				t.Fatalf("MIGiven(%v;%v|%v) = %v, MI = %v", y, z, x, given, mi)
+			}
+			out = append(out, mi)
+		}
+		return out
+	}
+	direct := NewShared(r, pli.Config{Shards: 4})
+	want := replay(direct)
+
+	viewed := NewShared(r, pli.Config{Shards: 4})
+	l := viewed.Local()
+	got := replay(l)
+	l.Release()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("read %d: view %v, oracle %v", i, got[i], want[i])
+		}
+	}
+	ws, gs := direct.Stats(), viewed.Stats()
+	if gs.HCalls != ws.HCalls || gs.HCached != ws.HCached || gs.MICalls != ws.MICalls {
+		t.Fatalf("view counted H %d/%d cached, MI %d; oracle H %d/%d cached, MI %d",
+			gs.HCalls, gs.HCached, gs.MICalls, ws.HCalls, ws.HCached, ws.MICalls)
+	}
+	if uncached := ws.HCalls - ws.HCached; uncached <= 1<<11 {
+		t.Fatalf("%d uncached calls: the empty set's repeat reads must stay uncached", uncached)
+	}
+}
+
 // TestLocalReadThroughZeroAlloc gates the worker-local repeat read at
 // zero allocations: once a Local has seen a set, re-reading it is a
-// private map probe — no shard lock, no allocation — even when an
+// private table probe — no shard lock, no allocation — even when an
 // entropy budget has since evicted the set from the shared shards.
 func TestLocalReadThroughZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))

@@ -10,11 +10,11 @@
 //	Fig. 15  — quality of schemes vs ε (#schemes, #relations, widths)
 //	Fig. 18  — #full MVDs vs ε and generation rate
 //
-// plus the two ablations DESIGN.md calls out (pairwise-consistency
-// pruning; entropy-engine block size). Each driver prints a paper-style
+// plus two ablations (pairwise-consistency pruning; entropy-engine block
+// size). Each driver prints a paper-style
 // table and returns it as a string; cmd/experiments and the root bench
 // suite are thin wrappers. Runtimes are not expected to match the paper's
-// (Java, 120-CPU machine, 5-hour limits); shapes are — see EXPERIMENTS.md.
+// (Java, 120-CPU machine, 5-hour limits); shapes are.
 package experiments
 
 import (

@@ -8,7 +8,7 @@ import (
 )
 
 // Table2 reproduces Table 2: for each of the 20 datasets (synthetic
-// analogs; DESIGN.md §4.1), mine full MVDs at ε = 0 under a time limit and
+// analogs; see datagen.DatasetSpec), mine full MVDs at ε = 0 under a time limit and
 // report runtime and the number of full MVDs, alongside the paper's
 // reference values. The shape to compare: which datasets finish fast,
 // which hit the limit, and how counts scale with column count.

@@ -11,9 +11,10 @@
 package mvd
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/bitset"
@@ -109,39 +110,39 @@ func (m MVD) Separates(a, b int) bool {
 }
 
 // Merge returns the MVD with dependents i and j (indices into Deps)
-// replaced by their union — merge_ij(φ) of Eq. (13). Canonical dependent
-// order is restored, so indices of other dependents may move.
+// replaced by their union — merge_ij(φ) of Eq. (13), the step that
+// generates a candidate's search-space neighbors. Canonical dependent
+// order is kept, so indices of other dependents may move.
 func (m MVD) Merge(i, j int) MVD {
+	return MVD{Key: m.Key, Deps: MergeDeps(make([]bitset.AttrSet, 0, len(m.Deps)-1), m.Deps, i, j)}
+}
+
+// MergeDeps appends to dst the canonical dependent list deps with
+// dependents i and j replaced by their union, and returns it. The union
+// is larger than either part, so it sorts after both: one pass that drops
+// i and j and inserts the union at its sorted position keeps the order,
+// with no re-sort. deps must be canonical (sorted, pairwise disjoint).
+// dst may be deps[:0] for an in-place merge — writes trail reads.
+func MergeDeps(dst, deps []bitset.AttrSet, i, j int) []bitset.AttrSet {
 	if i == j {
 		panic("mvd: merging a dependent with itself")
 	}
-	deps := make([]bitset.AttrSet, 0, len(m.Deps)-1)
-	for k, d := range m.Deps {
+	u := deps[i].Union(deps[j])
+	placed := false
+	for k, d := range deps {
 		if k == i || k == j {
 			continue
 		}
-		deps = append(deps, d)
-	}
-	deps = append(deps, m.Deps[i].Union(m.Deps[j]))
-	bitset.SortSets(deps)
-	return MVD{Key: m.Key, Deps: deps}
-}
-
-// Neighbors returns the search-space neighbors of m per Eq. (13): every
-// merge of two dependents that keeps attributes a and b in distinct
-// dependents. The receiver must currently separate a and b.
-func (m MVD) Neighbors(a, b int) []MVD {
-	ia, ib := m.DepIndexOf(a), m.DepIndexOf(b)
-	var out []MVD
-	for i := 0; i < len(m.Deps); i++ {
-		for j := i + 1; j < len(m.Deps); j++ {
-			if (i == ia && j == ib) || (i == ib && j == ia) {
-				continue // would merge a's and b's dependents together
-			}
-			out = append(out, m.Merge(i, j))
+		if !placed && bitset.Compare(u, d) < 0 {
+			dst = append(dst, u)
+			placed = true
 		}
+		dst = append(dst, d)
 	}
-	return out
+	if !placed {
+		dst = append(dst, u)
+	}
+	return dst
 }
 
 // Refines reports whether m ⪰ other (Sec. 5.2): same key, and every
@@ -289,25 +290,21 @@ func Parse(s string) (MVD, error) {
 // Sort orders MVDs by ascending key cardinality, then key value, then
 // dependents — the processing order BuildAcyclicSchema requires (Fig. 9,
 // line 2) and the canonical order for deterministic output.
-func Sort(ms []MVD) {
-	sort.Slice(ms, func(i, j int) bool { return Less(ms[i], ms[j]) })
-}
+func Sort(ms []MVD) { slices.SortFunc(ms, Compare) }
 
-// Less is the canonical strict order used by Sort.
-func Less(a, b MVD) bool {
-	if la, lb := a.Key.Len(), b.Key.Len(); la != lb {
-		return la < lb
+// Compare is the canonical order used by Sort; it returns -1, 0 or +1
+// like cmp.Compare.
+func Compare(a, b MVD) int {
+	if c := bitset.Compare(a.Key, b.Key); c != 0 {
+		return c
 	}
-	if a.Key != b.Key {
-		return a.Key < b.Key
-	}
-	if len(a.Deps) != len(b.Deps) {
-		return len(a.Deps) < len(b.Deps)
+	if c := cmp.Compare(len(a.Deps), len(b.Deps)); c != 0 {
+		return c
 	}
 	for i := range a.Deps {
-		if a.Deps[i] != b.Deps[i] {
-			return a.Deps[i] < b.Deps[i]
+		if c := cmp.Compare(a.Deps[i], b.Deps[i]); c != 0 {
+			return c
 		}
 	}
-	return false
+	return 0
 }

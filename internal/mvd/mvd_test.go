@@ -67,20 +67,50 @@ func TestSeparates(t *testing.T) {
 	}
 }
 
-func TestMergeAndNeighbors(t *testing.T) {
+func TestMerge(t *testing.T) {
 	m, _ := Singletons(bitset.Of(0), 5) // A ↠ B|C|D|E
 	merged := m.Merge(0, 1)
 	if merged.M() != 3 {
 		t.Fatalf("merge M = %d", merged.M())
 	}
-	// Neighbors keeping B(1) and E(4) apart: all pairs except {B,E}.
-	nbrs := m.Neighbors(1, 4)
-	if len(nbrs) != 5 { // C(4,2)=6 pairs - 1 forbidden
-		t.Fatalf("neighbors = %d, want 5", len(nbrs))
+	if want := MustNew(bitset.Of(0), bitset.Of(3), bitset.Of(4), bitset.Of(1, 2)); !merged.Equal(want) {
+		t.Fatalf("merge = %v, want %v", merged, want)
 	}
-	for _, nb := range nbrs {
-		if !nb.Separates(1, 4) {
-			t.Fatalf("neighbor %v does not separate B,E", nb)
+}
+
+// Property: MergeDeps lands on the canonical form New would produce, for
+// either index order, and merging in place (dst = deps[:0]) gives the
+// same list as merging into fresh storage.
+func TestQuickMergeDepsCanonicalInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 300; trial++ {
+		n := 4 + rng.Intn(9)
+		m, err := Singletons(bitset.Single(rng.Intn(n)), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m.M() > 2 {
+			i, j := rng.Intn(m.M()), rng.Intn(m.M())
+			if i == j {
+				continue
+			}
+			var loose []bitset.AttrSet
+			for k, d := range m.Deps {
+				if k != i && k != j {
+					loose = append(loose, d)
+				}
+			}
+			want := MustNew(m.Key, append(loose, m.Deps[i].Union(m.Deps[j]))...)
+			got := m.Merge(i, j)
+			if !got.Equal(want) {
+				t.Fatalf("Merge(%d,%d) of %v = %v, want %v", i, j, m, got, want)
+			}
+			inPlace := append([]bitset.AttrSet(nil), m.Deps...)
+			inPlace = MergeDeps(inPlace[:0], inPlace, i, j)
+			if !(MVD{Key: m.Key, Deps: inPlace}).Equal(want) {
+				t.Fatalf("in-place MergeDeps(%d,%d) of %v = %v, want %v", i, j, m, inPlace, want)
+			}
+			m = got
 		}
 	}
 }

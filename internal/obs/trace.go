@@ -62,7 +62,11 @@ type StageTrace struct {
 	// across fan-outs, unlike post-dedup intermediate counts), MVDs the
 	// graph was built over ("graph"), schemes emitted ("synth").
 	Items int64
-	// JEvals counts J-measure evaluations attributed to the stage.
+	// JEvals counts the J-measures the stage's searches consulted, one
+	// per candidate visited. (The J of a search's root depends on the
+	// separator key alone; it is computed once per mine and read back by
+	// the other searches with that key, each of which still counts it —
+	// that is what keeps the count independent of the fan-out.)
 	JEvals int64
 	// Candidates counts candidate MVDs visited by the stage's searches;
 	// for "graph" it is the incompatibility edges added, for "synth" the

@@ -19,6 +19,8 @@
 package transversal
 
 import (
+	"slices"
+
 	"repro/internal/bitset"
 )
 
@@ -26,128 +28,112 @@ import (
 // fixed universe while edges are added, and hands out each minimal
 // transversal of the current hypergraph at most once.
 type Enumerator struct {
-	universe  bitset.AttrSet
-	edges     []bitset.AttrSet
-	mts       []bitset.AttrSet
-	processed map[bitset.AttrSet]bool
-	queue     []bitset.AttrSet
-	dead      bool // an empty edge was added: no transversal can hit it
+	universe bitset.AttrSet
+	edges    []bitset.AttrSet
+	mts      []entry // current minimal transversals, canonical order
+	spare    []entry // the previous mts' storage, reused by the next AddEdge
+	head     int     // every entry before head has been handed out
+	dead     bool    // an empty edge was added: no transversal can hit it
+}
+
+// entry is one current minimal transversal and whether Next has already
+// returned it.
+type entry struct {
+	set  bitset.AttrSet
+	done bool
 }
 
 // New returns an enumerator over the given universe with no edges. With an
 // empty hypergraph the empty set is the unique minimal transversal.
 func New(universe bitset.AttrSet) *Enumerator {
-	return &Enumerator{
-		universe:  universe,
-		mts:       []bitset.AttrSet{bitset.Empty()},
-		processed: make(map[bitset.AttrSet]bool),
-		queue:     []bitset.AttrSet{bitset.Empty()},
-	}
+	return &Enumerator{universe: universe, mts: []entry{{set: bitset.Empty()}}}
 }
 
 // Edges returns the edges added so far.
 func (e *Enumerator) Edges() []bitset.AttrSet { return e.edges }
 
-// Transversals returns the current minimal transversals (shared slice; do
-// not modify).
-func (e *Enumerator) Transversals() []bitset.AttrSet { return e.mts }
+// Transversals returns a copy of the current minimal transversals in
+// canonical order.
+func (e *Enumerator) Transversals() []bitset.AttrSet {
+	out := make([]bitset.AttrSet, len(e.mts))
+	for i, t := range e.mts {
+		out[i] = t.set
+	}
+	return out
+}
 
 // AddEdge inserts a hyperedge and updates the minimal transversal set.
 // Vertices outside the universe are ignored. Adding the empty edge makes
 // the hypergraph unhittable: enumeration ends.
+//
+// This is one Berge step, done incrementally. A minimal transversal that
+// already hits the new edge keeps all its private edges, so it stays
+// minimal and is kept — with its handed-out mark — without a re-check. One
+// that misses the edge is replaced by its extensions t ∪ {v}, v in the
+// edge, of which only the minimal ones survive. The survivors need no
+// deduplication: if t ∪ {v} = t' ∪ {v'} with t ≠ t', then v' ∈ t owns a
+// private edge of the extension that t' = (t ∪ {v}) \ {v'} would have to
+// hit — it cannot; and an extension strictly contains a transversal of the
+// old edges, so it equals no kept (minimal) one. For the same reason an
+// extension is never a set Next returned earlier: that set either is still
+// current (kept) or misses an edge added since.
 func (e *Enumerator) AddEdge(edge bitset.AttrSet) {
 	edge = edge.Intersect(e.universe)
 	e.edges = append(e.edges, edge)
 	if edge.IsEmpty() {
 		e.dead = true
 		e.mts = nil
-		e.queue = nil
 		return
 	}
 	if e.dead {
 		return
 	}
-	// Berge step: extend transversals that miss the new edge.
-	seen := make(map[bitset.AttrSet]bool, len(e.mts))
-	var cands []bitset.AttrSet
-	push := func(s bitset.AttrSet) {
-		if !seen[s] {
-			seen[s] = true
-			cands = append(cands, s)
-		}
-	}
+	next := e.spare[:0]
 	for _, t := range e.mts {
-		if t.Intersects(edge) {
-			push(t)
+		if t.set.Intersects(edge) {
+			next = append(next, t)
 			continue
 		}
-		edge.ForEach(func(v int) bool {
-			push(t.Add(v))
-			return true
-		})
-	}
-	e.mts = e.mts[:0]
-	for _, c := range cands {
-		if e.isMinimalTransversal(c) {
-			e.mts = append(e.mts, c)
-		}
-	}
-	bitset.SortSets(e.mts)
-	// Refresh the queue with every current, unprocessed transversal.
-	e.queue = e.queue[:0]
-	for _, t := range e.mts {
-		if !e.processed[t] {
-			e.queue = append(e.queue, t)
-		}
-	}
-}
-
-// isMinimalTransversal checks that s hits every edge and that each vertex
-// of s has a private edge (an edge s hits only through that vertex).
-func (e *Enumerator) isMinimalTransversal(s bitset.AttrSet) bool {
-	for _, ed := range e.edges {
-		if !ed.Intersects(s) {
-			return false
-		}
-	}
-	minimal := true
-	s.ForEach(func(v int) bool {
-		private := false
-		for _, ed := range e.edges {
-			if ed.Intersect(s) == bitset.Single(v) {
-				private = true
-				break
+		for rest := edge; rest != 0; rest &= rest - 1 {
+			s := t.set | rest&-rest
+			if Minimal(s, e.edges) {
+				next = append(next, entry{set: s})
 			}
 		}
-		if !private {
-			minimal = false
+	}
+	e.spare, e.mts = e.mts, next
+	slices.SortFunc(e.mts, func(a, b entry) int { return bitset.Compare(a.set, b.set) })
+	e.head = 0
+}
+
+// Minimal reports whether s is a minimal transversal of the edge family:
+// it hits every edge and each of its vertices has a private edge — one s
+// meets in that vertex alone. One pass: crit collects the vertices owning
+// a private edge; s is minimal iff that is all of s.
+func Minimal(s bitset.AttrSet, edges []bitset.AttrSet) bool {
+	var crit bitset.AttrSet
+	for _, ed := range edges {
+		x := ed & s
+		if x == 0 {
 			return false
 		}
-		return true
-	})
-	return minimal
+		if x&(x-1) == 0 {
+			crit |= x
+		}
+	}
+	return crit == s
 }
 
 // Next returns a minimal transversal of the current hypergraph that has
-// not been returned before, marking it processed. ok is false when all
-// current minimal transversals have been processed (the caller may still
+// not been returned before, marking it handed out. ok is false when all
+// current minimal transversals have been handed out (the caller may still
 // AddEdge and ask again).
 func (e *Enumerator) Next() (t bitset.AttrSet, ok bool) {
-	for len(e.queue) > 0 {
-		t = e.queue[0]
-		e.queue = e.queue[1:]
-		if e.processed[t] {
-			continue
+	for ; e.head < len(e.mts); e.head++ {
+		if c := &e.mts[e.head]; !c.done {
+			c.done = true
+			return c.set, true
 		}
-		e.processed[t] = true
-		return t, true
 	}
 	return bitset.Empty(), false
-}
-
-// Minimal is a standalone helper: it reports whether s is a minimal
-// transversal of the given edge family (used by property tests).
-func Minimal(s bitset.AttrSet, edges []bitset.AttrSet) bool {
-	e := &Enumerator{edges: edges}
-	return e.isMinimalTransversal(s)
 }

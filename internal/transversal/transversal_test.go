@@ -2,6 +2,7 @@ package transversal
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitset"
@@ -196,4 +197,62 @@ func TestQuickAgainstBruteForce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzEnumerator drives the enumerator the way MineMinSeps does — edges
+// arriving one at a time, Next interleaved — from fuzzer-chosen bytes:
+// the first byte picks the universe size (≤ 12), then each pair of bytes
+// is one edge (possibly empty, possibly a repeat or a superset of an
+// earlier one) and each bit of the byte after it says how many
+// transversals to draw before the next edge. After every AddEdge the
+// transversal set must equal the brute-force minimal hitting sets, in
+// canonical order and duplicate-free; every set Next returns must be a
+// minimal transversal of the hypergraph at that moment; and Next must
+// never return the same set twice.
+func FuzzEnumerator(f *testing.F) {
+	f.Add([]byte{6, 0x07, 0x00, 1, 0x18, 0x00, 3})
+	f.Add([]byte{12, 0xff, 0x0f, 0, 0x01, 0x00, 2, 0x03, 0x00, 9})
+	f.Add([]byte{4, 0x03, 0x00, 1, 0x00, 0x00, 1, 0x01, 0x00, 0}) // empty edge mid-stream
+	f.Add([]byte{8, 0x11, 0x00, 2, 0x11, 0x00, 2, 0x33, 0x00, 2}) // repeat, then superset
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%12
+		universe := bitset.Full(n)
+		e := New(universe)
+		var edges []bitset.AttrSet
+		returned := map[bitset.AttrSet]bool{}
+		draw := func(k int) {
+			for ; k > 0; k-- {
+				d, ok := e.Next()
+				if !ok {
+					return
+				}
+				if returned[d] {
+					t.Fatalf("Next repeated %v (edges %v)", d, edges)
+				}
+				returned[d] = true
+				if !Minimal(d, edges) {
+					t.Fatalf("Next returned %v, not a minimal transversal of %v", d, edges)
+				}
+			}
+		}
+		for rest := data[1:]; len(rest) >= 3 && len(edges) < 10; rest = rest[3:] {
+			edge := bitset.AttrSet(rest[0]) | bitset.AttrSet(rest[1])<<8
+			e.AddEdge(edge) // vertices ≥ n are outside the universe: clipped
+			edges = append(edges, edge&universe)
+			got, want := e.Transversals(), naiveMinTransversals(universe, edges)
+			if !slices.Equal(got, want) {
+				t.Fatalf("after edges %v: transversals %v, want %v", edges, got, want)
+			}
+			draw(int(rest[2]) % 8)
+		}
+		draw(1 << 12) // drain: whatever is left comes out once each
+		for _, want := range naiveMinTransversals(universe, edges) {
+			if !returned[want] {
+				t.Fatalf("drained enumerator never returned %v (edges %v)", want, edges)
+			}
+		}
+	})
 }

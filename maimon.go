@@ -267,7 +267,8 @@ func ParseMVD(s string) (MVD, error) { return mvd.Parse(s) }
 func NewSchema(relations []AttrSet) (Schema, error) { return schema.New(relations) }
 
 // Nursery reconstructs the paper's Sec. 8.1 use-case dataset (12960 rows,
-// 9 attributes; see DESIGN.md §4.2 for the substitution notes).
+// 9 attributes; the class column is a procedural approximation of the
+// original decision model — see internal/datagen/nursery.go).
 func Nursery() *Relation { return datagen.Nursery() }
 
 // CIStatements converts mined MVDs to the saturated conditional

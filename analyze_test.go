@@ -1,0 +1,212 @@
+package maimon
+
+import (
+	"context"
+	"math"
+	"sync"
+	"testing"
+
+	"repro/internal/datagen"
+)
+
+// rankingInput is a planted chain with noise, and the schema planted in
+// it: wide enough that a mine fills the PLI cache with multi-attribute
+// partitions to evict, small enough for -race.
+func rankingInput(t testing.TB, rootTuples int) (*Relation, Schema) {
+	t.Helper()
+	r, sch, err := datagen.Planted(datagen.PlantedSpec{
+		Bags: datagen.ChainBags(9, 3, 1), Domain: 12, RootTuples: rootTuples, ExtPerSep: 3, NoiseCells: 0.01, Seed: 15,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, sch
+}
+
+func mineForRanking(t testing.TB, s *Session, eps float64, max int) []*Scheme {
+	t.Helper()
+	schemes, _, err := s.MineSchemes(context.Background(), WithEpsilon(eps), WithMaxSchemes(max))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(schemes) == 0 {
+		t.Fatal("no schemes mined")
+	}
+	return schemes
+}
+
+// TestAnalyzeBudgetInvariance: Analyze reads its partitions through the
+// budgeted, spill-backed PLI cache, so a session squeezed to ⅛ of the
+// footprint — evicting, demoting and promoting while it ranks — must
+// report Metrics equal (==) to an unlimited session's on every scheme.
+func TestAnalyzeBudgetInvariance(t *testing.T) {
+	r, _ := rankingInput(t, 150)
+	free, err := Open(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemes := mineForRanking(t, free, 0.1, 40)
+	want := make([]Metrics, len(schemes))
+	for i, sc := range schemes {
+		if want[i], err = free.Analyze(sc.Schema); err != nil {
+			t.Fatal(err)
+		}
+	}
+	budget := free.Stats().PLIStats.BytesLive / 8
+	if budget < 1 {
+		t.Fatal("reference footprint too small to squeeze")
+	}
+
+	tight, err := Open(r, WithMemoryBudget(budget), WithSpillDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tight.Close()
+	mineForRanking(t, tight, 0.1, 40)
+	for pass := 0; pass < 2; pass++ {
+		for i, sc := range schemes {
+			got, err := tight.Analyze(sc.Schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want[i] {
+				t.Fatalf("pass %d, %v:\n tight %+v\n free  %+v", pass, sc.Schema, got, want[i])
+			}
+		}
+	}
+	st := tight.Stats().PLIStats
+	if st.Evictions == 0 {
+		t.Fatal("the squeezed session never evicted: the budget path was not exercised")
+	}
+	if st.BytesLive > budget {
+		t.Fatalf("cache rests at %d bytes, over its %d budget: ranking pinned partitions", st.BytesLive, budget)
+	}
+}
+
+// TestAnalyzeConcurrent: maimond ranks the schemes of parallel jobs on one
+// session. Eight goroutines analyze every scheme at once — under a budget,
+// so fetches race with evictions — and each must see the serial answer.
+func TestAnalyzeConcurrent(t *testing.T) {
+	r, _ := rankingInput(t, 60)
+	ref, err := Open(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemes := mineForRanking(t, ref, 0.1, 20)
+	want := make([]Metrics, len(schemes))
+	for i, sc := range schemes {
+		if want[i], err = ref.Analyze(sc.Schema); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Open(r, WithMemoryBudget(ref.Stats().PLIStats.BytesLive/4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range schemes {
+				i := (k + g) % len(schemes)
+				got, err := s.Analyze(schemes[i].Schema)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got != want[i] {
+					t.Errorf("goroutine %d, %v:\n got  %+v\n want %+v", g, schemes[i].Schema, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestSchemeJBoundsSpuriousRate ties the two measures of a scheme's loss
+// together (ROADMAP §4): for a duplicate-free relation R with N rows and an
+// acyclic schema S with join tree T,
+//
+//	J(T) ≤ log2(1 + ρ),   ρ = (|⋈ R[Ωi]| − N) / N,
+//
+// the lower bound on loss that Kenig and Weinberger, "Quantifying the Loss
+// of Acyclic Join Dependencies" (arXiv 2210.14572; PAPERS.md), derive
+// before their probabilistic upper bounds. The argument is two lines: the
+// tree-factorized distribution P^T has P's marginals on every bag and
+// separator, so H(P^T) = Σ H(Ωi) − Σ H(Δi) = J(T) + H(Ω) = J(T) + log2 N;
+// its support is the join, N(1+ρ) tuples, so H(P^T) ≤ log2 N + log2(1+ρ).
+// Duplicate rows break H(Ω) = log2 N, hence the duplicate-free inputs.
+// J comes from the miner's entropies, ρ from Analyze's partition count: two
+// code paths that agree only if both are right.
+func TestSchemeJBoundsSpuriousRate(t *testing.T) {
+	planted, _ := rankingInput(t, 300)
+	for _, tc := range []struct {
+		name string
+		r    *Relation
+		eps  float64
+	}{
+		{"nursery", Nursery(), 0.3},
+		{"planted", planted.Dedup(), 0.1},
+	} {
+		s, err := Open(tc.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lossy := 0
+		for _, sc := range mineForRanking(t, s, tc.eps, 60) {
+			met, err := s.Analyze(sc.Schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if met.RowsOriginal != tc.r.NumRows() {
+				t.Fatalf("%s: input has duplicate rows", tc.name)
+			}
+			bound := math.Log2(1 + met.Spurious/float64(met.RowsOriginal))
+			if sc.J > bound+1e-9 {
+				t.Fatalf("%s, %v: J = %v bits exceeds log2(1+ρ) = %v (ρ = %v)",
+					tc.name, sc.Schema, sc.J, bound, met.Spurious/float64(met.RowsOriginal))
+			}
+			if met.Spurious > 0 {
+				lossy++
+			}
+		}
+		if lossy == 0 {
+			t.Fatalf("%s: every scheme is lossless; the bound was not exercised", tc.name)
+		}
+	}
+}
+
+// TestAnalyzeAllocs gates the ranking loop's allocations: a warm Analyze
+// allocates the join tree and its traversal — a few small slices per bag —
+// and nothing per row. The scratch (row → class ids, class arrays,
+// messages) is pooled, the partitions are cache hits. Checked at 1k and at
+// 30k rows of the same planted shape and schema.
+func TestAnalyzeAllocs(t *testing.T) {
+	var small float64
+	for _, rootTuples := range []int{40, 1100} {
+		r, sch := rankingInput(t, rootTuples)
+		s, err := Open(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Analyze(sch); err != nil {
+			t.Fatal(err) // builds the partitions, sizes the scratch
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := s.Analyze(sch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d rows, %d bags: %.1f allocs per Analyze", r.NumRows(), sch.M(), allocs)
+		if limit := float64(12 * sch.M()); allocs > limit {
+			t.Fatalf("%d rows: %.1f allocs per warm Analyze, want at most %.0f (12 per bag)", r.NumRows(), allocs, limit)
+		}
+		if small == 0 {
+			small = allocs
+		} else if allocs > small+2 {
+			t.Fatalf("allocations grow with rows: %.1f at %d rows against %.1f at the small size", allocs, r.NumRows(), small)
+		}
+	}
+}

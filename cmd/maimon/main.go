@@ -165,13 +165,13 @@ func main() {
 			s   *core.Scheme
 			met decompose.Metrics
 		}
+		// A scheme whose metrics cannot be computed has no place in the
+		// ranking, but it was mined: say so, and count it below.
 		var rows []row
 		for _, s := range schemes {
-			met, err := sess.Analyze(s.Schema)
-			if err != nil {
-				continue
+			if met, ok := metricsOf(sess, s); ok {
+				rows = append(rows, row{s, met})
 			}
-			rows = append(rows, row{s, met})
 		}
 		switch *rank {
 		case "savings":
@@ -199,14 +199,16 @@ func main() {
 				rw.s.J, rw.met.SavingsPct, rw.met.SpuriousPct,
 				rw.s.M(), rw.s.Schema.Width(), rw.s.Schema.Format(r.Names()))
 		}
-		fmt.Printf("%d schemes from %d full MVDs (ε=%.3f)\n", len(rows), mvdCount, *epsilon)
+		fmt.Printf("%d schemes from %d full MVDs (ε=%.3f)\n", len(schemes), mvdCount, *epsilon)
 		warnTimeout(mineErr)
 	case "decompose":
 		sch, err := pickSchema(ctx, sess, *schemaSpec, opts)
 		if err != nil {
 			fail("%v", err)
 		}
-		d, err := decompose.Decompose(r, sch)
+		// Through the session, so the projections and the metrics below
+		// come from one set of cached partitions.
+		d, err := sess.Decompose(sch)
 		if err != nil {
 			fail("%v", err)
 		}
@@ -289,15 +291,21 @@ func pickSchema(ctx context.Context, sess *maimon.Session, spec string, opts []m
 	best := schemes[0]
 	bestSavings := -1e18
 	for _, s := range schemes {
-		met, err := sess.Analyze(s.Schema)
-		if err != nil {
-			continue
-		}
-		if met.SavingsPct > bestSavings {
+		if met, ok := metricsOf(sess, s); ok && met.SavingsPct > bestSavings {
 			best, bestSavings = s, met.SavingsPct
 		}
 	}
 	return best.Schema, nil
+}
+
+// metricsOf ranks one mined scheme; a failure is reported on stderr, not
+// passed over in silence.
+func metricsOf(sess *maimon.Session, s *maimon.Scheme) (maimon.Metrics, bool) {
+	met, err := sess.Analyze(s.Schema)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "warning: no metrics for %s: %v\n", s.Schema.Format(sess.Relation().Names()), err)
+	}
+	return met, err == nil
 }
 
 func warnTimeout(err error) {

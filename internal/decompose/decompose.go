@@ -3,18 +3,31 @@
 // spurious-tuple rate E that the paper's use case reports (Sec. 8.1), and
 // the pareto front over (S, E) that Fig. 11 draws.
 //
-// Spurious tuples are counted without materializing the join: the size of
-// the acyclic join ⋈ᵢ R[Ωi] is computed exactly by Yannakakis-style
-// weighted message passing over the join tree in one bottom-up pass.
-// A materializing join is also provided; tests use it to validate the
-// count on small inputs.
+// Nothing is projected to rank a schema. Analyze reads the stripped
+// partitions of the schema's bags and separators from the PLI cache behind
+// the caller's entropy oracle — phase 1 built (nearly) all of them for
+// their entropies — and works on equivalence classes of rows: |R[Ωi]| is
+// the class count of Ωi's partition, and the size of the acyclic join
+// ⋈ᵢ R[Ωi] comes from Yannakakis-style weighted message passing over the
+// join tree, one bottom-up pass of array sweeps indexed by separator class
+// id. Class weights are integer-valued float64s, so the count is exact (and
+// independent of summation order) below 2^53.
+//
+// Decompose materializes the projections themselves from the same
+// partitions; a Decomposition then offers Yannakakis' full reducer and a
+// reduction-based join over string values, since hand-built or reloaded
+// projections share no base rows. A pairwise materializing join is also
+// provided; tests use it to validate the count on small inputs.
 package decompose
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/bitset"
+	"repro/internal/entropy"
 	"repro/internal/relation"
 	"repro/internal/schema"
 )
@@ -35,9 +48,13 @@ type Metrics struct {
 	SpuriousPct float64 // E = 100 × Spurious / |R|
 }
 
-// Analyze computes the decomposition metrics of schema s over r. The
-// schema must cover exactly the attributes of r and be acyclic.
-func Analyze(r *relation.Relation, s schema.Schema) (Metrics, error) {
+// Analyze computes the decomposition metrics of schema s over o's
+// relation, from the partitions in o's PLI cache. The schema must cover
+// exactly the attributes of the relation and be acyclic. Partitions are
+// fetched per call and not held afterwards, so a cache budget changes the
+// cost, never the metrics. Safe for concurrent use on any oracle.
+func Analyze(o *entropy.Oracle, s schema.Schema) (Metrics, error) {
+	r := o.Relation()
 	if s.Attrs() != r.AllAttrs() {
 		return Metrics{}, fmt.Errorf("decompose: schema %v does not cover the relation's %d attributes", s, r.NumCols())
 	}
@@ -45,23 +62,19 @@ func Analyze(r *relation.Relation, s schema.Schema) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, err
 	}
-	base := r.Dedup()
-	n := base.NumRows()
+	n := o.Partition(r.AllAttrs()).NumClasses()
 
-	projections := make([]*relation.Relation, len(tree.Bags))
-	cellsDecomposed := 0
-	for i, bag := range tree.Bags {
-		projections[i] = base.Project(bag)
-		cellsDecomposed += projections[i].Cells()
-	}
-	joinSize := JoinSizeOnTree(tree, projections)
+	c := counterPool.Get().(*counter)
+	defer counterPool.Put(c)
+	cellsDecomposed := c.load(o, tree.Bags)
+	joinSize := c.joinSize(o, tree)
 
 	m := Metrics{
 		Relations:       s.M(),
 		Width:           s.Width(),
 		IntWidth:        s.IntersectionWidth(),
 		RowsOriginal:    n,
-		CellsOriginal:   base.Cells(),
+		CellsOriginal:   n * r.NumCols(),
 		CellsDecomposed: cellsDecomposed,
 		JoinSize:        joinSize,
 		Spurious:        joinSize - float64(n),
@@ -75,89 +88,93 @@ func Analyze(r *relation.Relation, s schema.Schema) (Metrics, error) {
 	return m, nil
 }
 
-// JoinSizeOnTree returns |⋈ᵢ projections[i]| for projections arranged on
-// the given join tree, by bottom-up counting: each tuple of a bag carries
-// the product over children of the summed weights of matching child
-// tuples, and the total is the weight sum at the root.
-func JoinSizeOnTree(tree *schema.JoinTree, projections []*relation.Relation) float64 {
-	if len(tree.Bags) == 1 {
-		return float64(projections[0].NumRows())
+// counter is the scratch of one join count: per bag, the representative
+// row and the weight of every class of the bag's partition, plus one row →
+// class-id vector and one message vector reused across the tree's edges.
+// Pooled across calls like pli's arenas; it holds row ids and numbers only,
+// never a partition.
+type counter struct {
+	ids  []int32   // row → class id under the current separator
+	msg  []float64 // separator class → summed weight of the child's classes
+	reps []int32   // class representatives of every bag, concatenated
+	w    []float64 // class weights, parallel to reps
+	off  []int     // bag i owns reps[off[i]:off[i+1]]
+}
+
+var counterPool = sync.Pool{New: func() any { return new(counter) }}
+
+// load fills the per-bag class arrays (every weight 1) and returns
+// Σ |R[Ωi]| × |Ωi|.
+func (c *counter) load(o *entropy.Oracle, bags []bitset.AttrSet) (cells int) {
+	c.ids = resize(c.ids, o.Relation().NumRows())
+	c.reps, c.off = c.reps[:0], append(c.off[:0], 0)
+	for _, bag := range bags {
+		start := len(c.reps)
+		c.reps = o.Partition(bag).ClassReps(c.reps, c.ids)
+		cells += (len(c.reps) - start) * bag.Len()
+		c.off = append(c.off, len(c.reps))
 	}
+	c.w = resize(c.w, len(c.reps))
+	for i := range c.w {
+		c.w[i] = 1
+	}
+	return cells
+}
+
+// bag returns the class representatives and weights of bag i.
+func (c *counter) bag(i int) ([]int32, []float64) {
+	return c.reps[c.off[i]:c.off[i+1]], c.w[c.off[i]:c.off[i+1]]
+}
+
+// joinSize returns |⋈ᵢ R[Ωi]| by bottom-up counting over classes: the
+// weight of a bag class is the number of join results of the subtree below
+// it that extend its tuple. Children come before parents; an edge (u, p)
+// with separator X sums u's weights per X-class and multiplies every class
+// of p by the sum of its X-class. X ⊆ Ωu ∩ Ωp, so a class's representative
+// row carries its X-class. Disjoint bags are the scalar case: one message,
+// the child's total.
+func (c *counter) joinSize(o *entropy.Oracle, tree *schema.JoinTree) float64 {
 	order, parents := tree.DepthFirstOrder()
-	// messages[u] maps the separator key (toward u's parent) to the summed
-	// weight of u's subtree tuples with that separator value.
-	messages := make([]map[string]float64, len(tree.Bags))
-	childrenOf := make([][]int, len(tree.Bags))
-	for _, u := range order[1:] {
-		childrenOf[parents[u]] = append(childrenOf[parents[u]], u)
-	}
-	// Process in reverse depth-first order: children before parents.
-	for k := len(order) - 1; k >= 0; k-- {
+	for k := len(order) - 1; k >= 1; k-- {
 		u := order[k]
-		proj := projections[u]
-		bagU := tree.Bags[u]
-		// Weight of each tuple of u = product of children's messages.
-		weights := make([]float64, proj.NumRows())
-		for i := range weights {
-			weights[i] = 1
-		}
-		for _, c := range childrenOf[u] {
-			sep := bagU.Intersect(tree.Bags[c])
-			sepIdx := projColumns(bagU, sep)
-			msg := messages[c]
-			for i := range weights {
-				if weights[i] == 0 {
-					continue
-				}
-				weights[i] *= msg[projKey(proj, i, sepIdx)]
+		p := parents[u]
+		repU, wU := c.bag(u)
+		repP, wP := c.bag(p)
+		sep := tree.Bags[u].Intersect(tree.Bags[p])
+		if sep.IsEmpty() {
+			total := sum(wU)
+			for i := range wP {
+				wP[i] *= total
 			}
+			continue
 		}
-		if u == order[0] {
-			total := 0.0
-			for _, w := range weights {
-				total += w
-			}
-			return total
+		ids := c.ids
+		msg := resize(c.msg, o.Partition(sep).ClassIDs(ids))
+		c.msg = msg
+		clear(msg)
+		for i, row := range repU {
+			msg[ids[row]] += wU[i]
 		}
-		sep := bagU.Intersect(tree.Bags[parents[u]])
-		sepIdx := projColumns(bagU, sep)
-		msg := make(map[string]float64)
-		for i, w := range weights {
-			if w != 0 {
-				msg[projKey(proj, i, sepIdx)] += w
-			}
+		for i, row := range repP {
+			wP[i] *= msg[ids[row]]
 		}
-		messages[u] = msg
 	}
-	return 0 // unreachable: the root returns inside the loop
+	_, wRoot := c.bag(order[0])
+	return sum(wRoot)
 }
 
-// projColumns maps an attribute subset of a bag to column indices within
-// the bag's projection (whose columns follow increasing attribute index).
-func projColumns(bag, subset bitset.AttrSet) []int {
-	cols := make([]int, 0, subset.Len())
-	pos := 0
-	bag.ForEach(func(a int) bool {
-		if subset.Contains(a) {
-			cols = append(cols, pos)
-		}
-		pos++
-		return true
-	})
-	return cols
+// resize returns s with n entries of unspecified contents, reallocating
+// only when its capacity falls short.
+func resize[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
-// projKey builds a comparable key from the given projection columns of
-// row i, using string values so keys stay comparable across projections
-// that do not share dictionaries (e.g. hand-built decompositions and
-// relations rebuilt by semijoins).
-func projKey(r *relation.Relation, i int, cols []int) string {
-	buf := make([]byte, 0, 8*len(cols))
-	for _, j := range cols {
-		buf = append(buf, r.Value(i, j)...)
-		buf = append(buf, 0)
+func sum(w []float64) float64 {
+	total := 0.0
+	for _, x := range w {
+		total += x
 	}
-	return string(buf)
+	return total
 }
 
 // MaterializeJoin computes ⋈ᵢ R[Ωi] explicitly (set semantics) and returns
@@ -199,50 +216,6 @@ func MaterializeJoin(r *relation.Relation, s schema.Schema) (*relation.Relation,
 		b.AddRow(row)
 	}
 	return b.Relation().Dedup(), nil
-}
-
-// naturalJoin joins two relations on their shared column names, comparing
-// string values (projections of a common base share dictionaries, but this
-// keeps the helper general).
-func naturalJoin(a, b *relation.Relation) *relation.Relation {
-	var sharedA, sharedB, restB []int
-	for jb, name := range b.Names() {
-		if ja := a.AttrIndex(name); ja >= 0 {
-			sharedA = append(sharedA, ja)
-			sharedB = append(sharedB, jb)
-		} else {
-			restB = append(restB, jb)
-		}
-	}
-	names := append([]string(nil), a.Names()...)
-	for _, jb := range restB {
-		names = append(names, b.Name(jb))
-	}
-	out := relation.NewBuilder(names)
-	// Hash b by shared values.
-	index := make(map[string][]int, b.NumRows())
-	for i := 0; i < b.NumRows(); i++ {
-		index[joinKey(b, i, sharedB)] = append(index[joinKey(b, i, sharedB)], i)
-	}
-	for i := 0; i < a.NumRows(); i++ {
-		for _, ib := range index[joinKey(a, i, sharedA)] {
-			row := make([]string, 0, len(names))
-			row = append(row, a.Row(i)...)
-			for _, jb := range restB {
-				row = append(row, b.Value(ib, jb))
-			}
-			out.AddRow(row)
-		}
-	}
-	return out.Relation()
-}
-
-func joinKey(r *relation.Relation, i int, cols []int) string {
-	key := ""
-	for _, j := range cols {
-		key += r.Value(i, j) + "\x00"
-	}
-	return key
 }
 
 // Point is a scheme's position in the savings/spurious plane of Fig. 11.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/entropy"
 	"repro/internal/relation"
 	"repro/internal/schema"
 )
@@ -49,7 +50,7 @@ func paperSchema(t *testing.T) schema.Schema {
 }
 
 func TestAnalyzeExactDecomposition(t *testing.T) {
-	m, err := Analyze(paperR(), paperSchema(t))
+	m, err := Analyze(entropy.New(paperR()), paperSchema(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestAnalyzeExactDecomposition(t *testing.T) {
 
 func TestAnalyzeRedTupleOneSpurious(t *testing.T) {
 	// Sec. 2: the join gains exactly the spurious tuple (a2,b2,c2,d2,e2,f2).
-	m, err := Analyze(paperRWithRedTuple(), paperSchema(t))
+	m, err := Analyze(entropy.New(paperRWithRedTuple()), paperSchema(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestAnalyzeRedTupleOneSpurious(t *testing.T) {
 
 func TestMaterializeJoinMatchesCount(t *testing.T) {
 	for _, r := range []*relation.Relation{paperR(), paperRWithRedTuple()} {
-		m, err := Analyze(r, paperSchema(t))
+		m, err := Analyze(entropy.New(r), paperSchema(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +131,7 @@ func TestMaterializeJoinFindsPaperSpuriousTuple(t *testing.T) {
 
 func TestAnalyzeSingleRelationSchema(t *testing.T) {
 	r := paperR()
-	m, err := Analyze(r, schema.MustNew(bitset.Full(6)))
+	m, err := Analyze(entropy.New(r), schema.MustNew(bitset.Full(6)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestAnalyzeSingleRelationSchema(t *testing.T) {
 
 func TestAnalyzeRejectsWrongCoverage(t *testing.T) {
 	r := paperR()
-	if _, err := Analyze(r, schema.MustNew(at(t, "AB"), at(t, "BC"))); err == nil {
+	if _, err := Analyze(entropy.New(r), schema.MustNew(at(t, "AB"), at(t, "BC"))); err == nil {
 		t.Fatal("schema not covering Ω accepted")
 	}
 }
@@ -153,7 +154,7 @@ func TestFullColumnDecomposition(t *testing.T) {
 	s := schema.MustNew(
 		bitset.Single(0), bitset.Single(1), bitset.Single(2),
 		bitset.Single(3), bitset.Single(4), bitset.Single(5))
-	m, err := Analyze(r, s)
+	m, err := Analyze(entropy.New(r), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestQuickJoinSizeMatchesMaterialized(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		m, err := Analyze(r, s)
+		m, err := Analyze(entropy.New(r), s)
 		if err != nil {
 			t.Fatal(err)
 		}

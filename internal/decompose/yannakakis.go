@@ -1,12 +1,14 @@
 package decompose
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"repro/internal/bitset"
+	"repro/internal/entropy"
 	"repro/internal/relation"
 	"repro/internal/schema"
 )
@@ -24,8 +26,14 @@ type Decomposition struct {
 	Projections []*relation.Relation // Projections[i] = R[Bags[i]], deduped
 }
 
-// Decompose projects r onto every bag of the schema's join tree.
-func Decompose(r *relation.Relation, s schema.Schema) (*Decomposition, error) {
+// Decompose projects o's relation onto every bag of the schema's join
+// tree. The rows of R[Ωi] are the class representatives of Ωi's partition
+// in o's PLI cache — ascending, so they are the first occurrences a
+// grouping projection keeps, in the same order — and no grouping happens
+// here: an Analyze of the same schema on the same oracle reads the same
+// partitions.
+func Decompose(o *entropy.Oracle, s schema.Schema) (*Decomposition, error) {
+	r := o.Relation()
 	if s.Attrs() != r.AllAttrs() {
 		return nil, fmt.Errorf("decompose: schema %v does not cover the relation", s)
 	}
@@ -33,10 +41,16 @@ func Decompose(r *relation.Relation, s schema.Schema) (*Decomposition, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := r.Dedup()
 	projections := make([]*relation.Relation, len(tree.Bags))
+	scratch := make([]int32, r.NumRows())
+	var reps []int32
 	for i, bag := range tree.Bags {
-		projections[i] = base.Project(bag)
+		reps = o.Partition(bag).ClassReps(reps[:0], scratch)
+		rows := make([]int, len(reps))
+		for k, row := range reps {
+			rows[k] = int(row)
+		}
+		projections[i] = r.ProjectRows(rows, bag)
 	}
 	return &Decomposition{Tree: tree, Projections: projections}, nil
 }
@@ -77,8 +91,8 @@ func (d *Decomposition) FullReduce() *Decomposition {
 }
 
 // semijoin returns left ⋉ right on the shared attribute set sep, where
-// left/right are projections of a common base relation onto leftBag and
-// rightBag (so dictionary codes are comparable).
+// left/right hold the attributes of leftBag and rightBag; tuples match by
+// string value.
 func semijoin(left *relation.Relation, leftBag bitset.AttrSet,
 	right *relation.Relation, rightBag bitset.AttrSet, sep bitset.AttrSet) *relation.Relation {
 	if sep.IsEmpty() {
@@ -92,21 +106,137 @@ func semijoin(left *relation.Relation, leftBag bitset.AttrSet,
 	rightCols := projColumns(rightBag, sep)
 	present := make(map[string]struct{}, right.NumRows())
 	for i := 0; i < right.NumRows(); i++ {
-		present[projKey(right, i, rightCols)] = struct{}{}
+		present[valueKey(right, i, rightCols)] = struct{}{}
 	}
 	leftCols := projColumns(leftBag, sep)
 	var keep []int
 	for i := 0; i < left.NumRows(); i++ {
-		if _, ok := present[projKey(left, i, leftCols)]; ok {
+		if _, ok := present[valueKey(left, i, leftCols)]; ok {
 			keep = append(keep, i)
 		}
 	}
 	return left.SelectRows(keep)
 }
 
-// JoinSize counts |⋈ᵢ Projections[i]| on this decomposition.
+// JoinSize counts |⋈ᵢ Projections[i]| on this decomposition by bottom-up
+// counting: each tuple of a bag carries the product over children of the
+// summed weights of matching child tuples, and the total is the weight sum
+// at the root. Projections may be hand-built, reloaded or semijoin-reduced
+// — they share no base rows — so tuples match by string value; ranking a
+// schema over its base relation is Analyze's job, on partitions.
 func (d *Decomposition) JoinSize() float64 {
-	return JoinSizeOnTree(d.Tree, d.Projections)
+	tree, projections := d.Tree, d.Projections
+	if len(tree.Bags) == 1 {
+		return float64(projections[0].NumRows())
+	}
+	order, parents := tree.DepthFirstOrder()
+	// messages[u] maps the separator key (toward u's parent) to the summed
+	// weight of u's subtree tuples with that separator value.
+	messages := make([]map[string]float64, len(tree.Bags))
+	childrenOf := make([][]int, len(tree.Bags))
+	for _, u := range order[1:] {
+		childrenOf[parents[u]] = append(childrenOf[parents[u]], u)
+	}
+	// Process in reverse depth-first order: children before parents.
+	for k := len(order) - 1; k >= 0; k-- {
+		u := order[k]
+		proj := projections[u]
+		bagU := tree.Bags[u]
+		// Weight of each tuple of u = product of children's messages.
+		weights := make([]float64, proj.NumRows())
+		for i := range weights {
+			weights[i] = 1
+		}
+		for _, c := range childrenOf[u] {
+			sep := bagU.Intersect(tree.Bags[c])
+			sepIdx := projColumns(bagU, sep)
+			msg := messages[c]
+			for i := range weights {
+				if weights[i] == 0 {
+					continue
+				}
+				weights[i] *= msg[valueKey(proj, i, sepIdx)]
+			}
+		}
+		if u == order[0] {
+			return sum(weights)
+		}
+		sep := bagU.Intersect(tree.Bags[parents[u]])
+		sepIdx := projColumns(bagU, sep)
+		msg := make(map[string]float64)
+		for i, w := range weights {
+			if w != 0 {
+				msg[valueKey(proj, i, sepIdx)] += w
+			}
+		}
+		messages[u] = msg
+	}
+	return 0 // unreachable: the root returns inside the loop
+}
+
+// projColumns maps an attribute subset of a bag to column indices within
+// the bag's projection (whose columns follow increasing attribute index).
+func projColumns(bag, subset bitset.AttrSet) []int {
+	cols := make([]int, 0, subset.Len())
+	pos := 0
+	bag.ForEach(func(a int) bool {
+		if subset.Contains(a) {
+			cols = append(cols, pos)
+		}
+		pos++
+		return true
+	})
+	return cols
+}
+
+// valueKey builds a comparable key from the given columns of row i, out of
+// string values so keys stay comparable across relations that share no
+// dictionaries. Every value is length-prefixed: a terminator byte would
+// not be injective, since a value may contain it.
+func valueKey(r *relation.Relation, i int, cols []int) string {
+	buf := make([]byte, 0, 16*len(cols))
+	for _, j := range cols {
+		v := r.Value(i, j)
+		buf = binary.AppendUvarint(buf, uint64(len(v)))
+		buf = append(buf, v...)
+	}
+	return string(buf)
+}
+
+// naturalJoin joins two relations on their shared column names, comparing
+// string values.
+func naturalJoin(a, b *relation.Relation) *relation.Relation {
+	var sharedA, sharedB, restB []int
+	for jb, name := range b.Names() {
+		if ja := a.AttrIndex(name); ja >= 0 {
+			sharedA = append(sharedA, ja)
+			sharedB = append(sharedB, jb)
+		} else {
+			restB = append(restB, jb)
+		}
+	}
+	names := append([]string(nil), a.Names()...)
+	for _, jb := range restB {
+		names = append(names, b.Name(jb))
+	}
+	out := relation.NewBuilder(names)
+	// Hash b by shared values.
+	index := make(map[string][]int, b.NumRows())
+	for i := 0; i < b.NumRows(); i++ {
+		k := valueKey(b, i, sharedB)
+		index[k] = append(index[k], i)
+	}
+	for i := 0; i < a.NumRows(); i++ {
+		for _, ib := range index[valueKey(a, i, sharedA)] {
+			row := make([]string, 0, len(names))
+			row = append(row, a.Row(i)...)
+			for _, jb := range restB {
+				row = append(row, b.Value(ib, jb))
+			}
+			out.AddRow(row)
+		}
+	}
+	return out.Relation()
 }
 
 // Join materializes ⋈ᵢ Projections[i] with Yannakakis' algorithm: full

@@ -8,13 +8,14 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/datagen"
+	"repro/internal/entropy"
 	"repro/internal/relation"
 	"repro/internal/schema"
 )
 
 func TestDecomposeProjectsAllBags(t *testing.T) {
 	r := paperR()
-	d, err := Decompose(r, paperSchema(t))
+	d, err := Decompose(entropy.New(r), paperSchema(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestLosslessDecompositionIsGloballyConsistent(t *testing.T) {
 	// Projections of R are always globally consistent: every projected
 	// tuple extends to a row of R, hence to a join result.
 	for _, r := range []*relation.Relation{paperR(), paperRWithRedTuple()} {
-		d, err := Decompose(r, paperSchema(t))
+		d, err := Decompose(entropy.New(r), paperSchema(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func TestFullReducePreservesJoinRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := Decompose(r, s)
+		d, err := Decompose(entropy.New(r), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +113,7 @@ func TestFullReducePreservesJoinRandomized(t *testing.T) {
 
 func TestYannakakisJoinMatchesMaterializeJoin(t *testing.T) {
 	for _, r := range []*relation.Relation{paperR(), paperRWithRedTuple()} {
-		d, err := Decompose(r, paperSchema(t))
+		d, err := Decompose(entropy.New(r), paperSchema(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +144,7 @@ func TestYannakakisJoinRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := Decompose(r, s)
+		d, err := Decompose(entropy.New(r), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +161,7 @@ func TestYannakakisJoinRandomized(t *testing.T) {
 
 func TestWriteCSVs(t *testing.T) {
 	r := paperR()
-	d, err := Decompose(r, paperSchema(t))
+	d, err := Decompose(entropy.New(r), paperSchema(t))
 	if err != nil {
 		t.Fatal(err)
 	}

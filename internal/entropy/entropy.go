@@ -224,6 +224,16 @@ func (o *Oracle) Close() error { return o.cache.Close() }
 // Relation returns the relation the oracle serves.
 func (o *Oracle) Relation() *relation.Relation { return o.rel }
 
+// Partition returns the stripped partition of attrs (non-empty) from the
+// PLI cache behind the entropies — a hit, a spill promotion or an
+// intersect cascade, counted and budgeted like any other fetch. The
+// partition is immutable and stays valid while the caller holds it, even
+// once the cache has evicted it. Safe for concurrent use on shared and
+// unshared oracles alike: the cache carries its own locking.
+func (o *Oracle) Partition(attrs bitset.AttrSet) *pli.Partition {
+	return o.cache.Get(attrs)
+}
+
 // NumAttrs returns the number of attributes of the underlying relation.
 func (o *Oracle) NumAttrs() int { return o.rel.NumCols() }
 

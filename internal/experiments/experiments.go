@@ -115,12 +115,11 @@ type schemeStats struct {
 // collectSchemes mines schemes at the given ε over the shared oracle and
 // computes metrics for each, within the budget and scheme cap.
 func (c Config) collectSchemes(o *entropy.Oracle, eps float64, maxSchemes int) []schemeStats {
-	r := o.Relation()
 	m := c.minerFor(o, eps)
 	res := m.MineMVDs()
 	var out []schemeStats
 	m.EnumerateSchemes(res.MVDs, func(s *core.Scheme) bool {
-		met, err := decompose.Analyze(r, s.Schema)
+		met, err := decompose.Analyze(o, s.Schema)
 		if err == nil {
 			out = append(out, schemeStats{scheme: s, metrics: met})
 		}

@@ -87,6 +87,59 @@ func (p *Partition) Clusters() [][]int32 {
 // attribute sets grow.
 func (p *Partition) Size() int { return len(p.rows) }
 
+// NumClasses returns the number of equivalence classes, stripped
+// singletons included — |R[α]|, the row count of the duplicate-free
+// projection onto the attribute set the partition represents.
+func (p *Partition) NumClasses() int {
+	return p.NumClusters() + p.n - len(p.rows)
+}
+
+// ClassReps appends to dst the smallest row id of every equivalence class —
+// the first row of each cluster and every stripped singleton row — in
+// ascending order: exactly the rows a first-occurrence projection keeps.
+// scratch needs NumRows entries and is overwritten; nothing else is
+// allocated once dst has the capacity.
+func (p *Partition) ClassReps(dst, scratch []int32) []int32 {
+	mark := scratch[:p.n]
+	clear(mark)
+	for ci := 0; ci < p.NumClusters(); ci++ {
+		for _, tid := range p.Cluster(ci)[1:] {
+			mark[tid] = 1
+		}
+	}
+	for i, m := range mark {
+		if m == 0 {
+			dst = append(dst, int32(i))
+		}
+	}
+	return dst
+}
+
+// ClassIDs writes a dense row -> class id map into dst (NumRows entries)
+// and returns the number of classes: cluster i keeps id i, the stripped
+// singleton rows take the ids after the clusters in ascending row order.
+// Unlike Probe it gives every class an id and retains nothing.
+func (p *Partition) ClassIDs(dst []int32) int {
+	ids := dst[:p.n]
+	for i := range ids {
+		ids[i] = -1
+	}
+	nc := p.NumClusters()
+	for ci := 0; ci < nc; ci++ {
+		for _, tid := range p.Cluster(ci) {
+			ids[tid] = int32(ci)
+		}
+	}
+	next := int32(nc)
+	for i, id := range ids {
+		if id < 0 {
+			ids[i] = next
+			next++
+		}
+	}
+	return int(next)
+}
+
 // SizeBytes bounds the resident footprint of the partition in bytes: the
 // flat row-id and offset arrays (4 bytes per entry), the probe array's
 // full capacity (4 bytes per relation row — built lazily, but most cached

@@ -350,6 +350,13 @@ func (r *Relation) SelectRows(rows []int) *Relation {
 	return r.subset(rows, idx)
 }
 
+// ProjectRows is SelectRows restricted to the columns in attrs (in
+// increasing attribute index): given one row per distinct value of attrs,
+// in first-occurrence order, it is Project without the grouping.
+func (r *Relation) ProjectRows(rows []int, attrs bitset.AttrSet) *Relation {
+	return r.subset(rows, attrs.Indices())
+}
+
 // subset materializes the rows in keep (by original index) restricted to
 // the original columns listed in idx.
 func (r *Relation) subset(keep []int, idx []int) *Relation {

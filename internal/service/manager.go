@@ -425,22 +425,33 @@ func (m *Manager) mine(ctx context.Context, sess *maimon.Session, job *Job) (*Jo
 		return out, err
 	}
 	fillMVDs(res)
+	out.Schemes = m.rankSchemes(sess, job, schemes)
+	return out, err
+}
+
+// rankSchemes attaches the decomposition metrics to every mined scheme.
+// They are best-effort: a scheme whose metrics cannot be computed still
+// counts as mined — it keeps its entry, without S and E — and the failure
+// is logged against the job.
+func (m *Manager) rankSchemes(sess *maimon.Session, job *Job, schemes []*maimon.Scheme) []SchemeResult {
+	names := sess.Relation().Names()
+	var out []SchemeResult
 	for _, s := range schemes {
 		sr := SchemeResult{
-			Schema:    s.Schema.Format(r.Names()),
+			Schema:    s.Schema.Format(names),
 			J:         s.J,
 			Relations: s.M(),
 			Width:     s.Schema.Width(),
 		}
-		// Quality metrics are best-effort: a scheme whose metrics
-		// cannot be computed still counts as mined.
-		if met, merr := sess.Analyze(s.Schema); merr == nil {
+		if met, err := sess.Analyze(s.Schema); err != nil {
+			m.tel.Logger().Warn("scheme metrics failed", "job", job.id, "schema", sr.Schema, "error", err)
+		} else {
 			sr.SavingsPct = met.SavingsPct
 			sr.SpuriousPct = met.SpuriousPct
 		}
-		out.Schemes = append(out.Schemes, sr)
+		out = append(out, sr)
 	}
-	return out, err
+	return out
 }
 
 // mineDistributed is mine() with phase 1 fanned out through the
@@ -497,18 +508,6 @@ func (m *Manager) mineDistributed(ctx context.Context, sess *maimon.Session, job
 		maimon.WithTrace(&tr),
 		maimon.WithMaxSchemes(req.MaxSchemes),
 	)
-	for _, s := range schemes {
-		sr := SchemeResult{
-			Schema:    s.Schema.Format(r.Names()),
-			J:         s.J,
-			Relations: s.M(),
-			Width:     s.Schema.Width(),
-		}
-		if met, merr := sess.Analyze(s.Schema); merr == nil {
-			sr.SavingsPct = met.SavingsPct
-			sr.SpuriousPct = met.SpuriousPct
-		}
-		out.Schemes = append(out.Schemes, sr)
-	}
+	out.Schemes = m.rankSchemes(sess, job, schemes)
 	return out, serr
 }

@@ -106,6 +106,8 @@ type (
 	PairMVDs = core.PairMVDs
 	// Metrics quantifies a decomposition (savings, spurious tuples, ...).
 	Metrics = decompose.Metrics
+	// Decomposition is a relation projected onto a schema's join tree.
+	Decomposition = decompose.Decomposition
 )
 
 // Options configures mining through the legacy free functions.
@@ -257,7 +259,7 @@ func JOfSchema(r *Relation, s Schema) (float64, error) {
 //
 // Deprecated: use Open and Session.Analyze.
 func Analyze(r *Relation, s Schema) (Metrics, error) {
-	return decompose.Analyze(r, s)
+	return decompose.Analyze(entropy.New(r), s)
 }
 
 // ParseMVD parses "AD->CF|BE" (letters) into an MVD.

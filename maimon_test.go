@@ -11,6 +11,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/datagen"
 	"repro/internal/decompose"
+	"repro/internal/entropy"
 	"repro/internal/schema"
 )
 
@@ -252,7 +253,7 @@ func TestFullWorkflowIntegration(t *testing.T) {
 		}
 	}
 
-	d, err := decompose.Decompose(r, s.Schema)
+	d, err := decompose.Decompose(entropy.New(r), s.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}

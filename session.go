@@ -539,7 +539,16 @@ func (s *Session) JOfSchema(sch Schema) (float64, error) {
 
 // Analyze computes decomposition-quality metrics (storage savings S,
 // spurious-tuple rate E, width measures) of schema sch over the session's
-// relation.
+// relation. It counts over the partitions of sch's bags and separators in
+// the session's PLI cache — mostly hits after a mine — so ranking many
+// schemes never re-groups the relation, and the cache's budgets
+// (WithMemoryBudget, WithSpillDir) change its cost, never the metrics.
 func (s *Session) Analyze(sch Schema) (Metrics, error) {
-	return decompose.Analyze(s.rel, sch)
+	return decompose.Analyze(s.oracle, sch)
+}
+
+// Decompose projects the session's relation onto every relation schema of
+// sch, from the same cached partitions Analyze counts over.
+func (s *Session) Decompose(sch Schema) (*Decomposition, error) {
+	return decompose.Decompose(s.oracle, sch)
 }

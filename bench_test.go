@@ -240,6 +240,46 @@ func BenchmarkParallelWarmMining(b *testing.B) {
 	}
 }
 
+// benchWide is the benchmark's `wide` relation (bench/inputs.go): 3,240
+// rows × 13 columns, planted chain of 4-attribute bags, 1 % cell noise.
+func benchWide(b *testing.B) *Relation {
+	r, _, err := datagen.Planted(datagen.PlantedSpec{
+		Bags: datagen.ChainBags(13, 4, 1), RootTuples: 120, ExtPerSep: 3, NoiseCells: 0.01, Seed: 7,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
+
+// BenchmarkColdMine is the cold path alone: one op opens a fresh Session
+// on `wide` and mines its MVDs at ε = 0.1, so every one of the ≈ 7.9k
+// entropies the search asks for is computed from partitions — the work
+// the cold_wide workload spends its phase 1 in. -benchmem is the point:
+// only the sets some blockwise chain reads back as an operand are
+// materialised, every other entropy is a count pass on arena scratch, so
+// B/op is the operands' bytes and not the lattice's.
+func BenchmarkColdMine(b *testing.B) {
+	r := benchWide(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := Open(r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := s.MineMVDs(ctx, WithEpsilon(0.1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.MVDs) == 0 {
+			b.Fatal("no MVDs mined")
+		}
+		s.Close()
+	}
+}
+
 // BenchmarkPhase1Warm is the search kernel alone: the benchmark's `wide`
 // relation (13 columns, planted chain, 1 % noise) on a warm session, so
 // every entropy is a memo hit and no partition is intersected; what is
@@ -247,13 +287,7 @@ func BenchmarkParallelWarmMining(b *testing.B) {
 // SeparatorHolds → GetFullMVDs and the H lookups under them, at the
 // three thresholds of the warm_sweep workload.
 func BenchmarkPhase1Warm(b *testing.B) {
-	r, _, err := datagen.Planted(datagen.PlantedSpec{
-		Bags: datagen.ChainBags(13, 4, 1), RootTuples: 120, ExtPerSep: 3, NoiseCells: 0.01, Seed: 7,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := Open(r)
+	s, err := Open(benchWide(b))
 	if err != nil {
 		b.Fatal(err)
 	}

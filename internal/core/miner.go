@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/mvd"
@@ -59,63 +58,11 @@ func (r *MVDResult) NumMinSeps() int {
 // across a bounded worker pool and the outcomes merged back in canonical
 // pair order; the result is identical to a serial run.
 func (m *Miner) MineMVDs() *MVDResult {
-	m.beginPhase()
-	defer m.tracePhase("mvds")()
-	res := &MVDResult{MinSeps: make(map[Pair][]bitset.AttrSet)}
-	seen := make(map[string]bool)
 	pairs := m.opts.Pairs
 	if pairs == nil {
 		pairs = allPairs(m.oracle.NumAttrs())
 	}
-	m.emitProgress(Progress{Phase: "mvds", PairsTotal: len(pairs)})
-	if w := m.workers(); w > 1 && len(pairs) > 1 {
-		m.mineMVDsParallel(pairs, res, w, "mvds", true)
-		return res
-	}
-	for done, p := range pairs {
-		if m.stopped() {
-			break
-		}
-		a, b := p[0], p[1]
-		if a > b {
-			a, b = b, a
-		}
-		seps := m.MineMinSeps(a, b)
-		if len(seps) > 0 {
-			res.MinSeps[Pair{a, b}] = seps
-		}
-		expT0 := time.Now()
-		expStats := m.searchStats
-		found := int64(0) // full MVDs returned, pre-dedup (fan-out invariant)
-		for _, sep := range seps {
-			if m.stopped() {
-				break
-			}
-			for _, phi := range m.GetFullMVDs(sep, a, b, m.opts.MaxFullMVDsPerSeparator) {
-				found++
-				fp := phi.Fingerprint()
-				if !seen[fp] {
-					seen[fp] = true
-					res.MVDs = append(res.MVDs, phi)
-				}
-			}
-		}
-		m.recordStage(&m.stages.fullmvd, expT0, expStats,
-			int64(m.searchStats.Searches-expStats.Searches), found)
-		if m.opts.Progress != nil { // NumMinSeps walks the map: build events only when observed
-			m.emitProgress(Progress{
-				Phase:      "mvds",
-				PairsDone:  done + 1,
-				PairsTotal: len(pairs),
-				Separators: res.NumMinSeps(),
-				Candidates: m.searchStats.Visited,
-				MVDs:       len(res.MVDs),
-			})
-		}
-	}
-	res.Err = m.interruptErr()
-	mvd.Sort(res.MVDs)
-	return res
+	return m.minePairs(pairs, "mvds", true)
 }
 
 // MineMinSepsAll runs only the separator phase for every pair — the
@@ -123,39 +70,7 @@ func (m *Miner) MineMVDs() *MVDResult {
 // which report that separator mining dominates total runtime. Like
 // MineMVDs it fans the pairs out when Options.Workers > 1.
 func (m *Miner) MineMinSepsAll() *MVDResult {
-	m.beginPhase()
-	defer m.tracePhase("minseps")()
-	res := &MVDResult{MinSeps: make(map[Pair][]bitset.AttrSet)}
-	pairs := allPairs(m.oracle.NumAttrs())
-	m.emitProgress(Progress{Phase: "minseps", PairsTotal: len(pairs)})
-	if w := m.workers(); w > 1 && len(pairs) > 1 {
-		m.mineMVDsParallel(pairs, res, w, "minseps", false)
-		return res
-	}
-	done := 0
-	for _, p := range pairs {
-		a, b := p[0], p[1]
-		if m.stopped() {
-			res.Err = m.interruptErr()
-			return res
-		}
-		seps := m.MineMinSeps(a, b)
-		if len(seps) > 0 {
-			res.MinSeps[Pair{a, b}] = seps
-		}
-		done++
-		if m.opts.Progress != nil { // see MineMVDs: skip the map walk unobserved
-			m.emitProgress(Progress{
-				Phase:      "minseps",
-				PairsDone:  done,
-				PairsTotal: len(pairs),
-				Separators: res.NumMinSeps(),
-				Candidates: m.searchStats.Visited,
-			})
-		}
-	}
-	res.Err = m.interruptErr()
-	return res
+	return m.minePairs(allPairs(m.oracle.NumAttrs()), "minseps", false)
 }
 
 // SortedPairs returns the result's pairs in lexicographic order (stable

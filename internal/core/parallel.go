@@ -9,12 +9,13 @@ import (
 	"repro/internal/mvd"
 )
 
-// This file is the parallel mining pipeline (Options.Workers > 1): the
-// per-attribute-pair fan-out of MVDMiner and the separator-only phase.
-// Each worker goroutine runs its own cheap Miner view (fork) over the
-// shared single-flight oracle; per-pair outcomes are written into a slot
-// array and merged back in canonical pair order, so a parallel run
-// produces byte-identical results to a serial one.
+// This file is the per-attribute-pair loop of MVDMiner and of the
+// separator-only phase, at every fan-out. With Options.Workers > 1 each
+// worker goroutine runs its own cheap Miner view (fork) over the shared
+// single-flight oracle; with one worker the calling miner runs the same
+// loop itself. Per-pair outcomes are written into a slot array and merged
+// back in canonical pair order, so a parallel run produces byte-identical
+// results to a serial one.
 
 // fork returns a worker-local view of the miner: same oracle, options and
 // context, fresh counters. The progress callback is stripped — the
@@ -127,8 +128,8 @@ func (a *progressAgg) pairDone(out *pairOutcome, visited int) {
 // off an atomic cursor and mine separators and full MVDs with their own
 // miner view, filling one outcome slot per pair. Each outcome is locally
 // deduped in discovery order; the cross-pair merge is the caller's
-// (mineMVDsParallel merges into one MVDResult, a distributed coordinator
-// merges shards' outcomes the same way). expand=false restricts the work
+// (minePairs merges into one MVDResult, a distributed coordinator merges
+// shards' outcomes the same way). expand=false restricts the work
 // to the separator phase (MineMinSepsAll). workers <= 1 runs the claim
 // loop on the calling miner itself, so the serial case needs neither a
 // shared oracle nor a fork.
@@ -136,7 +137,7 @@ func (m *Miner) minePairOutcomes(pairs [][2]int, workers int, phase string, expa
 	outcomes := make([]pairOutcome, len(pairs))
 	agg := newProgressAgg(m.opts.Progress, phase, len(pairs))
 	var next atomic.Int64
-	minePairs := func(w *Miner) {
+	claim := func(w *Miner) {
 		for {
 			idx := int(next.Add(1)) - 1
 			if idx >= len(pairs) || w.stopped() {
@@ -153,7 +154,7 @@ func (m *Miner) minePairOutcomes(pairs [][2]int, workers int, phase string, expa
 			if expand {
 				expT0 := time.Now()
 				expStats := w.searchStats
-				found := int64(0) // pre-dedup returns, matching the serial loop's count
+				found := int64(0) // pre-dedup returns, so the count is fan-out invariant
 				localSeen := make(map[string]bool)
 				for _, sep := range out.seps {
 					if w.stopped() {
@@ -177,7 +178,7 @@ func (m *Miner) minePairOutcomes(pairs [][2]int, workers int, phase string, expa
 		workers = len(pairs)
 	}
 	if workers <= 1 {
-		minePairs(m)
+		claim(m)
 		return outcomes
 	}
 	var statsMu sync.Mutex
@@ -194,24 +195,25 @@ func (m *Miner) minePairOutcomes(pairs [][2]int, workers int, phase string, expa
 				m.stages.add(&w.stages)
 				statsMu.Unlock()
 			}()
-			minePairs(w)
+			claim(w)
 		}()
 	}
 	wg.Wait()
 	return outcomes
 }
 
-// mineMVDsParallel is the fan-out body of MineMVDs: the pairs are mined
-// through minePairOutcomes and the driver merges the outcomes in
-// canonical pair order. expand=false restricts the work to the separator
-// phase (MineMinSepsAll).
-func (m *Miner) mineMVDsParallel(pairs [][2]int, res *MVDResult, workers int, phase string, expand bool) {
-	outcomes := m.minePairOutcomes(pairs, workers, phase, expand)
-
-	// Merge in canonical pair order: the cross-pair fingerprint dedup
-	// replays exactly what the serial loop does, so res.MVDs (after the
-	// final canonical sort) and res.MinSeps are byte-identical to a
-	// workers=1 run.
+// minePairs is the body of MineMVDs and MineMinSepsAll: the pairs are
+// mined through minePairOutcomes — on a worker pool, or on m itself when
+// there is one worker — and the outcomes merged in canonical pair order,
+// so the cross-pair fingerprint dedup, and with it res.MVDs (after the
+// final canonical sort) and res.MinSeps, come out byte-identical at every
+// fan-out. expand=false restricts the work to the separator phase.
+func (m *Miner) minePairs(pairs [][2]int, phase string, expand bool) *MVDResult {
+	m.beginPhase()
+	defer m.tracePhase(phase)()
+	res := &MVDResult{MinSeps: make(map[Pair][]bitset.AttrSet)}
+	m.emitProgress(Progress{Phase: phase, PairsTotal: len(pairs)})
+	outcomes := m.minePairOutcomes(pairs, m.workers(), phase, expand)
 	seen := make(map[string]bool)
 	for idx := range outcomes {
 		a, b := pairs[idx][0], pairs[idx][1]
@@ -229,14 +231,17 @@ func (m *Miner) mineMVDsParallel(pairs [][2]int, res *MVDResult, workers int, ph
 			}
 		}
 	}
-	// LastMinSepTrace reports the most recent MineMinSeps call; in pair
-	// order that is the final pair, matching what a serial run leaves.
-	m.minsepTrace = outcomes[len(outcomes)-1].trace
+	// LastMinSepTrace reports the most recent MineMinSeps call: in pair
+	// order that is the final pair, whichever worker mined it.
+	if n := len(outcomes); n > 0 {
+		m.minsepTrace = outcomes[n-1].trace
+	}
 	// All workers observed the same context and deadline; one parent-side
-	// poll records the shared stop cause, exactly as the serial loop does.
+	// poll records the shared stop cause.
 	m.stopped()
 	res.Err = m.interruptErr()
 	mvd.Sort(res.MVDs)
+	return res
 }
 
 // allPairs returns the canonical attribute-pair list (a < b).

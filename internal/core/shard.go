@@ -12,7 +12,7 @@ import (
 // mining exactly one shard's pairs without the cross-pair merge — the
 // worker half of a coordinator/worker mine. The coordinator reassembles
 // the per-pair outcomes of all shards in canonical pair order and dedups
-// across them, replaying what mineMVDsParallel's merge does on one node,
+// across them, replaying what minePairs' merge does on one node,
 // so a distributed mine is byte-identical to a single-node one.
 
 // ShardOfPair assigns the unordered attribute pair (a, b), a < b, to one
@@ -80,7 +80,7 @@ func (m *Miner) MinePairMVDs(pairs [][2]int) ([]PairMVDs, error) {
 		}
 		out[i] = PairMVDs{A: a, B: b, Seps: outcomes[i].seps, MVDs: outcomes[i].mvds}
 	}
-	// Same bookkeeping as mineMVDsParallel: the last pair's separator
+	// Same bookkeeping as minePairs: the last pair's separator
 	// trace is what a serial run would leave, and one parent-side poll
 	// records the shared stop cause.
 	m.minsepTrace = outcomes[len(outcomes)-1].trace

@@ -100,7 +100,7 @@ func TestShardedWorkersMatchSingleNode(t *testing.T) {
 					}
 				}
 				// The coordinator's merge: canonical pair order, global dedup,
-				// final canonical sort — exactly mineMVDsParallel's merge.
+				// final canonical sort — exactly minePairs' merge.
 				merged := &MVDResult{MinSeps: make(map[Pair][]bitset.AttrSet)}
 				seen := make(map[string]bool)
 				for _, p := range allPairs(n) {

@@ -52,14 +52,17 @@ type Oracle struct {
 	// the previous design — a global RWMutex read lock plus shared atomic
 	// counters, whose cache lines every warm hit bounced — while keeping
 	// single-flight per attribute set: a miss installs an in-flight
-	// latch, releases the shard lock, computes the partition, then
+	// latch, releases the shard lock, counts (or, for a set other sets'
+	// partitions are assembled from, builds) the partition, then
 	// publishes, so distinct sets compute in parallel and duplicates wait
 	// only on their own latch. The memo itself can be bounded: at 64
 	// attributes × many ε sweeps the 8-byte entropies plus their map
 	// overhead become the dominant resident weight, so SetMemoBudget
 	// gives the shards size-accounted, cost-aware (GDSF-style) eviction
 	// of their own. An evicted entropy is simply recomputed from the PLI
-	// cache on the next read — a budget changes cost, never results.
+	// cache on the next read — read off the partition if the cache
+	// materialized one, counted again from its operands if the set is a
+	// chain leaf — so a budget changes cost, never results.
 	shared      bool
 	shards      []memoShard
 	mask        uint64
@@ -296,7 +299,7 @@ func (o *Oracle) unsharedH(attrs bitset.AttrSet) float64 {
 // the same set wait on their flight. The compute runs on the caller's
 // arena when one is threaded in (workers mining through a Local), or on
 // a pooled arena otherwise — this single-flight compute is the one place
-// partitions are built, so it is where the arena matters.
+// partitions are counted and built, so it is where the arena matters.
 func (o *Oracle) sharedH(a *pli.Arena, attrs bitset.AttrSet) float64 {
 	sh := o.memoShardOf(attrs)
 	sh.mu.Lock()

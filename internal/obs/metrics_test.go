@@ -281,7 +281,7 @@ func TestConcurrentRecording(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				g.Add(1)
-				h.Observe(float64(i&1)) // alternates both sides of the bound
+				h.Observe(float64(i & 1)) // alternates both sides of the bound
 			}
 		}()
 	}

@@ -86,18 +86,20 @@ type OracleDelta struct {
 	HCached   int64
 	// MICalls counts conditional-mutual-information evaluations.
 	MICalls int64
-	// PLIHits / PLIMisses: partition-cache serves vs computes. Their sum
-	// is deterministic across worker fan-outs; the split is not — which
-	// requests find their partition pre-installed as an intermediate of
-	// an earlier compute depends on compute order.
+	// PLIHits / PLIMisses: partition-cache serves vs computes, counting
+	// every top-level request and every read a build makes of a
+	// multi-attribute operand. Their sum is deterministic across worker
+	// fan-outs; the split is not — which requests find their partition
+	// pre-installed as an operand of an earlier compute depends on
+	// compute order.
 	PLIHits   int64
 	PLIMisses int64
 	// Intersects counts pairwise partition intersections; EntropyOnly
 	// the subset answered as streaming counts without materializing
-	// (memory budget); BytesTouched the partition bytes the intersection
-	// engine scanned doing it. Like the hit/miss split, these depend on
-	// the order computes cached their intermediates, so they are not
-	// invariant across worker fan-outs.
+	// (chain leaf or over budget); BytesTouched the partition bytes the
+	// intersection engine scanned doing it. Like the hit/miss split,
+	// these depend on the order computes cached their operands, so they
+	// are not invariant across worker fan-outs.
 	Intersects   int64
 	EntropyOnly  int64
 	BytesTouched int64
@@ -148,7 +150,7 @@ func (t *MineTrace) String() string {
 		d := p.Oracle
 		fmt.Fprintf(b, "phase %-8s wall %-10s H %d computed / %d cached of %d calls, %d MI\n",
 			p.Name, fmtDur(p.Wall), d.HComputes, d.HCached, d.HCalls, d.MICalls)
-		fmt.Fprintf(b, "  %-9s PLI %d misses / %d hits, %d intersects (%d entropy-only, %s touched)\n",
+		fmt.Fprintf(b, "  %-9s PLI %d misses / %d hits, %d intersects (%d entropy-only: chain leaf or over budget, %s touched)\n",
 			"", d.PLIMisses, d.PLIHits, d.Intersects, d.EntropyOnly, fmtBytes(d.BytesTouched))
 		for _, s := range p.Stages {
 			fmt.Fprintf(b, "  %-9s cpu %-10s calls %-7d items %-7d J-evals %-8d candidates %d\n",

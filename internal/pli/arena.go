@@ -2,7 +2,7 @@ package pli
 
 import (
 	"math"
-	"slices"
+	"math/bits"
 	"sync"
 )
 
@@ -17,10 +17,13 @@ import (
 // The engine exploits that probe[tid] is a q-cluster index bounded by
 // q.NumClusters(): grouping is a dense counts array indexed by that id
 // plus one spill slot, never a rehash. Each operation is two passes —
-// count (group sizes, first rows) then fill (row placement at precomputed
-// offsets) — with the canonical first-row cluster order fixed between the
-// passes, so results are byte-identical to IntersectMap and FromAttrs,
-// fused entropy included.
+// count (every group's size, recorded at its first row) then fill (row
+// placement at precomputed offsets) — with the canonical first-row cluster
+// order fixed between the passes, so results are byte-identical to
+// IntersectMap and FromAttrs, fused entropy included. That order costs no
+// sort: first rows are distinct row ids, so a bitmap of them read upwards
+// is the order. An entropy needs the count pass alone; most of a cold
+// mine's entropies (the cache's chain leaves) stop there.
 //
 // The count pass is width-specialized: relations of at most 32767 rows
 // (every count, cluster id, and fill cursor fits an int16) run over
@@ -37,11 +40,17 @@ type Arena struct {
 	counts16  []int16 // half-width counts/cursors of the narrow kernel
 	touched   []int32 // q-cluster ids touched by the current p-cluster (fill pass)
 	touched16 []int16 // half-width touched ids of the narrow kernel
-	descs     []groupDesc
-	order     []int32 // indices into descs of surviving groups, canonical order
-	offsets   []int32 // staged offsets of the would-be result
-	rows      []int32 // backing rows for IntersectView results
-	view      Partition
+	// groups is indexed by row id. A (p-cluster, q-cluster) group is named
+	// by its first row — the smallest, rows being scanned ascending — and
+	// that row's slot holds the group's size after the count pass, then,
+	// for groups that survive stripping, the complement of the group's
+	// offset in the result (negative, so fill can tell the two apart).
+	// Slots of other rows are never read.
+	groups  []int32
+	firsts  []uint64 // bitmap over row ids: first rows of surviving groups; all zero between ops
+	offsets []int32  // staged offsets of the would-be result
+	rows    []int32  // backing rows for IntersectView results
+	view    Partition
 
 	// staged operands and shape from the latest count pass; Intersect and
 	// the cache's price-then-decide path consume them.
@@ -51,16 +60,6 @@ type Arena struct {
 
 	narrowOp bool // latest stage ran the int16 kernel; fill must match
 	wide     bool // pin to the int32 kernel (ForceWide)
-}
-
-// groupDesc is one grouping cell of the count pass: a (p-cluster,
-// q-cluster) co-occurrence, in first-touch order. start is the cluster's
-// offset in the result, assigned during canonicalization; -1 marks groups
-// stripped as singletons.
-type groupDesc struct {
-	first int32 // smallest row id of the group (rows are scanned ascending)
-	count int32
-	start int32
 }
 
 // NewArena returns an empty arena; its scratch grows on first use.
@@ -131,7 +130,7 @@ func (a *Arena) IntersectView(p, q *Partition) *Partition {
 	v.probe.Store(nil)
 	v.clusters.Store(nil)
 	if a.nClusters > 0 {
-		a.rows = growInt32(a.rows, a.nRows)
+		a.rows = grow(a.rows, a.nRows)
 		a.fill(a.rows[:a.nRows])
 		v.rows = a.rows[:a.nRows]
 		v.offsets = a.offsets[:a.nClusters+1]
@@ -144,8 +143,8 @@ func (a *Arena) IntersectView(p, q *Partition) *Partition {
 // without materializing it at all: the count pass alone fixes the cluster
 // sizes, and the fused sum is accumulated in canonical first-row order,
 // so the result is bit-identical to Intersect(p, q).Entropy(). Zero
-// allocations in steady state — this is the cache's streaming path for
-// partitions that a memory budget would evict immediately.
+// allocations in steady state — this is how the cache answers every
+// entropy whose partition nothing would read back.
 func (a *Arena) IntersectEntropy(p, q *Partition) float64 {
 	a.stage(p, q)
 	return a.stagedEntropy()
@@ -168,10 +167,11 @@ func (a *Arena) stagedSizeBytes() int64 {
 	return sizeBytesFor(a.stagedP.n, a.nClusters, a.nRows)
 }
 
-// stage runs the count pass and canonicalization for p ∩ q: group sizes
-// and first rows per (p-cluster, q-cluster) cell, surviving clusters
-// ordered by first row, result offsets and the fused entropy sum fixed.
-// After stage, finish / fill materialize rows without re-deriving shape.
+// stage runs the count pass and canonicalization for p ∩ q: the size of
+// every (p-cluster, q-cluster) group recorded at its first row, surviving
+// groups ordered by first row, result offsets and the fused entropy sum
+// fixed. After stage, finish / fill materialize rows without re-deriving
+// shape.
 func (a *Arena) stage(p, q *Partition) {
 	if p.n != q.n {
 		panic("pli: intersecting partitions over different relations")
@@ -183,59 +183,85 @@ func (a *Arena) stage(p, q *Partition) {
 	a.stagedP, a.stagedQ = p, q
 	probe := q.Probe()
 	nq := q.NumClusters()
-	a.descs = a.descs[:0]
+	a.groups = grow(a.groups, p.n)
+	a.firsts = grow(a.firsts, (p.n+63)>>6)
 	a.narrowOp = p.n <= math.MaxInt16 && !a.wide
 	// The counts array carries one extra leading slot: indexing by
 	// probe id + 1 routes q-singletons (probe -1) into slot 0, so the
 	// counting loop is a pure increment with no per-row branch.
 	if a.narrowOp {
-		a.counts16 = growInt16(a.counts16, nq+1)
+		a.counts16 = grow(a.counts16, nq+1)
 		a.countPass16(p, probe)
 	} else {
-		a.counts = growInt32(a.counts, nq+1)
+		a.counts = grow(a.counts, nq+1)
 		a.countPass32(p, probe)
 	}
+	a.canonicalize()
+}
 
-	// Canonicalize: surviving clusters (size >= 2) in first-row order —
-	// the same order sortClusters fixes for the reference builders. The
-	// fused entropy sum runs over the clusters in exactly that order, so
-	// it is bit-identical to a pass over the materialized result.
-	a.order = a.order[:0]
-	for i := range a.descs {
-		if a.descs[i].count >= 2 {
-			a.order = append(a.order, int32(i))
-		}
-	}
-	slices.SortFunc(a.order, func(x, y int32) int {
-		return int(a.descs[x].first - a.descs[y].first)
-	})
-	a.offsets = growInt32(a.offsets, len(a.order)+1)
-	a.offsets[0] = 0
+// canonicalize fixes the result's shape from the count pass: surviving
+// groups (size >= 2) in first-row order — the order sortClusters fixes
+// for the reference builders — with their offsets, and the fused entropy
+// sum accumulated over them in exactly that order, so it is bit-identical
+// to a pass over the materialized result. First rows are distinct row
+// ids, so walking the set bits of the firsts bitmap upwards *is* that
+// order: linear in survivors + n/64, no comparison, no allocation once
+// offsets has grown. Each survivor's groups slot is turned into its fill
+// cursor on the way, and the bitmap is left all zero for the next
+// operation.
+func (a *Arena) canonicalize() {
+	offsets := append(a.offsets[:0], 0)
 	cur := int32(0)
 	hsum := 0.0
-	for k, di := range a.order {
-		d := &a.descs[di]
-		d.start = cur
-		cur += d.count
-		a.offsets[k+1] = cur
-		kk := float64(d.count)
-		hsum += kk * math.Log2(kk)
+	for w, set := range a.firsts {
+		for ; set != 0; set &= set - 1 {
+			first := w<<6 | bits.TrailingZeros64(set)
+			size := a.groups[first]
+			a.groups[first] = ^cur
+			cur += size
+			offsets = append(offsets, cur)
+			hsum += klog2k(size)
+		}
+		a.firsts[w] = 0
 	}
-	a.nClusters = len(a.order)
+	a.offsets = offsets
+	a.nClusters = len(offsets) - 1
 	a.nRows = int(cur)
 	a.hsum = hsum
 }
 
+// klog2kTable holds k·log2 k for the cluster sizes nearly every
+// intersection produces, computed with the expression klog2k falls back to
+// so a lookup and a computation are the same bits.
+var klog2kTable = func() (t [1 << 12]float64) {
+	for k := range t {
+		if k > 0 {
+			t[k] = float64(k) * math.Log2(float64(k))
+		}
+	}
+	return t
+}()
+
+// klog2k is one cluster's term of the fused entropy sum, |c|·log2|c|.
+func klog2k(k int32) float64 {
+	if int(k) < len(klog2kTable) {
+		return klog2kTable[k]
+	}
+	return float64(k) * math.Log2(float64(k))
+}
+
 // countPass32 groups the rows of each p-cluster by their q-cluster id on
-// int32 scratch. Touch discovery is separated from counting: the first
-// sweep of a cluster is a pure increment over counts[probe+1] (slot 0
-// absorbs q-singletons, branch-free), the second collects the touched
-// groups in first-occurrence order — identical to the historical
-// first-touch order — and resets their slots, restoring the all-zero
-// invariant. counts holds group sizes bounded by the cluster size, so
+// int32 scratch. The first sweep of a cluster is a pure increment over
+// counts[probe+1] (slot 0 absorbs q-singletons); the second reads each
+// row's group size back and zeroes the slot, restoring the all-zero
+// invariant — so the first row of a group sees its size and every later
+// row sees 0. Every row stores what it saw in its groups slot and ORs
+// survives(size) into its firsts bit: first rows record their group, the
+// rest write nothing that is ever read, and neither sweep has a branch to
+// mispredict. counts holds group sizes bounded by the cluster size, so
 // both widths see the same values.
 func (a *Arena) countPass32(p *Partition, probe []int32) {
-	counts := a.counts
+	counts, groups, firsts := a.counts, a.groups, a.firsts
 	for ci := 0; ci < p.NumClusters(); ci++ {
 		cluster := p.Cluster(ci)
 		for _, tid := range cluster {
@@ -243,10 +269,10 @@ func (a *Arena) countPass32(p *Partition, probe []int32) {
 		}
 		counts[0] = 0
 		for _, tid := range cluster {
-			if c := counts[probe[tid]+1]; c != 0 {
-				a.descs = append(a.descs, groupDesc{first: tid, count: c, start: -1})
-				counts[probe[tid]+1] = 0
-			}
+			size := counts[probe[tid]+1]
+			counts[probe[tid]+1] = 0
+			groups[tid] = size
+			firsts[tid>>6] |= survives(size) << (tid & 63)
 		}
 	}
 }
@@ -256,7 +282,7 @@ func (a *Arena) countPass32(p *Partition, probe []int32) {
 // rows fit the half-width arrays and the count pass touches half the
 // cache lines.
 func (a *Arena) countPass16(p *Partition, probe []int32) {
-	counts := a.counts16
+	counts, groups, firsts := a.counts16, a.groups, a.firsts
 	for ci := 0; ci < p.NumClusters(); ci++ {
 		cluster := p.Cluster(ci)
 		for _, tid := range cluster {
@@ -264,19 +290,22 @@ func (a *Arena) countPass16(p *Partition, probe []int32) {
 		}
 		counts[0] = 0
 		for _, tid := range cluster {
-			if c := counts[probe[tid]+1]; c != 0 {
-				a.descs = append(a.descs, groupDesc{first: tid, count: int32(c), start: -1})
-				counts[probe[tid]+1] = 0
-			}
+			size := int32(counts[probe[tid]+1])
+			counts[probe[tid]+1] = 0
+			groups[tid] = size
+			firsts[tid>>6] |= survives(size) << (tid & 63)
 		}
 	}
 }
 
-// fill is the second pass: re-scan the staged p-clusters in the same
-// order as the count pass (so the group descriptors line up one-to-one
-// with first touches) and place each row id at its cluster's precomputed
-// offset. dst must have length a.nRows. The kernel width follows the
-// staging count pass.
+// survives is 1 for the size of a group the result keeps (>= 2) and 0 for
+// a stripped singleton's 1 or a non-first row's 0: the sign bit of 1-size.
+func survives(size int32) uint64 { return uint64(uint32(1-size) >> 31) }
+
+// fill is the second pass: re-scan the staged p-clusters and place each
+// row id at its cluster's precomputed offset; the first row of a group
+// finds that offset in its own groups slot. dst must have length a.nRows.
+// The kernel width follows the staging count pass.
 func (a *Arena) fill(dst []int32) {
 	if a.narrowOp {
 		a.fill16(dst)
@@ -287,7 +316,6 @@ func (a *Arena) fill(dst []int32) {
 
 func (a *Arena) fill32(dst []int32) {
 	probe := a.stagedQ.Probe()
-	d := 0
 	for ci := 0; ci < a.stagedP.NumClusters(); ci++ {
 		cluster := a.stagedP.Cluster(ci)
 		a.touched = a.touched[:0]
@@ -298,19 +326,16 @@ func (a *Arena) fill32(dst []int32) {
 			}
 			v := a.counts[qi]
 			if v == 0 {
-				// First touch: bind this q-cluster id to the next group
-				// descriptor. Surviving groups carry their write cursor
-				// (start+1, so it is never confused with the zero
-				// sentinel); stripped singletons carry -1.
-				g := &a.descs[d]
-				d++
+				// First touch: tid opens this q-cluster's group. Surviving
+				// groups carry their write cursor (start+1, so it is never
+				// confused with the zero sentinel); stripped singletons
+				// carry -1.
 				a.touched = append(a.touched, qi)
-				if g.start < 0 {
-					a.counts[qi] = -1
-				} else {
-					a.counts[qi] = g.start + 1
+				v = -1
+				if g := a.groups[tid]; g < 0 {
+					v = ^g + 1
 				}
-				v = a.counts[qi]
+				a.counts[qi] = v
 			}
 			if v > 0 {
 				dst[v-1] = tid
@@ -329,7 +354,6 @@ func (a *Arena) fill32(dst []int32) {
 // exhausted), so the wrap is unobservable.
 func (a *Arena) fill16(dst []int32) {
 	probe := a.stagedQ.Probe()
-	d := 0
 	for ci := 0; ci < a.stagedP.NumClusters(); ci++ {
 		cluster := a.stagedP.Cluster(ci)
 		a.touched16 = a.touched16[:0]
@@ -340,15 +364,12 @@ func (a *Arena) fill16(dst []int32) {
 			}
 			v := a.counts16[qi]
 			if v == 0 {
-				g := &a.descs[d]
-				d++
 				a.touched16 = append(a.touched16, int16(qi))
-				if g.start < 0 {
-					a.counts16[qi] = -1
-				} else {
-					a.counts16[qi] = int16(g.start) + 1
+				v = -1
+				if g := a.groups[tid]; g < 0 {
+					v = int16(^g) + 1
 				}
-				v = a.counts16[qi]
+				a.counts16[qi] = v
 			}
 			if v > 0 {
 				dst[v-1] = tid
@@ -361,19 +382,11 @@ func (a *Arena) fill16(dst []int32) {
 	}
 }
 
-// growInt32 resizes s to n entries, reusing its backing array when it is
-// large enough (the arena's steady state) and reallocating otherwise.
-func growInt32(s []int32, n int) []int32 {
+// grow resizes s to n entries, reusing its backing array when it is large
+// enough (the arena's steady state) and reallocating otherwise.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-// growInt16 is growInt32 for the narrow scratch.
-func growInt16(s []int16, n int) []int16 {
-	if cap(s) < n {
-		return make([]int16, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

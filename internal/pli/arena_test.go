@@ -168,34 +168,49 @@ func TestIntersectZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestCacheEntropyMatchesGet: the cache's entropy path — including the
-// streaming branch a byte budget triggers — must agree exactly with
-// materialized partitions, and streaming must actually happen when no
-// partition can rest within the budget.
+// streaming branch chain leaves and over-budget sets take — must agree
+// exactly with materialized partitions, and streaming must happen exactly
+// where it should: for every set under a budget nothing fits, for the
+// chain leaves and nothing else without one, and never for a set whose
+// partition is already resident.
 func TestCacheEntropyMatchesGet(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	r := skewedRelation(rng, 400, 8)
-	free := NewCache(r, Config{BlockSize: 3})
+	free := NewCache(r, Config{BlockSize: 3}) // Get first: every Entropy is a hit
+	cold := NewCache(r, Config{BlockSize: 3}) // Entropy only
 	// A budget below any multi-attribute partition's floor (64 + probe +
 	// rows) forces every entropy evaluation down the streaming path.
 	tiny := NewCache(r, Config{BlockSize: 3, MaxBytes: 1})
+	asked, leaves := 0, 0
 	for trial := 0; trial < 60; trial++ {
 		attrs := bitset.AttrSet(rng.Int63()) & bitset.Full(8)
 		if attrs.Len() < 2 {
 			continue
 		}
+		asked++
+		if cold.leaf(attrs) {
+			leaves++
+		}
 		want := free.Get(attrs).Entropy()
 		if got := free.Entropy(attrs); got != want {
-			t.Fatalf("trial %d: unbudgeted Entropy(%v) = %b, Get().Entropy() = %b", trial, attrs, got, want)
+			t.Fatalf("trial %d: resident Entropy(%v) = %b, Get().Entropy() = %b", trial, attrs, got, want)
+		}
+		if got := cold.Entropy(attrs); got != want {
+			t.Fatalf("trial %d: unbudgeted Entropy(%v) = %b, want %b", trial, attrs, got, want)
 		}
 		if got := tiny.Entropy(attrs); got != want {
 			t.Fatalf("trial %d: budgeted Entropy(%v) = %b, want %b", trial, attrs, got, want)
 		}
 	}
-	if st := tiny.Stats(); st.EntropyOnly == 0 {
-		t.Fatalf("1-byte budget never streamed an entropy: %+v", st)
+	if st := tiny.Stats(); st.EntropyOnly != asked {
+		t.Fatalf("1-byte budget streamed %d of %d entropies: %+v", st.EntropyOnly, asked, st)
+	}
+	if st := cold.Stats(); st.EntropyOnly != leaves || leaves == 0 || leaves == asked {
+		t.Fatalf("unbudgeted cache streamed %d entropies, want the %d chain leaves of %d sets: %+v",
+			st.EntropyOnly, leaves, asked, st)
 	}
 	if st := free.Stats(); st.EntropyOnly != 0 {
-		t.Fatalf("unbudgeted cache streamed entropies: %+v", st)
+		t.Fatalf("cache streamed entropies of resident partitions: %+v", st)
 	}
 }
 
@@ -203,10 +218,13 @@ func TestCacheEntropyMatchesGet(t *testing.T) {
 // race: when a Get's map probe misses but another goroutine publishes the
 // entry first, the request is served warm off that entry and must count
 // as a hit. Single-flight guarantees exactly one goroutine installs a
-// fresh set's entry, so however the schedule interleaves, a burst of
-// concurrent Gets for one fresh set yields exactly one miss — before the
-// fix, every racer whose probe preceded the publish counted a miss of its
-// own despite computing nothing.
+// fresh set's entry — and the installer takes the latch before it fetches
+// operands, so it alone walks the chain — so however the schedule
+// interleaves, a burst of concurrent Gets for one fresh set yields
+// exactly one miss per partition built (the set, and {0,2}, its one
+// multi-attribute operand) and one hit per other racer. A racer whose
+// probe preceded the publish must not count a miss of its own, nor
+// operand reads, for computing nothing.
 func TestCacheGetRaceCountsAsHit(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	r := skewedRelation(rng, 300, 6)
@@ -228,8 +246,8 @@ func TestCacheGetRaceCountsAsHit(t *testing.T) {
 			<-done
 		}
 		st := c.Stats()
-		if st.Misses != 1 || st.Hits != racers-1 {
-			t.Fatalf("round %d: %d concurrent Gets of one fresh set counted %d misses / %d hits, want 1 / %d",
+		if st.Misses != 2 || st.Hits != racers-1 {
+			t.Fatalf("round %d: %d concurrent Gets of one fresh set counted %d misses / %d hits, want 2 / %d",
 				round, racers, st.Misses, st.Hits, racers-1)
 		}
 	}

@@ -16,10 +16,10 @@ import (
 // Stats counts the work a Cache has done; the experiments report these to
 // show the effect of the Sec. 6.3 design.
 type Stats struct {
-	Hits         int   // cache hits on already-materialized partitions (single-attribute included)
-	Misses       int   // partitions that had to be computed
+	Hits         int   // requests — top level (single attributes included) or a chain's for a multi-attribute operand — served by a resident partition
+	Misses       int   // such requests that had to compute: a partition built, or an entropy counted
 	Intersects   int   // pairwise partition intersections performed
-	EntropyOnly  int   // intersections answered as streaming counts, never materialized (memory budget)
+	EntropyOnly  int   // intersections answered as streaming counts, never materialized (chain leaf or over budget)
 	Entries      int   // partitions currently cached (live, post-eviction, all shards)
 	BytesLive    int64 // bytes retained by evictable (multi-attribute) partitions
 	BytesPinned  int64 // bytes retained by pinned (single-attribute) partitions, outside the budget
@@ -69,10 +69,12 @@ type Config struct {
 	// under Policy) until it fits again; evicted partitions are
 	// recomputed on demand, so a budget changes cost, never results.
 	// Single-attribute partitions are pinned — never evicted and not
-	// counted against the budget (Stats.BytesPinned reports them). A
-	// partition whose SizeBytes alone exceeds the budget is never
-	// materialized on the entropy path: its H is computed as a streaming
-	// count (Stats.EntropyOnly). <= 0 means unlimited.
+	// counted against the budget (Stats.BytesPinned reports them). The
+	// entropy path never materializes what cannot earn its bytes: a chain
+	// leaf — a set no other set's chain reads as an operand — at any
+	// budget, and a partition whose SizeBytes alone exceeds this one; both
+	// get their H from a streaming count (Stats.EntropyOnly). <= 0 means
+	// unlimited.
 	MaxBytes int64
 	// MaxEntries caps the number of cached partitions (the pinned
 	// single-attribute ones included, matching its historical accounting).
@@ -111,7 +113,17 @@ func DefaultConfig() Config { return Config{BlockSize: 10} }
 
 // Cache computes and memoizes stripped partitions for attribute sets of a
 // fixed relation. It is the library's equivalent of the paper's PLI cache
-// of CNT/TID tables, with the blockwise assembly of Sec. 6.3.
+// of CNT/TID tables, with the blockwise assembly of Sec. 6.3: every set of
+// two attributes or more is one intersection of two smaller sets (split),
+// and the chain of those below a set is what sets sharing a prefix share.
+//
+// Operands are materialized, leaves are counted. A set some chain can read
+// as an operand is built and published the first time anything — a Get,
+// an entropy, a chain on its way to a larger set — needs it. A chain leaf
+// (leaf) can be read by no chain, so the entropy path never builds one:
+// its H is the count pass over its two operands (Stats.EntropyOnly), and
+// only a Get, which wants the rows, materializes it. On the 13-column
+// bench relation with the default block size that is 7 sets in 8.
 //
 // The cache is split into power-of-two shards by a hash of the attribute
 // set; each shard owns its slice of the map plus a ring of evictable
@@ -354,6 +366,37 @@ func (c *Cache) count(sv served) {
 	}
 }
 
+// operandReads tallies how the multi-attribute operands of one build were
+// served, by the same rule as count. (Single attributes are pinned and
+// always resident; reading one says nothing about the cache.) The tally
+// reaches the stats only once its build is known to run: a request that
+// fetched operands and then lost the install race for the set itself
+// counts as the one hit it turned out to be, so every build owns exactly
+// one read of each operand and Hits + Misses does not depend on the order
+// or the fan-out requests arrive in.
+type operandReads struct{ hits, misses int64 }
+
+func (r *operandReads) add(set bitset.AttrSet, sv served) {
+	if set.Len() < 2 {
+		return
+	}
+	switch sv {
+	case servedWarm:
+		r.hits++
+	case servedFresh:
+		r.misses++
+	}
+}
+
+func (c *Cache) countOperands(r operandReads) {
+	if r.hits > 0 {
+		c.hits.Add(r.hits)
+	}
+	if r.misses > 0 {
+		c.misses.Add(r.misses)
+	}
+}
+
 // GetWith is Get on the caller's arena. Concurrent requests for the same
 // fresh set compute it once; the rest wait on its entry. A warm serve —
 // single-attribute sets and lost install races included — counts toward
@@ -371,7 +414,7 @@ func (c *Cache) GetWith(a *Arena, attrs bitset.AttrSet) *Partition {
 		c.touch(sh, e)
 		return e.p
 	}
-	p, _, sv := c.compute(a, attrs)
+	p, _, sv := c.partition(a, attrs)
 	c.count(sv)
 	return p
 }
@@ -385,13 +428,15 @@ func (c *Cache) Entropy(attrs bitset.AttrSet) float64 {
 }
 
 // EntropyWith returns the entropy of the partition for attrs — the value
-// every getEntropyR call bottoms out in — computing and caching the
-// partition if needed. When a memory budget is configured and the final
-// partition of the blockwise chain could never rest within it (its
-// SizeBytes alone exceeds MaxBytes, so publishing would immediately
-// revert), the entropy is computed as a streaming count over the arena
-// instead — bit-identical, no materialization, no eviction churn. Hit and
-// miss accounting matches GetWith.
+// every getEntropyR call bottoms out in. A resident partition answers
+// with its fused sum. Otherwise the set's two operands are fetched (built
+// and cached if need be) and counted: a chain leaf, or a set whose
+// partition could never rest within the memory budget (its SizeBytes
+// alone exceeds MaxBytes, so publishing would immediately revert), gets
+// its entropy from that count pass alone — bit-identical, nothing
+// materialized, nothing to evict — and any other set is finished into a
+// cached partition off the same counts. Hit and miss accounting matches
+// GetWith.
 func (c *Cache) EntropyWith(a *Arena, attrs bitset.AttrSet) float64 {
 	sh := c.shard(attrs)
 	sh.mu.Lock()
@@ -682,67 +727,96 @@ func (c *Cache) sweepGDSF(sh *cacheShard) {
 	}
 }
 
-// compute assembles the partition for attrs blockwise: first within each
-// block (attribute by attribute, caching prefixes), then across blocks.
-// paid is the intersection bytes this call actually scanned — zero on a
-// fully warm chain — and each intermediate is priced for GDSF with the
-// cascade bytes paid up to and including its own build, so an entry whose
-// absence forces a deep rebuild (its parents were evicted too) carries
-// that full miss penalty, not just its final intersect. The served value
-// reports how the final entry was obtained by this call (fresh build,
-// spill promotion, or warm off a racing install).
-func (c *Cache) compute(a *Arena, attrs bitset.AttrSet) (p *Partition, paid int64, sv served) {
-	if attrs.IsEmpty() {
-		p, sv = c.materialize(attrs, func() (*Partition, int64) { return FromAttrs(c.rel, attrs), 0 })
-		return p, 0, sv
+// split names the one intersection that produces attrs (two attributes
+// or more) in the blockwise assembly of Sec. 6.3. Within a block a set is
+// its highest attribute's pinned partition intersected with the rest;
+// across blocks it is its piece in the last block it touches intersected
+// with everything before. Applied recursively this is the chain of attrs:
+// every set on it is a subset of one block or a union of whole pieces,
+// which is what lets sets that share a prefix share the work.
+func (c *Cache) split(attrs bitset.AttrSet) (left, right bitset.AttrSet) {
+	hi := attrs.Max()
+	piece := attrs.Intersect(c.blocks[hi/c.cfg.BlockSize])
+	if piece == attrs {
+		return attrs.Remove(hi), bitset.Single(hi)
 	}
-	var acc *Partition
-	var accSet bitset.AttrSet
-	for _, b := range c.blocks {
-		piece := attrs.Intersect(b)
-		if piece.IsEmpty() {
-			continue
-		}
-		pp, piecePaid, w := c.blockPartition(a, piece)
-		paid += piecePaid
-		if acc == nil {
-			acc, accSet, sv = pp, piece, w
-			continue
-		}
-		left := acc
-		chain := paid // cascade bytes owed before this step's own scan
-		var stepPaid int64
-		accSet = accSet.Union(piece)
-		acc, sv = c.materialize(accSet, func() (*Partition, int64) {
-			stepPaid = scanBytes(left, pp)
-			return c.intersect(a, left, pp), chain + stepPaid
-		})
-		paid += stepPaid
-	}
-	return acc, paid, sv
+	return attrs.Diff(piece), piece
 }
 
-// computeEntropy is compute for callers that only need the entropy. It
-// materializes every strict-subset intermediate of the blockwise chain as
-// usual (they are the reusable currency of the cache), then prices the
-// final partition with the arena's count pass: if a memory budget is set
-// and the partition could never rest within it, the entropy is taken
-// straight from the staged counts — a pure streaming evaluation, no
-// build, no publish, no eviction churn. Otherwise the staged counts are
-// finished into the cached partition, sharing the count pass.
+// leaf reports whether attrs is a chain leaf: a set that split never
+// returns for any other set, so no chain can read its partition as an
+// operand. Left operands either stay clear of the last block or sit below
+// their block's top attribute; right operands lie inside one block, and
+// past the first one. What remains touches the last block and an earlier
+// one — or, when there is only one block, contains the top attribute.
+func (c *Cache) leaf(attrs bitset.AttrSet) bool {
+	last := c.blocks[len(c.blocks)-1]
+	if len(c.blocks) == 1 {
+		return attrs.Contains(last.Max())
+	}
+	return attrs.Intersects(last) && !attrs.SubsetOf(last)
+}
+
+// partition returns the partition of attrs, building it at most once per
+// cached entry: the installer fetches the two operands split names — each
+// through partition again, so the whole chain below is materialized and
+// published on the way — and intersects them. paid is the intersection
+// bytes this call actually scanned, cascaded operand builds included and
+// zero when served warm or from the spill tier; it doubles as the entry's
+// GDSF cost, so an entry whose absence forces a deep rebuild (its operands
+// were evicted too) carries that full miss penalty, not just its final
+// intersect. The served value mirrors materialize's.
+func (c *Cache) partition(a *Arena, attrs bitset.AttrSet) (*Partition, int64, served) {
+	var paid int64
+	p, sv := c.materialize(attrs, func() (*Partition, int64) {
+		if attrs.IsEmpty() {
+			return FromAttrs(c.rel, attrs), 0
+		}
+		left, right, chain, reads := c.operands(a, attrs)
+		c.countOperands(reads)
+		paid = chain + scanBytes(left, right)
+		return c.intersect(a, left, right), paid
+	})
+	return p, paid, sv
+}
+
+// operands materializes the two partitions whose intersection is attrs
+// and returns them with the bytes their own chains scanned and the tally
+// of how they were served, which the caller owes the stats if it goes on
+// to build (or count) attrs.
+func (c *Cache) operands(a *Arena, attrs bitset.AttrSet) (left, right *Partition, paid int64, reads operandReads) {
+	ls, rs := c.split(attrs)
+	left, lp, lsv := c.partition(a, ls)
+	right, rp, rsv := c.partition(a, rs)
+	reads.add(ls, lsv)
+	reads.add(rs, rsv)
+	return left, right, lp + rp, reads
+}
+
+// computeEntropy answers an entropy miss. The operands are materialized
+// (they are the reusable currency of the cache); the set itself is priced
+// by the arena's count pass and then either counted or built. A chain
+// leaf is counted: nothing can ever read its partition as an operand, so
+// its entropy is taken straight from the staged counts — no fill, no
+// allocation, no publish, nothing to evict or spill. So is a set whose
+// partition could never rest within the memory budget. Anything else is
+// finished from the same staged counts into a cached partition, because
+// some other set's chain will ask for it.
 func (c *Cache) computeEntropy(a *Arena, attrs bitset.AttrSet) (float64, served) {
-	left, right, chainPaid, ok := c.finalOperands(a, attrs)
-	if !ok {
-		p, _, sv := c.compute(a, attrs)
+	if attrs.IsEmpty() {
+		p, _, sv := c.partition(a, attrs)
 		return p.Entropy(), sv
 	}
+	left, right, chainPaid, reads := c.operands(a, attrs)
 	c.countIntersect(left, right)
 	a.stage(left, right)
-	if c.cfg.MaxBytes > 0 && a.stagedSizeBytes() > c.cfg.MaxBytes {
+	if c.leaf(attrs) || c.cfg.MaxBytes > 0 && a.stagedSizeBytes() > c.cfg.MaxBytes {
+		c.countOperands(reads)
 		c.entropyOnly.Add(1)
 		return a.stagedEntropy(), servedFresh
 	}
 	p, sv := c.materialize(attrs, func() (*Partition, int64) {
+		c.countOperands(reads)
 		return a.finish(), chainPaid + scanBytes(left, right)
 	})
 	// When the install race was lost, finish never ran; drop the staged
@@ -750,67 +824,6 @@ func (c *Cache) computeEntropy(a *Arena, attrs bitset.AttrSet) (float64, served)
 	// past this evaluation.
 	a.clearStaged()
 	return p.Entropy(), sv
-}
-
-// finalOperands materializes the blockwise chain for attrs up to — but
-// not including — its final intersection, and returns that intersection's
-// two operands plus the bytes the chain walk actually scanned (the
-// cascade cost the final entry inherits under GDSF). ok is false when
-// attrs is served without an intersection of its own (empty or
-// single-attribute sets).
-func (c *Cache) finalOperands(a *Arena, attrs bitset.AttrSet) (left, right *Partition, paid int64, ok bool) {
-	if attrs.Len() <= 1 {
-		return nil, nil, 0, false
-	}
-	var prefixSet, lastPiece bitset.AttrSet
-	pieces := 0
-	for _, b := range c.blocks {
-		piece := attrs.Intersect(b)
-		if piece.IsEmpty() {
-			continue
-		}
-		pieces++
-		prefixSet = prefixSet.Union(lastPiece)
-		lastPiece = piece
-	}
-	if pieces == 1 {
-		// Within one block the final step of blockPartition's peel is the
-		// intersection of the set minus its highest attribute with that
-		// attribute's pinned partition.
-		hi := lastPiece.Max()
-		rest := lastPiece.Remove(hi)
-		var restPaid int64
-		left, restPaid, _ = c.blockPartition(a, rest)
-		right, _, _ = c.blockPartition(a, bitset.Single(hi))
-		return left, right, restPaid, true
-	}
-	// Across blocks the final step intersects the accumulated prefix of
-	// all pieces but the last with the last piece's block partition; the
-	// prefix follows the identical chain compute walks, so every
-	// intermediate it materializes is one compute would have cached too.
-	var leftPaid, rightPaid int64
-	left, leftPaid, _ = c.compute(a, prefixSet)
-	right, rightPaid, _ = c.blockPartition(a, lastPiece)
-	return left, right, leftPaid + rightPaid, true
-}
-
-// blockPartition computes the partition of a within-block attribute set by
-// peeling one attribute at a time, caching every intermediate subset. This
-// realizes the paper's per-block precomputation lazily: only subsets that
-// are actually requested get materialized. paid is the bytes this call's
-// peel actually scanned (cascade included, zero on a hit), which doubles
-// as the entry's GDSF cost; the served value mirrors materialize's.
-func (c *Cache) blockPartition(a *Arena, piece bitset.AttrSet) (*Partition, int64, served) {
-	var paid int64
-	p, sv := c.materialize(piece, func() (*Partition, int64) {
-		hi := piece.Max()
-		rest := piece.Remove(hi)
-		restPart, restPaid, _ := c.blockPartition(a, rest)
-		single, _, _ := c.blockPartition(a, bitset.Single(hi)) // pre-seeded, returns immediately
-		paid = restPaid + scanBytes(restPart, single)
-		return c.intersect(a, restPart, single), paid
-	})
-	return p, paid, sv
 }
 
 func (c *Cache) intersect(a *Arena, p, q *Partition) *Partition {

@@ -1,0 +1,246 @@
+package pli
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/bitset"
+	"repro/internal/datagen"
+)
+
+// cachedSets lists the multi-attribute sets resident in c.
+func cachedSets(c *Cache) []bitset.AttrSet {
+	var out []bitset.AttrSet
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for s := range sh.parts {
+			if s.Len() > 1 {
+				out = append(out, s)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return out
+}
+
+// TestLeafRuleExact checks the structural rule computeEntropy streams by
+// against what the chains actually do. For every block layout of 2..11
+// columns, Get each subset on a fresh cache: whatever multi-attribute set
+// the cache then holds besides the one asked for was materialized as an
+// operand — of it, or of one of its operands. Over all subsets that is
+// every set some chain reads; leaf must be false on exactly those.
+func TestLeafRuleExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for n := 2; n <= 11; n++ {
+		r := randomRelation(rng, 12, n, 2)
+		for _, blockSize := range []int{1, 2, 3, 4, 5, 10} {
+			cfg := Config{BlockSize: blockSize, Shards: 1}
+			operand := make(map[bitset.AttrSet]bool)
+			for set := bitset.AttrSet(1); set <= bitset.Full(n); set++ {
+				c := NewCache(r, cfg)
+				c.Get(set)
+				found := false
+				for _, s := range cachedSets(c) {
+					if s == set {
+						found = true
+					} else {
+						operand[s] = true
+					}
+				}
+				if set.Len() > 1 && !found {
+					t.Fatalf("n=%d L=%d: Get(%v) did not publish its partition", n, blockSize, set)
+				}
+			}
+			c := NewCache(r, cfg)
+			for set := bitset.AttrSet(1); set <= bitset.Full(n); set++ {
+				if set.Len() < 2 {
+					continue
+				}
+				if got := c.leaf(set); got == operand[set] {
+					t.Errorf("n=%d L=%d: leaf(%v) = %v, but read as an operand by some chain: %v",
+						n, blockSize, set, got, operand[set])
+				}
+			}
+		}
+	}
+}
+
+// TestStreamedEntropyBitIdentical: Entropy on a cache that has never seen
+// the set must equal the materialized partition's entropy bit for bit, for
+// every subset — unbudgeted, under a budget nothing fits, and with a spill
+// tier — and a chain leaf must get there without the cache retaining
+// anything for it: with its operands already resident, Entries and
+// BytesLive do not move and the set is not cached afterwards.
+func TestStreamedEntropyBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(2718))
+	r := skewedRelation(rng, 300, 7)
+	for _, blockSize := range []int{3, 10} {
+		ref := NewCache(r, Config{BlockSize: blockSize})
+		for name, cfg := range map[string]Config{
+			"unbudgeted": {BlockSize: blockSize},
+			"tiny":       {BlockSize: blockSize, MaxBytes: 1},
+			"spill":      {BlockSize: blockSize, MaxBytes: 4 << 10, SpillDir: t.TempDir()},
+		} {
+			c := NewCache(r, cfg)
+			leaves := 0
+			for _, i := range rng.Perm(1 << 7) {
+				set := bitset.AttrSet(i)
+				if set.Len() < 2 {
+					continue
+				}
+				want := ref.Get(set).Entropy()
+				if !c.leaf(set) {
+					if got := c.Entropy(set); got != want {
+						t.Fatalf("L=%d %s: Entropy(%v) = %b, Get().Entropy() = %b", blockSize, name, set, got, want)
+					}
+					continue
+				}
+				leaves++
+				ls, rs := c.split(set)
+				c.Get(ls)
+				c.Get(rs)
+				before := c.Stats()
+				if got := c.Entropy(set); got != want {
+					t.Fatalf("L=%d %s: streamed Entropy(%v) = %b, Get().Entropy() = %b", blockSize, name, set, got, want)
+				}
+				after := c.Stats()
+				if after.EntropyOnly != before.EntropyOnly+1 {
+					t.Fatalf("L=%d %s: leaf %v was not streamed: %+v", blockSize, name, set, after)
+				}
+				if name == "unbudgeted" && (after.Entries != before.Entries || after.BytesLive != before.BytesLive) {
+					t.Fatalf("L=%d %s: streaming leaf %v moved the cache: entries %d → %d, live %d → %d",
+						blockSize, name, set, before.Entries, after.Entries, before.BytesLive, after.BytesLive)
+				}
+				if slices.Contains(cachedSets(c), set) {
+					t.Fatalf("L=%d %s: leaf %v is cached after Entropy", blockSize, name, set)
+				}
+			}
+			if leaves == 0 {
+				t.Fatalf("L=%d: no leaf among the subsets", blockSize)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestCanonicalizeOrdersByFirstRow is the property test of the linear-time
+// canonical order: groups scattered into the arena's per-row slots with
+// random distinct first rows must come out of canonicalize exactly as a
+// comparison sort on the first row orders them — offsets, fill cursors,
+// entropy sum in that summation order — with stripped groups untouched and
+// the bitmap left clear, at row counts either side of every word, byte and
+// kernel-width boundary and from no survivors to one group per two rows.
+func TestCanonicalizeOrdersByFirstRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(6561))
+	type group struct{ first, size int32 }
+	a := NewArena()
+	for _, n := range []int{1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257, 32767, 32768, 65535, 65536, 65537, 100003} {
+		for _, k := range []int{0, 1, 2, n / 64, n / 7, n / 2} {
+			if k > n {
+				continue
+			}
+			a.groups = grow(a.groups, n)
+			a.firsts = grow(a.firsts, (n+63)>>6)
+			for i := range a.groups {
+				a.groups[i] = rng.Int31() - 1<<30 // stale slots of earlier operations
+			}
+			var groups, survivors []group
+			for _, first := range rng.Perm(n)[:k] {
+				g := group{int32(first), 1 + rng.Int31n(5)}
+				if rng.Intn(16) == 0 {
+					g.size = int32(len(klog2kTable)) - 2 + rng.Int31n(4) // either side of the table's end
+				}
+				groups = append(groups, g)
+				a.groups[g.first] = g.size
+				a.firsts[g.first>>6] |= survives(g.size) << (g.first & 63)
+				if g.size >= 2 {
+					survivors = append(survivors, g)
+				}
+			}
+			a.canonicalize()
+
+			slices.SortFunc(survivors, func(x, y group) int { return int(x.first - y.first) })
+			wantOffsets := []int32{0}
+			wantHsum := 0.0
+			for _, g := range survivors {
+				if got, want := a.groups[g.first], ^wantOffsets[len(wantOffsets)-1]; got != want {
+					t.Fatalf("n=%d k=%d: group at row %d has cursor %d, want %d", n, k, g.first, got, want)
+				}
+				wantOffsets = append(wantOffsets, wantOffsets[len(wantOffsets)-1]+g.size)
+				wantHsum += float64(g.size) * math.Log2(float64(g.size))
+			}
+			if a.nClusters != len(survivors) || a.nRows != int(wantOffsets[len(survivors)]) {
+				t.Fatalf("n=%d k=%d: shape %d clusters / %d rows, want %d / %d",
+					n, k, a.nClusters, a.nRows, len(survivors), wantOffsets[len(survivors)])
+			}
+			if !slices.Equal(a.offsets, wantOffsets) {
+				t.Fatalf("n=%d k=%d: offsets differ from the comparison-sorted order", n, k)
+			}
+			if a.hsum != wantHsum {
+				t.Fatalf("n=%d k=%d: hsum %b, want %b", n, k, a.hsum, wantHsum)
+			}
+			for _, g := range groups {
+				if g.size < 2 && a.groups[g.first] != g.size {
+					t.Fatalf("n=%d k=%d: stripped group at row %d rewritten to %d", n, k, g.first, a.groups[g.first])
+				}
+			}
+			for w, word := range a.firsts {
+				if word != 0 {
+					t.Fatalf("n=%d k=%d: bitmap word %d left set (%#x)", n, k, w, word)
+				}
+			}
+		}
+	}
+}
+
+// TestKlog2kTableExact: a table lookup and the expression it stands for
+// are the same float64, on both sides of the table's end.
+func TestKlog2kTableExact(t *testing.T) {
+	for k := int32(1); k < int32(len(klog2kTable))+16; k++ {
+		if got, want := klog2k(k), float64(k)*math.Log2(float64(k)); got != want {
+			t.Fatalf("klog2k(%d) = %b, want %b", k, got, want)
+		}
+	}
+}
+
+// TestFreshLeafEntropyZeroAlloc is the allocation gate of the cold path: a
+// first-time entropy of a chain leaf whose operands are resident — the
+// common case of a cold mine — is a probe, two operand lookups and a count
+// pass on arena scratch, and allocates nothing. Leaves are never cached, so
+// every run below is such a first time.
+func TestFreshLeafEntropyZeroAlloc(t *testing.T) {
+	r := datagen.Nursery().Head(2000)
+	for _, tc := range []struct {
+		name      string
+		blockSize int
+		leaf      bitset.AttrSet
+	}{
+		{"one block", 10, bitset.Of(0, 1, 8)},       // {0,1} ∩ pinned {8}
+		{"two blocks", 5, bitset.Of(0, 1, 2, 5, 6)}, // {0,1,2} ∩ {5,6}
+	} {
+		c := NewCache(r, Config{BlockSize: tc.blockSize})
+		if !c.leaf(tc.leaf) {
+			t.Fatalf("%s: %v is not a leaf", tc.name, tc.leaf)
+		}
+		ls, rs := c.split(tc.leaf)
+		c.Get(ls)
+		c.Get(rs)
+		a := NewArena()
+		want := c.EntropyWith(a, tc.leaf) // grow the scratch, build the probes
+		if avg := testing.AllocsPerRun(100, func() {
+			if c.EntropyWith(a, tc.leaf) != want {
+				t.Fatal("streamed entropy drifted")
+			}
+		}); avg != 0 {
+			t.Errorf("%s: fresh leaf entropy allocates %v times per run, want 0", tc.name, avg)
+		}
+		if st := c.Stats(); st.EntropyOnly != 102 {
+			t.Errorf("%s: %d of 102 leaf entropies were streamed", tc.name, st.EntropyOnly)
+		}
+	}
+}

@@ -15,6 +15,19 @@
 // scans are sequential and the memory accounting has no per-cluster slice
 // headers. The intersection itself runs on a reusable Arena (arena.go) —
 // dense count-then-fill grouping with no hash map and no per-group copy.
+//
+// Operands are materialised, leaves are counted. The Cache (cache.go)
+// assembles a set's partition blockwise, as Sec. 6.3 does: one
+// intersection of the partitions of two smaller sets, its operands, which
+// are built, published and shared by every set whose chain runs through
+// them — the within-block tables the paper precomputes, made on demand.
+// An entropy, though, needs the sizes of the classes and nothing else,
+// and most attribute sets are chain leaves: no other set's chain can read
+// their partition. A first request for a leaf's entropy is therefore the
+// count pass over its two operands and stops there — nothing filled,
+// allocated, published, evicted or spilled. A leaf's partition exists
+// only if someone asks for the partition itself (Get: scheme ranking,
+// decomposition), and then it is cached like any other.
 package pli
 
 import (

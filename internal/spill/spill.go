@@ -122,12 +122,12 @@ type Store struct {
 	log    *slog.Logger
 	segMax int64
 
-	mu     sync.Mutex
-	segs   []*segment // ascending seq; the last one is active (may be nil)
-	index  map[uint64]recRef
-	bytes  int64 // file bytes across live segments
+	mu      sync.Mutex
+	segs    []*segment // ascending seq; the last one is active (may be nil)
+	index   map[uint64]recRef
+	bytes   int64 // file bytes across live segments
 	nextSeq int64
-	closed bool
+	closed  bool
 }
 
 // Open opens (or creates) the spill store under cfg.Dir. Existing

@@ -131,9 +131,10 @@ type MemoryStatus struct {
 	PLIEntries  int   `json:"pli_entries"`
 	HCached     int   `json:"h_cached"`
 	// EntropyOnly counts intersections the engine answered as streaming
-	// counts without materializing the partition — the budget-pressure
-	// path: a partition too large for the budget never enters the cache,
-	// its entropy is computed on the fly instead.
+	// counts without materializing the partition: chain leaves — sets no
+	// other set's partition is assembled from, most of a cold mine — and
+	// partitions too large for the budget never enter the cache, their
+	// entropy is computed on the fly instead.
 	EntropyOnly int `json:"entropy_only"`
 	// MemoBytes/MemoEvictions describe the entropy memo above the PLI
 	// cache: its accounted residency and the entries dropped to stay

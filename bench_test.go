@@ -213,8 +213,7 @@ func BenchmarkSessionSchemeSeq(b *testing.B) {
 // isolates the parallel search itself. On a multicore box the workers=4
 // rung should approach a 4× speedup over workers=1; on a single-CPU
 // container (GOMAXPROCS=1) the rungs stay flat and only measure fan-out
-// overhead. cmd/experiments -bench-json runs the same protocol on the
-// planted and nursery generators and records BENCH_parallel.json.
+// overhead.
 func BenchmarkParallelWarmMining(b *testing.B) {
 	r := datagen.Nursery().Head(3000)
 	s, err := Open(r)
@@ -357,8 +356,7 @@ func BenchmarkAnalyzeRank(b *testing.B) {
 // under budgets of ⅛ and 1/64 of the workload's natural footprint. The
 // entropy memo is never evicted, so warm re-mines largely ride it; the
 // rungs quantify the residual PLI recompute (and, on big footprints, the
-// GC relief a budget buys). cmd/experiments -bench-memory-json runs the
-// fuller protocol and records BENCH_memory.json.
+// GC relief a budget buys).
 func BenchmarkSessionMemoryBudget(b *testing.B) {
 	r := datagen.Nursery().Head(3000)
 	ctx := context.Background()
@@ -444,11 +442,9 @@ func BenchmarkMicro_PLIIntersect(b *testing.B) {
 	}
 }
 
-// BenchmarkIntersect compares the intersection engines head to head (run
-// with -benchmem; cmd/experiments -bench-intersect-json records the same
-// comparison as BENCH_intersect.json):
+// BenchmarkIntersect compares the three forms of the intersection engine
+// (run with -benchmem):
 //
-//	map          the historical hash-map grouping (pli.IntersectMap)
 //	arena        dense count-then-fill on a persistent arena, owned result
 //	arena-view   same, result backed by arena buffers — zero allocations
 //	entropy-only streaming count, no partition materialized at all
@@ -457,11 +453,6 @@ func BenchmarkIntersect(b *testing.B) {
 	pa := pli.SingleAttribute(r, 0)
 	pb := pli.SingleAttribute(r, 1)
 	a := pli.NewArena()
-	b.Run("map", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = pli.IntersectMap(pa, pb)
-		}
-	})
 	b.Run("arena", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = a.Intersect(pa, pb)

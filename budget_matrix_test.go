@@ -9,10 +9,9 @@ import (
 // TestBudgetPolicyMatrixDeterminism is the full memory-governance
 // determinism matrix on the public API: mining output (MVDs, NumMinSeps,
 // scheme fingerprints) must be identical across every combination of
-// {workers 1, 8} × {unlimited, ⅛ PLI budget, ⅛ entropy-memo budget} ×
-// {clock, gdsf}. Eviction policy and budgets are cost knobs — the mined
-// results may never move, whichever partition or memoized entropy gets
-// sacrificed along the way.
+// {workers 1, 8} × {unlimited, ⅛ PLI budget, ⅛ entropy-memo budget}.
+// Budgets are cost knobs — the mined results may never move, whichever
+// partition or memoized entropy gets sacrificed along the way.
 func TestBudgetPolicyMatrixDeterminism(t *testing.T) {
 	r := Nursery().Head(1200)
 	ctx := context.Background()
@@ -36,7 +35,7 @@ func TestBudgetPolicyMatrixDeterminism(t *testing.T) {
 		return out
 	}
 
-	// Reference: serial, unlimited, clock. Its stats size the squeezes.
+	// Reference: serial, unlimited. Its stats size the squeezes.
 	ref, err := Open(r)
 	if err != nil {
 		t.Fatal(err)
@@ -74,32 +73,29 @@ func TestBudgetPolicyMatrixDeterminism(t *testing.T) {
 		{"pli/8", []Option{WithMemoryBudget(pliBudget)}},
 		{"memo/8", []Option{WithEntropyBudget(memoBudget)}},
 	}
-	for _, policy := range []EvictionPolicy{PolicyClock, PolicyGDSF} {
-		for _, b := range budgets {
-			for _, workers := range []int{1, 8} {
-				label := fmt.Sprintf("policy=%s budget=%s workers=%d", policy, b.name, workers)
-				opts := append([]Option{WithEvictionPolicy(policy)}, b.opts...)
-				s, err := Open(r, opts...)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
+	for _, b := range budgets {
+		for _, workers := range []int{1, 8} {
+			label := fmt.Sprintf("budget=%s workers=%d", b.name, workers)
+			s, err := Open(r, b.opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			check(label, mine(s, workers))
+			st := s.Stats()
+			switch b.name {
+			case "pli/8":
+				if st.PLIStats.BytesLive > pliBudget {
+					t.Fatalf("%s: BytesLive %d over budget %d at rest", label, st.PLIStats.BytesLive, pliBudget)
 				}
-				check(label, mine(s, workers))
-				st := s.Stats()
-				switch b.name {
-				case "pli/8":
-					if st.PLIStats.BytesLive > pliBudget {
-						t.Fatalf("%s: BytesLive %d over budget %d at rest", label, st.PLIStats.BytesLive, pliBudget)
-					}
-					if st.PLIStats.Evictions == 0 {
-						t.Fatalf("%s: PLI budget %d forced no evictions", label, pliBudget)
-					}
-				case "memo/8":
-					if st.MemoBytes > memoBudget {
-						t.Fatalf("%s: MemoBytes %d over budget %d at rest", label, st.MemoBytes, memoBudget)
-					}
-					if st.MemoEvictions == 0 {
-						t.Fatalf("%s: entropy budget %d forced no evictions", label, memoBudget)
-					}
+				if st.PLIStats.Evictions == 0 {
+					t.Fatalf("%s: PLI budget %d forced no evictions", label, pliBudget)
+				}
+			case "memo/8":
+				if st.MemoBytes > memoBudget {
+					t.Fatalf("%s: MemoBytes %d over budget %d at rest", label, st.MemoBytes, memoBudget)
+				}
+				if st.MemoEvictions == 0 {
+					t.Fatalf("%s: entropy budget %d forced no evictions", label, memoBudget)
 				}
 			}
 		}

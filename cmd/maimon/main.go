@@ -5,8 +5,8 @@
 //
 //	maimon -input data.csv [-header] [-epsilon 0.1] [-mode schemes]
 //	       [-timeout 30s] [-max-schemes 50] [-workers 0] [-cache-bytes 0]
-//	       [-entropy-bytes 0] [-evict-policy clock] [-spill-dir ""]
-//	       [-spill-bytes 0] [-fds] [-v] [-trace]
+//	       [-entropy-bytes 0] [-spill-dir ""] [-spill-bytes 0] [-fds]
+//	       [-v] [-trace]
 //
 // Modes:
 //
@@ -62,7 +62,6 @@ func main() {
 		workers      = flag.Int("workers", 0, "parallel mining fan-out (0 = GOMAXPROCS, 1 = serial)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "PLI cache memory budget in bytes; cold partitions are evicted past it (0 = unlimited)")
 		entropyBytes = flag.Int64("entropy-bytes", 0, "entropy-memo memory budget in bytes; cold entropies are evicted past it (0 = unlimited)")
-		evictPolicy  = flag.String("evict-policy", "clock", "PLI cache eviction policy under -cache-bytes: clock (recency) or gdsf (cost-aware)")
 		spillDir     = flag.String("spill-dir", "", "disk spill tier: evicted partitions worth re-reading are demoted into segment files under this directory instead of dropped (empty = disabled)")
 		spillBytes   = flag.Int64("spill-bytes", 0, "on-disk budget of the spill tier; oldest segments deleted past it (0 = unlimited)")
 		verbose      = flag.Bool("v", false, "stream live progress (and schemes, as they arrive) to stderr")
@@ -92,13 +91,6 @@ func main() {
 	sessOpts := []maimon.Option{maimon.WithEpsilon(*epsilon), maimon.WithMaxSchemes(*maxSchemes),
 		maimon.WithWorkers(*workers), maimon.WithMemoryBudget(*cacheBytes),
 		maimon.WithEntropyBudget(*entropyBytes)}
-	switch *evictPolicy {
-	case "", "clock":
-	case "gdsf":
-		sessOpts = append(sessOpts, maimon.WithEvictionPolicy(maimon.PolicyGDSF))
-	default:
-		fail("unknown -evict-policy %q (want clock or gdsf)", *evictPolicy)
-	}
 	if *spillDir != "" {
 		sessOpts = append(sessOpts, maimon.WithSpillDir(*spillDir), maimon.WithSpillBudget(*spillBytes))
 	}

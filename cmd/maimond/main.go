@@ -9,8 +9,7 @@
 //
 //	maimond [-addr :8080] [-workers N] [-mine-workers 1] [-queue 256]
 //	        [-job-timeout 0] [-cache-bytes 0] [-entropy-bytes 0]
-//	        [-evict-policy clock] [-spill-dir ""] [-spill-bytes 0]
-//	        [-result-cache 0]
+//	        [-spill-dir ""] [-spill-bytes 0] [-result-cache 0]
 //	        [-log-level info] [-log-json] [-debug-addr ""]
 //	        [-load name=path.csv ...] [-nursery]
 //	        [-coordinator http://w1:8080,http://w2:8080]
@@ -122,7 +121,6 @@ func main() {
 		maxJobs      = flag.Int("max-jobs", 1024, "job records retained; oldest finished jobs evicted beyond it")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "per-dataset PLI cache memory budget in bytes; cold partitions are evicted past it (0 = unlimited)")
 		entropyBytes = flag.Int64("entropy-bytes", 0, "per-dataset entropy-memo memory budget in bytes; cold entropies are evicted past it (0 = unlimited)")
-		evictPolicy  = flag.String("evict-policy", "clock", "PLI cache eviction policy under -cache-bytes: clock (recency) or gdsf (cost-aware)")
 		spillDir     = flag.String("spill-dir", "", "disk spill tier root: evicted PLI partitions worth re-reading are demoted into per-dataset segment stores under this directory instead of dropped; re-opened warm on restart (empty = disabled)")
 		spillBytes   = flag.Int64("spill-bytes", 0, "per-dataset on-disk budget of the spill tier; oldest segments deleted past it (0 = unlimited)")
 		resultCache  = flag.Int("result-cache", 0, "completed job results retained, LRU past the cap (0 = default 256, -1 = disable result caching)")
@@ -165,13 +163,6 @@ func main() {
 	}
 	if *entropyBytes > 0 {
 		sessOpts = append(sessOpts, maimon.WithEntropyBudget(*entropyBytes))
-	}
-	switch *evictPolicy {
-	case "", "clock":
-	case "gdsf":
-		sessOpts = append(sessOpts, maimon.WithEvictionPolicy(maimon.PolicyGDSF))
-	default:
-		fatal("unknown -evict-policy (want clock or gdsf)", "policy", *evictPolicy)
 	}
 	reg := service.NewRegistry(sessOpts...)
 	if *spillDir != "" {

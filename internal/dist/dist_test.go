@@ -163,18 +163,17 @@ func TestDistributedDeterminismAcrossWorkers(t *testing.T) {
 }
 
 // TestDistributedBudgetedFleetDeterminism starves every worker in a
-// three-node fleet — tight PLI and entropy-memo budgets under the
-// cost-aware eviction policy — and requires the merged result to stay
-// byte-identical to an unbudgeted single-node mine. Worker-side eviction
-// and memo churn are pure cost: whatever each shard recomputes locally,
-// the merge must not be able to tell. (The name matches the race-enabled
-// eviction-determinism filter of the memory-pressure CI job.)
+// three-node fleet — tight PLI and entropy-memo budgets — and requires
+// the merged result to stay byte-identical to an unbudgeted single-node
+// mine. Worker-side eviction and memo churn are pure cost: whatever each
+// shard recomputes locally, the merge must not be able to tell. (The name
+// matches the race-enabled eviction-determinism filter of the
+// memory-pressure CI job.)
 func TestDistributedBudgetedFleetDeterminism(t *testing.T) {
 	rels := testRelations(t)
 	starved := []maimon.Option{
 		maimon.WithMemoryBudget(16 << 10),
 		maimon.WithEntropyBudget(2 << 10),
-		maimon.WithEvictionPolicy(maimon.PolicyGDSF),
 	}
 	urls := make([]string, 3)
 	for i := range urls {

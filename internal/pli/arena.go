@@ -6,13 +6,11 @@ import (
 	"sync"
 )
 
-// Arena is the reusable scratch state of the dense intersection engine.
-// The hash-map grouping of IntersectMap allocated a map, one append chain
-// per group, and one heap copy per surviving cluster on every call; an
-// Arena replaces all of that with flat scratch arrays that grow to the
-// workload's high-water mark and are then reused, so steady-state
-// intersections perform zero amortized allocations beyond the retained
-// result itself (and none at all on the view and count-only paths).
+// Arena is the reusable scratch state of the dense intersection engine:
+// flat scratch arrays that grow to the workload's high-water mark and are
+// then reused, so steady-state intersections perform zero amortized
+// allocations beyond the retained result itself (and none at all on the
+// view and count-only paths).
 //
 // The engine exploits that probe[tid] is a q-cluster index bounded by
 // q.NumClusters(): grouping is a dense counts array indexed by that id
@@ -20,26 +18,18 @@ import (
 // count (every group's size, recorded at its first row) then fill (row
 // placement at precomputed offsets) — with the canonical first-row cluster
 // order fixed between the passes, so results are byte-identical to
-// IntersectMap and FromAttrs, fused entropy included. That order costs no
-// sort: first rows are distinct row ids, so a bitmap of them read upwards
-// is the order. An entropy needs the count pass alone; most of a cold
-// mine's entropies (the cache's chain leaves) stop there.
-//
-// The count pass is width-specialized: relations of at most 32767 rows
-// (every count, cluster id, and fill cursor fits an int16) run over
-// half-width scratch, halving the count pass' cache footprint. The kernel
-// is selected per operation from the operands' row count; both widths run
-// the identical algorithm and their outputs are byte-identical.
+// FromAttrs, fused entropy included. That order costs no sort: first rows
+// are distinct row ids, so a bitmap of them read upwards is the order. An
+// entropy needs the count pass alone; most of a cold mine's entropies (the
+// cache's chain leaves) stop there.
 //
 // An Arena is not safe for concurrent use; check one out per goroutine
 // (the parallel miners hold one per worker via entropy.Oracle.Local) or
 // use the package pool (GetArena/PutArena), which the convenience
 // wrappers fall back to.
 type Arena struct {
-	counts    []int32 // q-cluster id -> running count / fill cursor; all zero between ops
-	counts16  []int16 // half-width counts/cursors of the narrow kernel
-	touched   []int32 // q-cluster ids touched by the current p-cluster (fill pass)
-	touched16 []int16 // half-width touched ids of the narrow kernel
+	counts  []int32 // q-cluster id -> running count / fill cursor; all zero between ops
+	touched []int32 // q-cluster ids touched by the current p-cluster (fill pass)
 	// groups is indexed by row id. A (p-cluster, q-cluster) group is named
 	// by its first row — the smallest, rows being scanned ascending — and
 	// that row's slot holds the group's size after the count pass, then,
@@ -57,19 +47,10 @@ type Arena struct {
 	stagedP, stagedQ *Partition
 	nClusters, nRows int
 	hsum             float64
-
-	narrowOp bool // latest stage ran the int16 kernel; fill must match
-	wide     bool // pin to the int32 kernel (ForceWide)
 }
 
 // NewArena returns an empty arena; its scratch grows on first use.
 func NewArena() *Arena { return &Arena{} }
-
-// ForceWide pins the count kernel to the 32-bit scratch path even on
-// relations small enough for the int16 specialization. It exists for the
-// property suite and the engine benchmark, which compare the two kernels
-// head to head; production callers never need it.
-func (a *Arena) ForceWide(on bool) { a.wide = on }
 
 var arenaPool = sync.Pool{New: func() any { return NewArena() }}
 
@@ -80,7 +61,6 @@ func GetArena() *Arena { return arenaPool.Get().(*Arena) }
 // the arena — or any IntersectView result backed by it — afterwards.
 func PutArena(a *Arena) {
 	a.clearStaged()
-	a.wide = false
 	arenaPool.Put(a)
 }
 
@@ -92,8 +72,8 @@ func (a *Arena) clearStaged() { a.stagedP, a.stagedQ = nil, nil }
 
 // Intersect returns the stripped partition for the union of the attribute
 // sets represented by p and q, as an owned, immutable Partition (the only
-// allocations are the result's own arrays). Byte-identical to
-// IntersectMap(p, q).
+// allocations are the result's own arrays). Byte-identical to FromAttrs
+// over that union.
 func (a *Arena) Intersect(p, q *Partition) *Partition {
 	a.stage(p, q)
 	return a.finish()
@@ -185,17 +165,11 @@ func (a *Arena) stage(p, q *Partition) {
 	nq := q.NumClusters()
 	a.groups = grow(a.groups, p.n)
 	a.firsts = grow(a.firsts, (p.n+63)>>6)
-	a.narrowOp = p.n <= math.MaxInt16 && !a.wide
 	// The counts array carries one extra leading slot: indexing by
 	// probe id + 1 routes q-singletons (probe -1) into slot 0, so the
 	// counting loop is a pure increment with no per-row branch.
-	if a.narrowOp {
-		a.counts16 = grow(a.counts16, nq+1)
-		a.countPass16(p, probe)
-	} else {
-		a.counts = grow(a.counts, nq+1)
-		a.countPass32(p, probe)
-	}
+	a.counts = grow(a.counts, nq+1)
+	a.countPass(p, probe)
 	a.canonicalize()
 }
 
@@ -250,17 +224,15 @@ func klog2k(k int32) float64 {
 	return float64(k) * math.Log2(float64(k))
 }
 
-// countPass32 groups the rows of each p-cluster by their q-cluster id on
-// int32 scratch. The first sweep of a cluster is a pure increment over
-// counts[probe+1] (slot 0 absorbs q-singletons); the second reads each
-// row's group size back and zeroes the slot, restoring the all-zero
-// invariant — so the first row of a group sees its size and every later
-// row sees 0. Every row stores what it saw in its groups slot and ORs
-// survives(size) into its firsts bit: first rows record their group, the
-// rest write nothing that is ever read, and neither sweep has a branch to
-// mispredict. counts holds group sizes bounded by the cluster size, so
-// both widths see the same values.
-func (a *Arena) countPass32(p *Partition, probe []int32) {
+// countPass groups the rows of each p-cluster by their q-cluster id. The
+// first sweep of a cluster is a pure increment over counts[probe+1]
+// (slot 0 absorbs q-singletons); the second reads each row's group size
+// back and zeroes the slot, restoring the all-zero invariant — so the
+// first row of a group sees its size and every later row sees 0. Every
+// row stores what it saw in its groups slot and ORs survives(size) into
+// its firsts bit: first rows record their group, the rest write nothing
+// that is ever read, and neither sweep has a branch to mispredict.
+func (a *Arena) countPass(p *Partition, probe []int32) {
 	counts, groups, firsts := a.counts, a.groups, a.firsts
 	for ci := 0; ci < p.NumClusters(); ci++ {
 		cluster := p.Cluster(ci)
@@ -277,27 +249,6 @@ func (a *Arena) countPass32(p *Partition, probe []int32) {
 	}
 }
 
-// countPass16 is countPass32 on int16 scratch: counts and cluster ids are
-// both bounded by the relation's row count, so relations of at most 32767
-// rows fit the half-width arrays and the count pass touches half the
-// cache lines.
-func (a *Arena) countPass16(p *Partition, probe []int32) {
-	counts, groups, firsts := a.counts16, a.groups, a.firsts
-	for ci := 0; ci < p.NumClusters(); ci++ {
-		cluster := p.Cluster(ci)
-		for _, tid := range cluster {
-			counts[probe[tid]+1]++
-		}
-		counts[0] = 0
-		for _, tid := range cluster {
-			size := int32(counts[probe[tid]+1])
-			counts[probe[tid]+1] = 0
-			groups[tid] = size
-			firsts[tid>>6] |= survives(size) << (tid & 63)
-		}
-	}
-}
-
 // survives is 1 for the size of a group the result keeps (>= 2) and 0 for
 // a stripped singleton's 1 or a non-first row's 0: the sign bit of 1-size.
 func survives(size int32) uint64 { return uint64(uint32(1-size) >> 31) }
@@ -305,16 +256,7 @@ func survives(size int32) uint64 { return uint64(uint32(1-size) >> 31) }
 // fill is the second pass: re-scan the staged p-clusters and place each
 // row id at its cluster's precomputed offset; the first row of a group
 // finds that offset in its own groups slot. dst must have length a.nRows.
-// The kernel width follows the staging count pass.
 func (a *Arena) fill(dst []int32) {
-	if a.narrowOp {
-		a.fill16(dst)
-		return
-	}
-	a.fill32(dst)
-}
-
-func (a *Arena) fill32(dst []int32) {
 	probe := a.stagedQ.Probe()
 	for ci := 0; ci < a.stagedP.NumClusters(); ci++ {
 		cluster := a.stagedP.Cluster(ci)
@@ -344,40 +286,6 @@ func (a *Arena) fill32(dst []int32) {
 		}
 		for _, qi := range a.touched {
 			a.counts[qi] = 0
-		}
-	}
-}
-
-// fill16 is fill32 on the narrow scratch. Cursors run up to start+count+1
-// <= nRows+1; at nRows = 32767 the final post-placement increment wraps,
-// but that slot is reset before it is ever read again (the group is
-// exhausted), so the wrap is unobservable.
-func (a *Arena) fill16(dst []int32) {
-	probe := a.stagedQ.Probe()
-	for ci := 0; ci < a.stagedP.NumClusters(); ci++ {
-		cluster := a.stagedP.Cluster(ci)
-		a.touched16 = a.touched16[:0]
-		for _, tid := range cluster {
-			qi := probe[tid]
-			if qi < 0 {
-				continue
-			}
-			v := a.counts16[qi]
-			if v == 0 {
-				a.touched16 = append(a.touched16, int16(qi))
-				v = -1
-				if g := a.groups[tid]; g < 0 {
-					v = int16(^g) + 1
-				}
-				a.counts16[qi] = v
-			}
-			if v > 0 {
-				dst[v-1] = tid
-				a.counts16[qi] = v + 1
-			}
-		}
-		for _, qi := range a.touched16 {
-			a.counts16[qi] = 0
 		}
 	}
 }

@@ -58,9 +58,9 @@ func TestArenaIntersectEquivalence(t *testing.T) {
 		}
 		px, py := FromAttrs(r, x), FromAttrs(r, y)
 		want := FromAttrs(r, x.Union(y))
-		ref := IntersectMap(px, py)
+		ref := intersectMap(px, py)
 		if !Equal(ref, want) {
-			t.Fatalf("trial %d: IntersectMap(%v,%v) != FromAttrs", trial, x, y)
+			t.Fatalf("trial %d: intersectMap(%v,%v) != FromAttrs", trial, x, y)
 		}
 		got := a.Intersect(px, py)
 		if !Equal(got, want) {
@@ -122,7 +122,7 @@ func TestArenaReuseAcrossShapes(t *testing.T) {
 		}
 		pa := SingleAttribute(r, rng.Intn(3))
 		pb := SingleAttribute(r, rng.Intn(3))
-		want := IntersectMap(pa, pb)
+		want := intersectMap(pa, pb)
 		if !Equal(a.Intersect(pa, pb), want) {
 			t.Fatalf("trial %d: arena result drifted after shape change", trial)
 		}

@@ -2,7 +2,6 @@ package pli
 
 import (
 	"log/slog"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,31 +32,6 @@ type Stats struct {
 	SpillReadNS int64 // nanoseconds spent reading promoted partitions back from disk
 }
 
-// Policy selects the eviction policy a memory budget drives.
-type Policy string
-
-const (
-	// PolicyClock is the sharded clock (second-chance) policy: purely
-	// recency-driven, one lap of grace per entry. The default.
-	PolicyClock Policy = "clock"
-	// PolicyGDSF is Greedy-Dual-Size-Frequency-style cost-aware
-	// eviction. Every evictable entry carries a priority
-	//
-	//	priority = shard aging baseline + recompute cost / size
-	//
-	// where the recompute cost is measured from the partition's own
-	// build — the bytes its final intersection scanned (rows of the
-	// smaller operand read plus probe lookups) — and the size is its
-	// resident SizeBytes. A touch refreshes the priority against the
-	// current baseline; eviction drops the lowest-priority entry and
-	// advances the baseline to it, so cold entries age out unless they
-	// are expensive to rebuild relative to the bytes they occupy.
-	// Hot-but-huge and cheap-but-cold partitions rank correctly where
-	// the clock treats them alike. Like every budget knob, the policy
-	// changes cost, never results.
-	PolicyGDSF Policy = "gdsf"
-)
-
 // Config tunes a Cache.
 type Config struct {
 	// BlockSize is the paper's L (Sec. 6.3): attributes are split into
@@ -65,8 +39,8 @@ type Config struct {
 	BlockSize int
 	// MaxBytes is the cache's memory budget: the total Partition.SizeBytes
 	// of retained multi-attribute partitions. When an insert pushes the
-	// cache over the budget, cold partitions are evicted (per shard,
-	// under Policy) until it fits again; evicted partitions are
+	// cache over the budget, cold partitions are evicted (per shard, by a
+	// second-chance clock) until it fits again; evicted partitions are
 	// recomputed on demand, so a budget changes cost, never results.
 	// Single-attribute partitions are pinned — never evicted and not
 	// counted against the budget (Stats.BytesPinned reports them). The
@@ -76,22 +50,11 @@ type Config struct {
 	// get their H from a streaming count (Stats.EntropyOnly). <= 0 means
 	// unlimited.
 	MaxBytes int64
-	// MaxEntries caps the number of cached partitions (the pinned
-	// single-attribute ones included, matching its historical accounting).
-	// Exceeding the cap now evicts cold partitions instead of merely
-	// refusing to retain new ones. <= 0 means unlimited.
-	//
-	// Deprecated: use MaxBytes — partitions vary by orders of magnitude in
-	// size, so an entry count is a poor proxy for memory.
-	MaxEntries int
 	// Shards is the number of cache shards (rounded up to a power of
 	// two); <= 0 picks a default from GOMAXPROCS. More shards mean less
 	// lock contention between concurrent miners and evictions that block
 	// only the shard they sweep.
 	Shards int
-	// Policy selects the eviction policy the budgets drive: PolicyClock
-	// (the default; "" means clock) or PolicyGDSF.
-	Policy Policy
 	// SpillDir enables the disk spill tier: evictions *demote* a
 	// partition into an append-only segment store under this directory
 	// when rebuilding it would scan more bytes than reading it back
@@ -128,9 +91,8 @@ func DefaultConfig() Config { return Config{BlockSize: 10} }
 // The cache is split into power-of-two shards by a hash of the attribute
 // set; each shard owns its slice of the map plus a ring of evictable
 // entries driving eviction under the byte budget (Config.MaxBytes) — a
-// clock hand or a GDSF priority scan, per Config.Policy — so an eviction
-// sweep locks one shard at a time and never blocks concurrent Gets on the
-// others.
+// second-chance clock — so an eviction sweep locks one shard at a time and
+// never blocks concurrent Gets on the others.
 //
 // Cache is safe for concurrent use: each attribute set is guarded by a
 // latch-per-entry — the first goroutine to request a set installs an
@@ -152,8 +114,8 @@ type Cache struct {
 	shards []cacheShard
 	mask   uint64
 
-	// entries/bytesLive are global so the budget check is one atomic
-	// load; the per-shard rings only drive *which* entry goes.
+	// bytesLive is global so the budget check is one atomic load; the
+	// per-shard rings only drive *which* entry goes.
 	entries     atomic.Int64
 	bytesLive   atomic.Int64
 	bytesPinned atomic.Int64
@@ -179,12 +141,7 @@ type cacheShard struct {
 	mu    sync.Mutex
 	parts map[bitset.AttrSet]*entry
 	ring  []*entry // evictable entries in insertion/clock order
-	hand  int      // clock hand into ring (PolicyClock)
-
-	// lbits is the GDSF aging baseline L (float bits): every insert and
-	// touch prices its entry against it, every eviction advances it to
-	// the evicted priority. Atomic so the lock-free hit path can read it.
-	lbits atomic.Uint64
+	hand  int      // clock hand into ring
 
 	_ [64]byte // keep hot shard state off its neighbors' cache lines
 }
@@ -192,8 +149,7 @@ type cacheShard struct {
 // entry is one cache slot: ready is closed once p is published. The
 // goroutine that installed the entry computes; everyone else waits. ref
 // is the clock reference bit — set on every touch, cleared (one lap of
-// grace) by the sweep before the entry may be evicted. Under PolicyGDSF
-// a touch instead reprices prio against the shard's aging baseline.
+// grace) by the sweep before the entry may be evicted.
 type entry struct {
 	ready  chan struct{}
 	p      *Partition
@@ -202,7 +158,6 @@ type entry struct {
 	cost   float64 // recompute cost: bytes the partition's own build scanned
 	pinned bool    // single-attribute partitions are never evicted
 	ref    atomic.Bool
-	prio   atomic.Uint64 // GDSF priority (float bits)
 }
 
 func newEntry(attrs bitset.AttrSet, p *Partition) *entry {
@@ -216,13 +171,6 @@ func newEntry(attrs bitset.AttrSet, p *Partition) *entry {
 func NewCache(r *relation.Relation, cfg Config) *Cache {
 	if cfg.BlockSize <= 0 {
 		cfg.BlockSize = 10
-	}
-	switch cfg.Policy {
-	case "":
-		cfg.Policy = PolicyClock
-	case PolicyClock, PolicyGDSF:
-	default:
-		panic("pli: unknown eviction policy " + string(cfg.Policy))
 	}
 	n := r.NumCols()
 	numShards := stripe.Count(cfg.Shards)
@@ -317,22 +265,6 @@ func (c *Cache) Stats() Stats {
 	return st
 }
 
-// touch refreshes an entry's standing with the eviction policy on a warm
-// serve: the clock reference bit, or the GDSF priority repriced against
-// the shard's current aging baseline. Lock-free and allocation-free —
-// this sits on every warm hit.
-func (c *Cache) touch(sh *cacheShard, e *entry) {
-	if c.cfg.Policy != PolicyGDSF {
-		e.ref.Store(true)
-		return
-	}
-	if e.pinned || e.bytes <= 0 {
-		return
-	}
-	l := math.Float64frombits(sh.lbits.Load())
-	e.prio.Store(math.Float64bits(l + e.cost/float64(e.bytes)))
-}
-
 // Get returns the stripped partition for attrs, computing and caching it
 // if needed, on an arena from the package pool. Hot-path callers that own
 // an arena should use GetWith.
@@ -411,7 +343,7 @@ func (c *Cache) GetWith(a *Arena, attrs bitset.AttrSet) *Partition {
 	if ok {
 		<-e.ready
 		c.hits.Add(1)
-		c.touch(sh, e)
+		e.ref.Store(true)
 		return e.p
 	}
 	p, _, sv := c.partition(a, attrs)
@@ -445,7 +377,7 @@ func (c *Cache) EntropyWith(a *Arena, attrs bitset.AttrSet) float64 {
 	if ok {
 		<-e.ready
 		c.hits.Add(1)
-		c.touch(sh, e)
+		e.ref.Store(true)
 		return e.p.Entropy()
 	}
 	h, sv := c.computeEntropy(a, attrs)
@@ -457,8 +389,8 @@ func (c *Cache) EntropyWith(a *Arena, attrs bitset.AttrSet) float64 {
 // most once per cached entry: the installer computes and publishes, every
 // concurrent duplicate waits on the entry's latch. build returns the
 // partition plus its recompute cost (the bytes the build actually
-// scanned, cascaded child rebuilds included), which prices the entry
-// under PolicyGDSF.
+// scanned, cascaded child rebuilds included), which decides demote vs
+// drop when the entry is evicted.
 // Published entries are subject to eviction; a later request for an
 // evicted set lands here again — and, when a spill tier holds the set's
 // demoted record, the installer promotes it with one sequential read
@@ -489,16 +421,17 @@ func (c *Cache) materialize(attrs bitset.AttrSet, build func() (*Partition, int6
 	}
 	sh.mu.Unlock()
 	<-e.ready
-	c.touch(sh, e)
+	e.ref.Store(true)
 	return e.p, servedWarm
 }
 
 // spillLoad promotes attrs from the disk spill tier, if present there: a
 // checksummed sequential read back into a Partition whose arrays may be
 // zero-copy views of the store's sealed mappings. The record's stored
-// recompute cost survives the round trip, so a promoted entry keeps its
-// GDSF standing. ok is false on any miss — no store, never demoted, or
-// a record that failed validation (which the store unindexes).
+// recompute cost survives the round trip, so a promoted entry is judged
+// by the same demote-vs-drop rule next time. ok is false on any miss — no
+// store, never demoted, or a record that failed validation (which the
+// store unindexes).
 func (c *Cache) spillLoad(attrs bitset.AttrSet) (*Partition, float64, bool) {
 	if c.store == nil {
 		return nil, 0, false
@@ -520,15 +453,9 @@ func (c *Cache) spillLoad(attrs bitset.AttrSet) (*Partition, float64, bool) {
 func (c *Cache) publish(sh *cacheShard, e *entry) {
 	e.bytes = e.p.SizeBytes()
 	e.ref.Store(true)
-	if c.cfg.Policy == PolicyGDSF && !e.pinned && e.bytes > 0 {
-		l := math.Float64frombits(sh.lbits.Load())
-		e.prio.Store(math.Float64bits(l + e.cost/float64(e.bytes)))
-	}
 	close(e.ready)
 	// Entries counts published partitions only: an in-flight latch holds
-	// no partition yet, must not show up in Stats.Entries as a live slot,
-	// and must not trip the MaxEntries budget into evicting warm
-	// partitions to make room for inserts that may yet revert.
+	// no partition yet and must not show up in Stats.Entries as a live slot.
 	c.entries.Add(1)
 	if e.pinned {
 		c.bytesPinned.Add(e.bytes)
@@ -559,16 +486,26 @@ func (c *Cache) drop(sh *cacheShard, e *entry) {
 	if cur, ok := sh.parts[e.attrs]; !ok || cur != e {
 		return
 	}
-	delete(sh.parts, e.attrs)
 	for i, re := range sh.ring {
 		if re == e {
-			last := len(sh.ring) - 1
-			sh.ring[i] = sh.ring[last]
-			sh.ring[last] = nil
-			sh.ring = sh.ring[:last]
-			break
+			c.evict(sh, i)
+			return
 		}
 	}
+}
+
+// evict removes the i-th ring entry of sh — map slot and ring slot — and
+// retires it; the caller holds sh.mu. Swap-remove keeps the ring compact
+// (clock order is approximate anyway). Waiters that already hold the
+// *entry are unaffected — the partition itself is immutable and reachable
+// through their pointer.
+func (c *Cache) evict(sh *cacheShard, i int) {
+	e := sh.ring[i]
+	last := len(sh.ring) - 1
+	sh.ring[i] = sh.ring[last]
+	sh.ring[last] = nil
+	sh.ring = sh.ring[:last]
+	delete(sh.parts, e.attrs)
 	c.retire(e)
 }
 
@@ -624,26 +561,17 @@ func (c *Cache) demote(e *entry) bool {
 	return err == nil
 }
 
-// overBudget reports whether the cache currently exceeds either budget.
+// overBudget reports whether the cache currently exceeds its byte budget.
 func (c *Cache) overBudget() bool {
-	if c.cfg.MaxBytes > 0 && c.bytesLive.Load() > c.cfg.MaxBytes {
-		return true
-	}
-	if c.cfg.MaxEntries > 0 && c.entries.Load() > int64(c.cfg.MaxEntries) {
-		return true
-	}
-	return false
+	return c.cfg.MaxBytes > 0 && c.bytesLive.Load() > c.cfg.MaxBytes
 }
 
-// enforceBudget evicts cold partitions until the cache fits its budgets
+// enforceBudget evicts cold partitions until the cache fits its budget
 // again, starting at the shard that just grew and sweeping the others
 // round-robin. Each shard is locked only for its own sweep. If everything
-// left is pinned, in-flight, or protected by the policy the pass gives
-// up; the next publish tries again.
+// left is pinned, in-flight, or re-referenced during the sweep the pass
+// gives up; the next publish tries again.
 func (c *Cache) enforceBudget(prefer *cacheShard) {
-	if c.cfg.MaxBytes <= 0 && c.cfg.MaxEntries <= 0 {
-		return
-	}
 	if !c.overBudget() {
 		return
 	}
@@ -658,12 +586,7 @@ func (c *Cache) enforceBudget(prefer *cacheShard) {
 		if !c.overBudget() {
 			return
 		}
-		sh := &c.shards[(start+i)%len(c.shards)]
-		if c.cfg.Policy == PolicyGDSF {
-			c.sweepGDSF(sh)
-		} else {
-			c.sweep(sh)
-		}
+		c.sweep(&c.shards[(start+i)%len(c.shards)])
 	}
 }
 
@@ -679,51 +602,11 @@ func (c *Cache) sweep(sh *cacheShard) {
 		if sh.hand >= len(sh.ring) {
 			sh.hand = 0
 		}
-		e := sh.ring[sh.hand]
-		if e.ref.CompareAndSwap(true, false) {
+		if sh.ring[sh.hand].ref.CompareAndSwap(true, false) {
 			sh.hand++
 			continue
 		}
-		// Evict: drop the map slot and the ring slot (swap-remove keeps
-		// the ring compact; clock order is approximate anyway). Waiters
-		// that already hold the *entry are unaffected — the partition
-		// itself is immutable and reachable through their pointer.
-		last := len(sh.ring) - 1
-		sh.ring[sh.hand] = sh.ring[last]
-		sh.ring[last] = nil
-		sh.ring = sh.ring[:last]
-		delete(sh.parts, e.attrs)
-		c.retire(e)
-	}
-}
-
-// sweepGDSF evicts the lowest-priority entries of one shard until the
-// cache fits its budget (or the shard's ring is empty), advancing the
-// shard's aging baseline to each evicted priority — that is the "greedy
-// dual" aging: everything inserted or touched afterwards is priced above
-// the ghosts of what was dropped, so an entry survives repeated sweeps
-// only by being touched or by costing more to rebuild per byte than its
-// peers. Each pass scans the ring for the minimum; rings are per-shard
-// and budget-bounded, so the scan stays short.
-func (c *Cache) sweepGDSF(sh *cacheShard) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for len(sh.ring) > 0 && c.overBudget() {
-		min := 0
-		minPrio := math.Float64frombits(sh.ring[0].prio.Load())
-		for i := 1; i < len(sh.ring); i++ {
-			if p := math.Float64frombits(sh.ring[i].prio.Load()); p < minPrio {
-				min, minPrio = i, p
-			}
-		}
-		e := sh.ring[min]
-		sh.lbits.Store(math.Float64bits(minPrio))
-		last := len(sh.ring) - 1
-		sh.ring[min] = sh.ring[last]
-		sh.ring[last] = nil
-		sh.ring = sh.ring[:last]
-		delete(sh.parts, e.attrs)
-		c.retire(e)
+		c.evict(sh, sh.hand)
 	}
 }
 
@@ -763,9 +646,9 @@ func (c *Cache) leaf(attrs bitset.AttrSet) bool {
 // published on the way — and intersects them. paid is the intersection
 // bytes this call actually scanned, cascaded operand builds included and
 // zero when served warm or from the spill tier; it doubles as the entry's
-// GDSF cost, so an entry whose absence forces a deep rebuild (its operands
-// were evicted too) carries that full miss penalty, not just its final
-// intersect. The served value mirrors materialize's.
+// recompute cost, so an entry whose absence forces a deep rebuild (its
+// operands were evicted too) carries that full miss penalty, not just its
+// final intersect. The served value mirrors materialize's.
 func (c *Cache) partition(a *Arena, attrs bitset.AttrSet) (*Partition, int64, served) {
 	var paid int64
 	p, sv := c.materialize(attrs, func() (*Partition, int64) {
@@ -834,7 +717,7 @@ func (c *Cache) intersect(a *Arena, p, q *Partition) *Partition {
 // scanBytes is the partition bytes one intersection's count pass scans:
 // the engine iterates the smaller operand's row ids (4 bytes each) and
 // probes the other side's cluster index per row (4 more), so 8 bytes per
-// scanned row. It doubles as the GDSF recompute cost of the result.
+// scanned row. It doubles as the recompute cost of the result.
 func scanBytes(p, q *Partition) int64 {
 	n := p.Size()
 	if qs := q.Size(); qs < n {

@@ -143,23 +143,6 @@ func TestShardCountRounding(t *testing.T) {
 	}
 }
 
-// TestCacheMaxEntriesEvicts pins the deprecated alias's new semantics:
-// the cap is enforced by eviction (live entries stay within it and
-// Evictions counts the drops) instead of by refusing to retain.
-func TestCacheMaxEntriesEvicts(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	r := datagen.Uniform(200, 8, 3, 23)
-	c := NewCache(r, Config{BlockSize: 4, MaxEntries: 12})
-	getSets(c, randomSets(rng, 8, 40))
-	st := c.Stats()
-	if st.Entries > 12 {
-		t.Fatalf("Entries = %d beyond MaxEntries cap 12 at rest", st.Entries)
-	}
-	if st.Evictions == 0 {
-		t.Fatalf("MaxEntries cap forced no evictions: %+v", st)
-	}
-}
-
 // TestSingleAttributeHitCounted: warm hits on single-attribute
 // partitions count toward Stats.Hits (they used to be silently skipped,
 // understating the hit rate).

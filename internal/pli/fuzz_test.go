@@ -12,8 +12,7 @@ import (
 // (up to 4,096, so every bitmap-word boundary is in reach), the next byte
 // picks two to four columns and one byte per column its domain width, and
 // the rest are the codes, row-major, cycled when they run out. Splitting
-// the columns every way into a left and a right attribute set, the arena —
-// on the int16 kernel the row count selects and pinned to the int32 one —
+// the columns every way into a left and a right attribute set, the arena
 // must build exactly the partition the map grouping and the direct
 // construction build, the streaming count must return that partition's
 // entropy bit for bit, and the view form must describe it while live.
@@ -47,29 +46,23 @@ func FuzzArenaIntersect(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		auto, wide := NewArena(), NewArena()
-		wide.ForceWide(true)
+		a := NewArena()
 		all := bitset.Full(ncols)
 		for left := bitset.AttrSet(1); left < all; left++ {
 			right := all.Diff(left)
 			p, q := FromAttrs(r, left), FromAttrs(r, right)
 			want := FromAttrs(r, all)
-			if ref := IntersectMap(p, q); !Equal(ref, want) || ref.Entropy() != want.Entropy() {
-				t.Fatalf("rows=%d %v∩%v: IntersectMap != FromAttrs", rows, left, right)
+			if ref := intersectMap(p, q); !Equal(ref, want) || ref.Entropy() != want.Entropy() {
+				t.Fatalf("rows=%d %v∩%v: intersectMap != FromAttrs", rows, left, right)
 			}
-			for name, a := range map[string]*Arena{"auto": auto, "wide": wide} {
-				if got := a.Intersect(p, q); !Equal(got, want) || got.Entropy() != want.Entropy() {
-					t.Fatalf("rows=%d %v∩%v: %s Intersect != FromAttrs", rows, left, right, name)
-				}
-				if h := a.IntersectEntropy(p, q); h != want.Entropy() {
-					t.Fatalf("rows=%d %v∩%v: %s IntersectEntropy = %b, materialized %b", rows, left, right, name, h, want.Entropy())
-				}
-				if v := a.IntersectView(p, q); !Equal(v, want) || v.Entropy() != want.Entropy() {
-					t.Fatalf("rows=%d %v∩%v: %s IntersectView != FromAttrs", rows, left, right, name)
-				}
+			if got := a.Intersect(p, q); !Equal(got, want) || got.Entropy() != want.Entropy() {
+				t.Fatalf("rows=%d %v∩%v: Intersect != FromAttrs", rows, left, right)
 			}
-			if wide.narrowOp || !auto.narrowOp {
-				t.Fatalf("rows=%d: kernel widths not both exercised (auto narrow=%v, wide narrow=%v)", rows, auto.narrowOp, wide.narrowOp)
+			if h := a.IntersectEntropy(p, q); h != want.Entropy() {
+				t.Fatalf("rows=%d %v∩%v: IntersectEntropy = %b, materialized %b", rows, left, right, h, want.Entropy())
+			}
+			if v := a.IntersectView(p, q); !Equal(v, want) || v.Entropy() != want.Entropy() {
+				t.Fatalf("rows=%d %v∩%v: IntersectView != FromAttrs", rows, left, right)
 			}
 		}
 	})

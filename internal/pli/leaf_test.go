@@ -134,7 +134,7 @@ func TestStreamedEntropyBitIdentical(t *testing.T) {
 // comparison sort on the first row orders them — offsets, fill cursors,
 // entropy sum in that summation order — with stripped groups untouched and
 // the bitmap left clear, at row counts either side of every word, byte and
-// kernel-width boundary and from no survivors to one group per two rows.
+// int16 boundary and from no survivors to one group per two rows.
 func TestCanonicalizeOrdersByFirstRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(6561))
 	type group struct{ first, size int32 }

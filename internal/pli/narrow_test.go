@@ -1,139 +1,75 @@
 package pli
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bitset"
-	"repro/internal/datagen"
 )
 
-// TestNarrowKernelMatchesWideAndMap is the property suite of the
-// width-specialized count kernel, pinned to row counts straddling the
-// int16 boundary: on each side of 32767 the automatically selected
-// kernel, the pinned int32 kernel (ForceWide) and the historical map
-// grouping must produce identical partitions — cluster order, row order
-// and entropy bits — and the selection itself must flip exactly at the
-// boundary.
-func TestNarrowKernelMatchesWideAndMap(t *testing.T) {
+// int16BoundaryRows straddle 32767, the largest count, cluster id or fill
+// cursor an int16 holds: the row counts at which any narrowing of the
+// count kernel's scratch would first go wrong.
+var int16BoundaryRows = []int{32760, 32767, 32768, 33000}
+
+// TestKernelAtInt16Boundary holds the count kernel to both references on
+// each side of the int16 boundary: the arena, the map grouping and the
+// direct construction must produce identical partitions — cluster order,
+// row order and entropy bits — and the streaming count must return the
+// materialized entropy.
+func TestKernelAtInt16Boundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(32767))
-	for _, rows := range []int{32760, 32767, 32768, 33000} {
+	for _, rows := range int16BoundaryRows {
 		r := skewedRelation(rng, rows, 3)
-		wantNarrow := rows <= math.MaxInt16
-		auto := NewArena()
-		wide := NewArena()
-		wide.ForceWide(true)
+		a := NewArena()
 		for _, pair := range [][2]bitset.AttrSet{
 			{bitset.Single(0), bitset.Single(1)},
 			{bitset.Single(1), bitset.Single(2)},
 			{bitset.Of(0, 1), bitset.Single(2)},
 		} {
 			px, py := FromAttrs(r, pair[0]), FromAttrs(r, pair[1])
-			ref := IntersectMap(px, py)
-			got := auto.Intersect(px, py)
-			if auto.narrowOp != wantNarrow {
-				t.Fatalf("rows=%d %v∩%v: narrow kernel selected=%v, want %v",
-					rows, pair[0], pair[1], auto.narrowOp, wantNarrow)
+			want := FromAttrs(r, pair[0].Union(pair[1]))
+			ref := intersectMap(px, py)
+			if !Equal(ref, want) || ref.Entropy() != want.Entropy() {
+				t.Fatalf("rows=%d %v∩%v: intersectMap != FromAttrs", rows, pair[0], pair[1])
 			}
-			if !Equal(got, ref) {
-				t.Fatalf("rows=%d %v∩%v: auto kernel != IntersectMap", rows, pair[0], pair[1])
+			got := a.Intersect(px, py)
+			if !Equal(got, want) {
+				t.Fatalf("rows=%d %v∩%v: arena != FromAttrs", rows, pair[0], pair[1])
 			}
-			w := wide.Intersect(px, py)
-			if wide.narrowOp {
-				t.Fatalf("rows=%d: ForceWide arena ran the narrow kernel", rows)
+			if got.Entropy() != want.Entropy() {
+				t.Fatalf("rows=%d %v∩%v: entropies diverge: arena %b direct %b",
+					rows, pair[0], pair[1], got.Entropy(), want.Entropy())
 			}
-			if !Equal(w, ref) {
-				t.Fatalf("rows=%d %v∩%v: wide kernel != IntersectMap", rows, pair[0], pair[1])
-			}
-			if got.Entropy() != ref.Entropy() || w.Entropy() != ref.Entropy() {
-				t.Fatalf("rows=%d %v∩%v: entropies diverge: auto %b wide %b map %b",
-					rows, pair[0], pair[1], got.Entropy(), w.Entropy(), ref.Entropy())
-			}
-			// The streaming count must agree across kernels too — the
-			// memory-budget path answers H from it.
-			if h := auto.IntersectEntropy(px, py); h != ref.Entropy() {
-				t.Fatalf("rows=%d: auto IntersectEntropy = %b, want %b", rows, h, ref.Entropy())
-			}
-			if h := wide.IntersectEntropy(px, py); h != ref.Entropy() {
-				t.Fatalf("rows=%d: wide IntersectEntropy = %b, want %b", rows, h, ref.Entropy())
+			// The streaming count must agree too — chain leaves and the
+			// memory-budget path answer H from it.
+			if h := a.IntersectEntropy(px, py); h != want.Entropy() {
+				t.Fatalf("rows=%d: IntersectEntropy = %b, want %b", rows, h, want.Entropy())
 			}
 		}
 	}
 }
 
-// TestNarrowKernelScratchGrows pins that the narrow path really is the
-// one doing the work on a small relation: after an intersection on a
-// relation under the int16 bound, the half-width scratch has grown and
-// the int32 scratch stayed untouched.
-func TestNarrowKernelScratchGrows(t *testing.T) {
-	r := datagen.Nursery().Head(2000)
-	a := NewArena()
-	a.Intersect(SingleAttribute(r, 0), SingleAttribute(r, 1))
-	if !a.narrowOp {
-		t.Fatal("2000-row relation did not select the narrow kernel")
-	}
-	if len(a.counts16) == 0 {
-		t.Fatal("narrow kernel ran but counts16 never grew")
-	}
-	if len(a.counts) != 0 {
-		t.Fatalf("narrow kernel grew the int32 scratch (len %d), want untouched", len(a.counts))
-	}
-}
-
-// TestNarrowKernelZeroAllocSteadyState is the allocation-regression gate
-// of the width-specialized kernel, mirroring TestIntersectZeroAllocSteadyState
-// for both widths explicitly: once warm, the view and count-only paths
-// must perform zero amortized allocations per call on the int16 scratch
-// and, under ForceWide, on the int32 scratch.
-func TestNarrowKernelZeroAllocSteadyState(t *testing.T) {
-	r := datagen.Nursery().Head(2000)
-	pa := SingleAttribute(r, 0)
-	pb := SingleAttribute(r, 1)
-
-	for _, tc := range []struct {
-		name string
-		wide bool
-	}{{"int16", false}, {"int32", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			a := NewArena()
-			a.ForceWide(tc.wide)
+// TestKernelZeroAllocAtInt16Boundary is TestIntersectZeroAllocSteadyState
+// at the boundary row counts: once warm, the view and count-only paths
+// perform zero amortized allocations per call on either side of 32767.
+func TestKernelZeroAllocAtInt16Boundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(32768))
+	for _, rows := range int16BoundaryRows {
+		r := skewedRelation(rng, rows, 2)
+		pa, pb := SingleAttribute(r, 0), SingleAttribute(r, 1)
+		a := NewArena()
+		a.IntersectView(pa, pb)
+		a.IntersectEntropy(pa, pb)
+		if avg := testing.AllocsPerRun(20, func() {
 			a.IntersectView(pa, pb)
+		}); avg != 0 {
+			t.Errorf("rows=%d: warm IntersectView allocates %v times per run, want 0", rows, avg)
+		}
+		if avg := testing.AllocsPerRun(20, func() {
 			a.IntersectEntropy(pa, pb)
-			if a.narrowOp == tc.wide {
-				t.Fatalf("kernel selection: narrowOp=%v with ForceWide=%v", a.narrowOp, tc.wide)
-			}
-			if avg := testing.AllocsPerRun(100, func() {
-				a.IntersectView(pa, pb)
-			}); avg != 0 {
-				t.Errorf("warm IntersectView allocates %v times per run, want 0", avg)
-			}
-			if avg := testing.AllocsPerRun(100, func() {
-				a.IntersectEntropy(pa, pb)
-			}); avg != 0 {
-				t.Errorf("warm IntersectEntropy allocates %v times per run, want 0", avg)
-			}
-		})
-	}
-}
-
-// TestPutArenaResetsForceWide: an arena returned to the pool must come
-// back on the automatic kernel — a leaked ForceWide pin would silently
-// degrade every later borrower to the int32 path.
-func TestPutArenaResetsForceWide(t *testing.T) {
-	r := datagen.Nursery().Head(500)
-	pa, pb := SingleAttribute(r, 0), SingleAttribute(r, 1)
-	a := GetArena()
-	a.ForceWide(true)
-	a.Intersect(pa, pb)
-	if a.narrowOp {
-		t.Fatal("ForceWide arena ran the narrow kernel")
-	}
-	PutArena(a)
-	b := GetArena()
-	defer PutArena(b)
-	b.Intersect(pa, pb)
-	if !b.narrowOp {
-		t.Fatal("pooled arena still pinned wide after PutArena")
+		}); avg != 0 {
+			t.Errorf("rows=%d: warm IntersectEntropy allocates %v times per run, want 0", rows, avg)
+		}
 	}
 }

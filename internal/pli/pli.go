@@ -283,43 +283,6 @@ func Intersect(p, q *Partition) *Partition {
 	return a.Intersect(p, q)
 }
 
-// IntersectMap is the historical hash-map grouping implementation: one
-// map[int32][]int32 per call, one heap copy per surviving group. It is
-// kept as the reference engine — the property tests check the Arena path
-// against it, and the intersection benchmark (engine: map vs arena)
-// measures what the dense scratch rewrite buys.
-func IntersectMap(p, q *Partition) *Partition {
-	if p.n != q.n {
-		panic("pli: intersecting partitions over different relations")
-	}
-	// Iterate the smaller operand for speed; intersection is symmetric.
-	if q.Size() < p.Size() {
-		p, q = q, p
-	}
-	probe := q.Probe()
-	var clusters [][]int32
-	groups := make(map[int32][]int32)
-	for ci := 0; ci < p.NumClusters(); ci++ {
-		for _, tid := range p.Cluster(ci) {
-			qi := probe[tid]
-			if qi < 0 {
-				continue // singleton in q => singleton in the intersection
-			}
-			groups[qi] = append(groups[qi], tid)
-		}
-		for qi, g := range groups {
-			if len(g) >= 2 {
-				cp := make([]int32, len(g))
-				copy(cp, g)
-				clusters = append(clusters, cp)
-			}
-			delete(groups, qi)
-		}
-	}
-	sortClusters(clusters)
-	return fromClusters(p.n, clusters)
-}
-
 // FromAttrs computes the stripped partition of the attribute set attrs of r
 // directly, by hashing whole projected rows. It is the reference
 // implementation used to validate Intersect and as a fallback for cold

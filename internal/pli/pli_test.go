@@ -176,22 +176,6 @@ func TestCacheHitsOnRepeat(t *testing.T) {
 	}
 }
 
-func TestCacheMaxEntries(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	r := randomRelation(rng, 100, 8, 3)
-	c := NewCache(r, Config{BlockSize: 4, MaxEntries: 10})
-	for trial := 0; trial < 50; trial++ {
-		attrs := bitset.AttrSet(rng.Int63()) & bitset.Full(8)
-		if attrs.IsEmpty() {
-			continue
-		}
-		c.Get(attrs)
-	}
-	if got := c.Stats().Entries; got > 10 {
-		t.Fatalf("cache grew to %d entries beyond cap", got)
-	}
-}
-
 func TestIntersectPanicsOnMismatchedRelations(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	r1 := randomRelation(rng, 10, 2, 2)

@@ -33,29 +33,25 @@ func spillWorkload(t *testing.T, cfg Config, rounds int) (*Cache, []bitset.AttrS
 // partition still matches the reference construction, and the split
 // eviction counters reconcile (Evictions = Drops + Demotions).
 func TestSpillDemotesAndPromotes(t *testing.T) {
-	for _, policy := range []Policy{PolicyClock, PolicyGDSF} {
-		t.Run(string(policy), func(t *testing.T) {
-			c, sets := spillWorkload(t, Config{BlockSize: 4, Policy: policy, SpillDir: t.TempDir()}, 3)
-			st := c.Stats()
-			if st.Demotions == 0 {
-				t.Fatalf("tight budget with a spill dir demoted nothing: %+v", st)
-			}
-			if st.SpillHits == 0 {
-				t.Fatalf("repeat rounds promoted nothing from spill: %+v", st)
-			}
-			if st.Evictions != st.Drops+st.Demotions {
-				t.Fatalf("Evictions %d != Drops %d + Demotions %d", st.Evictions, st.Drops, st.Demotions)
-			}
-			if st.SpillBytes <= 0 {
-				t.Fatalf("SpillBytes = %d with %d demotions", st.SpillBytes, st.Demotions)
-			}
-			r := c.Relation()
-			for _, s := range sets {
-				if got, want := c.Get(s), FromAttrs(r, s); !Equal(got, want) {
-					t.Fatalf("partition for %v differs from reference after spill churn", s)
-				}
-			}
-		})
+	c, sets := spillWorkload(t, Config{BlockSize: 4, SpillDir: t.TempDir()}, 3)
+	st := c.Stats()
+	if st.Demotions == 0 {
+		t.Fatalf("tight budget with a spill dir demoted nothing: %+v", st)
+	}
+	if st.SpillHits == 0 {
+		t.Fatalf("repeat rounds promoted nothing from spill: %+v", st)
+	}
+	if st.Evictions != st.Drops+st.Demotions {
+		t.Fatalf("Evictions %d != Drops %d + Demotions %d", st.Evictions, st.Drops, st.Demotions)
+	}
+	if st.SpillBytes <= 0 {
+		t.Fatalf("SpillBytes = %d with %d demotions", st.SpillBytes, st.Demotions)
+	}
+	r := c.Relation()
+	for _, s := range sets {
+		if got, want := c.Get(s), FromAttrs(r, s); !Equal(got, want) {
+			t.Fatalf("partition for %v differs from reference after spill churn", s)
+		}
 	}
 }
 
@@ -80,7 +76,7 @@ func TestSpillOffStatsUnchanged(t *testing.T) {
 // the segments the old one wrote (the maimond warm-restart path).
 func TestSpillWarmRestart(t *testing.T) {
 	dir := t.TempDir()
-	c, sets := spillWorkload(t, Config{BlockSize: 4, Policy: PolicyGDSF, SpillDir: dir}, 3)
+	c, sets := spillWorkload(t, Config{BlockSize: 4, SpillDir: dir}, 3)
 	if c.Stats().Demotions == 0 {
 		t.Fatalf("no demotions to restart from: %+v", c.Stats())
 	}
@@ -89,7 +85,7 @@ func TestSpillWarmRestart(t *testing.T) {
 	}
 
 	r := c.Relation()
-	c2 := NewCache(r, Config{BlockSize: 4, MaxBytes: c.cfg.MaxBytes, Policy: PolicyGDSF, SpillDir: dir})
+	c2 := NewCache(r, Config{BlockSize: 4, MaxBytes: c.cfg.MaxBytes, SpillDir: dir})
 	defer c2.Close()
 	getSets(c2, sets)
 	st := c2.Stats()
@@ -149,7 +145,7 @@ func TestSpillConcurrent(t *testing.T) {
 	if budget < 1 {
 		budget = 1
 	}
-	c := NewCache(r, Config{BlockSize: 3, MaxBytes: budget, Shards: 4, Policy: PolicyGDSF, SpillDir: t.TempDir()})
+	c := NewCache(r, Config{BlockSize: 3, MaxBytes: budget, Shards: 4, SpillDir: t.TempDir()})
 	defer c.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < 12; g++ {

@@ -46,7 +46,7 @@ func runSpillJob(t *testing.T, reg *Registry) JobStatus {
 // CloseAll persists the spill index for a warm restart.
 func TestSpillRegistrySessions(t *testing.T) {
 	root := t.TempDir()
-	reg := NewRegistry(maimon.WithMemoryBudget(64<<10), maimon.WithEvictionPolicy(maimon.PolicyGDSF))
+	reg := NewRegistry(maimon.WithMemoryBudget(64 << 10))
 	reg.SetSpill(root, 0)
 	st := runSpillJob(t, reg)
 	if st.Memory.SpillDemotions == 0 {
@@ -82,7 +82,7 @@ func TestSpillRegistrySessions(t *testing.T) {
 
 	// A fresh registry over the same root and dataset starts warm: the
 	// re-mine promotes from the previous incarnation's segments.
-	reg2 := NewRegistry(maimon.WithMemoryBudget(64<<10), maimon.WithEvictionPolicy(maimon.PolicyGDSF))
+	reg2 := NewRegistry(maimon.WithMemoryBudget(64 << 10))
 	reg2.SetSpill(root, 0)
 	st2 := runSpillJob(t, reg2)
 	if st2.Memory.SpillHits == 0 {

@@ -26,9 +26,9 @@ type Progress = core.Progress
 // PLIConfig tunes the PLI partition cache behind a session's entropy
 // oracle: BlockSize is the paper's L (Sec. 6.3), MaxBytes is the memory
 // budget eviction enforces (0 = unlimited; WithMemoryBudget is the
-// shorthand), Policy picks the eviction policy (WithEvictionPolicy is
-// the shorthand), Shards overrides the cache's shard count, and
-// MaxEntries is the deprecated entry-count cap.
+// shorthand), Shards overrides the cache's shard count, and SpillDir /
+// SpillMaxBytes configure the disk spill tier (WithSpillDir,
+// WithSpillBudget).
 type PLIConfig = pli.Config
 
 // MineTrace is the stage-level record of one mining call: one phase per
@@ -140,7 +140,7 @@ func WithPLIConfig(cfg PLIConfig) Option { return func(c *config) { c.pliCfg = c
 // WithMemoryBudget bounds the bytes the session's PLI partition cache
 // retains (the entropy memo is governed separately — see
 // WithEntropyBudget). When mining pushes the cache past the budget, cold
-// partitions are evicted — per WithEvictionPolicy, single-attribute
+// partitions are evicted — by a second-chance clock, single-attribute
 // partitions always pinned — and recomputed if needed again, so a budget
 // trades recomputation for residency and never changes mining results: a
 // run under any budget is byte-identical to an unlimited one. bytes <= 0
@@ -150,27 +150,6 @@ func WithPLIConfig(cfg PLIConfig) Option { return func(c *config) { c.pliCfg = c
 // the eviction count (PLIStats.Evictions).
 func WithMemoryBudget(bytes int64) Option {
 	return func(c *config) { c.pliCfg.MaxBytes = bytes }
-}
-
-// EvictionPolicy selects how a session's PLI cache picks eviction
-// victims under WithMemoryBudget: PolicyClock (recency only, the
-// default) or PolicyGDSF (cost-aware — an entry's priority weighs what
-// rebuilding it would cost against the bytes it occupies, so a cheap
-// huge partition goes before an expensive small one).
-type EvictionPolicy = pli.Policy
-
-const (
-	// PolicyClock is sharded second-chance eviction, the default.
-	PolicyClock = pli.PolicyClock
-	// PolicyGDSF is Greedy-Dual-Size-Frequency-style cost-aware eviction.
-	PolicyGDSF = pli.PolicyGDSF
-)
-
-// WithEvictionPolicy selects the PLI cache's eviction policy. Like every
-// budget knob it changes cost, never results: mining output is
-// byte-identical under either policy, any budget. Honored by Open only.
-func WithEvictionPolicy(p EvictionPolicy) Option {
-	return func(c *config) { c.pliCfg.Policy = p }
 }
 
 // WithSpillDir enables the PLI cache's disk spill tier under dir:
@@ -200,13 +179,13 @@ func WithSpillBudget(bytes int64) Option {
 // The memo caches one 8-byte entropy per distinct attribute set ever
 // evaluated; across long ε sweeps over wide relations it becomes the
 // dominant resident weight, so past the budget the memo evicts its
-// lowest-priority entries (cost-aware, like PolicyGDSF: wider sets cost
-// more to recompute and survive longer) and recomputes them from the PLI
-// cache on the next read. Results are byte-identical under any budget.
-// bytes <= 0 means unlimited (the default). Honored by Open only;
-// Session.Stats reports the memo occupancy (MemoBytes) and eviction
-// count (MemoEvictions). Sessions from the deprecated one-shot wrappers
-// (unshared oracles) ignore it.
+// lowest-priority entries (cost-aware: wider sets cost more to recompute
+// and survive longer) and recomputes them from the PLI cache on the next
+// read. Results are byte-identical under any budget. bytes <= 0 means
+// unlimited (the default). Honored by Open only; Session.Stats reports
+// the memo occupancy (MemoBytes) and eviction count (MemoEvictions).
+// Sessions from the deprecated one-shot wrappers (unshared oracles)
+// ignore it.
 func WithEntropyBudget(bytes int64) Option {
 	return func(c *config) { c.entropyBudget = bytes }
 }

@@ -8,12 +8,11 @@ import (
 
 // TestSpillMatrixDeterminism is the spill tier's determinism matrix on
 // the public API: mining output (MVDs, NumMinSeps, scheme fingerprints)
-// must be byte-identical across {spill on, off} × {clock, gdsf} ×
-// {workers 1, 8} under a tight PLI budget. The spill tier is a pure
-// cost trade on the miss path — whether an evicted partition is
-// recomputed or promoted back from disk may never change what is mined.
-// Run under -race this also covers demote/promote against concurrent
-// worker miners.
+// must be byte-identical across {spill on, off} × {workers 1, 8} under a
+// tight PLI budget. The spill tier is a pure cost trade on the miss path —
+// whether an evicted partition is recomputed or promoted back from disk
+// may never change what is mined. Run under -race this also covers
+// demote/promote against concurrent worker miners.
 func TestSpillMatrixDeterminism(t *testing.T) {
 	r := Nursery().Head(1200)
 	ctx := context.Background()
@@ -65,29 +64,27 @@ func TestSpillMatrixDeterminism(t *testing.T) {
 	}
 
 	for _, spill := range []bool{false, true} {
-		for _, policy := range []EvictionPolicy{PolicyClock, PolicyGDSF} {
-			for _, workers := range []int{1, 8} {
-				label := fmt.Sprintf("spill=%v policy=%s workers=%d", spill, policy, workers)
-				opts := []Option{WithMemoryBudget(budget), WithEvictionPolicy(policy)}
-				if spill {
-					opts = append(opts, WithSpillDir(t.TempDir()))
-				}
-				s, err := Open(r, opts...)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				check(label, mine(s, workers))
-				st := s.Stats().PLIStats
-				if st.Evictions != st.Drops+st.Demotions {
-					t.Fatalf("%s: Evictions %d != Drops %d + Demotions %d",
-						label, st.Evictions, st.Drops, st.Demotions)
-				}
-				if !spill && (st.Demotions != 0 || st.SpillHits != 0) {
-					t.Fatalf("%s: spill counters moved with spill off: %+v", label, st)
-				}
-				if err := s.Close(); err != nil {
-					t.Fatalf("%s: Close: %v", label, err)
-				}
+		for _, workers := range []int{1, 8} {
+			label := fmt.Sprintf("spill=%v workers=%d", spill, workers)
+			opts := []Option{WithMemoryBudget(budget)}
+			if spill {
+				opts = append(opts, WithSpillDir(t.TempDir()))
+			}
+			s, err := Open(r, opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			check(label, mine(s, workers))
+			st := s.Stats().PLIStats
+			if st.Evictions != st.Drops+st.Demotions {
+				t.Fatalf("%s: Evictions %d != Drops %d + Demotions %d",
+					label, st.Evictions, st.Drops, st.Demotions)
+			}
+			if !spill && (st.Demotions != 0 || st.SpillHits != 0) {
+				t.Fatalf("%s: spill counters moved with spill off: %+v", label, st)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatalf("%s: Close: %v", label, err)
 			}
 		}
 	}
@@ -119,8 +116,7 @@ func TestSpillSessionWarmRestart(t *testing.T) {
 	budget := ref.Stats().PLIStats.BytesLive / 8
 
 	open := func() *Session {
-		s, err := Open(r, WithMemoryBudget(budget),
-			WithEvictionPolicy(PolicyGDSF), WithSpillDir(dir))
+		s, err := Open(r, WithMemoryBudget(budget), WithSpillDir(dir))
 		if err != nil {
 			t.Fatal(err)
 		}

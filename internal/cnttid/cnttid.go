@@ -24,10 +24,10 @@
 package cnttid
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/bitset"
+	"repro/internal/hsum"
 	"repro/internal/relation"
 )
 
@@ -219,12 +219,12 @@ func (e *Engine) H(attrs bitset.AttrSet) float64 {
 		return 0
 	}
 	t := e.table(attrs)
-	sum := 0.0
+	sc := hsum.For(n)
+	var sum int64
 	for _, c := range t.CNT {
-		k := float64(c)
-		sum += k * math.Log2(k)
+		sum += sc.Term(int(c))
 	}
-	return math.Log2(float64(n)) - sum/float64(n)
+	return sc.Entropy(sum)
 }
 
 // MI computes I(Y;Z|X) = H(XY) + H(XZ) − H(XYZ) − H(X), clamped at 0.

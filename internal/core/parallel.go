@@ -13,9 +13,10 @@ import (
 // separator-only phase, at every fan-out. With Options.Workers > 1 each
 // worker goroutine runs its own cheap Miner view (fork) over the shared
 // single-flight oracle; with one worker the calling miner runs the same
-// loop itself. Per-pair outcomes are written into a slot array and merged
-// back in canonical pair order, so a parallel run produces byte-identical
-// results to a serial one.
+// loop itself. Either way the loop reads entropies through a worker-local
+// view (bindLocal). Per-pair outcomes are written into a slot array and
+// merged back in canonical pair order, so a parallel run produces
+// byte-identical results to a serial one.
 
 // fork returns a worker-local view of the miner: same oracle, options and
 // context, fresh counters. The progress callback is stripped — the
@@ -131,8 +132,10 @@ func (a *progressAgg) pairDone(out *pairOutcome, visited int) {
 // (minePairs merges into one MVDResult, a distributed coordinator merges
 // shards' outcomes the same way). expand=false restricts the work
 // to the separator phase (MineMinSepsAll). workers <= 1 runs the claim
-// loop on the calling miner itself, so the serial case needs neither a
-// shared oracle nor a fork.
+// loop on the calling miner itself — no fork — reading H through a
+// worker-local view for the phase like every other fan-out, so a one-worker
+// mine over a shared oracle (every fleet worker) keeps its own arena and
+// read-through memo instead of taking a shard lock per warm hit.
 func (m *Miner) minePairOutcomes(pairs [][2]int, workers int, phase string, expand bool) []pairOutcome {
 	outcomes := make([]pairOutcome, len(pairs))
 	agg := newProgressAgg(m.opts.Progress, phase, len(pairs))
@@ -178,7 +181,11 @@ func (m *Miner) minePairOutcomes(pairs [][2]int, workers int, phase string, expa
 		workers = len(pairs)
 	}
 	if workers <= 1 {
+		src := m.src
+		release := m.bindLocal()
 		claim(m)
+		release()
+		m.src = src
 		return outcomes
 	}
 	var statsMu sync.Mutex

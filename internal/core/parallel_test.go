@@ -187,6 +187,41 @@ func TestParallelFallsBackOnUnsharedOracle(t *testing.T) {
 	}
 }
 
+// TestOneWorkerReadsThroughLocal: a one-worker mine over a shared oracle —
+// what every `maimond -mine-workers 1` fleet worker runs — reads H through
+// a worker-local view while the pairs are mined, hands the miner its own
+// source back afterwards, and leaves the oracle's counters exactly where a
+// fan-out of eight leaves them.
+func TestOneWorkerReadsThroughLocal(t *testing.T) {
+	r := datagen.Nursery().Head(800)
+	mine := func(workers int) entropy.Stats {
+		o := shared(r)
+		opts := DefaultOptions(0.1)
+		opts.Workers = workers
+		var m *Miner
+		if workers == 1 {
+			opts.Progress = func(p Progress) {
+				if _, local := m.src.(*entropy.Local); p.PairsDone > 0 && !local {
+					t.Errorf("pair %d mined through %T, want *entropy.Local", p.PairsDone, m.src)
+				}
+			}
+		}
+		m = NewMiner(o, opts)
+		if res := m.MineMVDs(); res.Err != nil || len(res.MVDs) == 0 {
+			t.Fatalf("workers=%d: mine failed: %v", workers, res.Err)
+		}
+		if m.src != source(o) {
+			t.Errorf("workers=%d: miner left reading through %T after the phase", workers, m.src)
+		}
+		return o.Stats()
+	}
+	one, eight := mine(1), mine(8)
+	if one.HCalls != eight.HCalls || one.HCached != eight.HCached || one.MICalls != eight.MICalls {
+		t.Fatalf("one worker counted H %d / cached %d / MI %d, eight counted %d / %d / %d",
+			one.HCalls, one.HCached, one.MICalls, eight.HCalls, eight.HCached, eight.MICalls)
+	}
+}
+
 // TestParallelCancellation cancels mid-mine and expects a prompt stop
 // with context.Canceled, valid partial results, and no goroutine leak
 // (the driver joins its pool before returning).

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bitset"
+	"repro/internal/hsum"
 	"repro/internal/pli"
 	"repro/internal/relation"
 	"repro/internal/stripe"
@@ -621,7 +622,9 @@ func (l *Local) countMI() {
 }
 
 // NaiveH computes H(Xα) directly by grouping projected rows, without the
-// PLI machinery. It exists to validate the oracle in tests.
+// PLI machinery. It exists to validate the oracle in tests; summed with
+// the repository's one term function (package hsum), it equals the
+// oracle's value exactly, not just within a tolerance.
 func NaiveH(r *relation.Relation, attrs bitset.AttrSet) float64 {
 	n := r.NumRows()
 	if n == 0 || attrs.IsEmpty() {
@@ -631,10 +634,10 @@ func NaiveH(r *relation.Relation, attrs bitset.AttrSet) float64 {
 	for i := 0; i < n; i++ {
 		counts[r.RowKey(i, attrs)]++
 	}
-	sum := 0.0
+	sc := hsum.For(n)
+	var sum int64
 	for _, c := range counts {
-		k := float64(c)
-		sum += k * math.Log2(k)
+		sum += sc.Term(c)
 	}
-	return math.Log2(float64(n)) - sum/float64(n)
+	return sc.Entropy(sum)
 }

@@ -107,7 +107,7 @@ func TestAblationsSmoke(t *testing.T) {
 		t.Fatalf("unexpected:\n%s", out)
 	}
 	out = AblationEntropyEngine(quickCfg())
-	if !strings.Contains(out, "blocked L=") || !strings.Contains(out, "direct (no cache)") {
+	if !strings.Contains(out, "blocked L≤") || !strings.Contains(out, "direct (no cache)") {
 		t.Fatalf("unexpected:\n%s", out)
 	}
 }

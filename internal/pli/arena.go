@@ -1,9 +1,10 @@
 package pli
 
 import (
-	"math"
 	"math/bits"
 	"sync"
+
+	"repro/internal/hsum"
 )
 
 // Arena is the reusable scratch state of the dense intersection engine:
@@ -14,14 +15,16 @@ import (
 //
 // The engine exploits that probe[tid] is a q-cluster index bounded by
 // q.NumClusters(): grouping is a dense counts array indexed by that id
-// plus one spill slot, never a rehash. Each operation is two passes —
+// plus one spill slot, never a rehash. Building a partition is two passes —
 // count (every group's size, recorded at its first row) then fill (row
 // placement at precomputed offsets) — with the canonical first-row cluster
 // order fixed between the passes, so results are byte-identical to
-// FromAttrs, fused entropy included. That order costs no sort: first rows
-// are distinct row ids, so a bitmap of them read upwards is the order. An
-// entropy needs the count pass alone; most of a cold mine's entropies (the
-// cache's chain leaves) stop there.
+// FromAttrs. That order costs no sort: first rows are distinct row ids, so
+// a bitmap of them read upwards is the order. An entropy needs neither the
+// order nor the rows: the sum over class sizes is an integer (package
+// hsum), so IntersectEntropy reads each group's size straight out of the
+// counts array and adds its term — most of a cold mine's entropies (the
+// cache's chain leaves) are that and nothing else.
 //
 // An Arena is not safe for concurrent use; check one out per goroutine
 // (the parallel miners hold one per worker via entropy.Oracle.Local) or
@@ -46,7 +49,7 @@ type Arena struct {
 	// the cache's price-then-decide path consume them.
 	stagedP, stagedQ *Partition
 	nClusters, nRows int
-	hsum             float64
+	hsum             int64
 }
 
 // NewArena returns an empty arena; its scratch grows on first use.
@@ -120,14 +123,35 @@ func (a *Arena) IntersectView(p, q *Partition) *Partition {
 }
 
 // IntersectEntropy returns the entropy of the intersection partition
-// without materializing it at all: the count pass alone fixes the cluster
-// sizes, and the fused sum is accumulated in canonical first-row order,
-// so the result is bit-identical to Intersect(p, q).Entropy(). Zero
-// allocations in steady state — this is how the cache answers every
-// entropy whose partition nothing would read back.
+// without materializing or even shaping it: two sweeps per cluster of the
+// smaller operand — count its rows by the other side's cluster id, then
+// read each count back once, zero it and add its term to one integer.
+// Nothing is stored per row and no order is fixed, because the sum has
+// none; the result equals Intersect(p, q).Entropy() and is the same with
+// the operands swapped. Zero allocations in steady state — this is how the
+// cache answers every entropy whose partition nothing would read back.
 func (a *Arena) IntersectEntropy(p, q *Partition) float64 {
-	a.stage(p, q)
-	return a.stagedEntropy()
+	p, q = iterateSmaller(p, q)
+	probe := q.Probe()
+	a.counts = grow(a.counts, q.NumClusters()+1)
+	counts := a.counts
+	sc := hsum.For(p.n)
+	var sum int64
+	for ci := 0; ci < p.NumClusters(); ci++ {
+		cluster := p.Cluster(ci)
+		for _, tid := range cluster {
+			counts[probe[tid]+1]++
+		}
+		counts[0] = 0
+		// The first row of a group reads its size, every later row the 0
+		// the first one left; sizes 0 and 1 have a zero term, so there is
+		// nothing to branch on.
+		for _, tid := range cluster {
+			sum += sc.Term(int(counts[probe[tid]+1]))
+			counts[probe[tid]+1] = 0
+		}
+	}
+	return sc.Entropy(sum)
 }
 
 // stagedEntropy reads the entropy of the staged count pass and releases
@@ -135,10 +159,7 @@ func (a *Arena) IntersectEntropy(p, q *Partition) float64 {
 func (a *Arena) stagedEntropy() float64 {
 	n := a.stagedP.n
 	a.clearStaged()
-	if n == 0 {
-		return 0
-	}
-	return math.Log2(float64(n)) - a.hsum/float64(n)
+	return hsum.For(n).Entropy(a.hsum)
 }
 
 // stagedSizeBytes prices the staged result without building it: what
@@ -147,19 +168,26 @@ func (a *Arena) stagedSizeBytes() int64 {
 	return sizeBytesFor(a.stagedP.n, a.nClusters, a.nRows)
 }
 
-// stage runs the count pass and canonicalization for p ∩ q: the size of
-// every (p-cluster, q-cluster) group recorded at its first row, surviving
-// groups ordered by first row, result offsets and the fused entropy sum
-// fixed. After stage, finish / fill materialize rows without re-deriving
-// shape.
-func (a *Arena) stage(p, q *Partition) {
+// iterateSmaller orders the operands of an intersection: the first is
+// iterated, the second probed. Intersection is symmetric; scanning the
+// smaller side is what makes it cheap.
+func iterateSmaller(p, q *Partition) (iter, probed *Partition) {
 	if p.n != q.n {
 		panic("pli: intersecting partitions over different relations")
 	}
-	// Iterate the smaller operand for speed; intersection is symmetric.
 	if q.Size() < p.Size() {
-		p, q = q, p
+		return q, p
 	}
+	return p, q
+}
+
+// stage runs the count pass and canonicalization for p ∩ q — the build
+// path: the size of every (p-cluster, q-cluster) group recorded at its
+// first row, surviving groups ordered by first row, result offsets and the
+// fused entropy sum fixed. After stage, finish / fill materialize rows
+// without re-deriving shape.
+func (a *Arena) stage(p, q *Partition) {
+	p, q = iterateSmaller(p, q)
 	a.stagedP, a.stagedQ = p, q
 	probe := q.Probe()
 	nq := q.NumClusters()
@@ -170,23 +198,22 @@ func (a *Arena) stage(p, q *Partition) {
 	// counting loop is a pure increment with no per-row branch.
 	a.counts = grow(a.counts, nq+1)
 	a.countPass(p, probe)
-	a.canonicalize()
+	a.canonicalize(hsum.For(p.n))
 }
 
 // canonicalize fixes the result's shape from the count pass: surviving
 // groups (size >= 2) in first-row order — the order sortClusters fixes
-// for the reference builders — with their offsets, and the fused entropy
-// sum accumulated over them in exactly that order, so it is bit-identical
-// to a pass over the materialized result. First rows are distinct row
-// ids, so walking the set bits of the firsts bitmap upwards *is* that
-// order: linear in survivors + n/64, no comparison, no allocation once
-// offsets has grown. Each survivor's groups slot is turned into its fill
-// cursor on the way, and the bitmap is left all zero for the next
-// operation.
-func (a *Arena) canonicalize() {
+// for the reference builders, and so the layout of the materialized
+// partition — with their offsets and the fused entropy sum. First rows are
+// distinct row ids, so walking the set bits of the firsts bitmap upwards
+// *is* that order: linear in survivors + n/64, no comparison, no
+// allocation once offsets has grown. Each survivor's groups slot is turned
+// into its fill cursor on the way, and the bitmap is left all zero for the
+// next operation.
+func (a *Arena) canonicalize(sc hsum.Scale) {
 	offsets := append(a.offsets[:0], 0)
 	cur := int32(0)
-	hsum := 0.0
+	var sum int64
 	for w, set := range a.firsts {
 		for ; set != 0; set &= set - 1 {
 			first := w<<6 | bits.TrailingZeros64(set)
@@ -194,34 +221,14 @@ func (a *Arena) canonicalize() {
 			a.groups[first] = ^cur
 			cur += size
 			offsets = append(offsets, cur)
-			hsum += klog2k(size)
+			sum += sc.Term(int(size))
 		}
 		a.firsts[w] = 0
 	}
 	a.offsets = offsets
 	a.nClusters = len(offsets) - 1
 	a.nRows = int(cur)
-	a.hsum = hsum
-}
-
-// klog2kTable holds k·log2 k for the cluster sizes nearly every
-// intersection produces, computed with the expression klog2k falls back to
-// so a lookup and a computation are the same bits.
-var klog2kTable = func() (t [1 << 12]float64) {
-	for k := range t {
-		if k > 0 {
-			t[k] = float64(k) * math.Log2(float64(k))
-		}
-	}
-	return t
-}()
-
-// klog2k is one cluster's term of the fused entropy sum, |c|·log2|c|.
-func klog2k(k int32) float64 {
-	if int(k) < len(klog2kTable) {
-		return klog2kTable[k]
-	}
-	return float64(k) * math.Log2(float64(k))
+	a.hsum = sum
 }
 
 // countPass groups the rows of each p-cluster by their q-cluster id. The

@@ -34,8 +34,12 @@ type Stats struct {
 
 // Config tunes a Cache.
 type Config struct {
-	// BlockSize is the paper's L (Sec. 6.3): attributes are split into
-	// ⌈n/L⌉ blocks and partitions are assembled blockwise. Default 10.
+	// BlockSize is the paper's L (Sec. 6.3), the widest a block may be:
+	// the n attributes are laid out in max(2, ⌈n/L⌉) blocks whose widths
+	// differ by at most one, and partitions are assembled blockwise.
+	// Only sets inside one block, or clear of the last one, are ever
+	// built; two balanced blocks keep those to about 2·2^(n/2) where one
+	// full block would build 2^(n−1). Default 10.
 	BlockSize int
 	// MaxBytes is the cache's memory budget: the total Partition.SizeBytes
 	// of retained multi-attribute partitions. When an insert pushes the
@@ -86,7 +90,8 @@ func DefaultConfig() Config { return Config{BlockSize: 10} }
 // (leaf) can be read by no chain, so the entropy path never builds one:
 // its H is the count pass over its two operands (Stats.EntropyOnly), and
 // only a Get, which wants the rows, materializes it. On the 13-column
-// bench relation with the default block size that is 7 sets in 8.
+// bench relation (blocks of 7 and 6) that is all but 177 of the 8,178
+// multi-attribute sets.
 //
 // The cache is split into power-of-two shards by a hash of the attribute
 // set; each shard owns its slice of the map plus a ring of evictable
@@ -107,9 +112,10 @@ func DefaultConfig() Config { return Config{BlockSize: 10} }
 // caller's worker-local arena through the whole blockwise chain; the
 // arena-less wrappers check one out of the package pool per call.
 type Cache struct {
-	rel    *relation.Relation
-	cfg    Config
-	blocks []bitset.AttrSet
+	rel     *relation.Relation
+	cfg     Config
+	blocks  []bitset.AttrSet
+	blockOf []uint8 // attribute -> index of its block
 
 	shards []cacheShard
 	mask   uint64
@@ -183,17 +189,7 @@ func NewCache(r *relation.Relation, cfg Config) *Cache {
 	for i := range c.shards {
 		c.shards[i].parts = make(map[bitset.AttrSet]*entry)
 	}
-	for start := 0; start < n; start += cfg.BlockSize {
-		end := start + cfg.BlockSize
-		if end > n {
-			end = n
-		}
-		var b bitset.AttrSet
-		for j := start; j < end; j++ {
-			b = b.Add(j)
-		}
-		c.blocks = append(c.blocks, b)
-	}
+	c.blocks, c.blockOf = layout(n, cfg.BlockSize)
 	for j := 0; j < n; j++ {
 		s := bitset.Single(j)
 		e := newEntry(s, SingleAttribute(r, j))
@@ -217,6 +213,31 @@ func NewCache(r *relation.Relation, cfg Config) *Cache {
 		}
 	}
 	return c
+}
+
+// layout cuts attributes 0..n-1 into max(2, ⌈n/maxWidth⌉) consecutive
+// blocks whose widths differ by at most one, the wider ones first (one
+// block when there is a single attribute). At least two, because the sets
+// that are built are those inside one block or clear of the last: the
+// paper's one block of ten was sized for an engine that materializes every
+// table, and ours counts the leaves.
+func layout(n, maxWidth int) (blocks []bitset.AttrSet, blockOf []uint8) {
+	k := min(n, max(2, (n+maxWidth-1)/maxWidth))
+	blockOf = make([]uint8, n)
+	for b, start := 0, 0; b < k; b++ {
+		width := n / k
+		if b < n%k {
+			width++
+		}
+		var set bitset.AttrSet
+		for j := start; j < start+width; j++ {
+			set = set.Add(j)
+			blockOf[j] = uint8(b)
+		}
+		blocks = append(blocks, set)
+		start += width
+	}
+	return blocks, blockOf
 }
 
 // Close persists the spill tier's index (so the next Open over the same
@@ -619,7 +640,7 @@ func (c *Cache) sweep(sh *cacheShard) {
 // which is what lets sets that share a prefix share the work.
 func (c *Cache) split(attrs bitset.AttrSet) (left, right bitset.AttrSet) {
 	hi := attrs.Max()
-	piece := attrs.Intersect(c.blocks[hi/c.cfg.BlockSize])
+	piece := attrs.Intersect(c.blocks[c.blockOf[hi]])
 	if piece == attrs {
 		return attrs.Remove(hi), bitset.Single(hi)
 	}
@@ -631,12 +652,9 @@ func (c *Cache) split(attrs bitset.AttrSet) (left, right bitset.AttrSet) {
 // operand. Left operands either stay clear of the last block or sit below
 // their block's top attribute; right operands lie inside one block, and
 // past the first one. What remains touches the last block and an earlier
-// one — or, when there is only one block, contains the top attribute.
+// one.
 func (c *Cache) leaf(attrs bitset.AttrSet) bool {
 	last := c.blocks[len(c.blocks)-1]
-	if len(c.blocks) == 1 {
-		return attrs.Contains(last.Max())
-	}
 	return attrs.Intersects(last) && !attrs.SubsetOf(last)
 }
 
@@ -677,14 +695,14 @@ func (c *Cache) operands(a *Arena, attrs bitset.AttrSet) (left, right *Partition
 }
 
 // computeEntropy answers an entropy miss. The operands are materialized
-// (they are the reusable currency of the cache); the set itself is priced
-// by the arena's count pass and then either counted or built. A chain
-// leaf is counted: nothing can ever read its partition as an operand, so
-// its entropy is taken straight from the staged counts — no fill, no
-// allocation, no publish, nothing to evict or spill. So is a set whose
-// partition could never rest within the memory budget. Anything else is
-// finished from the same staged counts into a cached partition, because
-// some other set's chain will ask for it.
+// (they are the reusable currency of the cache). A chain leaf is then
+// counted: nothing can ever read its partition as an operand, so its
+// entropy is the arena's streaming count over the two operands — no shape,
+// no fill, no allocation, no publish, nothing to evict or spill. Any other
+// set is staged — counted and shaped, which prices it — and finished from
+// the staged counts into a cached partition, because some other set's
+// chain will ask for it; unless its partition could never rest within the
+// memory budget, in which case the staged sum is the answer.
 func (c *Cache) computeEntropy(a *Arena, attrs bitset.AttrSet) (float64, served) {
 	if attrs.IsEmpty() {
 		p, _, sv := c.partition(a, attrs)
@@ -692,8 +710,13 @@ func (c *Cache) computeEntropy(a *Arena, attrs bitset.AttrSet) (float64, served)
 	}
 	left, right, chainPaid, reads := c.operands(a, attrs)
 	c.countIntersect(left, right)
+	if c.leaf(attrs) {
+		c.countOperands(reads)
+		c.entropyOnly.Add(1)
+		return a.IntersectEntropy(left, right), servedFresh
+	}
 	a.stage(left, right)
-	if c.leaf(attrs) || c.cfg.MaxBytes > 0 && a.stagedSizeBytes() > c.cfg.MaxBytes {
+	if c.cfg.MaxBytes > 0 && a.stagedSizeBytes() > c.cfg.MaxBytes {
 		c.countOperands(reads)
 		c.entropyOnly.Add(1)
 		return a.stagedEntropy(), servedFresh

@@ -1,13 +1,13 @@
 package pli
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/bitset"
 	"repro/internal/datagen"
+	"repro/internal/hsum"
 )
 
 // cachedSets lists the multi-attribute sets resident in c.
@@ -63,6 +63,89 @@ func TestLeafRuleExact(t *testing.T) {
 					t.Errorf("n=%d L=%d: leaf(%v) = %v, but read as an operand by some chain: %v",
 						n, blockSize, set, got, operand[set])
 				}
+			}
+		}
+	}
+}
+
+// TestBlockLayout pins the layout rule — max(2, ⌈n/L⌉) blocks, widths
+// differing by at most one, wider first — at the paper's L = 10, and checks
+// what the rule is for: both halves of every split are non-empty and
+// disjoint, and every multi-attribute set is either a chain leaf or an
+// operand some set's split names, never both. Exhaustive up to 21
+// attributes; at 33 the lattice is sampled and an operand is shown by the
+// superset that reads it.
+func TestBlockLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for _, tc := range []struct {
+		n      int
+		widths []int
+	}{
+		{1, []int{1}}, {2, []int{1, 1}}, {9, []int{5, 4}}, {10, []int{5, 5}}, {11, []int{6, 5}},
+		{13, []int{7, 6}}, {20, []int{10, 10}}, {21, []int{7, 7, 7}}, {33, []int{9, 8, 8, 8}},
+	} {
+		c := &Cache{}
+		c.blocks, c.blockOf = layout(tc.n, 10)
+		var widths []int
+		next := 0
+		for b, block := range c.blocks {
+			widths = append(widths, block.Len())
+			for j := next; j < next+block.Len(); j++ {
+				if !block.Contains(j) || int(c.blockOf[j]) != b {
+					t.Fatalf("n=%d: attribute %d is not where consecutive blocks put it: blocks %v", tc.n, j, c.blocks)
+				}
+			}
+			next += block.Len()
+		}
+		if !slices.Equal(widths, tc.widths) || next != tc.n {
+			t.Fatalf("n=%d: block widths %v, want %v", tc.n, widths, tc.widths)
+		}
+
+		checkSplit := func(set bitset.AttrSet) (left, right bitset.AttrSet) {
+			left, right = c.split(set)
+			if left.IsEmpty() || right.IsEmpty() || left.Intersects(right) || left.Union(right) != set {
+				t.Fatalf("n=%d: split(%v) = %v, %v", tc.n, set, left, right)
+			}
+			return left, right
+		}
+		full := bitset.Full(tc.n)
+		if tc.n <= 21 {
+			operand := make([]bool, full+1)
+			for set := bitset.AttrSet(1); set <= full; set++ {
+				if set.Len() >= 2 {
+					left, right := checkSplit(set)
+					operand[left], operand[right] = true, true
+				}
+			}
+			for set := bitset.AttrSet(1); set <= full; set++ {
+				if set.Len() >= 2 && c.leaf(set) == operand[set] {
+					t.Fatalf("n=%d: leaf(%v) = %v, read as an operand: %v", tc.n, set, c.leaf(set), operand[set])
+				}
+			}
+			continue
+		}
+		last := c.blocks[len(c.blocks)-1]
+		for trial := 0; trial < 100_000; trial++ {
+			set := bitset.AttrSet(rng.Uint64()) & bitset.AttrSet(rng.Uint64()) & full
+			if set.Len() < 2 {
+				continue
+			}
+			left, right := checkSplit(set)
+			if left.Len() >= 2 && c.leaf(left) || right.Len() >= 2 && c.leaf(right) {
+				t.Fatalf("n=%d: split(%v) names a leaf: %v, %v", tc.n, set, left, right)
+			}
+			if c.leaf(set) {
+				continue
+			}
+			// Not a leaf: inside the last block it is the right operand of
+			// itself plus attribute 0, clear of it the left operand of
+			// itself plus the last block's first attribute.
+			if set.SubsetOf(last) {
+				if _, r := c.split(set.Add(0)); r != set {
+					t.Fatalf("n=%d: %v is no leaf, yet %v does not read it", tc.n, set, set.Add(0))
+				}
+			} else if l, _ := c.split(set.Add(last.Min())); l != set {
+				t.Fatalf("n=%d: %v is no leaf, yet %v does not read it", tc.n, set, set.Add(last.Min()))
 			}
 		}
 	}
@@ -131,15 +214,17 @@ func TestStreamedEntropyBitIdentical(t *testing.T) {
 // TestCanonicalizeOrdersByFirstRow is the property test of the linear-time
 // canonical order: groups scattered into the arena's per-row slots with
 // random distinct first rows must come out of canonicalize exactly as a
-// comparison sort on the first row orders them — offsets, fill cursors,
-// entropy sum in that summation order — with stripped groups untouched and
-// the bitmap left clear, at row counts either side of every word, byte and
-// int16 boundary and from no survivors to one group per two rows.
+// comparison sort on the first row orders them — offsets and fill cursors,
+// with the entropy sum the term function gives the surviving sizes —
+// stripped groups untouched and the bitmap left clear, at row counts either
+// side of every word, byte and int16 boundary and from no survivors to one
+// group per two rows.
 func TestCanonicalizeOrdersByFirstRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(6561))
 	type group struct{ first, size int32 }
 	a := NewArena()
 	for _, n := range []int{1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257, 32767, 32768, 65535, 65536, 65537, 100003} {
+		sc := hsum.For(n)
 		for _, k := range []int{0, 1, 2, n / 64, n / 7, n / 2} {
 			if k > n {
 				continue
@@ -153,7 +238,7 @@ func TestCanonicalizeOrdersByFirstRow(t *testing.T) {
 			for _, first := range rng.Perm(n)[:k] {
 				g := group{int32(first), 1 + rng.Int31n(5)}
 				if rng.Intn(16) == 0 {
-					g.size = int32(len(klog2kTable)) - 2 + rng.Int31n(4) // either side of the table's end
+					g.size = 1<<12 - 2 + rng.Int31n(4) // either side of the term table's end
 				}
 				groups = append(groups, g)
 				a.groups[g.first] = g.size
@@ -162,17 +247,17 @@ func TestCanonicalizeOrdersByFirstRow(t *testing.T) {
 					survivors = append(survivors, g)
 				}
 			}
-			a.canonicalize()
+			a.canonicalize(sc)
 
 			slices.SortFunc(survivors, func(x, y group) int { return int(x.first - y.first) })
 			wantOffsets := []int32{0}
-			wantHsum := 0.0
+			var wantHsum int64
 			for _, g := range survivors {
 				if got, want := a.groups[g.first], ^wantOffsets[len(wantOffsets)-1]; got != want {
 					t.Fatalf("n=%d k=%d: group at row %d has cursor %d, want %d", n, k, g.first, got, want)
 				}
 				wantOffsets = append(wantOffsets, wantOffsets[len(wantOffsets)-1]+g.size)
-				wantHsum += float64(g.size) * math.Log2(float64(g.size))
+				wantHsum += sc.Term(int(g.size))
 			}
 			if a.nClusters != len(survivors) || a.nRows != int(wantOffsets[len(survivors)]) {
 				t.Fatalf("n=%d k=%d: shape %d clusters / %d rows, want %d / %d",
@@ -182,7 +267,7 @@ func TestCanonicalizeOrdersByFirstRow(t *testing.T) {
 				t.Fatalf("n=%d k=%d: offsets differ from the comparison-sorted order", n, k)
 			}
 			if a.hsum != wantHsum {
-				t.Fatalf("n=%d k=%d: hsum %b, want %b", n, k, a.hsum, wantHsum)
+				t.Fatalf("n=%d k=%d: hsum %d, want %d", n, k, a.hsum, wantHsum)
 			}
 			for _, g := range groups {
 				if g.size < 2 && a.groups[g.first] != g.size {
@@ -194,16 +279,6 @@ func TestCanonicalizeOrdersByFirstRow(t *testing.T) {
 					t.Fatalf("n=%d k=%d: bitmap word %d left set (%#x)", n, k, w, word)
 				}
 			}
-		}
-	}
-}
-
-// TestKlog2kTableExact: a table lookup and the expression it stands for
-// are the same float64, on both sides of the table's end.
-func TestKlog2kTableExact(t *testing.T) {
-	for k := int32(1); k < int32(len(klog2kTable))+16; k++ {
-		if got, want := klog2k(k), float64(k)*math.Log2(float64(k)); got != want {
-			t.Fatalf("klog2k(%d) = %b, want %b", k, got, want)
 		}
 	}
 }
@@ -220,8 +295,8 @@ func TestFreshLeafEntropyZeroAlloc(t *testing.T) {
 		blockSize int
 		leaf      bitset.AttrSet
 	}{
-		{"one block", 10, bitset.Of(0, 1, 8)},       // {0,1} ∩ pinned {8}
-		{"two blocks", 5, bitset.Of(0, 1, 2, 5, 6)}, // {0,1,2} ∩ {5,6}
+		{"two blocks", 10, bitset.Of(0, 1, 8)},        // {0,1} ∩ pinned {8}
+		{"three blocks", 3, bitset.Of(0, 1, 3, 7, 8)}, // {0,1,3} ∩ {7,8}
 	} {
 		c := NewCache(r, Config{BlockSize: tc.blockSize})
 		if !c.leaf(tc.leaf) {

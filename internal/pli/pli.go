@@ -27,15 +27,27 @@
 // count pass over its two operands and stops there — nothing filled,
 // allocated, published, evicted or spilled. A leaf's partition exists
 // only if someone asks for the partition itself (Get: scheme ranking,
-// decomposition), and then it is cached like any other.
+// decomposition), and then it is cached like any other. The columns are
+// cut into at least two blocks of near-equal width (Config.BlockSize is
+// the widest allowed), because the operands are the sets inside one block
+// or clear of the last: about 2·2^(n/2) of the 2^n, where the paper's one
+// block of ten would build half the lattice.
+//
+// The entropy sum is an integer. Σ|c|·log2|c| is accumulated in fixed
+// point from one term function (package hsum), so an entropy is a
+// function of the class-size multiset alone: every builder here, the
+// streaming count, a spilled record and the naive references return the
+// same float64 whatever order they met the classes in. First-row order
+// still fixes the layout of a materialised partition; it no longer has
+// anything to do with its entropy.
 package pli
 
 import (
-	"math"
 	"sort"
 	"sync/atomic"
 
 	"repro/internal/bitset"
+	"repro/internal/hsum"
 	"repro/internal/relation"
 )
 
@@ -56,7 +68,7 @@ type Partition struct {
 	n       int     // number of rows in the underlying relation
 	rows    []int32 // concatenated cluster row ids (ascending within a cluster)
 	offsets []int32 // cluster i = rows[offsets[i]:offsets[i+1]]; nil when no clusters
-	hsum    float64 // Σ |c|·log2|c| over clusters in stored order (fused entropy)
+	hsum    int64   // Σ |c|·log2|c| over clusters in fixed point (hsum.Scale of n)
 
 	probe    atomic.Pointer[[]int32]   // row -> cluster index, -1 for singletons
 	clusters atomic.Pointer[[][]int32] // lazy zero-copy views for Clusters()
@@ -210,12 +222,11 @@ func (p *Partition) Probe() []int32 {
 //
 // Stripped singletons contribute 0 to the sum, which is why they can be
 // pruned. The sum is fused into construction (every builder accumulates it
-// while clusters close), so this is a constant-time read.
+// while clusters close), so this is a constant-time read — and, being an
+// integer sum of per-class terms (package hsum), the same value whichever
+// builder produced the partition and in whatever order it met the classes.
 func (p *Partition) Entropy() float64 {
-	if p.n == 0 {
-		return 0
-	}
-	return math.Log2(float64(p.n)) - p.hsum/float64(p.n)
+	return hsum.For(p.n).Entropy(p.hsum)
 }
 
 // SingleAttribute builds the stripped partition of column j of r. Clusters
@@ -265,9 +276,9 @@ func SingleAttribute(r *relation.Relation, j int) *Partition {
 			cur[s]++
 		}
 	}
+	sc := hsum.For(p.n)
 	for i := 0; i < nc; i++ {
-		k := float64(p.offsets[i+1] - p.offsets[i])
-		p.hsum += k * math.Log2(k)
+		p.hsum += sc.Term(int(p.offsets[i+1] - p.offsets[i]))
 	}
 	return p
 }
@@ -324,7 +335,7 @@ func FromAttrs(r *relation.Relation, attrs bitset.AttrSet) *Partition {
 }
 
 // fromClusters flattens pre-ordered clusters into a Partition, fusing the
-// entropy sum in the given cluster order.
+// entropy sum.
 func fromClusters(n int, clusters [][]int32) *Partition {
 	p := &Partition{n: n}
 	if len(clusters) == 0 {
@@ -336,11 +347,11 @@ func fromClusters(n int, clusters [][]int32) *Partition {
 	}
 	p.rows = make([]int32, 0, total)
 	p.offsets = make([]int32, len(clusters)+1)
+	sc := hsum.For(n)
 	for i, c := range clusters {
 		p.offsets[i] = int32(len(p.rows))
 		p.rows = append(p.rows, c...)
-		k := float64(len(c))
-		p.hsum += k * math.Log2(k)
+		p.hsum += sc.Term(len(c))
 	}
 	p.offsets[len(clusters)] = int32(len(p.rows))
 	return p

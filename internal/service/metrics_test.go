@@ -309,6 +309,9 @@ func TestCancelledQueuedCountedOnce(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("tail job did not finish")
 	}
+	// Done closes before the worker counts the job; Close returns once the
+	// worker has left run, so the scrape below sees the tail's count.
+	mgr.Close()
 
 	var sb strings.Builder
 	if err := oreg.WritePrometheus(&sb); err != nil {

@@ -49,7 +49,7 @@ type Flat struct {
 	NumRows int     // rows of the underlying relation
 	Rows    []int32 // concatenated cluster row ids
 	Offsets []int32 // cluster boundaries; len = clusters+1, or 0
-	Hsum    float64 // fused entropy sum Σ|c|·log2|c|
+	Hsum    int64   // fused entropy sum Σ|c|·log2|c|, fixed point (hsum.Scale of NumRows)
 	Cost    float64 // recompute cost the cache priced the partition at
 }
 
@@ -57,8 +57,11 @@ type Flat struct {
 func (f Flat) PayloadBytes() int64 { return 4 * int64(len(f.Rows)+len(f.Offsets)) }
 
 const (
-	fileMagic      = "MAIMSPL1"
-	formatVersion  = 1
+	fileMagic = "MAIMSPL1"
+	// formatVersion 2 stores the entropy sum as a fixed-point integer
+	// where version 1 stored a float64 in the same eight bytes. A directory
+	// written by an earlier version opens cold (reopen).
+	formatVersion  = 2
 	fileHeaderSize = 32
 	recHeaderSize  = 48
 	recMagic       = 0x4C495053 // "SPIL"
@@ -74,6 +77,10 @@ var errTooLarge = errors.New("spill: record exceeds the spill byte budget")
 
 // errClosed rejects operations on a closed store.
 var errClosed = errors.New("spill: store is closed")
+
+// errOtherFormat marks a well-formed segment written at another
+// formatVersion: its records must not be decoded by this build.
+var errOtherFormat = errors.New("segment written at another format version")
 
 // Config tunes Open.
 type Config struct {
@@ -136,7 +143,9 @@ type Store struct {
 // crash — so a restarted process starts with a warm spill index.
 // Segments stamped with a different shape hash are discarded with a
 // structured log line: a mismatched spill directory must never poison a
-// mine, so it degrades to an empty store.
+// mine, so it degrades to an empty store. So does a directory an earlier
+// build wrote at another format version — its segments and index snapshot
+// are deleted unread, with one log line, and the tier is rebuilt.
 func Open(cfg Config) (*Store, error) {
 	log := cfg.Logger
 	if log == nil {
@@ -185,9 +194,15 @@ func (s *Store) reopen() error {
 	// falls back to the scan, which trusts only what the checksums and
 	// bounds admit. Close writes a fresh one.
 	os.Remove(snapPath)
+	otherFormat := 0
 	for _, seq := range seqs {
 		path := s.segPath(seq)
 		seg, err := s.openSealed(seq, path)
+		if errors.Is(err, errOtherFormat) {
+			otherFormat++
+			os.Remove(path)
+			continue
+		}
 		if err != nil {
 			s.log.Warn("spill: discarding unreadable segment", "dir", s.cfg.Dir, "segment", path, "error", err)
 			os.Remove(path)
@@ -211,6 +226,10 @@ func (s *Store) reopen() error {
 				s.index[k] = ref
 			}
 		}
+	}
+	if otherFormat > 0 {
+		s.log.Warn("spill: directory was written at another format version; starting cold",
+			"dir", s.cfg.Dir, "segments_discarded", otherFormat, "format_version", formatVersion)
 	}
 	return nil
 }
@@ -249,8 +268,12 @@ func (s *Store) loadSnapshot(path string, seqs []int64) (map[uint64]recRef, bool
 		return nil, false
 	}
 	var snap indexSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil || snap.Version != formatVersion {
+	if err := json.Unmarshal(data, &snap); err != nil {
 		s.log.Warn("spill: ignoring malformed index snapshot", "dir", s.cfg.Dir, "error", err)
+		return nil, false
+	}
+	if snap.Version != formatVersion {
+		// The segments carry the same version; reopen reports them, once.
 		return nil, false
 	}
 	if snap.Shape != fmt.Sprintf("%016x", s.cfg.ShapeHash) {
@@ -271,7 +294,8 @@ func (s *Store) loadSnapshot(path string, seqs []int64) (map[uint64]recRef, bool
 
 // openSealed opens one pre-existing segment as sealed: header validated,
 // mmapped when possible. Returns (nil, nil) after discarding a segment
-// whose shape stamp does not match the store's relation.
+// whose shape stamp does not match the store's relation, and
+// errOtherFormat for one written at another format version.
 func (s *Store) openSealed(seq int64, path string) (*segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -287,9 +311,13 @@ func (s *Store) openSealed(seq int64, path string) (*segment, error) {
 		f.Close()
 		return nil, fmt.Errorf("short file header: %w", err)
 	}
-	if string(hdr[0:8]) != fileMagic || binary.LittleEndian.Uint32(hdr[8:12]) != formatVersion {
+	if string(hdr[0:8]) != fileMagic {
 		f.Close()
-		return nil, errors.New("bad segment magic or version")
+		return nil, errors.New("bad segment magic")
+	}
+	if binary.LittleEndian.Uint32(hdr[8:12]) != formatVersion {
+		f.Close()
+		return nil, errOtherFormat
 	}
 	if shape := binary.LittleEndian.Uint64(hdr[16:24]); shape != s.cfg.ShapeHash {
 		f.Close()
@@ -558,7 +586,7 @@ func writeRecord(w io.WriterAt, off int64, key uint64, f Flat, recLen int64) err
 	binary.LittleEndian.PutUint32(buf[20:24], uint32(len(f.Rows)))
 	binary.LittleEndian.PutUint32(buf[24:28], uint32(len(f.Offsets)))
 	binary.LittleEndian.PutUint32(buf[28:32], uint32(recLen))
-	binary.LittleEndian.PutUint64(buf[32:40], math.Float64bits(f.Hsum))
+	binary.LittleEndian.PutUint64(buf[32:40], uint64(f.Hsum))
 	binary.LittleEndian.PutUint64(buf[40:48], math.Float64bits(f.Cost))
 	encodeInt32s(buf[recHeaderSize:], f.Rows)
 	encodeInt32s(buf[recHeaderSize+4*len(f.Rows):], f.Offsets)
@@ -589,7 +617,7 @@ func readRecord(seg *segment, off int64, wantKey uint64) (Flat, error) {
 	}
 	f := Flat{
 		NumRows: int(binary.LittleEndian.Uint32(hdr[16:20])),
-		Hsum:    math.Float64frombits(binary.LittleEndian.Uint64(hdr[32:40])),
+		Hsum:    int64(binary.LittleEndian.Uint64(hdr[32:40])),
 		Cost:    math.Float64frombits(binary.LittleEndian.Uint64(hdr[40:48])),
 	}
 	payloadLen := 4 * (numIDs + numOff)

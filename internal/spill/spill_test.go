@@ -1,7 +1,11 @@
 package spill
 
 import (
+	"context"
+	"encoding/binary"
+	"fmt"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,7 +16,7 @@ func discardLogger() *slog.Logger {
 }
 
 func testFlat(seed int32, rows, clusters int) Flat {
-	f := Flat{NumRows: rows, Hsum: float64(seed) * 1.5, Cost: float64(seed) * 7}
+	f := Flat{NumRows: rows, Hsum: int64(seed) * 3 << 40, Cost: float64(seed) * 7}
 	for i := 0; i < rows; i++ {
 		f.Rows = append(f.Rows, seed+int32(i))
 	}
@@ -268,6 +272,89 @@ func TestSpillShapeMismatchDiscards(t *testing.T) {
 	}
 	if _, ok := s2.Get(9); !ok {
 		t.Fatal("fresh Put after a discard must be served")
+	}
+}
+
+// warnCounter is a slog.Handler that counts records at Warn and above.
+type warnCounter struct{ warns *int }
+
+func (h warnCounter) Enabled(context.Context, slog.Level) bool { return true }
+func (h warnCounter) Handle(_ context.Context, r slog.Record) error {
+	if r.Level >= slog.LevelWarn {
+		*h.warns++
+	}
+	return nil
+}
+func (h warnCounter) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h warnCounter) WithGroup(string) slog.Handler      { return h }
+
+// TestSpillEarlierFormatOpensCold hand-writes a directory as a format
+// version 1 build left it — two segments whose records carry a float64
+// where version 2 reads the integer sum, and a clean-shutdown index
+// snapshot pointing at them. Open must not serve a byte of it: the store
+// starts empty, the files are gone, exactly one warning is logged, and the
+// directory is rebuilt at the current version.
+func TestSpillEarlierFormatOpensCold(t *testing.T) {
+	dir := t.TempDir()
+	const shape = 0xfeed
+	var payload int64
+	for seq := int64(1); seq <= 2; seq++ {
+		rec := testFlat(int32(seq), 20, 2)
+		rec.Hsum = int64(math.Float64bits(86.43856189774725)) // 20·log2 20, as version 1 stored it
+		buf := make([]byte, fileHeaderSize+recordLen(rec))
+		copy(buf[0:8], fileMagic)
+		binary.LittleEndian.PutUint32(buf[8:12], 1)
+		binary.LittleEndian.PutUint64(buf[16:24], shape)
+		path := filepath.Join(dir, fmt.Sprintf("spill-%08d.seg", seq))
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeRecord(f, fileHeaderSize, uint64(seq), rec, recordLen(rec)); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		payload = rec.PayloadBytes()
+	}
+	snap := fmt.Sprintf(`{"version":1,"shape":"%016x","entries":{"1":{"seg":1,"off":32,"p":%d},"2":{"seg":2,"off":32,"p":%d}}}`,
+		shape, payload, payload)
+	if err := os.WriteFile(filepath.Join(dir, indexSnapshotName), []byte(snap), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	warns := 0
+	s := openTest(t, Config{Dir: dir, ShapeHash: shape, Logger: slog.New(warnCounter{&warns})})
+	defer s.Close()
+	if warns != 1 {
+		t.Errorf("opening a version-1 directory logged %d warnings, want exactly 1", warns)
+	}
+	if s.Len() != 0 || s.Bytes() != 0 {
+		t.Fatalf("version-1 directory must open cold: Len %d, Bytes %d", s.Len(), s.Bytes())
+	}
+	for k := uint64(1); k <= 2; k++ {
+		if _, ok := s.Get(k); ok {
+			t.Fatalf("record %d of a version-1 segment was served", k)
+		}
+	}
+	if segs, err := s.listSegments(); err != nil || len(segs) != 0 {
+		t.Fatalf("version-1 segments must be deleted, %d remain (err %v)", len(segs), err)
+	}
+	want := testFlat(5, 30, 3)
+	if err := s.Put(5, want); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get(5); !ok || !flatEqual(got, want) {
+		t.Fatal("a Put after the cold open must be served back intact")
+	}
+	hdr, err := os.ReadFile(s.segPath(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != formatVersion {
+		t.Fatalf("rebuilt segment stamped version %d, want %d", v, formatVersion)
 	}
 }
 

@@ -24,11 +24,11 @@ import (
 type Progress = core.Progress
 
 // PLIConfig tunes the PLI partition cache behind a session's entropy
-// oracle: BlockSize is the paper's L (Sec. 6.3), MaxBytes is the memory
-// budget eviction enforces (0 = unlimited; WithMemoryBudget is the
-// shorthand), Shards overrides the cache's shard count, and SpillDir /
-// SpillMaxBytes configure the disk spill tier (WithSpillDir,
-// WithSpillBudget).
+// oracle: BlockSize is the paper's L (Sec. 6.3), the widest a block of the
+// balanced column layout may be, MaxBytes is the memory budget eviction
+// enforces (0 = unlimited; WithMemoryBudget is the shorthand), Shards
+// overrides the cache's shard count, and SpillDir / SpillMaxBytes configure
+// the disk spill tier (WithSpillDir, WithSpillBudget).
 type PLIConfig = pli.Config
 
 // MineTrace is the stage-level record of one mining call: one phase per

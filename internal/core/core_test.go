@@ -89,7 +89,7 @@ func TestGetFullMVDsOutputsHold(t *testing.T) {
 		t.Fatal("no full MVDs with key BD separating E,A")
 	}
 	for _, phi := range got {
-		if j := m.J(phi); j > 1e-12 {
+		if j := info.JMVD(m.Oracle(), phi); j > 1e-12 {
 			t.Fatalf("mined MVD %v has J = %v > 0", phi, j)
 		}
 		if !phi.Separates(4, 0) {
@@ -249,7 +249,7 @@ func TestMVDMinerRunningExample(t *testing.T) {
 	}
 	// Every mined MVD holds exactly.
 	for _, phi := range res.MVDs {
-		if j := m.J(phi); j > 1e-12 {
+		if j := info.JMVD(m.Oracle(), phi); j > 1e-12 {
 			t.Fatalf("mined %v with J = %v", phi, j)
 		}
 	}
@@ -298,14 +298,14 @@ func TestMVDMinerRedTupleApproximation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := m0.J(phi)
+	j := info.JMVD(m0.Oracle(), phi)
 	if j < 0.1 || j > 0.2 {
 		t.Fatalf("J(BD↠E|ACF) = %v, expected ≈ 0.151", j)
 	}
 	// At ε = 0 every mined MVD holds exactly.
 	res0 := m0.MineMVDs()
 	for _, mv := range res0.MVDs {
-		if jj := m0.J(mv); jj > 1e-9 {
+		if jj := info.JMVD(m0.Oracle(), mv); jj > 1e-9 {
 			t.Fatalf("mined %v with J = %v at ε=0", mv, jj)
 		}
 	}
@@ -325,7 +325,7 @@ func TestMVDMinerRedTupleApproximation(t *testing.T) {
 	// And all mined MVDs hold at 0.2.
 	res2 := m2.MineMVDs()
 	for _, mv := range res2.MVDs {
-		if jj := m2.J(mv); jj > 0.2+1e-9 {
+		if jj := info.JMVD(m2.Oracle(), mv); jj > 0.2+1e-9 {
 			t.Fatalf("mined %v with J = %v at ε=0.2", mv, jj)
 		}
 	}

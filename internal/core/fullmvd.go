@@ -30,9 +30,11 @@ type Miner struct {
 	cause error           // first stop cause (context error or ErrInterrupted)
 
 	// keys holds each separator key's search root for the duration of
-	// the mine; forked workers share it. scratch is this miner's own
-	// search storage.
+	// the mine; forked workers share it. roots is this miner's private
+	// table of the settled, non-aborted roots it has read from keys.
+	// scratch is this miner's own search storage.
 	keys    *keyMemo
+	roots   attrTable[*keyRoot]
 	scratch searchScratch
 
 	// searchStats accumulates across getFullMVDs invocations; curVisited
@@ -51,22 +53,28 @@ type Miner struct {
 }
 
 // source is what the search asks of the entropy layer: the J-measures'
-// H and MI, plus MI with its two scan-invariant terms supplied. Both
-// *entropy.Oracle and *entropy.Local provide it.
+// H and MI, plus MI over carried terms, which looks up only the union's
+// entropy and hands it back. Both *entropy.Oracle and *entropy.Local
+// provide it.
 type source interface {
 	info.Source
-	MIGiven(hxy, hx float64, y, z, x bitset.AttrSet) float64
+	MICarried(hxy, hxz, hx float64, y, z, x bitset.AttrSet) (mi, hxyz float64)
 }
 
 // SearchStats counts getFullMVDs work across a mining run.
 type SearchStats struct {
-	Searches  int // getFullMVDs invocations
+	// Searches counts lattice walks: getFullMVDs invocations and
+	// separator tests. A separator MineMinSeps re-tests within one pair
+	// is answered from the pair's verdict table and counts no search.
+	Searches  int
 	Visited   int // candidate MVDs popped and evaluated
 	Pruned    int // candidates discarded by the pairwise-consistency repair
 	Truncated int // searches that hit MaxVisitedPerSearch
 	// JEvals counts the J-measures the searches consulted, one per
 	// candidate visited. A search's root is scored once per key and mine
-	// and read from the key memo by every later search with that key.
+	// and read from the key memo by every later search with that key; a
+	// separator re-tested within a pair is answered from the verdict
+	// table and consults none.
 	JEvals     int
 	Repairs    int // getPairwiseConsistentMVD merge steps performed
 	TimeoutHit bool
@@ -91,12 +99,6 @@ func (m *Miner) Options() Options { return m.opts }
 
 // SearchStats returns accumulated search counters.
 func (m *Miner) SearchStats() SearchStats { return m.searchStats }
-
-// J evaluates the J-measure of an MVD against the miner's entropy source.
-func (m *Miner) J(phi mvd.MVD) float64 {
-	m.searchStats.JEvals++
-	return info.JMVD(m.src, phi)
-}
 
 // GetFullMVDs is getFullMVDs/getFullMVDsOpt (paper Figs. 6 and 17): it
 // returns up to k full ε-MVDs with key sep in which attributes a and b lie
@@ -156,7 +158,9 @@ func (m *Miner) search(sep bitset.AttrSet, a, b, k int, collect bool) int {
 	if root.aborted || !(mvd.MVD{Key: sep, Deps: root.deps}).Separates(a, b) {
 		return 0
 	}
-	rootRef, _ := s.keep(append(s.tail(len(root.deps)), root.deps...))
+	deps, terms := s.tail(len(root.deps))
+	copy(terms[:len(root.terms)], root.terms)
+	rootRef, _ := s.keep(append(deps, root.deps...))
 	s.stack = append(s.stack, rootRef)
 
 	found := 0
@@ -176,23 +180,15 @@ func (m *Miner) search(sep bitset.AttrSet, a, b, k int, collect bool) int {
 		s.stack = s.stack[:len(s.stack)-1]
 		m.searchStats.Visited++
 		m.curVisited++
-		// The root's J comes with it from the key memo; it still counts
-		// as this search's evaluation, so the per-stage J counts do not
-		// depend on which search happened to reach a key first.
-		j := root.j
-		if ref == rootRef {
-			m.searchStats.JEvals++
-		} else {
-			j = m.J(mvd.MVD{Key: sep, Deps: s.deps(ref)})
-		}
-		if info.LeqEps(j, m.opts.Epsilon) {
+		m.searchStats.JEvals++
+		if info.LeqEps(candJ(s, root, ref), m.opts.Epsilon) {
 			found++
 			if collect {
 				s.holders = append(s.holders, ref)
 			}
 			continue
 		}
-		m.expand(sep, ref, a, b)
+		m.expand(sep, root, ref, a, b)
 	}
 	m.curVisited = 0
 	if truncated {
@@ -201,12 +197,20 @@ func (m *Miner) search(sep bitset.AttrSet, a, b, k int, collect bool) int {
 	return found
 }
 
+// candJ is the J the search compares with ε for the candidate at ref: the
+// JMVD sum over the terms the candidate carries, with H(key) and H(Ω) from
+// its root — no entropy is looked up.
+func candJ(s *searchScratch, root *keyRoot, ref candRef) float64 {
+	return info.JMVDTerms(s.termsOf(ref), root.hKey, root.hAll)
+}
+
 // expand pushes the not-yet-visited search-space neighbors of the
 // candidate at ref (Eq. 13): every merge of two of its dependents that
 // keeps a and b apart, repaired first when pruning is on. Neighbors are
 // built one at a time at the arena's tail, in canonical (i, j) order, and
-// only the new ones stay there.
-func (m *Miner) expand(sep bitset.AttrSet, ref candRef, a, b int) {
+// only the new ones stay there. A neighbor carries its parent's terms but
+// the union's, which is the one entropy looked up here.
+func (m *Miner) expand(sep bitset.AttrSet, root *keyRoot, ref candRef, a, b int) {
 	s := &m.scratch
 	n := int(ref.n)
 	cur := mvd.MVD{Key: sep, Deps: s.deps(ref)}
@@ -216,16 +220,20 @@ func (m *Miner) expand(sep bitset.AttrSet, ref candRef, a, b int) {
 			if (i == ia && j == ib) || (i == ib && j == ia) {
 				continue // would merge a's and b's dependents together
 			}
-			tail := s.tail(n - 1)
+			deps, terms := s.tail(n - 1)
 			phi := s.deps(ref)
-			cand := mvd.MergeDeps(tail, phi, i, j)
+			u := phi[i].Union(phi[j])
+			cand, at := mvd.MergeDeps(deps, phi, i, j)
+			candTerms := mergeTerms(terms, s.termsOf(ref), i, j, at, m.src.H(sep.Union(u)))
 			if m.opts.PairwiseConsistency {
 				// phi is pairwise consistent (it was repaired before it
 				// was pushed), so in its neighbor only the pairs of the
 				// merged dependent are open.
-				m.markConsistentExcept(cand, phi[i].Union(phi[j]))
+				// The repair merges in place, so its terms stay at the
+				// tail beside cand.
+				m.markConsistentExcept(cand, u)
 				var ok bool
-				if cand, ok = m.repair(sep, cand, a, b); !ok {
+				if cand, _, ok = m.repair(sep, cand, candTerms, root.hKey, a, b); !ok {
 					m.searchStats.Pruned++
 					continue
 				}
@@ -238,16 +246,26 @@ func (m *Miner) expand(sep bitset.AttrSet, ref candRef, a, b int) {
 }
 
 // keyRoot returns the root candidate of every search with key sep — the
-// all-singletons MVD, repaired when pruning is on — and its J, computing
-// them on the first request of the mine (see keyMemo).
+// all-singletons MVD, repaired when pruning is on — with its terms and J,
+// computing them on the first request of the mine (see keyMemo). A root
+// this miner has read settled before comes from its private table.
 func (m *Miner) keyRoot(sep bitset.AttrSet) *keyRoot {
-	r, owner := m.keys.acquire(sep)
-	if !owner {
+	if r, ok := m.roots.get(sep); ok {
 		return r
 	}
-	deps := m.scratch.root[:0]
+	r, owner := m.keys.acquire(sep)
+	if !owner {
+		if !r.aborted {
+			m.roots.put(sep, r)
+		}
+		return r
+	}
+	hKey := m.src.H(sep)
+	deps, terms := m.scratch.root[:0], m.scratch.rootTerms[:0]
 	for rest := sep.Complement(m.oracle.NumAttrs()); rest != 0; rest &= rest - 1 {
-		deps = append(deps, rest&-rest)
+		d := rest & -rest
+		deps = append(deps, d)
+		terms = append(terms, m.src.H(sep.Union(d)))
 	}
 	if m.opts.PairwiseConsistency {
 		m.scratch.consistent = [bitset.MaxAttrs]uint64{} // nothing is known yet
@@ -255,21 +273,24 @@ func (m *Miner) keyRoot(sep bitset.AttrSet) *keyRoot {
 		// No pair: the closure runs to the end, and each search checks
 		// its own pair against the result. Merges only ever unite, so a
 		// pair united on the way is still united there.
-		if deps, ok = m.repair(sep, deps, -1, -1); !ok {
+		if deps, terms, ok = m.repair(sep, deps, terms, hKey, -1, -1); !ok {
 			m.keys.abort(sep, r)
 			return r
 		}
 	}
-	r.publish(deps, info.JMVD(m.src, mvd.MVD{Key: sep, Deps: deps}))
+	r.publish(deps, terms, hKey, m.src.H(bitset.Full(m.oracle.NumAttrs())))
+	m.roots.put(sep, r)
 	return r
 }
 
 // repair is getPairwiseConsistentMVD (Fig. 16), in place: while some
 // dependent pair Ci,Cj of deps has I(Ci;Cj|key) > ε, merge the first such
 // pair in canonical order (the merge is forced: any ε-MVD coarsening the
-// candidate must unite that pair, by Prop. 5.1/5.2). It returns the
-// repaired list, or false when the merges united a and b (pass a < 0 for
-// no such pair) or the mine was stopped.
+// candidate must unite that pair, by Prop. 5.1/5.2). terms carries
+// H(key ∪ Ci) beside each dependent and hKey is H(key); the merged
+// dependent's term is the H(key ∪ Ci ∪ Cj) its failing test just read. It
+// returns the repaired list and terms, or false when the merges united a
+// and b (pass a < 0 for no such pair) or the mine was stopped.
 //
 // The scan skips pairs the miner's consistency matrix already marks: a
 // pair of dependents neither of which changed has the same mutual
@@ -279,25 +300,27 @@ func (m *Miner) keyRoot(sep bitset.AttrSet) *keyRoot {
 // dependent it made. The caller seeds the matrix (markConsistentExcept).
 // Skipping never reorders anything — the first inconsistent pair of a
 // scan is the one a scan from scratch would find.
-func (m *Miner) repair(key bitset.AttrSet, deps []bitset.AttrSet, a, b int) ([]bitset.AttrSet, bool) {
+func (m *Miner) repair(key bitset.AttrSet, deps []bitset.AttrSet, terms []float64, hKey float64, a, b int) ([]bitset.AttrSet, []float64, bool) {
 	for {
 		// A single pass costs up to O(m²) mutual-information evaluations
 		// (m up to 45 on the widest dataset), so the deadline and the
 		// context must be honored here too; under timeout results are
 		// partial anyway.
 		if m.stopped() {
-			return nil, false
+			return nil, nil, false
 		}
-		i, j := m.findInconsistentPair(key, deps)
+		i, j, hu := m.findInconsistentPair(key, deps, terms, hKey)
 		if i < 0 {
-			return deps, true
+			return deps, terms, true
 		}
 		m.searchStats.Repairs++
 		u := deps[i].Union(deps[j])
 		if a >= 0 && u.Contains(a) && u.Contains(b) {
-			return nil, false
+			return nil, nil, false
 		}
-		deps = mvd.MergeDeps(deps[:0], deps, i, j)
+		var at int
+		deps, at = mvd.MergeDeps(deps[:0], deps, i, j)
+		terms = mergeTerms(terms[:0], terms, i, j, at, hu)
 		open := ^(uint64(1) << uint(u.Min()))
 		for _, d := range deps {
 			m.scratch.consistent[d.Min()] &= open
@@ -322,33 +345,27 @@ func (m *Miner) markConsistentExcept(deps []bitset.AttrSet, changed bitset.AttrS
 }
 
 // findInconsistentPair returns the first dependent pair (canonical order)
-// violating I(Ci;Cj|key) ≤ ε, or (-1,-1), marking the pairs it finds
-// consistent on the way. H(key) and H(key ∪ Ci) are read once per scan and
-// once per row, not once per pair; MIGiven sums them in MI's order.
-func (m *Miner) findInconsistentPair(key bitset.AttrSet, deps []bitset.AttrSet) (int, int) {
+// violating I(Ci;Cj|key) ≤ ε and the H(key ∪ Ci ∪ Cj) its test read, or
+// (-1,-1), marking the pairs it finds consistent on the way. Each test is
+// one lookup: H(key ∪ Ci) and H(key ∪ Cj) are carried in terms and H(key)
+// is hKey, and MICarried sums the four in MI's order.
+func (m *Miner) findInconsistentPair(key bitset.AttrSet, deps []bitset.AttrSet, terms []float64, hKey float64) (int, int, float64) {
 	rows := &m.scratch.consistent
-	hKey, haveKey := 0.0, false
 	for i, ci := range deps {
 		ri := ci.Min()
-		hi, haveRow := 0.0, false
 		for j := i + 1; j < len(deps); j++ {
 			cj := deps[j]
 			rj := cj.Min()
 			if rows[ri]&(1<<uint(rj)) != 0 {
 				continue
 			}
-			if !haveKey {
-				hKey, haveKey = m.src.H(key), true
-			}
-			if !haveRow {
-				hi, haveRow = m.src.H(key.Union(ci)), true
-			}
-			if !info.LeqEps(m.src.MIGiven(hi, hKey, ci, cj, key), m.opts.Epsilon) {
-				return i, j
+			mi, hu := m.src.MICarried(terms[i], terms[j], hKey, ci, cj, key)
+			if !info.LeqEps(mi, m.opts.Epsilon) {
+				return i, j, hu
 			}
 			rows[ri] |= 1 << uint(rj)
 			rows[rj] |= 1 << uint(ri)
 		}
 	}
-	return -1, -1
+	return -1, -1, 0
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bitset"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/entropy"
 	"repro/internal/info"
 	"repro/internal/mvd"
+	"repro/internal/transversal"
 )
 
 // literalRepair is getPairwiseConsistentMVD exactly as Fig. 16 writes it:
@@ -147,11 +149,146 @@ func literalFullMVDs(o *entropy.Oracle, key bitset.AttrSet, a, b, n int, eps flo
 	return full
 }
 
+// TestCarriedTermsMatchOracle replays, after a whole mine, a full search
+// for every (pair, separator) the mine found, on nursery and a planted
+// relation at three thresholds, and checks what the search carried
+// against a fresh oracle: every visited candidate's term for each
+// dependent is H(key ∪ Cᵢ) bit for bit, and the J it compared with ε is
+// info.JMVD of the candidate, bit for bit. The keys' roots carry H(key)
+// and H(Ω) exactly too.
+func TestCarriedTermsMatchOracle(t *testing.T) {
+	rels := parallelTestRelations(t)
+	candidates := 0
+	for _, name := range []string{"nursery", "planted-noisy"} {
+		r := rels[name]
+		ref := entropy.New(r)
+		full := bitset.Full(r.NumCols())
+		for _, eps := range []float64{0, 0.05, 0.3} {
+			m := newMiner(r, eps)
+			res := m.MineMVDs()
+			for _, p := range res.SortedPairs() {
+				for _, sep := range res.MinSeps[p] {
+					m.GetFullMVDs(sep, p.A, p.B, 0)
+					root := m.keyRoot(sep)
+					if root.hKey != ref.H(sep) || root.hAll != ref.H(full) {
+						t.Fatalf("%s eps=%v key %v: root carries H(key) %v, H(Ω) %v; want %v, %v",
+							name, eps, sep, root.hKey, root.hAll, ref.H(sep), ref.H(full))
+					}
+					s := &m.scratch
+					for _, sl := range s.slots {
+						if sl.epoch != s.epoch {
+							continue
+						}
+						candidates++
+						phi := mvd.MVD{Key: sep, Deps: s.deps(sl.ref)}
+						for i, d := range phi.Deps {
+							if got, want := s.termsOf(sl.ref)[i], ref.H(sep.Union(d)); got != want {
+								t.Fatalf("%s eps=%v %v: term %d carries %v, H = %v", name, eps, phi, i, got, want)
+							}
+						}
+						if got, want := candJ(s, root, sl.ref), info.JMVD(ref, phi); got != want {
+							t.Fatalf("%s eps=%v %v: search's J %v, JMVD %v", name, eps, phi, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if candidates < 1000 {
+		t.Fatalf("only %d candidates checked", candidates)
+	}
+}
+
+// literalMineMinSeps is Fig. 5 with no verdict table: every transversal's
+// complement and every reduction step is tested by a fresh search through
+// the exported SeparatorHolds and ReduceMinSep.
+func literalMineMinSeps(m *Miner, a, b int) ([]bitset.AttrSet, MinSepTrace) {
+	var tr MinSepTrace
+	universe := bitset.Full(m.oracle.NumAttrs()).Remove(a).Remove(b)
+	if !info.LeqEps(m.oracle.MI(bitset.Single(a), bitset.Single(b), universe), m.opts.Epsilon) {
+		return nil, tr
+	}
+	first := m.ReduceMinSep(universe, a, b)
+	seps := []bitset.AttrSet{first}
+	enum := transversal.New(universe)
+	enum.AddEdge(first)
+	run := 0
+	for {
+		d, ok := enum.Next()
+		if !ok {
+			break
+		}
+		tr.Processed++
+		cand := universe.Diff(d)
+		if !m.SeparatorHolds(cand, a, b) {
+			tr.Wasted++
+			run++
+			tr.MaxWastedRun = max(tr.MaxWastedRun, run)
+			continue
+		}
+		run = 0
+		x := m.ReduceMinSep(cand, a, b)
+		seps = append(seps, x)
+		enum.AddEdge(x)
+	}
+	bitset.SortSets(seps)
+	tr.Separators = len(seps)
+	return seps, tr
+}
+
+// TestVerdictMemoMatchesSearch checks MineMinSeps' per-pair verdict table
+// on every pair of nursery and a planted relation at two thresholds:
+// every verdict the table holds after the pair equals SeparatorHolds on a
+// fresh miner, and the separators and the MinSepTrace (Processed, Wasted,
+// MaxWastedRun, Separators) equal those of a replay that searches every
+// test afresh — which runs strictly more searches over the lot.
+func TestVerdictMemoMatchesSearch(t *testing.T) {
+	rels := parallelTestRelations(t)
+	tabled, literal, verdicts := 0, 0, 0
+	for _, name := range []string{"nursery", "planted-noisy"} {
+		r := rels[name]
+		n := r.NumCols()
+		for _, eps := range []float64{0.05, 0.3} {
+			m := newMiner(r, eps)
+			for a := 0; a < n; a++ {
+				for b := a + 1; b < n; b++ {
+					before := m.SearchStats().Searches
+					got := m.MineMinSeps(a, b)
+					tabled += m.SearchStats().Searches - before
+					fresh := newMiner(r, eps)
+					tab := &m.scratch.verdicts
+					for _, sl := range tab.slots {
+						if sl.epoch != tab.epoch {
+							continue
+						}
+						verdicts++
+						if want := fresh.SeparatorHolds(sl.key, a, b); sl.val != want {
+							t.Fatalf("%s eps=%v pair (%d,%d) sep %v: table says %v, a fresh search %v",
+								name, eps, a, b, sl.key, sl.val, want)
+						}
+					}
+					replay := newMiner(r, eps)
+					want, wantTrace := literalMineMinSeps(replay, a, b)
+					literal += replay.SearchStats().Searches
+					if !slices.Equal(got, want) || m.LastMinSepTrace() != wantTrace {
+						t.Fatalf("%s eps=%v pair (%d,%d): %v %+v, replay %v %+v",
+							name, eps, a, b, got, m.LastMinSepTrace(), want, wantTrace)
+					}
+				}
+			}
+		}
+	}
+	if verdicts == 0 || tabled >= literal {
+		t.Fatalf("%d verdicts tabled; %d searches with the table, %d without", verdicts, tabled, literal)
+	}
+}
+
 // TestSearchKernelAllocs is the allocation gate of the search kernel. On
 // a warm miner — entropies memoized, the key's root in the key memo, the
 // scratch grown — SeparatorHolds allocates nothing, however many
-// candidates it visits and prunes, and GetFullMVDs allocates only for the
-// MVDs it returns.
+// candidates it visits and prunes, GetFullMVDs allocates only for the
+// MVDs it returns, and MineMinSeps — verdict table, settled roots,
+// transversal buffers — only for the slice it returns.
 func TestSearchKernelAllocs(t *testing.T) {
 	r := datagen.Nursery()
 	a, b := 0, 8
@@ -183,5 +320,19 @@ func TestSearchKernelAllocs(t *testing.T) {
 	if limit := float64(2*len(out) + 2); len(out) == 0 || full > limit {
 		t.Errorf("warm GetFullMVDs(k=0): %v allocs/run for %d MVDs over %d candidates, want ≤ %v",
 			full, len(out), perRun, limit)
+	}
+
+	// (2,3) has four separators: the enumerator takes edges and hands out
+	// transversals, and reductions and transversals re-test separators.
+	m = newMiner(r, 0.1)
+	seps := m.MineMinSeps(2, 3)
+	before = m.SearchStats()
+	mine := testing.AllocsPerRun(5, func() { seps = m.MineMinSeps(2, 3) })
+	if perRun = (m.SearchStats().Visited - before.Visited) / 6; perRun < 100 || len(seps) == 0 {
+		t.Fatalf("MineMinSeps gate is too easy: %d separators, %d candidates visited per run", len(seps), perRun)
+	}
+	if mine > 1 {
+		t.Errorf("warm MineMinSeps: %v allocs/run for %d separators over %d candidates, want ≤ 1 (the result)",
+			mine, len(seps), perRun)
 	}
 }

@@ -1,14 +1,19 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/bitset"
+	"repro/internal/info"
 	"repro/internal/stripe"
 )
 
 // keyMemo remembers, per separator key, the root candidate of the
-// getFullMVDs search and its J. Both depend on the key, ε and the pruning
+// getFullMVDs search, its J and the entropies that J is summed from: the
+// dependents' terms H(key ∪ Cᵢ), H(key) and H(Ω). Every search with the
+// key starts out carrying them, and they are read once per key, never
+// once per worker. All of it depends on the key, ε and the pruning
 // setting only — never on the attribute pair a search is run for: the
 // forced-merge closure of the all-singletons MVD (Fig. 16) merges the same
 // pairs in the same order whatever (a,b) is, and the pair merely decides
@@ -22,7 +27,10 @@ import (
 // single-flight exactly like the shared entropy memo: the first search to
 // ask for a key computes it while the others wait on its latch, so each
 // key is repaired once at any fan-out and the entropy-level counts of a
-// mine do not depend on Workers.
+// mine do not depend on Workers. A settled root is immutable, so each
+// miner also keeps the ones it has seen in a private table (Miner.roots)
+// and reads them there — no lock, no map, no latch — coming here only for
+// a key it has not seen; this stays the one place a root is computed.
 type keyMemo struct {
 	shards []keyShard
 	mask   uint64
@@ -35,10 +43,14 @@ type keyShard struct {
 }
 
 // keyRoot is one key's root candidate. The goroutine that installed it
-// fills it and closes done; the fields are immutable afterwards.
+// fills it and releases ready (held from installation, so waiting costs no
+// channel); the fields are immutable afterwards.
 type keyRoot struct {
-	done    chan struct{}
+	ready   sync.WaitGroup
 	deps    []bitset.AttrSet // canonical dependents of the root
+	terms   []float64        // terms[i] = H(key ∪ deps[i])
+	hKey    float64          // H(key)
+	hAll    float64          // H(Ω) = H(key ∪ every dependent)
 	j       float64          // J of the root
 	aborted bool             // the mine was stopped mid-repair: no root
 }
@@ -64,21 +76,25 @@ func (k *keyMemo) acquire(sep bitset.AttrSet) (r *keyRoot, owner bool) {
 	sh.mu.Lock()
 	r, ok := sh.m[sep]
 	if !ok {
-		r = &keyRoot{done: make(chan struct{})}
+		r = &keyRoot{}
+		r.ready.Add(1)
 		sh.m[sep] = r
 	}
 	sh.mu.Unlock()
 	if ok {
-		<-r.done
+		r.ready.Wait()
 	}
 	return r, !ok
 }
 
-// publish completes the owner's entry with a copy of deps.
-func (r *keyRoot) publish(deps []bitset.AttrSet, j float64) {
-	r.deps = append([]bitset.AttrSet(nil), deps...)
-	r.j = j
-	close(r.done)
+// publish completes the owner's entry with copies of deps and terms and
+// the J they give.
+func (r *keyRoot) publish(deps []bitset.AttrSet, terms []float64, hKey, hAll float64) {
+	r.deps = slices.Clone(deps)
+	r.terms = slices.Clone(terms)
+	r.hKey, r.hAll = hKey, hAll
+	r.j = info.JMVDTerms(terms, hKey, hAll)
+	r.ready.Done()
 }
 
 // abort withdraws the owner's entry: current waiters see it aborted, and
@@ -90,5 +106,5 @@ func (k *keyMemo) abort(sep bitset.AttrSet, r *keyRoot) {
 	delete(sh.m, sep)
 	sh.mu.Unlock()
 	r.aborted = true
-	close(r.done)
+	r.ready.Done()
 }

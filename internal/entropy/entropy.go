@@ -428,13 +428,16 @@ func (o *Oracle) MI(y, z, x bitset.AttrSet) float64 {
 	return miSum(o.H(x.Union(y)), o.H(x.Union(z)), o.H(x.Union(y).Union(z)), o.H(x))
 }
 
-// MIGiven is MI(y, z, x) for a caller that already holds the two terms
-// that do not depend on z — hxy = H(x∪y) and hx = H(x) — so a scan over
-// many z for one (y, x) reads them once. It counts as one MI evaluation
-// and sums in MI's order, so the value is bit-identical to MI's.
-func (o *Oracle) MIGiven(hxy, hx float64, y, z, x bitset.AttrSet) float64 {
+// MICarried is MI(y, z, x) for a caller that carries the three terms that
+// do not need y and z together — hxy = H(x∪y), hxz = H(x∪z), hx = H(x).
+// It looks up the fourth, hxyz = H(x∪y∪z), and returns it beside the
+// value, so a caller that goes on to unite y and z holds the union's term
+// already. It counts as one MI evaluation and one H call and sums in MI's
+// order, so the value is bit-identical to MI's.
+func (o *Oracle) MICarried(hxy, hxz, hx float64, y, z, x bitset.AttrSet) (mi, hxyz float64) {
 	o.countMI(x)
-	return miSum(hxy, o.H(x.Union(z)), o.H(x.Union(y).Union(z)), hx)
+	hxyz = o.H(x.Union(y).Union(z))
+	return miSum(hxy, hxz, hxyz, hx), hxyz
 }
 
 // miSum is Eq. 2 in the one summation order every MI path uses.
@@ -468,7 +471,7 @@ func (o *Oracle) LogN() float64 { return o.logN }
 // evicted from the shared shards is still exact.
 //
 // A Local is bound to one goroutine at a time; Release returns its arena
-// to the pool. H/CondH/MI/MIGiven are semantically identical to the
+// to the pool. H/CondH/MI/MICarried are semantically identical to the
 // oracle's own (same memo, same single-flight, same counters), so a Local
 // satisfies the same entropy-source contract miners program against.
 type Local struct {
@@ -604,10 +607,11 @@ func (l *Local) MI(y, z, x bitset.AttrSet) float64 {
 	return miSum(l.H(x.Union(y)), l.H(x.Union(z)), l.H(x.Union(y).Union(z)), l.H(x))
 }
 
-// MIGiven is Oracle.MIGiven computed on the view's arena.
-func (l *Local) MIGiven(hxy, hx float64, y, z, x bitset.AttrSet) float64 {
+// MICarried is Oracle.MICarried computed on the view's arena.
+func (l *Local) MICarried(hxy, hxz, hx float64, y, z, x bitset.AttrSet) (mi, hxyz float64) {
 	l.countMI()
-	return miSum(hxy, l.H(x.Union(z)), l.H(x.Union(y).Union(z)), hx)
+	hxyz = l.H(x.Union(y).Union(z))
+	return miSum(hxy, hxz, hxyz, hx), hxyz
 }
 
 // countMI counts one MI evaluation in a view-private int that Release

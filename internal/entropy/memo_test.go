@@ -157,7 +157,7 @@ func TestLocalReadThroughCounters(t *testing.T) {
 
 // TestLocalMatchesOracleCounts replays one read sequence — every subset of
 // eleven attributes, enough to grow the view's table several times, the
-// empty set included, then MI and MIGiven over them — through a fresh
+// empty set included, then MI and MICarried over them — through a fresh
 // oracle directly and through a Local view of another, and requires the
 // same values bit for bit and, after Release, the same HCalls, HCached and
 // MICalls. The empty set is a call that is never cached on both paths.
@@ -166,7 +166,7 @@ func TestLocalMatchesOracleCounts(t *testing.T) {
 	type source interface {
 		H(bitset.AttrSet) float64
 		MI(y, z, x bitset.AttrSet) float64
-		MIGiven(hxy, hx float64, y, z, x bitset.AttrSet) float64
+		MICarried(hxy, hxz, hx float64, y, z, x bitset.AttrSet) (mi, hxyz float64)
 	}
 	replay := func(src source) []float64 {
 		var out []float64
@@ -179,9 +179,12 @@ func TestLocalMatchesOracleCounts(t *testing.T) {
 		for _, x := range []bitset.AttrSet{bitset.Empty(), bitset.Of(3), bitset.Of(0, 9)} {
 			y, z := bitset.Of(1, 2), bitset.Of(4, 10)
 			mi := src.MI(y, z, x)
-			given := src.MIGiven(src.H(x.Union(y)), src.H(x), y, z, x)
-			if mi != given {
-				t.Fatalf("MIGiven(%v;%v|%v) = %v, MI = %v", y, z, x, given, mi)
+			carried, hxyz := src.MICarried(src.H(x.Union(y)), src.H(x.Union(z)), src.H(x), y, z, x)
+			if mi != carried {
+				t.Fatalf("MICarried(%v;%v|%v) = %v, MI = %v", y, z, x, carried, mi)
+			}
+			if want := src.H(x.Union(y).Union(z)); hxyz != want {
+				t.Fatalf("MICarried(%v;%v|%v) returned H(xyz) = %v, H = %v", y, z, x, hxyz, want)
 			}
 			out = append(out, mi)
 		}

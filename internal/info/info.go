@@ -53,13 +53,25 @@ type Source interface {
 // floating-point cancellation; J is a Shannon inequality and never truly
 // negative.
 func JMVD(o Source, m mvd.MVD) float64 {
-	sum := 0.0
+	var terms [bitset.MaxAttrs]float64
 	all := m.Key
-	for _, d := range m.Deps {
-		sum += o.H(m.Key.Union(d))
+	for i, d := range m.Deps {
+		terms[i] = o.H(m.Key.Union(d))
 		all = all.Union(d)
 	}
-	v := sum - float64(len(m.Deps)-1)*o.H(m.Key) - o.H(all)
+	return JMVDTerms(terms[:len(m.Deps)], o.H(m.Key), o.H(all))
+}
+
+// JMVDTerms is JMVD over entropies the caller already holds: terms[i] =
+// H(XYi), hx = H(X), hall = H(XY1…Ym). It is the one summation JMVD
+// itself uses, so a caller carrying the terms gets the same value bit for
+// bit.
+func JMVDTerms(terms []float64, hx, hall float64) float64 {
+	sum := 0.0
+	for _, t := range terms {
+		sum += t
+	}
+	v := sum - float64(len(terms)-1)*hx - hall
 	if v < 0 {
 		return 0
 	}

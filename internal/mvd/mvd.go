@@ -114,35 +114,39 @@ func (m MVD) Separates(a, b int) bool {
 // generates a candidate's search-space neighbors. Canonical dependent
 // order is kept, so indices of other dependents may move.
 func (m MVD) Merge(i, j int) MVD {
-	return MVD{Key: m.Key, Deps: MergeDeps(make([]bitset.AttrSet, 0, len(m.Deps)-1), m.Deps, i, j)}
+	deps, _ := MergeDeps(make([]bitset.AttrSet, 0, len(m.Deps)-1), m.Deps, i, j)
+	return MVD{Key: m.Key, Deps: deps}
 }
 
 // MergeDeps appends to dst the canonical dependent list deps with
-// dependents i and j replaced by their union, and returns it. The union
-// is larger than either part, so it sorts after both: one pass that drops
-// i and j and inserts the union at its sorted position keeps the order,
-// with no re-sort. deps must be canonical (sorted, pairwise disjoint).
+// dependents i and j replaced by their union, and returns it together
+// with the union's index in the merged list (counted from the start of
+// what was appended). The union is larger than either part, so it sorts
+// after both: one pass that drops i and j and inserts the union at its
+// sorted position keeps the order, with no re-sort, and the index is at
+// least max(i, j) − 1. deps must be canonical (sorted, pairwise disjoint).
 // dst may be deps[:0] for an in-place merge — writes trail reads.
-func MergeDeps(dst, deps []bitset.AttrSet, i, j int) []bitset.AttrSet {
+func MergeDeps(dst, deps []bitset.AttrSet, i, j int) ([]bitset.AttrSet, int) {
 	if i == j {
 		panic("mvd: merging a dependent with itself")
 	}
 	u := deps[i].Union(deps[j])
-	placed := false
+	start, at := len(dst), -1
 	for k, d := range deps {
 		if k == i || k == j {
 			continue
 		}
-		if !placed && bitset.Compare(u, d) < 0 {
+		if at < 0 && bitset.Compare(u, d) < 0 {
+			at = len(dst) - start
 			dst = append(dst, u)
-			placed = true
 		}
 		dst = append(dst, d)
 	}
-	if !placed {
+	if at < 0 {
+		at = len(dst) - start
 		dst = append(dst, u)
 	}
-	return dst
+	return dst, at
 }
 
 // Refines reports whether m ⪰ other (Sec. 5.2): same key, and every

@@ -79,8 +79,9 @@ func TestMerge(t *testing.T) {
 }
 
 // Property: MergeDeps lands on the canonical form New would produce, for
-// either index order, and merging in place (dst = deps[:0]) gives the
-// same list as merging into fresh storage.
+// either index order, merging in place (dst = deps[:0]) gives the same
+// list as merging into fresh storage, and the index it reports holds the
+// union, no earlier than max(i, j) − 1.
 func TestQuickMergeDepsCanonicalInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 300; trial++ {
@@ -106,9 +107,16 @@ func TestQuickMergeDepsCanonicalInPlace(t *testing.T) {
 				t.Fatalf("Merge(%d,%d) of %v = %v, want %v", i, j, m, got, want)
 			}
 			inPlace := append([]bitset.AttrSet(nil), m.Deps...)
-			inPlace = MergeDeps(inPlace[:0], inPlace, i, j)
+			inPlace, at := MergeDeps(inPlace[:0], inPlace, i, j)
 			if !(MVD{Key: m.Key, Deps: inPlace}).Equal(want) {
 				t.Fatalf("in-place MergeDeps(%d,%d) of %v = %v, want %v", i, j, m, inPlace, want)
+			}
+			if inPlace[at] != m.Deps[i].Union(m.Deps[j]) || at < max(i, j)-1 {
+				t.Fatalf("MergeDeps(%d,%d) of %v reports the union at %d of %v", i, j, m, at, inPlace)
+			}
+			prefixed, at2 := MergeDeps([]bitset.AttrSet{m.Key}, m.Deps, i, j)
+			if at2 != at || prefixed[1+at] != inPlace[at] {
+				t.Fatalf("MergeDeps(%d,%d) after a prefix reports %d, want %d (relative to what it appended)", i, j, at2, at)
 			}
 			m = got
 		}

@@ -66,9 +66,12 @@ type StageTrace struct {
 	// per candidate visited. (The J of a search's root depends on the
 	// separator key alone; it is computed once per mine and read back by
 	// the other searches with that key, each of which still counts it —
-	// that is what keeps the count independent of the fan-out.)
+	// that is what keeps the count independent of the fan-out.) A
+	// separator re-tested within one pair's separator mining is answered
+	// from that pair's verdict table: it runs no search and counts none.
 	JEvals int64
-	// Candidates counts candidate MVDs visited by the stage's searches;
+	// Candidates counts candidate MVDs visited by the stage's searches
+	// (a separator re-tested within a pair visits none, as for JEvals);
 	// for "graph" it is the incompatibility edges added, for "synth" the
 	// compatible sets that synthesized a schema (pre-dedup).
 	Candidates int64

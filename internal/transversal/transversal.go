@@ -31,9 +31,12 @@ type Enumerator struct {
 	universe bitset.AttrSet
 	edges    []bitset.AttrSet
 	mts      []entry // current minimal transversals, canonical order
-	spare    []entry // the previous mts' storage, reused by the next AddEdge
-	head     int     // every entry before head has been handed out
-	dead     bool    // an empty edge was added: no transversal can hit it
+	// kept and ext are AddEdge's working storage, reused by the next call:
+	// the transversals that survive an edge and the extensions that
+	// replace the rest.
+	kept, ext []entry
+	head      int  // every entry before head has been handed out
+	dead      bool // an empty edge was added: no transversal can hit it
 }
 
 // entry is one current minimal transversal and whether Next has already
@@ -46,7 +49,20 @@ type entry struct {
 // New returns an enumerator over the given universe with no edges. With an
 // empty hypergraph the empty set is the unique minimal transversal.
 func New(universe bitset.AttrSet) *Enumerator {
-	return &Enumerator{universe: universe, mts: []entry{{set: bitset.Empty()}}}
+	e := &Enumerator{}
+	e.Reset(universe)
+	return e
+}
+
+// Reset makes e what New(universe) returns, keeping its storage, so an
+// enumerator reused across hypergraphs stops allocating once its buffers
+// have grown to the largest one.
+func (e *Enumerator) Reset(universe bitset.AttrSet) {
+	e.universe = universe
+	e.edges = e.edges[:0]
+	e.mts = append(e.mts[:0], entry{set: bitset.Empty()})
+	e.head = 0
+	e.dead = false
 }
 
 // Edges returns the edges added so far.
@@ -77,32 +93,49 @@ func (e *Enumerator) Transversals() []bitset.AttrSet {
 // old edges, so it equals no kept (minimal) one. For the same reason an
 // extension is never a set Next returned earlier: that set either is still
 // current (kept) or misses an edge added since.
+//
+// The kept transversals are a subsequence of the canonical list, so they
+// are in order already: only the extensions are sorted, and the two runs
+// are merged. All sets are distinct, so the merge has no ties to break and
+// the list is the one a full sort gives.
 func (e *Enumerator) AddEdge(edge bitset.AttrSet) {
 	edge = edge.Intersect(e.universe)
 	e.edges = append(e.edges, edge)
 	if edge.IsEmpty() {
 		e.dead = true
-		e.mts = nil
+		e.mts = e.mts[:0]
 		return
 	}
 	if e.dead {
 		return
 	}
-	next := e.spare[:0]
+	kept, ext := e.kept[:0], e.ext[:0]
 	for _, t := range e.mts {
 		if t.set.Intersects(edge) {
-			next = append(next, t)
+			kept = append(kept, t)
 			continue
 		}
 		for rest := edge; rest != 0; rest &= rest - 1 {
 			s := t.set | rest&-rest
 			if Minimal(s, e.edges) {
-				next = append(next, entry{set: s})
+				ext = append(ext, entry{set: s})
 			}
 		}
 	}
-	e.spare, e.mts = e.mts, next
-	slices.SortFunc(e.mts, func(a, b entry) int { return bitset.Compare(a.set, b.set) })
+	slices.SortFunc(ext, func(a, b entry) int { return bitset.Compare(a.set, b.set) })
+	next := e.mts[:0]
+	i, j := 0, 0
+	for i < len(kept) && j < len(ext) {
+		if bitset.Compare(kept[i].set, ext[j].set) < 0 {
+			next = append(next, kept[i])
+			i++
+		} else {
+			next = append(next, ext[j])
+			j++
+		}
+	}
+	next = append(append(next, kept[i:]...), ext[j:]...)
+	e.mts, e.kept, e.ext = next, kept, ext
 	e.head = 0
 }
 

@@ -81,6 +81,14 @@ func TestEmptyEdgeKillsEnumeration(t *testing.T) {
 	if len(e.Transversals()) != 0 {
 		t.Fatal("dead enumerator resurrected")
 	}
+	e.Reset(bitset.Full(3)) // Reset does: it is New again
+	if d, ok := e.Next(); !ok || !d.IsEmpty() || len(e.Edges()) != 0 {
+		t.Fatalf("after Reset: Next = %v, %v with edges %v", d, ok, e.Edges())
+	}
+	e.AddEdge(bitset.Of(1, 2))
+	if got := e.Transversals(); !slices.Equal(got, []bitset.AttrSet{bitset.Of(1), bitset.Of(2)}) {
+		t.Fatalf("after Reset and edge {1,2}: %v", got)
+	}
 }
 
 func TestEdgeClippedToUniverse(t *testing.T) {
@@ -166,13 +174,81 @@ func naiveMinTransversals(universe bitset.AttrSet, edges []bitset.AttrSet) []bit
 	return out
 }
 
+// resortEnumerator is the Berge step as it was before AddEdge merged: the
+// survivors and the extensions are appended in one list, which is then
+// sorted whole. It is the reference for the order Transversals and Next
+// hand out.
+type resortEnumerator struct {
+	universe bitset.AttrSet
+	edges    []bitset.AttrSet
+	mts      []entry
+	head     int
+	dead     bool
+}
+
+func newResort(universe bitset.AttrSet) *resortEnumerator {
+	return &resortEnumerator{universe: universe, mts: []entry{{set: bitset.Empty()}}}
+}
+
+func (e *resortEnumerator) AddEdge(edge bitset.AttrSet) {
+	edge = edge.Intersect(e.universe)
+	e.edges = append(e.edges, edge)
+	if edge.IsEmpty() {
+		e.dead = true
+		e.mts = nil
+		return
+	}
+	if e.dead {
+		return
+	}
+	var next []entry
+	for _, t := range e.mts {
+		if t.set.Intersects(edge) {
+			next = append(next, t)
+			continue
+		}
+		for rest := edge; rest != 0; rest &= rest - 1 {
+			if s := t.set | rest&-rest; Minimal(s, e.edges) {
+				next = append(next, entry{set: s})
+			}
+		}
+	}
+	slices.SortFunc(next, func(a, b entry) int { return bitset.Compare(a.set, b.set) })
+	e.mts, e.head = next, 0
+}
+
+func (e *resortEnumerator) Next() (bitset.AttrSet, bool) {
+	for ; e.head < len(e.mts); e.head++ {
+		if c := &e.mts[e.head]; !c.done {
+			c.done = true
+			return c.set, true
+		}
+	}
+	return bitset.Empty(), false
+}
+
+func (e *resortEnumerator) Transversals() []bitset.AttrSet {
+	out := make([]bitset.AttrSet, len(e.mts))
+	for i, t := range e.mts {
+		out[i] = t.set
+	}
+	return out
+}
+
+// TestQuickAgainstBruteForce drives one enumerator — Reset between trials,
+// so its buffers carry over — beside the re-sorting reference, edges and
+// Next calls interleaved at random: after every AddEdge the transversal
+// lists are equal, every Next returns the same set, and at the end the
+// list is the brute-force family of minimal hitting sets.
 func TestQuickAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
+	e := New(bitset.Empty())
 	for trial := 0; trial < 300; trial++ {
 		n := 4 + rng.Intn(4)
 		universe := bitset.Full(n)
 		numEdges := 1 + rng.Intn(4)
-		e := New(universe)
+		e.Reset(universe)
+		ref := newResort(universe)
 		var edges []bitset.AttrSet
 		for k := 0; k < numEdges; k++ {
 			var edge bitset.AttrSet
@@ -184,6 +260,17 @@ func TestQuickAgainstBruteForce(t *testing.T) {
 			}
 			edges = append(edges, edge)
 			e.AddEdge(edge)
+			ref.AddEdge(edge)
+			if got, want := e.Transversals(), ref.Transversals(); !slices.Equal(got, want) {
+				t.Fatalf("trial %d (%v): transversals %v, re-sorted %v", trial, edges, got, want)
+			}
+			for draws := rng.Intn(3); draws > 0; draws-- {
+				d, ok := e.Next()
+				rd, rok := ref.Next()
+				if d != rd || ok != rok {
+					t.Fatalf("trial %d (%v): Next = %v, %v; re-sorted %v, %v", trial, edges, d, ok, rd, rok)
+				}
+			}
 		}
 		got := append([]bitset.AttrSet(nil), e.Transversals()...)
 		bitset.SortSets(got)
@@ -206,7 +293,8 @@ func TestQuickAgainstBruteForce(t *testing.T) {
 // earlier one) and each bit of the byte after it says how many
 // transversals to draw before the next edge. After every AddEdge the
 // transversal set must equal the brute-force minimal hitting sets, in
-// canonical order and duplicate-free; every set Next returns must be a
+// canonical order and duplicate-free, and the re-sorting reference's list;
+// every set Next returns must be the one the reference returns and a
 // minimal transversal of the hypergraph at that moment; and Next must
 // never return the same set twice.
 func FuzzEnumerator(f *testing.F) {
@@ -221,11 +309,15 @@ func FuzzEnumerator(f *testing.F) {
 		n := 1 + int(data[0])%12
 		universe := bitset.Full(n)
 		e := New(universe)
+		ref := newResort(universe)
 		var edges []bitset.AttrSet
 		returned := map[bitset.AttrSet]bool{}
 		draw := func(k int) {
 			for ; k > 0; k-- {
 				d, ok := e.Next()
+				if rd, rok := ref.Next(); d != rd || ok != rok {
+					t.Fatalf("Next = %v, %v; re-sorted reference %v, %v (edges %v)", d, ok, rd, rok, edges)
+				}
 				if !ok {
 					return
 				}
@@ -241,10 +333,14 @@ func FuzzEnumerator(f *testing.F) {
 		for rest := data[1:]; len(rest) >= 3 && len(edges) < 10; rest = rest[3:] {
 			edge := bitset.AttrSet(rest[0]) | bitset.AttrSet(rest[1])<<8
 			e.AddEdge(edge) // vertices ≥ n are outside the universe: clipped
+			ref.AddEdge(edge)
 			edges = append(edges, edge&universe)
 			got, want := e.Transversals(), naiveMinTransversals(universe, edges)
 			if !slices.Equal(got, want) {
 				t.Fatalf("after edges %v: transversals %v, want %v", edges, got, want)
+			}
+			if resorted := ref.Transversals(); !slices.Equal(got, resorted) {
+				t.Fatalf("after edges %v: transversals %v, re-sorted reference %v", edges, got, resorted)
 			}
 			draw(int(rest[2]) % 8)
 		}

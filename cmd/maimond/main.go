@@ -15,25 +15,18 @@
 //	        [-coordinator http://w1:8080,http://w2:8080]
 //	        [-shards-per-worker 4] [-hedge-quantile 0.9]
 //	        [-dist-inflight 0] [-tenant-inflight 0] [-dist-mines 8]
-//	        [-probe-interval 5s] [-memo-exchange] [-memo-seed-bytes 262144]
-//	        [-memo-delta-bytes 262144]
+//	        [-probe-interval 5s]
 //
 // With -coordinator, the daemon additionally acts as the distributed
 // mining coordinator: phase 1 of every job is sharded across the listed
 // worker maimond instances (each of which must have the same datasets
 // registered) and merged back byte-identically; phase 2 runs locally.
-// Workers exchange entropy-memo entries through the coordinator by
-// default (-memo-exchange=false disables): each shard response carries a
-// byte-capped delta of freshly computed entropies, and later dispatches
-// — retries and hedges included — seed their worker with the merge, so
-// the fleet computes each shared entropy roughly once instead of once
-// per worker. The exchange moves computes, never changes results.
 // Any maimond serves the worker side automatically via POST /v1/shards.
 // (The worker-URL flag is -coordinator, not -workers: -workers was
 // already taken by the job pool size.)
 //
-// API (versioned under /v1; the unversioned paths remain as aliases —
-// see README.md for curl examples):
+// API (every route but /metrics lives under /v1; see README.md for curl
+// examples):
 //
 //	POST   /v1/datasets?name=N   upload a CSV body and register it
 //	GET    /v1/datasets          list datasets
@@ -136,9 +129,6 @@ func main() {
 		tenantInflight  = flag.Int("tenant-inflight", 0, "distributed: per-tenant concurrent shard RPC budget (0 = same as -dist-inflight)")
 		distMines       = flag.Int("dist-mines", 8, "distributed: max concurrent distributed mines; beyond it submits fail busy")
 		probeInterval   = flag.Duration("probe-interval", 5*time.Second, "distributed: worker /v1/readyz probe period (negative disables active probing)")
-		memoExchange    = flag.Bool("memo-exchange", true, "distributed: exchange entropy-memo entries between workers via shard responses and dispatch seeds")
-		memoSeedBytes   = flag.Int64("memo-seed-bytes", 256<<10, "distributed: max accounted bytes of memo seed per shard dispatch")
-		memoDeltaBytes  = flag.Int64("memo-delta-bytes", 256<<10, "distributed: max accounted bytes of memo delta per shard response")
 	)
 	flag.Var(&loads, "load", "preload a dataset: name=path.csv (repeatable)")
 	flag.Parse()
@@ -203,9 +193,6 @@ func main() {
 			TenantInflight:  *tenantInflight,
 			MaxMines:        *distMines,
 			ProbeInterval:   *probeInterval,
-			MemoExchangeOff: !*memoExchange,
-			MemoSeedBytes:   *memoSeedBytes,
-			MemoDeltaBytes:  *memoDeltaBytes,
 			Registry:        tel.Registry(),
 			Logger:          logger,
 		})
@@ -214,8 +201,7 @@ func main() {
 		}
 		defer coord.Close()
 		logger.Info("distributed mining enabled",
-			"workers", coord.WorkerURLs(), "shards", coord.NumShards(),
-			"memo_exchange", *memoExchange)
+			"workers", coord.WorkerURLs(), "shards", coord.NumShards())
 	}
 
 	mgr := service.NewManager(reg, service.Config{

@@ -18,19 +18,6 @@
 // to a local one. Phase 2 (ASMiner) is cheap and stays central, run by
 // the caller over the merged Mε.
 //
-// The memo exchange rides the same RPCs: each shard response carries a
-// byte-capped, hottest-first delta of the entropies the worker computed
-// fresh while mining (wire.MemoEntry), the coordinator folds deltas
-// into a per-mine merged memo, and every later dispatch — retries and
-// hedged siblings included — seeds its target worker's shared memo with
-// that merge. Workers import seeds through their budgeted memo
-// (WithEntropyBudget semantics intact) and deltas never echo imported
-// entries, so the exchange converges instead of ping-ponging. Merging
-// is idempotent by fingerprint — a hedge sibling's overlapping delta
-// adds nothing — and an entropy is a pure function of the relation, so
-// seeding moves computes across the fleet without changing the merged
-// result. MemoExchangeOff turns it all off.
-//
 // Failure handling: each shard is dispatched with bounded retries under
 // exponential backoff, rotating to the next worker on every attempt;
 // straggler shards are hedged (duplicated to a second worker) once the
@@ -49,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -96,7 +84,8 @@ type Config struct {
 	MaxBackoff  time.Duration
 	// HedgeQuantile is the completed-shard latency quantile after which
 	// a still-running shard is re-dispatched to a second worker, first
-	// answer wins (default 0.9; ≤ 0 disables hedging).
+	// answer wins (default 0.9; ≤ 0 disables hedging; New rejects a
+	// quantile above 1 or NaN).
 	HedgeQuantile float64
 	// HedgeMinSamples is how many shards must have completed before the
 	// quantile is trusted (default 3).
@@ -121,17 +110,6 @@ type Config struct {
 	// negative disables active probing — passive marking on RPC failure
 	// still applies).
 	ProbeInterval time.Duration
-	// MemoExchangeOff disables the cross-worker entropy-memo exchange:
-	// dispatches carry no seeds and request no deltas. The exchange is
-	// on by default; like every cache knob it changes where entropies
-	// are computed, never what a mine returns.
-	MemoExchangeOff bool
-	// MemoSeedBytes caps the memo seed attached to one shard dispatch,
-	// accounted at wire.MemoEntryBytes per entry (default 256 KiB).
-	MemoSeedBytes int64
-	// MemoDeltaBytes caps the memo delta one shard response may return,
-	// same accounting (default 256 KiB).
-	MemoDeltaBytes int64
 	// Registry receives the maimond_shard_* and maimond_worker_* series;
 	// nil uses a private registry (metrics still maintained, unexported).
 	Registry *obs.Registry
@@ -175,6 +153,9 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 5 * time.Second
 	}
+	if c.HedgeQuantile > 1 || math.IsNaN(c.HedgeQuantile) {
+		return c, fmt.Errorf("dist: hedge quantile %v is not ≤ 1", c.HedgeQuantile)
+	}
 	if c.HedgeQuantile == 0 {
 		c.HedgeQuantile = 0.9
 	}
@@ -198,12 +179,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 5 * time.Second
-	}
-	if c.MemoSeedBytes <= 0 {
-		c.MemoSeedBytes = 256 << 10
-	}
-	if c.MemoDeltaBytes <= 0 {
-		c.MemoDeltaBytes = 256 << 10
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()

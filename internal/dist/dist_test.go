@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -126,13 +128,58 @@ func requireSameResult(t *testing.T, label string, got, want *core.MVDResult) {
 	}
 }
 
+// schemesJSON runs phase 2 locally over an already-merged Mε and returns
+// the schemes as JSON — the byte-identity witness that a distributed mine
+// yields the single-node schemes, not just the single-node MVDs.
+func schemesJSON(t *testing.T, r *relation.Relation, mvds []maimon.MVD, eps float64) []byte {
+	t.Helper()
+	s, err := maimon.Open(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemes, err := s.SchemesFromMVDs(context.Background(), mvds, maimon.WithEpsilon(eps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mustJSON(t, schemes)
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	buf, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
 // TestDistributedDeterminismAcrossWorkers is the tentpole contract: a
 // mine sharded across 1, 2 or 3 workers merges to exactly the
-// single-node result — MVDs (order included) and per-pair minimal
-// separators — on every determinism-suite dataset at exact and
-// approximate ε. (The name matches the race-enabled CI test filter.)
+// single-node result — MVDs (order included), per-pair minimal
+// separators, and byte-identical schemes — on every determinism-suite
+// dataset at exact and approximate ε. (The name matches the race-enabled
+// CI test filter.)
 func TestDistributedDeterminismAcrossWorkers(t *testing.T) {
 	rels := testRelations(t)
+	type golden struct {
+		res     *core.MVDResult
+		schemes []byte
+	}
+	epsilons := []float64{0, 0.1}
+	want := make(map[string][]golden)
+	for name, r := range rels {
+		for _, eps := range epsilons {
+			s, err := maimon.Open(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			schemes, res, err := s.MineSchemes(context.Background(), maimon.WithEpsilon(eps))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[name] = append(want[name], golden{res: res, schemes: mustJSON(t, schemes)})
+		}
+	}
 	for _, n := range []int{1, 2, 3} {
 		urls := make([]string, n)
 		for i := range urls {
@@ -141,8 +188,8 @@ func TestDistributedDeterminismAcrossWorkers(t *testing.T) {
 		}
 		coord := newCoordinator(t, urls, nil)
 		for name, r := range rels {
-			for _, eps := range []float64{0, 0.1} {
-				want := singleNode(t, r, eps)
+			for k, eps := range epsilons {
+				label := fmt.Sprintf("workers=%d %s eps=%v", n, name, eps)
 				got, rep, err := coord.MineMVDs(context.Background(), dist.Spec{
 					Dataset:      name,
 					Epsilon:      eps,
@@ -151,12 +198,15 @@ func TestDistributedDeterminismAcrossWorkers(t *testing.T) {
 					Rows:         r.NumRows(),
 				})
 				if err != nil {
-					t.Fatalf("workers=%d %s eps=%v: %v", n, name, eps, err)
+					t.Fatalf("%s: %v", label, err)
 				}
 				if rep.Shards < 1 || rep.Dispatches < rep.Shards {
-					t.Fatalf("workers=%d %s: implausible report %+v", n, name, rep)
+					t.Fatalf("%s: implausible report %+v", label, rep)
 				}
-				requireSameResult(t, name, got, want)
+				requireSameResult(t, label, got, want[name][k].res)
+				if sj := schemesJSON(t, r, got.MVDs, eps); !bytes.Equal(sj, want[name][k].schemes) {
+					t.Fatalf("%s: schemes differ from single-node", label)
+				}
 			}
 		}
 	}
@@ -353,6 +403,57 @@ func TestHedgeFiresOnStragglerWorkers(t *testing.T) {
 	requireSameResult(t, "planted", got, want)
 	if rep.Hedges < 1 {
 		t.Fatalf("straggler worker was never hedged: %+v", rep)
+	}
+}
+
+// TestHedgeLoserCompletesWorkers: when the straggler is slow rather than
+// dead, the hedge loser also answers; only the winner's pairs may reach
+// the merge, so the result stays identical to single-node.
+func TestHedgeLoserCompletesWorkers(t *testing.T) {
+	rels := map[string]*relation.Relation{"planted": testRelations(t)["planted"]}
+	r := rels["planted"]
+	fast, _ := newWorker(t, rels, nil)
+	slow, _ := newWorker(t, rels, func(int) disttest.Delayed {
+		return disttest.Delayed{Sleep: 300 * time.Millisecond, Then: disttest.Pass}
+	})
+	coord := newCoordinator(t, []string{fast.URL, slow.URL}, func(c *dist.Config) {
+		c.ShardsPerWorker = 3
+		c.HedgeQuantile = 0.5
+		c.HedgeMinSamples = 1
+		c.HedgeMinDelay = time.Millisecond
+	})
+	want := singleNode(t, r, 0.1)
+	got, rep, err := coord.MineMVDs(context.Background(), dist.Spec{
+		Dataset: "planted", Epsilon: 0.1, NumAttrs: r.NumCols(), Rows: r.NumRows(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "planted", got, want)
+	if rep.Hedges < 1 {
+		t.Fatalf("slow worker was never hedged: %+v", rep)
+	}
+}
+
+// TestNewRejectsBadHedgeQuantile: a quantile above 1 would index past the
+// sorted latency samples once enough shards complete, and NaN compares
+// false with everything, so New refuses both up front. −1 disables
+// hedging and stays valid.
+func TestNewRejectsBadHedgeQuantile(t *testing.T) {
+	for _, q := range []float64{1.5, math.NaN()} {
+		c, err := dist.New(dist.Config{Workers: []string{"http://127.0.0.1:1"}, HedgeQuantile: q, ProbeInterval: -1})
+		if err == nil {
+			c.Close()
+			t.Errorf("HedgeQuantile %v: New accepted it", q)
+		}
+	}
+	for _, q := range []float64{0.9, -1} {
+		c, err := dist.New(dist.Config{Workers: []string{"http://127.0.0.1:1"}, HedgeQuantile: q, ProbeInterval: -1})
+		if err != nil {
+			t.Errorf("HedgeQuantile %v: %v", q, err)
+			continue
+		}
+		c.Close()
 	}
 }
 

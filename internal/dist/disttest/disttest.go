@@ -7,7 +7,6 @@
 package disttest
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -34,11 +33,6 @@ const (
 	// Die aborts the connection mid-request (the process-crash shape:
 	// the client sees a transport error, not an HTTP status).
 	Die
-	// CorruptDelta forwards to the backend but rewrites the shard
-	// result's memo_delta to malformed entries (duplicate fingerprints,
-	// H = -1) — the shape the coordinator's delta validation must treat
-	// as a retriable torn response, never merge.
-	CorruptDelta
 )
 
 // Delay wraps an action with a pause before it runs; zero Sleep means no
@@ -156,32 +150,6 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(rec.Code)
 		body := rec.Body.Bytes()
 		_, _ = w.Write(body[:len(body)/2])
-	case CorruptDelta:
-		rec := httptest.NewRecorder()
-		p.backend.ServeHTTP(rec, r)
-		if rec.Code != http.StatusOK {
-			for k, vs := range rec.Header() {
-				for _, v := range vs {
-					w.Header().Add(k, v)
-				}
-			}
-			w.WriteHeader(rec.Code)
-			_, _ = w.Write(rec.Body.Bytes())
-			return
-		}
-		var sr map[string]json.RawMessage
-		if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil {
-			http.Error(w, "disttest: corrupting delta: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-		sr["memo_delta"] = json.RawMessage(`[{"f":3,"h":1.5},{"f":3,"h":-1}]`)
-		out, err := json.Marshal(sr)
-		if err != nil {
-			http.Error(w, "disttest: corrupting delta: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(out)
 	default:
 		p.backend.ServeHTTP(w, r)
 	}

@@ -25,11 +25,6 @@ type metrics struct {
 	admissionRejects *obs.Counter
 	mines            *obs.Counter
 	minesFailed      *obs.Counter
-	memoSeeded       *obs.Counter
-	memoExported     *obs.Counter
-	memoSeedBytes    *obs.Counter
-	memoDeltaBytes   *obs.Counter
-	dupAvoided       *obs.Counter
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
@@ -47,16 +42,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Distributed mines accepted by the coordinator."),
 		minesFailed: reg.Counter("maimond_dist_mines_failed_total",
 			"Distributed mines that ended in an error (not counting clean interrupts)."),
-		memoSeeded: reg.Counter("maimond_memo_seeded_total",
-			"Entropy-memo entries attached as seeds to shard dispatches (memo exchange)."),
-		memoExported: reg.Counter("maimond_memo_exported_total",
-			"Entropy-memo delta entries received in validated shard responses (memo exchange)."),
-		memoSeedBytes: reg.Counter("maimond_memo_seed_bytes_total",
-			"Accounted bytes of memo seeds attached to shard dispatches (wire.MemoEntryBytes per entry)."),
-		memoDeltaBytes: reg.Counter("maimond_memo_delta_bytes_total",
-			"Accounted bytes of memo deltas received in shard responses — the memo exchange's share of maimond_shard_bytes_merged_total."),
-		dupAvoided: reg.Counter("maimond_memo_duplicate_h_avoided_total",
-			"Duplicate entropy computations workers avoided by reading seeded memo entries, as reported per shard response."),
 	}
 }
 

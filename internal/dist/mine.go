@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"net/http"
 	"sort"
 	"strings"
@@ -79,105 +78,15 @@ type Report struct {
 	Hedges int
 	// BytesMerged is the total size of the shard-result bodies merged.
 	BytesMerged int64
-	// MemoSeeded / MemoExported / MemoMerged / DuplicateHAvoided account
-	// the memo exchange: seed entries attached to dispatches, delta
-	// entries received in validated responses, distinct entries in the
-	// per-mine merged memo, and worker-reported first reads of seeded
-	// entries — the duplicate H computes the exchange saved. Merging is
-	// idempotent, so MemoMerged equals the number of distinct
-	// fingerprints regardless of retries and hedges.
-	MemoSeeded        int
-	MemoExported      int
-	MemoMerged        int
-	DuplicateHAvoided int
 	// Interrupted reports that at least one worker hit its shard
 	// deadline, so the merged result may be partial.
 	Interrupted bool
-}
-
-// mineMemo is one mine's merged entropy memo: every validated shard
-// response's delta folds in, and every later dispatch of the same mine
-// seeds its worker from the merge. It is per-mine rather than
-// per-coordinator because memo entries are only meaningful for one
-// (dataset, contents) pair — the worker-side 409 shape guard protects a
-// single mine, not the coordinator's lifetime.
-type mineMemo struct {
-	mu     sync.Mutex
-	h      map[uint64]float64
-	sorted []wire.MemoEntry // hottest-first snapshot, rebuilt when dirty
-	dirty  bool
-}
-
-func newMineMemo() *mineMemo { return &mineMemo{h: make(map[uint64]float64)} }
-
-// merge folds a delta in. Only absent fingerprints are added — a hedge
-// sibling's overlapping delta, or a retry re-reporting entries the
-// failed attempt already delivered, adds nothing — so merged count
-// always equals distinct entries.
-func (m *mineMemo) merge(entries []wire.MemoEntry) (added int) {
-	m.mu.Lock()
-	for _, e := range entries {
-		if _, ok := m.h[e.F]; ok {
-			continue
-		}
-		m.h[e.F] = e.H
-		added++
-	}
-	if added > 0 {
-		m.dirty = true
-	}
-	m.mu.Unlock()
-	return added
-}
-
-func (m *mineMemo) size() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.h)
-}
-
-// seed returns up to maxBytes/wire.MemoEntryBytes entries, hottest
-// first — ascending set width then ascending fingerprint, the same
-// order workers export in, so under a byte cap both ends of the
-// exchange keep the low-arity sets the lattice walk rereads most. The
-// slice is a copy, safe to marshal while other responses merge.
-func (m *mineMemo) seed(maxBytes int64) []wire.MemoEntry {
-	limit := int(maxBytes / wire.MemoEntryBytes)
-	if limit <= 0 {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.h) == 0 {
-		return nil
-	}
-	if m.dirty {
-		m.sorted = m.sorted[:0]
-		for f, h := range m.h {
-			m.sorted = append(m.sorted, wire.MemoEntry{F: f, H: h})
-		}
-		sort.Slice(m.sorted, func(i, j int) bool {
-			wi, wj := bits.OnesCount64(m.sorted[i].F), bits.OnesCount64(m.sorted[j].F)
-			if wi != wj {
-				return wi < wj
-			}
-			return m.sorted[i].F < m.sorted[j].F
-		})
-		m.dirty = false
-	}
-	n := len(m.sorted)
-	if n > limit {
-		n = limit
-	}
-	return append([]wire.MemoEntry(nil), m.sorted[:n]...)
 }
 
 // shardState tracks one mine's cross-shard accounting: completed-RPC
 // latencies for the hedge quantile plus the dispatch/retry/hedge tallies
 // the Report and OnShard snapshots serve.
 type shardState struct {
-	memo *mineMemo // nil when the memo exchange is off; set once, before fan-out
-
 	mu         sync.Mutex
 	latencies  []time.Duration
 	dispatches int
@@ -186,9 +95,6 @@ type shardState struct {
 	shardsDone int
 	pairsDone  int
 	bytes      int64
-	seeded     int
-	exported   int
-	dupAvoided int
 }
 
 func (s *shardState) dispatched() {
@@ -206,14 +112,6 @@ func (s *shardState) retry() {
 func (s *shardState) hedge() {
 	s.mu.Lock()
 	s.hedges++
-	s.mu.Unlock()
-}
-
-func (s *shardState) memoExchanged(seeded, exported, dupAvoided int) {
-	s.mu.Lock()
-	s.seeded += seeded
-	s.exported += exported
-	s.dupAvoided += dupAvoided
 	s.mu.Unlock()
 }
 
@@ -314,9 +212,6 @@ func (c *Coordinator) MineMVDs(ctx context.Context, spec Spec) (*core.MVDResult,
 	}
 
 	st := &shardState{}
-	if !c.cfg.MemoExchangeOff {
-		st.memo = newMineMemo()
-	}
 	notify := func() {
 		if spec.OnShard != nil {
 			spec.OnShard(st.snapshot(len(plan), pairsTotal))
@@ -360,13 +255,7 @@ func (c *Coordinator) MineMVDs(ctx context.Context, spec Spec) (*core.MVDResult,
 	rep.Retries = st.retries
 	rep.Hedges = st.hedges
 	rep.BytesMerged = st.bytes
-	rep.MemoSeeded = st.seeded
-	rep.MemoExported = st.exported
-	rep.DuplicateHAvoided = st.dupAvoided
 	st.mu.Unlock()
-	if st.memo != nil {
-		rep.MemoMerged = st.memo.size()
-	}
 
 	if firstErr != nil {
 		// The caller's context expiring or being cancelled mid-mine
@@ -581,23 +470,6 @@ func (c *Coordinator) callShard(ctx context.Context, spec Spec, st *shardState, 
 	st.dispatched()
 	w.dispatches.Inc()
 
-	// Seeds are built after the in-flight token is acquired, so a
-	// dispatch that queued behind the cap carries everything merged while
-	// it waited — with MaxInflight near the fleet size, later waves ride
-	// the first wave's computes. Retries and hedged siblings pass through
-	// here too, so a re-dispatched shard is re-seeded with the merge.
-	var seed []wire.MemoEntry
-	var deltaBytes int64
-	if st.memo != nil {
-		seed = st.memo.seed(c.cfg.MemoSeedBytes)
-		deltaBytes = c.cfg.MemoDeltaBytes
-	}
-	if len(seed) > 0 {
-		st.memoExchanged(len(seed), 0, 0)
-		c.met.memoSeeded.Add(float64(len(seed)))
-		c.met.memoSeedBytes.Add(float64(len(seed) * wire.MemoEntryBytes))
-	}
-
 	body, err := json.Marshal(wire.ShardRequest{
 		Dataset:        spec.Dataset,
 		Epsilon:        spec.Epsilon,
@@ -608,8 +480,6 @@ func (c *Coordinator) callShard(ctx context.Context, spec Spec, st *shardState, 
 		Workers:        spec.ShardWorkers,
 		DisablePruning: spec.DisablePruning,
 		TimeoutMS:      spec.TimeoutMS,
-		MemoSeed:       seed,
-		MemoDeltaBytes: deltaBytes,
 	})
 	if err != nil {
 		return nil, false, &permanentError{fmt.Errorf("encoding shard request: %w", err)}
@@ -665,28 +535,6 @@ func (c *Coordinator) callShard(ctx context.Context, spec Spec, st *shardState, 
 		w.failures.Inc()
 		return nil, false, fmt.Errorf("worker %s: %w", w.url, err)
 	}
-	if st.memo != nil {
-		// A malformed delta distrusts the whole response — retriable, like
-		// any other torn body. A valid one merges before this dispatch's
-		// in-flight token is released, so with serialized dispatches the
-		// next acquirer deterministically sees it. Hedge losers merge too:
-		// their deltas and seed hits are real work on that worker, and the
-		// idempotent merge keeps the memo identical either way.
-		if len(sr.MemoDelta) > 0 {
-			if verr := wire.ValidateMemoEntries(sr.MemoDelta, spec.NumAttrs, spec.Rows); verr != nil {
-				w.failures.Inc()
-				return nil, false, fmt.Errorf("worker %s: shard %d memo delta: %w", w.url, p.shard, verr)
-			}
-			st.memo.merge(sr.MemoDelta)
-			c.met.memoExported.Add(float64(len(sr.MemoDelta)))
-			c.met.memoDeltaBytes.Add(float64(len(sr.MemoDelta) * wire.MemoEntryBytes))
-		}
-		if sr.SeedHits > 0 {
-			c.met.dupAvoided.Add(float64(sr.SeedHits))
-		}
-		st.memoExchanged(0, len(sr.MemoDelta), sr.SeedHits)
-	}
-
 	elapsed := time.Since(t0)
 	w.healthy.Store(true)
 	w.latency.Observe(elapsed.Seconds())

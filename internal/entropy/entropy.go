@@ -29,8 +29,12 @@ type Stats struct {
 	MICalls       int   // conditional mutual information evaluations
 	MemoBytes     int64 // bytes the entropy memo retains (accounted per entry)
 	MemoEvictions int   // memo entries evicted to stay within the entropy budget
-	MemoSeedHits  int   // first hits on imported memo entries — duplicate computes avoided
 	PLIStats      pli.Stats
+
+	// MemoSeedHits is always 0: nothing imports memo entries any more.
+	// The field stays only because the benchmark module (bench/trace.go)
+	// compiles against it.
+	MemoSeedHits int
 }
 
 // Oracle memoizes entropies of attribute sets over one relation. It is the
@@ -75,12 +79,6 @@ type Oracle struct {
 	memo  map[bitset.AttrSet]float64
 	arena *pli.Arena
 	stats Stats
-
-	// Attached memo recorders (Record/Close), published copy-on-write so
-	// the miss path pays one atomic load when none are attached. recMu
-	// serializes attach/detach only.
-	recMu sync.Mutex
-	recs  atomic.Pointer[[]*MemoRecorder]
 }
 
 // memoShard is one stripe of the shared oracle: memo slice, in-flight
@@ -100,12 +98,9 @@ type memoShard struct {
 
 	// Memo-eviction state, all under mu: accounted bytes, the GDSF aging
 	// baseline l, the eviction count, and a reusable scratch slice for
-	// the batched eviction pass. seedHits counts first reads of imported
-	// entries (ImportMemo) — each is one duplicate compute this oracle
-	// skipped.
+	// the batched eviction pass.
 	memoBytes int64
 	evictions int
-	seedHits  int
 	l         float64
 	scratch   []memoRef
 
@@ -116,15 +111,10 @@ type memoShard struct {
 // aging baseline at last touch + recompute cost. Memo entries are
 // uniform in size, so the GDSF cost/size ratio reduces to the cost term:
 // the attribute-set width, a deterministic proxy for the blockwise
-// intersection chain a recompute would walk. seeded marks an entry that
-// arrived via ImportMemo and has not been read yet; the first hit
-// counts it as an avoided duplicate compute and clears the mark. The
-// accounted entry weight stays memoEntryBytes — the flag rides inside
-// padding the map bucket already pays for.
+// intersection chain a recompute would walk.
 type memoVal struct {
-	h      float64
-	prio   float64
-	seeded bool
+	h    float64
+	prio float64
 }
 
 // memoRef is one (set, priority) pair of the batched eviction pass.
@@ -255,7 +245,6 @@ func (o *Oracle) Stats() Stats {
 			s.HCached += sh.hCached
 			s.MemoBytes += sh.memoBytes
 			s.MemoEvictions += sh.evictions
-			s.MemoSeedHits += sh.seedHits
 			sh.mu.Unlock()
 			s.MICalls += int(sh.miCalls.Load())
 		}
@@ -311,16 +300,7 @@ func (o *Oracle) sharedH(a *pli.Arena, attrs bitset.AttrSet) float64 {
 	}
 	if v, ok := sh.memo[attrs]; ok {
 		sh.hCached++
-		if v.seeded {
-			// First read of an imported entry: one duplicate compute this
-			// oracle skipped. Counted once per entry — the mark clears here.
-			sh.seedHits++
-			v.seeded = false
-			if o.shardBudget > 0 {
-				v.prio = sh.l + memoCost(attrs)
-			}
-			sh.memo[attrs] = v
-		} else if o.shardBudget > 0 {
+		if o.shardBudget > 0 {
 			// Touch: reprice against the current aging baseline so hot
 			// entries outlive the sweep (skipped when unbounded — no
 			// eviction means no one reads the priority).
@@ -348,15 +328,9 @@ func (o *Oracle) sharedH(a *pli.Arena, attrs bitset.AttrSet) float64 {
 		f.h = o.cache.EntropyWith(pa, attrs)
 		pli.PutArena(pa)
 	}
-	o.record(attrs, f.h)
 
 	sh.mu.Lock()
-	// ImportMemo skips sets with an in-flight compute, so the slot is
-	// normally vacant here; the guard keeps the byte accounting exact if
-	// that invariant ever loosens.
-	if _, resident := sh.memo[attrs]; !resident {
-		sh.memoBytes += memoEntryBytes
-	}
+	sh.memoBytes += memoEntryBytes
 	sh.memo[attrs] = memoVal{h: f.h, prio: sh.l + memoCost(attrs)}
 	if o.shardBudget > 0 && sh.memoBytes > o.shardBudget {
 		evictMemo(sh, o.shardBudget)

@@ -239,158 +239,3 @@ func TestLocalReadThroughZeroAlloc(t *testing.T) {
 		t.Errorf("warm local read-through allocates %v times per run, want 0", avg)
 	}
 }
-
-// TestMemoImportSeedsSharedOracle pins the import half of the memo
-// exchange: imported entries serve reads without a compute, the first
-// such read (and only the first) lands in MemoSeedHits, re-importing is
-// a pure dedup, and values are the exact ones a local compute yields.
-func TestMemoImportSeedsSharedOracle(t *testing.T) {
-	r := datagen.Uniform(300, 6, 4, 51)
-	src := NewShared(r, pli.Config{Shards: 1})
-	sets := []bitset.AttrSet{bitset.Of(0, 1), bitset.Of(2, 3), bitset.Of(1, 4, 5)}
-	for _, s := range sets {
-		src.H(s)
-	}
-	exported := src.ExportMemo(-1)
-	if len(exported) != len(sets) {
-		t.Fatalf("exported %d entries, want %d", len(exported), len(sets))
-	}
-
-	dst := NewShared(r, pli.Config{Shards: 1})
-	added, dup := dst.ImportMemo(exported)
-	if added != len(sets) || dup != 0 {
-		t.Fatalf("import: added %d dup %d, want %d/0", added, dup, len(sets))
-	}
-	if added, dup = dst.ImportMemo(exported); added != 0 || dup != len(sets) {
-		t.Fatalf("re-import: added %d dup %d, want 0/%d", added, dup, len(sets))
-	}
-	for _, s := range sets {
-		want := NaiveH(r, s)
-		for i := 0; i < 2; i++ {
-			if got := dst.H(s); math.Abs(got-want) > 1e-9 {
-				t.Fatalf("H(%v) = %v from imported memo, want %v", s, got, want)
-			}
-		}
-	}
-	st := dst.Stats()
-	if st.HCached != 2*len(sets) {
-		t.Fatalf("imported entries did not serve from cache: HCached=%d, want %d", st.HCached, 2*len(sets))
-	}
-	// Each imported entry's first read is one duplicate compute avoided;
-	// the second read is an ordinary hit and must not re-count.
-	if st.MemoSeedHits != len(sets) {
-		t.Fatalf("MemoSeedHits = %d, want %d (count once per imported entry)", st.MemoSeedHits, len(sets))
-	}
-}
-
-// TestMemoImportSkipsResidentAndBudget: imports never clobber resident
-// entries (dup, not double accounting) and land through the normal byte
-// budget, evicting like any publish would.
-func TestMemoImportSkipsResidentAndBudget(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	r := datagen.Uniform(300, 8, 4, 53)
-	src := NewShared(r, pli.Config{Shards: 1})
-	sets := distinctSets(rng, 8, 30)
-	for _, s := range sets {
-		src.H(s)
-	}
-	exported := src.ExportMemo(-1)
-
-	dst := NewShared(r, pli.Config{Shards: 1})
-	resident := sets[0]
-	dst.H(resident)
-	// Dedup first, unbudgeted — a budgeted import below may evict the
-	// resident entry before the loop reaches its duplicate.
-	if added, dup := dst.ImportMemo([]MemoEntry{{Attrs: resident, H: NaiveH(r, resident)}}); added != 0 || dup != 1 {
-		t.Fatalf("import over a resident entry reported added=%d dup=%d, want 0/1", added, dup)
-	}
-	base := dst.Stats()
-	const budget = 8 * memoEntryBytes
-	dst.SetMemoBudget(budget)
-	added, dup := dst.ImportMemo(exported)
-	if added+dup != len(exported) {
-		t.Fatalf("added %d + dup %d ≠ %d entries", added, dup, len(exported))
-	}
-	st := dst.Stats()
-	if base.MemoBytes != memoEntryBytes {
-		t.Fatalf("dedup double-accounted the resident entry: MemoBytes=%d", base.MemoBytes)
-	}
-	if st.MemoBytes > budget {
-		t.Fatalf("import left MemoBytes %d above budget %d", st.MemoBytes, budget)
-	}
-	if st.MemoEvictions == 0 {
-		t.Fatalf("importing %d entries through a %d-entry budget forced no evictions: %+v",
-			added, budget/memoEntryBytes, st)
-	}
-	// Budget or not, every set still reads exact.
-	for _, s := range sets[:5] {
-		if want := NaiveH(r, s); math.Abs(dst.H(s)-want) > 1e-9 {
-			t.Fatalf("H(%v) drifted after budgeted import", s)
-		}
-	}
-}
-
-// TestMemoImportUnsharedNoop: the exchange is a shared-oracle feature;
-// the single-goroutine oracle ignores imports and records nothing.
-func TestMemoImportUnsharedNoop(t *testing.T) {
-	r := datagen.Uniform(200, 6, 4, 55)
-	o := New(r)
-	if added, dup := o.ImportMemo([]MemoEntry{{Attrs: bitset.Of(0, 1), H: 1}}); added != 0 || dup != 0 {
-		t.Fatalf("unshared import reported %d/%d, want 0/0", added, dup)
-	}
-	rec := o.Record()
-	defer rec.Close()
-	o.H(bitset.Of(0, 1))
-	if got := rec.Export(-1); len(got) != 0 {
-		t.Fatalf("unshared recorder captured %d entries, want 0", len(got))
-	}
-	if o.ExportMemo(-1) != nil {
-		t.Fatal("unshared ExportMemo returned entries")
-	}
-}
-
-// TestMemoRecorderComputesOnly pins the no-echo property the exchange's
-// convergence rests on: a recorder captures memo misses only — reads
-// served by imported seeds or by the resident memo never appear — and
-// Close stops the capture while keeping what was recorded exportable.
-func TestMemoRecorderComputesOnly(t *testing.T) {
-	r := datagen.Uniform(300, 6, 4, 57)
-	o := NewShared(r, pli.Config{Shards: 1})
-	seeded := bitset.Of(0, 1)
-	o.ImportMemo([]MemoEntry{{Attrs: seeded, H: NaiveH(r, seeded)}})
-
-	rec := o.Record()
-	o.H(seeded) // seed hit: must not be recorded
-	fresh := []bitset.AttrSet{bitset.Of(2, 3), bitset.Of(0, 2, 4), bitset.Of(1, 5)}
-	for _, s := range fresh {
-		o.H(s)
-		o.H(s) // repeat hit: still one recorded entry
-	}
-	got := rec.Export(-1)
-	if len(got) != len(fresh) {
-		t.Fatalf("recorded %d entries, want %d (computes only): %v", len(got), len(fresh), got)
-	}
-	for i := 1; i < len(got); i++ {
-		a, b := got[i-1].Attrs, got[i].Attrs
-		if a.Len() > b.Len() || (a.Len() == b.Len() && a >= b) {
-			t.Fatalf("export not hottest-first at %d: %v then %v", i, a, b)
-		}
-	}
-	for _, e := range got {
-		if e.Attrs == seeded {
-			t.Fatal("recorder echoed an imported seed")
-		}
-		if want := NaiveH(r, e.Attrs); math.Abs(e.H-want) > 1e-9 {
-			t.Fatalf("recorded H(%v) = %v, want %v", e.Attrs, e.H, want)
-		}
-	}
-	rec.Close()
-	o.H(bitset.Of(3, 4, 5))
-	if after := rec.Export(-1); len(after) != len(fresh) {
-		t.Fatalf("recorder kept capturing after Close: %d entries", len(after))
-	}
-	rec.Close() // idempotent
-	if lim := rec.Export(2); len(lim) != 2 {
-		t.Fatalf("Export(2) returned %d entries", len(lim))
-	}
-}

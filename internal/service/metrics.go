@@ -198,9 +198,6 @@ func (t *Telemetry) bindManager(m *Manager) {
 	r.CounterFunc("maimond_entropy_memo_evictions_total",
 		"Entropy-memo entries evicted under -entropy-bytes across all live sessions (resets when a dataset is removed).",
 		sum(func(s maimon.Stats) float64 { return float64(s.MemoEvictions) }))
-	r.CounterFunc("maimond_entropy_seed_hits_total",
-		"First reads of memo entries imported via the distributed memo exchange — duplicate H computes this worker skipped (resets when a dataset is removed).",
-		sum(func(s maimon.Stats) float64 { return float64(s.MemoSeedHits) }))
 	r.GaugeFunc("maimon_pli_bytes_touched",
 		"Partition bytes scanned by the intersection engine across all live sessions.",
 		sum(func(s maimon.Stats) float64 { return float64(s.PLIStats.BytesTouched) }))
@@ -288,9 +285,8 @@ func (t *Telemetry) jobCancelledQueued(job *Job) {
 	t.log.Info("job cancelled while queued", "job", job.id, "dataset", job.req.Dataset)
 }
 
-// shardServed records one inbound shard mine (this node as a worker),
-// including its memo-exchange accounting.
-func (t *Telemetry) shardServed(req wire.ShardRequest, pairs int, memo shardMemo, elapsed time.Duration, err error) {
+// shardServed records one inbound shard mine (this node as a worker).
+func (t *Telemetry) shardServed(req wire.ShardRequest, pairs int, elapsed time.Duration, err error) {
 	if t == nil {
 		return
 	}
@@ -303,8 +299,7 @@ func (t *Telemetry) shardServed(req wire.ShardRequest, pairs int, memo shardMemo
 	t.shardsServed.Inc()
 	t.log.Info("shard mined",
 		"dataset", req.Dataset, "shard", req.Shard, "num_shards", req.NumShards,
-		"epsilon", req.Epsilon, "pairs", pairs, "elapsed_ms", elapsed.Milliseconds(),
-		"memo_seeded", memo.seeded, "memo_delta", memo.delta, "seed_hits", memo.seedHits)
+		"epsilon", req.Epsilon, "pairs", pairs, "elapsed_ms", elapsed.Milliseconds())
 }
 
 // datasetAdded / datasetRemoved log registry changes.

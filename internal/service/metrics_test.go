@@ -139,8 +139,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	// The scrape and job polls above went through the HTTP middleware.
 	if v, ok := sampleValue(e, "maimond_http_requests_total",
-		map[string]string{"route": "POST /jobs", "code": "202"}); !ok || v != 1 {
-		t.Errorf("maimond_http_requests_total{route=\"POST /jobs\",code=\"202\"} = %v, want 1", v)
+		map[string]string{"route": "POST /v1/jobs", "code": "202"}); !ok || v != 1 {
+		t.Errorf("maimond_http_requests_total{route=\"POST /v1/jobs\",code=\"202\"} = %v, want 1", v)
 	}
 
 	// A second identical submit is a result-cache hit; the counters and a
@@ -170,19 +170,18 @@ func TestMetricsDisabled(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("/metrics without telemetry: status %d, want 503", resp.StatusCode)
 	}
-	resp, err = http.Get(ts.URL + "/healthz")
+	resp, err = http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/healthz without telemetry: status %d, want 200", resp.StatusCode)
+		t.Errorf("/v1/healthz without telemetry: status %d, want 200", resp.StatusCode)
 	}
 }
 
 // TestReadyzFlipsOnClose: readiness follows the manager lifecycle — 200
-// while accepting work on both the versioned and unversioned routes, 503
-// after Close; liveness stays 200 throughout.
+// while accepting work, 503 after Close; liveness stays 200 throughout.
 func TestReadyzFlipsOnClose(t *testing.T) {
 	ts, mgr := newTestServer(t, service.Config{Workers: 1})
 	status := func(path string) int {
@@ -193,19 +192,15 @@ func TestReadyzFlipsOnClose(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	for _, path := range []string{"/readyz", "/v1/readyz"} {
-		if got := status(path); got != http.StatusOK {
-			t.Errorf("%s before close: status %d, want 200", path, got)
-		}
+	if got := status("/v1/readyz"); got != http.StatusOK {
+		t.Errorf("/v1/readyz before close: status %d, want 200", got)
 	}
 	mgr.Close()
-	for _, path := range []string{"/readyz", "/v1/readyz"} {
-		if got := status(path); got != http.StatusServiceUnavailable {
-			t.Errorf("%s after close: status %d, want 503", path, got)
-		}
+	if got := status("/v1/readyz"); got != http.StatusServiceUnavailable {
+		t.Errorf("/v1/readyz after close: status %d, want 503", got)
 	}
-	if got := status("/healthz"); got != http.StatusOK {
-		t.Errorf("/healthz after close: status %d, want 200 (liveness is not readiness)", got)
+	if got := status("/v1/healthz"); got != http.StatusOK {
+		t.Errorf("/v1/healthz after close: status %d, want 200 (liveness is not readiness)", got)
 	}
 }
 

@@ -5,8 +5,7 @@
 // running mining jobs on a bounded worker pool with an async lifecycle
 // (queued → running → done/failed/cancelled) and per-job cancellation via
 // context; a result cache keyed per session; and the HTTP handler
-// exposing it all as a JSON API, versioned under /v1 with unversioned
-// aliases.
+// exposing it all as a JSON API, versioned under /v1.
 //
 // The split from the library facade is deliberate: the facade owns the
 // Session abstraction (warm oracle, streaming, progress events), while

@@ -13,9 +13,8 @@ import (
 // maxUploadBytes bounds a dataset upload (64 MiB of CSV).
 const maxUploadBytes = 64 << 20
 
-// NewServer returns the maimond HTTP handler over a manager. Routes are
-// versioned under /v1; the unversioned paths remain as aliases for
-// pre-versioning clients and serve identical payloads:
+// NewServer returns the maimond HTTP handler over a manager. Every route
+// but /metrics is versioned under /v1; the unversioned paths are 404:
 //
 //	POST   /v1/datasets?name=N[&header=false]  upload a CSV body, register it
 //	GET    /v1/datasets                        list registered datasets
@@ -41,20 +40,18 @@ const maxUploadBytes = 64 << 20
 func NewServer(m *Manager) http.Handler {
 	s := &server{mgr: m}
 	mux := http.NewServeMux()
-	for _, prefix := range []string{"/v1", ""} {
-		mux.HandleFunc("POST "+prefix+"/datasets", s.postDataset)
-		mux.HandleFunc("GET "+prefix+"/datasets", s.listDatasets)
-		mux.HandleFunc("GET "+prefix+"/datasets/{name}", s.getDataset)
-		mux.HandleFunc("DELETE "+prefix+"/datasets/{name}", s.deleteDataset)
-		mux.HandleFunc("POST "+prefix+"/jobs", s.postJob)
-		mux.HandleFunc("GET "+prefix+"/jobs", s.listJobs)
-		mux.HandleFunc("GET "+prefix+"/jobs/{id}", s.getJob)
-		mux.HandleFunc("GET "+prefix+"/jobs/{id}/result", s.getJobResult)
-		mux.HandleFunc("DELETE "+prefix+"/jobs/{id}", s.deleteJob)
-		mux.HandleFunc("POST "+prefix+"/shards", s.postShard)
-		mux.HandleFunc("GET "+prefix+"/healthz", s.healthz)
-		mux.HandleFunc("GET "+prefix+"/readyz", s.readyz)
-	}
+	mux.HandleFunc("POST /v1/datasets", s.postDataset)
+	mux.HandleFunc("GET /v1/datasets", s.listDatasets)
+	mux.HandleFunc("GET /v1/datasets/{name}", s.getDataset)
+	mux.HandleFunc("DELETE /v1/datasets/{name}", s.deleteDataset)
+	mux.HandleFunc("POST /v1/jobs", s.postJob)
+	mux.HandleFunc("GET /v1/jobs", s.listJobs)
+	mux.HandleFunc("GET /v1/jobs/{id}", s.getJob)
+	mux.HandleFunc("GET /v1/jobs/{id}/result", s.getJobResult)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", s.deleteJob)
+	mux.HandleFunc("POST /v1/shards", s.postShard)
+	mux.HandleFunc("GET /v1/healthz", s.healthz)
+	mux.HandleFunc("GET /v1/readyz", s.readyz)
 	mux.HandleFunc("GET /metrics", s.metrics)
 	return m.Telemetry().instrument(mux)
 }

@@ -60,7 +60,7 @@ func decodeJSON[T any](t *testing.T, rd io.Reader) T {
 func submitJob(t *testing.T, ts *httptest.Server, req service.JobRequest) service.JobStatus {
 	t.Helper()
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func submitJob(t *testing.T, ts *httptest.Server, req service.JobRequest) servic
 
 func jobStatus(t *testing.T, ts *httptest.Server, id string) service.JobStatus {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/jobs/" + id)
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) service.JobStatus {
 
 func jobResult(t *testing.T, ts *httptest.Server, id string) service.JobResult {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/jobs/" + id + "/result")
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func jobResult(t *testing.T, ts *httptest.Server, id string) service.JobResult {
 
 func cancelJob(t *testing.T, ts *httptest.Server, id string) {
 	t.Helper()
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+id, nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestEndToEndUploadSubmitPollResult(t *testing.T) {
 	if err := r.WriteCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/datasets?name=planted", "text/csv", bytes.NewReader(csv.Bytes()))
+	resp, err := http.Post(ts.URL+"/v1/datasets?name=planted", "text/csv", bytes.NewReader(csv.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestCancelInFlightJob(t *testing.T) {
 		t.Fatalf("cancellation took %v", elapsed)
 	}
 	// A cancelled job serves no result.
-	resp, err := http.Get(ts.URL + "/jobs/" + st.ID + "/result")
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestResultCacheHit(t *testing.T) {
 	}
 	waitDone(t, ts, third.ID)
 
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestDatasetRemovalInvalidatesCache(t *testing.T) {
 	first := submitJob(t, ts, req)
 	waitDone(t, ts, first.ID)
 
-	del, _ := http.NewRequest(http.MethodDelete, ts.URL+"/datasets/d", nil)
+	del, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/datasets/d", nil)
 	resp, err := http.DefaultClient.Do(del)
 	if err != nil {
 		t.Fatal(err)
@@ -443,25 +443,25 @@ func TestHTTPValidation(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	if s := post("/jobs", `{"dataset":"missing"}`); s != http.StatusNotFound {
+	if s := post("/v1/jobs", `{"dataset":"missing"}`); s != http.StatusNotFound {
 		t.Errorf("unknown dataset: status %d, want 404", s)
 	}
-	if s := post("/jobs", `{"dataset":"d","mode":"nonsense"}`); s != http.StatusBadRequest {
+	if s := post("/v1/jobs", `{"dataset":"d","mode":"nonsense"}`); s != http.StatusBadRequest {
 		t.Errorf("bad mode: status %d, want 400", s)
 	}
-	if s := post("/jobs", `{"dataset":"d","epsilon":-1}`); s != http.StatusBadRequest {
+	if s := post("/v1/jobs", `{"dataset":"d","epsilon":-1}`); s != http.StatusBadRequest {
 		t.Errorf("negative epsilon: status %d, want 400", s)
 	}
-	if s := post("/jobs", `{"dataset":"d","bogus":true}`); s != http.StatusBadRequest {
+	if s := post("/v1/jobs", `{"dataset":"d","bogus":true}`); s != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d, want 400", s)
 	}
-	if s := post("/datasets?name=d", "A,B,C\n1,2,3\n"); s != http.StatusConflict {
+	if s := post("/v1/datasets?name=d", "A,B,C\n1,2,3\n"); s != http.StatusConflict {
 		t.Errorf("duplicate dataset: status %d, want 409", s)
 	}
-	if s := post("/datasets", "A,B,C\n1,2,3\n"); s != http.StatusBadRequest {
+	if s := post("/v1/datasets", "A,B,C\n1,2,3\n"); s != http.StatusBadRequest {
 		t.Errorf("missing name: status %d, want 400", s)
 	}
-	resp, err := http.Get(ts.URL + "/jobs/j-999")
+	resp, err := http.Get(ts.URL + "/v1/jobs/j-999")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestQueueBackpressure(t *testing.T) {
 	queued := submitJob(t, ts, service.JobRequest{Dataset: "slow", Epsilon: 0.25})
 
 	body, _ := json.Marshal(service.JobRequest{Dataset: "slow", Epsilon: 0.2})
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

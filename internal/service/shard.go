@@ -41,9 +41,6 @@ func (m *Manager) MineShard(ctx context.Context, req wire.ShardRequest) (*wire.S
 	if req.TimeoutMS < 0 {
 		return nil, http.StatusBadRequest, fmt.Errorf("service: timeout_ms must be ≥ 0, got %d", req.TimeoutMS)
 	}
-	if req.MemoDeltaBytes < 0 {
-		return nil, http.StatusBadRequest, fmt.Errorf("service: memo_delta_bytes must be ≥ 0, got %d", req.MemoDeltaBytes)
-	}
 	sess, ok := m.reg.Get(req.Dataset)
 	if !ok {
 		return nil, http.StatusNotFound, fmt.Errorf("service: unknown dataset %q", req.Dataset)
@@ -59,12 +56,6 @@ func (m *Manager) MineShard(ctx context.Context, req wire.ShardRequest) (*wire.S
 	}
 	if r.NumCols() < 3 {
 		return nil, http.StatusBadRequest, fmt.Errorf("service: dataset %q has %d attributes; mining needs at least 3", req.Dataset, r.NumCols())
-	}
-	// Memo-seed validation needs the dataset's true shape, so it runs
-	// after the 409 guard. A malformed seed is a permanent 400: the
-	// coordinator built it, retrying elsewhere cannot help.
-	if err := wire.ValidateMemoEntries(req.MemoSeed, r.NumCols(), r.NumRows()); err != nil {
-		return nil, http.StatusBadRequest, fmt.Errorf("service: %w", err)
 	}
 	workers := req.Workers
 	if workers <= 0 {
@@ -91,24 +82,6 @@ func (m *Manager) MineShard(ctx context.Context, req wire.ShardRequest) (*wire.S
 		defer cancel()
 	}
 
-	// The memo exchange, worker side: import the coordinator's seed into
-	// the session's shared memo (idempotent, budget-governed), then
-	// record what this mine computes fresh so the response's delta never
-	// echoes the seed back. SeedHits is the session-level counter diff —
-	// under concurrent shard mines on the same session a hit may be
-	// attributed to whichever shard reads first, which only redistributes
-	// the fleet total, never inflates it.
-	var seedHitsBase int
-	if len(req.MemoSeed) > 0 {
-		sess.ImportEntropyMemo(wire.MemoEntriesToEntropy(req.MemoSeed))
-		seedHitsBase = sess.Stats().MemoSeedHits
-	}
-	var rec *maimon.MemoRecorder
-	if req.MemoDeltaBytes > 0 {
-		rec = sess.RecordEntropyMemo()
-		defer rec.Close()
-	}
-
 	pairs := core.ShardPairs(req.NumAttrs, req.Shard, req.NumShards)
 	start := time.Now()
 	var tr maimon.MineTrace
@@ -123,7 +96,7 @@ func (m *Manager) MineShard(ctx context.Context, req wire.ShardRequest) (*wire.S
 	if err != nil && !interrupted {
 		// Cancellation or an internal failure: there is no valid partial
 		// contract to serve, let the coordinator retry elsewhere.
-		m.tel.shardServed(req, 0, shardMemo{}, time.Since(start), err)
+		m.tel.shardServed(req, 0, time.Since(start), err)
 		return nil, http.StatusServiceUnavailable, err
 	}
 	res := &wire.ShardResult{
@@ -136,23 +109,6 @@ func (m *Manager) MineShard(ctx context.Context, req wire.ShardRequest) (*wire.S
 		ElapsedMS:   time.Since(start).Milliseconds(),
 		Trace:       &tr,
 	}
-	if len(req.MemoSeed) > 0 {
-		res.SeedHits = sess.Stats().MemoSeedHits - seedHitsBase
-	}
-	if rec != nil {
-		res.MemoDelta = wire.MemoEntriesFromEntropy(
-			rec.Export(int(req.MemoDeltaBytes / wire.MemoEntryBytes)))
-	}
-	m.tel.shardServed(req, len(out),
-		shardMemo{seeded: len(req.MemoSeed), delta: len(res.MemoDelta), seedHits: res.SeedHits},
-		time.Since(start), nil)
+	m.tel.shardServed(req, len(out), time.Since(start), nil)
 	return res, http.StatusOK, nil
-}
-
-// shardMemo is the memo-exchange slice of one served shard, for the
-// telemetry log line.
-type shardMemo struct {
-	seeded   int // seed entries the request carried
-	delta    int // delta entries the response returns
-	seedHits int // imported entries this mine actually read
 }

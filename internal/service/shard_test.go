@@ -3,8 +3,10 @@ package service_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/service"
@@ -17,6 +19,11 @@ func postShard(t *testing.T, ts *httptest.Server, req wire.ShardRequest) (*http.
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postShardRaw(t, ts, body)
+}
+
+func postShardRaw(t *testing.T, ts *httptest.Server, body []byte) (*http.Response, []byte) {
+	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/shards", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +78,8 @@ func TestShardEndpoint(t *testing.T) {
 
 // TestShardEndpointErrors pins the shard endpoint's status mapping:
 // unknown dataset 404, dataset-shape mismatch 409 (the silent-wrong-
-// answer guard), bad shard range 400, negative epsilon 400.
+// answer guard), bad shard range 400, negative epsilon 400, and an
+// unknown field 400 naming it.
 func TestShardEndpointErrors(t *testing.T) {
 	ts, mgr := newTestServer(t, service.Config{Workers: 1})
 	r := plantedRelation(t)
@@ -96,151 +104,14 @@ func TestShardEndpointErrors(t *testing.T) {
 			t.Errorf("%s: status %d (want %d): %s", tc.name, resp.StatusCode, tc.want, body)
 		}
 	}
-}
 
-// TestShardEndpointMemoValidation pins the worker-side memo guards: a
-// malformed seed or a negative delta budget is a permanent 400 — the
-// coordinator built the request, retrying elsewhere cannot help — and
-// the seed is checked against the dataset's true shape, after the 409
-// shape guard.
-func TestShardEndpointMemoValidation(t *testing.T) {
-	ts, mgr := newTestServer(t, service.Config{Workers: 1})
-	r := plantedRelation(t)
-	if _, err := mgr.Registry().Add("d", r); err != nil {
-		t.Fatal(err)
+	// A coordinator built before the memo exchange was removed still sends
+	// memo_seed. The 400 is permanent on the coordinator side, so a
+	// mixed-version fleet fails the mine with this message instead of
+	// mining with the field silently ignored.
+	stale := fmt.Sprintf(`{"dataset":"d","epsilon":0.1,"shard":0,"num_shards":1,"num_attrs":%d,"memo_seed":[]}`, r.NumCols())
+	resp, body := postShardRaw(t, ts, []byte(stale))
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "memo_seed") {
+		t.Errorf("stale memo_seed field: status %d (want 400 naming the field): %s", resp.StatusCode, body)
 	}
-	base := wire.ShardRequest{Dataset: "d", Epsilon: 0.1, Shard: 0, NumShards: 1,
-		NumAttrs: r.NumCols(), Rows: r.NumRows()}
-	seed := func(entries ...wire.MemoEntry) wire.ShardRequest {
-		req := base
-		req.MemoSeed = entries
-		return req
-	}
-	negDelta := base
-	negDelta.MemoDeltaBytes = -1
-	cases := []struct {
-		name string
-		req  wire.ShardRequest
-	}{
-		{"empty fingerprint", seed(wire.MemoEntry{F: 0, H: 1})},
-		{"fingerprint outside mask", seed(wire.MemoEntry{F: 1 << uint(r.NumCols()), H: 1})},
-		{"duplicate fingerprint", seed(wire.MemoEntry{F: 3, H: 1}, wire.MemoEntry{F: 3, H: 1})},
-		{"negative H", seed(wire.MemoEntry{F: 3, H: -1})},
-		{"H above log2(rows)", seed(wire.MemoEntry{F: 3, H: 1e6})},
-		{"negative delta budget", negDelta},
-	}
-	for _, tc := range cases {
-		resp, body := postShard(t, ts, tc.req)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d (want 400): %s", tc.name, resp.StatusCode, body)
-		}
-	}
-}
-
-// TestShardEndpointMemoExchange drives the worker half of the exchange
-// end to end: a seeded mine reports seed hits, returns a delta of its
-// fresh computes that never echoes the seed, honors the delta byte cap,
-// and produces pair results identical to an unseeded mine.
-func TestShardEndpointMemoExchange(t *testing.T) {
-	ts, mgr := newTestServer(t, service.Config{Workers: 1})
-	r := plantedRelation(t)
-	if _, err := mgr.Registry().Add("d", r); err != nil {
-		t.Fatal(err)
-	}
-	base := wire.ShardRequest{Dataset: "d", Epsilon: 0.1, Shard: 0, NumShards: 1,
-		NumAttrs: r.NumCols(), Rows: r.NumRows(), MemoDeltaBytes: 1 << 20}
-
-	// Unseeded reference mine: harvest its delta to seed the second run.
-	resp, body := postShard(t, ts, base)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var first wire.ShardResult
-	if err := json.Unmarshal(body, &first); err != nil {
-		t.Fatal(err)
-	}
-	if len(first.MemoDelta) == 0 {
-		t.Fatal("unseeded mine returned no memo delta")
-	}
-	if first.SeedHits != 0 {
-		t.Fatalf("unseeded mine reported %d seed hits", first.SeedHits)
-	}
-
-	// Second dataset registration = cold session; seed it with the delta.
-	if _, err := mgr.Registry().Add("d2", r); err != nil {
-		t.Fatal(err)
-	}
-	req := base
-	req.Dataset = "d2"
-	req.MemoSeed = first.MemoDelta
-	resp, body = postShard(t, ts, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("seeded mine: status %d: %s", resp.StatusCode, body)
-	}
-	var second wire.ShardResult
-	if err := json.Unmarshal(body, &second); err != nil {
-		t.Fatal(err)
-	}
-	if second.SeedHits == 0 {
-		t.Fatal("seeded mine over a cold session reported no seed hits — the seed saved nothing")
-	}
-	seeded := make(map[uint64]bool, len(req.MemoSeed))
-	for _, e := range req.MemoSeed {
-		seeded[e.F] = true
-	}
-	for _, e := range second.MemoDelta {
-		if seeded[e.F] {
-			t.Fatalf("delta echoes seeded fingerprint %#x back to the coordinator", e.F)
-		}
-	}
-	if a, b := mustJSON(t, first.Pairs), mustJSON(t, second.Pairs); !bytes.Equal(a, b) {
-		t.Fatal("seeded mine changed pair results")
-	}
-
-	// Byte cap: a delta budget of 2 entries returns at most 2, hottest
-	// (narrowest) first.
-	if _, err := mgr.Registry().Add("d3", r); err != nil {
-		t.Fatal(err)
-	}
-	capped := base
-	capped.Dataset = "d3"
-	capped.MemoDeltaBytes = 2 * wire.MemoEntryBytes
-	resp, body = postShard(t, ts, capped)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("capped mine: status %d: %s", resp.StatusCode, body)
-	}
-	var third wire.ShardResult
-	if err := json.Unmarshal(body, &third); err != nil {
-		t.Fatal(err)
-	}
-	if len(third.MemoDelta) != 2 {
-		t.Fatalf("delta cap of 2 entries returned %d", len(third.MemoDelta))
-	}
-	// Zero budget: no recorder, no delta.
-	if _, err := mgr.Registry().Add("d4", r); err != nil {
-		t.Fatal(err)
-	}
-	off := base
-	off.Dataset = "d4"
-	off.MemoDeltaBytes = 0
-	resp, body = postShard(t, ts, off)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("exchange-off mine: status %d: %s", resp.StatusCode, body)
-	}
-	var fourth wire.ShardResult
-	if err := json.Unmarshal(body, &fourth); err != nil {
-		t.Fatal(err)
-	}
-	if len(fourth.MemoDelta) != 0 {
-		t.Fatalf("exchange-off mine still returned %d delta entries", len(fourth.MemoDelta))
-	}
-}
-
-func mustJSON(t *testing.T, v any) []byte {
-	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }

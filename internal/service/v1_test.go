@@ -10,39 +10,54 @@ import (
 	"repro/internal/service"
 )
 
-// Every route must be served under /v1 and, for pre-versioning clients,
-// under the unversioned alias, with identical payloads.
-func TestV1RoutesAndUnversionedAliases(t *testing.T) {
+// Every API route is served under /v1 only: the unversioned paths are 404.
+func TestV1RoutesOnly(t *testing.T) {
 	ts, mgr := newTestServer(t, service.Config{Workers: 1})
 	if _, err := mgr.Registry().Add("d", plantedRelation(t)); err != nil {
 		t.Fatal(err)
 	}
 
-	for _, prefix := range []string{"/v1", ""} {
-		resp, err := http.Get(ts.URL + prefix + "/datasets/d")
-		if err != nil {
-			t.Fatal(err)
-		}
-		info := decodeJSON[service.DatasetInfo](t, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || info.Name != "d" {
-			t.Fatalf("%s/datasets/d: status %d, name %q", prefix, resp.StatusCode, info.Name)
-		}
+	resp, err := http.Get(ts.URL + "/v1/datasets/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := decodeJSON[service.DatasetInfo](t, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || info.Name != "d" {
+		t.Fatalf("/v1/datasets/d: status %d, name %q", resp.StatusCode, info.Name)
+	}
+	resp, err = http.Get(ts.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	health := decodeJSON[map[string]any](t, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || health["status"] != "ok" {
+		t.Fatalf("/v1/healthz: status %d, body %v", resp.StatusCode, health)
+	}
 
-		resp, err = http.Get(ts.URL + prefix + "/healthz")
+	for _, path := range []string{"/jobs", "/datasets/d", "/healthz", "/readyz"} {
+		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		health := decodeJSON[map[string]any](t, resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || health["status"] != "ok" {
-			t.Fatalf("%s/healthz: status %d, body %v", prefix, resp.StatusCode, health)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404 (no unversioned aliases)", path, resp.StatusCode)
 		}
+	}
+	resp, err = http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"dataset":"d"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /jobs: status %d, want 404 (no unversioned aliases)", resp.StatusCode)
 	}
 
 	// Submit on /v1, poll and fetch the result on /v1 paths end to end.
 	body := strings.NewReader(`{"dataset":"d","epsilon":0,"mode":"schemes"}`)
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", body)
+	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json", body)
 	if err != nil {
 		t.Fatal(err)
 	}

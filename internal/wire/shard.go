@@ -2,11 +2,9 @@ package wire
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/bitset"
 	"repro/internal/core"
-	"repro/internal/entropy"
 	"repro/internal/mvd"
 	"repro/internal/obs"
 )
@@ -41,37 +39,7 @@ type ShardRequest struct {
 	// TimeoutMS bounds the shard mine on the worker; a timed-out shard
 	// returns partial per-pair results with Interrupted set.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// MemoSeed carries entropies the fleet has already computed
-	// (coordinator-merged deltas of earlier shards), for the worker to
-	// import into its shared memo before mining — the memo-exchange half
-	// that stops this worker recomputing H values a sibling already paid
-	// for. Entries must pass ValidateMemoEntries; a request failing it is
-	// rejected 400 (permanent).
-	MemoSeed []MemoEntry `json:"memo_seed,omitempty"`
-	// MemoDeltaBytes caps the memo delta the response may carry,
-	// accounted at MemoEntryBytes per entry; 0 requests no delta
-	// (exchange off), negative is rejected 400.
-	MemoDeltaBytes int64 `json:"memo_delta_bytes,omitempty"`
 }
-
-// MemoEntry is one (attribute-set fingerprint, entropy) pair of the
-// memo exchange. The fingerprint is the AttrSet's uint64 bit pattern —
-// self-describing on both sides, like WireMVD's sets — and H is the
-// joint entropy in bits. float64 survives the JSON round trip exactly
-// (Go marshals the shortest representation that unmarshals to the same
-// bits), so a seeded entropy is bit-identical to a locally computed
-// one and the distributed determinism contract holds with the exchange
-// on.
-type MemoEntry struct {
-	F uint64  `json:"f"`
-	H float64 `json:"h"`
-}
-
-// MemoEntryBytes is the accounted wire weight of one memo entry — the
-// unit both byte caps (seed and delta) are divided by. JSON encodes an
-// entry in roughly 25–40 bytes; 32 keeps the arithmetic honest without
-// pretending to byte precision.
-const MemoEntryBytes = 32
 
 // WireMVD is one full ε-MVD in wire form. An AttrSet is a uint64 of
 // attribute bits, so the sets travel as plain numbers; Deps preserve the
@@ -112,16 +80,6 @@ type ShardResult struct {
 	// the coordinator's /metrics can account the fleet's per-stage work,
 	// not just its own.
 	Trace *obs.MineTrace `json:"trace,omitempty"`
-	// MemoDelta is the memo-exchange return path: entropies this worker
-	// computed fresh while mining the shard (never entries it was seeded
-	// with), hottest-first, capped by the request's MemoDeltaBytes. The
-	// coordinator validates, merges into its per-mine memo, and seeds
-	// later dispatches with it.
-	MemoDelta []MemoEntry `json:"memo_delta,omitempty"`
-	// SeedHits is how many imported seed entries this shard's mine read
-	// at least once — duplicate H computes the exchange saved on this
-	// worker, feeding maimond_memo_duplicate_h_avoided_total.
-	SeedHits int `json:"seed_hits,omitempty"`
 }
 
 // PairResultFromCore lowers one per-pair mining outcome to wire form.
@@ -182,71 +140,4 @@ func (p PairResult) ToCore() (core.PairMVDs, error) {
 		out.MVDs = append(out.MVDs, phi)
 	}
 	return out, nil
-}
-
-// ValidateMemoEntries checks a memo seed or delta payload before any
-// entry may touch an entropy memo: every fingerprint must be a
-// non-empty subset of the relation's numAttrs attributes with no
-// duplicates, and every H must be finite, non-negative, and — when the
-// row count is known — at most log2(rows) plus float slack (the joint
-// entropy of any set is bounded by the entropy of distinct rows). The
-// worker serves a violation as a permanent 400; the coordinator treats
-// one in a response as retriable, like any other torn or corrupted
-// shard result.
-func ValidateMemoEntries(entries []MemoEntry, numAttrs, rows int) error {
-	if len(entries) == 0 {
-		return nil
-	}
-	if numAttrs < 1 || numAttrs > 64 {
-		return fmt.Errorf("wire: memo entries for %d attributes (want 1..64)", numAttrs)
-	}
-	full := uint64(bitset.Full(numAttrs))
-	maxH := math.Inf(1)
-	if rows > 0 {
-		maxH = math.Log2(float64(rows)) + 1e-6
-	}
-	seen := make(map[uint64]struct{}, len(entries))
-	for i, e := range entries {
-		if e.F == 0 {
-			return fmt.Errorf("wire: memo entry %d: empty attribute set", i)
-		}
-		if e.F&^full != 0 {
-			return fmt.Errorf("wire: memo entry %d: fingerprint %#x outside the %d-attribute relation", i, e.F, numAttrs)
-		}
-		if _, dup := seen[e.F]; dup {
-			return fmt.Errorf("wire: memo entry %d: duplicate fingerprint %#x", i, e.F)
-		}
-		seen[e.F] = struct{}{}
-		if math.IsNaN(e.H) || math.IsInf(e.H, 0) || e.H < 0 || e.H > maxH {
-			return fmt.Errorf("wire: memo entry %d: entropy %v out of range [0, log2(%d rows)]", i, e.H, rows)
-		}
-	}
-	return nil
-}
-
-// MemoEntriesFromEntropy lowers oracle memo entries to wire form,
-// preserving order (the oracle exports hottest-first).
-func MemoEntriesFromEntropy(entries []entropy.MemoEntry) []MemoEntry {
-	if len(entries) == 0 {
-		return nil
-	}
-	out := make([]MemoEntry, len(entries))
-	for i, e := range entries {
-		out[i] = MemoEntry{F: uint64(e.Attrs), H: e.H}
-	}
-	return out
-}
-
-// MemoEntriesToEntropy lifts validated wire memo entries to oracle
-// form. Call ValidateMemoEntries first — this conversion trusts its
-// input.
-func MemoEntriesToEntropy(entries []MemoEntry) []entropy.MemoEntry {
-	if len(entries) == 0 {
-		return nil
-	}
-	out := make([]entropy.MemoEntry, len(entries))
-	for i, e := range entries {
-		out[i] = entropy.MemoEntry{Attrs: bitset.AttrSet(e.F), H: e.H}
-	}
-	return out
 }

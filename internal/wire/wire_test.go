@@ -2,7 +2,6 @@ package wire
 
 import (
 	"encoding/json"
-	"math"
 	"reflect"
 	"testing"
 
@@ -75,79 +74,11 @@ func TestShardResultJSONShape(t *testing.T) {
 	}
 }
 
-// TestValidateMemoEntries pins the wire-level guard of the memo
-// exchange: any fingerprint outside the dataset's attribute mask,
-// duplicate, or physically impossible H is rejected before a value can
-// reach an oracle memo.
-func TestValidateMemoEntries(t *testing.T) {
-	const numAttrs, rows = 6, 1000
-	good := []MemoEntry{{F: 0b11, H: 1.5}, {F: 0b10100, H: 3.25}}
-	cases := []struct {
-		name    string
-		entries []MemoEntry
-		attrs   int
-		rows    int
-		wantErr bool
-	}{
-		{"nil", nil, numAttrs, rows, false},
-		{"valid", good, numAttrs, rows, false},
-		{"zero H valid", []MemoEntry{{F: 1, H: 0}}, numAttrs, rows, false},
-		{"max H valid", []MemoEntry{{F: 1, H: 9.9657}}, numAttrs, rows, false},
-		{"rows unknown skips bound", []MemoEntry{{F: 1, H: 400}}, numAttrs, 0, false},
-		{"empty fingerprint", []MemoEntry{{F: 0, H: 1}}, numAttrs, rows, true},
-		{"fingerprint outside mask", []MemoEntry{{F: 1 << 6, H: 1}}, numAttrs, rows, true},
-		{"duplicate fingerprint", []MemoEntry{{F: 3, H: 1}, {F: 3, H: 1}}, numAttrs, rows, true},
-		{"negative H", []MemoEntry{{F: 3, H: -0.5}}, numAttrs, rows, true},
-		{"NaN H", []MemoEntry{{F: 3, H: math.NaN()}}, numAttrs, rows, true},
-		{"Inf H", []MemoEntry{{F: 3, H: math.Inf(1)}}, numAttrs, rows, true},
-		{"H above log2(rows)", []MemoEntry{{F: 3, H: 11}}, numAttrs, rows, true},
-		{"bad numAttrs", good, 0, rows, true},
-		{"numAttrs over 64", good, 65, rows, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := ValidateMemoEntries(tc.entries, tc.attrs, tc.rows)
-			if (err != nil) != tc.wantErr {
-				t.Fatalf("ValidateMemoEntries(%v, %d, %d) = %v, wantErr=%v",
-					tc.entries, tc.attrs, tc.rows, err, tc.wantErr)
-			}
-		})
-	}
-}
-
-// TestMemoEntriesRoundTrip: entropy ↔ wire ↔ JSON must preserve H
-// bit-exactly — the exchange's byte-identical determinism rests on
-// encoding/json's shortest-representation float round trip.
-func TestMemoEntriesRoundTrip(t *testing.T) {
-	orig := []MemoEntry{
-		{F: 0b101, H: 1.584962500721156}, // log2(3): not exactly representable, worst case
-		{F: 0b11000, H: 0.9182958340544896},
-	}
-	buf, err := json.Marshal(ShardResult{MemoDelta: orig})
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var sr ShardResult
-	if err := json.Unmarshal(buf, &sr); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	back := MemoEntriesFromEntropy(MemoEntriesToEntropy(sr.MemoDelta))
-	if !reflect.DeepEqual(orig, back) {
-		t.Fatalf("memo entries changed in transit:\n  orig: %+v\n  back: %+v", orig, back)
-	}
-	for i := range back {
-		if math.Float64bits(back[i].H) != math.Float64bits(orig[i].H) {
-			t.Fatalf("entry %d: H bits changed: %x → %x", i, math.Float64bits(orig[i].H), math.Float64bits(back[i].H))
-		}
-	}
-}
-
-// TestShardMemoJSONShape pins the memo exchange's field names: compact
-// single-letter entry keys (the delta can carry thousands of entries)
-// and omitempty on both sides, so exchange-off traffic is byte-for-byte
-// the pre-exchange protocol.
-func TestShardMemoJSONShape(t *testing.T) {
-	buf, err := json.Marshal(ShardRequest{Dataset: "d", MemoSeed: []MemoEntry{{F: 3, H: 1.5}}, MemoDeltaBytes: 1024})
+// TestShardRequestJSONShape pins the request's field names. The worker
+// decodes with DisallowUnknownFields, so a renamed field is a 400 on
+// every shard of a mixed-version fleet, never a silently dropped option.
+func TestShardRequestJSONShape(t *testing.T) {
+	buf, err := json.Marshal(ShardRequest{Dataset: "d", Epsilon: 0.1, Shard: 1, NumShards: 4, NumAttrs: 6})
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
@@ -155,29 +86,13 @@ func TestShardMemoJSONShape(t *testing.T) {
 	if err := json.Unmarshal(buf, &m); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	for _, key := range []string{"memo_seed", "memo_delta_bytes"} {
+	want := []string{"dataset", "epsilon", "shard", "num_shards", "num_attrs"}
+	for _, key := range want {
 		if _, ok := m[key]; !ok {
 			t.Errorf("ShardRequest JSON missing key %q (got %v)", key, m)
 		}
 	}
-	entry, _ := json.Marshal(MemoEntry{F: 3, H: 1.5})
-	if got := string(entry); got != `{"f":3,"h":1.5}` {
-		t.Errorf("MemoEntry JSON = %s, want {\"f\":3,\"h\":1.5}", got)
-	}
-	off, _ := json.Marshal(ShardRequest{Dataset: "d"})
-	for _, key := range []string{"memo_seed", "memo_delta_bytes"} {
-		var m2 map[string]any
-		_ = json.Unmarshal(off, &m2)
-		if _, ok := m2[key]; ok {
-			t.Errorf("exchange-off ShardRequest still carries %q: %s", key, off)
-		}
-	}
-	res, _ := json.Marshal(ShardResult{Dataset: "d"})
-	var m3 map[string]any
-	_ = json.Unmarshal(res, &m3)
-	for _, key := range []string{"memo_delta", "seed_hits"} {
-		if _, ok := m3[key]; ok {
-			t.Errorf("exchange-off ShardResult still carries %q: %s", key, res)
-		}
+	if len(m) != len(want) {
+		t.Errorf("ShardRequest JSON has keys beyond %v: %s", want, buf)
 	}
 }

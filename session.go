@@ -303,38 +303,6 @@ func (s *Session) Close() error { return s.oracle.Close() }
 // is the warm-oracle reuse the session exists for.
 func (s *Session) Stats() Stats { return s.oracle.Stats() }
 
-// MemoEntry is one exportable memoized entropy — an attribute set and
-// its H in bits — the unit of the distributed tier's memo exchange.
-type MemoEntry = entropy.MemoEntry
-
-// MemoRecorder captures the entropies a session computes between
-// RecordEntropyMemo and Close; see entropy.MemoRecorder.
-type MemoRecorder = entropy.MemoRecorder
-
-// ImportEntropyMemo publishes already-computed entropies into the
-// session's shared memo: resident entries and in-flight computes are
-// skipped (idempotent), fresh ones land through the normal
-// WithEntropyBudget accounting and eviction. An entropy is a pure
-// function of the relation, so importing correct values changes what
-// the session computes locally, never what it mines. This is the
-// worker half of the distributed memo exchange: maimond seeds a shard
-// mine with the fleet's merged memo here. Stats().MemoSeedHits counts
-// imported entries the session then actually read. Unshared sessions
-// (deprecated one-shot wrappers) ignore it.
-func (s *Session) ImportEntropyMemo(entries []MemoEntry) (added, dup int) {
-	return s.oracle.ImportMemo(entries)
-}
-
-// RecordEntropyMemo attaches a recorder capturing every entropy the
-// session computes fresh (memo misses only — cached serves and imported
-// seeds are not echoed) until its Close. The distributed worker brackets
-// each shard mine with one and ships MemoRecorder.Export as the shard's
-// memo delta. Multiple recorders may be attached; concurrent mines feed
-// all of them.
-func (s *Session) RecordEntropyMemo() *MemoRecorder {
-	return s.oracle.Record()
-}
-
 // Trace returns the stage-level trace of the most recently completed
 // mining call, or nil before the first one. Each call owns a fresh
 // trace, finished when the call returns, so the result is safe to read

@@ -249,6 +249,69 @@ func TestDistributedBudgetedFleetDeterminism(t *testing.T) {
 	}
 }
 
+// TestDistributedMemoExchangeDeterminismWorkers is the worker memo-budget
+// matrix: cold {1,2,3}-worker fleets × worker entropy-memo budget
+// {unlimited, ⅛ of a single-node mine's memo} must all merge to the
+// single-node MVD result and byte-identical schemes. Under the tight
+// budget every worker evicts and recomputes entropies, and none of it may
+// be visible in any mined output. The name predates the removal of the
+// cross-worker memo exchange, which was this matrix's third axis; it also
+// matches both the race-enabled and the memory-pressure CI test filters.
+func TestDistributedMemoExchangeDeterminismWorkers(t *testing.T) {
+	all := testRelations(t)
+	rels := map[string]*relation.Relation{"planted": all["planted"], "nursery": all["nursery"]}
+	const eps = 0.1
+
+	type golden struct {
+		res     *core.MVDResult
+		schemes []byte
+		memoB   int64
+	}
+	want := make(map[string]golden)
+	for name, r := range rels {
+		s, err := maimon.Open(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.MineMVDs(context.Background(), maimon.WithEpsilon(eps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = golden{res: res, schemes: schemesJSON(t, r, res.MVDs, eps), memoB: s.Stats().MemoBytes}
+	}
+
+	for _, n := range []int{1, 2, 3} {
+		for _, starve := range []bool{false, true} {
+			for name, r := range rels {
+				label := fmt.Sprintf("workers=%d starved=%v %s", n, starve, name)
+				var opts []maimon.Option
+				if starve {
+					opts = append(opts, maimon.WithEntropyBudget(want[name].memoB/8))
+				}
+				// Fresh, cold fleets per cell: a warm worker memo would
+				// mask what the budget leaves to recompute.
+				urls := make([]string, n)
+				for i := range urls {
+					ts, _ := newWorkerOpts(t, rels, nil, opts...)
+					urls[i] = ts.URL
+				}
+				coord := newCoordinator(t, urls, nil)
+				got, _, err := coord.MineMVDs(context.Background(), dist.Spec{
+					Dataset: name, Epsilon: eps, ShardWorkers: 2,
+					NumAttrs: r.NumCols(), Rows: r.NumRows(),
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				requireSameResult(t, label, got, want[name].res)
+				if sj := schemesJSON(t, r, got.MVDs, eps); !bytes.Equal(sj, want[name].schemes) {
+					t.Fatalf("%s: schemes differ from single-node", label)
+				}
+			}
+		}
+	}
+}
+
 // TestRetryBackoffPinnedWorkers pins the retry schedule: a shard failing
 // twice with 500 is re-dispatched with exponential backoff (base, 2×base)
 // and then succeeds, and the merged result is still exact.

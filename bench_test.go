@@ -144,7 +144,7 @@ func BenchmarkAblation_EntropyEngine(b *testing.B) {
 
 // BenchmarkSessionWarmVsCold measures the point of the Session API: the
 // same relation mined at ε ∈ {0, 0.01, 0.1} through one warm session
-// versus three one-shot calls that each rebuild the PLI cache and entropy
+// versus a fresh session per ε, each rebuilding the PLI cache and entropy
 // memo from zero. The warm path should win by a wide margin — entropy
 // computation is "the most expensive operation of Maimon".
 func BenchmarkSessionWarmVsCold(b *testing.B) {
@@ -154,7 +154,11 @@ func BenchmarkSessionWarmVsCold(b *testing.B) {
 	b.Run("cold-one-shot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, eps := range epsilons {
-				if _, _, err := MineSchemes(r, Options{Epsilon: eps, MaxSchemes: 20}); err != nil {
+				s, err := Open(r)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := s.MineSchemes(ctx, WithEpsilon(eps), WithMaxSchemes(20)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -21,7 +21,7 @@ func TestContextCancelStopsMining(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res, err := MineMVDsContext(ctx, slowRelation(), Options{Epsilon: 0.3})
+	res, err := mustOpen(t, slowRelation()).MineMVDs(ctx, WithEpsilon(0.3))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -40,7 +40,7 @@ func TestContextCancelStopsSchemeEnumeration(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, res, err := MineSchemesContext(ctx, slowRelation(), Options{Epsilon: 0.3})
+	_, res, err := mustOpen(t, slowRelation()).MineSchemes(ctx, WithEpsilon(0.3))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -55,7 +55,7 @@ func TestContextCancelStopsSchemeEnumeration(t *testing.T) {
 func TestContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := MineMVDsContext(ctx, slowRelation(), Options{Epsilon: 0.3})
+	res, err := mustOpen(t, slowRelation()).MineMVDs(ctx, WithEpsilon(0.3))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -64,12 +64,12 @@ func TestContextPreCancelled(t *testing.T) {
 	}
 }
 
-// A context deadline surfaces as ErrInterrupted, same as Options.Timeout,
-// so timeout handling is uniform regardless of which mechanism fired.
+// A context deadline surfaces as ErrInterrupted, same as WithTimeout, so
+// timeout handling is uniform regardless of which mechanism fired.
 func TestContextDeadlineMapsToErrInterrupted(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := MineMVDsContext(ctx, slowRelation(), Options{Epsilon: 0.3})
+	_, err := mustOpen(t, slowRelation()).MineMVDs(ctx, WithEpsilon(0.3))
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
@@ -79,13 +79,13 @@ func TestContextDeadlineMapsToErrInterrupted(t *testing.T) {
 // plumbing must not perturb mining results.
 func TestContextDoesNotChangeResults(t *testing.T) {
 	r := Nursery().Head(800)
-	sync, resSync, err := MineSchemes(r, Options{Epsilon: 0.1, MaxSchemes: 20})
+	sync, resSync, err := mustOpen(t, r).MineSchemes(context.Background(), WithEpsilon(0.1), WithMaxSchemes(20))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	viaCtx, resCtx, err := MineSchemesContext(ctx, r, Options{Epsilon: 0.1, MaxSchemes: 20})
+	viaCtx, resCtx, err := mustOpen(t, r).MineSchemes(ctx, WithEpsilon(0.1), WithMaxSchemes(20))
 	if err != nil {
 		t.Fatal(err)
 	}

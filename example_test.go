@@ -43,7 +43,7 @@ func ExampleSession() {
 
 // The running example of the paper (Fig. 1): the 4-tuple relation
 // decomposes exactly; J certifies it.
-func ExampleJOfSchema() {
+func ExampleSession_JOfSchema() {
 	r, _ := maimon.FromRows(
 		[]string{"A", "B", "C", "D", "E", "F"},
 		[][]string{
@@ -58,13 +58,14 @@ func ExampleJOfSchema() {
 		bags = append(bags, s)
 	}
 	schema, _ := maimon.NewSchema(bags)
-	j, _ := maimon.JOfSchema(r, schema)
+	s, _ := maimon.Open(r)
+	j, _ := s.JOfSchema(schema)
 	fmt.Printf("J = %.1f\n", j)
 	// Output: J = 0.0
 }
 
 // J of a single MVD: A ↠ F|BCDE holds exactly on the running example.
-func ExampleJ() {
+func ExampleSession_J() {
 	r, _ := maimon.FromRows(
 		[]string{"A", "B", "C", "D", "E", "F"},
 		[][]string{
@@ -73,21 +74,23 @@ func ExampleJ() {
 			{"a2", "b2", "c2", "d2", "e3", "f2"},
 			{"a1", "b2", "c1", "d2", "e3", "f1"},
 		})
+	s, _ := maimon.Open(r)
 	phi, _ := maimon.ParseMVD("A->F|BCDE")
-	fmt.Printf("J(A↠F|BCDE) = %.1f\n", maimon.J(r, phi))
+	fmt.Printf("J(A↠F|BCDE) = %.1f\n", s.J(phi))
 	// Output: J(A↠F|BCDE) = 0.0
 }
 
 // Mining the Sec. 5.2 counter-example relation at ε = 1: all three
 // pairwise merges hold, so X separates every pair.
-func ExampleMineMVDs() {
+func ExampleSession_MineMVDs() {
 	r, _ := maimon.FromRows(
 		[]string{"X", "A", "B", "C"},
 		[][]string{
 			{"0", "0", "0", "0"},
 			{"0", "1", "1", "1"},
 		})
-	res, err := maimon.MineMVDs(r, maimon.Options{Epsilon: 1})
+	s, _ := maimon.Open(r)
+	res, err := s.MineMVDs(context.Background(), maimon.WithEpsilon(1))
 	if err != nil {
 		fmt.Println("error:", err)
 		return

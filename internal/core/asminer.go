@@ -139,10 +139,10 @@ func (m *Miner) buildIncompatibilityGraph(g *mis.Graph, ms []mvd.MVD) (bool, int
 				if i >= len(ms) || bail.Load() {
 					return
 				}
-				// Poll the stop conditions without mutating shared miner
-				// state (stopped() records the cause; the parent does
-				// that once, after the join).
-				if m.done.Load() || m.opts.expired() {
+				// Poll the stop flag without mutating shared miner state
+				// (stopped() records the cause; the parent does that
+				// once, after the join).
+				if m.done.Load() {
 					bail.Store(true)
 					return
 				}
@@ -170,9 +170,8 @@ func (m *Miner) buildIncompatibilityGraph(g *mis.Graph, ms []mvd.MVD) (bool, int
 }
 
 // MineSchemes runs both phases end to end and collects up to maxSchemes
-// schemes (0 = unlimited, subject to Options.Deadline and the bound
-// context). An interruption during either phase is reported through the
-// returned MVDResult.Err.
+// schemes (0 = unlimited, subject to the bound context). An interruption
+// during either phase is reported through the returned MVDResult.Err.
 func (m *Miner) MineSchemes(maxSchemes int) ([]*Scheme, *MVDResult) {
 	res := m.MineMVDs()
 	var out []*Scheme

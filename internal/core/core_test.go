@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/entropy"
@@ -646,12 +649,11 @@ func TestMaxVisitedTruncates(t *testing.T) {
 
 func TestDeadlineInterrupts(t *testing.T) {
 	r := randomRelation(rand.New(rand.NewSource(7)), 50, 8, 2)
-	opts := DefaultOptions(0.2)
-	opts.Deadline = pastDeadline()
-	m := NewMiner(entropy.New(r), opts)
-	res := m.MineMVDs()
-	if res.Err == nil {
-		t.Fatal("expired deadline should interrupt")
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	m := NewMiner(entropy.New(r), DefaultOptions(0.2)).WithContext(ctx)
+	if res := m.MineMVDs(); !errors.Is(res.Err, ErrInterrupted) {
+		t.Fatalf("expired deadline: Err = %v, want ErrInterrupted", res.Err)
 	}
 }
 
@@ -683,11 +685,11 @@ func TestMineMinSepsAll(t *testing.T) {
 }
 
 func TestMineMinSepsAllDeadline(t *testing.T) {
-	opts := DefaultOptions(0.2)
-	opts.Deadline = pastDeadline()
-	m := NewMiner(entropy.New(randomRelation(rand.New(rand.NewSource(3)), 40, 8, 2)), opts)
-	if res := m.MineMinSepsAll(); res.Err == nil {
-		t.Fatal("expired deadline not reported")
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	m := NewMiner(entropy.New(randomRelation(rand.New(rand.NewSource(3)), 40, 8, 2)), DefaultOptions(0.2)).WithContext(ctx)
+	if res := m.MineMinSepsAll(); !errors.Is(res.Err, ErrInterrupted) {
+		t.Fatalf("expired deadline: Err = %v, want ErrInterrupted", res.Err)
 	}
 }
 

@@ -303,9 +303,8 @@ func (m *Miner) keyRoot(sep bitset.AttrSet) *keyRoot {
 func (m *Miner) repair(key bitset.AttrSet, deps []bitset.AttrSet, terms []float64, hKey float64, a, b int) ([]bitset.AttrSet, []float64, bool) {
 	for {
 		// A single pass costs up to O(m²) mutual-information evaluations
-		// (m up to 45 on the widest dataset), so the deadline and the
-		// context must be honored here too; under timeout results are
-		// partial anyway.
+		// (m up to 45 on the widest dataset), so the context must be
+		// honored here too; under timeout results are partial anyway.
 		if m.stopped() {
 			return nil, nil, false
 		}

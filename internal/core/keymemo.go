@@ -98,8 +98,8 @@ func (r *keyRoot) publish(deps []bitset.AttrSet, terms []float64, hKey, hAll flo
 }
 
 // abort withdraws the owner's entry: current waiters see it aborted, and
-// a later phase of the same miner (whose deadline is re-armed) finds the
-// key absent and repairs it afresh.
+// a later phase of the same miner (under a freshly bound context) finds
+// the key absent and repairs it afresh.
 func (k *keyMemo) abort(sep bitset.AttrSet, r *keyRoot) {
 	sh := k.shard(sep)
 	sh.mu.Lock()

@@ -54,9 +54,9 @@ func (r *MVDResult) NumMinSeps() int {
 // restricted by Options.Pairs), mine the minimal separators and then the
 // full ε-MVDs for each separator; return their union Mε.
 //
-// With Options.Workers > 1 (and a shared oracle) the pairs are fanned out
-// across a bounded worker pool and the outcomes merged back in canonical
-// pair order; the result is identical to a serial run.
+// With Options.Workers > 1 the pairs are fanned out across a bounded
+// worker pool and the outcomes merged back in canonical pair order; the
+// result is identical to a serial run.
 func (m *Miner) MineMVDs() *MVDResult {
 	pairs := m.opts.Pairs
 	if pairs == nil {

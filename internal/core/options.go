@@ -12,7 +12,6 @@ package core
 
 import (
 	"errors"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -37,16 +36,6 @@ type Options struct {
 	// getFullMVDs invocation may inspect; 0 means unlimited. A hit is
 	// reported through Result.Truncated.
 	MaxVisitedPerSearch int
-
-	// Deadline, when non-zero, stops mining early with partial results
-	// (the paper's 5-hour / 30-minute protocol).
-	Deadline time.Time
-
-	// Budget, when non-zero, gives each top-level phase (MineMVDs,
-	// MineMinSepsAll, EnumerateSchemes) its own deadline of now+Budget at
-	// entry, mirroring the paper's per-phase time limits. It overrides
-	// Deadline.
-	Budget time.Duration
 
 	// Pairs, when non-nil, restricts MVDMiner to these attribute pairs;
 	// nil means all pairs (the normal mode).
@@ -79,16 +68,13 @@ type Options struct {
 	// of worker miners over the shared oracle (the paper's Fig. 3 loop is
 	// embarrassingly parallel), and EnumerateSchemes stripes the
 	// incompatibility-graph build. <= 1 means serial, the default.
-	//
-	// Values > 1 require an oracle built with entropy.NewShared; over an
-	// unshared oracle the miners fall back to serial rather than race on
-	// its plain maps. Results are merged back in canonical pair order and
-	// are identical to a serial run on the same inputs.
+	// Results are merged back in canonical pair order and are identical
+	// to a serial run on the same inputs.
 	Workers int
 }
 
 // DefaultOptions returns the configuration matching the paper's system:
-// pruning on, K unlimited, no state cap, no deadline.
+// pruning on, K unlimited, no state cap.
 func DefaultOptions(epsilon float64) Options {
 	return Options{
 		Epsilon:             epsilon,
@@ -96,18 +82,6 @@ func DefaultOptions(epsilon float64) Options {
 	}
 }
 
-// ErrInterrupted is returned through Result.Err when a deadline expired;
-// results gathered so far are still valid.
+// ErrInterrupted is returned through Result.Err when the bound context's
+// deadline passed; results gathered so far are still valid.
 var ErrInterrupted = errors.New("core: mining interrupted by deadline")
-
-func (o *Options) expired() bool {
-	return !o.Deadline.IsZero() && time.Now().After(o.Deadline)
-}
-
-// startPhase arms the deadline for a new top-level phase when a per-phase
-// budget is configured.
-func (o *Options) startPhase() {
-	if o.Budget > 0 {
-		o.Deadline = time.Now().Add(o.Budget)
-	}
-}

@@ -40,15 +40,6 @@ func (w *Miner) bindLocal() (release func()) {
 	return loc.Release
 }
 
-// workers resolves the fan-out for the oracle-bound phases: serial unless
-// Options.Workers asks for more and the oracle is safe to share.
-func (m *Miner) workers() int {
-	if w := m.opts.Workers; w > 1 && m.oracle.Shared() {
-		return w
-	}
-	return 1
-}
-
 // add accumulates worker counters into s.
 func (s *SearchStats) add(o SearchStats) {
 	s.Searches += o.Searches
@@ -133,9 +124,9 @@ func (a *progressAgg) pairDone(out *pairOutcome, visited int) {
 // shards' outcomes the same way). expand=false restricts the work
 // to the separator phase (MineMinSepsAll). workers <= 1 runs the claim
 // loop on the calling miner itself — no fork — reading H through a
-// worker-local view for the phase like every other fan-out, so a one-worker
-// mine over a shared oracle (every fleet worker) keeps its own arena and
-// read-through memo instead of taking a shard lock per warm hit.
+// worker-local view for the phase like every other fan-out, so a
+// one-worker mine (every fleet worker) keeps its own arena and read-through
+// memo instead of taking a shard lock per warm hit.
 func (m *Miner) minePairOutcomes(pairs [][2]int, workers int, phase string, expand bool) []pairOutcome {
 	outcomes := make([]pairOutcome, len(pairs))
 	agg := newProgressAgg(m.opts.Progress, phase, len(pairs))
@@ -220,7 +211,7 @@ func (m *Miner) minePairs(pairs [][2]int, phase string, expand bool) *MVDResult 
 	defer m.tracePhase(phase)()
 	res := &MVDResult{MinSeps: make(map[Pair][]bitset.AttrSet)}
 	m.emitProgress(Progress{Phase: phase, PairsTotal: len(pairs)})
-	outcomes := m.minePairOutcomes(pairs, m.workers(), phase, expand)
+	outcomes := m.minePairOutcomes(pairs, m.opts.Workers, phase, expand)
 	seen := make(map[string]bool)
 	for idx := range outcomes {
 		a, b := pairs[idx][0], pairs[idx][1]

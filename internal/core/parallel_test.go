@@ -172,22 +172,7 @@ func TestParallelMinSepsAllMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelFallsBackOnUnsharedOracle: Workers > 1 over an oracle that
-// is not safe for concurrent use must mine serially, not race.
-func TestParallelFallsBackOnUnsharedOracle(t *testing.T) {
-	r := datagen.Nursery().Head(800)
-	opts := DefaultOptions(0.1)
-	opts.Workers = 8
-	m := NewMiner(entropy.New(r), opts) // unshared
-	if got := m.workers(); got != 1 {
-		t.Fatalf("workers() = %d over unshared oracle, want 1", got)
-	}
-	if res := m.MineMVDs(); res.Err != nil || len(res.MVDs) == 0 {
-		t.Fatalf("serial fallback failed: %+v", res.Err)
-	}
-}
-
-// TestOneWorkerReadsThroughLocal: a one-worker mine over a shared oracle —
+// TestOneWorkerReadsThroughLocal: a one-worker mine over an oracle —
 // what every `maimond -mine-workers 1` fleet worker runs — reads H through
 // a worker-local view while the pairs are mined, hands the miner its own
 // source back afterwards, and leaves the oracle's counters exactly where a

@@ -71,7 +71,7 @@ func (m *Miner) MinePairMVDs(pairs [][2]int) ([]PairMVDs, error) {
 	if len(pairs) == 0 {
 		return nil, nil
 	}
-	outcomes := m.minePairOutcomes(pairs, m.workers(), "mvds", true)
+	outcomes := m.minePairOutcomes(pairs, m.opts.Workers, "mvds", true)
 	out := make([]PairMVDs, len(pairs))
 	for i := range outcomes {
 		a, b := pairs[i][0], pairs[i][1]

@@ -21,14 +21,14 @@ func TestWarmOracleAllocations(t *testing.T) {
 	cd, _ := r.ParseAttrs("CD")
 	abcd := ab.Union(cd)
 
-	t.Run("unshared H+MI", func(t *testing.T) {
+	t.Run("oracle H+MI", func(t *testing.T) {
 		o := New(r)
 		o.MI(ab, cd, bitset.Empty()) // warm every component entropy
 		if avg := testing.AllocsPerRun(100, func() { o.H(abcd) }); avg != 0 {
-			t.Errorf("warm unshared H allocates %v times per run, want 0", avg)
+			t.Errorf("warm oracle H allocates %v times per run, want 0", avg)
 		}
 		if avg := testing.AllocsPerRun(100, func() { o.MI(ab, cd, bitset.Empty()) }); avg != 0 {
-			t.Errorf("warm unshared MI allocates %v times per run, want 0", avg)
+			t.Errorf("warm oracle MI allocates %v times per run, want 0", avg)
 		}
 	})
 

@@ -39,24 +39,20 @@ type Stats struct {
 
 // Oracle memoizes entropies of attribute sets over one relation. It is the
 // single point through which all miners obtain entropic values, so its
-// counters measure the true cost of a mining run.
-//
-// An Oracle built with New or NewWithConfig is not safe for concurrent
-// use; one built with NewShared is, and may back any number of concurrent
-// miners over the same relation.
+// counters measure the true cost of a mining run. Every Oracle is safe for
+// concurrent use and may back any number of concurrent miners over the
+// same relation.
 type Oracle struct {
 	rel   *relation.Relation
 	cache *pli.Cache
 	logN  float64
 
-	// shared selects the sharded paths. The shared memo is split into
-	// power-of-two shards by a hash of the attribute set (the same
-	// striping as the PLI cache underneath); each shard owns its slice of
-	// the memo, its in-flight latches, and plain-int counters, all under
-	// one short mutex. That kills the two cross-core contention points of
-	// the previous design — a global RWMutex read lock plus shared atomic
-	// counters, whose cache lines every warm hit bounced — while keeping
-	// single-flight per attribute set: a miss installs an in-flight
+	// The memo is split into power-of-two shards by a hash of the
+	// attribute set (the same striping as the PLI cache underneath); each
+	// shard owns its slice of the memo, its in-flight latches, and
+	// plain-int counters, all under one short mutex, so warm hits on
+	// different sets touch different locks and counter cache lines. Misses
+	// are single-flight per attribute set: a miss installs an in-flight
 	// latch, releases the shard lock, counts (or, for a set other sets'
 	// partitions are assembled from, builds) the partition, then
 	// publishes, so distinct sets compute in parallel and duplicates wait
@@ -68,20 +64,12 @@ type Oracle struct {
 	// cache on the next read — read off the partition if the cache
 	// materialized one, counted again from its operands if the set is a
 	// chain leaf — so a budget changes cost, never results.
-	shared      bool
 	shards      []memoShard
 	mask        uint64
 	shardBudget int64 // per-shard memo byte budget; 0 = unbounded
-
-	// The unshared single-goroutine hot path keeps its plain map, plain
-	// counters, and one dedicated PLI arena, untouched by the sharding
-	// machinery.
-	memo  map[bitset.AttrSet]float64
-	arena *pli.Arena
-	stats Stats
 }
 
-// memoShard is one stripe of the shared oracle: memo slice, in-flight
+// memoShard is one stripe of the oracle: memo slice, in-flight
 // latches, and counters, padded so neighboring shards do not share cache
 // lines (the whole point of striping the counters). miCalls is a lock-free
 // atomic within the padded shard: an MI evaluation bumps it without
@@ -132,19 +120,7 @@ func memoCost(attrs bitset.AttrSet) float64 { return float64(attrs.Len()) }
 
 // New builds an oracle over r with the default PLI cache configuration.
 func New(r *relation.Relation) *Oracle {
-	return NewWithConfig(r, pli.DefaultConfig())
-}
-
-// NewWithConfig builds an oracle with an explicit PLI configuration
-// (exercised by the entropy-engine ablation bench).
-func NewWithConfig(r *relation.Relation, cfg pli.Config) *Oracle {
-	return &Oracle{
-		rel:   r,
-		cache: pli.NewCache(r, cfg),
-		memo:  make(map[bitset.AttrSet]float64),
-		arena: pli.NewArena(),
-		logN:  math.Log2(float64(r.NumRows())),
-	}
+	return NewShared(r, pli.DefaultConfig())
 }
 
 // flight is one in-flight entropy computation: done is closed once h is
@@ -155,23 +131,27 @@ type flight struct {
 	h    float64
 }
 
-// NewShared builds an oracle that is safe for concurrent use: any number
-// of goroutines may call H/CondH/MI (and Stats) simultaneously. The memo
-// is sharded (cfg.Shards, same striping as the PLI cache), so warm hits
-// on different attribute sets touch different locks and counter cache
-// lines and scale with cores; misses are single-flight per attribute set
-// — distinct fresh sets compute their partitions in parallel, duplicate
-// requests wait on the first — so concurrent miners at different
-// thresholds still share every partition and entropy computed by any of
-// them, without serializing on a global lock. This is the oracle behind
-// maimon.Session and the parallel mining pipeline (core.Options.Workers);
-// its workers each hold a Local view carrying a worker-private PLI arena.
+// NewShared builds an oracle over r with an explicit PLI configuration.
+// Like every oracle it is safe for concurrent use: any number of
+// goroutines may call H/CondH/MI (and Stats) simultaneously. The memo is
+// sharded (cfg.Shards, same striping as the PLI cache), so warm hits on
+// different attribute sets scale with cores; misses are single-flight per
+// attribute set — distinct fresh sets compute their partitions in
+// parallel, duplicate requests wait on the first — so concurrent miners
+// at different thresholds still share every partition and entropy
+// computed by any of them, without serializing on a global lock. This is
+// the oracle behind maimon.Session and the parallel mining pipeline
+// (core.Options.Workers); its workers each hold a Local view carrying a
+// worker-private PLI arena.
 func NewShared(r *relation.Relation, cfg pli.Config) *Oracle {
-	o := NewWithConfig(r, cfg)
-	o.shared = true
 	n := stripe.Count(cfg.Shards)
-	o.shards = make([]memoShard, n)
-	o.mask = uint64(n - 1)
+	o := &Oracle{
+		rel:    r,
+		cache:  pli.NewCache(r, cfg),
+		logN:   math.Log2(float64(r.NumRows())),
+		shards: make([]memoShard, n),
+		mask:   uint64(n - 1),
+	}
 	for i := range o.shards {
 		o.shards[i].memo = make(map[bitset.AttrSet]memoVal)
 		o.shards[i].inflight = make(map[bitset.AttrSet]*flight)
@@ -179,17 +159,16 @@ func NewShared(r *relation.Relation, cfg pli.Config) *Oracle {
 	return o
 }
 
-// SetMemoBudget bounds the bytes the shared entropy memo retains,
-// split evenly across its shards (each keeps at least one entry). When a
-// publish pushes a shard past its slice, the shard evicts its
-// lowest-priority entries — GDSF-style, see memoVal — down to seven
-// eighths of the slice, advancing its aging baseline past them. Evicted
-// entropies are recomputed on demand, so the budget changes cost, never
-// results. <= 0 leaves the memo unbounded. Call before mining begins
-// (session open time); shared oracles only — the unshared
-// single-goroutine memo is not governed.
+// SetMemoBudget bounds the bytes the entropy memo retains, split evenly
+// across its shards (each keeps at least one entry). When a publish
+// pushes a shard past its slice, the shard evicts its lowest-priority
+// entries — GDSF-style, see memoVal — down to seven eighths of the slice,
+// advancing its aging baseline past them. Evicted entropies are
+// recomputed on demand, so the budget changes cost, never results. <= 0
+// leaves the memo unbounded. Call before mining begins (session open
+// time).
 func (o *Oracle) SetMemoBudget(bytes int64) {
-	if !o.shared || bytes <= 0 {
+	if bytes <= 0 {
 		return
 	}
 	per := bytes / int64(len(o.shards))
@@ -204,11 +183,6 @@ func (o *Oracle) memoShardOf(attrs bitset.AttrSet) *memoShard {
 	return &o.shards[stripe.Hash(uint64(attrs))&o.mask]
 }
 
-// Shared reports whether the oracle is safe for concurrent use. The
-// parallel miners consult it: fanning out over an unshared oracle would
-// race on its plain maps, so they fall back to serial mining.
-func (o *Oracle) Shared() bool { return o.shared }
-
 // Close releases the PLI cache's disk spill tier (persisting its index
 // so the next session over the same directory starts warm). A no-op
 // without a spill tier; idempotent. The oracle itself stays usable for
@@ -218,12 +192,12 @@ func (o *Oracle) Close() error { return o.cache.Close() }
 // Relation returns the relation the oracle serves.
 func (o *Oracle) Relation() *relation.Relation { return o.rel }
 
-// Partition returns the stripped partition of attrs (non-empty) from the
-// PLI cache behind the entropies — a hit, a spill promotion or an
-// intersect cascade, counted and budgeted like any other fetch. The
-// partition is immutable and stays valid while the caller holds it, even
-// once the cache has evicted it. Safe for concurrent use on shared and
-// unshared oracles alike: the cache carries its own locking.
+// Partition returns the stripped partition of attrs from the PLI cache
+// behind the entropies — a hit, a spill promotion or an intersect
+// cascade, counted and budgeted like any other fetch. The partition is
+// immutable and stays valid while the caller holds it, even once the
+// cache has evicted it. Safe for concurrent use: the cache carries its
+// own locking.
 func (o *Oracle) Partition(attrs bitset.AttrSet) *pli.Partition {
 	return o.cache.Get(attrs)
 }
@@ -231,58 +205,31 @@ func (o *Oracle) Partition(attrs bitset.AttrSet) *pli.Partition {
 // NumAttrs returns the number of attributes of the underlying relation.
 func (o *Oracle) NumAttrs() int { return o.rel.NumCols() }
 
-// Stats returns a snapshot of the oracle counters. On a shared oracle the
-// striped per-shard counters are summed shard by shard (each under its
-// own lock), so the snapshot is consistent with any mining that has
-// completed (happens-before) the call.
+// Stats returns a snapshot of the oracle counters. The striped per-shard
+// counters are summed shard by shard (each under its own lock), so the
+// snapshot is consistent with any mining that has completed
+// (happens-before) the call.
 func (o *Oracle) Stats() Stats {
-	if o.shared {
-		s := Stats{PLIStats: o.cache.Stats()}
-		for i := range o.shards {
-			sh := &o.shards[i]
-			sh.mu.Lock()
-			s.HCalls += sh.hCalls
-			s.HCached += sh.hCached
-			s.MemoBytes += sh.memoBytes
-			s.MemoEvictions += sh.evictions
-			sh.mu.Unlock()
-			s.MICalls += int(sh.miCalls.Load())
-		}
-		return s
+	s := Stats{PLIStats: o.cache.Stats()}
+	for i := range o.shards {
+		sh := &o.shards[i]
+		sh.mu.Lock()
+		s.HCalls += sh.hCalls
+		s.HCached += sh.hCached
+		s.MemoBytes += sh.memoBytes
+		s.MemoEvictions += sh.evictions
+		sh.mu.Unlock()
+		s.MICalls += int(sh.miCalls.Load())
 	}
-	s := o.stats
-	s.MemoBytes = int64(len(o.memo)) * memoEntryBytes
-	s.PLIStats = o.cache.Stats()
 	return s
 }
 
 // H returns the empirical joint entropy H(Xα) in bits, per Eq. (5).
 // H(∅) = 0 and H(Ω) = log2 N when rows are distinct.
-func (o *Oracle) H(attrs bitset.AttrSet) float64 {
-	if o.shared {
-		return o.sharedH(nil, attrs)
-	}
-	return o.unsharedH(attrs)
-}
+func (o *Oracle) H(attrs bitset.AttrSet) float64 { return o.hWith(nil, attrs) }
 
-// unsharedH is the single-goroutine hot path: plain map, plain counters,
-// the oracle's own arena.
-func (o *Oracle) unsharedH(attrs bitset.AttrSet) float64 {
-	o.stats.HCalls++
-	if attrs.IsEmpty() {
-		return 0
-	}
-	if h, ok := o.memo[attrs]; ok {
-		o.stats.HCached++
-		return h
-	}
-	h := o.cache.EntropyWith(o.arena, attrs)
-	o.memo[attrs] = h
-	return h
-}
-
-// sharedH is the sharded H path: one short critical section on the
-// attribute set's shard covers the counter bump, the memo probe, and —
+// hWith is H on an optional caller arena: one short critical section on
+// the attribute set's shard covers the counter bump, the memo probe, and —
 // on a miss — installing or finding the in-flight latch. The shard lock
 // is never held across the partition computation, so distinct sets
 // compute concurrently (on the same shard included) while duplicates of
@@ -290,7 +237,7 @@ func (o *Oracle) unsharedH(attrs bitset.AttrSet) float64 {
 // arena when one is threaded in (workers mining through a Local), or on
 // a pooled arena otherwise — this single-flight compute is the one place
 // partitions are counted and built, so it is where the arena matters.
-func (o *Oracle) sharedH(a *pli.Arena, attrs bitset.AttrSet) float64 {
+func (o *Oracle) hWith(a *pli.Arena, attrs bitset.AttrSet) float64 {
 	sh := o.memoShardOf(attrs)
 	sh.mu.Lock()
 	sh.hCalls++
@@ -379,16 +326,9 @@ func (o *Oracle) CondH(y, x bitset.AttrSet) float64 {
 	return o.H(x.Union(y)) - o.H(x)
 }
 
-// countMI bumps the MI counter: a striped per-shard atomic on the shared
-// path (no lock acquisition — MI is evaluated once per J on J-heavy
-// workloads), a plain int on the unshared one.
-func (o *Oracle) countMI(x bitset.AttrSet) {
-	if o.shared {
-		o.memoShardOf(x).miCalls.Add(1)
-	} else {
-		o.stats.MICalls++
-	}
-}
+// countMI bumps the MI counter: a striped per-shard atomic, no lock
+// acquisition — MI is evaluated once per J on J-heavy workloads.
+func (o *Oracle) countMI(x bitset.AttrSet) { o.memoShardOf(x).miCalls.Add(1) }
 
 // MI returns the conditional mutual information
 //
@@ -427,18 +367,18 @@ func miSum(hxy, hxz, hxyz, hx float64) float64 {
 // distinct (Sec. 3.2).
 func (o *Oracle) LogN() float64 { return o.logN }
 
-// Local is a worker-local view of an oracle: the same shared memo,
-// cache, and counters, plus a dedicated PLI arena for this goroutine's
+// Local is a worker-local view of an oracle: the oracle's memo, cache,
+// and counters, plus a dedicated PLI arena for this goroutine's
 // single-flight computes and a private read-through memo, so a worker
 // mining through it never touches the arena pool, never allocates
 // intersection scratch, and absorbs its own repeat entropy reads without
-// crossing the shared shards' locks. The parallel mining pipeline hands
-// one to each worker goroutine.
+// crossing the oracle's shard locks. The mining pipeline hands one to
+// each worker goroutine, the lone worker of a serial mine included.
 //
-// The read-through memo caches every entropy the view has seen (shared
-// oracles only, capped so a pathological sweep cannot grow it without
-// bound); hits on it count as cached H calls in worker-private counters
-// that Release flushes into the shared stats — workers release their
+// The read-through memo caches every entropy the view has seen (capped
+// so a pathological sweep cannot grow it without bound); hits on it
+// count as cached H calls in worker-private counters that Release
+// flushes into the oracle's stats — workers release their
 // views before each phase barrier, so phase-boundary Stats snapshots see
 // the same HCalls/HCached/MICalls totals as a serial mine. Entropies are
 // immutable, so a locally retained value an entropy budget has since
@@ -530,7 +470,7 @@ func (l *Local) Oracle() *Oracle { return l.o }
 // counters into the shared stats, and drops the private memo; the Local
 // must not be used afterwards.
 func (l *Local) Release() {
-	if l.o.shared && l.hCalls+l.miCalls > 0 {
+	if l.hCalls+l.miCalls > 0 {
 		sh := &l.o.shards[0]
 		sh.mu.Lock()
 		sh.hCalls += l.hCalls
@@ -550,9 +490,6 @@ func (l *Local) Release() {
 // private memo: a repeat read is a table probe and two counter bumps, no
 // shard lock, no allocation.
 func (l *Local) H(attrs bitset.AttrSet) float64 {
-	if !l.o.shared {
-		return l.o.unsharedH(attrs)
-	}
 	// The empty set is answered without a memo — a call, never a cached
 	// one, exactly as the oracle counts it — and stays out of the local
 	// memo, whose vacant-slot mark it is.
@@ -565,7 +502,7 @@ func (l *Local) H(attrs bitset.AttrSet) float64 {
 		l.hCached++
 		return h
 	}
-	h := l.o.sharedH(l.a, attrs)
+	h := l.o.hWith(l.a, attrs)
 	l.memo.put(attrs, h)
 	return h
 }
@@ -576,27 +513,19 @@ func (l *Local) CondH(y, x bitset.AttrSet) float64 {
 }
 
 // MI is Oracle.MI computed on the view's arena.
+// MI is Oracle.MI computed on the view's arena. Like the H counters, the
+// MI count is a view-private int that Release flushes — not a cross-core
+// atomic add per call.
 func (l *Local) MI(y, z, x bitset.AttrSet) float64 {
-	l.countMI()
+	l.miCalls++
 	return miSum(l.H(x.Union(y)), l.H(x.Union(z)), l.H(x.Union(y).Union(z)), l.H(x))
 }
 
 // MICarried is Oracle.MICarried computed on the view's arena.
 func (l *Local) MICarried(hxy, hxz, hx float64, y, z, x bitset.AttrSet) (mi, hxyz float64) {
-	l.countMI()
+	l.miCalls++
 	hxyz = l.H(x.Union(y).Union(z))
 	return miSum(hxy, hxz, hxyz, hx), hxyz
-}
-
-// countMI counts one MI evaluation in a view-private int that Release
-// flushes, like the H counters — not with a cross-core atomic add per
-// call.
-func (l *Local) countMI() {
-	if l.o.shared {
-		l.miCalls++
-	} else {
-		l.o.stats.MICalls++
-	}
 }
 
 // NaiveH computes H(Xα) directly by grouping projected rows, without the

@@ -235,9 +235,9 @@ func TestCondH(t *testing.T) {
 	}
 }
 
-func TestNewWithConfig(t *testing.T) {
+func TestNewSharedConfig(t *testing.T) {
 	r := paperR()
-	o := NewWithConfig(r, pli.Config{BlockSize: 2})
+	o := NewShared(r, pli.Config{BlockSize: 2})
 	if got, want := o.H(bitset.Full(6)), 2.0; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("H = %v with BlockSize 2", got)
 	}

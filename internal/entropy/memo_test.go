@@ -101,26 +101,6 @@ func TestMemoBudgetKeepsHotEntry(t *testing.T) {
 	}
 }
 
-// TestMemoBudgetUnsharedNoop: the memo budget governs shared oracles
-// only; on the single-goroutine oracle SetMemoBudget must be a no-op and
-// Stats must still report the plain memo's accounted size.
-func TestMemoBudgetUnsharedNoop(t *testing.T) {
-	r := datagen.Uniform(200, 6, 4, 37)
-	o := New(r)
-	o.SetMemoBudget(memoEntryBytes) // ignored: not shared
-	sets := []bitset.AttrSet{bitset.Of(0, 1), bitset.Of(2, 3), bitset.Of(1, 4, 5)}
-	for _, s := range sets {
-		o.H(s)
-	}
-	st := o.Stats()
-	if st.MemoEvictions != 0 {
-		t.Fatalf("unshared oracle evicted memo entries: %+v", st)
-	}
-	if want := int64(len(sets)) * memoEntryBytes; st.MemoBytes != want {
-		t.Fatalf("unshared MemoBytes = %d, want %d (%d entries)", st.MemoBytes, want, len(sets))
-	}
-}
-
 // TestLocalReadThroughCounters pins the deferred accounting of the
 // worker-local memo: repeat reads through a Local are absorbed privately
 // — the shared shard counters must not move until Release flushes them —

@@ -33,10 +33,9 @@ func AblationPairwiseConsistency(cfg Config) string {
 		for _, pruning := range []bool{true, false} {
 			opts := core.DefaultOptions(eps)
 			opts.PairwiseConsistency = pruning
-			opts.Deadline = time.Now().Add(cfg.budget())
 			m := core.NewMiner(entropy.New(r), opts)
 			start := time.Now()
-			res := m.MineMVDs()
+			res := budgeted(cfg, m, m.MineMVDs)
 			elapsed := time.Since(start)
 			st := m.SearchStats()
 			rep.printf("%8.2f %8v %10d %10d %10d %12s %10d\n",
@@ -76,7 +75,7 @@ func AblationEntropyEngine(cfg Config) string {
 		len(queries), n, r.NumRows())
 	rep.printf("%-22s %12s %12s %10s\n", "engine", "time", "intersects", "entries")
 	for _, bs := range []int{1, 2, 4, 10} {
-		o := entropy.NewWithConfig(r, pli.Config{BlockSize: bs})
+		o := entropy.NewShared(r, pli.Config{BlockSize: bs})
 		start := time.Now()
 		for _, q := range queries {
 			o.H(q)

@@ -18,6 +18,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -27,8 +28,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/decompose"
 	"repro/internal/entropy"
-	"repro/internal/pli"
-	"repro/internal/relation"
 )
 
 // Config tunes an experiment run.
@@ -46,9 +45,9 @@ type Config struct {
 	Epsilons []float64
 	// Workers is the parallel fan-out of every mining invocation
 	// (core.Options.Workers). <= 1 (the default) mines serially, matching
-	// the paper's single-threaded system; > 1 builds shared oracles and
-	// fans attribute pairs out, which changes runtimes but — the pipeline
-	// being deterministic — none of the reported counts.
+	// the paper's single-threaded system; > 1 fans attribute pairs out,
+	// which changes runtimes but — the pipeline being deterministic — none
+	// of the reported counts.
 	Workers int
 }
 
@@ -84,26 +83,25 @@ func (r *report) printf(format string, args ...interface{}) {
 
 func (r *report) String() string { return r.b.String() }
 
-// oracleFor builds the per-dataset oracle the ε-sweep drivers reuse
-// across thresholds — the session pattern of the public API, so a sweep
-// pays the PLI and entropy cost once instead of once per ε. With
-// cfg.Workers > 1 it is the shared single-flight oracle the parallel
-// pipeline requires.
-func (c Config) oracleFor(r *relation.Relation) *entropy.Oracle {
-	if c.Workers > 1 {
-		return entropy.NewShared(r, pli.DefaultConfig())
-	}
-	return entropy.New(r)
-}
-
-// minerFor builds a budget-bounded miner over a (possibly warm) oracle;
-// each mining phase gets its own budget, as in the paper's per-phase time
-// limits, and inherits the configured parallel fan-out.
+// minerFor builds a miner over a (possibly warm) oracle with the
+// configured parallel fan-out. The ε-sweep drivers reuse one oracle per
+// dataset across thresholds — the session pattern of the public API, so a
+// sweep pays the PLI and entropy cost once instead of once per ε.
 func (c Config) minerFor(o *entropy.Oracle, eps float64) *core.Miner {
 	opts := core.DefaultOptions(eps)
-	opts.Budget = c.budget()
 	opts.Workers = c.Workers
 	return core.NewMiner(o, opts)
+}
+
+// budgeted runs one top-level mining phase of m under its own time
+// budget, as in the paper's per-phase time limits: a fresh
+// context.WithTimeout(cfg.budget()) is bound before the phase and
+// cancelled after it, so no phase inherits what an earlier one spent.
+func budgeted[T any](c Config, m *core.Miner, phase func() T) T {
+	ctx, cancel := context.WithTimeout(context.Background(), c.budget())
+	defer cancel()
+	m.WithContext(ctx)
+	return phase()
 }
 
 // schemeStats is one mined scheme with its decomposition metrics.
@@ -112,20 +110,23 @@ type schemeStats struct {
 	metrics decompose.Metrics
 }
 
-// collectSchemes mines schemes at the given ε over the shared oracle and
-// computes metrics for each, within the budget and scheme cap.
+// collectSchemes mines schemes at the given ε over the dataset's oracle
+// and computes metrics for each, within the budget (one per phase) and
+// scheme cap.
 func (c Config) collectSchemes(o *entropy.Oracle, eps float64, maxSchemes int) []schemeStats {
 	m := c.minerFor(o, eps)
-	res := m.MineMVDs()
-	var out []schemeStats
-	m.EnumerateSchemes(res.MVDs, func(s *core.Scheme) bool {
-		met, err := decompose.Analyze(o, s.Schema)
-		if err == nil {
-			out = append(out, schemeStats{scheme: s, metrics: met})
-		}
-		return maxSchemes <= 0 || len(out) < maxSchemes
+	res := budgeted(c, m, m.MineMVDs)
+	return budgeted(c, m, func() []schemeStats {
+		var out []schemeStats
+		m.EnumerateSchemes(res.MVDs, func(s *core.Scheme) bool {
+			met, err := decompose.Analyze(o, s.Schema)
+			if err == nil {
+				out = append(out, schemeStats{scheme: s, metrics: met})
+			}
+			return maxSchemes <= 0 || len(out) < maxSchemes
+		})
+		return out
 	})
-	return out
 }
 
 // dedupeSchemes merges scheme collections across ε values, keeping one

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/datagen"
+	"repro/internal/entropy"
 	"repro/internal/relation"
 )
 
@@ -48,7 +49,7 @@ func Fig12SpuriousVsJ(cfg Config) string {
 	rep := newReport(cfg.Out)
 	buckets := []float64{0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 1e18}
 	for _, ds := range fig12Datasets(cfg.Scale) {
-		o := cfg.oracleFor(ds.rel) // one warm oracle per dataset, shared across the sweep
+		o := entropy.New(ds.rel) // one warm oracle per dataset, shared across the sweep
 		perEps := make([][]schemeStats, 0, len(cfg.epsilons()))
 		for _, eps := range cfg.epsilons() {
 			perEps = append(perEps, cfg.collectSchemes(o, eps, 150))

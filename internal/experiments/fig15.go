@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"repro/internal/datagen"
+	"repro/internal/entropy"
 	"repro/internal/relation"
 )
 
@@ -28,7 +29,7 @@ func Fig15Quality(cfg Config) string {
 		r := spec.Generate()
 		rep.printf("\nFig. 15 (%s analog): %d cols, %d rows\n", name, r.NumCols(), r.NumRows())
 		rep.printf("%8s %9s %11s %9s %10s\n", "ε", "#schemes", "#relations", "width", "intWidth")
-		o := cfg.oracleFor(r) // shared across the ε sweep
+		o := entropy.New(r) // shared across the ε sweep
 		for _, eps := range cfg.epsilons() {
 			stats := cfg.collectSchemes(o, eps, 100)
 			rep.printf("%8.2f %9d %11d %9s %10s\n",

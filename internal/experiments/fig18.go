@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/entropy"
 )
 
 // fig18Datasets are the four datasets of Fig. 18 / Sec. 14.1.
@@ -35,10 +36,10 @@ func Fig18FullMVDs(cfg Config) string {
 			// protocol leaves separator mining untimed), but each ε stays
 			// cold so the timed generation rate is not order-dependent on
 			// the sweep.
-			o := cfg.oracleFor(r)
+			o := entropy.New(r)
 			// Phase A (untimed): minimal separators for every pair.
 			m := cfg.minerFor(o, eps)
-			seps := m.MineMinSepsAll()
+			seps := budgeted(cfg, m, m.MineMinSepsAll)
 
 			// Phase B (timed): expand each separator to its full MVDs.
 			m2 := cfg.minerFor(o, eps)

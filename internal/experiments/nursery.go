@@ -3,6 +3,7 @@ package experiments
 import (
 	"repro/internal/datagen"
 	"repro/internal/decompose"
+	"repro/internal/entropy"
 )
 
 // Fig10Nursery reproduces the Sec. 8.1 use case (Figs. 10 and 11): mine
@@ -16,7 +17,7 @@ func Fig10Nursery(cfg Config) string {
 	rep.printf("Nursery use case (Figs. 10-11): %d rows, %d attributes, %d cells\n",
 		r.NumRows(), r.NumCols(), r.Cells())
 
-	o := cfg.oracleFor(r) // shared across the ε sweep, as a Session would
+	o := entropy.New(r) // shared across the ε sweep, as a Session would
 	perEps := make([][]schemeStats, 0, len(cfg.epsilons()))
 	for _, eps := range cfg.epsilons() {
 		perEps = append(perEps, cfg.collectSchemes(o, eps, 200))

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/datagen"
+	"repro/internal/entropy"
 	"repro/internal/relation"
 )
 
@@ -85,9 +86,9 @@ func Fig14Cols(cfg Config) string {
 
 // timeMinSeps runs the separator phase for all pairs under a deadline.
 func timeMinSeps(cfg Config, r *relation.Relation, eps float64) (time.Duration, int, bool) {
-	m := cfg.minerFor(cfg.oracleFor(r), eps)
+	m := cfg.minerFor(entropy.New(r), eps)
 	start := time.Now()
-	res := m.MineMinSepsAll()
+	res := budgeted(cfg, m, m.MineMinSepsAll)
 	return time.Since(start), res.NumMinSeps(), res.Err != nil
 }
 

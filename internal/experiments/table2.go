@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/entropy"
 )
 
 // Table2 reproduces Table 2: for each of the 20 datasets (synthetic
@@ -20,9 +21,9 @@ func Table2(cfg Config) string {
 		"PaperTime[s]", "PaperMVDs", "Time", "FullMVDs")
 	for _, spec := range datagen.Registry(cfg.Scale) {
 		r := spec.Generate()
-		m := cfg.minerFor(cfg.oracleFor(r), 0)
+		m := cfg.minerFor(entropy.New(r), 0)
 		start := time.Now()
-		res := m.MineMVDs()
+		res := budgeted(cfg, m, m.MineMVDs)
 		elapsed := time.Since(start)
 		timeStr := elapsed.Round(time.Millisecond).String()
 		if res.Err != nil {

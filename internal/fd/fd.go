@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/entropy"
-	"repro/internal/pli"
 	"repro/internal/relation"
 )
 
@@ -74,23 +73,18 @@ type Result struct {
 	UCCs []bitset.AttrSet
 }
 
-// Miner mines FDs and UCCs over one relation, sharing the PLI cache with
-// any other consumer of the same relation.
+// Miner mines FDs and UCCs over one relation. The g3 measure, the UCC
+// check and the entropy measure all read partitions from one oracle's PLI
+// cache, so each partition is built once.
 type Miner struct {
 	rel    *relation.Relation
-	cache  *pli.Cache
 	oracle *entropy.Oracle
 	opts   Options
 }
 
 // NewMiner builds an FD miner.
 func NewMiner(r *relation.Relation, opts Options) *Miner {
-	return &Miner{
-		rel:    r,
-		cache:  pli.NewCache(r, pli.DefaultConfig()),
-		oracle: entropy.New(r),
-		opts:   opts,
-	}
+	return &Miner{rel: r, oracle: entropy.New(r), opts: opts}
 }
 
 // Error returns the configured error measure of X→A.
@@ -114,8 +108,8 @@ func (m *Miner) g3(lhs bitset.AttrSet, rhs int) float64 {
 	if n == 0 {
 		return 0
 	}
-	base := m.cache.Get(lhs)
-	refined := m.cache.Get(lhs.Add(rhs))
+	base := m.oracle.Partition(lhs)
+	refined := m.oracle.Partition(lhs.Add(rhs))
 	probe := refined.Probe()
 	removals := 0
 	counts := map[int32]int{}
@@ -150,7 +144,7 @@ func (m *Miner) IsUnique(attrs bitset.AttrSet) bool {
 	if n == 0 {
 		return true
 	}
-	p := m.cache.Get(attrs)
+	p := m.oracle.Partition(attrs)
 	dupes := 0
 	for _, c := range p.Clusters() {
 		dupes += len(c) - 1

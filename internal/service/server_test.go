@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -137,12 +138,16 @@ func cancelJob(t *testing.T, ts *httptest.Server, id string) {
 	}
 }
 
-// expectedResult mines synchronously through the public facade and
-// renders the result the way the service does — the reference every
-// async job is compared against.
+// expectedResult mines synchronously through a fresh session of the
+// public facade and renders the result the way the service does — the
+// reference every async job is compared against.
 func expectedResult(t *testing.T, r *relation.Relation, eps float64, maxSchemes int) ([]string, []float64, []string) {
 	t.Helper()
-	schemes, res, err := maimon.MineSchemes(r, maimon.Options{Epsilon: eps, MaxSchemes: maxSchemes})
+	s, err := maimon.Open(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemes, res, err := s.MineSchemes(context.Background(), maimon.WithEpsilon(eps), maimon.WithMaxSchemes(maxSchemes))
 	if err != nil {
 		t.Fatal(err)
 	}

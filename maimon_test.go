@@ -1,6 +1,7 @@
 package maimon
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/datagen"
 	"repro/internal/decompose"
-	"repro/internal/entropy"
 	"repro/internal/schema"
 )
 
@@ -33,22 +33,32 @@ func paperRelation(t *testing.T) *Relation {
 	return r
 }
 
+// mustOpen opens a session over r with default options.
+func mustOpen(t *testing.T, r *Relation) *Session {
+	t.Helper()
+	s, err := Open(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestPublicAPIEndToEnd(t *testing.T) {
-	r := paperRelation(t)
-	schemes, res, err := MineSchemes(r, Options{Epsilon: 0, MaxSchemes: 10})
+	s := mustOpen(t, paperRelation(t))
+	schemes, res, err := s.MineSchemes(context.Background(), WithEpsilon(0), WithMaxSchemes(10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.MVDs) == 0 || len(schemes) == 0 {
 		t.Fatalf("MVDs=%d schemes=%d", len(res.MVDs), len(schemes))
 	}
-	for _, s := range schemes {
-		met, err := Analyze(r, s.Schema)
+	for _, sc := range schemes {
+		met, err := s.Analyze(sc.Schema)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.J > 1e-9 || met.SpuriousPct > 1e-9 {
-			t.Fatalf("exact scheme with J=%v E=%v", s.J, met.SpuriousPct)
+		if sc.J > 1e-9 || met.SpuriousPct > 1e-9 {
+			t.Fatalf("exact scheme with J=%v E=%v", sc.J, met.SpuriousPct)
 		}
 	}
 }
@@ -58,10 +68,12 @@ func TestMineMVDsValidatesArity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MineMVDs(r, Options{}); err == nil {
+	s := mustOpen(t, r)
+	ctx := context.Background()
+	if _, err := s.MineMVDs(ctx); err == nil {
 		t.Fatal("2-column relation accepted")
 	}
-	if _, _, err := MineSchemes(r, Options{}); err == nil {
+	if _, _, err := s.MineSchemes(ctx); err == nil {
 		t.Fatal("2-column relation accepted")
 	}
 }
@@ -72,7 +84,7 @@ func TestJPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j := J(r, phi); math.Abs(j) > 1e-12 {
+	if j := mustOpen(t, r).J(phi); math.Abs(j) > 1e-12 {
 		t.Fatalf("J = %v, want 0", j)
 	}
 }
@@ -86,7 +98,7 @@ func TestJOfSchemaPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := JOfSchema(r, s)
+	j, err := mustOpen(t, r).JOfSchema(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +149,7 @@ func TestReadCSVPublic(t *testing.T) {
 
 func TestTimeoutReportsInterrupted(t *testing.T) {
 	r := datagen.Uniform(200, 12, 3, 5)
-	_, err := MineMVDs(r, Options{Epsilon: 0.3, Timeout: time.Nanosecond})
+	_, err := mustOpen(t, r).MineMVDs(context.Background(), WithEpsilon(0.3), WithTimeout(time.Nanosecond))
 	if err != ErrInterrupted {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
@@ -164,7 +176,8 @@ func TestPlantedSupportRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MineMVDs(r, Options{Epsilon: 0})
+	s := mustOpen(t, r)
+	res, err := s.MineMVDs(context.Background(), WithEpsilon(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +208,7 @@ func TestPlantedSupportRecovered(t *testing.T) {
 	}
 	// And scheme enumeration must produce a scheme at least as decomposed
 	// as the planted one.
-	schemes, _, err := MineSchemes(r, Options{Epsilon: 0, MaxSchemes: 200})
+	schemes, _, err := s.MineSchemes(context.Background(), WithEpsilon(0), WithMaxSchemes(200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +252,9 @@ func TestFullWorkflowIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	schemes, _, err := MineSchemes(r, Options{Epsilon: 0.5, Timeout: 20 * time.Second, MaxSchemes: 30})
+	sess := mustOpen(t, r)
+	schemes, _, err := sess.MineSchemes(context.Background(),
+		WithEpsilon(0.5), WithTimeout(20*time.Second), WithMaxSchemes(30))
 	if err != nil && err != ErrInterrupted {
 		t.Fatal(err)
 	}
@@ -253,7 +268,7 @@ func TestFullWorkflowIntegration(t *testing.T) {
 		}
 	}
 
-	d, err := decompose.Decompose(entropy.New(r), s.Schema)
+	d, err := sess.Decompose(s.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +300,7 @@ func TestFullWorkflowIntegration(t *testing.T) {
 	}
 	reloaded := &decompose.Decomposition{Tree: d.Tree, Projections: projections}
 	joined := reloaded.Join()
-	met, err := Analyze(r, s.Schema)
+	met, err := sess.Analyze(s.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +317,8 @@ func TestFullWorkflowIntegration(t *testing.T) {
 
 func TestCIStatementsPublic(t *testing.T) {
 	r := paperRelation(t)
-	res, err := MineMVDs(r, Options{Epsilon: 0})
+	s := mustOpen(t, r)
+	res, err := s.MineMVDs(context.Background(), WithEpsilon(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,13 +327,13 @@ func TestCIStatementsPublic(t *testing.T) {
 		t.Fatal("no CI statements")
 	}
 	// Every statement must hold exactly over the empirical distribution.
-	for _, s := range stmts {
-		m, err := s.ToMVD(r.NumCols())
+	for _, st := range stmts {
+		m, err := st.ToMVD(r.NumCols())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if j := J(r, m); j > 1e-9 {
-			t.Fatalf("statement %v has I = %v", s, j)
+		if j := s.J(m); j > 1e-9 {
+			t.Fatalf("statement %v has I = %v", st, j)
 		}
 	}
 }
@@ -326,15 +342,15 @@ func TestSchemeSupportsAreEpsilonMVDs(t *testing.T) {
 	// Cor. 5.2 (1): a mined ε-scheme's join-tree support consists of
 	// MVDs with J ≤ J(S) ≤ (m-1)ε... the left inequality (10) gives
 	// max support J ≤ J(S).
-	r := paperRelation(t)
-	schemes, _, err := MineSchemes(r, Options{Epsilon: 0.3, MaxSchemes: 30})
+	s := mustOpen(t, paperRelation(t))
+	schemes, _, err := s.MineSchemes(context.Background(), WithEpsilon(0.3), WithMaxSchemes(30))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range schemes {
-		for _, sup := range s.Tree.Support() {
-			if j := J(r, sup); j > s.J+1e-9 {
-				t.Fatalf("support MVD %v has J=%v > J(S)=%v", sup, j, s.J)
+	for _, sc := range schemes {
+		for _, sup := range sc.Tree.Support() {
+			if j := s.J(sup); j > sc.J+1e-9 {
+				t.Fatalf("support MVD %v has J=%v > J(S)=%v", sup, j, sc.J)
 			}
 		}
 	}

@@ -101,10 +101,9 @@ func WithEpsilon(eps float64) Option { return func(c *config) { c.epsilon = eps 
 
 // WithTimeout bounds one mining call's total wall-clock time across both
 // phases; zero (the default) means unlimited. It is implemented as a
-// single context.WithTimeout layered over the caller's context — the
-// session path arms exactly one timer, so whichever of the caller's
-// deadline and this timeout is earlier fires, surfacing as
-// ErrInterrupted.
+// single context.WithTimeout layered over the caller's context, so
+// whichever of the caller's deadline and this timeout is earlier fires,
+// surfacing as ErrInterrupted.
 func WithTimeout(d time.Duration) Option { return func(c *config) { c.timeout = d } }
 
 // WithMaxSchemes bounds how many schemes MineSchemes returns and
@@ -127,9 +126,7 @@ func WithPairs(pairs [][2]int) Option { return func(c *config) { c.pairs = pairs
 // deterministic — identical to a serial mine of the same relation.
 //
 // The default (n = 0, or any n <= 0) is runtime.GOMAXPROCS(0). n = 1
-// mines serially, as the paper's single-threaded system does. Sessions
-// opened by the deprecated one-shot wrappers always mine serially: their
-// oracle skips the concurrency machinery.
+// mines serially, as the paper's single-threaded system does.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithPLIConfig sets the PLI cache configuration of the session's entropy
@@ -184,8 +181,6 @@ func WithSpillBudget(bytes int64) Option {
 // read. Results are byte-identical under any budget. bytes <= 0 means
 // unlimited (the default). Honored by Open only; Session.Stats reports
 // the memo occupancy (MemoBytes) and eviction count (MemoEvictions).
-// Sessions from the deprecated one-shot wrappers (unshared oracles)
-// ignore it.
 func WithEntropyBudget(bytes int64) Option {
 	return func(c *config) { c.entropyBudget = bytes }
 }
@@ -202,9 +197,7 @@ func WithProgress(fn func(Progress)) Option { return func(c *config) { c.progres
 func WithTrace(t *MineTrace) Option { return func(c *config) { c.trace = t } }
 
 // coreOptions lowers the resolved config to core.Options. The timeout is
-// deliberately absent: session calls bound time exclusively through the
-// context (mineContext), never through the core per-phase Budget, so
-// exactly one timer is armed per call.
+// absent: it rides the context (mineContext), the miner's one stop signal.
 func (c config) coreOptions() core.Options {
 	o := core.DefaultOptions(c.epsilon)
 	o.PairwiseConsistency = c.pruning
@@ -259,32 +252,12 @@ type Session struct {
 // defaults (WithPLIConfig additionally sizes the oracle, which is built
 // here, once).
 func Open(r *Relation, opts ...Option) (*Session, error) {
-	return open(r, true, opts)
-}
-
-// openUnshared builds a session whose oracle skips the concurrency
-// locking — for the deprecated one-shot wrappers, which create, use, and
-// drop the session on a single goroutine.
-func openUnshared(r *Relation, opts ...Option) (*Session, error) {
-	return open(r, false, opts)
-}
-
-func open(r *Relation, shared bool, opts []Option) (*Session, error) {
 	if r == nil {
 		return nil, errors.New("maimon: Open on a nil relation")
 	}
 	cfg := defaultSessionConfig().with(opts)
-	var oracle *entropy.Oracle
-	if shared {
-		oracle = entropy.NewShared(r, cfg.pliCfg)
-		oracle.SetMemoBudget(cfg.entropyBudget)
-	} else {
-		// Single-goroutine session: pin the pipeline to serial so the
-		// unlocked oracle is never shared across worker miners (the core
-		// layer also refuses to fan out over an unshared oracle).
-		cfg.workers = 1
-		oracle = entropy.NewWithConfig(r, cfg.pliCfg)
-	}
+	oracle := entropy.NewShared(r, cfg.pliCfg)
+	oracle.SetMemoBudget(cfg.entropyBudget)
 	return &Session{rel: r, oracle: oracle, base: cfg}, nil
 }
 

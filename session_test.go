@@ -43,7 +43,7 @@ func TestSessionWarmReuseAcrossEpsilons(t *testing.T) {
 	}
 }
 
-// A warm session must return exactly what a cold one-shot call returns:
+// A warm session must return exactly what a cold, fresh session returns:
 // reuse is an optimization, never a semantic change.
 func TestSessionWarmMatchesOneShot(t *testing.T) {
 	r := Nursery().Head(800)
@@ -59,7 +59,7 @@ func TestSessionWarmMatchesOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, coldRes, err := MineSchemes(r, Options{Epsilon: 0.1, MaxSchemes: 20})
+	cold, coldRes, err := mustOpen(t, r).MineSchemes(ctx, WithEpsilon(0.1), WithMaxSchemes(20))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -316,6 +316,44 @@ func BenchmarkPhase1Warm(b *testing.B) {
 	}
 }
 
+// BenchmarkPhase2Warm is ASMiner alone: the MVDs phase 1 mines from the
+// benchmark's `wide` relation at the warm_sweep thresholds, handed back
+// to SchemesFromMVDs on the warm session with warm_sweep's cap of 100
+// schemes. One op is the three phase-2 runs: the incompatibility-graph
+// build over 925, 2,057 and 2,137 MVDs, then the enumeration and scheme
+// synthesis; run it with -benchmem.
+func BenchmarkPhase2Warm(b *testing.B) {
+	s, err := Open(benchWide(b), WithMaxSchemes(100))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	var sets [][]MVD
+	for _, eps := range []float64{0.02, 0.05, 0.1} {
+		res, err := s.MineMVDs(ctx, WithEpsilon(eps))
+		if err != nil {
+			b.Fatal(err)
+		}
+		sets = append(sets, res.MVDs)
+		if _, err := s.SchemesFromMVDs(ctx, res.MVDs); err != nil {
+			b.Fatal(err) // warm the entropies J reads
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, ms := range sets {
+			schemes, err := s.SchemesFromMVDs(ctx, ms)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(schemes) == 0 {
+				b.Fatal("no schemes")
+			}
+		}
+	}
+}
+
 // BenchmarkAnalyzeRank is scheme ranking alone: the benchmark's `mid`
 // relation (27k × 9, planted chain, 1 % noise) mined once at ε = 0.1 for
 // 30 schemes, then one op = Session.Analyze on each of the 30 — the loop

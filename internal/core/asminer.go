@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bitset"
@@ -46,14 +44,10 @@ func (m *Miner) EnumerateSchemes(mvds []mvd.MVD, emit func(*Scheme) bool) {
 	if !ok {
 		return // cancelled or past the deadline mid-build
 	}
-	enumerate := g.EnumerateBK
-	if m.opts.UseJPYEnumerator {
-		enumerate = g.EnumerateJPY
-	}
 	m.emitProgress(Progress{Phase: "schemes", MVDs: len(ms), Candidates: m.searchStats.Visited})
 	streamed := 0
 	seen := make(map[string]bool)
-	enumerate(func(set []int) bool {
+	g.EnumerateBK(func(set []int) bool {
 		synthT0 := time.Now()
 		synthStats := m.searchStats
 		emitted := int64(0)
@@ -99,72 +93,34 @@ func (m *Miner) EnumerateSchemes(mvds []mvd.MVD, emit func(*Scheme) bool) {
 	})
 }
 
-// buildIncompatibilityGraph fills g with the edges of Eq. 15. The graph
-// is quadratic in |Mε| (tens of thousands of MVDs on wide approximate
-// inputs), so cancellation must be observable while it is being built,
-// not only once enumeration starts; it reports false when the build was
-// cut short. With Options.Workers > 1 the upper-triangle rows are
-// computed by a pool of goroutines claiming row stripes off an atomic
-// cursor (Incompatible is pure, so this needs no oracle sharing), then
-// folded into g serially — the edge set, and thus every enumerated
-// scheme, is identical to a serial build. It reports whether the build
-// completed and how many incompatibility edges it added.
+// buildIncompatibilityGraph fills the empty graph g with the edges of
+// Eq. 15 over ms and reports whether the build completed and how many
+// edges it added. The graph is quadratic in |Mε| (tens of thousands of
+// MVDs on wide approximate inputs), so cancellation is polled once per
+// row, not only once enumeration starts. Rows are written in place by
+// up to Options.Workers goroutines (mis.Graph.FillUpper); each row is
+// its key failures (keyMasks) plus the pairs the exact Compatible test
+// rejects among the rest, so the edge set, and thus every enumerated
+// scheme, is the same at every worker count.
 func (m *Miner) buildIncompatibilityGraph(g *mis.Graph, ms []mvd.MVD) (bool, int64) {
-	workers := m.opts.Workers
-	edges := int64(0)
-	if workers <= 1 || len(ms) < 64 {
-		for i := range ms {
-			if m.stopped() {
-				return false, edges
+	km := newKeyMasks(ms)
+	edges, ok := g.FillUpper(m.opts.Workers, func() func(int, []uint64) bool {
+		s := km.newKeyRow()
+		return func(i int, row []uint64) bool {
+			// Poll the stop flag without mutating shared miner state
+			// (stopped() records the cause, once, after the join).
+			if m.done.Load() {
+				return false
 			}
-			for j := i + 1; j < len(ms); j++ {
-				if Incompatible(ms[i], ms[j]) {
-					g.AddEdge(i, j)
-					edges++
-				}
+			km.incompatibleRow(s, ms, i, row)
+			if m.afterGraphRow != nil {
+				m.afterGraphRow(i)
 			}
+			return true
 		}
-		return true, edges
-	}
-	rows := make([][]int32, len(ms))
-	var next atomic.Int64
-	var bail atomic.Bool
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ms) || bail.Load() {
-					return
-				}
-				// Poll the stop flag without mutating shared miner state
-				// (stopped() records the cause; the parent does that
-				// once, after the join).
-				if m.done.Load() {
-					bail.Store(true)
-					return
-				}
-				var row []int32
-				for j := i + 1; j < len(ms); j++ {
-					if Incompatible(ms[i], ms[j]) {
-						row = append(row, int32(j))
-					}
-				}
-				rows[i] = row
-			}
-		}()
-	}
-	wg.Wait()
-	if m.stopped() {
-		return false, edges
-	}
-	for i, row := range rows {
-		for _, j := range row {
-			g.AddEdge(i, int(j))
-			edges++
-		}
+	})
+	if m.stopped() || !ok { // stopped() first: it records the stop cause
+		return false, 0
 	}
 	return true, edges
 }

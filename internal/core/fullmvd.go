@@ -50,6 +50,10 @@ type Miner struct {
 	// driver's stats lock; only the parent miner appends phases.
 	trace  *obs.MineTrace
 	stages stageAccum
+
+	// afterGraphRow, when set (by tests), is called from the graph
+	// build's workers after each finished row.
+	afterGraphRow func(row int)
 }
 
 // source is what the search asks of the entropy layer: the J-measures'

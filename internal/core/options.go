@@ -46,12 +46,6 @@ type Options struct {
 	// callback runs synchronously on the mining goroutine.
 	Progress func(Progress)
 
-	// UseJPYEnumerator switches ASMiner's maximal-independent-set engine
-	// from Bron–Kerbosch (default; output-sensitive, fast in practice) to
-	// the Johnson–Papadimitriou–Yannakakis queue scheme the paper cites
-	// (Thm. 7.3; polynomial delay, higher memory).
-	UseJPYEnumerator bool
-
 	// Trace, when non-nil, receives the stage-level mine trace: NewMiner
 	// resets it and every top-level phase (MineMVDs, MineMinSepsAll,
 	// EnumerateSchemes) appends one obs.PhaseTrace on completion, carrying
@@ -66,10 +60,12 @@ type Options struct {
 	// Workers is the fan-out of the parallel mining pipeline. MineMVDs
 	// and MineMinSepsAll distribute attribute pairs across a bounded pool
 	// of worker miners over the shared oracle (the paper's Fig. 3 loop is
-	// embarrassingly parallel), and EnumerateSchemes stripes the
-	// incompatibility-graph build. <= 1 means serial, the default.
-	// Results are merged back in canonical pair order and are identical
-	// to a serial run on the same inputs.
+	// embarrassingly parallel), and EnumerateSchemes lets that many
+	// goroutines claim rows of the incompatibility graph and write them
+	// in place. <= 1 means serial, the default. Pair results are merged
+	// back in canonical pair order and the graph's edges do not depend on
+	// which goroutine wrote a row, so results are identical to a serial
+	// run on the same inputs.
 	Workers int
 }
 

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"repro/internal/entropy"
-)
+import "testing"
 
 func minedSchemes(t *testing.T, eps float64) []*Scheme {
 	t.Helper()
@@ -113,31 +109,5 @@ func TestFilterByJ(t *testing.T) {
 	}
 	if len(FilterByJ(schemes, 1e18)) != len(schemes) {
 		t.Fatal("permissive filter dropped schemes")
-	}
-}
-
-func TestJPYEnumeratorMatchesBK(t *testing.T) {
-	r := paperRWithRedTuple()
-	collect := func(useJPY bool) map[string]bool {
-		opts := DefaultOptions(0.3)
-		opts.UseJPYEnumerator = useJPY
-		m := NewMiner(entropy.New(r), opts)
-		res := m.MineMVDs()
-		out := map[string]bool{}
-		m.EnumerateSchemes(res.MVDs, func(s *Scheme) bool {
-			out[s.Schema.Fingerprint()] = true
-			return true
-		})
-		return out
-	}
-	bk := collect(false)
-	jpy := collect(true)
-	if len(bk) != len(jpy) {
-		t.Fatalf("BK found %d schemes, JPY %d", len(bk), len(jpy))
-	}
-	for fp := range bk {
-		if !jpy[fp] {
-			t.Fatal("JPY missed a schema BK found")
-		}
 	}
 }

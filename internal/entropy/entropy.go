@@ -512,7 +512,6 @@ func (l *Local) CondH(y, x bitset.AttrSet) float64 {
 	return l.H(x.Union(y)) - l.H(x)
 }
 
-// MI is Oracle.MI computed on the view's arena.
 // MI is Oracle.MI computed on the view's arena. Like the H counters, the
 // MI count is a view-private int that Release flushes — not a cross-core
 // atomic add per call.

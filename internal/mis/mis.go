@@ -22,21 +22,112 @@ import (
 	"container/heap"
 	"math/bits"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // Graph is a simple undirected graph on vertices 0..n-1.
 type Graph struct {
 	n   int
-	adj []words // adjacency bitsets, self-loops never set
+	adj []words // adjacency bitsets, self-loops never set; rows of one backing array
 }
 
 // NewGraph returns an empty graph on n vertices.
 func NewGraph(n int) *Graph {
+	nw := (n + 63) / 64
+	backing := make([]uint64, n*nw)
 	g := &Graph{n: n, adj: make([]words, n)}
 	for i := range g.adj {
-		g.adj[i] = newWords(n)
+		g.adj[i] = backing[i*nw : (i+1)*nw : (i+1)*nw]
 	}
 	return g
+}
+
+// FillUpper builds the edge set of an empty graph from its upper
+// triangle and returns the number of edges. Up to workers goroutines
+// (<= 1: the calling goroutine alone) each take a row filler from
+// newFiller and call it on rows claimed off a shared cursor, so no two
+// fills share a row: fill(i, row) sets in row — vertex i's adjacency
+// words — exactly the bits j > i of i's neighbours, and returns false to
+// abandon the build. After the join the lower triangle is mirrored from
+// the upper one by 64×64 bit-block transposes. An abandoned build
+// reports ok = false and leaves the graph partly filled.
+func (g *Graph) FillUpper(workers int, newFiller func() func(i int, row []uint64) bool) (edges int64, ok bool) {
+	var next atomic.Int64
+	var bail atomic.Bool
+	run := func() {
+		fill := newFiller()
+		for !bail.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= g.n {
+				return
+			}
+			if !fill(i, g.adj[i]) {
+				bail.Store(true)
+			}
+		}
+	}
+	if workers = min(workers, g.n); workers <= 1 {
+		run()
+	} else {
+		var wg sync.WaitGroup
+		for k := 0; k < workers; k++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run()
+			}()
+		}
+		wg.Wait()
+	}
+	if bail.Load() {
+		return 0, false
+	}
+	for _, row := range g.adj {
+		edges += int64(row.count())
+	}
+	g.mirrorUpper()
+	return edges, true
+}
+
+// mirrorUpper ORs the transpose of the upper triangle into the lower one,
+// a 64×64 block at a time: the block of rows 64b…64b+63 in word c ≥ b
+// lands in rows 64c…64c+63, word b. A diagonal block takes its own
+// transpose, which only sets bits below its diagonal.
+func (g *Graph) mirrorUpper() {
+	nw := (g.n + 63) / 64
+	var blk [64]uint64
+	for b := 0; b < nw; b++ {
+		rows := g.adj[64*b : min(64*b+64, g.n)]
+		for c := b; c < nw; c++ {
+			set := uint64(0)
+			for r, row := range rows {
+				blk[r] = row[c]
+				set |= row[c]
+			}
+			if set == 0 {
+				continue
+			}
+			clear(blk[len(rows):])
+			transpose64(&blk)
+			for r, row := range g.adj[64*c : min(64*c+64, g.n)] {
+				row[b] |= blk[r]
+			}
+		}
+	}
+}
+
+// transpose64 transposes a 64×64 bit matrix in place — bit c of a[r]
+// moves to bit r of a[c] — by swapping ever smaller off-diagonal blocks
+// (Hacker's Delight §7-3).
+func transpose64(a *[64]uint64) {
+	for j, m := 32, uint64(0x00000000FFFFFFFF); j != 0; j, m = j>>1, m^(m<<uint(j>>1)) {
+		for k := 0; k < 64; k = (k + j + 1) &^ j {
+			t := (a[k]>>uint(j) ^ a[k+j]) & m
+			a[k+j] ^= t
+			a[k] ^= t << uint(j)
+		}
+	}
 }
 
 // N returns the number of vertices.

@@ -175,6 +175,62 @@ func randomGraph(rng *rand.Rand, n int, p float64) *Graph {
 	return g
 }
 
+// TestFillUpperMatchesAddEdge builds random graphs twice — edge by edge
+// with AddEdge, and by FillUpper from their upper triangles at several
+// worker counts — around the 64-vertex word and block boundaries, and
+// requires identical adjacency rows and the reference edge count.
+func TestFillUpperMatchesAddEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	for _, n := range []int{0, 1, 63, 64, 65, 129, 300} {
+		for _, p := range []float64{0.05, 0.5, 0.95} {
+			ref := randomGraph(rng, n, p)
+			want := int64(0)
+			for v := 0; v < n; v++ {
+				want += int64(ref.Degree(v))
+			}
+			want /= 2
+			for _, workers := range []int{1, 2, 8} {
+				g := NewGraph(n)
+				edges, ok := g.FillUpper(workers, func() func(int, []uint64) bool {
+					return func(i int, row []uint64) bool {
+						for j := i + 1; j < n; j++ {
+							if ref.HasEdge(i, j) {
+								row[j/64] |= 1 << uint(j%64)
+							}
+						}
+						return true
+					}
+				})
+				if !ok || edges != want {
+					t.Fatalf("n=%d p=%v workers=%d: FillUpper = (%d, %v), want (%d, true)", n, p, workers, edges, ok, want)
+				}
+				for v := 0; v < n; v++ {
+					for w := range g.adj[v] {
+						if g.adj[v][w] != ref.adj[v][w] {
+							t.Fatalf("n=%d p=%v workers=%d: row %d word %d = %#x, want %#x",
+								n, p, workers, v, w, g.adj[v][w], ref.adj[v][w])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFillUpperAbandon stops a fill from inside a row: the build reports
+// ok = false and no edge count.
+func TestFillUpperAbandon(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		g := NewGraph(200)
+		edges, ok := g.FillUpper(workers, func() func(int, []uint64) bool {
+			return func(i int, row []uint64) bool { return i < 10 }
+		})
+		if ok || edges != 0 {
+			t.Fatalf("workers=%d: abandoned fill = (%d, %v), want (0, false)", workers, edges, ok)
+		}
+	}
+}
+
 func TestQuickBKMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for trial := 0; trial < 200; trial++ {

@@ -121,8 +121,8 @@ func WithPairs(pairs [][2]int) Option { return func(c *config) { c.pairs = pairs
 
 // WithWorkers sets the fan-out of the parallel mining pipeline: attribute
 // pairs (the paper's Fig. 3 loop) are distributed across n worker miners
-// over the session's shared single-flight oracle, and ASMiner's
-// incompatibility-graph build is striped the same way. Results are
+// over the session's shared single-flight oracle, and n goroutines write
+// the rows of ASMiner's incompatibility graph in place. Results are
 // deterministic — identical to a serial mine of the same relation.
 //
 // The default (n = 0, or any n <= 0) is runtime.GOMAXPROCS(0). n = 1

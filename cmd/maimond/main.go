@@ -13,9 +13,7 @@
 //	        [-log-level info] [-log-json] [-debug-addr ""]
 //	        [-load name=path.csv ...] [-nursery]
 //	        [-coordinator http://w1:8080,http://w2:8080]
-//	        [-shards-per-worker 4] [-hedge-quantile 0.9]
-//	        [-dist-inflight 0] [-tenant-inflight 0] [-dist-mines 8]
-//	        [-probe-interval 5s]
+//	        [-shards-per-worker 4] [-dist-mines 8] [-probe-interval 5s]
 //
 // With -coordinator, the daemon additionally acts as the distributed
 // mining coordinator: phase 1 of every job is sharded across the listed
@@ -124,9 +122,6 @@ func main() {
 
 		coordinator     = flag.String("coordinator", "", "comma-separated worker base URLs; when set, phase 1 of every job is sharded across them (distributed mining)")
 		shardsPerWorker = flag.Int("shards-per-worker", 4, "distributed: shards per worker (numShards = this × workers)")
-		hedgeQuantile   = flag.Float64("hedge-quantile", 0.9, "distributed: completed-shard latency quantile after which a straggler shard is hedged to a second worker (≤0 disables)")
-		distInflight    = flag.Int("dist-inflight", 0, "distributed: max concurrent shard RPCs (0 = 4 × workers)")
-		tenantInflight  = flag.Int("tenant-inflight", 0, "distributed: per-tenant concurrent shard RPC budget (0 = same as -dist-inflight)")
 		distMines       = flag.Int("dist-mines", 8, "distributed: max concurrent distributed mines; beyond it submits fail busy")
 		probeInterval   = flag.Duration("probe-interval", 5*time.Second, "distributed: worker /v1/readyz probe period (negative disables active probing)")
 	)
@@ -188,9 +183,6 @@ func main() {
 		coord, err = dist.New(dist.Config{
 			Workers:         strings.Split(*coordinator, ","),
 			ShardsPerWorker: *shardsPerWorker,
-			HedgeQuantile:   *hedgeQuantile,
-			MaxInflight:     *distInflight,
-			TenantInflight:  *tenantInflight,
 			MaxMines:        *distMines,
 			ProbeInterval:   *probeInterval,
 			Registry:        tel.Registry(),

@@ -202,33 +202,15 @@ func (m *Miner) minePairOutcomes(pairs [][2]int, workers int, phase string, expa
 
 // minePairs is the body of MineMVDs and MineMinSepsAll: the pairs are
 // mined through minePairOutcomes — on a worker pool, or on m itself when
-// there is one worker — and the outcomes merged in canonical pair order,
-// so the cross-pair fingerprint dedup, and with it res.MVDs (after the
-// final canonical sort) and res.MinSeps, come out byte-identical at every
+// there is one worker — and the outcomes merged by MergePairs in pair
+// order, so res.MVDs and res.MinSeps come out byte-identical at every
 // fan-out. expand=false restricts the work to the separator phase.
 func (m *Miner) minePairs(pairs [][2]int, phase string, expand bool) *MVDResult {
 	m.beginPhase()
 	defer m.tracePhase(phase)()
-	res := &MVDResult{MinSeps: make(map[Pair][]bitset.AttrSet)}
 	m.emitProgress(Progress{Phase: phase, PairsTotal: len(pairs)})
 	outcomes := m.minePairOutcomes(pairs, m.opts.Workers, phase, expand)
-	seen := make(map[string]bool)
-	for idx := range outcomes {
-		a, b := pairs[idx][0], pairs[idx][1]
-		if a > b {
-			a, b = b, a
-		}
-		out := &outcomes[idx]
-		if len(out.seps) > 0 {
-			res.MinSeps[Pair{a, b}] = out.seps
-		}
-		for _, phi := range out.mvds {
-			if fp := phi.Fingerprint(); !seen[fp] {
-				seen[fp] = true
-				res.MVDs = append(res.MVDs, phi)
-			}
-		}
-	}
+	res := MergePairs(pairMVDs(pairs, outcomes))
 	// LastMinSepTrace reports the most recent MineMinSeps call: in pair
 	// order that is the final pair, whichever worker mined it.
 	if n := len(outcomes); n > 0 {
@@ -238,6 +220,30 @@ func (m *Miner) minePairs(pairs [][2]int, phase string, expand bool) *MVDResult 
 	// poll records the shared stop cause.
 	m.stopped()
 	res.Err = m.interruptErr()
+	return res
+}
+
+// MergePairs reduces per-pair outcomes to one MVDResult: each pair keeps
+// its separators, full MVDs are deduplicated by fingerprint across pairs
+// (first occurrence wins), and the union is sorted canonically. Given the
+// outcomes in canonical pair order it is the merge of a single-node mine,
+// which is how a coordinator reassembles shards mined on other machines
+// byte for byte. A pair absent from ps contributes nothing, like a pair
+// an interrupted mine never reached.
+func MergePairs(ps []PairMVDs) *MVDResult {
+	res := &MVDResult{MinSeps: make(map[Pair][]bitset.AttrSet)}
+	seen := make(map[string]bool)
+	for _, p := range ps {
+		if len(p.Seps) > 0 {
+			res.MinSeps[Pair{p.A, p.B}] = p.Seps
+		}
+		for _, phi := range p.MVDs {
+			if fp := phi.Fingerprint(); !seen[fp] {
+				seen[fp] = true
+				res.MVDs = append(res.MVDs, phi)
+			}
+		}
+	}
 	mvd.Sort(res.MVDs)
 	return res
 }

@@ -10,10 +10,10 @@ import (
 // mining tier: assigning attribute pairs to shards by the same fmix64
 // policy the PLI and entropy caches stripe by (internal/stripe), and
 // mining exactly one shard's pairs without the cross-pair merge — the
-// worker half of a coordinator/worker mine. The coordinator reassembles
-// the per-pair outcomes of all shards in canonical pair order and dedups
-// across them, replaying what minePairs' merge does on one node,
-// so a distributed mine is byte-identical to a single-node one.
+// worker half of a coordinator/worker mine. The coordinator puts the
+// per-pair outcomes of all shards back in canonical pair order and
+// merges them with MergePairs, the merge minePairs runs on one node, so
+// a distributed mine is byte-identical to a single-node one.
 
 // ShardOfPair assigns the unordered attribute pair (a, b), a < b, to one
 // of numShards shards by hashing the packed pair with the fmix64
@@ -72,6 +72,16 @@ func (m *Miner) MinePairMVDs(pairs [][2]int) ([]PairMVDs, error) {
 		return nil, nil
 	}
 	outcomes := m.minePairOutcomes(pairs, m.opts.Workers, "mvds", true)
+	// Same bookkeeping as minePairs: the last pair's separator
+	// trace is what a serial run would leave, and one parent-side poll
+	// records the shared stop cause.
+	m.minsepTrace = outcomes[len(outcomes)-1].trace
+	m.stopped()
+	return pairMVDs(pairs, outcomes), m.interruptErr()
+}
+
+// pairMVDs attaches to each outcome its pair, ordered a < b.
+func pairMVDs(pairs [][2]int, outcomes []pairOutcome) []PairMVDs {
 	out := make([]PairMVDs, len(pairs))
 	for i := range outcomes {
 		a, b := pairs[i][0], pairs[i][1]
@@ -80,10 +90,5 @@ func (m *Miner) MinePairMVDs(pairs [][2]int) ([]PairMVDs, error) {
 		}
 		out[i] = PairMVDs{A: a, B: b, Seps: outcomes[i].seps, MVDs: outcomes[i].mvds}
 	}
-	// Same bookkeeping as minePairs: the last pair's separator
-	// trace is what a serial run would leave, and one parent-side poll
-	// records the shared stop cause.
-	m.minsepTrace = outcomes[len(outcomes)-1].trace
-	m.stopped()
-	return out, m.interruptErr()
+	return out
 }

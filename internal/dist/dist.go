@@ -11,24 +11,24 @@
 // internal/stripe); each shard travels as one POST /v1/shards request
 // carrying only (dataset, shard, numShards, ε) — both sides derive the
 // pair list. Workers answer with per-pair outcomes (locally-deduped MVDs
-// in discovery order, wire.PairResult); the coordinator merges all
-// shards' outcomes in canonical pair order with a global fingerprint
-// dedup and a final canonical sort — the identical merge the single-node
-// parallel pipeline performs — so a distributed mine is byte-identical
-// to a local one. Phase 2 (ASMiner) is cheap and stays central, run by
-// the caller over the merged Mε.
+// in discovery order, wire.PairResult); the coordinator puts all shards'
+// outcomes back in canonical pair order and merges them with
+// core.MergePairs — the merge the single-node pipeline runs — so a
+// distributed mine is byte-identical to a local one. Phase 2 (ASMiner) is
+// cheap and stays central, run by the caller over the merged Mε.
 //
-// Failure handling: each shard is dispatched with bounded retries under
-// exponential backoff, rotating to the next worker on every attempt;
-// straggler shards are hedged (duplicated to a second worker) once the
-// run has enough completed-shard latency samples to estimate a quantile;
-// worker health is probed via the existing /v1/readyz and failing
-// workers are skipped while unhealthy. HTTP 4xx answers (bad request,
-// unknown dataset, dataset-shape mismatch) are permanent and fail the
-// mine with a clear error; network errors, 5xx, and truncated or
-// mismatched shard results are retriable. Admission control bounds
-// concurrent mines (ErrBusy, never queued) and per-tenant in-flight
-// shard budgets isolate tenants from each other's fan-out.
+// Scheduling: each mine puts its shards on one queue, and every worker
+// drains it through lanesPerWorker lanes — goroutines that take a shard,
+// call the worker and take the next — so a shard is sent once, and a fast
+// worker simply takes more shards. A retriable failure (network error,
+// 5xx, truncated or mismatched result) puts the shard back on the queue
+// after exponential backoff, up to MaxAttempts. HTTP 4xx answers (bad
+// request, unknown dataset, dataset-shape mismatch) are permanent and
+// fail the mine with a clear error. Worker health is probed via
+// /v1/readyz: an unhealthy worker's lanes stop taking shards while
+// another worker is healthy, and a failed probe also aborts the RPCs in
+// flight to that worker, so a hung worker's shards return to the queue.
+// Admission control bounds concurrent mines (ErrBusy, never queued).
 package dist
 
 import (
@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -45,6 +44,16 @@ import (
 
 	"repro/internal/obs"
 )
+
+// lanesPerWorker is how many shard RPCs one mine keeps in flight on each
+// worker. On bench fleet_2w (coordinator and two workers sharing a 2-core
+// VM, seed 7, 5 alternating runs each) the median wall_s was 0.3326 s at
+// 1 lane, 0.3266 s at 2 and 0.3271 s at 4, a tie within the runs'
+// spread; with 5 earlier runs each (before the first shards were dealt)
+// the ten-run medians are 0.3323, 0.3309 and 0.3212 s. 4 is kept: it is
+// fastest over ten runs, and a worker with more cores than that box can
+// run several of a mine's shards at once.
+const lanesPerWorker = 4
 
 // ErrBusy rejects a mine when the coordinator is at its admission bound.
 // Deliberately not queued: the caller (or its load balancer) decides
@@ -70,39 +79,22 @@ type Config struct {
 	// ShardsPerWorker scales the shard count: numShards =
 	// ShardsPerWorker × len(Workers) (default 4). More shards than
 	// workers keeps every worker busy until the end of the mine and
-	// bounds the work lost to one failed or hedged shard.
+	// bounds the work lost to one failed shard.
 	ShardsPerWorker int
 	// MaxAttempts bounds how many times one shard is dispatched before
-	// the mine fails (default 2 × len(Workers), at least 4). Attempts
-	// rotate across workers, so a single dead worker never exhausts the
-	// budget.
+	// the mine fails (default 2 × len(Workers), at least 4). A dead
+	// worker's lanes stop taking shards once it is marked unhealthy, so
+	// a single dead worker does not exhaust the budget.
 	MaxAttempts int
-	// BaseBackoff and MaxBackoff shape the exponential backoff between a
-	// shard's attempts: BaseBackoff × 2^(attempt-1), capped at
-	// MaxBackoff (defaults 100ms and 5s).
+	// BaseBackoff and MaxBackoff shape the exponential backoff before a
+	// failed shard rejoins the queue: BaseBackoff × 2^(attempt-1),
+	// capped at MaxBackoff (defaults 100ms and 5s).
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// HedgeQuantile is the completed-shard latency quantile after which
-	// a still-running shard is re-dispatched to a second worker, first
-	// answer wins (default 0.9; ≤ 0 disables hedging; New rejects a
-	// quantile above 1 or NaN).
-	HedgeQuantile float64
-	// HedgeMinSamples is how many shards must have completed before the
-	// quantile is trusted (default 3).
-	HedgeMinSamples int
-	// HedgeMinDelay floors the hedge delay so microbenchmark-fast shards
-	// don't hedge on noise (default 25ms).
-	HedgeMinDelay time.Duration
 	// RequestTimeout bounds one shard RPC (default 10m; the mine-level
-	// context still applies).
+	// context still applies). It is the backstop for a worker that
+	// answers probes but never answers a shard.
 	RequestTimeout time.Duration
-	// MaxInflight bounds concurrent shard RPCs across all mines
-	// (default 4 × len(Workers)); excess dispatches wait.
-	MaxInflight int
-	// TenantInflight bounds one tenant's concurrent shard RPCs — budget
-	// isolation: a tenant saturating its budget queues behind itself,
-	// not in front of other tenants (default MaxInflight).
-	TenantInflight int
 	// MaxMines bounds concurrent distributed mines; a mine beyond it is
 	// rejected with ErrBusy rather than queued (default 8).
 	MaxMines int
@@ -113,8 +105,7 @@ type Config struct {
 	// Registry receives the maimond_shard_* and maimond_worker_* series;
 	// nil uses a private registry (metrics still maintained, unexported).
 	Registry *obs.Registry
-	// Logger receives dispatch, retry, hedge and health events; nil
-	// discards.
+	// Logger receives dispatch, retry and health events; nil discards.
 	Logger *slog.Logger
 	// Sleep is the backoff sleeper — a test seam; nil sleeps on a timer
 	// honoring ctx.
@@ -125,6 +116,7 @@ func (c Config) withDefaults() (Config, error) {
 	if len(c.Workers) == 0 {
 		return c, errors.New("dist: need at least one worker URL")
 	}
+	c.Workers = append([]string(nil), c.Workers...) // the caller's slice stays untrimmed
 	for i, u := range c.Workers {
 		u = strings.TrimRight(strings.TrimSpace(u), "/")
 		if u == "" || !strings.Contains(u, "://") {
@@ -153,26 +145,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 5 * time.Second
 	}
-	if c.HedgeQuantile > 1 || math.IsNaN(c.HedgeQuantile) {
-		return c, fmt.Errorf("dist: hedge quantile %v is not ≤ 1", c.HedgeQuantile)
-	}
-	if c.HedgeQuantile == 0 {
-		c.HedgeQuantile = 0.9
-	}
-	if c.HedgeMinSamples <= 0 {
-		c.HedgeMinSamples = 3
-	}
-	if c.HedgeMinDelay <= 0 {
-		c.HedgeMinDelay = 25 * time.Millisecond
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Minute
-	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 4 * len(c.Workers)
-	}
-	if c.TenantInflight <= 0 {
-		c.TenantInflight = c.MaxInflight
 	}
 	if c.MaxMines <= 0 {
 		c.MaxMines = 8
@@ -208,10 +182,33 @@ type worker struct {
 	url     string
 	healthy atomic.Bool
 
+	// abort is the context every shard RPC to the worker also ends with;
+	// a failed probe cancels it and installs a fresh one.
+	mu     sync.Mutex
+	abort  context.Context
+	cancel context.CancelFunc
+
 	dispatches *obs.Counter
 	retries    *obs.Counter
 	failures   *obs.Counter
 	latency    *obs.Histogram
+}
+
+// aborted returns the context a new RPC to w ends with.
+func (w *worker) aborted() context.Context {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.abort
+}
+
+// abortInflight cancels every RPC in flight to w; later RPCs are unaffected.
+func (w *worker) abortInflight() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.cancel != nil {
+		w.cancel()
+	}
+	w.abort, w.cancel = context.WithCancel(context.Background())
 }
 
 // Coordinator shards distributed mines across a fixed worker fleet. Safe
@@ -223,11 +220,10 @@ type Coordinator struct {
 	log       *slog.Logger
 	met       *metrics
 
-	mines    chan struct{} // admission tokens (non-blocking acquire)
-	inflight chan struct{} // global shard-RPC tokens (blocking acquire)
+	mines chan struct{} // admission tokens (non-blocking acquire)
 
-	tmu     sync.Mutex
-	tenants map[string]chan struct{} // per-tenant shard-RPC tokens
+	hmu     sync.Mutex
+	healthC chan struct{} // closed and replaced whenever a worker's health flips
 
 	stopProbe chan struct{}
 	probeDone chan struct{}
@@ -246,8 +242,7 @@ func New(cfg Config) (*Coordinator, error) {
 		numShards: cfg.ShardsPerWorker * len(cfg.Workers),
 		log:       cfg.Logger,
 		mines:     make(chan struct{}, cfg.MaxMines),
-		inflight:  make(chan struct{}, cfg.MaxInflight),
-		tenants:   make(map[string]chan struct{}),
+		healthC:   make(chan struct{}),
 		stopProbe: make(chan struct{}),
 		probeDone: make(chan struct{}),
 	}
@@ -260,6 +255,7 @@ func New(cfg Config) (*Coordinator, error) {
 			failures:   c.met.workerFailures(u),
 			latency:    c.met.workerLatency(u),
 		}
+		w.abortInflight()
 		w.healthy.Store(true) // optimistic until a probe or RPC says otherwise
 		c.met.bindWorkerHealth(u, &w.healthy)
 		c.workers = append(c.workers, w)
@@ -294,8 +290,11 @@ func (c *Coordinator) Close() {
 
 // probe is the active health loop: every ProbeInterval each worker's
 // /v1/readyz is checked; a worker flips unhealthy on failure and back on
-// the next success. Between probes, a network error on a shard RPC marks
-// the worker unhealthy passively (the prober restores it).
+// the next success. A failed probe also aborts the worker's in-flight
+// RPCs, which is how a mine gets past a hung worker: its shards go back
+// on the queue for the healthy workers' lanes. Between probes, a network
+// error on a shard RPC marks the worker unhealthy passively (the prober
+// restores it).
 func (c *Coordinator) probe() {
 	defer close(c.probeDone)
 	tick := time.NewTicker(c.cfg.ProbeInterval)
@@ -308,7 +307,10 @@ func (c *Coordinator) probe() {
 		}
 		for _, w := range c.workers {
 			healthy := c.probeOne(w)
-			if was := w.healthy.Swap(healthy); was != healthy {
+			if !healthy {
+				w.abortInflight()
+			}
+			if c.setHealthy(w, healthy) {
 				if healthy {
 					c.log.Info("worker healthy again", "worker", w.url)
 				} else {
@@ -338,62 +340,42 @@ func (c *Coordinator) probeOne(w *worker) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// pickWorker selects the target of a shard's attempt: the primary worker
-// is shard-determined (round robin keeps the load even), each retry or
-// hedge rotates one further, and unhealthy workers are skipped. With
-// every worker marked unhealthy the rotation target is returned anyway —
-// trying a probably-dead worker beats stalling, and a false "all dead"
-// (e.g. a partitioned prober) self-corrects on the first success.
-func (c *Coordinator) pickWorker(shard, attempt int) *worker {
-	n := len(c.workers)
-	start := (shard + attempt) % n
-	for i := 0; i < n; i++ {
-		if w := c.workers[(start+i)%n]; w.healthy.Load() {
-			return w
+// setHealthy records w's health and reports whether it flipped; a flip
+// wakes every lane waiting in healthChange.
+func (c *Coordinator) setHealthy(w *worker, healthy bool) bool {
+	if w.healthy.Swap(healthy) == healthy {
+		return false
+	}
+	c.hmu.Lock()
+	close(c.healthC)
+	c.healthC = make(chan struct{})
+	c.hmu.Unlock()
+	return true
+}
+
+// healthChange returns a channel closed at the next health flip of any
+// worker. Take it before reading health, so no flip can fall between.
+func (c *Coordinator) healthChange() <-chan struct{} {
+	c.hmu.Lock()
+	defer c.hmu.Unlock()
+	return c.healthC
+}
+
+// sidelined reports whether w's lanes should leave the queue alone: w is
+// unhealthy and some other worker is healthy. With every worker marked
+// unhealthy all lanes keep taking shards — trying a probably-dead worker
+// beats stalling, and a false "all dead" (e.g. a partitioned prober)
+// self-corrects on the first success.
+func (c *Coordinator) sidelined(w *worker) bool {
+	if w.healthy.Load() {
+		return false
+	}
+	for _, o := range c.workers {
+		if o.healthy.Load() {
+			return true
 		}
 	}
-	return c.workers[start]
-}
-
-// tenantSlots returns (lazily creating) the per-tenant token channel.
-// Tenant channels are never freed: the map is bounded by the number of
-// distinct tenants ever seen, a few dozen channel headers in practice.
-func (c *Coordinator) tenantSlots(tenant string) chan struct{} {
-	if tenant == "" {
-		tenant = "default"
-	}
-	c.tmu.Lock()
-	defer c.tmu.Unlock()
-	ch, ok := c.tenants[tenant]
-	if !ok {
-		ch = make(chan struct{}, c.cfg.TenantInflight)
-		c.tenants[tenant] = ch
-	}
-	return ch
-}
-
-// acquire takes one tenant token then one global token, honoring ctx.
-// Tenant first: a tenant over its budget waits without holding a global
-// slot other tenants could use.
-func (c *Coordinator) acquire(ctx context.Context, tenant string) (release func(), err error) {
-	tch := c.tenantSlots(tenant)
-	select {
-	case tch <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	select {
-	case c.inflight <- struct{}{}:
-	case <-ctx.Done():
-		<-tch
-		return nil, ctx.Err()
-	}
-	c.met.inflight.Inc()
-	return func() {
-		c.met.inflight.Dec()
-		<-c.inflight
-		<-tch
-	}, nil
+	return false
 }
 
 // backoff returns the exponential delay before retry number attempt

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -61,6 +60,18 @@ func newWorker(t *testing.T, rels map[string]*relation.Relation, script disttest
 // worker caches without touching the coordinator.
 func newWorkerOpts(t *testing.T, rels map[string]*relation.Relation, script disttest.Script, opts ...maimon.Option) (*httptest.Server, *disttest.Proxy) {
 	t.Helper()
+	var proxy *disttest.Proxy
+	ts := serveWorker(t, rels, func(h http.Handler) http.Handler {
+		proxy = disttest.New(h, script)
+		return proxy
+	}, opts...)
+	return ts, proxy
+}
+
+// serveWorker boots one in-process maimond worker with the given datasets
+// registered, its handler wrapped by wrap.
+func serveWorker(t *testing.T, rels map[string]*relation.Relation, wrap func(http.Handler) http.Handler, opts ...maimon.Option) *httptest.Server {
+	t.Helper()
 	reg := service.NewRegistry(opts...)
 	for name, r := range rels {
 		if _, err := reg.Add(name, r); err != nil {
@@ -68,13 +79,12 @@ func newWorkerOpts(t *testing.T, rels map[string]*relation.Relation, script dist
 		}
 	}
 	mgr := service.NewManager(reg, service.Config{Workers: 2, MineWorkers: 2})
-	proxy := disttest.New(service.NewServer(mgr), script)
-	ts := httptest.NewServer(proxy)
+	ts := httptest.NewServer(wrap(service.NewServer(mgr)))
 	t.Cleanup(func() {
 		ts.Close()
 		mgr.Close()
 	})
-	return ts, proxy
+	return ts
 }
 
 // newCoordinator builds a coordinator over the given workers with fast
@@ -419,7 +429,6 @@ func TestWorkerDeathRedispatchWorkers(t *testing.T) {
 	dying, dyingProxy := newWorker(t, rels, disttest.DieAfter(1))
 	coord := newCoordinator(t, []string{alive.URL, dying.URL}, func(c *dist.Config) {
 		c.ShardsPerWorker = 3
-		c.HedgeQuantile = -1 // isolate the retry path
 		c.Sleep = func(context.Context, time.Duration) error { return nil }
 	})
 	r := rels["nursery"]
@@ -436,87 +445,6 @@ func TestWorkerDeathRedispatchWorkers(t *testing.T) {
 	}
 	if rep.Retries < 1 {
 		t.Fatalf("worker death caused no re-dispatch: %+v", rep)
-	}
-}
-
-// TestHedgeFiresOnStragglerWorkers: a worker that hangs on every shard it
-// is primary for must be hedged to the healthy worker once enough sibling
-// shards have completed to estimate the straggler quantile.
-func TestHedgeFiresOnStragglerWorkers(t *testing.T) {
-	rels := map[string]*relation.Relation{"planted": testRelations(t)["planted"]}
-	fast, _ := newWorker(t, rels, nil)
-	slow, _ := newWorker(t, rels, disttest.Always(disttest.Hang))
-	coord := newCoordinator(t, []string{fast.URL, slow.URL}, func(c *dist.Config) {
-		c.ShardsPerWorker = 3
-		c.HedgeQuantile = 0.5
-		c.HedgeMinSamples = 1
-		c.HedgeMinDelay = time.Millisecond
-		c.MaxAttempts = 2
-	})
-	r := rels["planted"]
-	want := singleNode(t, r, 0.1)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	got, rep, err := coord.MineMVDs(ctx, dist.Spec{
-		Dataset: "planted", Epsilon: 0.1, NumAttrs: r.NumCols(), Rows: r.NumRows(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, "planted", got, want)
-	if rep.Hedges < 1 {
-		t.Fatalf("straggler worker was never hedged: %+v", rep)
-	}
-}
-
-// TestHedgeLoserCompletesWorkers: when the straggler is slow rather than
-// dead, the hedge loser also answers; only the winner's pairs may reach
-// the merge, so the result stays identical to single-node.
-func TestHedgeLoserCompletesWorkers(t *testing.T) {
-	rels := map[string]*relation.Relation{"planted": testRelations(t)["planted"]}
-	r := rels["planted"]
-	fast, _ := newWorker(t, rels, nil)
-	slow, _ := newWorker(t, rels, func(int) disttest.Delayed {
-		return disttest.Delayed{Sleep: 300 * time.Millisecond, Then: disttest.Pass}
-	})
-	coord := newCoordinator(t, []string{fast.URL, slow.URL}, func(c *dist.Config) {
-		c.ShardsPerWorker = 3
-		c.HedgeQuantile = 0.5
-		c.HedgeMinSamples = 1
-		c.HedgeMinDelay = time.Millisecond
-	})
-	want := singleNode(t, r, 0.1)
-	got, rep, err := coord.MineMVDs(context.Background(), dist.Spec{
-		Dataset: "planted", Epsilon: 0.1, NumAttrs: r.NumCols(), Rows: r.NumRows(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, "planted", got, want)
-	if rep.Hedges < 1 {
-		t.Fatalf("slow worker was never hedged: %+v", rep)
-	}
-}
-
-// TestNewRejectsBadHedgeQuantile: a quantile above 1 would index past the
-// sorted latency samples once enough shards complete, and NaN compares
-// false with everything, so New refuses both up front. −1 disables
-// hedging and stays valid.
-func TestNewRejectsBadHedgeQuantile(t *testing.T) {
-	for _, q := range []float64{1.5, math.NaN()} {
-		c, err := dist.New(dist.Config{Workers: []string{"http://127.0.0.1:1"}, HedgeQuantile: q, ProbeInterval: -1})
-		if err == nil {
-			c.Close()
-			t.Errorf("HedgeQuantile %v: New accepted it", q)
-		}
-	}
-	for _, q := range []float64{0.9, -1} {
-		c, err := dist.New(dist.Config{Workers: []string{"http://127.0.0.1:1"}, HedgeQuantile: q, ProbeInterval: -1})
-		if err != nil {
-			t.Errorf("HedgeQuantile %v: %v", q, err)
-			continue
-		}
-		c.Close()
 	}
 }
 
@@ -556,14 +484,14 @@ func TestAdmissionControlBusyWorkers(t *testing.T) {
 	}
 }
 
-// tenantGate hangs shard requests for one dataset and forwards the rest,
-// so a test can wedge one tenant's traffic while another's flows.
-type tenantGate struct {
+// datasetGate hangs shard requests for one dataset and forwards the rest,
+// so a test can wedge one mine's traffic while another's flows.
+type datasetGate struct {
 	backend http.Handler
 	hangOn  string
 }
 
-func (g *tenantGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+func (g *datasetGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/shards") {
 		body, _ := io.ReadAll(r.Body)
 		var req wire.ShardRequest
@@ -577,31 +505,21 @@ func (g *tenantGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.backend.ServeHTTP(w, r)
 }
 
-// TestTenantBudgetIsolationWorkers: a tenant saturating its per-tenant
-// in-flight budget on a wedged dataset must not starve another tenant,
-// whose mine completes while the first is still stuck.
-func TestTenantBudgetIsolationWorkers(t *testing.T) {
+// TestWedgedMineIsolationWorkers: a mine whose every shard hangs must not
+// starve another mine on the same coordinator and worker, which completes
+// while the first is still stuck — each mine drains its own queue
+// through its own lanes.
+func TestWedgedMineIsolationWorkers(t *testing.T) {
 	rels := map[string]*relation.Relation{
 		"wedged": testRelations(t)["planted"],
 		"fast":   testRelations(t)["planted"],
 	}
-	reg := service.NewRegistry()
-	for name, r := range rels {
-		if _, err := reg.Add(name, r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mgr := service.NewManager(reg, service.Config{Workers: 2, MineWorkers: 2})
-	ts := httptest.NewServer(&tenantGate{backend: service.NewServer(mgr), hangOn: "wedged"})
-	t.Cleanup(func() {
-		ts.Close()
-		mgr.Close()
+	ts := serveWorker(t, rels, func(h http.Handler) http.Handler {
+		return &datasetGate{backend: h, hangOn: "wedged"}
 	})
 	coord := newCoordinator(t, []string{ts.URL}, func(c *dist.Config) {
 		c.ShardsPerWorker = 4
 		c.MaxMines = 4
-		c.MaxInflight = 8
-		c.TenantInflight = 1
 		c.MaxAttempts = 1
 	})
 	r := rels["wedged"]
@@ -611,7 +529,7 @@ func TestTenantBudgetIsolationWorkers(t *testing.T) {
 	wedgedDone := make(chan error, 1)
 	go func() {
 		_, _, err := coord.MineMVDs(wedgedCtx, dist.Spec{
-			Dataset: "wedged", Tenant: "a", Epsilon: 0.1, NumAttrs: r.NumCols(), Rows: r.NumRows(),
+			Dataset: "wedged", Epsilon: 0.1, NumAttrs: r.NumCols(), Rows: r.NumRows(),
 		})
 		wedgedDone <- err
 	}()
@@ -619,9 +537,9 @@ func TestTenantBudgetIsolationWorkers(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	if _, _, err := coord.MineMVDs(ctx, dist.Spec{
-		Dataset: "fast", Tenant: "b", Epsilon: 0.1, NumAttrs: r.NumCols(), Rows: r.NumRows(),
+		Dataset: "fast", Epsilon: 0.1, NumAttrs: r.NumCols(), Rows: r.NumRows(),
 	}); err != nil {
-		t.Fatalf("tenant b starved behind tenant a's wedged budget: %v", err)
+		t.Fatalf("mine starved behind a wedged mine: %v", err)
 	}
 	cancelWedged()
 	if err := <-wedgedDone; !errors.Is(err, context.Canceled) {
@@ -650,5 +568,223 @@ func TestUnknownDatasetPermanentWorkers(t *testing.T) {
 	}
 	if rep.Retries != 0 {
 		t.Fatalf("permanent failure was retried: %+v", rep)
+	}
+}
+
+// flightCounter fronts any number of workers and records, per shard
+// number, the most shard RPCs it ever saw in flight at once across all of
+// them.
+type flightCounter struct {
+	mu       sync.Mutex
+	inflight map[int]int
+	peak     map[int]int
+}
+
+func newFlightCounter() *flightCounter {
+	return &flightCounter{inflight: make(map[int]int), peak: make(map[int]int)}
+}
+
+func (f *flightCounter) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost || !strings.HasSuffix(r.URL.Path, "/shards") {
+			h.ServeHTTP(w, r)
+			return
+		}
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		var req wire.ShardRequest
+		_ = json.Unmarshal(body, &req)
+		f.mu.Lock()
+		f.inflight[req.Shard]++
+		f.peak[req.Shard] = max(f.peak[req.Shard], f.inflight[req.Shard])
+		f.mu.Unlock()
+		defer func() {
+			f.mu.Lock()
+			f.inflight[req.Shard]--
+			f.mu.Unlock()
+		}()
+		h.ServeHTTP(w, r)
+	})
+}
+
+// TestEachShardSentOnceWorkers: a fault-free mine sends every shard
+// exactly once at 1, 2 and 3 workers, and no shard is ever in flight on
+// two workers at the same time.
+func TestEachShardSentOnceWorkers(t *testing.T) {
+	rels := testRelations(t)
+	for _, n := range []int{1, 2, 3} {
+		fc := newFlightCounter()
+		urls := make([]string, n)
+		for i := range urls {
+			urls[i] = serveWorker(t, rels, fc.wrap).URL
+		}
+		coord := newCoordinator(t, urls, nil)
+		for name, r := range rels {
+			label := fmt.Sprintf("workers=%d %s", n, name)
+			_, rep, err := coord.MineMVDs(context.Background(), dist.Spec{
+				Dataset: name, Epsilon: 0.1, NumAttrs: r.NumCols(), Rows: r.NumRows(),
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if rep.Dispatches != rep.Shards || rep.Retries != 0 {
+				t.Fatalf("%s: %d dispatches (%d retries) for %d shards", label, rep.Dispatches, rep.Retries, rep.Shards)
+			}
+		}
+		fc.mu.Lock()
+		for shard, peak := range fc.peak {
+			if peak != 1 {
+				t.Errorf("workers=%d: shard %d was in flight %d times at once", n, shard, peak)
+			}
+		}
+		fc.mu.Unlock()
+	}
+}
+
+// TestHungWorkerLosesShardsWorkers is the hung-worker acceptance test: a
+// worker that hangs its shard RPCs, and its readiness probe once it has
+// taken a shard, is marked unhealthy by the prober, which also aborts its
+// in-flight RPCs; their shards go back on the queue, the healthy worker
+// finishes them, and the merged result is still single-node's.
+func TestHungWorkerLosesShardsWorkers(t *testing.T) {
+	rels := map[string]*relation.Relation{"planted": testRelations(t)["planted"]}
+	fast, fastProxy := newWorker(t, rels, nil)
+	hung := serveWorker(t, rels, func(h http.Handler) http.Handler {
+		shards := disttest.New(h, disttest.Always(disttest.Hang))
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/readyz") && shards.Calls() > 0 {
+				<-r.Context().Done()
+				return
+			}
+			shards.ServeHTTP(w, r)
+		})
+	})
+	coord := newCoordinator(t, []string{fast.URL, hung.URL}, func(c *dist.Config) {
+		c.ShardsPerWorker = 3
+		c.ProbeInterval = 20 * time.Millisecond
+		// A probe of the loaded healthy worker may time out too; a
+		// generous budget keeps that from failing the mine.
+		c.MaxAttempts = 50
+	})
+	r := rels["planted"]
+	want := singleNode(t, r, 0.1)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	got, rep, err := coord.MineMVDs(ctx, dist.Spec{
+		Dataset: "planted", Epsilon: 0.1, NumAttrs: r.NumCols(), Rows: r.NumRows(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "planted", got, want)
+	if rep.Retries < 1 {
+		t.Fatalf("the hung worker took no shard, so nothing was aborted: %+v", rep)
+	}
+	if fastProxy.Calls() < rep.Shards {
+		t.Fatalf("healthy worker served %d calls for %d shards", fastProxy.Calls(), rep.Shards)
+	}
+}
+
+// TestSlowWorkerServesFewerShardsWorkers: with one worker 300 ms slower
+// per shard, the fast worker pulls more shards off the queue, and no
+// shard is sent twice.
+func TestSlowWorkerServesFewerShardsWorkers(t *testing.T) {
+	rels := map[string]*relation.Relation{"planted": testRelations(t)["planted"]}
+	r := rels["planted"]
+	fast, fastProxy := newWorker(t, rels, nil)
+	slow, slowProxy := newWorker(t, rels, func(int) disttest.Delayed {
+		return disttest.Delayed{Sleep: 300 * time.Millisecond, Then: disttest.Pass}
+	})
+	coord := newCoordinator(t, []string{fast.URL, slow.URL}, func(c *dist.Config) {
+		c.ShardsPerWorker = 8
+	})
+	want := singleNode(t, r, 0.1)
+	got, rep, err := coord.MineMVDs(context.Background(), dist.Spec{
+		Dataset: "planted", Epsilon: 0.1, NumAttrs: r.NumCols(), Rows: r.NumRows(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "planted", got, want)
+	if rep.Dispatches != rep.Shards {
+		t.Fatalf("%d dispatches for %d shards", rep.Dispatches, rep.Shards)
+	}
+	if fastProxy.Calls() <= slowProxy.Calls() {
+		t.Fatalf("fast worker served %d shards, slow worker %d", fastProxy.Calls(), slowProxy.Calls())
+	}
+}
+
+// TestFinalShardSnapshotWorkers: the last progress snapshot of a mine
+// reports every shard and pair done — snapshots arrive in order, and one
+// is sent after the last lane stops — and so does a finished coordinator
+// job's status.
+func TestFinalShardSnapshotWorkers(t *testing.T) {
+	rels := map[string]*relation.Relation{"planted": testRelations(t)["planted"]}
+	r := rels["planted"]
+	urls := make([]string, 3)
+	for i := range urls {
+		ts, _ := newWorker(t, rels, nil)
+		urls[i] = ts.URL
+	}
+	coord := newCoordinator(t, urls, nil)
+	for k := 0; k < 20; k++ {
+		var mu sync.Mutex
+		var last dist.ShardProgress
+		_, _, err := coord.MineMVDs(context.Background(), dist.Spec{
+			Dataset: "planted", Epsilon: 0.1, NumAttrs: r.NumCols(), Rows: r.NumRows(),
+			OnShard: func(p dist.ShardProgress) {
+				// A slow callback widens the window in which snapshots
+				// delivered out of order would leave a stale one last.
+				time.Sleep(time.Millisecond)
+				mu.Lock()
+				last = p
+				mu.Unlock()
+			},
+		})
+		if err != nil {
+			t.Fatalf("mine %d: %v", k, err)
+		}
+		mu.Lock()
+		if last.ShardsDone != last.ShardsTotal || last.PairsDone != last.PairsTotal {
+			t.Fatalf("mine %d: last snapshot %+v", k, last)
+		}
+		mu.Unlock()
+	}
+
+	reg := service.NewRegistry()
+	if _, err := reg.Add("planted", r); err != nil {
+		t.Fatal(err)
+	}
+	mgr := service.NewManager(reg, service.Config{Workers: 1, Coordinator: coord})
+	defer mgr.Close()
+	job, err := mgr.Submit(service.JobRequest{Dataset: "planted", Epsilon: 0.1, Mode: service.ModeMVDs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.Done()
+	st := job.Status()
+	if st.State != service.StateDone || st.Dist == nil {
+		t.Fatalf("coordinator job: %+v", st)
+	}
+	if st.Dist.ShardsDone != st.Dist.ShardsTotal || st.Progress.PairsDone != st.Progress.PairsTotal {
+		t.Fatalf("finished job reports shards %d/%d, pairs %d/%d", st.Dist.ShardsDone, st.Dist.ShardsTotal,
+			st.Progress.PairsDone, st.Progress.PairsTotal)
+	}
+}
+
+// TestNewLeavesCallerWorkers: New trims worker URLs in its own copy, never
+// in the caller's slice.
+func TestNewLeavesCallerWorkers(t *testing.T) {
+	workers := []string{" http://a:1/ "}
+	c, err := dist.New(dist.Config{Workers: workers, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if workers[0] != " http://a:1/ " {
+		t.Fatalf("caller's slice rewritten to %q", workers[0])
+	}
+	if got := c.WorkerURLs(); len(got) != 1 || got[0] != "http://a:1" {
+		t.Fatalf("coordinator URLs %q", got)
 	}
 }

@@ -2,7 +2,7 @@
 // mining tier: a proxy that fronts a real worker handler and misbehaves
 // on command — 500s, hangs, truncated bodies, dropped connections —
 // per shard request, so tests can pin the coordinator's retry, backoff,
-// hedging and failure semantics against deterministic faults instead of
+// re-queue and failure semantics against deterministic faults instead of
 // real network weather.
 package disttest
 
@@ -23,8 +23,9 @@ const (
 	Pass Action = iota
 	// Fail500 answers 500 without consulting the backend (retriable).
 	Fail500
-	// Hang blocks until the client gives up (cancellation, hedging, or
-	// request timeout) — the straggler / dead-worker shape.
+	// Hang blocks until the client gives up (the mine ending, a failed
+	// probe aborting the worker's RPCs, or the request timeout) — the
+	// hung-worker shape.
 	Hang
 	// Truncate forwards to the backend but returns only the first half
 	// of the response body — the torn-response shape the coordinator

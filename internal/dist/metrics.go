@@ -19,9 +19,7 @@ var shardLatencyBounds = []float64{0.01, 0.05, 0.1, 0.5, 1, 5, 30, 120, 600}
 type metrics struct {
 	reg *obs.Registry
 
-	hedges           *obs.Counter
 	bytesMerged      *obs.Counter
-	inflight         *obs.Gauge
 	admissionRejects *obs.Counter
 	mines            *obs.Counter
 	minesFailed      *obs.Counter
@@ -30,12 +28,8 @@ type metrics struct {
 func newMetrics(reg *obs.Registry) *metrics {
 	return &metrics{
 		reg: reg,
-		hedges: reg.Counter("maimond_shard_hedges_total",
-			"Shard dispatches duplicated to a second worker after exceeding the straggler latency quantile."),
 		bytesMerged: reg.Counter("maimond_shard_bytes_merged_total",
 			"Bytes of shard-result bodies decoded and merged by the coordinator."),
-		inflight: reg.Gauge("maimond_shards_inflight",
-			"Shard RPCs currently in flight from the coordinator."),
 		admissionRejects: reg.Counter("maimond_shard_admission_rejects_total",
 			"Distributed mines rejected at admission because the coordinator was at MaxMines."),
 		mines: reg.Counter("maimond_dist_mines_total",
@@ -47,7 +41,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 
 func (m *metrics) workerDispatches(url string) *obs.Counter {
 	return m.reg.Counter("maimond_shard_dispatches_total",
-		"Shard RPCs sent, by worker (includes retries and hedges).",
+		"Shard RPCs sent, by worker (includes retries).",
 		obs.L("worker", url))
 }
 

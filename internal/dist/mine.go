@@ -2,20 +2,19 @@ package dist
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/core"
-	"repro/internal/mvd"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -25,9 +24,6 @@ type Spec struct {
 	// Dataset names the dataset, registered under the same name on every
 	// worker.
 	Dataset string
-	// Tenant scopes the mine's shard RPCs to a per-tenant in-flight
-	// budget; empty means the shared "default" tenant.
-	Tenant string
 	// Epsilon is the approximation threshold ε ≥ 0 in bits.
 	Epsilon float64
 	// DisablePruning turns off pairwise-consistency pruning on the
@@ -44,13 +40,16 @@ type Spec struct {
 	// TimeoutMS bounds each shard mine worker-side. The coordinator-side
 	// bound is the context handed to MineMVDs.
 	TimeoutMS int64
-	// OnShard, when non-nil, receives a progress snapshot after every
-	// shard completion, retry and hedge (called from dispatch goroutines
-	// — must be cheap and concurrency-safe).
+	// OnShard, when non-nil, receives a progress snapshot when the mine
+	// starts, after every shard completion and retry, and once more after
+	// the last lane has stopped. Calls are made one at a time, in order,
+	// under the mine's lock: OnShard must be cheap and must not call back
+	// into the coordinator.
 	OnShard func(ShardProgress)
 	// OnTrace, when non-nil, receives each shard's worker-side mine
-	// trace as it arrives, so the coordinator can fold fleet-wide stage
-	// work into its own telemetry.
+	// trace as it arrives (from concurrent lanes — it must be safe for
+	// concurrent use), so the coordinator can fold fleet-wide stage work
+	// into its own telemetry.
 	OnTrace func(*obs.MineTrace)
 }
 
@@ -61,7 +60,6 @@ type ShardProgress struct {
 	PairsDone   int
 	PairsTotal  int
 	Retries     int
-	Hedges      int
 }
 
 // Report summarizes how a distributed mine executed — the fan-out
@@ -69,13 +67,11 @@ type ShardProgress struct {
 type Report struct {
 	// Shards is how many non-empty shards the mine fanned out to.
 	Shards int
-	// Dispatches counts shard RPCs sent (first attempts + retries +
-	// hedges).
+	// Dispatches counts shard RPCs sent (first attempts + retries); a
+	// fault-free mine sends each shard once.
 	Dispatches int
-	// Retries counts attempts re-dispatched after a retriable failure.
+	// Retries counts attempts re-queued after a retriable failure.
 	Retries int
-	// Hedges counts straggler duplications.
-	Hedges int
 	// BytesMerged is the total size of the shard-result bodies merged.
 	BytesMerged int64
 	// Interrupted reports that at least one worker hit its shard
@@ -83,92 +79,37 @@ type Report struct {
 	Interrupted bool
 }
 
-// shardState tracks one mine's cross-shard accounting: completed-RPC
-// latencies for the hedge quantile plus the dispatch/retry/hedge tallies
-// the Report and OnShard snapshots serve.
-type shardState struct {
-	mu         sync.Mutex
-	latencies  []time.Duration
-	dispatches int
-	retries    int
-	hedges     int
-	shardsDone int
-	pairsDone  int
-	bytes      int64
-}
-
-func (s *shardState) dispatched() {
-	s.mu.Lock()
-	s.dispatches++
-	s.mu.Unlock()
-}
-
-func (s *shardState) retry() {
-	s.mu.Lock()
-	s.retries++
-	s.mu.Unlock()
-}
-
-func (s *shardState) hedge() {
-	s.mu.Lock()
-	s.hedges++
-	s.mu.Unlock()
-}
-
-// observeLatency records one successful shard RPC: its wall time feeds
-// the hedge quantile, its body size the merge accounting.
-func (s *shardState) observeLatency(d time.Duration, bytes int) {
-	s.mu.Lock()
-	s.latencies = append(s.latencies, d)
-	s.bytes += int64(bytes)
-	s.mu.Unlock()
-}
-
-func (s *shardState) shardDone(pairs int) {
-	s.mu.Lock()
-	s.shardsDone++
-	s.pairsDone += pairs
-	s.mu.Unlock()
-}
-
-func (s *shardState) snapshot(total, pairsTotal int) ShardProgress {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return ShardProgress{
-		ShardsDone:  s.shardsDone,
-		ShardsTotal: total,
-		PairsDone:   s.pairsDone,
-		PairsTotal:  pairsTotal,
-		Retries:     s.retries,
-		Hedges:      s.hedges,
-	}
-}
-
-// hedgeDelay returns how long to wait before hedging a shard, or 0 when
-// hedging should not fire (disabled, single worker, or not enough
-// completed shard RPCs to trust the quantile).
-func (c *Coordinator) hedgeDelay(st *shardState) time.Duration {
-	if c.cfg.HedgeQuantile <= 0 || len(c.workers) < 2 {
-		return 0
-	}
-	st.mu.Lock()
-	lats := append([]time.Duration(nil), st.latencies...)
-	st.mu.Unlock()
-	if len(lats) < c.cfg.HedgeMinSamples {
-		return 0
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	d := lats[int(float64(len(lats)-1)*c.cfg.HedgeQuantile)]
-	if d < c.cfg.HedgeMinDelay {
-		d = c.cfg.HedgeMinDelay
-	}
-	return d
-}
-
 // shardPlan is one non-empty shard of the mine's pair space.
 type shardPlan struct {
 	shard int
 	pairs [][2]int
+	// attempts counts the shard's failed attempts. Only the lane holding
+	// the shard touches it; the queue hands it from lane to lane.
+	attempts int
+}
+
+// mineRun is one mine's shard queue and accounting.
+type mineRun struct {
+	c          *Coordinator
+	spec       Spec
+	plan       []shardPlan
+	pairsTotal int
+
+	// ctx ends the mine's lanes and RPCs: cancelled once every shard is
+	// done, on the first fatal shard failure, or with the caller's context.
+	ctx    context.Context
+	cancel context.CancelFunc
+	// queue holds plan indexes of shards waiting for a lane. A shard is
+	// queued, in flight or backing off, never two of these at once, so a
+	// buffer of len(plan) never blocks a send.
+	queue chan int
+
+	mu         sync.Mutex
+	results    [][]core.PairMVDs
+	rep        Report
+	shardsDone int
+	pairsDone  int
+	err        error // first permanent failure or exhausted shard
 }
 
 // MineMVDs runs phase 1 of a mine distributed across the fleet and
@@ -201,69 +142,52 @@ func (c *Coordinator) MineMVDs(ctx context.Context, spec Spec) (*core.MVDResult,
 	// Plan: every non-empty shard of the pair space. Pair lists are
 	// derived locally and never shipped; the worker re-derives the same
 	// list from (NumAttrs, shard, numShards).
-	var plan []shardPlan
-	pairsTotal := 0
+	m := &mineRun{c: c, spec: spec}
 	for s := 0; s < c.numShards; s++ {
-		ps := core.ShardPairs(spec.NumAttrs, s, c.numShards)
-		if len(ps) > 0 {
-			plan = append(plan, shardPlan{shard: s, pairs: ps})
-			pairsTotal += len(ps)
+		if ps := core.ShardPairs(spec.NumAttrs, s, c.numShards); len(ps) > 0 {
+			m.plan = append(m.plan, shardPlan{shard: s, pairs: ps})
+			m.pairsTotal += len(ps)
 		}
 	}
+	m.results = make([][]core.PairMVDs, len(m.plan))
+	m.rep.Shards = len(m.plan)
+	m.queue = make(chan int, len(m.plan))
+	m.ctx, m.cancel = context.WithCancel(ctx)
+	defer m.cancel()
 
-	st := &shardState{}
-	notify := func() {
-		if spec.OnShard != nil {
-			spec.OnShard(st.snapshot(len(plan), pairsTotal))
-		}
-	}
-	notify()
-
-	mctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	results := make([][]core.PairMVDs, len(plan))
-	interrupted := make([]bool, len(plan))
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	for i := range plan {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out, intr, err := c.mineShard(mctx, spec, st, plan[i], notify)
-			if err != nil {
-				errOnce.Do(func() {
-					firstErr = err
-					cancel()
-				})
-				return
+	m.update(func() {})
+	// The first shards are dealt round-robin, one per lane, so every
+	// worker starts with its share however the lanes get scheduled; the
+	// rest wait on the queue for whichever lane frees up first.
+	var wg sync.WaitGroup
+	next := 0
+	for range lanesPerWorker {
+		for _, w := range c.workers {
+			first := -1
+			if next < len(m.plan) {
+				first, next = next, next+1
 			}
-			results[i] = out
-			interrupted[i] = intr
-			st.shardDone(len(out))
-			notify()
-		}(i)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				m.lane(w, first)
+			}()
+		}
+	}
+	for ; next < len(m.plan); next++ {
+		m.queue <- next
 	}
 	wg.Wait()
+	m.update(func() {}) // the final snapshot: no lane can send a later one
+	rep := m.rep
 
-	rep := &Report{Shards: len(plan)}
-	st.mu.Lock()
-	rep.Dispatches = st.dispatches
-	rep.Retries = st.retries
-	rep.Hedges = st.hedges
-	rep.BytesMerged = st.bytes
-	st.mu.Unlock()
-
-	if firstErr != nil {
+	if m.shardsDone < len(m.plan) {
 		// The caller's context expiring or being cancelled mid-mine
 		// follows the single-node contract: merge what completed, tag the
 		// result with the interrupt cause. Any other failure (permanent
 		// worker rejection, attempts exhausted) fails the mine outright.
 		if ctxErr := ctx.Err(); ctxErr != nil {
-			res := mergeShards(spec.NumAttrs, results, interrupted, rep)
+			res := m.merge()
 			if errors.Is(ctxErr, context.DeadlineExceeded) {
 				res.Err = core.ErrInterrupted
 			} else {
@@ -272,204 +196,149 @@ func (c *Coordinator) MineMVDs(ctx context.Context, spec Spec) (*core.MVDResult,
 			rep.Interrupted = true
 			c.log.Warn("distributed mine interrupted",
 				"dataset", spec.Dataset, "cause", ctxErr, "shards", rep.Shards)
-			return res, rep, res.Err
+			return res, &rep, res.Err
 		}
 		c.met.minesFailed.Inc()
-		c.log.Error("distributed mine failed", "dataset", spec.Dataset, "err", firstErr)
-		return nil, rep, firstErr
+		c.log.Error("distributed mine failed", "dataset", spec.Dataset, "err", m.err)
+		return nil, &rep, m.err
 	}
 
-	res := mergeShards(spec.NumAttrs, results, interrupted, rep)
+	res := m.merge()
 	if rep.Interrupted {
 		res.Err = core.ErrInterrupted
 	}
 	c.log.Info("distributed mine done",
 		"dataset", spec.Dataset, "epsilon", spec.Epsilon, "shards", rep.Shards,
-		"dispatches", rep.Dispatches, "retries", rep.Retries, "hedges", rep.Hedges,
+		"dispatches", rep.Dispatches, "retries", rep.Retries,
 		"mvds", len(res.MVDs), "interrupted", rep.Interrupted)
-	return res, rep, res.Err
+	return res, &rep, res.Err
 }
 
-// mergeShards reduces per-shard per-pair outcomes to one MVDResult by
-// replaying the single-node merge: iterate pairs in canonical order, keep
-// each pair's separators, dedup full MVDs by fingerprint across pairs,
-// sort canonically. Shards that never completed (nil results on the
-// interrupt path) contribute nothing — their pairs are absent, exactly
-// like pairs a single-node interrupted mine never reached.
-func mergeShards(numAttrs int, results [][]core.PairMVDs, interrupted []bool, rep *Report) *core.MVDResult {
-	byPair := make(map[core.Pair]core.PairMVDs)
-	for i, rs := range results {
-		if rs == nil {
-			continue
-		}
-		if interrupted[i] {
-			rep.Interrupted = true
-		}
-		for _, p := range rs {
-			byPair[core.Pair{A: p.A, B: p.B}] = p
-		}
+// update applies f to the mine's accounting and sends OnShard the
+// resulting snapshot, both under the lock, so snapshots arrive in order.
+func (m *mineRun) update(f func()) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f()
+	if m.spec.OnShard != nil {
+		m.spec.OnShard(ShardProgress{
+			ShardsDone:  m.shardsDone,
+			ShardsTotal: len(m.plan),
+			PairsDone:   m.pairsDone,
+			PairsTotal:  m.pairsTotal,
+			Retries:     m.rep.Retries,
+		})
 	}
-	res := &core.MVDResult{MinSeps: make(map[core.Pair][]bitset.AttrSet)}
-	seen := make(map[string]bool)
-	for a := 0; a < numAttrs; a++ {
-		for b := a + 1; b < numAttrs; b++ {
-			p, ok := byPair[core.Pair{A: a, B: b}]
-			if !ok {
-				continue
-			}
-			if len(p.Seps) > 0 {
-				res.MinSeps[core.Pair{A: a, B: b}] = p.Seps
-			}
-			for _, phi := range p.MVDs {
-				if fp := phi.Fingerprint(); !seen[fp] {
-					seen[fp] = true
-					res.MVDs = append(res.MVDs, phi)
-				}
-			}
-		}
-	}
-	mvd.Sort(res.MVDs)
-	return res
 }
 
-// mineShard drives one shard to completion: bounded attempts, exponential
-// backoff between them, hedged dispatch within each attempt. Returns the
-// shard's per-pair outcomes and whether the serving worker hit its
-// deadline.
-func (c *Coordinator) mineShard(ctx context.Context, spec Spec, st *shardState, p shardPlan, notify func()) ([]core.PairMVDs, bool, error) {
-	var lastErr error
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			st.retry()
-			notify()
-			if err := c.cfg.Sleep(ctx, c.backoff(attempt)); err != nil {
-				return nil, false, err
-			}
-		}
-		out, intr, err := c.dispatchHedged(ctx, spec, st, p, attempt, notify)
-		if err == nil {
-			return out, intr, nil
-		}
-		var perm *permanentError
-		if errors.As(err, &perm) {
-			c.log.Error("shard failed permanently", "dataset", spec.Dataset, "shard", p.shard, "err", err)
-			return nil, false, fmt.Errorf("dist: shard %d/%d of %q: %w", p.shard, c.numShards, spec.Dataset, perm.err)
-		}
-		if ctx.Err() != nil {
-			return nil, false, ctx.Err()
-		}
-		lastErr = err
-		c.log.Warn("shard attempt failed, retrying",
-			"dataset", spec.Dataset, "shard", p.shard, "attempt", attempt, "err", err)
+// fail ends the mine with err unless an earlier failure already did.
+func (m *mineRun) fail(err error) {
+	m.mu.Lock()
+	if m.err == nil {
+		m.err = err
 	}
-	return nil, false, fmt.Errorf("dist: shard %d/%d of %q failed after %d attempts: %w",
-		p.shard, c.numShards, spec.Dataset, c.cfg.MaxAttempts, lastErr)
+	m.mu.Unlock()
+	m.cancel()
 }
 
-// shardOutcome is one dispatch's terminal report.
-type shardOutcome struct {
-	pairs []core.PairMVDs
-	intr  bool
-	err   error
-}
-
-// dispatchHedged sends one attempt of a shard, duplicating it to a
-// different worker if it outlives the fleet's straggler quantile; the
-// first success wins and the sibling is cancelled. A permanent rejection
-// from either dispatch wins immediately. With all dispatches failed
-// retriably, the first failure is reported to the retry loop.
-func (c *Coordinator) dispatchHedged(ctx context.Context, spec Spec, st *shardState, p shardPlan, attempt int, notify func()) ([]core.PairMVDs, bool, error) {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	ch := make(chan shardOutcome, 2)
-	launch := func(w *worker) {
-		go func() {
-			pairs, intr, err := c.callShard(hctx, spec, st, p, w)
-			ch <- shardOutcome{pairs: pairs, intr: intr, err: err}
-		}()
+// lane is one of worker w's lanes: it sends w the shard it was dealt
+// (first < 0: none), then takes the next shard off the queue, and repeats
+// until the mine is over. While w is sidelined it leaves shards to the
+// other workers' lanes.
+func (m *mineRun) lane(w *worker, first int) {
+	if first >= 0 {
+		if m.c.sidelined(w) {
+			m.queue <- first
+		} else {
+			m.run(w, first)
+		}
 	}
-	primary := c.pickWorker(p.shard, attempt)
-	if attempt > 0 {
-		primary.retries.Inc()
-	}
-	launch(primary)
-	inflight := 1
-
-	// The hedge timer starts as a short poll rather than the quantile
-	// delay: all shards dispatch at mine start with zero completed
-	// samples, so the quantile only becomes meaningful as siblings
-	// finish. Each firing re-evaluates — not enough samples yet → poll
-	// again; quantile known but not yet exceeded → sleep the remainder;
-	// exceeded → hedge once.
-	start := time.Now()
-	var hedgeT *time.Timer
-	var hedgeC <-chan time.Time
-	if c.cfg.HedgeQuantile > 0 && len(c.workers) > 1 {
-		hedgeT = time.NewTimer(c.cfg.HedgeMinDelay)
-		defer hedgeT.Stop()
-		hedgeC = hedgeT.C
-	}
-
-	var firstErr error
 	for {
+		queue := m.queue
+		change := m.c.healthChange()
+		if m.c.sidelined(w) {
+			queue = nil
+		}
 		select {
-		case out := <-ch:
-			inflight--
-			if out.err == nil {
-				return out.pairs, out.intr, nil
-			}
-			var perm *permanentError
-			if errors.As(out.err, &perm) {
-				return nil, false, out.err
-			}
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			if inflight == 0 {
-				return nil, false, firstErr
-			}
-		case <-hedgeC:
-			if d := c.hedgeDelay(st); d == 0 {
-				hedgeT.Reset(c.cfg.HedgeMinDelay)
-				continue
-			} else if since := time.Since(start); since < d {
-				hedgeT.Reset(d - since)
-				continue
-			}
-			hedgeC = nil
-			hedge := c.pickWorker(p.shard, attempt+1)
-			if hedge == primary {
-				continue
-			}
-			st.hedge()
-			c.met.hedges.Inc()
-			notify()
-			c.log.Info("hedging straggler shard", "dataset", spec.Dataset, "shard", p.shard,
-				"primary", primary.url, "hedge", hedge.url)
-			launch(hedge)
-			inflight++
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
+		case i := <-queue:
+			m.run(w, i)
+		case <-change:
+		case <-m.ctx.Done():
+			return
 		}
 	}
 }
 
-// callShard performs one shard RPC against one worker: acquire tenant and
-// global in-flight tokens, POST the request, validate and convert the
-// response. Network errors mark the worker unhealthy (the prober restores
-// it); 4xx answers other than 408/429 are permanent; everything else —
-// 5xx, decode failure, truncation, pair-sequence mismatch — is retriable.
-func (c *Coordinator) callShard(ctx context.Context, spec Spec, st *shardState, p shardPlan, w *worker) ([]core.PairMVDs, bool, error) {
-	release, err := c.acquire(ctx, spec.Tenant)
-	if err != nil {
-		return nil, false, err
-	}
-	defer release()
-
-	st.dispatched()
+// run sends shard i to w once and settles the outcome: record the
+// result, fail the mine, or put the shard back on the queue after
+// backoff.
+func (m *mineRun) run(w *worker, i int) {
+	c, p := m.c, &m.plan[i]
 	w.dispatches.Inc()
+	m.mu.Lock()
+	m.rep.Dispatches++
+	m.mu.Unlock()
 
+	out, intr, size, err := c.callShard(m.ctx, m.spec, p, w)
+	if err == nil {
+		m.update(func() {
+			m.results[i] = out
+			m.rep.Interrupted = m.rep.Interrupted || intr
+			m.rep.BytesMerged += int64(size)
+			m.shardsDone++
+			m.pairsDone += len(out)
+			if m.shardsDone == len(m.plan) {
+				m.cancel()
+			}
+		})
+		return
+	}
+	if m.ctx.Err() != nil {
+		return // the mine is over; MineMVDs settles how
+	}
+	var perm *permanentError
+	if errors.As(err, &perm) {
+		c.log.Error("shard failed permanently", "dataset", m.spec.Dataset, "shard", p.shard, "err", err)
+		m.fail(fmt.Errorf("dist: shard %d/%d of %q: %w", p.shard, c.numShards, m.spec.Dataset, perm.err))
+		return
+	}
+	p.attempts++
+	if p.attempts >= c.cfg.MaxAttempts {
+		m.fail(fmt.Errorf("dist: shard %d/%d of %q failed after %d attempts: %w",
+			p.shard, c.numShards, m.spec.Dataset, p.attempts, err))
+		return
+	}
+	c.log.Warn("shard attempt failed, retrying",
+		"dataset", m.spec.Dataset, "shard", p.shard, "attempt", p.attempts, "err", err)
+	w.retries.Inc()
+	m.update(func() { m.rep.Retries++ })
+	if c.cfg.Sleep(m.ctx, c.backoff(p.attempts)) == nil {
+		m.queue <- i
+	}
+}
+
+// merge puts the completed shards' per-pair outcomes back in canonical
+// pair order and merges them as a single-node mine does. Shards that
+// never completed contribute nothing — their pairs are absent, exactly
+// like pairs a single-node interrupted mine never reached.
+func (m *mineRun) merge() *core.MVDResult {
+	var ps []core.PairMVDs
+	for _, rs := range m.results {
+		ps = append(ps, rs...)
+	}
+	slices.SortFunc(ps, func(x, y core.PairMVDs) int {
+		return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
+	})
+	return core.MergePairs(ps)
+}
+
+// callShard performs one shard RPC against one worker: POST the request,
+// validate and convert the response, and report the body size. A failed
+// probe of w aborts the RPC, like the end of the mine does. Network
+// errors mark the worker unhealthy (the prober restores it); 4xx answers
+// other than 408/429 are permanent; everything else — 5xx, decode
+// failure, truncation, pair-sequence mismatch — is retriable.
+func (c *Coordinator) callShard(ctx context.Context, spec Spec, p *shardPlan, w *worker) ([]core.PairMVDs, bool, int, error) {
 	body, err := json.Marshal(wire.ShardRequest{
 		Dataset:        spec.Dataset,
 		Epsilon:        spec.Epsilon,
@@ -482,13 +351,14 @@ func (c *Coordinator) callShard(ctx context.Context, spec Spec, st *shardState, 
 		TimeoutMS:      spec.TimeoutMS,
 	})
 	if err != nil {
-		return nil, false, &permanentError{fmt.Errorf("encoding shard request: %w", err)}
+		return nil, false, 0, &permanentError{fmt.Errorf("encoding shard request: %w", err)}
 	}
 	rctx, rcancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
 	defer rcancel()
+	defer context.AfterFunc(w.aborted(), rcancel)()
 	req, err := http.NewRequestWithContext(rctx, http.MethodPost, w.url+"/v1/shards", bytes.NewReader(body))
 	if err != nil {
-		return nil, false, &permanentError{err}
+		return nil, false, 0, &permanentError{err}
 	}
 	req.Header.Set("Content-Type", "application/json")
 
@@ -498,11 +368,11 @@ func (c *Coordinator) callShard(ctx context.Context, spec Spec, st *shardState, 
 		w.failures.Inc()
 		if ctx.Err() == nil {
 			// A transport-level failure with the mine still live is the
-			// passive health signal: skip this worker until a probe or a
-			// later success clears it.
-			w.healthy.Store(false)
+			// passive health signal: sideline this worker until a probe or
+			// a later success clears it.
+			c.setHealthy(w, false)
 		}
-		return nil, false, fmt.Errorf("worker %s: %w", w.url, err)
+		return nil, false, 0, fmt.Errorf("worker %s: %w", w.url, err)
 	}
 	defer resp.Body.Close()
 	// Cap the body read far above any legitimate shard result; a server
@@ -516,34 +386,32 @@ func (c *Coordinator) callShard(ctx context.Context, spec Spec, st *shardState, 
 		}
 		err := fmt.Errorf("worker %s: shard %d: HTTP %d: %s", w.url, p.shard, resp.StatusCode, msg)
 		if permanentStatus(resp.StatusCode) {
-			return nil, false, &permanentError{err}
+			return nil, false, 0, &permanentError{err}
 		}
-		return nil, false, err
+		return nil, false, 0, err
 	}
 	if rerr != nil {
 		w.failures.Inc()
-		return nil, false, fmt.Errorf("worker %s: reading shard %d result: %w", w.url, p.shard, rerr)
+		return nil, false, 0, fmt.Errorf("worker %s: reading shard %d result: %w", w.url, p.shard, rerr)
 	}
 
 	var sr wire.ShardResult
 	if err := json.Unmarshal(raw, &sr); err != nil {
 		w.failures.Inc()
-		return nil, false, fmt.Errorf("worker %s: decoding shard %d result: %w", w.url, p.shard, err)
+		return nil, false, 0, fmt.Errorf("worker %s: decoding shard %d result: %w", w.url, p.shard, err)
 	}
 	out, err := c.validateShard(&sr, spec, p)
 	if err != nil {
 		w.failures.Inc()
-		return nil, false, fmt.Errorf("worker %s: %w", w.url, err)
+		return nil, false, 0, fmt.Errorf("worker %s: %w", w.url, err)
 	}
-	elapsed := time.Since(t0)
-	w.healthy.Store(true)
-	w.latency.Observe(elapsed.Seconds())
-	st.observeLatency(elapsed, len(raw))
+	c.setHealthy(w, true)
+	w.latency.Observe(time.Since(t0).Seconds())
 	c.met.bytesMerged.Add(float64(len(raw)))
 	if spec.OnTrace != nil && sr.Trace != nil {
 		spec.OnTrace(sr.Trace)
 	}
-	return out, sr.Interrupted, nil
+	return out, sr.Interrupted, len(raw), nil
 }
 
 // permanentStatus reports whether an HTTP status is a permanent
@@ -554,9 +422,9 @@ func permanentStatus(code int) bool {
 
 // validateShard checks a shard result against the shard's expected pair
 // sequence and lifts it to core form. Any disagreement — truncated array,
-// reordered or foreign pairs, malformed MVDs — is an error the retry loop
+// reordered or foreign pairs, malformed MVDs — is an error the lane
 // treats as retriable.
-func (c *Coordinator) validateShard(sr *wire.ShardResult, spec Spec, p shardPlan) ([]core.PairMVDs, error) {
+func (c *Coordinator) validateShard(sr *wire.ShardResult, spec Spec, p *shardPlan) ([]core.PairMVDs, error) {
 	if sr.Dataset != spec.Dataset || sr.Shard != p.shard || sr.NumShards != c.numShards {
 		return nil, fmt.Errorf("shard %d result identifies as %q shard %d/%d", p.shard, sr.Dataset, sr.Shard, sr.NumShards)
 	}

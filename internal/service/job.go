@@ -85,7 +85,6 @@ type Job struct {
 	shardsDone  atomic.Int64
 	shardsTotal atomic.Int64
 	distRetries atomic.Int64
-	distHedges  atomic.Int64
 
 	mu       sync.Mutex
 	state    State
@@ -176,7 +175,6 @@ func (j *Job) Status() JobStatus {
 			ShardsDone:  int(j.shardsDone.Load()),
 			ShardsTotal: int(total),
 			Retries:     int(j.distRetries.Load()),
-			Hedges:      int(j.distHedges.Load()),
 		}
 	}
 	if !j.started.IsZero() {

@@ -469,7 +469,6 @@ func (m *Manager) mineDistributed(ctx context.Context, sess *maimon.Session, job
 	job.setPhase("mvds")
 	res, _, err := m.coord.MineMVDs(ctx, dist.Spec{
 		Dataset:        req.Dataset,
-		Tenant:         req.Tenant,
 		Epsilon:        req.Epsilon,
 		DisablePruning: req.DisablePruning,
 		ShardWorkers:   req.Workers,
@@ -479,7 +478,6 @@ func (m *Manager) mineDistributed(ctx context.Context, sess *maimon.Session, job
 			job.shardsDone.Store(int64(p.ShardsDone))
 			job.shardsTotal.Store(int64(p.ShardsTotal))
 			job.distRetries.Store(int64(p.Retries))
-			job.distHedges.Store(int64(p.Hedges))
 			job.pairsDone.Store(int64(p.PairsDone))
 			job.pairsTotal.Store(int64(p.PairsTotal))
 		},

@@ -21,7 +21,7 @@ import (
 // and returns the per-pair outcomes for the coordinator to merge.
 //
 // Shard mines run synchronously on the request goroutine (the
-// coordinator owns retry, hedging and timeouts — a job-style async
+// coordinator owns the queue, retries and timeouts — a job-style async
 // lifecycle here would only add state to reconcile), bounded by shardSem
 // so a flood of shard RPCs cannot oversubscribe the CPU the job pool is
 // sized for.
@@ -66,9 +66,8 @@ func (m *Manager) MineShard(ctx context.Context, req wire.ShardRequest) (*wire.S
 	}
 
 	// Bound concurrent shard mines like jobs are bounded by the pool:
-	// blocking (not rejecting) keeps the backpressure at the coordinator's
-	// in-flight cap, and honoring ctx lets an abandoned RPC leave the
-	// queue.
+	// blocking (not rejecting) holds the coordinator's lane until a slot
+	// frees, and honoring ctx lets an abandoned RPC leave the queue.
 	select {
 	case m.shardSem <- struct{}{}:
 	case <-ctx.Done():

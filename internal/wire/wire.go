@@ -62,10 +62,6 @@ type JobRequest struct {
 	// DisablePruning turns off the pairwise-consistency optimization
 	// (ablation runs only).
 	DisablePruning bool `json:"disable_pruning,omitempty"`
-	// Tenant attributes the job to a tenant for the coordinator's
-	// per-tenant budget isolation; empty means the default tenant. On a
-	// single-node maimond the field is accepted and ignored.
-	Tenant string `json:"tenant,omitempty"`
 }
 
 // SchemeResult is one mined acyclic schema with its quality metrics.
@@ -153,12 +149,11 @@ type MemoryStatus struct {
 
 // DistStatus is the distributed-execution view of a job running on a
 // coordinator: how far the shard fan-out has gotten and how much
-// recovery work (retries, hedges) it took. Absent on single-node jobs.
+// recovery work (retries) it took. Absent on single-node jobs.
 type DistStatus struct {
 	ShardsDone  int `json:"shards_done"`
 	ShardsTotal int `json:"shards_total"`
 	Retries     int `json:"retries"`
-	Hedges      int `json:"hedges"`
 }
 
 // JobStatus is the wire representation of a job (GET /jobs/{id}).

@@ -22,13 +22,15 @@
 // call the worker and take the next — so a shard is sent once, and a fast
 // worker simply takes more shards. A retriable failure (network error,
 // 5xx, truncated or mismatched result) puts the shard back on the queue
-// after exponential backoff, up to MaxAttempts. HTTP 4xx answers (bad
-// request, unknown dataset, dataset-shape mismatch) are permanent and
-// fail the mine with a clear error. Worker health is probed via
-// /v1/readyz: an unhealthy worker's lanes stop taking shards while
-// another worker is healthy, and a failed probe also aborts the RPCs in
-// flight to that worker, so a hung worker's shards return to the queue.
-// Admission control bounds concurrent mines (ErrBusy, never queued).
+// after exponential backoff, up to MaxAttempts, and marks the worker
+// unhealthy. HTTP 4xx answers (bad request, unknown dataset,
+// dataset-shape mismatch) are permanent and fail the mine with a clear
+// error. Worker health is also probed via /v1/readyz: an unhealthy
+// worker's lanes stop taking shards while another worker is healthy, so
+// a retry lands elsewhere, and abortAfterProbes failed probes in a row
+// abort the RPCs in flight to that worker, so a hung worker's shards
+// return to the queue. Admission control bounds concurrent mines
+// (ErrBusy, never queued).
 package dist
 
 import (
@@ -49,11 +51,18 @@ import (
 // worker. On bench fleet_2w (coordinator and two workers sharing a 2-core
 // VM, seed 7, 5 alternating runs each) the median wall_s was 0.3326 s at
 // 1 lane, 0.3266 s at 2 and 0.3271 s at 4, a tie within the runs'
-// spread; with 5 earlier runs each (before the first shards were dealt)
-// the ten-run medians are 0.3323, 0.3309 and 0.3212 s. 4 is kept: it is
-// fastest over ten runs, and a worker with more cores than that box can
-// run several of a mine's shards at once.
-const lanesPerWorker = 4
+// spread. 2 is kept: it was the fastest of the three, and it does not
+// exceed the shard slots of a worker there (maimond -workers 2). A lane
+// beyond a worker's slots only parks its shard in that worker's
+// semaphore, where at the tail of a mine it waits while another worker
+// idles.
+const lanesPerWorker = 2
+
+// abortAfterProbes is how many failed /v1/readyz probes in a row abort the
+// RPCs in flight to a worker. One slow probe of a loaded but live worker
+// (a GC pause, a starved CPU) only sidelines it; a worker that misses
+// this many is taken for hung, and its shards go back on the queue.
+const abortAfterProbes = 3
 
 // ErrBusy rejects a mine when the coordinator is at its admission bound.
 // Deliberately not queued: the caller (or its load balancer) decides
@@ -82,9 +91,10 @@ type Config struct {
 	// bounds the work lost to one failed shard.
 	ShardsPerWorker int
 	// MaxAttempts bounds how many times one shard is dispatched before
-	// the mine fails (default 2 × len(Workers), at least 4). A dead
-	// worker's lanes stop taking shards once it is marked unhealthy, so
-	// a single dead worker does not exhaust the budget.
+	// the mine fails (default 2 × len(Workers), at least 4). Every
+	// retriable failure marks its worker unhealthy, and an unhealthy
+	// worker's lanes stop taking shards while another worker is healthy,
+	// so a single failing worker does not exhaust the budget.
 	MaxAttempts int
 	// BaseBackoff and MaxBackoff shape the exponential backoff before a
 	// failed shard rejoins the queue: BaseBackoff × 2^(attempt-1),
@@ -99,8 +109,8 @@ type Config struct {
 	// rejected with ErrBusy rather than queued (default 8).
 	MaxMines int
 	// ProbeInterval is the /v1/readyz health-probe period (default 5s;
-	// negative disables active probing — passive marking on RPC failure
-	// still applies).
+	// negative disables active probing — marking on RPC failure and
+	// success still applies).
 	ProbeInterval time.Duration
 	// Registry receives the maimond_shard_* and maimond_worker_* series;
 	// nil uses a private registry (metrics still maintained, unexported).
@@ -181,9 +191,14 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 type worker struct {
 	url     string
 	healthy atomic.Bool
+	// downs counts the times w was marked unhealthy. A successful RPC
+	// restores w only if no failure was recorded while it ran.
+	downs atomic.Int64
+	// failedProbes counts failed probes in a row; only the prober uses it.
+	failedProbes int
 
 	// abort is the context every shard RPC to the worker also ends with;
-	// a failed probe cancels it and installs a fresh one.
+	// abortInflight cancels it and installs a fresh one.
 	mu     sync.Mutex
 	abort  context.Context
 	cancel context.CancelFunc
@@ -290,11 +305,11 @@ func (c *Coordinator) Close() {
 
 // probe is the active health loop: every ProbeInterval each worker's
 // /v1/readyz is checked; a worker flips unhealthy on failure and back on
-// the next success. A failed probe also aborts the worker's in-flight
-// RPCs, which is how a mine gets past a hung worker: its shards go back
-// on the queue for the healthy workers' lanes. Between probes, a network
-// error on a shard RPC marks the worker unhealthy passively (the prober
-// restores it).
+// the next success. abortAfterProbes failures in a row also abort the
+// worker's in-flight RPCs, which is how a mine gets past a hung worker:
+// its shards go back on the queue for the healthy workers' lanes.
+// Between probes, a failed shard RPC marks the worker unhealthy (the
+// prober restores it).
 func (c *Coordinator) probe() {
 	defer close(c.probeDone)
 	tick := time.NewTicker(c.cfg.ProbeInterval)
@@ -307,7 +322,9 @@ func (c *Coordinator) probe() {
 		}
 		for _, w := range c.workers {
 			healthy := c.probeOne(w)
-			if !healthy {
+			if healthy {
+				w.failedProbes = 0
+			} else if w.failedProbes++; w.failedProbes >= abortAfterProbes {
 				w.abortInflight()
 			}
 			if c.setHealthy(w, healthy) {
@@ -343,6 +360,9 @@ func (c *Coordinator) probeOne(w *worker) bool {
 // setHealthy records w's health and reports whether it flipped; a flip
 // wakes every lane waiting in healthChange.
 func (c *Coordinator) setHealthy(w *worker, healthy bool) bool {
+	if !healthy {
+		w.downs.Add(1)
+	}
 	if w.healthy.Swap(healthy) == healthy {
 		return false
 	}

@@ -641,11 +641,128 @@ func TestEachShardSentOnceWorkers(t *testing.T) {
 	}
 }
 
+// TestFailingWorkerSidelinedWorkers: a worker that answers a shard with
+// 500 while its readiness probe stays 200 is sidelined by that failure,
+// so it is sent no shard afterwards, every retry lands on the healthy
+// worker, and the mine succeeds under the default attempt budget and
+// backoff. In the second case the worker's other in-flight shard
+// succeeds after the failure; that success began before the failure, so
+// it must not bring the worker back. The healthy worker is slow, so the
+// queue is never empty when a failed shard rejoins it.
+func TestFailingWorkerSidelinedWorkers(t *testing.T) {
+	rels := map[string]*relation.Relation{"planted": testRelations(t)["planted"]}
+	r := rels["planted"]
+	want := singleNode(t, r, 0.1)
+	for name, failCall := range map[string]func(call int) bool{
+		"always 500":            func(int) bool { return true },
+		"500 then slow success": func(call int) bool { return call == 1 },
+	} {
+		good, goodProxy := newWorker(t, rels, func(int) disttest.Delayed {
+			return disttest.Delayed{Sleep: 100 * time.Millisecond, Then: disttest.Pass}
+		})
+		var mu sync.Mutex
+		var failedAt time.Time
+		calls, late, failed := 0, 0, 0
+		bad := serveWorker(t, rels, func(h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if !strings.HasSuffix(r.URL.Path, "/shards") {
+					h.ServeHTTP(w, r)
+					return
+				}
+				mu.Lock()
+				calls++
+				call := calls
+				if !failedAt.IsZero() && time.Since(failedAt) > 200*time.Millisecond {
+					late++
+				}
+				fail := failCall(call)
+				if fail {
+					failed++
+					if failedAt.IsZero() {
+						failedAt = time.Now()
+					}
+				}
+				mu.Unlock()
+				if fail {
+					http.Error(w, "injected failure", http.StatusInternalServerError)
+					return
+				}
+				time.Sleep(400 * time.Millisecond)
+				h.ServeHTTP(w, r)
+			})
+		})
+		coord := newCoordinator(t, []string{bad.URL, good.URL}, func(c *dist.Config) {
+			c.ShardsPerWorker = 8
+			c.BaseBackoff, c.MaxBackoff = 0, 0
+		})
+		got, rep, err := coord.MineMVDs(context.Background(), dist.Spec{
+			Dataset: "planted", Epsilon: 0.1, NumAttrs: r.NumCols(), Rows: r.NumRows(),
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		requireSameResult(t, name, got, want)
+		mu.Lock()
+		if failed < 1 || late > 0 || rep.Retries != failed || goodProxy.Calls()+calls-failed != rep.Shards {
+			t.Fatalf("%s: failing worker took %d shards (%d failed, %d after it was sidelined), healthy worker %d; report %+v",
+				name, calls, failed, late, goodProxy.Calls(), rep)
+		}
+		mu.Unlock()
+	}
+}
+
+// TestSlowProbeKeepsShardsWorkers: two failed readiness probes in a row
+// while a shard is running mark the worker unhealthy but do not abort the
+// shard, so it is sent once.
+func TestSlowProbeKeepsShardsWorkers(t *testing.T) {
+	rels := map[string]*relation.Relation{"planted": testRelations(t)["planted"]}
+	var mu sync.Mutex
+	probes := 0
+	ts := serveWorker(t, rels, func(h http.Handler) http.Handler {
+		shards := disttest.New(h, func(int) disttest.Delayed {
+			return disttest.Delayed{Sleep: 400 * time.Millisecond, Then: disttest.Pass}
+		})
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/readyz") && shards.Calls() > 0 {
+				mu.Lock()
+				fail := probes < 2
+				probes++
+				mu.Unlock()
+				if fail {
+					http.Error(w, "slow", http.StatusServiceUnavailable)
+					return
+				}
+			}
+			shards.ServeHTTP(w, r)
+		})
+	})
+	coord := newCoordinator(t, []string{ts.URL}, func(c *dist.Config) {
+		c.ShardsPerWorker = 1
+		c.ProbeInterval = 50 * time.Millisecond
+	})
+	r := rels["planted"]
+	_, rep, err := coord.MineMVDs(context.Background(), dist.Spec{
+		Dataset: "planted", Epsilon: 0.1, NumAttrs: r.NumCols(), Rows: r.NumRows(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if probes < 3 {
+		t.Fatalf("only %d probes ran after the shard started; the test never exercised a recovery", probes)
+	}
+	if rep.Dispatches != 1 || rep.Retries != 0 {
+		t.Fatalf("a slow probe aborted the shard: %+v", rep)
+	}
+}
+
 // TestHungWorkerLosesShardsWorkers is the hung-worker acceptance test: a
 // worker that hangs its shard RPCs, and its readiness probe once it has
-// taken a shard, is marked unhealthy by the prober, which also aborts its
-// in-flight RPCs; their shards go back on the queue, the healthy worker
-// finishes them, and the merged result is still single-node's.
+// taken a shard, is marked unhealthy by the prober, which aborts its
+// in-flight RPCs after failed probes in a row; their shards go back on
+// the queue, the healthy worker finishes them, and the merged result is
+// still single-node's.
 func TestHungWorkerLosesShardsWorkers(t *testing.T) {
 	rels := map[string]*relation.Relation{"planted": testRelations(t)["planted"]}
 	fast, fastProxy := newWorker(t, rels, nil)
@@ -661,10 +778,7 @@ func TestHungWorkerLosesShardsWorkers(t *testing.T) {
 	})
 	coord := newCoordinator(t, []string{fast.URL, hung.URL}, func(c *dist.Config) {
 		c.ShardsPerWorker = 3
-		c.ProbeInterval = 20 * time.Millisecond
-		// A probe of the loaded healthy worker may time out too; a
-		// generous budget keeps that from failing the mine.
-		c.MaxAttempts = 50
+		c.ProbeInterval = 50 * time.Millisecond
 	})
 	r := rels["planted"]
 	want := singleNode(t, r, 0.1)

@@ -23,8 +23,8 @@ const (
 	Pass Action = iota
 	// Fail500 answers 500 without consulting the backend (retriable).
 	Fail500
-	// Hang blocks until the client gives up (the mine ending, a failed
-	// probe aborting the worker's RPCs, or the request timeout) — the
+	// Hang blocks until the client gives up (the mine ending, failed
+	// probes aborting the worker's RPCs, or the request timeout) — the
 	// hung-worker shape.
 	Hang
 	// Truncate forwards to the backend but returns only the first half

@@ -242,26 +242,26 @@ func (m *mineRun) fail(err error) {
 }
 
 // lane is one of worker w's lanes: it sends w the shard it was dealt
-// (first < 0: none), then takes the next shard off the queue, and repeats
+// (next < 0: none), then takes the next shard off the queue, and repeats
 // until the mine is over. While w is sidelined it leaves shards to the
-// other workers' lanes.
-func (m *mineRun) lane(w *worker, first int) {
-	if first >= 0 {
-		if m.c.sidelined(w) {
-			m.queue <- first
-		} else {
-			m.run(w, first)
-		}
-	}
+// other workers' lanes, and puts back one it took as w was sidelined.
+func (m *mineRun) lane(w *worker, next int) {
 	for {
+		if next >= 0 {
+			if m.c.sidelined(w) {
+				m.queue <- next
+			} else {
+				m.run(w, next)
+			}
+			next = -1
+		}
 		queue := m.queue
 		change := m.c.healthChange()
 		if m.c.sidelined(w) {
 			queue = nil
 		}
 		select {
-		case i := <-queue:
-			m.run(w, i)
+		case next = <-queue:
 		case <-change:
 		case <-m.ctx.Done():
 			return
@@ -270,8 +270,9 @@ func (m *mineRun) lane(w *worker, first int) {
 }
 
 // run sends shard i to w once and settles the outcome: record the
-// result, fail the mine, or put the shard back on the queue after
-// backoff.
+// result, fail the mine, or mark w unhealthy and put the shard back on
+// the queue after backoff, so the retry goes to another worker while one
+// is healthy.
 func (m *mineRun) run(w *worker, i int) {
 	c, p := m.c, &m.plan[i]
 	w.dispatches.Inc()
@@ -301,6 +302,9 @@ func (m *mineRun) run(w *worker, i int) {
 		c.log.Error("shard failed permanently", "dataset", m.spec.Dataset, "shard", p.shard, "err", err)
 		m.fail(fmt.Errorf("dist: shard %d/%d of %q: %w", p.shard, c.numShards, m.spec.Dataset, perm.err))
 		return
+	}
+	if c.setHealthy(w, false) {
+		c.log.Warn("worker unhealthy", "worker", w.url, "err", err)
 	}
 	p.attempts++
 	if p.attempts >= c.cfg.MaxAttempts {
@@ -333,11 +337,12 @@ func (m *mineRun) merge() *core.MVDResult {
 }
 
 // callShard performs one shard RPC against one worker: POST the request,
-// validate and convert the response, and report the body size. A failed
-// probe of w aborts the RPC, like the end of the mine does. Network
-// errors mark the worker unhealthy (the prober restores it); 4xx answers
-// other than 408/429 are permanent; everything else — 5xx, decode
-// failure, truncation, pair-sequence mismatch — is retriable.
+// validate and convert the response, and report the body size. w's
+// abortInflight ends the RPC, like the end of the mine does. 4xx answers
+// other than 408/429 are permanent; everything else — network error,
+// 5xx, decode failure, truncation, pair-sequence mismatch — is
+// retriable. A success restores w's health unless a failure of w was
+// recorded while the RPC ran.
 func (c *Coordinator) callShard(ctx context.Context, spec Spec, p *shardPlan, w *worker) ([]core.PairMVDs, bool, int, error) {
 	body, err := json.Marshal(wire.ShardRequest{
 		Dataset:        spec.Dataset,
@@ -362,16 +367,10 @@ func (c *Coordinator) callShard(ctx context.Context, spec Spec, p *shardPlan, w 
 	}
 	req.Header.Set("Content-Type", "application/json")
 
-	t0 := time.Now()
+	t0, downs := time.Now(), w.downs.Load()
 	resp, err := c.cfg.Client.Do(req)
 	if err != nil {
 		w.failures.Inc()
-		if ctx.Err() == nil {
-			// A transport-level failure with the mine still live is the
-			// passive health signal: sideline this worker until a probe or
-			// a later success clears it.
-			c.setHealthy(w, false)
-		}
 		return nil, false, 0, fmt.Errorf("worker %s: %w", w.url, err)
 	}
 	defer resp.Body.Close()
@@ -405,7 +404,9 @@ func (c *Coordinator) callShard(ctx context.Context, spec Spec, p *shardPlan, w 
 		w.failures.Inc()
 		return nil, false, 0, fmt.Errorf("worker %s: %w", w.url, err)
 	}
-	c.setHealthy(w, true)
+	if w.downs.Load() == downs {
+		c.setHealthy(w, true)
+	}
 	w.latency.Observe(time.Since(t0).Seconds())
 	c.met.bytesMerged.Add(float64(len(raw)))
 	if spec.OnTrace != nil && sr.Trace != nil {

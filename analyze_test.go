@@ -2,11 +2,15 @@ package maimon
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/datagen"
+	"repro/internal/schema"
 )
 
 // rankingInput is a planted chain with noise, and the schema planted in
@@ -121,6 +125,123 @@ func TestAnalyzeConcurrent(t *testing.T) {
 				}
 			}
 		}(g)
+	}
+	wg.Wait()
+}
+
+// rankingBatch is the schemas of the mined schemes, with a cyclic schema at
+// index 2 and one that misses attribute 8 at the end: the two schemas
+// Analyze rejects.
+func rankingBatch(schemes []*Scheme) (schemas []Schema, rejected map[int]bool) {
+	for _, sc := range schemes {
+		schemas = append(schemas, sc.Schema)
+	}
+	// With attributes 3–8 removed as ears, {0,1} {1,2} {0,2} is a cycle.
+	cyclic := schema.MustNew(bitset.Of(0, 1, 3, 4, 5, 6, 7, 8), bitset.Of(1, 2), bitset.Of(0, 2))
+	short := schema.MustNew(bitset.Of(0, 1, 2, 3, 4), bitset.Of(4, 5, 6, 7))
+	schemas = slices.Insert(schemas, 2, cyclic)
+	schemas = append(schemas, short)
+	return schemas, map[int]bool{2: true, len(schemas) - 1: true}
+}
+
+// analyzeEach ranks schemas one Analyze call at a time.
+func analyzeEach(s *Session, schemas []Schema) ([]Metrics, []error) {
+	mets := make([]Metrics, len(schemas))
+	errs := make([]error, len(schemas))
+	for i, sch := range schemas {
+		mets[i], errs[i] = s.Analyze(sch)
+	}
+	return mets, errs
+}
+
+// checkBatch fails t unless a batch's metrics equal (==) the per-scheme
+// ones and each error sits at its own index.
+func checkBatch(t testing.TB, label string, gotMets, wantMets []Metrics, gotErrs, wantErrs []error) {
+	t.Helper()
+	if len(gotMets) != len(wantMets) || len(gotErrs) != len(wantErrs) {
+		t.Errorf("%s: %d metrics and %d errors for %d schemas", label, len(gotMets), len(gotErrs), len(wantMets))
+		return
+	}
+	for i := range wantMets {
+		if (gotErrs[i] == nil) != (wantErrs[i] == nil) ||
+			gotErrs[i] != nil && gotErrs[i].Error() != wantErrs[i].Error() {
+			t.Errorf("%s: schema %d: error %v, want %v", label, i, gotErrs[i], wantErrs[i])
+		}
+		if gotMets[i] != wantMets[i] {
+			t.Errorf("%s: schema %d:\n got  %+v\n want %+v", label, i, gotMets[i], wantMets[i])
+		}
+	}
+}
+
+// TestAnalyzeAllMatchesAnalyze: a batch ranked at any fan-out, on a plain
+// session and on one squeezed to ⅛ of the footprint with a spill tier,
+// equals Analyze scheme by scheme, with the cyclic and the non-covering
+// schema's errors at their own indices. Each session ranks cold first, at
+// 4 workers, so the workers build the bag partitions concurrently.
+func TestAnalyzeAllMatchesAnalyze(t *testing.T) {
+	r, _ := rankingInput(t, 150)
+	ref, err := Open(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemas, rejected := rankingBatch(mineForRanking(t, ref, 0.1, 40))
+	wantMets, wantErrs := analyzeEach(ref, schemas)
+	for i, err := range wantErrs {
+		if (err != nil) != rejected[i] {
+			t.Fatalf("schema %d: Analyze error %v, want one: %v", i, err, rejected[i])
+		}
+	}
+	budget := ref.Stats().PLIStats.BytesLive / 8
+
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"plain", nil},
+		{"budget/8+spill", []Option{WithMemoryBudget(budget), WithSpillDir(t.TempDir())}},
+	} {
+		s, err := Open(r, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mineForRanking(t, s, 0.1, 40)
+		for _, w := range []int{4, 1} {
+			mets, errs := s.AnalyzeAll(schemas, WithWorkers(w))
+			checkBatch(t, fmt.Sprintf("%s, workers %d", tc.name, w), mets, wantMets, errs, wantErrs)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAnalyzeAllConcurrent: two sessions, one under a budget so fetches
+// race with evictions, each rank the batch from two goroutines at once at
+// 4 workers per batch; every batch must equal the serial answer.
+func TestAnalyzeAllConcurrent(t *testing.T) {
+	r, _ := rankingInput(t, 60)
+	ref, err := Open(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemas, _ := rankingBatch(mineForRanking(t, ref, 0.1, 20))
+	wantMets, wantErrs := analyzeEach(ref, schemas)
+	plain, err := Open(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight, err := Open(r, WithMemoryBudget(ref.Stats().PLIStats.BytesLive/4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, s := range []*Session{plain, tight, plain, tight} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mets, errs := s.AnalyzeAll(schemas, WithWorkers(4))
+			checkBatch(t, "concurrent batch", mets, wantMets, errs, wantErrs)
+		}()
 	}
 	wg.Wait()
 }

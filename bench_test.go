@@ -356,8 +356,10 @@ func BenchmarkPhase2Warm(b *testing.B) {
 
 // BenchmarkAnalyzeRank is scheme ranking alone: the benchmark's `mid`
 // relation (27k × 9, planted chain, 1 % noise) mined once at ε = 0.1 for
-// 30 schemes, then one op = Session.Analyze on each of the 30 — the loop
-// the tall_rank workload spends its time in. Every bag and separator
+// 30 schemes, then one op ranks all 30 — the stage the tall_rank workload
+// spends most of its time in. "serial" calls Session.Analyze on each in
+// turn; "batch" is one Session.AnalyzeAll at GOMAXPROCS workers, so run it
+// with -cpu 1,2 to see what the second core buys. Every bag and separator
 // partition is a PLI cache hit after the first pass, so -benchmem shows
 // the per-call scratch is pooled, not rebuilt.
 func BenchmarkAnalyzeRank(b *testing.B) {
@@ -378,18 +380,36 @@ func BenchmarkAnalyzeRank(b *testing.B) {
 	if len(schemes) != 30 {
 		b.Fatalf("%d schemes mined, want 30", len(schemes))
 	}
-	rank := func() {
-		for _, sc := range schemes {
-			if _, err := s.Analyze(sc.Schema); err != nil {
+	schemas := make([]Schema, len(schemes))
+	for i, sc := range schemes {
+		schemas[i] = sc.Schema
+	}
+	serial := func(b *testing.B) {
+		for _, sch := range schemas {
+			if _, err := s.Analyze(sch); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	rank() // warm the cache and the scratch pool
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rank()
+	batch := func(b *testing.B) {
+		_, errs := s.AnalyzeAll(schemas)
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	serial(b) // warm the cache and the scratch pool
+	for _, bc := range []struct {
+		name string
+		rank func(*testing.B)
+	}{{"serial", serial}, {"batch", batch}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.rank(b)
+			}
+		})
 	}
 }
 

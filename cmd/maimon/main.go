@@ -59,7 +59,7 @@ func main() {
 		schemaSpec   = flag.String("schema", "", "decompose mode: explicit schema, bags separated by ';' (e.g. \"A,B,D;A,C,D;B,D,E;A,F\")")
 		outDir       = flag.String("out", "decomposed", "decompose mode: output directory")
 		rank         = flag.String("rank", "savings", "schemes mode ordering: savings | j | relations | width")
-		workers      = flag.Int("workers", 0, "parallel mining fan-out (0 = GOMAXPROCS, 1 = serial)")
+		workers      = flag.Int("workers", 0, "parallel mining and ranking fan-out (0 = GOMAXPROCS, 1 = serial)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "PLI cache memory budget in bytes; cold partitions are evicted past it (0 = unlimited)")
 		entropyBytes = flag.Int64("entropy-bytes", 0, "entropy-memo memory budget in bytes; cold entropies are evicted past it (0 = unlimited)")
 		spillDir     = flag.String("spill-dir", "", "disk spill tier: evicted partitions worth re-reading are demoted into segment files under this directory instead of dropped (empty = disabled)")
@@ -158,11 +158,13 @@ func main() {
 			met decompose.Metrics
 		}
 		// A scheme whose metrics cannot be computed has no place in the
-		// ranking, but it was mined: say so, and count it below.
+		// ranking, but it was mined: analyzeAll says so, and it is counted
+		// below.
 		var rows []row
-		for _, s := range schemes {
-			if met, ok := metricsOf(sess, s); ok {
-				rows = append(rows, row{s, met})
+		mets, errs := analyzeAll(sess, schemes)
+		for i, s := range schemes {
+			if errs[i] == nil {
+				rows = append(rows, row{s, mets[i]})
 			}
 		}
 		switch *rank {
@@ -282,22 +284,30 @@ func pickSchema(ctx context.Context, sess *maimon.Session, spec string, opts []m
 	}
 	best := schemes[0]
 	bestSavings := -1e18
-	for _, s := range schemes {
-		if met, ok := metricsOf(sess, s); ok && met.SavingsPct > bestSavings {
-			best, bestSavings = s, met.SavingsPct
+	mets, errs := analyzeAll(sess, schemes)
+	for i, s := range schemes {
+		if errs[i] == nil && mets[i].SavingsPct > bestSavings {
+			best, bestSavings = s, mets[i].SavingsPct
 		}
 	}
 	return best.Schema, nil
 }
 
-// metricsOf ranks one mined scheme; a failure is reported on stderr, not
-// passed over in silence.
-func metricsOf(sess *maimon.Session, s *maimon.Scheme) (maimon.Metrics, bool) {
-	met, err := sess.Analyze(s.Schema)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "warning: no metrics for %s: %v\n", s.Schema.Format(sess.Relation().Names()), err)
+// analyzeAll ranks the mined schemes on the session's -workers; a scheme
+// whose metrics cannot be computed is reported on stderr, not passed over
+// in silence.
+func analyzeAll(sess *maimon.Session, schemes []*maimon.Scheme) ([]maimon.Metrics, []error) {
+	schemas := make([]maimon.Schema, len(schemes))
+	for i, s := range schemes {
+		schemas[i] = s.Schema
 	}
-	return met, err == nil
+	mets, errs := sess.AnalyzeAll(schemas)
+	for i, err := range errs {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "warning: no metrics for %s: %v\n", schemas[i].Format(sess.Relation().Names()), err)
+		}
+	}
+	return mets, errs
 }
 
 func warnTimeout(err error) {

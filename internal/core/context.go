@@ -52,7 +52,6 @@ func (m *Miner) stopped() bool {
 	if !m.done.Load() {
 		return false
 	}
-	m.searchStats.TimeoutHit = true
 	if m.cause == nil {
 		m.cause = m.ctx.Err()
 	}

@@ -635,18 +635,6 @@ func TestOptionsPairsRestriction(t *testing.T) {
 	}
 }
 
-func TestMaxVisitedTruncates(t *testing.T) {
-	r := randomRelation(rand.New(rand.NewSource(5)), 60, 8, 2)
-	opts := DefaultOptions(0.05)
-	opts.PairwiseConsistency = false // widen the search so the cap bites
-	opts.MaxVisitedPerSearch = 3
-	m := NewMiner(entropy.New(r), opts)
-	m.GetFullMVDs(bitset.Empty(), 0, 1, 0)
-	if m.SearchStats().Truncated == 0 {
-		t.Fatal("expected a truncated search")
-	}
-}
-
 func TestDeadlineInterrupts(t *testing.T) {
 	r := randomRelation(rand.New(rand.NewSource(7)), 50, 8, 2)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))

@@ -37,11 +37,8 @@ type Miner struct {
 	roots   attrTable[*keyRoot]
 	scratch searchScratch
 
-	// searchStats accumulates across getFullMVDs invocations; curVisited
-	// counts candidates inspected by the invocation in flight (for
-	// MaxVisitedPerSearch).
+	// searchStats accumulates across getFullMVDs invocations.
 	searchStats SearchStats
-	curVisited  int
 	minsepTrace MinSepTrace
 
 	// trace is the stage-level mine trace (Options.Trace when set, owned
@@ -70,18 +67,16 @@ type SearchStats struct {
 	// Searches counts lattice walks: getFullMVDs invocations and
 	// separator tests. A separator MineMinSeps re-tests within one pair
 	// is answered from the pair's verdict table and counts no search.
-	Searches  int
-	Visited   int // candidate MVDs popped and evaluated
-	Pruned    int // candidates discarded by the pairwise-consistency repair
-	Truncated int // searches that hit MaxVisitedPerSearch
+	Searches int
+	Visited  int // candidate MVDs popped and evaluated
+	Pruned   int // candidates discarded by the pairwise-consistency repair
 	// JEvals counts the J-measures the searches consulted, one per
 	// candidate visited. A search's root is scored once per key and mine
 	// and read from the key memo by every later search with that key; a
 	// separator re-tested within a pair is answered from the verdict
 	// table and consults none.
-	JEvals     int
-	Repairs    int // getPairwiseConsistentMVD merge steps performed
-	TimeoutHit bool
+	JEvals  int
+	Repairs int // getPairwiseConsistentMVD merge steps performed
 }
 
 // NewMiner builds a miner over the oracle with the given options.
@@ -168,13 +163,8 @@ func (m *Miner) search(sep bitset.AttrSet, a, b, k int, collect bool) int {
 	s.stack = append(s.stack, rootRef)
 
 	found := 0
-	truncated := false
 	for len(s.stack) > 0 {
 		if k > 0 && found >= k {
-			break
-		}
-		if m.opts.MaxVisitedPerSearch > 0 && m.curVisited >= m.opts.MaxVisitedPerSearch {
-			truncated = true
 			break
 		}
 		if m.stopped() {
@@ -183,7 +173,6 @@ func (m *Miner) search(sep bitset.AttrSet, a, b, k int, collect bool) int {
 		ref := s.stack[len(s.stack)-1]
 		s.stack = s.stack[:len(s.stack)-1]
 		m.searchStats.Visited++
-		m.curVisited++
 		m.searchStats.JEvals++
 		if info.LeqEps(candJ(s, root, ref), m.opts.Epsilon) {
 			found++
@@ -193,10 +182,6 @@ func (m *Miner) search(sep bitset.AttrSet, a, b, k int, collect bool) int {
 			continue
 		}
 		m.expand(sep, root, ref, a, b)
-	}
-	m.curVisited = 0
-	if truncated {
-		m.searchStats.Truncated++
 	}
 	return found
 }

@@ -28,15 +28,6 @@ type Options struct {
 	// the ablation bench turns it off.
 	PairwiseConsistency bool
 
-	// MaxFullMVDsPerSeparator is the paper's K for the MVDMiner call site
-	// (Fig. 3 line 5 uses K = ∞, encoded as 0 = unlimited).
-	MaxFullMVDsPerSeparator int
-
-	// MaxVisitedPerSearch caps the number of candidate MVDs one
-	// getFullMVDs invocation may inspect; 0 means unlimited. A hit is
-	// reported through Result.Truncated.
-	MaxVisitedPerSearch int
-
 	// Pairs, when non-nil, restricts MVDMiner to these attribute pairs;
 	// nil means all pairs (the normal mode).
 	Pairs [][2]int
@@ -65,12 +56,14 @@ type Options struct {
 	// in place. <= 1 means serial, the default. Pair results are merged
 	// back in canonical pair order and the graph's edges do not depend on
 	// which goroutine wrote a row, so results are identical to a serial
-	// run on the same inputs.
+	// run on the same inputs. The session's WithWorkers sets this field
+	// and, with the same value, the fan-out of scheme ranking
+	// (decompose.AnalyzeAll).
 	Workers int
 }
 
 // DefaultOptions returns the configuration matching the paper's system:
-// pruning on, K unlimited, no state cap.
+// pruning on.
 func DefaultOptions(epsilon float64) Options {
 	return Options{
 		Epsilon:             epsilon,

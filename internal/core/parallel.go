@@ -45,10 +45,8 @@ func (s *SearchStats) add(o SearchStats) {
 	s.Searches += o.Searches
 	s.Visited += o.Visited
 	s.Pruned += o.Pruned
-	s.Truncated += o.Truncated
 	s.JEvals += o.JEvals
 	s.Repairs += o.Repairs
-	s.TimeoutHit = s.TimeoutHit || o.TimeoutHit
 }
 
 // pairOutcome is one attribute pair's mining product, indexed by the
@@ -154,7 +152,7 @@ func (m *Miner) minePairOutcomes(pairs [][2]int, workers int, phase string, expa
 					if w.stopped() {
 						break
 					}
-					for _, phi := range w.GetFullMVDs(sep, a, b, w.opts.MaxFullMVDsPerSeparator) {
+					for _, phi := range w.GetFullMVDs(sep, a, b, 0) {
 						found++
 						if fp := phi.Fingerprint(); !localSeen[fp] {
 							localSeen[fp] = true

@@ -190,6 +190,27 @@ func TestWriteCSVs(t *testing.T) {
 	}
 }
 
+// TestWriteCSVsEmptyValueInOneAttributeBag: a one-attribute bag holding an
+// empty value is a CSV record of one empty field, which must not be lost.
+func TestWriteCSVsEmptyValueInOneAttributeBag(t *testing.T) {
+	r := relation.MustFromRows([]string{"A", "B"}, [][]string{{"x", ""}, {"y", "u"}})
+	d, err := Decompose(entropy.New(r), schema.MustNew(bitset.Single(0), bitset.Single(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := d.WriteCSVs(dir); err != nil {
+		t.Fatal(err)
+	}
+	back, err := relation.ReadCSVFile(filepath.Join(dir, "B.csv"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !back.Equal(r.Project(bitset.Single(1))) {
+		t.Fatalf("B.csv reads back as %d rows, want 2", back.NumRows())
+	}
+}
+
 func TestSemijoinDisjointBags(t *testing.T) {
 	r1 := relation.MustFromRows([]string{"A"}, [][]string{{"x"}, {"y"}})
 	r2 := relation.MustFromRows([]string{"B"}, [][]string{{"u"}})

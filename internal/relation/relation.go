@@ -530,14 +530,35 @@ func ReadCSVFile(path string, header bool) (*Relation, error) {
 	return ReadCSV(f, header)
 }
 
-// WriteCSV writes the relation as CSV with a header row.
+// WriteCSV writes the relation as CSV with a header row, such that
+// ReadCSV(…, true) reads back the same names and rows.
 func (r *Relation) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(r.names); err != nil {
+	write := func(rec []string) error {
+		if len(rec) == 1 && rec[0] == "" {
+			// encoding/csv writes this record as an empty line, and
+			// readers skip empty lines.
+			cw.Flush()
+			if err := cw.Error(); err != nil {
+				return err
+			}
+			_, err := io.WriteString(w, "\"\"\n")
+			return err
+		}
+		for j, v := range rec {
+			// A reader drops the \r of every \r\n line end, inside quoted
+			// fields too; the extra \r keeps the value's own.
+			if strings.Contains(v, "\r\n") {
+				rec[j] = strings.ReplaceAll(v, "\r\n", "\r\r\n")
+			}
+		}
+		return cw.Write(rec)
+	}
+	if err := write(append([]string(nil), r.names...)); err != nil {
 		return err
 	}
 	for i := 0; i < r.rows; i++ {
-		if err := cw.Write(r.Row(i)); err != nil {
+		if err := write(r.Row(i)); err != nil {
 			return err
 		}
 	}

@@ -429,25 +429,30 @@ func (m *Manager) mine(ctx context.Context, sess *maimon.Session, job *Job) (*Jo
 	return out, err
 }
 
-// rankSchemes attaches the decomposition metrics to every mined scheme.
-// They are best-effort: a scheme whose metrics cannot be computed still
-// counts as mined — it keeps its entry, without S and E — and the failure
-// is logged against the job.
+// rankSchemes attaches the decomposition metrics to every mined scheme,
+// ranking them at the job's fan-out. They are best-effort: a scheme whose
+// metrics cannot be computed still counts as mined — it keeps its entry,
+// without S and E — and the failure is logged against the job.
 func (m *Manager) rankSchemes(sess *maimon.Session, job *Job, schemes []*maimon.Scheme) []SchemeResult {
 	names := sess.Relation().Names()
+	schemas := make([]maimon.Schema, len(schemes))
+	for i, s := range schemes {
+		schemas[i] = s.Schema
+	}
+	mets, errs := sess.AnalyzeAll(schemas, maimon.WithWorkers(job.req.Workers))
 	var out []SchemeResult
-	for _, s := range schemes {
+	for i, s := range schemes {
 		sr := SchemeResult{
 			Schema:    s.Schema.Format(names),
 			J:         s.J,
 			Relations: s.M(),
 			Width:     s.Schema.Width(),
 		}
-		if met, err := sess.Analyze(s.Schema); err != nil {
-			m.tel.Logger().Warn("scheme metrics failed", "job", job.id, "schema", sr.Schema, "error", err)
+		if errs[i] != nil {
+			m.tel.Logger().Warn("scheme metrics failed", "job", job.id, "schema", sr.Schema, "error", errs[i])
 		} else {
-			sr.SavingsPct = met.SavingsPct
-			sr.SpuriousPct = met.SpuriousPct
+			sr.SavingsPct = mets[i].SavingsPct
+			sr.SpuriousPct = mets[i].SpuriousPct
 		}
 		out = append(out, sr)
 	}

@@ -119,11 +119,12 @@ func WithPruning(on bool) Option { return func(c *config) { c.pruning = on } }
 // default) mines all pairs.
 func WithPairs(pairs [][2]int) Option { return func(c *config) { c.pairs = pairs } }
 
-// WithWorkers sets the fan-out of the parallel mining pipeline: attribute
-// pairs (the paper's Fig. 3 loop) are distributed across n worker miners
-// over the session's shared single-flight oracle, and n goroutines write
-// the rows of ASMiner's incompatibility graph in place. Results are
-// deterministic — identical to a serial mine of the same relation.
+// WithWorkers sets the fan-out of the parallel mining pipeline and of
+// scheme ranking: attribute pairs (the paper's Fig. 3 loop) are distributed
+// across n worker miners over the session's shared single-flight oracle,
+// n goroutines write the rows of ASMiner's incompatibility graph in place,
+// and AnalyzeAll ranks n schemes at a time. Results are deterministic —
+// identical to a serial mine and a serial ranking of the same relation.
 //
 // The default (n = 0, or any n <= 0) is runtime.GOMAXPROCS(0). n = 1
 // mines serially, as the paper's single-threaded system does.
@@ -204,11 +205,16 @@ func (c config) coreOptions() core.Options {
 	o.Pairs = c.pairs
 	o.Progress = c.progress
 	o.Trace = c.trace
-	o.Workers = c.workers
-	if c.workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
+	o.Workers = c.fanout()
 	return o
+}
+
+// fanout resolves WithWorkers: n <= 0 means GOMAXPROCS.
+func (c config) fanout() int {
+	if c.workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return c.workers
 }
 
 // mineContext derives the context one mining call observes: the caller's
@@ -387,7 +393,7 @@ func (s *Session) MineMinSeps(ctx context.Context, opts ...Option) (*MVDResult, 
 
 // MineSchemes runs both phases and returns the non-extendable acyclic
 // ε-schemas synthesized from maximal compatible MVD sets, along with the
-// phase-1 result. Schemes arrive in enumeration order; use Analyze to
+// phase-1 result. Schemes arrive in enumeration order; use AnalyzeAll to
 // rank them by savings and spurious-tuple rate, or SchemeSeq to consume
 // them as they are synthesized.
 func (s *Session) MineSchemes(ctx context.Context, opts ...Option) ([]*Scheme, *MVDResult, error) {
@@ -460,11 +466,23 @@ func (s *Session) JOfSchema(sch Schema) (float64, error) {
 // Analyze computes decomposition-quality metrics (storage savings S,
 // spurious-tuple rate E, width measures) of schema sch over the session's
 // relation. It counts over the partitions of sch's bags and separators in
-// the session's PLI cache — mostly hits after a mine — so ranking many
-// schemes never re-groups the relation, and the cache's budgets
-// (WithMemoryBudget, WithSpillDir) change its cost, never the metrics.
+// the session's PLI cache, so ranking many schemes never re-groups the
+// relation, and the cache's budgets (WithMemoryBudget, WithSpillDir)
+// change its cost, never the metrics. Phase 1 counts the entropy of a
+// chain leaf without storing its partition, and most bags are chain
+// leaves, so the first ranking after a cold mine builds most bag
+// partitions; later rankings find them cached.
 func (s *Session) Analyze(sch Schema) (Metrics, error) {
 	return decompose.Analyze(s.oracle, sch)
+}
+
+// AnalyzeAll is Analyze over a batch of schemas, ranked on WithWorkers
+// goroutines (GOMAXPROCS by default) that each take the next schema.
+// Metrics and errors are indexed like schemas: a schema Analyze rejects
+// has zero Metrics and its error at its index. Metrics are exact counts,
+// so they are the same at any fan-out.
+func (s *Session) AnalyzeAll(schemas []Schema, opts ...Option) ([]Metrics, []error) {
+	return decompose.AnalyzeAll(s.oracle, schemas, s.config(opts).fanout())
 }
 
 // Decompose projects the session's relation onto every relation schema of

@@ -5,10 +5,14 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/bitset"
+	"repro/internal/datagen"
 	"repro/internal/entropy"
 	"repro/internal/info"
 	"repro/internal/mvd"
@@ -142,11 +146,16 @@ func TestGetFullMVDsRespectsK(t *testing.T) {
 	}
 }
 
+// TestGetFullMVDsPanicsOnBadPair: a separator containing the pair panics
+// before the key memo is asked for its root, so no root or slot exists.
 func TestGetFullMVDsPanicsOnBadPair(t *testing.T) {
 	m := newMiner(paperR(), 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic when separator contains the pair")
+		}
+		if m.roots.used != 0 {
+			t.Fatalf("the key memo was consulted: %d roots read", m.roots.used)
 		}
 	}()
 	m.GetFullMVDs(at(t, "AE"), 4, 5, 0)
@@ -564,6 +573,54 @@ func TestQuickMinerAgainstBruteForceRandomRelations(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMinSepsCompleteAtWidth is the completeness claim (Thm. 6.2) at the
+// benchmark's width: on its 13-column `wide` relation (planted chain, 1 %
+// noise, planting seed 7) at ε ∈ {0, 0.1, 0.3}, the minimal separators a
+// parallel mine finds for each of the 78 pairs are exactly those
+// naive.MinSeps finds by scanning every subset of the other 11 attributes.
+// One oracle serves every mine and scan, and the scans fan the pairs out.
+func TestMinSepsCompleteAtWidth(t *testing.T) {
+	if testing.Short() {
+		t.Skip("brute force over 78 pairs at three thresholds")
+	}
+	r, _, err := datagen.Planted(datagen.PlantedSpec{
+		Bags: datagen.ChainBags(13, 4, 1), RootTuples: 120, ExtPerSep: 3, NoiseCells: 0.01, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := shared(r)
+	pairs := allPairs(r.NumCols())
+	workers := runtime.GOMAXPROCS(0)
+	for _, eps := range []float64{0, 0.1, 0.3} {
+		opts := DefaultOptions(eps)
+		opts.Workers = workers
+		res := NewMiner(o, opts).MineMinSepsAll()
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		want := make([][]bitset.AttrSet, len(pairs))
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1)) - 1; i < len(pairs); i = int(next.Add(1)) - 1 {
+					want[i] = naive.MinSeps(o, pairs[i][0], pairs[i][1], eps)
+				}
+			}()
+		}
+		wg.Wait()
+		for i, p := range pairs {
+			if got := res.MinSeps[Pair{p[0], p[1]}]; !sameSets(got, want[i]) {
+				t.Errorf("eps=%v pair %v: core mines %v, brute force %v", eps, p, got, want[i])
+			}
+		}
+		t.Logf("eps=%v: %d minimal separators over %d pairs", eps, res.NumMinSeps(), len(pairs))
 	}
 }
 

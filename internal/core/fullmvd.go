@@ -29,12 +29,13 @@ type Miner struct {
 	done  *atomic.Bool    // set once ctx is done; what the loops poll
 	cause error           // first stop cause (context error or ErrInterrupted)
 
-	// keys holds each separator key's search root for the duration of
-	// the mine; forked workers share it. roots is this miner's private
+	// keys holds each separator key's search root, with its dependent
+	// pairs' settled verdicts and full-MVD lists, for the duration of the
+	// mine; forked workers share it. roots is this miner's private
 	// table of the settled, non-aborted roots it has read from keys.
 	// scratch is this miner's own search storage.
 	keys    *keyMemo
-	roots   attrTable[*keyRoot]
+	roots   rootTable
 	scratch searchScratch
 
 	// searchStats accumulates across getFullMVDs invocations.
@@ -64,17 +65,17 @@ type source interface {
 
 // SearchStats counts getFullMVDs work across a mining run.
 type SearchStats struct {
-	// Searches counts lattice walks: getFullMVDs invocations and
-	// separator tests. A separator MineMinSeps re-tests within one pair
-	// is answered from the pair's verdict table and counts no search.
+	// Searches counts the lattice walks run: one per key, pair of root
+	// dependents and stage (separator test, or K = 0 full-MVD list) in a
+	// mine, plus one per K > 0 GetFullMVDs. A request whose slot has
+	// settled is answered from the key memo and runs no search.
 	Searches int
 	Visited  int // candidate MVDs popped and evaluated
 	Pruned   int // candidates discarded by the pairwise-consistency repair
-	// JEvals counts the J-measures the searches consulted, one per
+	// JEvals counts the J-measures the searches run consulted, one per
 	// candidate visited. A search's root is scored once per key and mine
 	// and read from the key memo by every later search with that key; a
-	// separator re-tested within a pair is answered from the verdict
-	// table and consults none.
+	// request answered from a settled slot consults none.
 	JEvals  int
 	Repairs int // getPairwiseConsistentMVD merge steps performed
 }
@@ -109,12 +110,42 @@ func (m *Miner) SearchStats() SearchStats { return m.searchStats }
 // refinement-maximal holders, i.e. the full MVDs (Sec. 5.2). When
 // Options.PairwiseConsistency is set, candidates are first repaired with
 // the forced merges of getPairwiseConsistentMVD (Fig. 16).
+//
+// A k = 0 list is searched once per key and pair of root dependents for
+// the life of the miner (see keyMemo): every later pair whose a and b fall
+// in the same two dependents of sep's root gets the same list back. That
+// list is shared, not copied — the caller must not modify it or the
+// dependents of its MVDs. Any k > 0 searches afresh and returns a list of
+// the caller's own.
 func (m *Miner) GetFullMVDs(sep bitset.AttrSet, a, b int, k int) []mvd.MVD {
-	m.search(sep, a, b, k, true)
-	// Keep only refinement-maximal holders: a holder refined by another
-	// holder is not full. (Holders reached along different DFS paths can
-	// be coarsenings of one another.) Only the survivors leave the
-	// scratch storage.
+	root, slot := m.pairSlot(sep, a, b)
+	if slot < 0 {
+		return nil
+	}
+	if k > 0 {
+		m.search(sep, a, b, k, true)
+		return m.fullMVDs(sep)
+	}
+	fs := &root.fullSlots()[slot]
+	if m.keys.claim(&fs.state) != slotOpen {
+		return fs.mvds
+	}
+	m.search(sep, a, b, 0, true)
+	out := m.fullMVDs(sep)
+	if m.stopped() {
+		m.keys.settle(&fs.state, slotOpen)
+		return out
+	}
+	fs.mvds = out
+	m.keys.settle(&fs.state, slotDone)
+	return out
+}
+
+// fullMVDs returns, sorted, the refinement-maximal holders the last
+// search with key sep collected: a holder refined by another holder is not
+// full. (Holders reached along different DFS paths can be coarsenings of
+// one another.) Only the survivors leave the scratch storage.
+func (m *Miner) fullMVDs(sep bitset.AttrSet) []mvd.MVD {
 	s := &m.scratch
 	var out []mvd.MVD
 	for i, ri := range s.holders {
@@ -135,28 +166,61 @@ func (m *Miner) GetFullMVDs(sep bitset.AttrSet, a, b int, k int) []mvd.MVD {
 }
 
 // SeparatorHolds reports whether sep admits any ε-MVD separating a and b —
-// the test used by MineMinSeps and ReduceMinSep (K = 1 call sites).
+// the test used by MineMinSeps and ReduceMinSep (K = 1 call sites). The
+// verdict is searched once per key and pair of root dependents for the
+// life of the miner (see keyMemo); a settled one is an atomic load.
 func (m *Miner) SeparatorHolds(sep bitset.AttrSet, a, b int) bool {
-	return m.search(sep, a, b, 1, false) > 0
+	root, slot := m.pairSlot(sep, a, b)
+	if slot < 0 {
+		return false
+	}
+	v := &root.verdicts[slot]
+	if s := m.keys.claim(v); s != slotOpen {
+		return s == slotYes
+	}
+	holds := m.search(sep, a, b, 1, false) > 0
+	switch {
+	case m.stopped():
+		m.keys.settle(v, slotOpen)
+	case holds:
+		m.keys.settle(v, slotYes)
+	default:
+		m.keys.settle(v, slotNo)
+	}
+	return holds
 }
 
-// search is the lattice walk behind GetFullMVDs and SeparatorHolds. It
-// returns the number of holders found — it stops at k when k > 0 — and,
-// when collect is set, leaves them in scratch.holders in discovery order.
+// pairSlot returns sep's root and the slot of the dependent pair a and b
+// fall in (see keyRoot.slot), or -1 when no search can separate them: the
+// root unites them, or the mine was stopped while it was repaired. It
+// panics when sep contains a or b.
+func (m *Miner) pairSlot(sep bitset.AttrSet, a, b int) (*keyRoot, int) {
+	if sep.Contains(a) || sep.Contains(b) {
+		panic(fmt.Sprintf("core: separator %v contains one of the pair (%d,%d)", sep, a, b))
+	}
+	root := m.keyRoot(sep)
+	if root.aborted {
+		return root, -1
+	}
+	return root, root.slot(a, b)
+}
+
+// search is the lattice walk behind GetFullMVDs and SeparatorHolds, for a
+// pair pairSlot accepted. It returns the number of holders found — it
+// stops at k when k > 0 — and, when collect is set, leaves them in
+// scratch.holders in discovery order. The entry points run it only for a
+// slot they claimed, so it counts the searches run, not those requested.
 //
 // The walk runs in the miner's scratch storage (see searchScratch) and
 // allocates nothing once the scratch has grown to the search's size.
 func (m *Miner) search(sep bitset.AttrSet, a, b, k int, collect bool) int {
-	m.searchStats.Searches++
-	if sep.Contains(a) || sep.Contains(b) {
-		panic(fmt.Sprintf("core: separator %v contains one of the pair (%d,%d)", sep, a, b))
-	}
 	s := &m.scratch
 	s.reset()
 	root := m.keyRoot(sep)
-	if root.aborted || !(mvd.MVD{Key: sep, Deps: root.deps}).Separates(a, b) {
+	if root.aborted || root.slot(a, b) < 0 {
 		return 0
 	}
+	m.searchStats.Searches++
 	deps, terms := s.tail(len(root.deps))
 	copy(terms[:len(root.terms)], root.terms)
 	rootRef, _ := s.keep(append(deps, root.deps...))

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -9,6 +12,7 @@ import (
 	"repro/internal/entropy"
 	"repro/internal/info"
 	"repro/internal/mvd"
+	"repro/internal/relation"
 	"repro/internal/transversal"
 )
 
@@ -168,7 +172,9 @@ func TestCarriedTermsMatchOracle(t *testing.T) {
 			res := m.MineMVDs()
 			for _, p := range res.SortedPairs() {
 				for _, sep := range res.MinSeps[p] {
-					m.GetFullMVDs(sep, p.A, p.B, 0)
+					// The mine settled this pair's list: search again,
+					// past the key memo, so the scratch holds the walk.
+					m.search(sep, p.A, p.B, 0, true)
 					root := m.keyRoot(sep)
 					if root.hKey != ref.H(sep) || root.hAll != ref.H(full) {
 						t.Fatalf("%s eps=%v key %v: root carries H(key) %v, H(Ω) %v; want %v, %v",
@@ -199,16 +205,26 @@ func TestCarriedTermsMatchOracle(t *testing.T) {
 	}
 }
 
-// literalMineMinSeps is Fig. 5 with no verdict table: every transversal's
-// complement and every reduction step is tested by a fresh search through
-// the exported SeparatorHolds and ReduceMinSep.
-func literalMineMinSeps(m *Miner, a, b int) ([]bitset.AttrSet, MinSepTrace) {
+// literalMineMinSeps is Fig. 5 with no memo: every transversal's
+// complement and every reduction step is tested by holds, which the
+// callers answer with a search of its own (Miner.search, past the key
+// memo).
+func literalMineMinSeps(m *Miner, a, b int, holds func(sep bitset.AttrSet) bool) ([]bitset.AttrSet, MinSepTrace) {
 	var tr MinSepTrace
 	universe := bitset.Full(m.oracle.NumAttrs()).Remove(a).Remove(b)
 	if !info.LeqEps(m.oracle.MI(bitset.Single(a), bitset.Single(b), universe), m.opts.Epsilon) {
 		return nil, tr
 	}
-	first := m.ReduceMinSep(universe, a, b)
+	reduce := func(x bitset.AttrSet) bitset.AttrSet {
+		s := x
+		for _, i := range x.Indices() {
+			if cand := s.Remove(i); holds(cand) {
+				s = cand
+			}
+		}
+		return s
+	}
+	first := reduce(universe)
 	seps := []bitset.AttrSet{first}
 	enum := transversal.New(universe)
 	enum.AddEdge(first)
@@ -220,14 +236,14 @@ func literalMineMinSeps(m *Miner, a, b int) ([]bitset.AttrSet, MinSepTrace) {
 		}
 		tr.Processed++
 		cand := universe.Diff(d)
-		if !m.SeparatorHolds(cand, a, b) {
+		if !holds(cand) {
 			tr.Wasted++
 			run++
 			tr.MaxWastedRun = max(tr.MaxWastedRun, run)
 			continue
 		}
 		run = 0
-		x := m.ReduceMinSep(cand, a, b)
+		x := reduce(cand)
 		seps = append(seps, x)
 		enum.AddEdge(x)
 	}
@@ -236,98 +252,289 @@ func literalMineMinSeps(m *Miner, a, b int) ([]bitset.AttrSet, MinSepTrace) {
 	return seps, tr
 }
 
-// TestVerdictMemoMatchesSearch checks MineMinSeps' per-pair verdict table
-// on every pair of nursery and a planted relation at two thresholds:
-// every verdict the table holds after the pair equals SeparatorHolds on a
-// fresh miner, and the separators and the MinSepTrace (Processed, Wasted,
-// MaxWastedRun, Separators) equal those of a replay that searches every
-// test afresh — which runs strictly more searches over the lot.
+// checkSettledSlots checks every pair slot m's key memo settled against a
+// search of its own on ref, a miner sharing no memo with m: a verdict
+// must be whether that search finds a holder, a full-MVD list must be the
+// full MVDs it finds. No slot may be left busy, and each slot's index
+// must be the one keyRoot.slot gives its dependents. It returns how many
+// verdicts and lists it checked.
+func checkSettledSlots(t *testing.T, m, ref *Miner) (verdicts, lists int) {
+	t.Helper()
+	for i := range m.keys.shards {
+		for sep, root := range m.keys.shards[i].m {
+			var fulls []fullSlot
+			if p := root.fulls.Load(); p != nil {
+				fulls = *p
+			}
+			slot := 0
+			for x := range root.deps {
+				for y := x + 1; y < len(root.deps); y, slot = y+1, slot+1 {
+					a, b := root.deps[x].Min(), root.deps[y].Max()
+					if got := root.slot(b, a); got != slot {
+						t.Fatalf("key %v dependents %d,%d: slot %d, want %d", sep, x, y, got, slot)
+					}
+					switch st := root.verdicts[slot].Load(); st {
+					case slotOpen:
+					case slotNo, slotYes:
+						verdicts++
+						if want := ref.search(sep, a, b, 1, false) > 0; (st == slotYes) != want {
+							t.Fatalf("key %v pair (%d,%d): settled verdict %v, a fresh search %v", sep, a, b, st == slotYes, want)
+						}
+					default:
+						t.Fatalf("key %v pair (%d,%d): verdict slot left in state %d", sep, a, b, st)
+					}
+					if fulls == nil {
+						continue
+					}
+					switch st := fulls[slot].state.Load(); st {
+					case slotOpen:
+					case slotDone:
+						lists++
+						ref.search(sep, a, b, 0, true)
+						want := ref.fullMVDs(sep)
+						if !slices.EqualFunc(fulls[slot].mvds, want, mvd.MVD.Equal) {
+							t.Fatalf("key %v pair (%d,%d): settled list %v, a fresh search %v", sep, a, b, fulls[slot].mvds, want)
+						}
+					default:
+						t.Fatalf("key %v pair (%d,%d): list slot left in state %d", sep, a, b, st)
+					}
+				}
+			}
+		}
+	}
+	return verdicts, lists
+}
+
+// TestVerdictMemoMatchesSearch checks MineMinSeps' separator tests,
+// settled on the key roots' slots, on every pair of nursery and a planted
+// relation at two thresholds: the separators and the MinSepTrace
+// (Processed, Wasted, MaxWastedRun, Separators) of each pair equal those
+// of a replay that searches every test afresh — which runs strictly more
+// searches over the lot — and after all pairs every settled verdict
+// equals a fresh search on a fresh miner.
 func TestVerdictMemoMatchesSearch(t *testing.T) {
 	rels := parallelTestRelations(t)
-	tabled, literal, verdicts := 0, 0, 0
+	memo, literal, verdicts := 0, 0, 0
 	for _, name := range []string{"nursery", "planted-noisy"} {
 		r := rels[name]
 		n := r.NumCols()
 		for _, eps := range []float64{0.05, 0.3} {
 			m := newMiner(r, eps)
+			replay := newMiner(r, eps)
 			for a := 0; a < n; a++ {
 				for b := a + 1; b < n; b++ {
 					before := m.SearchStats().Searches
 					got := m.MineMinSeps(a, b)
-					tabled += m.SearchStats().Searches - before
-					fresh := newMiner(r, eps)
-					tab := &m.scratch.verdicts
-					for _, sl := range tab.slots {
-						if sl.epoch != tab.epoch {
-							continue
-						}
-						verdicts++
-						if want := fresh.SeparatorHolds(sl.key, a, b); sl.val != want {
-							t.Fatalf("%s eps=%v pair (%d,%d) sep %v: table says %v, a fresh search %v",
-								name, eps, a, b, sl.key, sl.val, want)
-						}
-					}
-					replay := newMiner(r, eps)
-					want, wantTrace := literalMineMinSeps(replay, a, b)
-					literal += replay.SearchStats().Searches
+					memo += m.SearchStats().Searches - before
+					before = replay.SearchStats().Searches
+					want, wantTrace := literalMineMinSeps(replay, a, b, func(sep bitset.AttrSet) bool {
+						return replay.search(sep, a, b, 1, false) > 0
+					})
+					literal += replay.SearchStats().Searches - before
 					if !slices.Equal(got, want) || m.LastMinSepTrace() != wantTrace {
 						t.Fatalf("%s eps=%v pair (%d,%d): %v %+v, replay %v %+v",
 							name, eps, a, b, got, m.LastMinSepTrace(), want, wantTrace)
 					}
 				}
 			}
+			v, _ := checkSettledSlots(t, m, newMiner(r, eps))
+			verdicts += v
 		}
 	}
-	if verdicts == 0 || tabled >= literal {
-		t.Fatalf("%d verdicts tabled; %d searches with the table, %d without", verdicts, tabled, literal)
+	if verdicts == 0 || memo >= literal {
+		t.Fatalf("%d verdicts settled; %d searches with the memo, %d without", verdicts, memo, literal)
+	}
+}
+
+// replayRequests replays phase 1 of a mine literally — Fig. 5 for every
+// pair, then getFullMVDs for every separator found — searching every
+// request afresh. It returns the number of distinct (key, a's root
+// dependent, b's root dependent, stage) requests whose two dependents
+// differ, and the candidates their searches visit: what a mine that
+// searches each once must count. The roots come from literalRepair.
+func replayRequests(r *relation.Relation, eps float64) (searches, visited int) {
+	m := newMiner(r, eps)
+	ref := entropy.New(r)
+	type request struct {
+		key, da, db bitset.AttrSet
+		k           int
+	}
+	seen := make(map[request]bool)
+	roots := make(map[bitset.AttrSet]mvd.MVD)
+	run := func(key bitset.AttrSet, a, b, k int) int {
+		root, ok := roots[key]
+		if !ok {
+			root, _ = mvd.Singletons(key, r.NumCols())
+			root = literalRepair(ref, root, eps)
+			roots[key] = root
+		}
+		before := m.SearchStats().Visited
+		found := m.search(key, a, b, k, k == 0)
+		da, db := root.Deps[root.DepIndexOf(a)], root.Deps[root.DepIndexOf(b)]
+		if bitset.Compare(da, db) > 0 {
+			da, db = db, da
+		}
+		if req := (request{key, da, db, k}); da != db && !seen[req] {
+			seen[req] = true
+			searches++
+			visited += m.SearchStats().Visited - before
+		}
+		return found
+	}
+	n := r.NumCols()
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			seps, _ := literalMineMinSeps(m, a, b, func(sep bitset.AttrSet) bool { return run(sep, a, b, 1) > 0 })
+			for _, sep := range seps {
+				run(sep, a, b, 0)
+			}
+		}
+	}
+	return searches, visited
+}
+
+// TestSearchOncePerDependentPair is the invariant of the key memo's pair
+// slots: a mine runs one search per key, pair of root dependents and
+// stage, at any fan-out. On nursery and a noisy planted relation at three
+// thresholds, mined with 1 and 8 workers, SearchStats' Searches and
+// Visited equal a literal replay's count of distinct requests, and every
+// settled verdict and full-MVD list equals a fresh search. Then a mine is
+// stopped from its progress hook and re-mined on the same Miner under a
+// fresh context: the result equals an uninterrupted mine and every slot
+// still equals a fresh search, so no stopped search settled a slot.
+func TestSearchOncePerDependentPair(t *testing.T) {
+	rels := parallelTestRelations(t)
+	for _, name := range []string{"nursery", "planted-noisy"} {
+		r := rels[name]
+		for _, eps := range []float64{0, 0.05, 0.3} {
+			wantSearches, wantVisited := replayRequests(r, eps)
+			for _, workers := range []int{1, 8} {
+				opts := DefaultOptions(eps)
+				opts.Workers = workers
+				m := NewMiner(shared(r), opts)
+				if res := m.MineMVDs(); res.Err != nil {
+					t.Fatal(res.Err)
+				}
+				if st := m.SearchStats(); st.Searches != wantSearches || st.Visited != wantVisited {
+					t.Fatalf("%s eps=%v workers=%d: %d searches over %d candidates, replay has %d distinct requests over %d",
+						name, eps, workers, st.Searches, st.Visited, wantSearches, wantVisited)
+				}
+				if v, l := checkSettledSlots(t, m, newMiner(r, eps)); v == 0 || (eps > 0 && l == 0) {
+					t.Fatalf("%s eps=%v workers=%d: %d verdicts, %d lists settled", name, eps, workers, v, l)
+				}
+			}
+		}
+	}
+
+	r := rels["nursery"]
+	for _, workers := range []int{1, 8} {
+		opts := DefaultOptions(0.3)
+		opts.Workers = workers
+		want := NewMiner(shared(r), opts).MineMVDs()
+		ctx, cancel := context.WithCancel(context.Background())
+		opts.Progress = func(p Progress) {
+			if p.PairsDone >= 3 {
+				cancel()
+			}
+		}
+		m := NewMiner(shared(r), opts)
+		// One search certainly stopped mid-walk: its key's root is settled,
+		// the context is done, and the walk breaks before its first
+		// candidate. Its slot must stay open.
+		key, a, b := bitset.Of(1, 7), 0, 8
+		root := m.keyRoot(key)
+		done, stop := context.WithCancel(context.Background())
+		stop()
+		if m.WithContext(done).SeparatorHolds(key, a, b) || root.verdicts[root.slot(a, b)].Load() != slotOpen {
+			t.Fatalf("workers=%d: a stopped search settled its slot", workers)
+		}
+		if res := m.WithContext(ctx).MineMVDs(); !errors.Is(res.Err, context.Canceled) {
+			t.Fatalf("workers=%d: stopped mine Err = %v, want context.Canceled", workers, res.Err)
+		}
+		m.WithContext(context.Background())
+		got := m.MineMVDs()
+		if got.Err != nil || !slices.EqualFunc(got.MVDs, want.MVDs, mvd.MVD.Equal) || !reflect.DeepEqual(got.MinSeps, want.MinSeps) {
+			t.Fatalf("workers=%d: re-mine after a stop gives %d MVDs (err %v), an uninterrupted mine %d",
+				workers, len(got.MVDs), got.Err, len(want.MVDs))
+		}
+		checkSettledSlots(t, m, newMiner(r, 0.3))
+		cancel()
 	}
 }
 
 // TestSearchKernelAllocs is the allocation gate of the search kernel. On
 // a warm miner — entropies memoized, the key's root in the key memo, the
-// scratch grown — SeparatorHolds allocates nothing, however many
-// candidates it visits and prunes, GetFullMVDs allocates only for the
-// MVDs it returns, and MineMinSeps — verdict table, settled roots,
-// transversal buffers — only for the slice it returns.
+// scratch grown — a K = 1 search allocates nothing, however many
+// candidates it visits and prunes, and a K = 0 search allocates only for
+// the full MVDs it returns. Settled, SeparatorHolds and GetFullMVDs(K = 0)
+// allocate nothing and search nothing. MineMinSeps — settled roots, open
+// slots, transversal buffers — allocates only for the slice it returns.
 func TestSearchKernelAllocs(t *testing.T) {
 	r := datagen.Nursery()
 	a, b := 0, 8
 
 	m := newMiner(r, 0.1)
 	key := bitset.Empty()
-	m.SeparatorHolds(key, a, b)
+	m.search(key, a, b, 1, false)
 	before := m.SearchStats()
-	holds := testing.AllocsPerRun(20, func() { m.SeparatorHolds(key, a, b) })
+	holds := testing.AllocsPerRun(20, func() { m.search(key, a, b, 1, false) })
 	work := m.SearchStats()
 	perRun := (work.Visited - before.Visited + work.Pruned - before.Pruned) / 21
 	if perRun < 100 {
-		t.Fatalf("SeparatorHolds gate is too easy: %d candidates visited or pruned per run", perRun)
+		t.Fatalf("K = 1 search gate is too easy: %d candidates visited or pruned per run", perRun)
 	}
 	if holds != 0 {
-		t.Errorf("warm SeparatorHolds: %v allocs/run over %d candidates, want 0", holds, perRun)
+		t.Errorf("warm K = 1 search: %v allocs/run over %d candidates, want 0", holds, perRun)
+	}
+	m.SeparatorHolds(key, a, b)
+	before = m.SearchStats()
+	if settled := testing.AllocsPerRun(20, func() { m.SeparatorHolds(key, a, b) }); settled != 0 || m.SearchStats() != before {
+		t.Errorf("settled SeparatorHolds: %v allocs/run, searched %+v after %+v; want 0 allocs, no search",
+			settled, m.SearchStats(), before)
 	}
 
 	m = newMiner(r, 0.3)
-	out := m.GetFullMVDs(key, a, b, 0)
+	m.search(key, a, b, 0, true)
+	out := m.fullMVDs(key)
 	before = m.SearchStats()
-	full := testing.AllocsPerRun(5, func() { out = m.GetFullMVDs(key, a, b, 0) })
+	full := testing.AllocsPerRun(5, func() {
+		m.search(key, a, b, 0, true)
+		out = m.fullMVDs(key)
+	})
 	perRun = (m.SearchStats().Visited - before.Visited) / 6
 	if perRun < 1000 {
-		t.Fatalf("GetFullMVDs gate is too easy: %d candidates visited per run", perRun)
+		t.Fatalf("K = 0 search gate is too easy: %d candidates visited per run", perRun)
 	}
 	// Per returned MVD: its dependents and its slot in the result, which
 	// grows by doubling.
 	if limit := float64(2*len(out) + 2); len(out) == 0 || full > limit {
-		t.Errorf("warm GetFullMVDs(k=0): %v allocs/run for %d MVDs over %d candidates, want ≤ %v",
+		t.Errorf("warm K = 0 search: %v allocs/run for %d MVDs over %d candidates, want ≤ %v",
 			full, len(out), perRun, limit)
+	}
+	m.GetFullMVDs(key, a, b, 0)
+	before = m.SearchStats()
+	settled := testing.AllocsPerRun(20, func() { out = m.GetFullMVDs(key, a, b, 0) })
+	if settled != 0 || len(out) == 0 || m.SearchStats() != before {
+		t.Errorf("settled GetFullMVDs(K = 0): %v allocs/run for %d MVDs, searched %+v after %+v; want 0 allocs, no search",
+			settled, len(out), m.SearchStats(), before)
 	}
 
 	// (2,3) has four separators: the enumerator takes edges and hands out
 	// transversals, and reductions and transversals re-test separators.
+	// Every run reopens the slots, so it searches again.
 	m = newMiner(r, 0.1)
 	seps := m.MineMinSeps(2, 3)
 	before = m.SearchStats()
-	mine := testing.AllocsPerRun(5, func() { seps = m.MineMinSeps(2, 3) })
+	mine := testing.AllocsPerRun(5, func() {
+		for i := range m.keys.shards {
+			for _, root := range m.keys.shards[i].m {
+				for j := range root.verdicts {
+					root.verdicts[j].Store(slotOpen)
+				}
+			}
+		}
+		seps = m.MineMinSeps(2, 3)
+	})
 	if perRun = (m.SearchStats().Visited - before.Visited) / 6; perRun < 100 || len(seps) == 0 {
 		t.Fatalf("MineMinSeps gate is too easy: %d separators, %d candidates visited per run", len(seps), perRun)
 	}

@@ -13,38 +13,13 @@ import (
 // the remainder still separates. The result is a minimal a,b-separator
 // contained in x.
 func (m *Miner) ReduceMinSep(x bitset.AttrSet, a, b int) bitset.AttrSet {
-	return m.reduceMinSep(x, a, b, false)
-}
-
-// reduceMinSep is ReduceMinSep, testing each remainder through the pair's
-// verdict table when tabled is set (see holds).
-func (m *Miner) reduceMinSep(x bitset.AttrSet, a, b int, tabled bool) bitset.AttrSet {
 	s := x
 	for rest := x; rest != 0; rest &= rest - 1 {
-		if cand := s &^ (rest & -rest); m.holds(cand, a, b, tabled) {
+		if cand := s &^ (rest & -rest); m.SeparatorHolds(cand, a, b) {
 			s = cand
 		}
 	}
 	return s
-}
-
-// holds is SeparatorHolds(sep, a, b), answered from the verdict table of
-// the pair MineMinSeps is mining when tabled is set. The verdict is a pure
-// function of (sep, a, b, ε), and a pair's transversal loop and its
-// reductions test many separators more than once (28,975 of 77,259 tests
-// on the bench's 13-column relation at ε = 0.1), so each is searched once
-// per pair. Only MineMinSeps passes tabled: the exported entry points
-// always search.
-func (m *Miner) holds(sep bitset.AttrSet, a, b int, tabled bool) bool {
-	if !tabled {
-		return m.SeparatorHolds(sep, a, b)
-	}
-	v, ok := m.scratch.verdicts.get(sep)
-	if !ok {
-		v = m.SeparatorHolds(sep, a, b)
-		m.scratch.verdicts.put(sep, v)
-	}
-	return v
 }
 
 // MinSepTrace instruments one MineMinSeps invocation. The paper bounds
@@ -67,9 +42,12 @@ func (m *Miner) LastMinSepTrace() MinSepTrace { return m.minsepTrace }
 // separators found so far (Thm. 6.1): a new minimal separator exists iff
 // some minimal transversal's complement (within Ω \ {a,b}) separates.
 //
-// The verdict table, the enumerator and the separator list are the
-// miner's scratch, reused pair after pair: a warm call allocates only the
-// slice it returns.
+// Each separator test is a SeparatorHolds, so a separator the transversal
+// loop or a reduction re-tests — within the pair or for another pair in
+// the same two root dependents — is a settled slot of the key memo, not a
+// search. The enumerator and the separator list are the miner's scratch,
+// reused pair after pair: a warm call allocates only the slice it
+// returns.
 func (m *Miner) MineMinSeps(a, b int) []bitset.AttrSet {
 	n := m.oracle.NumAttrs()
 	universe := bitset.Full(n).Remove(a).Remove(b)
@@ -81,13 +59,12 @@ func (m *Miner) MineMinSeps(a, b int) []bitset.AttrSet {
 	}()
 
 	s := &m.scratch
-	s.verdicts.clear()
 	// Line 3: the largest candidate key is Ω \ {a,b}; if even it does not
 	// separate, no separator exists (Prop. 5.1 Eq. 8).
 	if !info.LeqEps(m.src.MI(bitset.Single(a), bitset.Single(b), universe), m.opts.Epsilon) {
 		return nil
 	}
-	first := m.reduceMinSep(universe, a, b, true)
+	first := m.ReduceMinSep(universe, a, b)
 	seps := append(s.seps[:0], first)
 	enum := &s.enum
 	enum.Reset(universe)
@@ -104,7 +81,7 @@ func (m *Miner) MineMinSeps(a, b int) []bitset.AttrSet {
 		}
 		m.minsepTrace.Processed++
 		cand := universe.Diff(d)
-		if !m.holds(cand, a, b, true) {
+		if !m.SeparatorHolds(cand, a, b) {
 			m.minsepTrace.Wasted++
 			wastedRun++
 			if wastedRun > m.minsepTrace.MaxWastedRun {
@@ -113,7 +90,7 @@ func (m *Miner) MineMinSeps(a, b int) []bitset.AttrSet {
 			continue
 		}
 		wastedRun = 0
-		x := m.reduceMinSep(cand, a, b, true)
+		x := m.ReduceMinSep(cand, a, b)
 		seps = append(seps, x)
 		enum.AddEdge(x)
 	}

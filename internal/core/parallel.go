@@ -152,6 +152,8 @@ func (m *Miner) minePairOutcomes(pairs [][2]int, workers int, phase string, expa
 					if w.stopped() {
 						break
 					}
+					// The list may be one another pair settled: it is
+					// only read, and its MVDs are shared as they are.
 					for _, phi := range w.GetFullMVDs(sep, a, b, 0) {
 						found++
 						if fp := phi.Fingerprint(); !localSeen[fp] {
@@ -160,6 +162,7 @@ func (m *Miner) minePairOutcomes(pairs [][2]int, workers int, phase string, expa
 						}
 					}
 				}
+				// Calls are the searches run, not the lists requested.
 				w.recordStage(&w.stages.fullmvd, expT0, expStats,
 					int64(w.searchStats.Searches-expStats.Searches), found)
 			}

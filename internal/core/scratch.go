@@ -38,12 +38,10 @@ type searchScratch struct {
 	root      [bitset.MaxAttrs]bitset.AttrSet
 	rootTerms [bitset.MaxAttrs]float64
 
-	// MineMinSeps' storage, reused pair after pair: the pair's verdict
-	// table (see Miner.holds), its transversal enumerator, and the
-	// separators found before they are copied out.
-	verdicts attrTable[bool]
-	enum     transversal.Enumerator
-	seps     []bitset.AttrSet
+	// MineMinSeps' storage, reused pair after pair: the transversal
+	// enumerator and the separators found before they are copied out.
+	enum transversal.Enumerator
+	seps []bitset.AttrSet
 }
 
 // candRef locates one candidate's dependents: arena[off : off+n], and
@@ -152,68 +150,52 @@ func mergeTerms(dst, terms []float64, i, j, at int, hu float64) []float64 {
 	return append(dst, terms[at+2:]...)
 }
 
-// attrTable is an open-addressed AttrSet → V map: linear probing over a
+// rootTable is the miner's private table of settled key roots: an
+// open-addressed AttrSet → *keyRoot map, linear probing over a
 // power-of-two table kept at most half full, indexed by stripe.Hash. A
-// slot whose epoch is not the table's is vacant, so clear costs one
-// increment. The empty set is a key like any other.
-type attrTable[V any] struct {
-	slots []attrSlot[V]
+// slot with a nil root is vacant; the empty set is a key like any other.
+type rootTable struct {
+	slots []rootSlot
 	used  int
-	epoch uint32
 }
 
-type attrSlot[V any] struct {
-	key   bitset.AttrSet
-	epoch uint32
-	val   V
+type rootSlot struct {
+	key bitset.AttrSet
+	r   *keyRoot
 }
 
-func (t *attrTable[V]) get(k bitset.AttrSet) (V, bool) {
+func (t *rootTable) get(k bitset.AttrSet) (*keyRoot, bool) {
 	if t.used > 0 {
 		mask := uint64(len(t.slots) - 1)
-		for i := stripe.Hash(uint64(k)) & mask; t.slots[i].epoch == t.epoch; i = (i + 1) & mask {
+		for i := stripe.Hash(uint64(k)) & mask; t.slots[i].r != nil; i = (i + 1) & mask {
 			if t.slots[i].key == k {
-				return t.slots[i].val, true
+				return t.slots[i].r, true
 			}
 		}
 	}
-	var zero V
-	return zero, false
+	return nil, false
 }
 
-// put records k → v; k must be absent.
-func (t *attrTable[V]) put(k bitset.AttrSet, v V) {
-	if t.epoch == 0 {
-		t.epoch = 1
-	}
+// put records k → r; k must be absent and r non-nil.
+func (t *rootTable) put(k bitset.AttrSet, r *keyRoot) {
 	if 2*(t.used+1) > len(t.slots) {
 		old := t.slots
-		t.slots = make([]attrSlot[V], max(64, 2*len(old)))
+		t.slots = make([]rootSlot, max(64, 2*len(old)))
 		for _, s := range old {
-			if s.epoch == t.epoch {
+			if s.r != nil {
 				t.place(s)
 			}
 		}
 	}
-	t.place(attrSlot[V]{key: k, epoch: t.epoch, val: v})
+	t.place(rootSlot{key: k, r: r})
 	t.used++
 }
 
-func (t *attrTable[V]) place(s attrSlot[V]) {
+func (t *rootTable) place(s rootSlot) {
 	mask := uint64(len(t.slots) - 1)
 	i := stripe.Hash(uint64(s.key)) & mask
-	for t.slots[i].epoch == t.epoch {
+	for t.slots[i].r != nil {
 		i = (i + 1) & mask
 	}
 	t.slots[i] = s
-}
-
-// clear empties the table, keeping its storage.
-func (t *attrTable[V]) clear() {
-	t.used = 0
-	t.epoch++
-	if t.epoch == 0 { // wrapped: stale slots could pass for current ones
-		clear(t.slots)
-		t.epoch = 1
-	}
 }

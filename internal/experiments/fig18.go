@@ -18,7 +18,10 @@ var fig18Datasets = []string{"Classification", "Breast-Cancer", "Adult", "Bridge
 // rate. Expected shapes: at ε = 0 the two counts coincide when expansion
 // completes (at most one full MVD per key, Lemma 5.4); as ε grows full
 // MVDs outnumber separators, and generation sustains tens to thousands of
-// MVDs per second.
+// MVDs per second. The rate is not one search per (pair, separator): a
+// miner searches each key and pair of root dependents once, so a later
+// pair whose a and b fall in dependents an earlier pair already searched
+// reads the settled list.
 func Fig18FullMVDs(cfg Config) string {
 	rep := newReport(cfg.Out)
 	for _, name := range fig18Datasets {

@@ -54,8 +54,10 @@ type StageTrace struct {
 	Name string
 	// CPU is the total time worker goroutines spent in the stage.
 	CPU time.Duration
-	// Calls counts stage invocations (separator searches, full-MVD
-	// expansions, schema syntheses).
+	// Calls counts stage invocations: pairs whose separators were mined
+	// ("minsep"), full-MVD searches run ("fullmvd" — a list already
+	// settled for the key and pair of root dependents runs none), graph
+	// builds, schema syntheses.
 	Calls int64
 	// Items counts the stage's products: separators found ("minsep"),
 	// full MVDs returned by the searches pre-dedup ("fullmvd" — invariant
@@ -66,12 +68,13 @@ type StageTrace struct {
 	// per candidate visited. (The J of a search's root depends on the
 	// separator key alone; it is computed once per mine and read back by
 	// the other searches with that key, each of which still counts it —
-	// that is what keeps the count independent of the fan-out.) A
-	// separator re-tested within one pair's separator mining is answered
-	// from that pair's verdict table: it runs no search and counts none.
+	// that is what keeps the count independent of the fan-out.) A search
+	// runs once per key, pair of root dependents and stage in a mine; a
+	// request already settled is answered from the key memo and counts
+	// none.
 	JEvals int64
 	// Candidates counts candidate MVDs visited by the stage's searches
-	// (a separator re-tested within a pair visits none, as for JEvals);
+	// (a settled request visits none, as for JEvals);
 	// for "graph" it is the incompatibility edges added, for "synth" the
 	// compatible sets that synthesized a schema (pre-dedup).
 	Candidates int64

@@ -20,9 +20,9 @@ import (
 type Miner struct {
 	oracle *entropy.Oracle
 	// src is the entropy source all J evaluations go through: the oracle
-	// itself on a serial miner, a worker-local entropy.Local (carrying a
-	// per-goroutine PLI arena) on the forked workers of the parallel
-	// pipeline — same memo and counters either way.
+	// itself on a top-level miner, a worker-local entropy.Local (carrying
+	// a per-goroutine PLI arena) on the forked workers of phase 1's
+	// fan-out, one worker included — same memo and counters either way.
 	src   source
 	opts  Options
 	ctx   context.Context // bound by WithContext

@@ -174,24 +174,24 @@ func TestParallelMinSepsAllMatchesSerial(t *testing.T) {
 
 // TestOneWorkerReadsThroughLocal: a one-worker mine over an oracle —
 // what every `maimond -mine-workers 1` fleet worker runs — reads H through
-// a worker-local view while the pairs are mined, hands the miner its own
-// source back afterwards, and leaves the oracle's counters exactly where a
-// fan-out of eight leaves them.
+// a worker-local view while the pairs are mined, leaves the miner its own
+// source, and leaves the oracle's counters exactly where a fan-out of
+// eight leaves them. A view holds its MI count until it is released, so
+// no MI call reaches the oracle's counters before the phase ends.
 func TestOneWorkerReadsThroughLocal(t *testing.T) {
 	r := datagen.Nursery().Head(800)
 	mine := func(workers int) entropy.Stats {
 		o := shared(r)
 		opts := DefaultOptions(0.1)
 		opts.Workers = workers
-		var m *Miner
 		if workers == 1 {
 			opts.Progress = func(p Progress) {
-				if _, local := m.src.(*entropy.Local); p.PairsDone > 0 && !local {
-					t.Errorf("pair %d mined through %T, want *entropy.Local", p.PairsDone, m.src)
+				if mi := o.Stats().MICalls; p.PairsDone > 0 && mi != 0 {
+					t.Errorf("pair %d: %d MI calls counted on the oracle mid-phase, want them on a worker-local view", p.PairsDone, mi)
 				}
 			}
 		}
-		m = NewMiner(o, opts)
+		m := NewMiner(o, opts)
 		if res := m.MineMVDs(); res.Err != nil || len(res.MVDs) == 0 {
 			t.Fatalf("workers=%d: mine failed: %v", workers, res.Err)
 		}

@@ -12,7 +12,7 @@ import (
 // mining exactly one shard's pairs without the cross-pair merge — the
 // worker half of a coordinator/worker mine. The coordinator puts the
 // per-pair outcomes of all shards back in canonical pair order and
-// merges them with MergePairs, the merge minePairs runs on one node, so
+// merges them with MergePairs, the merge MineMVDs runs on one node, so
 // a distributed mine is byte-identical to a single-node one.
 
 // ShardOfPair assigns the unordered attribute pair (a, b), a < b, to one
@@ -44,8 +44,8 @@ func ShardPairs(n, shard, numShards int) [][2]int {
 
 // PairMVDs is one attribute pair's mining product in exported form: the
 // pair's minimal separators and the full ε-MVDs expanded from them,
-// locally deduplicated in discovery order. It is pairOutcome with the
-// pair attached — the unit a distributed worker ships back to its
+// locally deduplicated in discovery order — the unit phase 1's fan-out
+// fills per pair, and a distributed worker ships back to its
 // coordinator.
 type PairMVDs struct {
 	A, B int
@@ -65,30 +65,5 @@ type PairMVDs struct {
 // cancellation error; outcomes mined before the stop are valid, the rest
 // are empty.
 func (m *Miner) MinePairMVDs(pairs [][2]int) ([]PairMVDs, error) {
-	m.beginPhase()
-	defer m.tracePhase("mvds")()
-	m.emitProgress(Progress{Phase: "mvds", PairsTotal: len(pairs)})
-	if len(pairs) == 0 {
-		return nil, nil
-	}
-	outcomes := m.minePairOutcomes(pairs, m.opts.Workers, "mvds", true)
-	// Same bookkeeping as minePairs: the last pair's separator
-	// trace is what a serial run would leave, and one parent-side poll
-	// records the shared stop cause.
-	m.minsepTrace = outcomes[len(outcomes)-1].trace
-	m.stopped()
-	return pairMVDs(pairs, outcomes), m.interruptErr()
-}
-
-// pairMVDs attaches to each outcome its pair, ordered a < b.
-func pairMVDs(pairs [][2]int, outcomes []pairOutcome) []PairMVDs {
-	out := make([]PairMVDs, len(pairs))
-	for i := range outcomes {
-		a, b := pairs[i][0], pairs[i][1]
-		if a > b {
-			a, b = b, a
-		}
-		out[i] = PairMVDs{A: a, B: b, Seps: outcomes[i].seps, MVDs: outcomes[i].mvds}
-	}
-	return out
+	return m.minePairMVDs(pairs, "mvds", true)
 }

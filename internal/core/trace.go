@@ -46,8 +46,8 @@ func (s *stageCounters) trace(name string) obs.StageTrace {
 }
 
 // stageAccum is the per-miner (and per-worker) set of stage counters for
-// the phase in flight. Workers fork with a zero accum; the parallel
-// drivers merge worker accums back under the same lock as SearchStats.
+// the phase in flight. Workers fork with a zero accum; phase 1's fan-out
+// merges worker accums back under the same lock as SearchStats.
 type stageAccum struct {
 	minsep  stageCounters // minimal-separator mining (Fig. 5)
 	fullmvd stageCounters // full ε-MVD expansion (Figs. 6/16/17)

@@ -32,10 +32,10 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/entropy"
+	"repro/internal/par"
 	"repro/internal/relation"
 	"repro/internal/schema"
 )
@@ -68,41 +68,21 @@ func Analyze(o *entropy.Oracle, s schema.Schema) (Metrics, error) {
 }
 
 // AnalyzeAll is Analyze over a batch of schemas on up to workers
-// goroutines. Each takes the next schema index off an atomic cursor, ranks
-// that schema with its own pooled counter and writes the result at the
-// schema's index; a schema Analyze rejects leaves zero Metrics and its
-// error at its index. workers <= 1 runs the same loop on the calling
-// goroutine. Metrics are exact counts, so the results do not depend on
-// workers or on which goroutine ranked which schema.
+// goroutines (par.For). Each ranks the schemas it claims with its own
+// pooled counter and writes the result at the schema's index; a schema
+// Analyze rejects leaves zero Metrics and its error at its index. Metrics
+// are exact counts, so the results do not depend on workers or on which
+// goroutine ranked which schema.
 func AnalyzeAll(o *entropy.Oracle, schemas []schema.Schema, workers int) ([]Metrics, []error) {
 	mets := make([]Metrics, len(schemas))
 	errs := make([]error, len(schemas))
-	var next atomic.Int64
-	claim := func() {
+	par.For(len(schemas), workers, func() (func(int) bool, func()) {
 		c := counterPool.Get().(*counter)
-		defer counterPool.Put(c)
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(schemas) {
-				return
-			}
+		return func(i int) bool {
 			mets[i], errs[i] = c.analyze(o, schemas[i])
-		}
-	}
-	workers = min(workers, len(schemas))
-	if workers <= 1 {
-		claim()
-		return mets, errs
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for range workers {
-		go func() {
-			defer wg.Done()
-			claim()
-		}()
-	}
-	wg.Wait()
+			return true
+		}, func() { counterPool.Put(c) }
+	})
 	return mets, errs
 }
 

@@ -22,8 +22,8 @@ import (
 	"container/heap"
 	"math/bits"
 	"sort"
-	"sync"
-	"sync/atomic"
+
+	"repro/internal/par"
 )
 
 // Graph is a simple undirected graph on vertices 0..n-1.
@@ -45,42 +45,18 @@ func NewGraph(n int) *Graph {
 
 // FillUpper builds the edge set of an empty graph from its upper
 // triangle and returns the number of edges. Up to workers goroutines
-// (<= 1: the calling goroutine alone) each take a row filler from
-// newFiller and call it on rows claimed off a shared cursor, so no two
-// fills share a row: fill(i, row) sets in row — vertex i's adjacency
-// words — exactly the bits j > i of i's neighbours, and returns false to
-// abandon the build. After the join the lower triangle is mirrored from
-// the upper one by 64×64 bit-block transposes. An abandoned build
-// reports ok = false and leaves the graph partly filled.
+// (par.For) each take a row filler from newFiller and call it on the
+// rows they claim, so no two fills share a row: fill(i, row) sets in row
+// — vertex i's adjacency words — exactly the bits j > i of i's
+// neighbours, and returns false to abandon the build. After the join the
+// lower triangle is mirrored from the upper one by 64×64 bit-block
+// transposes. An abandoned build reports ok = false and leaves the graph
+// partly filled.
 func (g *Graph) FillUpper(workers int, newFiller func() func(i int, row []uint64) bool) (edges int64, ok bool) {
-	var next atomic.Int64
-	var bail atomic.Bool
-	run := func() {
+	if !par.For(g.n, workers, func() (func(int) bool, func()) {
 		fill := newFiller()
-		for !bail.Load() {
-			i := int(next.Add(1)) - 1
-			if i >= g.n {
-				return
-			}
-			if !fill(i, g.adj[i]) {
-				bail.Store(true)
-			}
-		}
-	}
-	if workers = min(workers, g.n); workers <= 1 {
-		run()
-	} else {
-		var wg sync.WaitGroup
-		for k := 0; k < workers; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run()
-			}()
-		}
-		wg.Wait()
-	}
-	if bail.Load() {
+		return func(i int) bool { return fill(i, g.adj[i]) }, nil
+	}) {
 		return 0, false
 	}
 	for _, row := range g.adj {

@@ -187,12 +187,7 @@ func (m *Manager) normalize(req JobRequest) (JobRequest, error) {
 	if req.Workers < 0 {
 		return req, fmt.Errorf("service: workers must be ≥ 0, got %d", req.Workers)
 	}
-	if req.Workers == 0 {
-		req.Workers = m.cfg.MineWorkers
-	}
-	if max := runtime.GOMAXPROCS(0); req.Workers > max {
-		req.Workers = max // a wider fan-out than cores buys nothing
-	}
+	req.Workers = m.mineWorkers(req.Workers)
 	sess, ok := m.reg.Get(req.Dataset)
 	if !ok {
 		return req, fmt.Errorf("service: unknown dataset %q", req.Dataset)
@@ -201,6 +196,16 @@ func (m *Manager) normalize(req JobRequest) (JobRequest, error) {
 		return req, fmt.Errorf("service: dataset %q has %d attributes; mining needs at least 3", req.Dataset, cols)
 	}
 	return req, nil
+}
+
+// mineWorkers resolves the fan-out of one job or shard mine: ≤ 0 takes
+// Config.MineWorkers, and none is wider than GOMAXPROCS — a wider fan-out
+// than cores buys nothing.
+func (m *Manager) mineWorkers(workers int) int {
+	if workers <= 0 {
+		workers = m.cfg.MineWorkers
+	}
+	return min(workers, runtime.GOMAXPROCS(0))
 }
 
 // Submit validates and enqueues a mining job. A result-cache hit returns
@@ -379,12 +384,12 @@ func (m *Manager) run(job *Job) {
 // — with the job's observe sink receiving the live event stream. The
 // returned error is nil, core.ErrInterrupted (partial results after a
 // deadline), or a cancellation error.
+//
+// With a coordinator, phase 1 runs distributed (mineDistributed) and
+// phase 2 runs here on the merged Mε, under the same options — the job's
+// fan-out included — as a local mine.
 func (m *Manager) mine(ctx context.Context, sess *maimon.Session, job *Job) (*JobResult, error) {
-	if m.coord != nil {
-		return m.mineDistributed(ctx, sess, job)
-	}
 	req := job.req
-	r := sess.Relation()
 	// Each job owns its trace (concurrent jobs on one session must not
 	// share); the stage breakdown feeds the per-stage metric counters
 	// once the mine returns, partial results included.
@@ -396,36 +401,41 @@ func (m *Manager) mine(ctx context.Context, sess *maimon.Session, job *Job) (*Jo
 		maimon.WithWorkers(req.Workers),
 		maimon.WithProgress(job.observe),
 		maimon.WithTrace(&tr),
+		maimon.WithMaxSchemes(req.MaxSchemes),
+	}
+
+	var schemes []*maimon.Scheme
+	var res *core.MVDResult
+	var err error
+	switch {
+	case m.coord != nil:
+		res, err = m.mineDistributed(ctx, sess, job)
+		if res != nil && err == nil && req.Mode == ModeSchemes {
+			job.setPhase("schemes")
+			schemes, err = sess.SchemesFromMVDs(ctx, res.MVDs, opts...)
+		}
+	case req.Mode == ModeMVDs:
+		res, err = sess.MineMVDs(ctx, opts...)
+	default:
+		schemes, res, err = sess.MineSchemes(ctx, opts...)
 	}
 
 	out := &JobResult{Dataset: req.Dataset, Epsilon: req.Epsilon, Mode: req.Mode}
-
-	fillMVDs := func(res *core.MVDResult) {
-		out.NumMinSeps = res.NumMinSeps()
-		out.MVDs = make([]MVDItem, len(res.MVDs))
-		for i, phi := range res.MVDs {
-			out.MVDs[i] = MVDItem{MVD: phi.Format(r.Names()), J: sess.J(phi)}
-		}
-	}
-
-	if req.Mode == ModeMVDs {
-		res, err := sess.MineMVDs(ctx, opts...)
-		if res == nil {
-			// Possible despite normalize(): the dataset was swapped for an
-			// unminable one (removed and re-registered under the same
-			// name) between submit and run.
-			return out, err
-		}
-		fillMVDs(res)
-		return out, err
-	}
-
-	schemes, res, err := sess.MineSchemes(ctx, append(opts, maimon.WithMaxSchemes(req.MaxSchemes))...)
 	if res == nil {
+		// Possible despite normalize(): the dataset was swapped for an
+		// unminable one (removed and re-registered under the same name)
+		// between submit and run, or the fleet produced no result.
 		return out, err
 	}
-	fillMVDs(res)
-	out.Schemes = m.rankSchemes(sess, job, schemes)
+	names := sess.Relation().Names()
+	out.NumMinSeps = res.NumMinSeps()
+	out.MVDs = make([]MVDItem, len(res.MVDs))
+	for i, phi := range res.MVDs {
+		out.MVDs[i] = MVDItem{MVD: phi.Format(names), J: sess.J(phi)}
+	}
+	if req.Mode == ModeSchemes {
+		out.Schemes = m.rankSchemes(sess, job, schemes)
+	}
 	return out, err
 }
 
@@ -459,18 +469,16 @@ func (m *Manager) rankSchemes(sess *maimon.Session, job *Job, schemes []*maimon.
 	return out
 }
 
-// mineDistributed is mine() with phase 1 fanned out through the
-// coordinator: the worker fleet mines the attribute-pair shards, the
-// coordinator merges them into the same MVDResult a local mine produces,
-// and phase 2 (scheme synthesis — cheap) runs locally against this
+// mineDistributed is phase 1 of mine() fanned out through the
+// coordinator: the worker fleet mines the attribute-pair shards and the
+// coordinator merges them into the same MVDResult a local mine produces.
+// Phase 2 (scheme synthesis — cheap) then runs locally against this
 // node's session. The job's Dist status block tracks the shard fan-out
 // live; the local session is only used for J evaluation, Analyze, and
 // phase 2, all of which are deterministic functions of the merged Mε.
-func (m *Manager) mineDistributed(ctx context.Context, sess *maimon.Session, job *Job) (*JobResult, error) {
+func (m *Manager) mineDistributed(ctx context.Context, sess *maimon.Session, job *Job) (*core.MVDResult, error) {
 	req := job.req
 	r := sess.Relation()
-	out := &JobResult{Dataset: req.Dataset, Epsilon: req.Epsilon, Mode: req.Mode}
-
 	job.setPhase("mvds")
 	res, _, err := m.coord.MineMVDs(ctx, dist.Spec{
 		Dataset:        req.Dataset,
@@ -488,29 +496,8 @@ func (m *Manager) mineDistributed(ctx context.Context, sess *maimon.Session, job
 		},
 		OnTrace: m.tel.observeTrace,
 	})
-	if res == nil {
-		return out, err
+	if res != nil {
+		job.mvds.Store(int64(len(res.MVDs)))
 	}
-	job.mvds.Store(int64(len(res.MVDs)))
-	out.NumMinSeps = res.NumMinSeps()
-	out.MVDs = make([]MVDItem, len(res.MVDs))
-	for i, phi := range res.MVDs {
-		out.MVDs[i] = MVDItem{MVD: phi.Format(r.Names()), J: sess.J(phi)}
-	}
-	if err != nil || req.Mode == ModeMVDs {
-		return out, err
-	}
-
-	job.setPhase("schemes")
-	var tr maimon.MineTrace
-	defer m.tel.observeTrace(&tr)
-	schemes, serr := sess.SchemesFromMVDs(ctx, res.MVDs,
-		maimon.WithEpsilon(req.Epsilon),
-		maimon.WithPruning(!req.DisablePruning),
-		maimon.WithProgress(job.observe),
-		maimon.WithTrace(&tr),
-		maimon.WithMaxSchemes(req.MaxSchemes),
-	)
-	out.Schemes = m.rankSchemes(sess, job, schemes)
-	return out, serr
+	return res, err
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"time"
 
 	maimon "repro"
@@ -57,13 +56,6 @@ func (m *Manager) MineShard(ctx context.Context, req wire.ShardRequest) (*wire.S
 	if r.NumCols() < 3 {
 		return nil, http.StatusBadRequest, fmt.Errorf("service: dataset %q has %d attributes; mining needs at least 3", req.Dataset, r.NumCols())
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = m.cfg.MineWorkers
-	}
-	if max := runtime.GOMAXPROCS(0); workers > max {
-		workers = max
-	}
 
 	// Bound concurrent shard mines like jobs are bounded by the pool:
 	// blocking (not rejecting) holds the coordinator's lane until a slot
@@ -87,7 +79,7 @@ func (m *Manager) MineShard(ctx context.Context, req wire.ShardRequest) (*wire.S
 	out, err := sess.MinePairMVDs(ctx, pairs,
 		maimon.WithEpsilon(req.Epsilon),
 		maimon.WithPruning(!req.DisablePruning),
-		maimon.WithWorkers(workers),
+		maimon.WithWorkers(m.mineWorkers(req.Workers)),
 		maimon.WithTrace(&tr),
 	)
 	m.tel.observeTrace(&tr)

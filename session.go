@@ -236,11 +236,12 @@ func (c config) mineContext(ctx context.Context) (context.Context, context.Cance
 // sets it has not seen yet (the workload of the paper's figures, which
 // re-score one instance under many thresholds).
 //
-// All methods are safe for concurrent use: the shared oracle serves warm
-// entropies under a read lock and computes fresh ones single-flight per
-// attribute set, so distinct sets — whether requested by concurrent calls
-// or by the worker pool of one call — are computed in parallel, each
-// exactly once. Mining itself fans attribute pairs out across
+// All methods are safe for concurrent use: the shared oracle's memo is
+// striped into shards, each under its own short mutex, so warm entropies
+// of different sets take different locks; fresh ones are computed
+// single-flight per attribute set, so distinct sets — whether requested
+// by concurrent calls or by the worker pool of one call — are computed in
+// parallel, each exactly once. Mining itself fans attribute pairs out across
 // WithWorkers goroutines (GOMAXPROCS by default) with deterministic,
 // serial-identical results.
 type Session struct {

@@ -97,6 +97,22 @@ func TestBudgetPolicyMatrixDeterminism(t *testing.T) {
 				if st.MemoEvictions == 0 {
 					t.Fatalf("%s: entropy budget %d forced no evictions", label, memoBudget)
 				}
+				if workers == 1 {
+					// A serial sweep picks its victims deterministically:
+					// a second fresh session does exactly the same work.
+					again, err := Open(r, b.opts...)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					check(label+" (again)", mine(again, workers))
+					st2 := again.Stats()
+					if st2.HCalls != st.HCalls || st2.HCached != st.HCached ||
+						st2.MemoEvictions != st.MemoEvictions || st2.PLIStats.Misses != st.PLIStats.Misses {
+						t.Fatalf("%s: a second serial mine counted HCalls %d, HCached %d, MemoEvictions %d, PLI misses %d; the first %d, %d, %d, %d",
+							label, st2.HCalls, st2.HCached, st2.MemoEvictions, st2.PLIStats.Misses,
+							st.HCalls, st.HCached, st.MemoEvictions, st.PLIStats.Misses)
+					}
+				}
 			}
 		}
 	}

@@ -10,7 +10,6 @@ package entropy
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -59,14 +58,14 @@ type Oracle struct {
 	// only on their own latch. The memo itself can be bounded: at 64
 	// attributes × many ε sweeps the 8-byte entropies plus their map
 	// overhead become the dominant resident weight, so SetMemoBudget
-	// gives the shards size-accounted, cost-aware (GDSF-style) eviction
-	// of their own. An evicted entropy is simply recomputed from the PLI
-	// cache on the next read — read off the partition if the cache
-	// materialized one, counted again from its operands if the set is a
-	// chain leaf — so a budget changes cost, never results.
-	shards      []memoShard
-	mask        uint64
-	shardBudget int64 // per-shard memo byte budget; 0 = unbounded
+	// gives each shard a slice of it, kept by the PLI cache's clock. An
+	// evicted entropy is simply recomputed from the PLI cache on the next
+	// read — read off the partition if the cache materialized one,
+	// counted again from its operands if the set is a chain leaf — so a
+	// budget changes cost, never results.
+	shards  []memoShard
+	mask    uint64
+	bounded bool // SetMemoBudget was called: shards keep clocks and evict
 }
 
 // memoShard is one stripe of the oracle: memo slice, in-flight
@@ -84,39 +83,28 @@ type memoShard struct {
 	hCached int
 	miCalls atomic.Int64
 
-	// Memo-eviction state, all under mu: accounted bytes, the GDSF aging
-	// baseline l, the eviction count, and a reusable scratch slice for
-	// the batched eviction pass.
-	memoBytes int64
-	evictions int
-	l         float64
-	scratch   []memoRef
+	// Memo-eviction state, all under mu: the shard's slice of the budget
+	// in entries, the eviction count, and the clock over the memoized sets
+	// (empty when the memo is unbounded). The shard's accounted bytes are
+	// len(memo) × memoEntryBytes.
+	maxEntries int
+	evictions  int
+	clock      stripe.Clock[bitset.AttrSet]
 
 	_ [64]byte
 }
 
-// memoVal is one memoized entropy plus its eviction priority — shard
-// aging baseline at last touch + recompute cost. Memo entries are
-// uniform in size, so the GDSF cost/size ratio reduces to the cost term:
-// the attribute-set width, a deterministic proxy for the blockwise
-// intersection chain a recompute would walk.
+// memoVal is one memoized entropy plus its clock reference bit. On a
+// bounded memo every hit and publish sets it, as the PLI cache does, and
+// the sweep clears it; an unbounded memo keeps no clock and sets no bits.
 type memoVal struct {
-	h    float64
-	prio float64
-}
-
-// memoRef is one (set, priority) pair of the batched eviction pass.
-type memoRef struct {
-	attrs bitset.AttrSet
-	prio  float64
+	h   float64
+	ref bool
 }
 
 // memoEntryBytes is the accounted resident weight of one memo entry:
 // 8-byte key + 16-byte value + map bucket overhead.
 const memoEntryBytes = 48
-
-// memoCost is the GDSF recompute-cost term of a memoized entropy.
-func memoCost(attrs bitset.AttrSet) float64 { return float64(attrs.Len()) }
 
 // New builds an oracle over r with the default PLI cache configuration.
 func New(r *relation.Relation) *Oracle {
@@ -159,23 +147,24 @@ func NewShared(r *relation.Relation, cfg pli.Config) *Oracle {
 	return o
 }
 
-// SetMemoBudget bounds the bytes the entropy memo retains, split evenly
-// across its shards (each keeps at least one entry). When a publish
-// pushes a shard past its slice, the shard evicts its lowest-priority
-// entries — GDSF-style, see memoVal — down to seven eighths of the slice,
-// advancing its aging baseline past them. Evicted entropies are
-// recomputed on demand, so the budget changes cost, never results. <= 0
-// leaves the memo unbounded. Call before mining begins (session open
-// time).
+// SetMemoBudget bounds the bytes the entropy memo retains. The budget is
+// sliced in whole entries: of its E = ⌊bytes/memoEntryBytes⌋ entries each
+// of the S shards holds ⌊E/S⌋ or ⌈E/S⌉, so the slices sum to at most the
+// budget (a shard may hold none). When a publish pushes a shard past its
+// slice, the shard's second-chance clock evicts until it fits: an entry
+// read or published since the last sweep gets one lap of grace, a cold
+// one goes. Evicted entropies are recomputed on demand, so the budget
+// changes cost, never results. <= 0 leaves the memo unbounded. Call
+// before mining begins (session open time).
 func (o *Oracle) SetMemoBudget(bytes int64) {
 	if bytes <= 0 {
 		return
 	}
-	per := bytes / int64(len(o.shards))
-	if per < memoEntryBytes {
-		per = memoEntryBytes
+	entries, n := bytes/memoEntryBytes, int64(len(o.shards))
+	for i := range o.shards {
+		o.shards[i].maxEntries = int((entries + n - 1 - int64(i)) / n)
 	}
-	o.shardBudget = per
+	o.bounded = true
 }
 
 // memoShardOf maps an attribute set to its memo shard.
@@ -216,7 +205,7 @@ func (o *Oracle) Stats() Stats {
 		sh.mu.Lock()
 		s.HCalls += sh.hCalls
 		s.HCached += sh.hCached
-		s.MemoBytes += sh.memoBytes
+		s.MemoBytes += int64(len(sh.memo)) * memoEntryBytes
 		s.MemoEvictions += sh.evictions
 		sh.mu.Unlock()
 		s.MICalls += int(sh.miCalls.Load())
@@ -247,11 +236,8 @@ func (o *Oracle) hWith(a *pli.Arena, attrs bitset.AttrSet) float64 {
 	}
 	if v, ok := sh.memo[attrs]; ok {
 		sh.hCached++
-		if o.shardBudget > 0 {
-			// Touch: reprice against the current aging baseline so hot
-			// entries outlive the sweep (skipped when unbounded — no
-			// eviction means no one reads the priority).
-			sh.memo[attrs] = memoVal{h: v.h, prio: sh.l + memoCost(attrs)}
+		if o.bounded && !v.ref {
+			sh.memo[attrs] = memoVal{h: v.h, ref: true}
 		}
 		sh.mu.Unlock()
 		return v.h
@@ -277,10 +263,10 @@ func (o *Oracle) hWith(a *pli.Arena, attrs bitset.AttrSet) float64 {
 	}
 
 	sh.mu.Lock()
-	sh.memoBytes += memoEntryBytes
-	sh.memo[attrs] = memoVal{h: f.h, prio: sh.l + memoCost(attrs)}
-	if o.shardBudget > 0 && sh.memoBytes > o.shardBudget {
-		evictMemo(sh, o.shardBudget)
+	sh.memo[attrs] = memoVal{h: f.h, ref: o.bounded}
+	if o.bounded {
+		sh.clock.Add(attrs)
+		sh.clock.Sweep(sh.overBudget, sh.secondChance, sh.evict)
 	}
 	delete(sh.inflight, attrs)
 	sh.mu.Unlock()
@@ -288,37 +274,19 @@ func (o *Oracle) hWith(a *pli.Arena, attrs bitset.AttrSet) float64 {
 	return f.h
 }
 
-// evictMemo brings one over-budget memo shard down to seven eighths of
-// its slice (hysteresis: each pass frees at least an eighth, so the sort
-// amortizes over many publishes). It drops the lowest-priority entries
-// and advances the shard's aging baseline to the last one dropped —
-// everything inserted or touched afterwards is priced above the ghosts,
-// so an entry survives repeated sweeps only by being re-read or by
-// belonging to a wider (costlier to recompute) set. Ties break on the
-// attribute set so a serial sweep evicts deterministically. Caller holds
-// sh.mu.
-func evictMemo(sh *memoShard, budget int64) {
-	target := budget - budget/8
-	refs := sh.scratch[:0]
-	for a, v := range sh.memo {
-		refs = append(refs, memoRef{attrs: a, prio: v.prio})
-	}
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].prio != refs[j].prio {
-			return refs[i].prio < refs[j].prio
-		}
-		return refs[i].attrs < refs[j].attrs
-	})
-	for _, ref := range refs {
-		if sh.memoBytes <= target {
-			break
-		}
-		delete(sh.memo, ref.attrs)
-		sh.memoBytes -= memoEntryBytes
-		sh.evictions++
-		sh.l = ref.prio
-	}
-	sh.scratch = refs[:0]
+// overBudget, secondChance and evict are the memo's side of the clock
+// sweep; the caller holds sh.mu.
+func (sh *memoShard) overBudget() bool { return len(sh.memo) > sh.maxEntries }
+
+func (sh *memoShard) secondChance(attrs bitset.AttrSet) bool {
+	v := sh.memo[attrs]
+	sh.memo[attrs] = memoVal{h: v.h}
+	return v.ref
+}
+
+func (sh *memoShard) evict(attrs bitset.AttrSet) {
+	delete(sh.memo, attrs)
+	sh.evictions++
 }
 
 // CondH returns the conditional entropy H(Y|X) = H(XY) − H(X).

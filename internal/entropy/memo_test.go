@@ -62,18 +62,43 @@ func TestMemoBudgetEviction(t *testing.T) {
 	}
 }
 
+// TestMemoBudgetBelowOneEntryPerShard: a budget too small to give every
+// shard one entry still bounds the memo. It is sliced in whole entries —
+// 100 B is two 48 B entries over eight shards, so six shards hold none —
+// and the memo never rests above it, while every entropy stays exact.
+func TestMemoBudgetBelowOneEntryPerShard(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	r := datagen.Uniform(300, 8, 4, 43)
+	o := NewShared(r, pli.Config{Shards: 8})
+	const budget = 100
+	o.SetMemoBudget(budget)
+
+	for round := 0; round < 2; round++ {
+		for _, s := range distinctSets(rng, 8, 40) {
+			if got, want := o.H(s), NaiveH(r, s); got != want {
+				t.Fatalf("round %d: H(%v) = %v, want %v", round, s, got, want)
+			}
+			if mb := o.Stats().MemoBytes; mb > budget {
+				t.Fatalf("round %d: MemoBytes %d exceeds budget %d at rest", round, mb, budget)
+			}
+		}
+	}
+	if st := o.Stats(); st.MemoEvictions == 0 {
+		t.Fatalf("80 reads through a two-entry memo forced no evictions: %+v", st)
+	}
+}
+
 // TestMemoBudgetKeepsHotEntry: under sustained insert pressure a
-// repeatedly re-read entry must survive the sweeps — each hit reprices it
-// against the aging baseline, so only cold entries age out.
+// repeatedly re-read entry must survive the sweeps — each hit sets its
+// reference bit, so the clock gives it another lap while cold entries go.
 func TestMemoBudgetKeepsHotEntry(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	r := datagen.Uniform(300, 8, 4, 35)
 	o := NewShared(r, pli.Config{Shards: 1})
 	o.SetMemoBudget(8 * memoEntryBytes)
 
-	// The widest set carries the highest recompute-cost term, and every
-	// touch reprices it against the current aging baseline: together they
-	// keep it strictly above any fresh insert at sweep time.
+	// Every touch re-arms the hot entry's reference bit, so a sweep that
+	// clears it moves on to a cold entry before coming round again.
 	hot := bitset.Full(8)
 	o.H(hot)
 	base := o.Stats()
@@ -82,15 +107,15 @@ func TestMemoBudgetKeepsHotEntry(t *testing.T) {
 			continue
 		}
 		o.H(s)
-		o.H(hot) // touch: keep the hot entry priced above the churn
+		o.H(hot) // touch: keep the hot entry's second chance armed
 	}
 	st := o.Stats()
 	if st.MemoEvictions == 0 {
 		t.Fatalf("churn forced no evictions: %+v", st)
 	}
-	// Every re-read of the hot set after the first must have been a memo
-	// hit; had the sweeps evicted it, a later read would recompute and the
-	// cached count would fall short.
+	// The first sweep, over a ring whose entries all still carry their
+	// admission bit, may take the hot set once; every sweep after that
+	// finds a cold entry first, so the hot set must end resident.
 	hotReads := st.HCached - base.HCached
 	sh := &o.shards[0]
 	sh.mu.Lock()

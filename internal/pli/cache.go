@@ -94,10 +94,10 @@ func DefaultConfig() Config { return Config{BlockSize: 10} }
 // multi-attribute sets.
 //
 // The cache is split into power-of-two shards by a hash of the attribute
-// set; each shard owns its slice of the map plus a ring of evictable
-// entries driving eviction under the byte budget (Config.MaxBytes) — a
-// second-chance clock — so an eviction sweep locks one shard at a time and
-// never blocks concurrent Gets on the others.
+// set; each shard owns its slice of the map plus a second-chance clock
+// (stripe.Clock) over its evictable entries, driving eviction under the
+// byte budget (Config.MaxBytes), so an eviction sweep locks one shard at a
+// time and never blocks concurrent Gets on the others.
 //
 // Cache is safe for concurrent use: each attribute set is guarded by a
 // latch-per-entry — the first goroutine to request a set installs an
@@ -105,7 +105,7 @@ func DefaultConfig() Config { return Config{BlockSize: 10} }
 // publishes it, so duplicate requests block only on their own entry while
 // distinct sets compute in parallel. Waits follow the strict-subset order
 // of the blockwise assembly, so they cannot cycle. In-flight entries are
-// never in an eviction ring, so eviction cannot tear a latch out from
+// never in an eviction clock, so eviction cannot tear a latch out from
 // under its waiters.
 //
 // All computation runs on an Arena. GetWith/EntropyWith thread the
@@ -121,7 +121,7 @@ type Cache struct {
 	mask   uint64
 
 	// bytesLive is global so the budget check is one atomic load; the
-	// per-shard rings only drive *which* entry goes.
+	// per-shard clocks only drive *which* entry goes.
 	entries     atomic.Int64
 	bytesLive   atomic.Int64
 	bytesPinned atomic.Int64
@@ -142,12 +142,11 @@ type Cache struct {
 }
 
 // cacheShard is one slice of the cache: its part of the map plus the
-// ring of evictable (published, unpinned) entries.
+// clock over its evictable (published, unpinned) entries.
 type cacheShard struct {
 	mu    sync.Mutex
 	parts map[bitset.AttrSet]*entry
-	ring  []*entry // evictable entries in insertion/clock order
-	hand  int      // clock hand into ring
+	clock stripe.Clock[*entry]
 
 	_ [64]byte // keep hot shard state off its neighbors' cache lines
 }
@@ -468,7 +467,7 @@ func (c *Cache) spillLoad(attrs bitset.AttrSet) (*Partition, float64, bool) {
 }
 
 // publish completes an in-flight entry: account its bytes, release the
-// waiters, enter it into its shard's eviction ring, and evict if the
+// waiters, enter it into its shard's clock, and evict if the
 // insert pushed the cache over budget. The order matters — the latch
 // opens before the entry becomes evictable, so waiters always read e.p.
 func (c *Cache) publish(sh *cacheShard, e *entry) {
@@ -484,7 +483,7 @@ func (c *Cache) publish(sh *cacheShard, e *entry) {
 	}
 	c.bytesLive.Add(e.bytes)
 	sh.mu.Lock()
-	sh.ring = append(sh.ring, e)
+	sh.clock.Add(e)
 	sh.mu.Unlock()
 	c.enforceBudget(sh)
 	if c.overBudget() {
@@ -499,35 +498,14 @@ func (c *Cache) publish(sh *cacheShard, e *entry) {
 	}
 }
 
-// drop removes a published entry if it is still cached (the sweep may
-// have beaten us to it).
+// drop removes a published entry unless the sweep has beaten us to it:
+// an entry is in its shard's clock exactly while it is cached.
 func (c *Cache) drop(sh *cacheShard, e *entry) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if cur, ok := sh.parts[e.attrs]; !ok || cur != e {
-		return
+	if sh.clock.Remove(e) {
+		c.retire(sh, e)
 	}
-	for i, re := range sh.ring {
-		if re == e {
-			c.evict(sh, i)
-			return
-		}
-	}
-}
-
-// evict removes the i-th ring entry of sh — map slot and ring slot — and
-// retires it; the caller holds sh.mu. Swap-remove keeps the ring compact
-// (clock order is approximate anyway). Waiters that already hold the
-// *entry are unaffected — the partition itself is immutable and reachable
-// through their pointer.
-func (c *Cache) evict(sh *cacheShard, i int) {
-	e := sh.ring[i]
-	last := len(sh.ring) - 1
-	sh.ring[i] = sh.ring[last]
-	sh.ring[last] = nil
-	sh.ring = sh.ring[:last]
-	delete(sh.parts, e.attrs)
-	c.retire(e)
 }
 
 // spillReadPenalty weighs a byte read back from the spill tier against a
@@ -538,14 +516,18 @@ func (c *Cache) evict(sh *cacheShard, i int) {
 // scanning to be worth keeping.
 const spillReadPenalty = 4
 
-// retire finishes an eviction after the entry has left its shard's map
-// and ring: release the byte accounting, then either demote the
-// partition to the spill tier (when rebuilding it would cost more than
-// reading it back) or drop it. The demote-vs-drop rule is the point of
-// the cost-aware plumbing: e.cost is the bytes the partition's own build
-// cascade scanned, the read cost is its flat payload weighted by
-// spillReadPenalty — cheap-to-rebuild partitions aren't worth the disk.
-func (c *Cache) retire(e *entry) {
+// retire finishes an eviction once the entry has left its shard's clock;
+// the caller holds sh.mu. It removes the map slot, releases the byte
+// accounting, then either demotes the partition to the spill tier (when
+// rebuilding it would cost more than reading it back) or drops it.
+// Waiters that already hold the *entry are unaffected — the partition
+// itself is immutable and reachable through their pointer. The
+// demote-vs-drop rule is the point of the cost-aware plumbing: e.cost is
+// the bytes the partition's own build cascade scanned, the read cost is
+// its flat payload weighted by spillReadPenalty — cheap-to-rebuild
+// partitions aren't worth the disk.
+func (c *Cache) retire(sh *cacheShard, e *entry) {
+	delete(sh.parts, e.attrs)
 	c.entries.Add(-1)
 	c.bytesLive.Add(-e.bytes)
 	if c.demote(e) {
@@ -611,24 +593,15 @@ func (c *Cache) enforceBudget(prefer *cacheShard) {
 	}
 }
 
-// sweep runs the clock hand over one shard: a referenced entry gets its
-// bit cleared (second chance), an unreferenced one is evicted. At most
-// two laps — after that everything surviving was re-referenced during
-// the sweep and deserves to stay.
+// sweep runs one shard's clock while the cache is over budget: a
+// referenced entry gets its bit cleared (second chance), an unreferenced
+// one is evicted.
 func (c *Cache) sweep(sh *cacheShard) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	budget := 2 * len(sh.ring)
-	for scanned := 0; scanned < budget && len(sh.ring) > 0 && c.overBudget(); scanned++ {
-		if sh.hand >= len(sh.ring) {
-			sh.hand = 0
-		}
-		if sh.ring[sh.hand].ref.CompareAndSwap(true, false) {
-			sh.hand++
-			continue
-		}
-		c.evict(sh, sh.hand)
-	}
+	sh.clock.Sweep(c.overBudget,
+		func(e *entry) bool { return e.ref.CompareAndSwap(true, false) },
+		func(e *entry) { c.retire(sh, e) })
 }
 
 // split names the one intersection that produces attrs (two attributes

@@ -1,10 +1,10 @@
 // Package stripe holds the tiny shared pieces of the repo's sharded
-// cache layer: picking a power-of-two shard count and hashing a 64-bit
-// key (an AttrSet, which is a uint64 of attribute bits) to a shard.
+// cache layer: a power-of-two shard count, the hash of a 64-bit key (an
+// AttrSet, a uint64 of attribute bits) to a shard, and the Clock.
 //
 // Both the PLI partition cache and the entropy memo shard the same way —
 // N power-of-two shards indexed by a finalized hash of the attribute
-// set — so the policy lives here once.
+// set — and choose victims by the same rule, so both live here once.
 package stripe
 
 import "runtime"

@@ -176,12 +176,18 @@ func WithSpillBudget(bytes int64) Option {
 // WithEntropyBudget bounds the bytes the session's entropy memo retains.
 // The memo caches one 8-byte entropy per distinct attribute set ever
 // evaluated; across long ε sweeps over wide relations it becomes the
-// dominant resident weight, so past the budget the memo evicts its
-// lowest-priority entries (cost-aware: wider sets cost more to recompute
-// and survive longer) and recomputes them from the PLI cache on the next
-// read. Results are byte-identical under any budget. bytes <= 0 means
-// unlimited (the default). Honored by Open only; Session.Stats reports
-// the memo occupancy (MemoBytes) and eviction count (MemoEvictions).
+// dominant resident weight, so past the budget the memo evicts by the
+// same second-chance clock as the PLI cache — an entropy read since the
+// last sweep gets one more lap, a cold one goes — and recomputes evicted
+// entropies from the PLI cache on the next read. Results are
+// byte-identical under any budget. bytes <= 0 means unlimited (the
+// default). Honored by Open only; Session.Stats reports the memo
+// occupancy (MemoBytes) and eviction count (MemoEvictions).
+//
+// The budget does not bound the mining workers' read-through views: for
+// the length of one phase each worker keeps the entropies it has read in
+// a private table of up to 2^16 entries (at most 2 MiB of slots), on top
+// of the budget.
 func WithEntropyBudget(bytes int64) Option {
 	return func(c *config) { c.entropyBudget = bytes }
 }

@@ -10,12 +10,12 @@
 package relation
 
 import (
+	"encoding/binary"
 	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -424,17 +424,31 @@ func (r *Relation) Equal(o *Relation) bool {
 		}
 	}
 	count := make(map[string]int, r.rows)
+	var buf []byte
 	for i := 0; i < r.rows; i++ {
-		count[strings.Join(r.Row(i), "\x00")]++
+		buf = r.appendRow(buf[:0], i)
+		count[string(buf)]++
 	}
 	for i := 0; i < o.rows; i++ {
-		k := strings.Join(o.Row(i), "\x00")
+		buf = o.appendRow(buf[:0], i)
+		k := string(buf)
 		count[k]--
 		if count[k] < 0 {
 			return false
 		}
 	}
 	return true
+}
+
+// appendRow appends row i's values to buf, each prefixed by its length, so
+// that two rows get the same bytes exactly when their values are equal.
+func (r *Relation) appendRow(buf []byte, i int) []byte {
+	for j := range r.names {
+		v := r.Value(i, j)
+		buf = binary.AppendUvarint(buf, uint64(len(v)))
+		buf = append(buf, v...)
+	}
+	return buf
 }
 
 // Cells returns the number of cells (rows × columns), the storage measure
@@ -469,65 +483,6 @@ func (r *Relation) ShapeHash() uint64 {
 		}
 	}
 	return h
-}
-
-// ReadCSV reads a relation from CSV. If header is true the first record
-// names the attributes; otherwise attributes are named by letters A, B, ...
-func ReadCSV(rd io.Reader, header bool) (*Relation, error) {
-	cr := csv.NewReader(rd)
-	cr.FieldsPerRecord = -1
-	first, err := cr.Read()
-	if err == io.EOF {
-		return nil, errors.New("relation: empty CSV input")
-	}
-	if err != nil {
-		return nil, fmt.Errorf("relation: reading CSV: %w", err)
-	}
-	var names []string
-	var b *Builder
-	if header {
-		names = first
-	} else {
-		names = make([]string, len(first))
-		for j := range names {
-			names[j] = defaultName(j)
-		}
-	}
-	if len(names) > bitset.MaxAttrs {
-		return nil, ErrTooManyColumns
-	}
-	b = NewBuilder(names)
-	if !header {
-		b.AddRow(first)
-	}
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("relation: reading CSV: %w", err)
-		}
-		if len(rec) != len(names) {
-			return nil, fmt.Errorf("relation: CSV record %d has %d fields, want %d", line, len(rec), len(names))
-		}
-		b.AddRow(rec)
-	}
-	r := b.Relation()
-	if r.NumRows() == 0 {
-		return nil, errors.New("relation: CSV has a header but no data rows")
-	}
-	return r, nil
-}
-
-// ReadCSVFile reads a relation from a CSV file.
-func ReadCSVFile(path string, header bool) (*Relation, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadCSV(f, header)
 }
 
 // WriteCSV writes the relation as CSV with a header row, such that

@@ -14,6 +14,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -55,6 +56,10 @@ type Registry struct {
 	m   map[string]*entry
 	seq int64
 }
+
+// ErrDatasetExists is the error (wrapped) for registering a name that is
+// taken: names are unique until the dataset is deleted.
+var ErrDatasetExists = errors.New("dataset already registered")
 
 type entry struct {
 	sess *maimon.Session
@@ -109,6 +114,9 @@ func (g *Registry) Add(name string, r *relation.Relation) (DatasetInfo, error) {
 	if name == "" {
 		return DatasetInfo{}, fmt.Errorf("service: dataset name must not be empty")
 	}
+	if _, dup := g.Info(name); dup {
+		return DatasetInfo{}, fmt.Errorf("service: %w: %q", ErrDatasetExists, name)
+	}
 	opts := g.opts
 	if g.spillRoot != "" {
 		opts = append(append([]maimon.Option(nil), opts...),
@@ -129,7 +137,7 @@ func (g *Registry) Add(name string, r *relation.Relation) (DatasetInfo, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if _, dup := g.m[name]; dup {
-		return DatasetInfo{}, fmt.Errorf("service: dataset %q already registered", name)
+		return DatasetInfo{}, fmt.Errorf("service: %w: %q", ErrDatasetExists, name)
 	}
 	g.seq++
 	g.m[name] = &entry{sess: sess, info: info, id: g.seq}
@@ -138,7 +146,12 @@ func (g *Registry) Add(name string, r *relation.Relation) (DatasetInfo, error) {
 
 // AddCSV parses a CSV stream (encoding it into a relation) and registers
 // it under name. With header = true the first record names the columns.
+// A taken name is refused before the stream is read; the stream is read
+// whole (relation.ReadCSV), and its read error stays in the chain.
 func (g *Registry) AddCSV(name string, rd io.Reader, header bool) (DatasetInfo, error) {
+	if _, dup := g.Info(name); dup {
+		return DatasetInfo{}, fmt.Errorf("service: %w: %q", ErrDatasetExists, name)
+	}
 	r, err := relation.ReadCSV(rd, header)
 	if err != nil {
 		return DatasetInfo{}, fmt.Errorf("service: parsing dataset %q: %w", name, err)

@@ -90,8 +90,12 @@ func (s *server) postDataset(w http.ResponseWriter, r *http.Request) {
 	info, err := s.mgr.Registry().AddCSV(name, http.MaxBytesReader(w, r.Body, maxUploadBytes), header)
 	if err != nil {
 		status := http.StatusBadRequest
-		if strings.Contains(err.Error(), "already registered") {
+		var tooLarge *http.MaxBytesError
+		switch {
+		case errors.Is(err, ErrDatasetExists):
 			status = http.StatusConflict
+		case errors.As(err, &tooLarge):
+			status = http.StatusRequestEntityTooLarge
 		}
 		writeError(w, status, err.Error())
 		return

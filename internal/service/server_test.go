@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -474,6 +475,65 @@ func TestHTTPValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
 	}
+}
+
+// TestUploadConflict: a taken name answers 409 before the body is
+// parsed — a body that would not parse changes nothing — and the
+// registry's error is ErrDatasetExists.
+func TestUploadConflict(t *testing.T) {
+	ts, mgr := newTestServer(t, service.Config{Workers: 1})
+	post := func(body string) int {
+		resp, err := http.Post(ts.URL+"/v1/datasets?name=d", "text/csv", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if s := post("A,B\n1,2\n"); s != http.StatusCreated {
+		t.Fatalf("first upload: status %d, want 201", s)
+	}
+	for _, body := range []string{"A,B\n1,2\n", "A,B\n\"1,2\n"} {
+		if s := post(body); s != http.StatusConflict {
+			t.Errorf("duplicate upload %q: status %d, want 409", body, s)
+		}
+	}
+	if _, err := mgr.Registry().AddCSV("d", strings.NewReader("A\nx\n"), true); !errors.Is(err, service.ErrDatasetExists) {
+		t.Errorf("AddCSV of a taken name: %v, want ErrDatasetExists", err)
+	}
+	if _, err := mgr.Registry().Add("d", plantedRelation(t)); !errors.Is(err, service.ErrDatasetExists) {
+		t.Errorf("Add of a taken name: %v, want ErrDatasetExists", err)
+	}
+}
+
+// TestUploadTooLarge: a body one byte over the upload limit answers 413,
+// and registers nothing.
+func TestUploadTooLarge(t *testing.T) {
+	if testing.Short() {
+		t.Skip("streams a 64 MiB body")
+	}
+	_, mgr := newTestServer(t, service.Config{Workers: 1})
+	lines := strings.NewReader(strings.Repeat("a,b\n", 1<<10))
+	body := io.LimitReader(repeatReader{lines}, service.MaxUploadBytes+1)
+	req := httptest.NewRequest(http.MethodPost, "/v1/datasets?name=big", body)
+	rec := httptest.NewRecorder()
+	service.NewServer(mgr).ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d (%s), want 413", rec.Code, rec.Body)
+	}
+	if _, ok := mgr.Registry().Info("big"); ok {
+		t.Fatal("an oversized upload was registered")
+	}
+}
+
+// repeatReader reads its reader's bytes over and over.
+type repeatReader struct{ r *strings.Reader }
+
+func (rr repeatReader) Read(p []byte) (int, error) {
+	if rr.r.Len() == 0 {
+		rr.r.Seek(0, io.SeekStart)
+	}
+	return rr.r.Read(p)
 }
 
 // TestQueueBackpressure: a full queue rejects submissions with 503.

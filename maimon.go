@@ -109,12 +109,15 @@ type (
 var ErrInterrupted = core.ErrInterrupted
 
 // LoadCSV reads a relation from a CSV file. With header = true the first
-// record names the attributes.
+// record names the attributes. The file is read whole into memory, then
+// parsed on every core; the dialect and the errors are encoding/csv's
+// (see relation.ReadCSV).
 func LoadCSV(path string, header bool) (*Relation, error) {
 	return relation.ReadCSVFile(path, header)
 }
 
-// ReadCSV reads a relation from a CSV stream.
+// ReadCSV reads a relation from a CSV stream, read whole into memory
+// first and parsed as LoadCSV parses a file.
 func ReadCSV(r io.Reader, header bool) (*Relation, error) {
 	return relation.ReadCSV(r, header)
 }

@@ -2,12 +2,10 @@ package relation
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"os"
 	"runtime"
 
@@ -24,7 +22,12 @@ const minChunkBytes = 64 << 10
 // names the attributes; otherwise attributes are named by letters A, B, ...
 //
 // The input is read whole, then parsed in chunks on up to GOMAXPROCS
-// goroutines. The dialect is encoding/csv's with FieldsPerRecord = -1:
+// goroutines. A reader with a Len method (bytes.Reader, strings.Reader,
+// bytes.Buffer) is read into one buffer of that size; any other into a
+// buffer that doubles as it fills, so reading can briefly hold two to
+// three times the input's size.
+//
+// The dialect is encoding/csv's with FieldsPerRecord = -1:
 // comma-separated fields, quoted fields with "" escapes and embedded
 // newlines, \r\n read as \n inside and outside quotes, empty lines
 // skipped and a final \r dropped. Names, codes and dictionaries equal what
@@ -154,8 +157,7 @@ func parseCSV(data []byte, header bool, chunks int) (*Relation, error) {
 			for i := 1; i < len(parts); i++ {
 				remap = remap[:0]
 				for _, v := range parts[i].dicts[j].vals {
-					b := []byte(v)
-					remap = append(remap, first.dicts[j].code(valueKey(b), b))
+					remap = append(remap, first.dicts[j].code([]byte(v)))
 				}
 				for r, c := range col[bound[i] : bound[i]+parts[i].rows] {
 					col[at+r] = remap[c]
@@ -217,7 +219,7 @@ var quote = []byte{'"'}
 type csvChunk struct {
 	data  []byte
 	lines int // newlines in data
-	dicts []valueIndex
+	dicts []colDict
 	rows  int // records read without error
 	// The first error: a malformed record (lines counted from the chunk's
 	// start), or a record of badFields fields (-1: none).
@@ -230,159 +232,49 @@ type csvChunk struct {
 // ends on a line end or at the end of the input.
 func (c *csvChunk) parse(cols [][]Code, lo, hi int) {
 	c.badFields = -1
-	c.dicts = make([]valueIndex, len(cols))
+	c.dicts = make([]colDict, len(cols))
 	out := make([][]Code, len(cols))
 	for j := range out {
-		c.dicts[j] = newValueIndex()
+		c.dicts[j].codes = make(map[string]Code)
 		out[j] = cols[j][lo:hi]
 	}
 	s := csvScanner{data: c.data}
-	quotes := bytes.IndexByte(c.data, '"') >= 0
 	for {
 		line, nl, ok := s.firstLine()
 		if !ok {
 			return
 		}
-		if !quotes || bytes.IndexByte(line, '"') < 0 {
-			if n := c.encodePlain(out, line, s.start, c.rows); n != len(out) {
-				c.badFields = n
-				return
-			}
-		} else {
-			if c.err = s.record(line, nl); c.err != nil {
-				return
-			}
-			if len(s.fields) != len(out) {
-				c.badFields = len(s.fields)
-				return
-			}
-			for j, f := range s.fields {
-				v := s.bytes(f)
-				out[j][c.rows] = c.dicts[j].code(valueKey(v), v)
-			}
+		if c.err = s.record(line, nl); c.err != nil {
+			return
+		}
+		if len(s.fields) != len(out) {
+			c.badFields = len(s.fields)
+			return
+		}
+		for j, f := range s.fields {
+			out[j][c.rows] = c.dicts[j].code(s.bytes(f))
 		}
 		c.rows++
 	}
 }
 
-// encodePlain encodes the fields of line, which starts at data[start] and
-// holds no '"', as record row, and returns how many it has. A field of at
-// most 7 bytes is keyed off one 8-byte load: its bytes end at the first
-// ',' in the word, or at the line's end.
-func (c *csvChunk) encodePlain(out [][]Code, line []byte, start, row int) int {
-	const ones, highs, commas = 0x0101010101010101, 0x8080808080808080, ',' * 0x0101010101010101
-	data, dicts := c.data, c.dicts
-	for j := 0; ; j++ {
-		n, k := 8, uint64(0)
-		if start+8 <= len(data) {
-			w := binary.LittleEndian.Uint64(data[start:])
-			x := w ^ commas // zero bytes where w has a comma
-			n = min(bits.TrailingZeros64((x-ones)&^x&highs)>>3, len(line))
-			k = w&(1<<(8*n)-1) | uint64(n+1)<<56
-		}
-		if n == 8 {
-			if n = bytes.IndexByte(line, ','); n < 0 {
-				n = len(line)
-			}
-			k = valueKey(line[:n])
-		}
-		if j < len(out) {
-			// A short value found at its first probe, inline.
-			x := &dicts[j]
-			if s := x.slots[(k*fibonacci)>>x.shift]; s.key == k && k < 1<<63 {
-				out[j][row] = Code(s.code - 1)
-			} else {
-				out[j][row] = x.code(k, line[:n])
-			}
-		}
-		if n == len(line) {
-			return j + 1
-		}
-		line, start = line[n+1:], start+n+1
-	}
-}
-
-// valueIndex is one column's dictionary: its distinct values in code
-// order, and an open-addressed table from value to code, probed linearly
-// and at most half full. A lookup of a known value allocates nothing; only
-// a new value is copied into a string.
-type valueIndex struct {
+// colDict is one column's dictionary: its distinct values in code order
+// and their codes. Looking up a known value allocates nothing; only a new
+// value is copied into a string.
+type colDict struct {
 	vals  []string
-	slots []valueSlot
-	shift uint // 64 − log2(len(slots)): the hash bits that pick a slot
+	codes map[string]Code
 }
 
-// valueSlot holds a value's key (valueKey) and its code + 1; 0 is empty.
-type valueSlot struct {
-	key  uint64
-	code uint32
-}
-
-func newValueIndex() valueIndex {
-	return valueIndex{slots: make([]valueSlot, 16), shift: 60}
-}
-
-// valueKey keys a value for valueIndex; no key is 0. A value of at most 7
-// bytes is its own key: its bytes, then its length + 1 in the top byte. A
-// longer value's key is a hash with the top bit set, so it equals no short
-// value's key, and a matching key is confirmed by comparing the values.
-func valueKey(v []byte) uint64 {
-	if len(v) < 8 {
-		k := uint64(len(v)+1) << 56
-		for i, b := range v {
-			k |= uint64(b) << (8 * i)
-		}
-		return k
+// code returns v's code, giving v the next code if it is new.
+func (d *colDict) code(v []byte) Code {
+	if c, ok := d.codes[string(v)]; ok {
+		return c
 	}
-	h := uint64(len(v))
-	for ; len(v) >= 8; v = v[8:] {
-		h = (h ^ binary.LittleEndian.Uint64(v)) * 0xff51afd7ed558ccd
-		h ^= h >> 32
-	}
-	for _, b := range v {
-		h = (h ^ uint64(b)) * 0x100000001b3
-	}
-	return h | 1<<63
-}
-
-// fibonacci spreads a key over the table's slot indices.
-const fibonacci = 0x9e3779b97f4a7c15
-
-// code returns the code in x of v, whose valueKey is k, giving v the next
-// code if it is new.
-func (x *valueIndex) code(k uint64, v []byte) Code {
-	mask := uint64(len(x.slots) - 1)
-	for i := (k * fibonacci) >> x.shift; ; i = (i + 1) & mask {
-		s := &x.slots[i]
-		if s.code == 0 {
-			x.vals = append(x.vals, string(v))
-			*s = valueSlot{key: k, code: uint32(len(x.vals))}
-			if 2*len(x.vals) > len(x.slots) {
-				x.grow()
-			}
-			return Code(len(x.vals) - 1)
-		}
-		if s.key == k && (k < 1<<63 || x.vals[s.code-1] == string(v)) {
-			return Code(s.code - 1)
-		}
-	}
-}
-
-// grow doubles the table and reinserts every value.
-func (x *valueIndex) grow() {
-	old := x.slots
-	x.slots, x.shift = make([]valueSlot, 2*len(old)), x.shift-1
-	mask := uint64(len(x.slots) - 1)
-	for _, s := range old {
-		if s.code == 0 {
-			continue
-		}
-		i := (s.key * fibonacci) >> x.shift
-		for x.slots[i].code != 0 {
-			i = (i + 1) & mask
-		}
-		x.slots[i] = s
-	}
+	c := Code(len(d.vals))
+	d.vals = append(d.vals, string(v))
+	d.codes[d.vals[c]] = c
+	return c
 }
 
 // csvScanner reads records off a byte slice the way encoding/csv's Reader
@@ -391,7 +283,6 @@ func (x *valueIndex) grow() {
 type csvScanner struct {
 	data   []byte
 	pos    int        // start of the next line
-	start  int        // start of the last line read
 	line   int        // lines read
 	buf    []byte     // the current record's quoted fields, unescaped
 	fields []csvField // the current record
@@ -427,7 +318,6 @@ func (s *csvScanner) readLine() (line []byte, nl, ok bool) {
 		return nil, false, false
 	}
 	s.line++
-	s.start = s.pos
 	if i := bytes.IndexByte(line, '\n'); i >= 0 {
 		line, nl = line[:i], true
 		s.pos += i + 1

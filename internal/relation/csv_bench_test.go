@@ -43,10 +43,16 @@ func benchRelation(t testing.TB, name string, seed int64) *relation.Relation {
 	return r
 }
 
-// benchCSV is benchRelation written with WriteCSV.
+// benchCSV is benchRelation written with WriteCSV; "nursery" is
+// datagen.Nursery, whose values run from 1 to 13 bytes.
 func benchCSV(t testing.TB, name string, seed int64) (*relation.Relation, []byte) {
 	t.Helper()
-	r := benchRelation(t, name, seed)
+	var r *relation.Relation
+	if name == "nursery" {
+		r = datagen.Nursery()
+	} else {
+		r = benchRelation(t, name, seed)
+	}
 	var buf bytes.Buffer
 	if err := r.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -157,11 +163,12 @@ func randomCSV(rng *rand.Rand, rows, cols int, bad bool) []byte {
 	return b.Bytes()
 }
 
-// BenchmarkReadCSV reads the benchmark's mid and tall inputs (seed 7)
-// with ReadCSV, and with encoding/csv and a Builder (ref) for the ratio.
-// Run with -benchmem and -cpu 1,2: ReadCSV parses on GOMAXPROCS chunks.
+// BenchmarkReadCSV reads the benchmark's mid and tall inputs (seed 7),
+// whose values are 2 or 3 bytes, and nursery's longer ones with ReadCSV,
+// and with encoding/csv and a Builder (ref) for the ratio. Run with
+// -benchmem and -cpu 1,2: ReadCSV parses on GOMAXPROCS chunks.
 func BenchmarkReadCSV(b *testing.B) {
-	for _, name := range []string{"mid", "tall"} {
+	for _, name := range []string{"mid", "tall", "nursery"} {
 		_, data := benchCSV(b, name, 7)
 		for _, rd := range []struct {
 			name string

@@ -114,9 +114,6 @@ func (g *Registry) Add(name string, r *relation.Relation) (DatasetInfo, error) {
 	if name == "" {
 		return DatasetInfo{}, fmt.Errorf("service: dataset name must not be empty")
 	}
-	if _, dup := g.Info(name); dup {
-		return DatasetInfo{}, fmt.Errorf("service: %w: %q", ErrDatasetExists, name)
-	}
 	opts := g.opts
 	if g.spillRoot != "" {
 		opts = append(append([]maimon.Option(nil), opts...),

@@ -15,8 +15,7 @@
 // Phase 1 computed the entropy of (nearly) every bag and separator, but
 // most bags are chain leaves, whose entropies are counted without the
 // partition being stored; so the first ranking after a cold mine builds
-// most bag partitions (on a 27k × 9 relation on a 2-core VM, 39–43 ms for
-// 30 schemes against 25–27 ms once they are cached). AnalyzeAll ranks a
+// most bag partitions, and a later one finds them cached. AnalyzeAll ranks a
 // batch of schemes on several goroutines, which build those partitions in
 // parallel.
 //

@@ -5,6 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bitset"
+	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/entropy"
 )
 
@@ -142,5 +145,31 @@ func TestDedupeSchemes(t *testing.T) {
 			t.Fatal("duplicate schema after dedupe")
 		}
 		seen[fp] = true
+	}
+}
+
+// TestFig18PhaseBWithinBudget: phase B runs under its budget, not between
+// budget checks. On the Bridges analog at ε 0.3 the expansion of EHL for
+// the pair (5, 6) is one GetFullMVDs call of most of a second; under a
+// 20 ms budget the phase must stop inside that call and return within the
+// budget plus a fixed slack, with the budget's end reported and the
+// unfinished list not counted.
+func TestFig18PhaseBWithinBudget(t *testing.T) {
+	const budget, slack = 20 * time.Millisecond, 250 * time.Millisecond
+	spec, err := datagen.Lookup("Bridges", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Budget: budget}
+	seps := &core.MVDResult{MinSeps: map[core.Pair][]bitset.AttrSet{
+		{A: 5, B: 6}: {bitset.Of(4, 7, 11)},
+	}}
+	count, elapsed, timedOut := expandFullMVDs(cfg, cfg.minerFor(entropy.New(spec.Generate()), 0.3), seps)
+	if elapsed > budget+slack {
+		t.Fatalf("phase B took %v on a %v budget", elapsed, budget)
+	}
+	if !timedOut || count != 0 {
+		t.Fatalf("phase B finished (%d full MVDs in %v) inside a %v budget; the test needs a longer search",
+			count, elapsed, budget)
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/entropy"
 )
@@ -45,28 +46,7 @@ func Fig18FullMVDs(cfg Config) string {
 			seps := budgeted(cfg, m, m.MineMinSepsAll)
 
 			// Phase B (timed): expand each separator to its full MVDs.
-			m2 := cfg.minerFor(o, eps)
-			seen := map[string]bool{}
-			count := 0
-			start := time.Now()
-			timedOut := false
-		expansion:
-			for _, p := range seps.SortedPairs() {
-				for _, sep := range seps.MinSeps[p] {
-					if time.Since(start) > cfg.budget() {
-						timedOut = true
-						break expansion
-					}
-					for _, phi := range m2.GetFullMVDs(sep, p.A, p.B, 0) {
-						fp := phi.Fingerprint()
-						if !seen[fp] {
-							seen[fp] = true
-							count++
-						}
-					}
-				}
-			}
-			elapsed := time.Since(start)
+			count, elapsed, timedOut := expandFullMVDs(cfg, cfg.minerFor(o, eps), seps)
 			rate := 0.0
 			if secs := elapsed.Seconds(); secs > 0 {
 				rate = float64(count) / secs
@@ -78,4 +58,33 @@ func Fig18FullMVDs(cfg Config) string {
 		}
 	}
 	return rep.String()
+}
+
+// expandFullMVDs is Fig. 18's phase B: every mined separator of every
+// pair expanded to its full MVDs by m, under one budget (the context
+// budgeted binds), so a long GetFullMVDs stops mid-search rather than
+// overrunning the budget. It returns the number of distinct full MVDs,
+// the time taken and whether the budget ended the phase; a list returned
+// after the budget ended may be partial and is not counted.
+func expandFullMVDs(cfg Config, m *core.Miner, seps *core.MVDResult) (count int, elapsed time.Duration, timedOut bool) {
+	seen := map[string]bool{}
+	start := time.Now()
+	timedOut = budgeted(cfg, m, func() bool {
+		for _, p := range seps.SortedPairs() {
+			for _, sep := range seps.MinSeps[p] {
+				mvds := m.GetFullMVDs(sep, p.A, p.B, 0)
+				if m.Context().Err() != nil {
+					return true
+				}
+				for _, phi := range mvds {
+					if fp := phi.Fingerprint(); !seen[fp] {
+						seen[fp] = true
+						count++
+					}
+				}
+			}
+		}
+		return false
+	})
+	return count, time.Since(start), timedOut
 }

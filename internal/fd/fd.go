@@ -101,37 +101,27 @@ func (m *Miner) Error(lhs bitset.AttrSet, rhs int) float64 {
 func (m *Miner) holds(err float64) bool { return err <= m.opts.Epsilon+1e-9 }
 
 // g3 computes the minimum fraction of tuples to delete so that lhs → rhs
-// holds exactly: per cluster of π*(lhs), all but the plurality rhs-class
-// must go.
+// holds exactly: per cluster of π*(lhs), all but the rows of the
+// plurality rhs value must go. (Rows in stripped lhs classes violate
+// nothing.)
 func (m *Miner) g3(lhs bitset.AttrSet, rhs int) float64 {
 	n := m.rel.NumRows()
 	if n == 0 {
 		return 0
 	}
-	base := m.oracle.Partition(lhs)
-	refined := m.oracle.Partition(lhs.Add(rhs))
-	probe := refined.Probe()
+	col := m.rel.Column(rhs)
+	counts := make([]int, m.rel.DomainSize(rhs))
 	removals := 0
-	counts := map[int32]int{}
-	for _, cluster := range base.Clusters() {
-		best := 1 // a singleton class in the refined partition keeps 1 row
-		singletons := 0
+	for _, cluster := range m.oracle.Partition(lhs).Clusters() {
+		best := 0
 		for _, tid := range cluster {
-			ci := probe[tid]
-			if ci < 0 {
-				singletons++
-				continue
-			}
-			counts[ci]++
-			if counts[ci] > best {
-				best = counts[ci]
-			}
+			counts[col[tid]]++
+			best = max(best, counts[col[tid]])
 		}
-		for ci := range counts {
-			delete(counts, ci)
+		for _, tid := range cluster {
+			counts[col[tid]] = 0
 		}
 		removals += len(cluster) - best
-		_ = singletons
 	}
 	return float64(removals) / float64(n)
 }

@@ -13,12 +13,21 @@ import (
 // allocations beyond the retained result itself (and none at all on the
 // view and count-only paths).
 //
-// The engine exploits that probe[tid] is a q-cluster index bounded by
-// q.NumClusters(): grouping is a dense counts array indexed by that id
-// plus one spill slot, never a rehash. Building a partition is two passes —
-// count (every group's size, recorded at its first row) then fill (row
-// placement at precomputed offsets) — with the canonical first-row cluster
-// order fixed between the passes, so results are byte-identical to
+// The engine exploits that probe[tid] is a q-cluster id + 1 bounded by
+// q.NumClusters(): grouping is a dense counts array indexed by that slot
+// value, slot 0 absorbing q's stripped singletons, never a rehash. The
+// probe is the one operand every pass reads at random, once per scanned
+// row, so each partition stores it at the narrowest width its cluster
+// count allows (1, 2 or 4 bytes per row, see probeMap) and every pass
+// that reads it is one generic body instantiated at the three widths.
+// What is narrowed is the array indexed by row id, which at 4 bytes
+// outgrows L1 from about 8k rows — not the counts/touched scratch indexed
+// by cluster id, which a deleted int16 kernel once narrowed for nothing.
+//
+// Building a partition is two passes — count (every group's size,
+// recorded at its first row) then fill (row placement at precomputed
+// offsets) — with the canonical first-row cluster order fixed between the
+// passes, so results are byte-identical to
 // FromAttrs. That order costs no sort: first rows are distinct row ids, so
 // a bitmap of them read upwards is the order. An entropy needs neither the
 // order nor the rows: the sum over class sizes is an integer (package
@@ -31,8 +40,8 @@ import (
 // use the package pool (GetArena/PutArena), which the convenience
 // wrappers fall back to.
 type Arena struct {
-	counts  []int32 // q-cluster id -> running count / fill cursor; all zero between ops
-	touched []int32 // q-cluster ids touched by the current p-cluster (fill pass)
+	counts  []int32 // probe slot (q-cluster id + 1) -> running count / fill cursor; all zero between ops
+	touched []int32 // counts slots touched by the current p-cluster (fill pass)
 	// groups is indexed by row id. A (p-cluster, q-cluster) group is named
 	// by its first row — the smallest, rows being scanned ascending — and
 	// that row's slot holds the group's size after the count pass, then,
@@ -132,26 +141,47 @@ func (a *Arena) IntersectView(p, q *Partition) *Partition {
 // cache answers every entropy whose partition nothing would read back.
 func (a *Arena) IntersectEntropy(p, q *Partition) float64 {
 	p, q = iterateSmaller(p, q)
-	probe := q.Probe()
 	a.counts = grow(a.counts, q.NumClusters()+1)
-	counts := a.counts
 	sc := hsum.For(p.n)
+	var sum int64
+	switch pr := q.probeMap(); {
+	case pr.w1 != nil:
+		sum = entropySum(a.counts, p, pr.w1, sc)
+	case pr.w2 != nil:
+		sum = entropySum(a.counts, p, pr.w2, sc)
+	default:
+		sum = entropySum(a.counts, p, pr.w4, sc)
+	}
+	return sc.Entropy(sum)
+}
+
+// entropySum is IntersectEntropy's pass over the probe of slot type W.
+// The second sweep of a cluster takes whichever is shorter: its rows
+// again — the first row of a group reads its size, every later row the 0
+// the first one left; sizes 0 and 1 have a zero term, so there is nothing
+// to branch on — or, when the cluster has more rows than there are count
+// slots, the slots themselves, read in order and cleared in one go.
+func entropySum[W probeSlot](counts []int32, p *Partition, probe []W, sc hsum.Scale) int64 {
 	var sum int64
 	for ci := 0; ci < p.NumClusters(); ci++ {
 		cluster := p.Cluster(ci)
 		for _, tid := range cluster {
-			counts[probe[tid]+1]++
+			counts[probe[tid]]++
 		}
 		counts[0] = 0
-		// The first row of a group reads its size, every later row the 0
-		// the first one left; sizes 0 and 1 have a zero term, so there is
-		// nothing to branch on.
+		if len(cluster) > len(counts) {
+			for _, c := range counts {
+				sum += sc.Term(int(c))
+			}
+			clear(counts)
+			continue
+		}
 		for _, tid := range cluster {
-			sum += sc.Term(int(counts[probe[tid]+1]))
-			counts[probe[tid]+1] = 0
+			sum += sc.Term(int(counts[probe[tid]]))
+			counts[probe[tid]] = 0
 		}
 	}
-	return sc.Entropy(sum)
+	return sum
 }
 
 // stagedEntropy reads the entropy of the staged count pass and releases
@@ -189,15 +219,20 @@ func iterateSmaller(p, q *Partition) (iter, probed *Partition) {
 func (a *Arena) stage(p, q *Partition) {
 	p, q = iterateSmaller(p, q)
 	a.stagedP, a.stagedQ = p, q
-	probe := q.Probe()
-	nq := q.NumClusters()
 	a.groups = grow(a.groups, p.n)
 	a.firsts = grow(a.firsts, (p.n+63)>>6)
-	// The counts array carries one extra leading slot: indexing by
-	// probe id + 1 routes q-singletons (probe -1) into slot 0, so the
-	// counting loop is a pure increment with no per-row branch.
-	a.counts = grow(a.counts, nq+1)
-	a.countPass(p, probe)
+	// One count slot per q-cluster plus slot 0, where the probe routes
+	// q-singletons, so the counting loop is a pure increment with no
+	// per-row branch.
+	a.counts = grow(a.counts, q.NumClusters()+1)
+	switch pr := q.probeMap(); {
+	case pr.w1 != nil:
+		countPass(a, p, pr.w1)
+	case pr.w2 != nil:
+		countPass(a, p, pr.w2)
+	default:
+		countPass(a, p, pr.w4)
+	}
 	a.canonicalize(hsum.For(p.n))
 }
 
@@ -231,25 +266,26 @@ func (a *Arena) canonicalize(sc hsum.Scale) {
 	a.hsum = sum
 }
 
-// countPass groups the rows of each p-cluster by their q-cluster id. The
-// first sweep of a cluster is a pure increment over counts[probe+1]
-// (slot 0 absorbs q-singletons); the second reads each row's group size
-// back and zeroes the slot, restoring the all-zero invariant — so the
-// first row of a group sees its size and every later row sees 0. Every
+// countPass groups the rows of each p-cluster by their q-cluster id, over
+// the probe of slot type W. The first sweep of a cluster is a pure
+// increment over counts[probe] (slot 0 absorbs q-singletons); the second
+// reads each row's group size back and zeroes the slot, restoring the
+// all-zero invariant — so the first row of a group sees its size and
+// every later row sees 0. Every
 // row stores what it saw in its groups slot and ORs survives(size) into
 // its firsts bit: first rows record their group, the rest write nothing
 // that is ever read, and neither sweep has a branch to mispredict.
-func (a *Arena) countPass(p *Partition, probe []int32) {
+func countPass[W probeSlot](a *Arena, p *Partition, probe []W) {
 	counts, groups, firsts := a.counts, a.groups, a.firsts
 	for ci := 0; ci < p.NumClusters(); ci++ {
 		cluster := p.Cluster(ci)
 		for _, tid := range cluster {
-			counts[probe[tid]+1]++
+			counts[probe[tid]]++
 		}
 		counts[0] = 0
 		for _, tid := range cluster {
-			size := counts[probe[tid]+1]
-			counts[probe[tid]+1] = 0
+			size := counts[probe[tid]]
+			counts[probe[tid]] = 0
 			groups[tid] = size
 			firsts[tid>>6] |= survives(size) << (tid & 63)
 		}
@@ -264,13 +300,26 @@ func survives(size int32) uint64 { return uint64(uint32(1-size) >> 31) }
 // row id at its cluster's precomputed offset; the first row of a group
 // finds that offset in its own groups slot. dst must have length a.nRows.
 func (a *Arena) fill(dst []int32) {
-	probe := a.stagedQ.Probe()
+	switch pr := a.stagedQ.probeMap(); {
+	case pr.w1 != nil:
+		fillRows(a, dst, pr.w1)
+	case pr.w2 != nil:
+		fillRows(a, dst, pr.w2)
+	default:
+		fillRows(a, dst, pr.w4)
+	}
+}
+
+// fillRows is Arena.fill over the probe of slot type W. The counts slots are
+// indexed by probe value, as in the count pass; slot 0 (q-singletons) is
+// never touched here.
+func fillRows[W probeSlot](a *Arena, dst []int32, probe []W) {
 	for ci := 0; ci < a.stagedP.NumClusters(); ci++ {
 		cluster := a.stagedP.Cluster(ci)
 		a.touched = a.touched[:0]
 		for _, tid := range cluster {
 			qi := probe[tid]
-			if qi < 0 {
+			if qi == 0 {
 				continue
 			}
 			v := a.counts[qi]
@@ -279,7 +328,7 @@ func (a *Arena) fill(dst []int32) {
 				// groups carry their write cursor (start+1, so it is never
 				// confused with the zero sentinel); stripped singletons
 				// carry -1.
-				a.touched = append(a.touched, qi)
+				a.touched = append(a.touched, int32(qi))
 				v = -1
 				if g := a.groups[tid]; g < 0 {
 					v = ^g + 1

@@ -712,8 +712,10 @@ func (c *Cache) intersect(a *Arena, p, q *Partition) *Partition {
 
 // scanBytes is the partition bytes one intersection's count pass scans:
 // the engine iterates the smaller operand's row ids (4 bytes each) and
-// probes the other side's cluster index per row (4 more), so 8 bytes per
-// scanned row. It doubles as the recompute cost of the result.
+// probes the other side's cluster index per row, counted at 4 more
+// whatever the probe's width (1, 2 or 4 bytes), so 8 bytes per scanned
+// row and the counter stays comparable across probe widths. It doubles
+// as the recompute cost of the result.
 func scanBytes(p, q *Partition) int64 {
 	n := p.Size()
 	if qs := q.Size(); qs < n {

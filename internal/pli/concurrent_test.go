@@ -12,7 +12,7 @@ import (
 // once; under -race this fails if the build is not latched.
 func TestProbeConcurrent(t *testing.T) {
 	r := datagen.Uniform(2000, 4, 5, 1)
-	want := append([]int32(nil), SingleAttribute(r, 0).Probe()...)
+	want := probeSlots(SingleAttribute(r, 0))
 	// Fresh partition with an untouched probe, hammered concurrently.
 	fresh := SingleAttribute(r, 0)
 	var wg sync.WaitGroup
@@ -20,7 +20,7 @@ func TestProbeConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			probe := fresh.Probe()
+			probe := probeSlots(fresh)
 			for i, v := range probe {
 				if v != want[i] {
 					t.Errorf("probe[%d] = %d, want %d", i, v, want[i])

@@ -43,6 +43,7 @@
 package pli
 
 import (
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -59,8 +60,8 @@ import (
 // Entropy is a constant-time read instead of a pass over the clusters.
 //
 // A Partition built by SingleAttribute, FromAttrs or an Arena is immutable
-// after construction and safe for concurrent readers: the lazy probe array
-// and the lazy Clusters views are published through atomic pointers, so
+// after construction and safe for concurrent readers: the lazy probe and
+// the lazy Clusters views are published through atomic pointers, so
 // partitions handed out by a shared Cache may be intersected from many
 // goroutines at once. (Concurrent first builds may duplicate work; exactly
 // one result wins, and both are identical.)
@@ -70,9 +71,28 @@ type Partition struct {
 	offsets []int32 // cluster i = rows[offsets[i]:offsets[i+1]]; nil when no clusters
 	hsum    int64   // Σ |c|·log2|c| over clusters in fixed point (hsum.Scale of n)
 
-	probe    atomic.Pointer[[]int32]   // row -> cluster index, -1 for singletons
+	probe    atomic.Pointer[probeMap]  // lazy row -> cluster map, built on first use as the probed operand
 	clusters atomic.Pointer[[][]int32] // lazy zero-copy views for Clusters()
 }
+
+// probeMap is a partition's row -> cluster map. Slot tid holds cluster id
+// + 1 of row tid, and 0 marks a row in a stripped singleton class, so the
+// slot value itself indexes the engine's counts array (whose slot 0
+// absorbs the singletons). Exactly one slice is set: the narrowest whose
+// element holds the cluster count — 1 byte per row up to 255 clusters, 2
+// up to 65,535, 4 beyond. The probe is the operand of a count pass that is
+// read at random, once per scanned row, so its width decides whether it
+// stays in cache: a 27k-row relation's probe is 27 KB at one byte and
+// 108 KB at four.
+type probeMap struct {
+	w1 []uint8
+	w2 []uint16
+	w4 []uint32
+}
+
+// probeSlot is the element type of a probe: one of the three widths a
+// probeMap holds. The passes that read a probe are written once over it.
+type probeSlot interface{ uint8 | uint16 | uint32 }
 
 // NumRows returns the number of rows of the underlying relation.
 func (p *Partition) NumRows() int { return p.n }
@@ -143,7 +163,7 @@ func (p *Partition) ClassReps(dst, scratch []int32) []int32 {
 // ClassIDs writes a dense row -> class id map into dst (NumRows entries)
 // and returns the number of classes: cluster i keeps id i, the stripped
 // singleton rows take the ids after the clusters in ascending row order.
-// Unlike Probe it gives every class an id and retains nothing.
+// Unlike the engine's probe it gives every class an id and retains nothing.
 func (p *Partition) ClassIDs(dst []int32) int {
 	ids := dst[:p.n]
 	for i := range ids {
@@ -166,18 +186,16 @@ func (p *Partition) ClassIDs(dst []int32) int {
 }
 
 // SizeBytes bounds the resident footprint of the partition in bytes: the
-// flat row-id and offset arrays (4 bytes per entry), the probe array's
-// full capacity (4 bytes per relation row — built lazily, but most cached
-// partitions are eventually used as the larger intersection operand and
-// get one, so a memory budget must assume it), and a fixed allowance for
-// the struct itself. It is the unit of account of the cache's memory
-// budget (Config.MaxBytes): deliberately conservative — the budget must
-// upper-bound real memory, not track it optimistically — and deterministic
-// (a function of row count, cluster count and stored ids only), so budget
-// arithmetic reproduces across runs. The flat representation has no
-// per-cluster slice headers, so SizeBytes is tighter than it was for the
-// cluster-per-allocation layout: 4 bytes of offset per cluster instead of
-// 24 bytes of header.
+// flat row-id and offset arrays (4 bytes per entry), the probe at the
+// width it would be built with (1, 2 or 4 bytes per relation row by
+// cluster count — built lazily, but most cached partitions are eventually
+// used as the larger intersection operand and get one, so a memory budget
+// must assume it), and a fixed allowance for the struct itself. It is the
+// unit of account of the cache's memory budget (Config.MaxBytes):
+// deliberately conservative — the budget must upper-bound real memory,
+// not track it optimistically — and deterministic (a function of row
+// count, cluster count and stored ids only), so budget arithmetic
+// reproduces across runs.
 func (p *Partition) SizeBytes() int64 {
 	return sizeBytesFor(p.n, p.NumClusters(), len(p.rows))
 }
@@ -191,28 +209,53 @@ func sizeBytesFor(n, numClusters, numRows int) int64 {
 	if numClusters > 0 {
 		offsets = int64(numClusters+1) * 4
 	}
-	return structOverhead + offsets + int64(numRows)*4 + int64(n)*4
+	return structOverhead + offsets + int64(numRows)*4 + int64(n)*probeWidth(numClusters)
 }
 
-// Probe returns (building lazily) the row -> cluster-index map, with -1
-// marking rows in stripped singleton classes. Safe to call from concurrent
-// readers of a shared partition: the first build wins, duplicates are
-// discarded.
-func (p *Partition) Probe() []int32 {
+// probeWidth is the bytes per row of the probe of a partition with
+// numClusters clusters: the narrowest unsigned width that holds cluster
+// id + 1.
+func probeWidth(numClusters int) int64 {
+	switch {
+	case numClusters <= math.MaxUint8:
+		return 1
+	case numClusters <= math.MaxUint16:
+		return 2
+	}
+	return 4
+}
+
+// probeMap returns (building lazily) the partition's row -> cluster map.
+// Safe to call from concurrent readers of a shared partition: the first
+// build wins, duplicates are discarded.
+func (p *Partition) probeMap() *probeMap {
 	if pr := p.probe.Load(); pr != nil {
-		return *pr
+		return pr
 	}
-	probe := make([]int32, p.n)
-	for i := range probe {
-		probe[i] = -1
+	pr := new(probeMap)
+	switch probeWidth(p.NumClusters()) {
+	case 1:
+		pr.w1 = buildProbe[uint8](p)
+	case 2:
+		pr.w2 = buildProbe[uint16](p)
+	default:
+		pr.w4 = buildProbe[uint32](p)
 	}
+	p.probe.CompareAndSwap(nil, pr)
+	return p.probe.Load()
+}
+
+// buildProbe lays out a probe of slot type W: cluster id + 1 at each
+// clustered row, 0 (the zeroed allocation) at every stripped singleton.
+func buildProbe[W probeSlot](p *Partition) []W {
+	probe := make([]W, p.n)
 	for ci := 0; ci < p.NumClusters(); ci++ {
+		id := W(ci + 1)
 		for _, tid := range p.Cluster(ci) {
-			probe[tid] = int32(ci)
+			probe[tid] = id
 		}
 	}
-	p.probe.CompareAndSwap(nil, &probe)
-	return *p.probe.Load()
+	return probe
 }
 
 // Entropy returns the empirical entropy (in bits) of the attribute set this

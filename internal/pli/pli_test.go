@@ -105,13 +105,37 @@ func TestEmptyAttrsPartition(t *testing.T) {
 func TestProbe(t *testing.T) {
 	r := paperR(t)
 	p := SingleAttribute(r, 4) // only rows 2,3 clustered
-	probe := p.Probe()
-	if probe[0] != -1 || probe[1] != -1 {
-		t.Fatal("singleton rows should probe to -1")
+	probe := probeSlots(p)
+	if probe[0] != 0 || probe[1] != 0 {
+		t.Fatal("singleton rows should probe to 0")
 	}
-	if probe[2] < 0 || probe[2] != probe[3] {
-		t.Fatal("clustered rows should share a cluster id")
+	if probe[2] == 0 || probe[2] != probe[3] {
+		t.Fatal("clustered rows should share a nonzero slot")
 	}
+	if pr := p.probeMap(); pr.w1 == nil || pr.w2 != nil || pr.w4 != nil {
+		t.Fatal("a one-cluster partition should probe at one byte per row")
+	}
+}
+
+// probeSlots reads p's probe back as ints (cluster id + 1, 0 for a
+// stripped singleton), whatever width it was stored at.
+func probeSlots(p *Partition) []int {
+	pr := p.probeMap()
+	switch {
+	case pr.w1 != nil:
+		return widen(pr.w1)
+	case pr.w2 != nil:
+		return widen(pr.w2)
+	}
+	return widen(pr.w4)
+}
+
+func widen[W probeSlot](probe []W) []int {
+	out := make([]int, len(probe))
+	for i, v := range probe {
+		out[i] = int(v)
+	}
+	return out
 }
 
 func TestQuickIntersectEqualsDirect(t *testing.T) {

@@ -3,7 +3,9 @@ package pli
 // intersectMap is the historical hash-map grouping implementation: one
 // map[int32][]int32 per call, one heap copy per surviving group. It is
 // kept as a reference engine — the property suite and FuzzArenaIntersect
-// check the Arena path against it as well as against FromAttrs.
+// check the Arena path against it as well as against FromAttrs. It builds
+// its own row -> cluster map from Cluster(), so it never reads the probe
+// the engine under test reads.
 func intersectMap(p, q *Partition) *Partition {
 	if p.n != q.n {
 		panic("pli: intersecting partitions over different relations")
@@ -12,7 +14,15 @@ func intersectMap(p, q *Partition) *Partition {
 	if q.Size() < p.Size() {
 		p, q = q, p
 	}
-	probe := q.Probe()
+	probe := make([]int32, q.n)
+	for i := range probe {
+		probe[i] = -1
+	}
+	for ci := 0; ci < q.NumClusters(); ci++ {
+		for _, tid := range q.Cluster(ci) {
+			probe[tid] = int32(ci)
+		}
+	}
 	var clusters [][]int32
 	groups := make(map[int32][]int32)
 	for ci := 0; ci < p.NumClusters(); ci++ {

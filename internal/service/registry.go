@@ -52,9 +52,17 @@ type Registry struct {
 	spillRoot   string
 	spillBudget int64
 
-	mu  sync.RWMutex
-	m   map[string]*entry
-	seq int64
+	// open opens a dataset's session: maimon.Open, replaced in tests that
+	// count the sessions an Add opens.
+	open func(*relation.Relation, ...maimon.Option) (*maimon.Session, error)
+
+	mu sync.RWMutex
+	m  map[string]*entry
+	// reserved holds the names whose Add is opening a session: taken, but
+	// not yet registered, so no other Add opens the same spill directory
+	// and no reader sees a dataset without a session.
+	reserved map[string]bool
+	seq      int64
 }
 
 // ErrDatasetExists is the error (wrapped) for registering a name that is
@@ -75,7 +83,7 @@ type entry struct {
 // expected one: it bounds each dataset's PLI partition cache, the
 // dominant memory of a resident service).
 func NewRegistry(opts ...maimon.Option) *Registry {
-	return &Registry{m: make(map[string]*entry), opts: opts}
+	return &Registry{m: make(map[string]*entry), reserved: make(map[string]bool), opts: opts, open: maimon.Open}
 }
 
 // SetSpill points the registry at a spill root directory: every session
@@ -109,18 +117,32 @@ func (g *Registry) spillDirFor(name string) string {
 
 // Add opens a session over r and registers it under name. Names are
 // unique: re-registering is an error (delete first), which keeps cached
-// results unambiguous.
+// results unambiguous. The name is reserved before the session is
+// opened, so of two Adds racing for one name the loser fails without
+// opening anything — in particular not the winner's spill directory.
 func (g *Registry) Add(name string, r *relation.Relation) (DatasetInfo, error) {
 	if name == "" {
 		return DatasetInfo{}, fmt.Errorf("service: dataset name must not be empty")
 	}
+	g.mu.Lock()
+	if _, dup := g.m[name]; dup || g.reserved[name] {
+		g.mu.Unlock()
+		return DatasetInfo{}, fmt.Errorf("service: %w: %q", ErrDatasetExists, name)
+	}
+	g.reserved[name] = true
+	g.mu.Unlock()
+
 	opts := g.opts
 	if g.spillRoot != "" {
 		opts = append(append([]maimon.Option(nil), opts...),
 			maimon.WithSpillDir(g.spillDirFor(name)),
 			maimon.WithSpillBudget(g.spillBudget))
 	}
-	sess, err := maimon.Open(r, opts...)
+	sess, err := g.open(r, opts...)
+
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	delete(g.reserved, name)
 	if err != nil {
 		return DatasetInfo{}, fmt.Errorf("service: opening session for %q: %w", name, err)
 	}
@@ -130,11 +152,6 @@ func (g *Registry) Add(name string, r *relation.Relation) (DatasetInfo, error) {
 		Cols:     r.NumCols(),
 		Attrs:    append([]string(nil), r.Names()...),
 		LoadedAt: time.Now(),
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, dup := g.m[name]; dup {
-		return DatasetInfo{}, fmt.Errorf("service: %w: %q", ErrDatasetExists, name)
 	}
 	g.seq++
 	g.m[name] = &entry{sess: sess, info: info, id: g.seq}
@@ -146,7 +163,11 @@ func (g *Registry) Add(name string, r *relation.Relation) (DatasetInfo, error) {
 // A taken name is refused before the stream is read; the stream is read
 // whole (relation.ReadCSV), and its read error stays in the chain.
 func (g *Registry) AddCSV(name string, rd io.Reader, header bool) (DatasetInfo, error) {
-	if _, dup := g.Info(name); dup {
+	g.mu.RLock()
+	_, dup := g.m[name]
+	dup = dup || g.reserved[name]
+	g.mu.RUnlock()
+	if dup {
 		return DatasetInfo{}, fmt.Errorf("service: %w: %q", ErrDatasetExists, name)
 	}
 	r, err := relation.ReadCSV(rd, header)

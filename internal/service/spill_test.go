@@ -2,12 +2,16 @@ package service
 
 import (
 	"context"
+	"errors"
 	"os"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	maimon "repro"
 	"repro/internal/datagen"
+	"repro/internal/relation"
 )
 
 // runSpillJob registers nursery on a spill-enabled registry, mines it,
@@ -101,4 +105,64 @@ func TestSpillDirPerDataset(t *testing.T) {
 	if a == b {
 		t.Fatalf("dataset names %q and %q map to the same spill dir %s", "data/set", "data.set", a)
 	}
+}
+
+// TestAddSameNameRace: of many Adds racing for one name under a spill
+// root, exactly one registers it and opens a session — over the name's
+// spill directory; every other fails with ErrDatasetExists without
+// opening one. A failed open releases the name.
+func TestAddSameNameRace(t *testing.T) {
+	const n = 8
+	reg := NewRegistry()
+	reg.SetSpill(t.TempDir(), 0)
+	var opens atomic.Int32
+	reg.open = func(r *relation.Relation, opts ...maimon.Option) (*maimon.Session, error) {
+		opens.Add(1)
+		time.Sleep(20 * time.Millisecond) // hold the race window open
+		return maimon.Open(r, opts...)
+	}
+	r := datagen.Nursery().Head(200)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = reg.Add("d", r)
+		}()
+	}
+	wg.Wait()
+	won := 0
+	for _, err := range errs {
+		switch {
+		case err == nil:
+			won++
+		case !errors.Is(err, ErrDatasetExists):
+			t.Fatalf("losing Add: %v, want ErrDatasetExists", err)
+		}
+	}
+	if won != 1 || opens.Load() != 1 {
+		t.Fatalf("%d Adds won and %d sessions opened, want 1 and 1", won, opens.Load())
+	}
+	if reg.Len() != 1 {
+		t.Fatalf("registry holds %d datasets, want 1", reg.Len())
+	}
+	if err := reg.CloseAll(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg.open = func(*relation.Relation, ...maimon.Option) (*maimon.Session, error) {
+		return nil, errors.New("open failed")
+	}
+	if _, err := reg.Add("e", r); err == nil || errors.Is(err, ErrDatasetExists) {
+		t.Fatalf("Add over a failing open: %v", err)
+	}
+	if _, ok := reg.Info("e"); ok || reg.Len() != 1 {
+		t.Fatal("a failed open left the name registered")
+	}
+	reg.open = maimon.Open
+	if _, err := reg.Add("e", r); err != nil {
+		t.Fatalf("Add after a failed open of the same name: %v", err)
+	}
+	reg.CloseAll()
 }

@@ -125,7 +125,7 @@ func (g *Registry) Add(name string, r *relation.Relation) (DatasetInfo, error) {
 		return DatasetInfo{}, fmt.Errorf("service: dataset name must not be empty")
 	}
 	g.mu.Lock()
-	if _, dup := g.m[name]; dup || g.reserved[name] {
+	if g.taken(name) {
 		g.mu.Unlock()
 		return DatasetInfo{}, fmt.Errorf("service: %w: %q", ErrDatasetExists, name)
 	}
@@ -158,14 +158,20 @@ func (g *Registry) Add(name string, r *relation.Relation) (DatasetInfo, error) {
 	return info, nil
 }
 
+// taken reports whether name is registered or reserved by an Add in
+// flight. The caller holds g.mu.
+func (g *Registry) taken(name string) bool {
+	_, ok := g.m[name]
+	return ok || g.reserved[name]
+}
+
 // AddCSV parses a CSV stream (encoding it into a relation) and registers
 // it under name. With header = true the first record names the columns.
 // A taken name is refused before the stream is read; the stream is read
 // whole (relation.ReadCSV), and its read error stays in the chain.
 func (g *Registry) AddCSV(name string, rd io.Reader, header bool) (DatasetInfo, error) {
 	g.mu.RLock()
-	_, dup := g.m[name]
-	dup = dup || g.reserved[name]
+	dup := g.taken(name)
 	g.mu.RUnlock()
 	if dup {
 		return DatasetInfo{}, fmt.Errorf("service: %w: %q", ErrDatasetExists, name)

@@ -61,7 +61,7 @@ func main() {
 		rank         = flag.String("rank", "savings", "schemes mode ordering: savings | j | relations | width")
 		workers      = flag.Int("workers", 0, "parallel mining and ranking fan-out (0 = GOMAXPROCS, 1 = serial)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "PLI cache memory budget in bytes; cold partitions are evicted past it (0 = unlimited)")
-		entropyBytes = flag.Int64("entropy-bytes", 0, "entropy-memo memory budget in bytes; cold entropies are evicted past it (0 = unlimited); each mining worker's read-through view, up to 2 MiB per phase, is not counted")
+		entropyBytes = flag.Int64("entropy-bytes", 0, "entropy-memo memory budget in bytes; cold entropies are evicted past it (0 = unlimited); at most 16 columns, 0 or a budget of at least 8·2^columns bytes keeps the never-evicted dense memo of that size instead; where the memo is hashed, each mining worker's read-through view, up to 2 MiB per phase, is not counted")
 		spillDir     = flag.String("spill-dir", "", "disk spill tier: evicted partitions worth re-reading are demoted into segment files under this directory instead of dropped (empty = disabled)")
 		spillBytes   = flag.Int64("spill-bytes", 0, "on-disk budget of the spill tier; oldest segments deleted past it (0 = unlimited)")
 		verbose      = flag.Bool("v", false, "stream live progress (and schemes, as they arrive) to stderr")

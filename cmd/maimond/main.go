@@ -111,7 +111,7 @@ func main() {
 		jobTimeout   = flag.Duration("job-timeout", 0, "default per-job mining timeout (0 = none)")
 		maxJobs      = flag.Int("max-jobs", 1024, "job records retained; oldest finished jobs evicted beyond it")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "per-dataset PLI cache memory budget in bytes; cold partitions are evicted past it (0 = unlimited)")
-		entropyBytes = flag.Int64("entropy-bytes", 0, "per-dataset entropy-memo memory budget in bytes; cold entropies are evicted past it (0 = unlimited); each mining worker's read-through view, up to 2 MiB per phase, is not counted")
+		entropyBytes = flag.Int64("entropy-bytes", 0, "per-dataset entropy-memo memory budget in bytes; cold entropies are evicted past it (0 = unlimited); at most 16 columns, 0 or a budget of at least 8·2^columns bytes keeps the never-evicted dense memo of that size instead; where the memo is hashed, each mining worker's read-through view, up to 2 MiB per phase, is not counted")
 		spillDir     = flag.String("spill-dir", "", "disk spill tier root: evicted PLI partitions worth re-reading are demoted into per-dataset segment stores under this directory instead of dropped; re-opened warm on restart (empty = disabled)")
 		spillBytes   = flag.Int64("spill-bytes", 0, "per-dataset on-disk budget of the spill tier; oldest segments deleted past it (0 = unlimited)")
 		resultCache  = flag.Int("result-cache", 0, "completed job results retained, LRU past the cap (0 = default 256, -1 = disable result caching)")

@@ -154,8 +154,8 @@ func TestGetFullMVDsPanicsOnBadPair(t *testing.T) {
 		if recover() == nil {
 			t.Fatal("expected panic when separator contains the pair")
 		}
-		if m.roots.used != 0 {
-			t.Fatalf("the key memo was consulted: %d roots read", m.roots.used)
+		if roots := keyRoots(m.keys); len(roots) != 0 {
+			t.Fatalf("the key memo was consulted: %d roots installed", len(roots))
 		}
 	}()
 	m.GetFullMVDs(at(t, "AE"), 4, 5, 0)

@@ -32,8 +32,9 @@ type Miner struct {
 	// keys holds each separator key's search root, with its dependent
 	// pairs' settled verdicts and full-MVD lists, for the duration of the
 	// mine; forked workers share it. roots is this miner's private
-	// table of the settled, non-aborted roots it has read from keys.
-	// scratch is this miner's own search storage.
+	// table of the settled, non-aborted roots it has read from keys when
+	// keys is hashed; a dense keys is read directly. scratch is this
+	// miner's own search storage.
 	keys    *keyMemo
 	roots   rootTable
 	scratch searchScratch
@@ -88,7 +89,11 @@ func NewMiner(o *entropy.Oracle, opts Options) *Miner {
 	} else {
 		tr.Reset()
 	}
-	return &Miner{oracle: o, src: o, opts: opts, ctx: context.Background(), done: new(atomic.Bool), keys: newKeyMemo(), trace: tr}
+	n := 0 // a miner without an oracle builds phase-2 graphs only: it asks for no key
+	if o != nil {
+		n = o.NumAttrs()
+	}
+	return &Miner{oracle: o, src: o, opts: opts, ctx: context.Background(), done: new(atomic.Bool), keys: newKeyMemo(n), trace: tr}
 }
 
 // Oracle exposes the underlying entropy oracle (stats reporting).
@@ -300,15 +305,19 @@ func (m *Miner) expand(sep bitset.AttrSet, root *keyRoot, ref candRef, a, b int)
 
 // keyRoot returns the root candidate of every search with key sep — the
 // all-singletons MVD, repaired when pruning is on — with its terms and J,
-// computing them on the first request of the mine (see keyMemo). A root
-// this miner has read settled before comes from its private table.
+// computing them on the first request of the mine (see keyMemo). Over a
+// hashed key memo, a root this miner has read settled before comes from
+// its private table.
 func (m *Miner) keyRoot(sep bitset.AttrSet) *keyRoot {
-	if r, ok := m.roots.get(sep); ok {
-		return r
+	private := m.keys.dense == nil
+	if private {
+		if r, ok := m.roots.get(sep); ok {
+			return r
+		}
 	}
 	r, owner := m.keys.acquire(sep)
 	if !owner {
-		if !r.aborted {
+		if private && !r.aborted {
 			m.roots.put(sep, r)
 		}
 		return r
@@ -332,7 +341,9 @@ func (m *Miner) keyRoot(sep bitset.AttrSet) *keyRoot {
 		}
 	}
 	r.publish(deps, terms, hKey, m.src.H(bitset.Full(m.oracle.NumAttrs())))
-	m.roots.put(sep, r)
+	if private {
+		m.roots.put(sep, r)
+	}
 	return r
 }
 

@@ -40,24 +40,55 @@ func literalRepair(o *entropy.Oracle, phi mvd.MVD, eps float64) mvd.MVD {
 	}
 }
 
-// TestKeyRootsMatchLiteralRepair mines with 1 and with 4 workers and
-// then checks every key the mine asked about: the root the key memo
-// holds must be the Fig. 16 closure of the all-singletons MVD computed
-// from scratch, and its J the J of that closure, bit for bit.
+// keyRoots returns every root k holds, dense or hashed.
+func keyRoots(k *keyMemo) map[bitset.AttrSet]*keyRoot {
+	out := make(map[bitset.AttrSet]*keyRoot)
+	for i := range k.dense {
+		if r := k.dense[i].Load(); r != nil {
+			out[bitset.AttrSet(i)] = r
+		}
+	}
+	for i := range k.shards {
+		for sep, r := range k.shards[i].m {
+			out[sep] = r
+		}
+	}
+	return out
+}
+
+// hashKeys gives m a hashed key memo, the one relations wider than
+// bitset.DenseMaxAttrs get, in place of the dense one its width gives.
+// Call it before m mines or forks.
+func hashKeys(m *Miner) *Miner {
+	m.keys = newKeyMemo(bitset.DenseMaxAttrs + 1)
+	return m
+}
+
+// TestKeyRootsMatchLiteralRepair mines with 1 and with 4 workers, over
+// the dense key memo and the hashed one, and then checks every key the
+// mine asked about: the root the key memo holds must be the Fig. 16
+// closure of the all-singletons MVD computed from scratch, and its J the
+// J of that closure, bit for bit.
 func TestKeyRootsMatchLiteralRepair(t *testing.T) {
 	keys := 0
 	for name, r := range parallelTestRelations(t) {
 		for _, eps := range []float64{0, 0.05, 0.2} {
 			for _, workers := range []int{1, 4} {
-				opts := DefaultOptions(eps)
-				opts.Workers = workers
-				m := NewMiner(shared(r), opts)
-				if res := m.MineMVDs(); res.Err != nil {
-					t.Fatal(res.Err)
-				}
-				ref := entropy.New(r)
-				for i := range m.keys.shards {
-					for sep, root := range m.keys.shards[i].m {
+				for _, hashed := range []bool{false, true} {
+					opts := DefaultOptions(eps)
+					opts.Workers = workers
+					m := NewMiner(shared(r), opts)
+					if hashed {
+						hashKeys(m)
+					}
+					if res := m.MineMVDs(); res.Err != nil {
+						t.Fatal(res.Err)
+					}
+					if hashed == (m.keys.dense != nil) {
+						t.Fatalf("%s: hashed=%v mine ran over a key memo with dense=%v", name, hashed, m.keys.dense != nil)
+					}
+					ref := entropy.New(r)
+					for sep, root := range keyRoots(m.keys) {
 						keys++
 						singles, err := mvd.Singletons(sep, r.NumCols())
 						if err != nil {
@@ -260,44 +291,42 @@ func literalMineMinSeps(m *Miner, a, b int, holds func(sep bitset.AttrSet) bool)
 // verdicts and lists it checked.
 func checkSettledSlots(t *testing.T, m, ref *Miner) (verdicts, lists int) {
 	t.Helper()
-	for i := range m.keys.shards {
-		for sep, root := range m.keys.shards[i].m {
-			var fulls []fullSlot
-			if p := root.fulls.Load(); p != nil {
-				fulls = *p
-			}
-			slot := 0
-			for x := range root.deps {
-				for y := x + 1; y < len(root.deps); y, slot = y+1, slot+1 {
-					a, b := root.deps[x].Min(), root.deps[y].Max()
-					if got := root.slot(b, a); got != slot {
-						t.Fatalf("key %v dependents %d,%d: slot %d, want %d", sep, x, y, got, slot)
+	for sep, root := range keyRoots(m.keys) {
+		var fulls []fullSlot
+		if p := root.fulls.Load(); p != nil {
+			fulls = *p
+		}
+		slot := 0
+		for x := range root.deps {
+			for y := x + 1; y < len(root.deps); y, slot = y+1, slot+1 {
+				a, b := root.deps[x].Min(), root.deps[y].Max()
+				if got := root.slot(b, a); got != slot {
+					t.Fatalf("key %v dependents %d,%d: slot %d, want %d", sep, x, y, got, slot)
+				}
+				switch st := root.verdicts[slot].Load(); st {
+				case slotOpen:
+				case slotNo, slotYes:
+					verdicts++
+					if want := ref.search(sep, a, b, 1, false) > 0; (st == slotYes) != want {
+						t.Fatalf("key %v pair (%d,%d): settled verdict %v, a fresh search %v", sep, a, b, st == slotYes, want)
 					}
-					switch st := root.verdicts[slot].Load(); st {
-					case slotOpen:
-					case slotNo, slotYes:
-						verdicts++
-						if want := ref.search(sep, a, b, 1, false) > 0; (st == slotYes) != want {
-							t.Fatalf("key %v pair (%d,%d): settled verdict %v, a fresh search %v", sep, a, b, st == slotYes, want)
-						}
-					default:
-						t.Fatalf("key %v pair (%d,%d): verdict slot left in state %d", sep, a, b, st)
+				default:
+					t.Fatalf("key %v pair (%d,%d): verdict slot left in state %d", sep, a, b, st)
+				}
+				if fulls == nil {
+					continue
+				}
+				switch st := fulls[slot].state.Load(); st {
+				case slotOpen:
+				case slotDone:
+					lists++
+					ref.search(sep, a, b, 0, true)
+					want := ref.fullMVDs(sep)
+					if !slices.EqualFunc(fulls[slot].mvds, want, mvd.MVD.Equal) {
+						t.Fatalf("key %v pair (%d,%d): settled list %v, a fresh search %v", sep, a, b, fulls[slot].mvds, want)
 					}
-					if fulls == nil {
-						continue
-					}
-					switch st := fulls[slot].state.Load(); st {
-					case slotOpen:
-					case slotDone:
-						lists++
-						ref.search(sep, a, b, 0, true)
-						want := ref.fullMVDs(sep)
-						if !slices.EqualFunc(fulls[slot].mvds, want, mvd.MVD.Equal) {
-							t.Fatalf("key %v pair (%d,%d): settled list %v, a fresh search %v", sep, a, b, fulls[slot].mvds, want)
-						}
-					default:
-						t.Fatalf("key %v pair (%d,%d): list slot left in state %d", sep, a, b, st)
-					}
+				default:
+					t.Fatalf("key %v pair (%d,%d): list slot left in state %d", sep, a, b, st)
 				}
 			}
 		}
@@ -467,8 +496,9 @@ func TestSearchOncePerDependentPair(t *testing.T) {
 // scratch grown — a K = 1 search allocates nothing, however many
 // candidates it visits and prunes, and a K = 0 search allocates only for
 // the full MVDs it returns. Settled, SeparatorHolds and GetFullMVDs(K = 0)
-// allocate nothing and search nothing. MineMinSeps — settled roots, open
-// slots, transversal buffers — allocates only for the slice it returns.
+// allocate nothing and search nothing, and so does reading a settled root
+// from the dense key memo. MineMinSeps — settled roots, open slots,
+// transversal buffers — allocates only for the slice it returns.
 func TestSearchKernelAllocs(t *testing.T) {
 	r := datagen.Nursery()
 	a, b := 0, 8
@@ -491,6 +521,18 @@ func TestSearchKernelAllocs(t *testing.T) {
 	if settled := testing.AllocsPerRun(20, func() { m.SeparatorHolds(key, a, b) }); settled != 0 || m.SearchStats() != before {
 		t.Errorf("settled SeparatorHolds: %v allocs/run, searched %+v after %+v; want 0 allocs, no search",
 			settled, m.SearchStats(), before)
+	}
+	root := m.keyRoot(key)
+	if m.keys.dense == nil || m.keys.shards != nil || m.roots.used != 0 {
+		t.Fatalf("nursery's %d attributes: dense key memo %v, shards %d, %d roots in the private table",
+			r.NumCols(), m.keys.dense != nil, len(m.keys.shards), m.roots.used)
+	}
+	if settled := testing.AllocsPerRun(20, func() {
+		if m.keyRoot(key) != root {
+			t.Fatal("a settled key root changed")
+		}
+	}); settled != 0 {
+		t.Errorf("settled dense key-root read: %v allocs/run, want 0", settled)
 	}
 
 	m = newMiner(r, 0.3)
@@ -525,12 +567,11 @@ func TestSearchKernelAllocs(t *testing.T) {
 	m = newMiner(r, 0.1)
 	seps := m.MineMinSeps(2, 3)
 	before = m.SearchStats()
+	roots := keyRoots(m.keys) // every run asks for the same keys
 	mine := testing.AllocsPerRun(5, func() {
-		for i := range m.keys.shards {
-			for _, root := range m.keys.shards[i].m {
-				for j := range root.verdicts {
-					root.verdicts[j].Store(slotOpen)
-				}
+		for _, root := range roots {
+			for j := range root.verdicts {
+				root.verdicts[j].Store(slotOpen)
 			}
 		}
 		seps = m.MineMinSeps(2, 3)
@@ -541,5 +582,39 @@ func TestSearchKernelAllocs(t *testing.T) {
 	if mine > 1 {
 		t.Errorf("warm MineMinSeps: %v allocs/run for %d separators over %d candidates, want ≤ 1 (the result)",
 			mine, len(seps), perRun)
+	}
+}
+
+// TestHashedKeyMemoMatchesDense mines nursery and a noisy planted
+// relation over the dense key memo their width gives and over the hashed
+// one wider relations get, at 1 and 4 workers: the MVDs, the separators
+// and every search counter agree, and every slot the hashed memo settled
+// equals a fresh search.
+func TestHashedKeyMemoMatchesDense(t *testing.T) {
+	rels := parallelTestRelations(t)
+	for _, name := range []string{"nursery", "planted-noisy"} {
+		r := rels[name]
+		for _, eps := range []float64{0.05, 0.3} {
+			for _, workers := range []int{1, 4} {
+				opts := DefaultOptions(eps)
+				opts.Workers = workers
+				dense := NewMiner(shared(r), opts)
+				hashed := hashKeys(NewMiner(shared(r), opts))
+				want, got := dense.MineMVDs(), hashed.MineMVDs()
+				if got.Err != nil || want.Err != nil {
+					t.Fatal(got.Err, want.Err)
+				}
+				if !slices.EqualFunc(got.MVDs, want.MVDs, mvd.MVD.Equal) || !reflect.DeepEqual(got.MinSeps, want.MinSeps) {
+					t.Fatalf("%s eps=%v workers=%d: hashed key memo mined %d MVDs, dense %d",
+						name, eps, workers, len(got.MVDs), len(want.MVDs))
+				}
+				if g, w := hashed.SearchStats(), dense.SearchStats(); g != w {
+					t.Fatalf("%s eps=%v workers=%d: hashed key memo searched %+v, dense %+v", name, eps, workers, g, w)
+				}
+				if v, _ := checkSettledSlots(t, hashed, newMiner(r, eps)); v == 0 {
+					t.Fatalf("%s eps=%v workers=%d: the hashed key memo settled no verdict", name, eps, workers)
+				}
+			}
+		}
 	}
 }

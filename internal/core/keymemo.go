@@ -35,20 +35,25 @@ import (
 // one search per key and dependent pair.
 //
 // The memo lives as long as its Miner — one mine, one ε, one pruning
-// setting — and is shared by the miner's forked workers. It is striped and
-// single-flight exactly like the shared entropy memo: the first search to
-// ask for a key computes it while the others wait on its latch, so each
-// key is repaired once at any fan-out and the entropy-level counts of a
-// mine do not depend on Workers. A settled root never changes but for its
-// slots' states, so each miner also keeps the roots it has seen in a
+// setting — and is shared by the miner's forked workers. It is
+// single-flight like the shared entropy memo: the first search to ask for
+// a key computes it while the others wait on its latch, so each key is
+// repaired once at any fan-out and the entropy-level counts of a mine do
+// not depend on Workers. Over at most bitset.DenseMaxAttrs attributes it
+// is a table indexed by the key, one pointer per set of the lattice (64
+// KiB per mine at 13 attributes): the root is installed in its slot by
+// compare-and-swap, and a settled root is one atomic load. Wider, it is
+// striped maps under locks, and since a settled root never changes but
+// for its slots' states, each miner also keeps the roots it has seen in a
 // private table (Miner.roots) and reads them there — no lock, no map, no
-// latch — coming here only for a key it has not seen; this stays the one
-// place a root is computed. A pair slot is single-flight too, claimed by
-// compare-and-swap: a settled slot is one atomic load, and only a caller
-// that finds a search in flight takes the memo's lock, to sleep until the
-// owner settles it.
+// latch — coming here only for a key it has not seen. Either way this
+// stays the one place a root is computed. A pair slot is single-flight
+// too, claimed by compare-and-swap: a settled slot is one atomic load, and
+// only a caller that finds a search in flight takes the memo's lock, to
+// sleep until the owner settles it.
 type keyMemo struct {
-	shards []keyShard
+	dense  bitset.Dense[atomic.Pointer[keyRoot]] // nil when too wide
+	shards []keyShard                            // nil when dense
 	mask   uint64
 
 	// mu and settled put callers to sleep on a slot whose search is in
@@ -104,11 +109,15 @@ const (
 	slotDone   = slotYes        // settled full-MVD list
 )
 
-func newKeyMemo() *keyMemo {
-	n := stripe.Count(0)
-	k := &keyMemo{shards: make([]keyShard, n), mask: uint64(n - 1)}
-	for i := range k.shards {
-		k.shards[i].m = make(map[bitset.AttrSet]*keyRoot)
+// newKeyMemo returns an empty memo for keys over n attributes.
+func newKeyMemo(n int) *keyMemo {
+	k := &keyMemo{dense: bitset.NewDense[atomic.Pointer[keyRoot]](n)}
+	if k.dense == nil {
+		s := stripe.Count(0)
+		k.shards, k.mask = make([]keyShard, s), uint64(s-1)
+		for i := range k.shards {
+			k.shards[i].m = make(map[bitset.AttrSet]*keyRoot)
+		}
 	}
 	k.settled.L = &k.mu
 	return k
@@ -122,6 +131,22 @@ func (k *keyMemo) shard(sep bitset.AttrSet) *keyShard {
 // compute it and then publish or abort; everyone else gets it complete
 // (having waited for the owner if need be).
 func (k *keyMemo) acquire(sep bitset.AttrSet) (r *keyRoot, owner bool) {
+	if k.dense != nil {
+		slot := k.dense.At(sep)
+		for {
+			if r = slot.Load(); r != nil {
+				r.ready.Wait()
+				return r, false
+			}
+			// The slot may empty again if its owner aborts before this
+			// swap: then try again.
+			r = &keyRoot{}
+			r.ready.Add(1)
+			if slot.CompareAndSwap(nil, r) {
+				return r, true
+			}
+		}
+	}
 	sh := k.shard(sep)
 	sh.mu.Lock()
 	r, ok := sh.m[sep]
@@ -153,10 +178,14 @@ func (r *keyRoot) publish(deps []bitset.AttrSet, terms []float64, hKey, hAll flo
 // a later phase of the same miner (under a freshly bound context) finds
 // the key absent and repairs it afresh.
 func (k *keyMemo) abort(sep bitset.AttrSet, r *keyRoot) {
-	sh := k.shard(sep)
-	sh.mu.Lock()
-	delete(sh.m, sep)
-	sh.mu.Unlock()
+	if k.dense != nil {
+		k.dense.At(sep).Store(nil)
+	} else {
+		sh := k.shard(sep)
+		sh.mu.Lock()
+		delete(sh.m, sep)
+		sh.mu.Unlock()
+	}
 	r.aborted = true
 	r.ready.Done()
 }

@@ -14,7 +14,7 @@ import (
 // with that verdict: nobody sleeps through the settle, and nobody reads
 // the reopened slot as a verdict.
 func TestSlotClaimWaits(t *testing.T) {
-	k := newKeyMemo()
+	k := newKeyMemo(8)
 	var st atomic.Uint32
 	var owners atomic.Int32
 	release := make(chan struct{})

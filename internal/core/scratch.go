@@ -150,7 +150,8 @@ func mergeTerms(dst, terms []float64, i, j, at int, hu float64) []float64 {
 	return append(dst, terms[at+2:]...)
 }
 
-// rootTable is the miner's private table of settled key roots: an
+// rootTable is the miner's private table of the settled roots it has read
+// from a hashed key memo (a dense one is read directly): an
 // open-addressed AttrSet → *keyRoot map, linear probing over a
 // power-of-two table kept at most half full, indexed by stripe.Hash. A
 // slot with a nil root is vacant; the empty set is a key like any other.

@@ -46,6 +46,14 @@ type Oracle struct {
 	cache *pli.Cache
 	logN  float64
 
+	// dense is the memo when the relation has at most
+	// bitset.DenseMaxAttrs attributes and no budget below its size was
+	// set (see SetMemoBudget): slot s holds the float64 bits of H(s), or
+	// absent. It is never evicted, a warm read is one atomic load and
+	// takes no lock, and the shards below keep only their in-flight
+	// latches and counters. nil otherwise: the shards hold the memo.
+	dense bitset.Dense[atomic.Uint64]
+
 	// The memo is split into power-of-two shards by a hash of the
 	// attribute set (the same striping as the PLI cache underneath); each
 	// shard owns its slice of the memo, its in-flight latches, and
@@ -70,17 +78,16 @@ type Oracle struct {
 
 // memoShard is one stripe of the oracle: memo slice, in-flight
 // latches, and counters, padded so neighboring shards do not share cache
-// lines (the whole point of striping the counters). miCalls is a lock-free
-// atomic within the padded shard: an MI evaluation bumps it without
-// acquiring the shard mutex, so J-heavy workloads pay a striped atomic
-// add, not a lock acquisition, per call.
+// lines (the whole point of striping the counters). The counters are
+// lock-free atomics within the padded shard: a warm read of the dense
+// memo and an MI evaluation bump them without acquiring the shard mutex.
 type memoShard struct {
 	mu       sync.Mutex
-	memo     map[bitset.AttrSet]memoVal
+	memo     map[bitset.AttrSet]memoVal // nil while the oracle is dense
 	inflight map[bitset.AttrSet]*flight
 
-	hCalls  int
-	hCached int
+	hCalls  atomic.Int64
+	hCached atomic.Int64
 	miCalls atomic.Int64
 
 	// Memo-eviction state, all under mu: the shard's slice of the budget
@@ -105,6 +112,10 @@ type memoVal struct {
 // memoEntryBytes is the accounted resident weight of one memo entry:
 // 8-byte key + 16-byte value + map bucket overhead.
 const memoEntryBytes = 48
+
+// absent is the dense memo's mark for a set whose entropy is not known:
+// the all-ones word is a NaN, which no entropy is.
+const absent = ^uint64(0)
 
 // New builds an oracle over r with the default PLI cache configuration.
 func New(r *relation.Relation) *Oracle {
@@ -131,34 +142,55 @@ type flight struct {
 // the oracle behind maimon.Session and the parallel mining pipeline
 // (core.Options.Workers); its workers each hold a Local view carrying a
 // worker-private PLI arena.
+//
+// Over at most bitset.DenseMaxAttrs attributes the memo is a table
+// indexed by the set, 8 bytes for each of the 2ⁿ sets (64 KiB at 13
+// attributes), allocated here; wider relations memoize in the shards.
 func NewShared(r *relation.Relation, cfg pli.Config) *Oracle {
 	n := stripe.Count(cfg.Shards)
 	o := &Oracle{
 		rel:    r,
 		cache:  pli.NewCache(r, cfg),
 		logN:   math.Log2(float64(r.NumRows())),
+		dense:  bitset.NewDense[atomic.Uint64](r.NumCols()),
 		shards: make([]memoShard, n),
 		mask:   uint64(n - 1),
 	}
+	for i := range o.dense {
+		o.dense[i].Store(absent)
+	}
 	for i := range o.shards {
-		o.shards[i].memo = make(map[bitset.AttrSet]memoVal)
+		if o.dense == nil {
+			o.shards[i].memo = make(map[bitset.AttrSet]memoVal)
+		}
 		o.shards[i].inflight = make(map[bitset.AttrSet]*flight)
 	}
 	return o
 }
 
-// SetMemoBudget bounds the bytes the entropy memo retains. The budget is
-// sliced in whole entries: of its E = ⌊bytes/memoEntryBytes⌋ entries each
-// of the S shards holds ⌊E/S⌋ or ⌈E/S⌉, so the slices sum to at most the
-// budget (a shard may hold none). When a publish pushes a shard past its
-// slice, the shard's second-chance clock evicts until it fits: an entry
-// read or published since the last sweep gets one lap of grace, a cold
-// one goes. Evicted entropies are recomputed on demand, so the budget
-// changes cost, never results. <= 0 leaves the memo unbounded. Call
-// before mining begins (session open time).
+// SetMemoBudget bounds the bytes the entropy memo retains. A budget the
+// dense memo fits in (8·2ⁿ bytes over n ≤ bitset.DenseMaxAttrs
+// attributes) leaves it as it is: it holds every set, so nothing is ever
+// evicted. A smaller one, or any budget over a wider relation, makes the
+// memo the shards' hash tables, bounded. The budget is sliced in whole
+// entries: of its E = ⌊bytes/memoEntryBytes⌋ entries each of the S shards
+// holds ⌊E/S⌋ or ⌈E/S⌉, so the slices sum to at most the budget (a shard
+// may hold none). When a publish pushes a shard past its slice, the
+// shard's second-chance clock evicts until it fits: an entry read or
+// published since the last sweep gets one lap of grace, a cold one goes.
+// Evicted entropies are recomputed on demand, so the budget changes cost,
+// never results. <= 0 leaves the memo unbounded. Call before mining
+// begins (session open time): a dense memo given up here is dropped with
+// whatever it held.
 func (o *Oracle) SetMemoBudget(bytes int64) {
-	if bytes <= 0 {
+	if bytes <= 0 || o.dense != nil && bytes >= o.denseBytes() {
 		return
+	}
+	if o.dense != nil {
+		o.dense = nil
+		for i := range o.shards {
+			o.shards[i].memo = make(map[bitset.AttrSet]memoVal)
+		}
 	}
 	entries, n := bytes/memoEntryBytes, int64(len(o.shards))
 	for i := range o.shards {
@@ -166,6 +198,9 @@ func (o *Oracle) SetMemoBudget(bytes int64) {
 	}
 	o.bounded = true
 }
+
+// denseBytes is the dense memo's size, 8 bytes per slot; 0 without one.
+func (o *Oracle) denseBytes() int64 { return 8 * int64(len(o.dense)) }
 
 // memoShardOf maps an attribute set to its memo shard.
 func (o *Oracle) memoShardOf(attrs bitset.AttrSet) *memoShard {
@@ -195,19 +230,20 @@ func (o *Oracle) Partition(attrs bitset.AttrSet) *pli.Partition {
 func (o *Oracle) NumAttrs() int { return o.rel.NumCols() }
 
 // Stats returns a snapshot of the oracle counters. The striped per-shard
-// counters are summed shard by shard (each under its own lock), so the
-// snapshot is consistent with any mining that has completed
-// (happens-before) the call.
+// counters are summed shard by shard (the memo sizes each under its
+// shard's lock), so the snapshot is consistent with any mining that has
+// completed (happens-before) the call. A dense memo is accounted at its
+// whole size from the start.
 func (o *Oracle) Stats() Stats {
-	s := Stats{PLIStats: o.cache.Stats()}
+	s := Stats{PLIStats: o.cache.Stats(), MemoBytes: o.denseBytes()}
 	for i := range o.shards {
 		sh := &o.shards[i]
 		sh.mu.Lock()
-		s.HCalls += sh.hCalls
-		s.HCached += sh.hCached
 		s.MemoBytes += int64(len(sh.memo)) * memoEntryBytes
 		s.MemoEvictions += sh.evictions
 		sh.mu.Unlock()
+		s.HCalls += int(sh.hCalls.Load())
+		s.HCached += int(sh.hCached.Load())
 		s.MICalls += int(sh.miCalls.Load())
 	}
 	return s
@@ -217,35 +253,38 @@ func (o *Oracle) Stats() Stats {
 // H(∅) = 0 and H(Ω) = log2 N when rows are distinct.
 func (o *Oracle) H(attrs bitset.AttrSet) float64 { return o.hWith(nil, attrs) }
 
-// hWith is H on an optional caller arena: one short critical section on
-// the attribute set's shard covers the counter bump, the memo probe, and —
-// on a miss — installing or finding the in-flight latch. The shard lock
-// is never held across the partition computation, so distinct sets
-// compute concurrently (on the same shard included) while duplicates of
-// the same set wait on their flight. The compute runs on the caller's
-// arena when one is threaded in (workers mining through a Local), or on
-// a pooled arena otherwise — this single-flight compute is the one place
-// partitions are counted and built, so it is where the arena matters.
+// hWith is H on an optional caller arena. A warm read of a dense memo is
+// one atomic load; otherwise one short critical section on the attribute
+// set's shard covers the memo probe and — on a miss — installing or
+// finding the in-flight latch. The shard lock is never held across the
+// partition computation, so distinct sets compute concurrently (on the
+// same shard included) while duplicates of the same set wait on their
+// flight. The compute runs on the caller's arena when one is threaded in
+// (workers mining through a Local), or on a pooled arena otherwise — this
+// single-flight compute is the one place partitions are counted and
+// built, so it is where the arena matters.
 func (o *Oracle) hWith(a *pli.Arena, attrs bitset.AttrSet) float64 {
 	sh := o.memoShardOf(attrs)
-	sh.mu.Lock()
-	sh.hCalls++
+	sh.hCalls.Add(1)
 	if attrs.IsEmpty() {
-		sh.mu.Unlock()
 		return 0
 	}
-	if v, ok := sh.memo[attrs]; ok {
-		sh.hCached++
-		if o.bounded && !v.ref {
-			sh.memo[attrs] = memoVal{h: v.h, ref: true}
-		}
+	if h, ok := o.denseGet(attrs); ok {
+		sh.hCached.Add(1)
+		return h
+	}
+	sh.mu.Lock()
+	// A dense entry is published before its latch is withdrawn, so under
+	// the lock a set is in the memo or in flight once it has been.
+	if h, ok := o.memoGet(sh, attrs); ok {
+		sh.hCached.Add(1)
 		sh.mu.Unlock()
-		return v.h
+		return h
 	}
 	if f, ok := sh.inflight[attrs]; ok {
 		// Answered from the latch once the owner publishes: a cached
-		// serve, counted while the lock is already held.
-		sh.hCached++
+		// serve.
+		sh.hCached.Add(1)
 		sh.mu.Unlock()
 		<-f.done
 		return f.h
@@ -263,15 +302,43 @@ func (o *Oracle) hWith(a *pli.Arena, attrs bitset.AttrSet) float64 {
 	}
 
 	sh.mu.Lock()
-	sh.memo[attrs] = memoVal{h: f.h, ref: o.bounded}
-	if o.bounded {
+	switch {
+	case o.dense != nil:
+		o.dense.At(attrs).Store(math.Float64bits(f.h))
+	case o.bounded:
+		sh.memo[attrs] = memoVal{h: f.h, ref: true}
 		sh.clock.Add(attrs)
 		sh.clock.Sweep(sh.overBudget, sh.secondChance, sh.evict)
+	default:
+		sh.memo[attrs] = memoVal{h: f.h}
 	}
 	delete(sh.inflight, attrs)
 	sh.mu.Unlock()
 	close(f.done)
 	return f.h
+}
+
+// denseGet reads attrs from the dense memo, lock-free; false when there
+// is none or the set is absent.
+func (o *Oracle) denseGet(attrs bitset.AttrSet) (float64, bool) {
+	if o.dense == nil {
+		return 0, false
+	}
+	b := o.dense.At(attrs).Load()
+	return math.Float64frombits(b), b != absent
+}
+
+// memoGet reads attrs from the memo, dense or the shard's, setting a
+// bounded entry's reference bit; the caller holds sh.mu.
+func (o *Oracle) memoGet(sh *memoShard, attrs bitset.AttrSet) (float64, bool) {
+	if o.dense != nil {
+		return o.denseGet(attrs)
+	}
+	v, ok := sh.memo[attrs]
+	if ok && o.bounded && !v.ref {
+		sh.memo[attrs] = memoVal{h: v.h, ref: true}
+	}
+	return v.h, ok
 }
 
 // overBudget, secondChance and evict are the memo's side of the clock
@@ -337,20 +404,22 @@ func (o *Oracle) LogN() float64 { return o.logN }
 
 // Local is a worker-local view of an oracle: the oracle's memo, cache,
 // and counters, plus a dedicated PLI arena for this goroutine's
-// single-flight computes and a private read-through memo, so a worker
-// mining through it never touches the arena pool, never allocates
-// intersection scratch, and absorbs its own repeat entropy reads without
-// crossing the oracle's shard locks. The mining pipeline hands one to
-// each worker goroutine, the lone worker of a serial mine included.
+// single-flight computes, so a worker mining through it never touches the
+// arena pool, never allocates intersection scratch, and answers its warm
+// entropy reads without crossing the oracle's shard locks. The mining
+// pipeline hands one to each worker goroutine, the lone worker of a
+// serial mine included.
 //
-// The read-through memo caches every entropy the view has seen (capped
-// so a pathological sweep cannot grow it without bound); hits on it
-// count as cached H calls in worker-private counters that Release
-// flushes into the oracle's stats — workers release their
-// views before each phase barrier, so phase-boundary Stats snapshots see
-// the same HCalls/HCached/MICalls totals as a serial mine. Entropies are
-// immutable, so a locally retained value an entropy budget has since
-// evicted from the shared shards is still exact.
+// Over a dense memo a warm read is the oracle's own lock-free load. Over
+// the shards' hash tables the view keeps a private read-through memo of
+// every entropy it has seen (capped so a pathological sweep cannot grow
+// it without bound); entropies are immutable, so a locally retained value
+// an entropy budget has since evicted from the shared shards is still
+// exact. Either way a warm read counts as a cached H call in
+// worker-private counters that Release flushes into the oracle's stats —
+// workers release their views before each phase barrier, so
+// phase-boundary Stats snapshots see the same HCalls/HCached/MICalls
+// totals as a serial mine.
 //
 // A Local is bound to one goroutine at a time; Release returns its arena
 // to the pool. H/CondH/MI/MICarried are semantically identical to the
@@ -440,10 +509,8 @@ func (l *Local) Oracle() *Oracle { return l.o }
 func (l *Local) Release() {
 	if l.hCalls+l.miCalls > 0 {
 		sh := &l.o.shards[0]
-		sh.mu.Lock()
-		sh.hCalls += l.hCalls
-		sh.hCached += l.hCached
-		sh.mu.Unlock()
+		sh.hCalls.Add(int64(l.hCalls))
+		sh.hCached.Add(int64(l.hCached))
 		sh.miCalls.Add(int64(l.miCalls))
 		l.hCalls, l.hCached, l.miCalls = 0, 0, 0
 	}
@@ -454,9 +521,9 @@ func (l *Local) Release() {
 	}
 }
 
-// H is Oracle.H computed on the view's arena, read through the view's
-// private memo: a repeat read is a table probe and two counter bumps, no
-// shard lock, no allocation.
+// H is Oracle.H computed on the view's arena, read through the dense memo
+// or the view's private one: a warm read is a load or a table probe and
+// two counter bumps, no shard lock, no allocation.
 func (l *Local) H(attrs bitset.AttrSet) float64 {
 	// The empty set is answered without a memo — a call, never a cached
 	// one, exactly as the oracle counts it — and stays out of the local
@@ -464,6 +531,14 @@ func (l *Local) H(attrs bitset.AttrSet) float64 {
 	if attrs.IsEmpty() {
 		l.hCalls++
 		return 0
+	}
+	if l.o.dense != nil {
+		if h, ok := l.o.denseGet(attrs); ok {
+			l.hCalls++
+			l.hCached++
+			return h
+		}
+		return l.o.hWith(l.a, attrs)
 	}
 	if h, ok := l.memo.get(attrs); ok {
 		l.hCalls++

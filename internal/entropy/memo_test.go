@@ -126,14 +126,27 @@ func TestMemoBudgetKeepsHotEntry(t *testing.T) {
 	}
 }
 
-// TestLocalReadThroughCounters pins the deferred accounting of the
-// worker-local memo: repeat reads through a Local are absorbed privately
-// — the shared shard counters must not move until Release flushes them —
-// and after the flush the totals match what a serial mine would have
-// counted for the same reads.
+// TestLocalReadThroughCounters pins the deferred accounting of a Local's
+// warm reads, on the dense memo (6 attributes) and on the hashed one with
+// the view's private memo in front (17, past bitset.DenseMaxAttrs): repeat reads through a Local are counted
+// privately — the shared shard counters must not move until Release
+// flushes them — and after the flush the totals match what a serial mine
+// would have counted for the same reads.
 func TestLocalReadThroughCounters(t *testing.T) {
-	r := datagen.Uniform(300, 6, 4, 39)
+	for _, path := range []struct {
+		name string
+		cols int
+	}{{"dense", 6}, {"hashed", bitset.DenseMaxAttrs + 1}} {
+		t.Run(path.name, func(t *testing.T) { testLocalReadThroughCounters(t, path.cols) })
+	}
+}
+
+func testLocalReadThroughCounters(t *testing.T, cols int) {
+	r := datagen.Uniform(300, cols, 4, 39)
 	o := NewShared(r, pli.Config{Shards: 1})
+	if dense := o.dense != nil; dense != (cols <= bitset.DenseMaxAttrs) {
+		t.Fatalf("%d attributes: dense = %v", cols, dense)
+	}
 	s := bitset.Of(0, 2, 4)
 	want := NaiveH(r, s)
 
@@ -165,9 +178,20 @@ func TestLocalReadThroughCounters(t *testing.T) {
 // empty set included, then MI and MICarried over them — through a fresh
 // oracle directly and through a Local view of another, and requires the
 // same values bit for bit and, after Release, the same HCalls, HCached and
-// MICalls. The empty set is a call that is never cached on both paths.
+// MICalls. The empty set is a call that is never cached on both paths. It
+// runs over 11 attributes, where the memo is dense, and over 17, where it
+// is hashed and the view keeps its own.
 func TestLocalMatchesOracleCounts(t *testing.T) {
-	r := datagen.Uniform(200, 11, 3, 77)
+	for _, path := range []struct {
+		name string
+		cols int
+	}{{"dense", 11}, {"hashed", bitset.DenseMaxAttrs + 1}} {
+		t.Run(path.name, func(t *testing.T) { testLocalMatchesOracleCounts(t, path.cols) })
+	}
+}
+
+func testLocalMatchesOracleCounts(t *testing.T, cols int) {
+	r := datagen.Uniform(200, cols, 3, 77)
 	type source interface {
 		H(bitset.AttrSet) float64
 		MI(y, z, x bitset.AttrSet) float64
@@ -199,8 +223,14 @@ func TestLocalMatchesOracleCounts(t *testing.T) {
 	want := replay(direct)
 
 	viewed := NewShared(r, pli.Config{Shards: 4})
+	if dense := viewed.dense != nil; dense != (cols <= bitset.DenseMaxAttrs) {
+		t.Fatalf("%d attributes: dense = %v", cols, dense)
+	}
 	l := viewed.Local()
 	got := replay(l)
+	if dense := viewed.dense != nil; dense == (l.memo.slots != nil) {
+		t.Fatalf("dense memo %v, the view's private memo holds %d entries", dense, l.memo.n)
+	}
 	l.Release()
 	for i := range want {
 		if got[i] != want[i] {

@@ -7,8 +7,9 @@
 // This package provides exactly that interface. Edges are added one at a
 // time, so the transversal set is maintained incrementally with Berge's
 // multiplication: when edge E arrives, transversals already hitting E
-// survive, the others are extended by one vertex of E, and non-minimal
-// results are filtered with the private-witness test.
+// survive, and each of the others is extended by those vertices of E
+// that leave every one of its vertices a private edge — found in one pass
+// over the old edges per transversal.
 //
 // The theoretically best algorithm (Fredman–Khachiyan) has quasi-
 // polynomial delay; Berge's is worst-case exponential in |edges| but is
@@ -19,6 +20,7 @@
 package transversal
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/bitset"
@@ -31,12 +33,11 @@ type Enumerator struct {
 	universe bitset.AttrSet
 	edges    []bitset.AttrSet
 	mts      []entry // current minimal transversals, canonical order
-	// kept and ext are AddEdge's working storage, reused by the next call:
-	// the transversals that survive an edge and the extensions that
-	// replace the rest.
-	kept, ext []entry
-	head      int  // every entry before head has been handed out
-	dead      bool // an empty edge was added: no transversal can hit it
+	// ext is AddEdge's working storage, reused by the next call: the
+	// extensions that replace the transversals an edge misses.
+	ext  []entry
+	head int  // every entry before head has been handed out
+	dead bool // an empty edge was added: no transversal can hit it
 }
 
 // entry is one current minimal transversal and whether Next has already
@@ -85,21 +86,23 @@ func (e *Enumerator) Transversals() []bitset.AttrSet {
 // This is one Berge step, done incrementally. A minimal transversal that
 // already hits the new edge keeps all its private edges, so it stays
 // minimal and is kept — with its handed-out mark — without a re-check. One
-// that misses the edge is replaced by its extensions t ∪ {v}, v in the
-// edge, of which only the minimal ones survive. The survivors need no
-// deduplication: if t ∪ {v} = t' ∪ {v'} with t ≠ t', then v' ∈ t owns a
-// private edge of the extension that t' = (t ∪ {v}) \ {v'} would have to
-// hit — it cannot; and an extension strictly contains a transversal of the
-// old edges, so it equals no kept (minimal) one. For the same reason an
-// extension is never a set Next returned earlier: that set either is still
-// current (kept) or misses an edge added since.
+// that misses the edge is replaced by its minimal extensions t ∪ {v}, v in
+// the edge, and one pass over the old edges finds them all (see blocked):
+// no extension is tested on its own. The survivors need no deduplication:
+// if t ∪ {v} = t' ∪ {v'} with t ≠ t', then v' ∈ t owns a private edge of
+// the extension that t' = (t ∪ {v}) \ {v'} would have to hit — it cannot;
+// and an extension strictly contains a transversal of the old edges, so it
+// equals no kept (minimal) one. For the same reason an extension is never
+// a set Next returned earlier: that set either is still current (kept) or
+// misses an edge added since.
 //
 // The kept transversals are a subsequence of the canonical list, so they
-// are in order already: only the extensions are sorted, and the two runs
-// are merged. All sets are distinct, so the merge has no ties to break and
-// the list is the one a full sort gives.
+// are compacted in place and stay in order: only the extensions are
+// sorted, then merged in from the back. All sets are distinct, so the
+// merge has no ties to break and the list is the one a full sort gives.
 func (e *Enumerator) AddEdge(edge bitset.AttrSet) {
 	edge = edge.Intersect(e.universe)
+	old := e.edges
 	e.edges = append(e.edges, edge)
 	if edge.IsEmpty() {
 		e.dead = true
@@ -109,40 +112,62 @@ func (e *Enumerator) AddEdge(edge bitset.AttrSet) {
 	if e.dead {
 		return
 	}
-	kept, ext := e.kept[:0], e.ext[:0]
+	kept, ext := 0, e.ext[:0]
 	for _, t := range e.mts {
 		if t.set.Intersects(edge) {
-			kept = append(kept, t)
+			e.mts[kept] = t
+			kept++
 			continue
 		}
-		for rest := edge; rest != 0; rest &= rest - 1 {
-			s := t.set | rest&-rest
-			if Minimal(s, e.edges) {
-				ext = append(ext, entry{set: s})
-			}
+		for rest := edge &^ blocked(t.set, old); rest != 0; rest &= rest - 1 {
+			ext = append(ext, entry{set: t.set | rest&-rest})
 		}
 	}
 	slices.SortFunc(ext, func(a, b entry) int { return bitset.Compare(a.set, b.set) })
-	next := e.mts[:0]
-	i, j := 0, 0
-	for i < len(kept) && j < len(ext) {
-		if bitset.Compare(kept[i].set, ext[j].set) < 0 {
-			next = append(next, kept[i])
-			i++
+	mts := slices.Grow(e.mts[:kept], len(ext))[:kept+len(ext)]
+	i, j := kept-1, len(ext)-1
+	for k := len(mts) - 1; j >= 0; k-- {
+		if i >= 0 && bitset.Compare(mts[i].set, ext[j].set) > 0 {
+			mts[k] = mts[i]
+			i--
 		} else {
-			next = append(next, ext[j])
-			j++
+			mts[k] = ext[j]
+			j--
 		}
 	}
-	next = append(append(next, kept[i:]...), ext[j:]...)
-	e.mts, e.kept, e.ext = next, kept, ext
+	e.mts, e.ext = mts, ext
 	e.head = 0
+}
+
+// blocked returns the vertices v for which t ∪ {v} is not a minimal
+// transversal of edges ∪ {E}, for t a minimal transversal of edges and E
+// a new edge t misses, v ∈ E. Such an extension hits every edge, and v
+// owns E as a private edge; a vertex u of t keeps a private edge exactly
+// when one of its private edges under t avoids v. So the extension is
+// minimal iff v lies in no intersection of one vertex's private edges —
+// and blocked is the union of those intersections, found in one pass.
+func blocked(t bitset.AttrSet, edges []bitset.AttrSet) bitset.AttrSet {
+	var priv [bitset.MaxAttrs]bitset.AttrSet
+	for rest := t; rest != 0; rest &= rest - 1 {
+		priv[bits.TrailingZeros64(uint64(rest))] = ^bitset.AttrSet(0)
+	}
+	for _, ed := range edges {
+		if x := ed & t; x&(x-1) == 0 && x != 0 {
+			priv[bits.TrailingZeros64(uint64(x))] &= ed
+		}
+	}
+	var b bitset.AttrSet
+	for rest := t; rest != 0; rest &= rest - 1 {
+		b |= priv[bits.TrailingZeros64(uint64(rest))]
+	}
+	return b
 }
 
 // Minimal reports whether s is a minimal transversal of the edge family:
 // it hits every edge and each of its vertices has a private edge — one s
 // meets in that vertex alone. One pass: crit collects the vertices owning
-// a private edge; s is minimal iff that is all of s.
+// a private edge; s is minimal iff that is all of s. AddEdge does not
+// call it (see blocked); the tests check AddEdge against it.
 func Minimal(s bitset.AttrSet, edges []bitset.AttrSet) bool {
 	var crit bitset.AttrSet
 	for _, ed := range edges {

@@ -141,35 +141,33 @@ func TestMinimalHelper(t *testing.T) {
 	}
 }
 
-// naiveMinTransversals enumerates minimal transversals by brute force.
+// naiveMinTransversals enumerates minimal transversals by brute force:
+// every subset of the universe is tested against every edge, and a
+// hitting set is minimal when removing any one of its vertices leaves a
+// set that is not one (hitting sets are closed upwards, so no smaller
+// subset need be tried).
 func naiveMinTransversals(universe bitset.AttrSet, edges []bitset.AttrSet) []bitset.AttrSet {
-	var all []bitset.AttrSet
-	universe.Subsets(func(s bitset.AttrSet) bool {
-		hits := true
+	hits := func(s bitset.AttrSet) bool {
 		for _, e := range edges {
 			if !e.Intersects(s) {
-				hits = false
-				break
+				return false
 			}
-		}
-		if hits {
-			all = append(all, s)
 		}
 		return true
-	})
+	}
 	var out []bitset.AttrSet
-	for _, s := range all {
-		minimal := true
-		for _, o := range all {
-			if o.ProperSubsetOf(s) {
-				minimal = false
-				break
+	universe.Subsets(func(s bitset.AttrSet) bool {
+		if !hits(s) {
+			return true
+		}
+		for rest := s; rest != 0; rest &= rest - 1 {
+			if hits(s &^ (rest & -rest)) {
+				return true
 			}
 		}
-		if minimal {
-			out = append(out, s)
-		}
-	}
+		out = append(out, s)
+		return true
+	})
 	bitset.SortSets(out)
 	return out
 }
@@ -237,27 +235,22 @@ func (e *resortEnumerator) Transversals() []bitset.AttrSet {
 
 // TestQuickAgainstBruteForce drives one enumerator — Reset between trials,
 // so its buffers carry over — beside the re-sorting reference, edges and
-// Next calls interleaved at random: after every AddEdge the transversal
-// lists are equal, every Next returns the same set, and at the end the
-// list is the brute-force family of minimal hitting sets.
+// Next calls interleaved at random, at the sizes mining produces (up to
+// 12 vertices and 40 edges): after every AddEdge the transversal lists
+// are equal, every Next returns the same set, and at the end the list is
+// the brute-force family of minimal hitting sets.
 func TestQuickAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	e := New(bitset.Empty())
 	for trial := 0; trial < 300; trial++ {
-		n := 4 + rng.Intn(4)
+		n := 4 + rng.Intn(9)
 		universe := bitset.Full(n)
-		numEdges := 1 + rng.Intn(4)
+		numEdges := 1 + rng.Intn(40)
 		e.Reset(universe)
 		ref := newResort(universe)
 		var edges []bitset.AttrSet
 		for k := 0; k < numEdges; k++ {
-			var edge bitset.AttrSet
-			for edge.IsEmpty() {
-				edge = bitset.AttrSet(rng.Int63()) & universe
-				if rng.Intn(2) == 0 {
-					edge &= bitset.AttrSet(rng.Int63())
-				}
-			}
+			edge := randomEdge(rng, n)
 			edges = append(edges, edge)
 			e.AddEdge(edge)
 			ref.AddEdge(edge)
@@ -290,7 +283,7 @@ func TestQuickAgainstBruteForce(t *testing.T) {
 // arriving one at a time, Next interleaved — from fuzzer-chosen bytes:
 // the first byte picks the universe size (≤ 12), then each pair of bytes
 // is one edge (possibly empty, possibly a repeat or a superset of an
-// earlier one) and each bit of the byte after it says how many
+// earlier one; at most 32 edges) and the byte after it says how many
 // transversals to draw before the next edge. After every AddEdge the
 // transversal set must equal the brute-force minimal hitting sets, in
 // canonical order and duplicate-free, and the re-sorting reference's list;
@@ -330,7 +323,7 @@ func FuzzEnumerator(f *testing.F) {
 				}
 			}
 		}
-		for rest := data[1:]; len(rest) >= 3 && len(edges) < 10; rest = rest[3:] {
+		for rest := data[1:]; len(rest) >= 3 && len(edges) < 32; rest = rest[3:] {
 			edge := bitset.AttrSet(rest[0]) | bitset.AttrSet(rest[1])<<8
 			e.AddEdge(edge) // vertices ≥ n are outside the universe: clipped
 			ref.AddEdge(edge)
@@ -351,4 +344,90 @@ func FuzzEnumerator(f *testing.F) {
 			}
 		}
 	})
+}
+
+// randomEdge returns a non-empty random subset of the n-vertex universe:
+// up to three vertices two times in three — separators are small, and
+// small edges keep many transversals alive — a random subset otherwise.
+func randomEdge(rng *rand.Rand, n int) bitset.AttrSet {
+	var edge bitset.AttrSet
+	if rng.Intn(3) > 0 {
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			edge = edge.Add(rng.Intn(n))
+		}
+		return edge
+	}
+	for edge.IsEmpty() {
+		edge = bitset.AttrSet(rng.Int63()) & bitset.Full(n)
+	}
+	return edge
+}
+
+// TestQuickBlockedIsMinimality checks AddEdge's one-pass rule against the
+// private-witness test it replaces, on random hypergraphs of up to 12
+// vertices and 48 edges: for every minimal transversal t of the old edges
+// that misses a new edge E, and every v in E, v lies outside blocked(t)
+// exactly when t ∪ {v} is a minimal transversal of the old edges and E.
+// The transversals come from brute force and the verdicts from Minimal,
+// so the reference reads none of the code under test.
+func TestQuickBlockedIsMinimality(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	checked := 0
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(12)
+		var edges []bitset.AttrSet
+		for k := rng.Intn(49); k > 0; k-- {
+			edges = append(edges, randomEdge(rng, n))
+		}
+		trs := naiveMinTransversals(bitset.Full(n), edges)
+		// The new edge avoids one transversal, so at least that one is
+		// extended.
+		edge := randomEdge(rng, n) &^ trs[rng.Intn(len(trs))]
+		if edge.IsEmpty() {
+			continue
+		}
+		all := append(slices.Clip(edges), edge)
+		for _, tr := range trs {
+			if tr.Intersects(edge) {
+				continue
+			}
+			b := blocked(tr, edges)
+			for rest := edge; rest != 0; rest &= rest - 1 {
+				v := rest & -rest
+				if free, minimal := !b.Intersects(v), Minimal(tr|v, all); free != minimal {
+					t.Fatalf("trial %d: t = %v, edge %v, v = %v: outside blocked %v = %v, Minimal = %v (edges %v)",
+						trial, tr, edge, v, b, free, minimal, edges)
+				}
+				checked++
+			}
+		}
+	}
+	t.Logf("%d extensions checked", checked)
+	if checked < 1000 {
+		t.Fatalf("only %d extensions checked", checked)
+	}
+}
+
+// TestAddEdgeZeroAlloc gates the Berge step at zero allocations once the
+// enumerator's buffers have grown: replaying a hypergraph through a Reset
+// enumerator that has already seen it allocates nothing.
+func TestAddEdgeZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	universe := bitset.Full(12)
+	edges := make([]bitset.AttrSet, 30)
+	for i := range edges {
+		edges[i] = randomEdge(rng, 12)
+	}
+	e := New(universe)
+	replay := func() {
+		e.Reset(universe)
+		for _, ed := range edges {
+			e.AddEdge(ed)
+			e.Next()
+		}
+	}
+	replay()
+	if avg := testing.AllocsPerRun(20, replay); avg != 0 {
+		t.Errorf("warm AddEdge allocates %v times per replay, want 0", avg)
+	}
 }

@@ -184,10 +184,17 @@ func WithSpillBudget(bytes int64) Option {
 // default). Honored by Open only; Session.Stats reports the memo
 // occupancy (MemoBytes) and eviction count (MemoEvictions).
 //
-// The budget does not bound the mining workers' read-through views: for
-// the length of one phase each worker keeps the entropies it has read in
-// a private table of up to 2^16 entries (at most 2 MiB of slots), on top
-// of the budget.
+// On a relation of at most 16 attributes the unbudgeted memo is a table
+// of 8·2ⁿ bytes indexed by the attribute set (64 KiB at 13 columns),
+// reported whole in MemoBytes and never evicted; a budget of at least
+// that keeps it, a smaller one makes the memo hashed and bounded.
+//
+// Where the memo is hashed — above 16 attributes, or under a budget below
+// 8·2ⁿ bytes — the budget does not bound the mining workers' read-through
+// views: for the length of one phase each worker keeps the entropies it
+// has read in a private table of up to 2^16 entries (at most 2 MiB of
+// slots), on top of the budget. Over the dense table a worker keeps no
+// such view.
 func WithEntropyBudget(bytes int64) Option {
 	return func(c *config) { c.entropyBudget = bytes }
 }

@@ -355,13 +355,17 @@ func BenchmarkPhase2Warm(b *testing.B) {
 }
 
 // BenchmarkAnalyzeRank is scheme ranking alone: the benchmark's `mid`
-// relation (27k × 9, planted chain, 1 % noise) mined once at ε = 0.1 for
-// 30 schemes, then one op ranks all 30 — the stage the tall_rank workload
-// spends most of its time in. "serial" calls Session.Analyze on each in
-// turn; "batch" is one Session.AnalyzeAll at GOMAXPROCS workers, so run it
-// with -cpu 1,2 to see what the second core buys. Every bag and separator
-// partition is a PLI cache hit after the first pass, so -benchmem shows
-// the per-call scratch is pooled, not rebuilt.
+// relation (27k × 9, planted chain, 1 % noise) mined at ε = 0.1 for 30
+// schemes, then one op ranks all 30 — the stage the tall_rank workload
+// spends most of its time in. "cold" is the first ranking after a mine,
+// what the CLI does: a fresh session per op, mined and its schemes
+// enumerated with the timer stopped, then one Session.AnalyzeAll. "serial"
+// and "batch" rank the schemes of one mined session again and again, with
+// one Session.Analyze per scheme and with one AnalyzeAll. AnalyzeAll runs
+// at GOMAXPROCS workers, so run with -cpu 1,2 to see what the second core
+// buys. Nothing is cached between ranks: a batch groups each distinct bag
+// and separator once, a single Analyze its own every call, so "serial"
+// against "batch" is what sharing the class tables saves.
 func BenchmarkAnalyzeRank(b *testing.B) {
 	r, _, err := datagen.Planted(datagen.PlantedSpec{
 		Bags: datagen.ChainBags(9, 3, 1), Domain: 24, RootTuples: 1000, ExtPerSep: 3, NoiseCells: 0.01, Seed: 7,
@@ -369,29 +373,25 @@ func BenchmarkAnalyzeRank(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := Open(r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	schemes, _, err := s.MineSchemes(context.Background(), WithEpsilon(0.1), WithMaxSchemes(30))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(schemes) != 30 {
-		b.Fatalf("%d schemes mined, want 30", len(schemes))
-	}
-	schemas := make([]Schema, len(schemes))
-	for i, sc := range schemes {
-		schemas[i] = sc.Schema
-	}
-	serial := func(b *testing.B) {
-		for _, sch := range schemas {
-			if _, err := s.Analyze(sch); err != nil {
-				b.Fatal(err)
-			}
+	mine := func(b *testing.B) (*Session, []Schema) {
+		s, err := Open(r)
+		if err != nil {
+			b.Fatal(err)
 		}
+		schemes, _, err := s.MineSchemes(context.Background(), WithEpsilon(0.1), WithMaxSchemes(30))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(schemes) != 30 {
+			b.Fatalf("%d schemes mined, want 30", len(schemes))
+		}
+		schemas := make([]Schema, len(schemes))
+		for i, sc := range schemes {
+			schemas[i] = sc.Schema
+		}
+		return s, schemas
 	}
-	batch := func(b *testing.B) {
+	batch := func(b *testing.B, s *Session, schemas []Schema) {
 		_, errs := s.AnalyzeAll(schemas)
 		for _, err := range errs {
 			if err != nil {
@@ -399,15 +399,31 @@ func BenchmarkAnalyzeRank(b *testing.B) {
 			}
 		}
 	}
-	serial(b) // warm the cache and the scratch pool
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			s, schemas := mine(b)
+			b.StartTimer()
+			batch(b, s, schemas)
+		}
+	})
+	s, schemas := mine(b)
+	serial := func(b *testing.B, s *Session, schemas []Schema) {
+		for _, sch := range schemas {
+			if _, err := s.Analyze(sch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	for _, bc := range []struct {
 		name string
-		rank func(*testing.B)
+		rank func(*testing.B, *Session, []Schema)
 	}{{"serial", serial}, {"batch", batch}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				bc.rank(b)
+				bc.rank(b, s, schemas)
 			}
 		})
 	}

@@ -50,14 +50,25 @@ func main() {
 				continue
 			}
 			seen[fp] = true
-			met, err := sess.Analyze(s.Schema)
-			if err != nil {
-				continue
-			}
-			all = append(all, entry{s, met})
+			all = append(all, entry{scheme: s})
 		}
 		fmt.Printf("  ε=%.2f: %d distinct schemes so far\n", eps, len(all))
 	}
+	// One batch ranks them all: schemes of one relation share most of
+	// their bags and separators, and a batch groups each of those once.
+	schemas := make([]maimon.Schema, len(all))
+	for i, e := range all {
+		schemas[i] = e.scheme.Schema
+	}
+	mets, errs := sess.AnalyzeAll(schemas)
+	ranked := all[:0]
+	for i, e := range all {
+		if errs[i] == nil {
+			e.met = mets[i]
+			ranked = append(ranked, e)
+		}
+	}
+	all = ranked
 
 	points := make([]decompose.Point, len(all))
 	for i, e := range all {

@@ -72,12 +72,16 @@ func run(sess *maimon.Session, eps float64) {
 		}
 		fmt.Printf("   %s\n", m.Format(r.Names()))
 	}
-	for _, s := range schemes {
-		met, err := sess.Analyze(s.Schema)
-		if err != nil {
-			log.Fatal(err)
+	schemas := make([]maimon.Schema, len(schemes))
+	for i, s := range schemes {
+		schemas[i] = s.Schema
+	}
+	mets, errs := sess.AnalyzeAll(schemas)
+	for i, s := range schemes {
+		if errs[i] != nil {
+			log.Fatal(errs[i])
 		}
 		fmt.Printf("   scheme %-46s J=%.3f spurious=%.0f%%\n",
-			s.Schema.Format(r.Names()), s.J, met.SpuriousPct)
+			s.Schema.Format(r.Names()), s.J, mets[i].SpuriousPct)
 	}
 }

@@ -194,3 +194,75 @@ func TestValueKeysAreInjective(t *testing.T) {
 		t.Fatal("both tuples dangle, yet the full reducer kept them")
 	}
 }
+
+// TestAnalyzeAllBatch ranks batches that share their tables: every mined
+// scheme of a random relation, a schema repeated, hand-built schemas whose
+// bags the mined ones share, and a non-covering and a cyclic schema in the
+// middle. At 1 and 4 workers the errors land at their indexes and every
+// other Metrics equals the literal definition, with a join size equal to
+// the materialized join's; and ranking the mined schemes leaves the PLI
+// cache's live bytes and entries where the mine left them, because no
+// class table is published.
+func TestAnalyzeAllBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for trial := 0; trial < 20; trial++ {
+		r := randomRelation(t, rng, trial)
+		n := r.NumCols()
+		o := entropy.New(r)
+		schemes, _ := core.NewMiner(o, core.DefaultOptions(0.4)).MineSchemes(20)
+		var mined []schema.Schema
+		for _, sc := range schemes {
+			mined = append(mined, sc.Schema)
+		}
+		before := o.Stats().PLIStats
+		AnalyzeAll(o, mined, 4)
+		if after := o.Stats().PLIStats; after.BytesLive != before.BytesLive || after.Entries != before.Entries {
+			t.Fatalf("trial %d: ranking %d mined schemes moved the cache from %d entries, %d B live to %d, %d B",
+				trial, len(mined), before.Entries, before.BytesLive, after.Entries, after.BytesLive)
+		}
+
+		rest := bitset.Full(n).Diff(bitset.Of(0, 1, 2))
+		pair := schema.MustNew(bitset.Of(0, 1), bitset.Full(n).Diff(bitset.Of(0)))
+		batch := []schema.Schema{
+			schema.MustNew(bitset.Full(n)),
+			pair,
+			schema.MustNew(bitset.Of(0, 1), bitset.Of(1, 2), bitset.Of(0, 2).Union(rest)), // cyclic
+			schema.MustNew(bitset.Of(0, 1), bitset.Of(1, 2), bitset.Of(2).Union(rest)),
+			schema.MustNew(bitset.Of(0, 1), bitset.Of(1, 2)), // covers 3 attributes
+			pair,
+			schema.MustNew(bitset.Of(0, 1, 2), bitset.Of(2).Union(rest)),
+		}
+		batch = append(batch, mined...)
+		rejected := map[int]bool{2: true, 4: true}
+		for _, workers := range []int{1, 4} {
+			mets, errs := AnalyzeAll(entropy.New(r), batch, workers)
+			for i, s := range batch {
+				if (errs[i] != nil) != rejected[i] {
+					t.Fatalf("trial %d, workers %d, schema %d %v: error %v", trial, workers, i, s, errs[i])
+				}
+				if rejected[i] {
+					if mets[i] != (Metrics{}) {
+						t.Fatalf("trial %d, workers %d: rejected schema %d has metrics %+v", trial, workers, i, mets[i])
+					}
+					continue
+				}
+				want, err := analyzeLiteral(r, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if mets[i] != want {
+					t.Fatalf("trial %d, workers %d, %v:\n got  %+v\n want %+v", trial, workers, s, mets[i], want)
+				}
+				if want.JoinSize <= 5000 {
+					joined, err := MaterializeJoin(r, s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if float64(joined.NumRows()) != want.JoinSize {
+						t.Fatalf("trial %d, %v: counted %v, materialized %d", trial, s, want.JoinSize, joined.NumRows())
+					}
+				}
+			}
+		}
+	}
+}

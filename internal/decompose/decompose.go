@@ -3,38 +3,41 @@
 // spurious-tuple rate E that the paper's use case reports (Sec. 8.1), and
 // the pareto front over (S, E) that Fig. 11 draws.
 //
-// Nothing is projected to rank a schema. Analyze reads the stripped
-// partitions of the schema's bags and separators from the PLI cache behind
-// the caller's entropy oracle, and works on equivalence classes of rows:
-// |R[Ωi]| is the class count of Ωi's partition, and the size of the acyclic
-// join ⋈ᵢ R[Ωi] comes from Yannakakis-style weighted message passing over
-// the join tree, one bottom-up pass of array sweeps indexed by separator
-// class id. Class weights are integer-valued float64s, so the count is exact
-// (and independent of summation order) below 2^53.
+// Nothing is projected to rank a schema. AnalyzeAll works on equivalence
+// classes of rows, read from the PLI cache behind the caller's entropy
+// oracle: |R[Ωi]| is the class count of a bag Ωi, and the size of the
+// acyclic join ⋈ᵢ R[Ωi] comes from Yannakakis-style weighted message
+// passing over the join tree, one bottom-up pass of array sweeps indexed
+// by separator class id. Class weights are integer-valued float64s, so the
+// count is exact (and independent of summation order) below 2^53; past it
+// the sums still add in one fixed order, class representatives upwards.
 //
-// Phase 1 computed the entropy of (nearly) every bag and separator, but
-// most bags are chain leaves, whose entropies are counted without the
-// partition being stored; so the first ranking after a cold mine builds
-// most bag partitions, and a later one finds them cached. AnalyzeAll ranks a
-// batch of schemes on several goroutines, which build those partitions in
-// parallel.
+// A batch shares its class tables. Schemes mined from one relation reuse
+// a few dozen bags and separators hundreds of times, so AnalyzeAll groups
+// the rows once per distinct bag (its class representatives) and once per
+// distinct separator (its row → class-id map) and ranks every schema over
+// those tables. Most of these sets are chain leaves whose partitions the
+// mine never stored; a table is one count pass over the set's two
+// operands, and no partition is published for it. A single call
+// (Analyze) groups its own bags and separators again every time.
 //
-// Decompose materializes the projections themselves from the same
-// partitions; a Decomposition then offers Yannakakis' full reducer and a
-// reduction-based join over string values, since hand-built or reloaded
+// Decompose materializes the projections themselves from the same class
+// representatives; a Decomposition then offers Yannakakis' full reducer and
+// a reduction-based join over string values, since hand-built or reloaded
 // projections share no base rows. A pairwise materializing join is also
 // provided; tests use it to validate the count on small inputs.
 package decompose
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/entropy"
 	"repro/internal/par"
+	"repro/internal/pli"
 	"repro/internal/relation"
 	"repro/internal/schema"
 )
@@ -56,56 +59,155 @@ type Metrics struct {
 }
 
 // Analyze computes the decomposition metrics of schema s over o's
-// relation, from the partitions in o's PLI cache. The schema must cover
-// exactly the attributes of the relation and be acyclic. Partitions are
-// fetched per call and not held afterwards, so a cache budget changes the
-// cost, never the metrics. Safe for concurrent use on any oracle.
+// relation: AnalyzeAll of the one schema. The schema must cover exactly
+// the attributes of the relation and be acyclic. Callers ranking several
+// schemas should batch them, since nothing is shared between calls.
 func Analyze(o *entropy.Oracle, s schema.Schema) (Metrics, error) {
-	c := counterPool.Get().(*counter)
-	defer counterPool.Put(c)
-	return c.analyze(o, s)
+	mets, errs := AnalyzeAll(o, []schema.Schema{s}, 1)
+	return mets[0], errs[0]
 }
 
-// AnalyzeAll is Analyze over a batch of schemas on up to workers
-// goroutines (par.For). Each ranks the schemas it claims with its own
-// pooled counter and writes the result at the schema's index; a schema
-// Analyze rejects leaves zero Metrics and its error at its index. Metrics
-// are exact counts, so the results do not depend on workers or on which
-// goroutine ranked which schema.
+// AnalyzeAll computes the metrics of a batch of schemas on up to workers
+// goroutines, in three par.For stages over the whole batch: build every
+// join tree; build one class table per distinct bag, separator and Ω
+// (classTables); count every join over the shared tables. A schema that
+// does not cover the relation, or is cyclic, leaves zero Metrics and its
+// error at its index. The tables are read from o's PLI cache — a resident
+// partition as it stands, any other set by a count pass over its operands
+// — and nothing is published for them, so a cache budget changes the
+// cost, never the metrics, and the metrics do not depend on workers or on
+// which goroutine ranked which schema. Safe for concurrent use on any
+// oracle.
 func AnalyzeAll(o *entropy.Oracle, schemas []schema.Schema, workers int) ([]Metrics, []error) {
 	mets := make([]Metrics, len(schemas))
 	errs := make([]error, len(schemas))
+	r := o.Relation()
+	trees := make([]*schema.JoinTree, len(schemas))
 	par.For(len(schemas), workers, func() (func(int) bool, func()) {
-		c := counterPool.Get().(*counter)
 		return func(i int) bool {
-			mets[i], errs[i] = c.analyze(o, schemas[i])
+			trees[i], errs[i] = joinTree(r, schemas[i])
 			return true
-		}, func() { counterPool.Put(c) }
+		}, nil
+	})
+
+	if !slices.ContainsFunc(trees, func(t *schema.JoinTree) bool { return t != nil }) {
+		return mets, errs
+	}
+	t := newClassTables(r.AllAttrs(), trees)
+	par.For(len(t.sets), workers, func() (func(int) bool, func()) {
+		a := pli.GetArena()
+		return func(i int) bool {
+			set := &t.sets[i]
+			set.classes = o.Classes(a, set.attrs, set.view)
+			return true
+		}, func() { pli.PutArena(a) }
+	})
+	for _, set := range t.sets {
+		if set.view&pli.ClassIDs != 0 {
+			t.maxSep = max(t.maxSep, set.classes.N)
+		}
+	}
+
+	n := t.of(r.AllAttrs()).N
+	par.For(len(schemas), workers, func() (func(int) bool, func()) {
+		c := &counter{msg: make([]float64, t.maxSep)}
+		return func(i int) bool {
+			if trees[i] != nil {
+				mets[i] = c.metrics(t, schemas[i], trees[i], n, r.NumCols())
+			}
+			return true
+		}, nil
 	})
 	return mets, errs
 }
 
-// analyze is Analyze on the caller's counter.
-func (c *counter) analyze(o *entropy.Oracle, s schema.Schema) (Metrics, error) {
-	r := o.Relation()
+// joinTree checks that s covers r and returns its join tree.
+func joinTree(r *relation.Relation, s schema.Schema) (*schema.JoinTree, error) {
 	if s.Attrs() != r.AllAttrs() {
-		return Metrics{}, fmt.Errorf("decompose: schema %v does not cover the relation's %d attributes", s, r.NumCols())
+		return nil, fmt.Errorf("decompose: schema %v does not cover the relation's %d attributes", s, r.NumCols())
 	}
-	tree, err := schema.BuildJoinTree(s)
-	if err != nil {
-		return Metrics{}, err
+	return schema.BuildJoinTree(s)
+}
+
+// classTables is the shared state of one batch: every distinct attribute
+// set whose classes some join tree reads, with the views it is read
+// through — representatives for a bag, the id map for a separator Ωu ∩ Ωp
+// of a tree edge, the class count alone for Ω — and, once built, its
+// table.
+type classTables struct {
+	sets   []classSet // ascending by attrs, one per set
+	maxSep int        // most classes of any separator
+}
+
+type classSet struct {
+	attrs   bitset.AttrSet
+	view    pli.ClassView
+	classes pli.Classes
+}
+
+// newClassTables collects Ω and the distinct bags and separators of the
+// trees that were built (nil trees are skipped).
+func newClassTables(all bitset.AttrSet, trees []*schema.JoinTree) *classTables {
+	uses := 1
+	for _, tree := range trees {
+		if tree != nil {
+			uses += len(tree.Bags) + len(tree.Edges)
+		}
 	}
-	n := o.Partition(r.AllAttrs()).NumClasses()
+	sets := append(make([]classSet, 0, uses), classSet{attrs: all})
+	for _, tree := range trees {
+		if tree == nil {
+			continue
+		}
+		for _, bag := range tree.Bags {
+			sets = append(sets, classSet{attrs: bag, view: pli.ClassReps})
+		}
+		for _, e := range tree.Edges {
+			if sep := tree.Bags[e[0]].Intersect(tree.Bags[e[1]]); !sep.IsEmpty() {
+				sets = append(sets, classSet{attrs: sep, view: pli.ClassIDs})
+			}
+		}
+	}
+	slices.SortFunc(sets, func(a, b classSet) int { return cmp.Compare(a.attrs, b.attrs) })
+	distinct := sets[:1]
+	for _, set := range sets[1:] {
+		if last := &distinct[len(distinct)-1]; last.attrs == set.attrs {
+			last.view |= set.view
+		} else {
+			distinct = append(distinct, set)
+		}
+	}
+	return &classTables{sets: distinct}
+}
 
-	cellsDecomposed := c.load(o, tree.Bags)
-	joinSize := c.joinSize(o, tree)
+// of returns the table of a set the batch collected.
+func (t *classTables) of(attrs bitset.AttrSet) *pli.Classes {
+	i, _ := slices.BinarySearchFunc(t.sets, attrs, func(set classSet, attrs bitset.AttrSet) int {
+		return cmp.Compare(set.attrs, attrs)
+	})
+	return &t.sets[i].classes
+}
 
+// counter is one worker's scratch for counting joins over the shared
+// tables: the class weights of the current schema's bags, concatenated,
+// and one message vector as long as the batch's largest separator.
+type counter struct {
+	w   []float64 // class weights of every bag; bag i owns w[off[i]:off[i+1]]
+	off []int
+	msg []float64 // separator class → summed weight of the child's classes
+}
+
+// metrics ranks schema s, whose join tree is tree, over the batch's tables;
+// n is |R| after dedup and cols the relation's arity.
+func (c *counter) metrics(t *classTables, s schema.Schema, tree *schema.JoinTree, n, cols int) Metrics {
+	cellsDecomposed := c.load(t, tree.Bags)
+	joinSize := c.joinSize(t, tree)
 	m := Metrics{
 		Relations:       s.M(),
 		Width:           s.Width(),
 		IntWidth:        s.IntersectionWidth(),
 		RowsOriginal:    n,
-		CellsOriginal:   n * r.NumCols(),
+		CellsOriginal:   n * cols,
 		CellsDecomposed: cellsDecomposed,
 		JoinSize:        joinSize,
 		Spurious:        joinSize - float64(n),
@@ -116,45 +218,24 @@ func (c *counter) analyze(o *entropy.Oracle, s schema.Schema) (Metrics, error) {
 	if n > 0 {
 		m.SpuriousPct = 100 * m.Spurious / float64(n)
 	}
-	return m, nil
+	return m
 }
 
-// counter is the scratch of one join count: per bag, the representative
-// row and the weight of every class of the bag's partition, plus one row →
-// class-id vector and one message vector reused across the tree's edges.
-// Pooled across calls like pli's arenas; it holds row ids and numbers only,
-// never a partition.
-type counter struct {
-	ids  []int32   // row → class id under the current separator
-	msg  []float64 // separator class → summed weight of the child's classes
-	reps []int32   // class representatives of every bag, concatenated
-	w    []float64 // class weights, parallel to reps
-	off  []int     // bag i owns reps[off[i]:off[i+1]]
-}
-
-var counterPool = sync.Pool{New: func() any { return new(counter) }}
-
-// load fills the per-bag class arrays (every weight 1) and returns
+// load sets every class weight of every bag to 1 and returns
 // Σ |R[Ωi]| × |Ωi|.
-func (c *counter) load(o *entropy.Oracle, bags []bitset.AttrSet) (cells int) {
-	c.ids = resize(c.ids, o.Relation().NumRows())
-	c.reps, c.off = c.reps[:0], append(c.off[:0], 0)
-	for _, bag := range bags {
-		start := len(c.reps)
-		c.reps = o.Partition(bag).ClassReps(c.reps, c.ids)
-		cells += (len(c.reps) - start) * bag.Len()
-		c.off = append(c.off, len(c.reps))
+func (c *counter) load(t *classTables, bags []bitset.AttrSet) (cells int) {
+	c.off = resize(c.off, len(bags)+1)
+	c.off[0] = 0
+	for i, bag := range bags {
+		k := t.of(bag).N
+		cells += k * bag.Len()
+		c.off[i+1] = c.off[i] + k
 	}
-	c.w = resize(c.w, len(c.reps))
+	c.w = resize(c.w, c.off[len(bags)])
 	for i := range c.w {
 		c.w[i] = 1
 	}
 	return cells
-}
-
-// bag returns the class representatives and weights of bag i.
-func (c *counter) bag(i int) ([]int32, []float64) {
-	return c.reps[c.off[i]:c.off[i+1]], c.w[c.off[i]:c.off[i+1]]
 }
 
 // joinSize returns |⋈ᵢ R[Ωi]| by bottom-up counting over classes: the
@@ -164,13 +245,13 @@ func (c *counter) bag(i int) ([]int32, []float64) {
 // of p by the sum of its X-class. X ⊆ Ωu ∩ Ωp, so a class's representative
 // row carries its X-class. Disjoint bags are the scalar case: one message,
 // the child's total.
-func (c *counter) joinSize(o *entropy.Oracle, tree *schema.JoinTree) float64 {
+func (c *counter) joinSize(t *classTables, tree *schema.JoinTree) float64 {
 	order, parents := tree.DepthFirstOrder()
 	for k := len(order) - 1; k >= 1; k-- {
 		u := order[k]
 		p := parents[u]
-		repU, wU := c.bag(u)
-		repP, wP := c.bag(p)
+		wU := c.w[c.off[u]:c.off[u+1]]
+		wP := c.w[c.off[p]:c.off[p+1]]
 		sep := tree.Bags[u].Intersect(tree.Bags[p])
 		if sep.IsEmpty() {
 			total := sum(wU)
@@ -179,19 +260,14 @@ func (c *counter) joinSize(o *entropy.Oracle, tree *schema.JoinTree) float64 {
 			}
 			continue
 		}
-		ids := c.ids
-		msg := resize(c.msg, o.Partition(sep).ClassIDs(ids))
-		c.msg = msg
+		ids := t.of(sep)
+		msg := c.msg[:ids.N]
 		clear(msg)
-		for i, row := range repU {
-			msg[ids[row]] += wU[i]
-		}
-		for i, row := range repP {
-			wP[i] *= msg[ids[row]]
-		}
+		ids.SumByClass(msg, t.of(tree.Bags[u]).Reps, wU)
+		ids.ScaleByClass(wP, t.of(tree.Bags[p]).Reps, msg)
 	}
-	_, wRoot := c.bag(order[0])
-	return sum(wRoot)
+	root := order[0]
+	return sum(c.w[c.off[root]:c.off[root+1]])
 }
 
 // resize returns s with n entries of unspecified contents, reallocating

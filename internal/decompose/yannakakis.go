@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/entropy"
+	"repro/internal/pli"
 	"repro/internal/relation"
 	"repro/internal/schema"
 )
@@ -27,11 +28,11 @@ type Decomposition struct {
 }
 
 // Decompose projects o's relation onto every bag of the schema's join
-// tree. The rows of R[Ωi] are the class representatives of Ωi's partition
-// in o's PLI cache — ascending, so they are the first occurrences a
-// grouping projection keeps, in the same order — and no grouping happens
-// here: an Analyze of the same schema on the same oracle reads the same
-// partitions.
+// tree. The rows of R[Ωi] are Ωi's class representatives from o's PLI
+// cache (entropy.Oracle.Classes) — ascending, so they are the first
+// occurrences a grouping projection keeps, in the same order — read off a
+// resident partition or counted from the bag's operands, the tables
+// Analyze ranks over.
 func Decompose(o *entropy.Oracle, s schema.Schema) (*Decomposition, error) {
 	r := o.Relation()
 	if s.Attrs() != r.AllAttrs() {
@@ -42,10 +43,10 @@ func Decompose(o *entropy.Oracle, s schema.Schema) (*Decomposition, error) {
 		return nil, err
 	}
 	projections := make([]*relation.Relation, len(tree.Bags))
-	scratch := make([]int32, r.NumRows())
-	var reps []int32
+	a := pli.GetArena()
+	defer pli.PutArena(a)
 	for i, bag := range tree.Bags {
-		reps = o.Partition(bag).ClassReps(reps[:0], scratch)
+		reps := o.Classes(a, bag, pli.ClassReps).Reps
 		rows := make([]int, len(reps))
 		for k, row := range reps {
 			rows[k] = int(row)
@@ -123,7 +124,7 @@ func semijoin(left *relation.Relation, leftBag bitset.AttrSet,
 // summed weights of matching child tuples, and the total is the weight sum
 // at the root. Projections may be hand-built, reloaded or semijoin-reduced
 // — they share no base rows — so tuples match by string value; ranking a
-// schema over its base relation is Analyze's job, on partitions.
+// schema over its base relation is AnalyzeAll's job, on row classes.
 func (d *Decomposition) JoinSize() float64 {
 	tree, projections := d.Tree, d.Projections
 	if len(tree.Bags) == 1 {

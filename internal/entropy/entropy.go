@@ -226,6 +226,15 @@ func (o *Oracle) Partition(attrs bitset.AttrSet) *pli.Partition {
 	return o.cache.Get(attrs)
 }
 
+// Classes returns the classes of attrs with the views asked for, on the
+// caller's arena, from the PLI cache behind the entropies: read off a
+// resident partition, or counted from the set's two operands without the
+// set's partition being built or published (pli.Cache.Classes). Safe for
+// concurrent use, one arena per goroutine.
+func (o *Oracle) Classes(a *pli.Arena, attrs bitset.AttrSet, view pli.ClassView) pli.Classes {
+	return o.cache.Classes(a, attrs, view)
+}
+
 // NumAttrs returns the number of attributes of the underlying relation.
 func (o *Oracle) NumAttrs() int { return o.rel.NumCols() }
 

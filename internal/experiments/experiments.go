@@ -28,6 +28,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/decompose"
 	"repro/internal/entropy"
+	"repro/internal/schema"
 )
 
 // Config tunes an experiment run.
@@ -44,10 +45,11 @@ type Config struct {
 	// (default 0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5).
 	Epsilons []float64
 	// Workers is the parallel fan-out of every mining invocation
-	// (core.Options.Workers). <= 1 (the default) mines serially, matching
-	// the paper's single-threaded system; > 1 fans attribute pairs out,
-	// which changes runtimes but — the pipeline being deterministic — none
-	// of the reported counts.
+	// (core.Options.Workers) and scheme ranking (decompose.AnalyzeAll).
+	// <= 1 (the default) mines serially, matching the paper's
+	// single-threaded system; > 1 fans attribute pairs out, which changes
+	// runtimes but — the pipeline being deterministic — none of the
+	// reported counts.
 	Workers int
 }
 
@@ -112,19 +114,28 @@ type schemeStats struct {
 
 // collectSchemes mines schemes at the given ε over the dataset's oracle
 // and computes metrics for each, within the budget (one per phase) and
-// scheme cap.
+// scheme cap: the schemes are enumerated up to the cap, then ranked as one
+// batch, which shares the class tables of their bags and separators.
+// Mined schemes cover the relation and are acyclic, so every one is
+// ranked.
 func (c Config) collectSchemes(o *entropy.Oracle, eps float64, maxSchemes int) []schemeStats {
 	m := c.minerFor(o, eps)
 	res := budgeted(c, m, m.MineMVDs)
 	return budgeted(c, m, func() []schemeStats {
-		var out []schemeStats
+		var schemes []*core.Scheme
+		var schemas []schema.Schema
 		m.EnumerateSchemes(res.MVDs, func(s *core.Scheme) bool {
-			met, err := decompose.Analyze(o, s.Schema)
-			if err == nil {
-				out = append(out, schemeStats{scheme: s, metrics: met})
-			}
-			return maxSchemes <= 0 || len(out) < maxSchemes
+			schemes = append(schemes, s)
+			schemas = append(schemas, s.Schema)
+			return maxSchemes <= 0 || len(schemes) < maxSchemes
 		})
+		mets, errs := decompose.AnalyzeAll(o, schemas, c.Workers)
+		out := make([]schemeStats, 0, len(schemes))
+		for i, s := range schemes {
+			if errs[i] == nil {
+				out = append(out, schemeStats{scheme: s, metrics: mets[i]})
+			}
+		}
 		return out
 	})
 }

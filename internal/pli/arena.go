@@ -50,6 +50,7 @@ type Arena struct {
 	// Slots of other rows are never read.
 	groups  []int32
 	firsts  []uint64 // bitmap over row ids: first rows of surviving groups; all zero between ops
+	later   []uint64 // bitmap over row ids for Cache.Classes: rows that are not first of their class; all zero between ops
 	offsets []int32  // staged offsets of the would-be result
 	rows    []int32  // backing rows for IntersectView results
 	view    Partition

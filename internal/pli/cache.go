@@ -88,8 +88,9 @@ func DefaultConfig() Config { return Config{BlockSize: 10} }
 // as an operand is built and published the first time anything — a Get,
 // an entropy, a chain on its way to a larger set — needs it. A chain leaf
 // (leaf) can be read by no chain, so the entropy path never builds one:
-// its H is the count pass over its two operands (Stats.EntropyOnly), and
-// only a Get, which wants the rows, materializes it. On the 13-column
+// its H is the count pass over its two operands (Stats.EntropyOnly), so
+// are its classes (Classes, for any set not resident), and only a Get,
+// which wants the partition, materializes it. On the 13-column
 // bench relation (blocks of 7 and 6) that is all but 177 of the 8,178
 // multi-attribute sets.
 //
@@ -356,19 +357,29 @@ func (c *Cache) countOperands(r operandReads) {
 // that actually computed the partition count as misses, and a promotion
 // from the spill tier counts as a SpillHit instead of either.
 func (c *Cache) GetWith(a *Arena, attrs bitset.AttrSet) *Partition {
-	sh := c.shard(attrs)
-	sh.mu.Lock()
-	e, ok := sh.parts[attrs]
-	sh.mu.Unlock()
-	if ok {
-		<-e.ready
-		c.hits.Add(1)
-		e.ref.Store(true)
-		return e.p
+	if p, ok := c.resident(attrs); ok {
+		return p
 	}
 	p, _, sv := c.partition(a, attrs)
 	c.count(sv)
 	return p
+}
+
+// resident returns the published partition of attrs, waiting out a build
+// in flight, as a hit that refreshes the entry's eviction standing; ok is
+// false when the set is not cached.
+func (c *Cache) resident(attrs bitset.AttrSet) (*Partition, bool) {
+	sh := c.shard(attrs)
+	sh.mu.Lock()
+	e, ok := sh.parts[attrs]
+	sh.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	<-e.ready
+	c.hits.Add(1)
+	e.ref.Store(true)
+	return e.p, true
 }
 
 // Entropy returns the entropy of the partition for attrs, on a pooled
@@ -390,15 +401,8 @@ func (c *Cache) Entropy(attrs bitset.AttrSet) float64 {
 // cached partition off the same counts. Hit and miss accounting matches
 // GetWith.
 func (c *Cache) EntropyWith(a *Arena, attrs bitset.AttrSet) float64 {
-	sh := c.shard(attrs)
-	sh.mu.Lock()
-	e, ok := sh.parts[attrs]
-	sh.mu.Unlock()
-	if ok {
-		<-e.ready
-		c.hits.Add(1)
-		e.ref.Store(true)
-		return e.p.Entropy()
+	if p, ok := c.resident(attrs); ok {
+		return p.Entropy()
 	}
 	h, sv := c.computeEntropy(a, attrs)
 	c.count(sv)

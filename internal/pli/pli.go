@@ -25,9 +25,12 @@
 // and most attribute sets are chain leaves: no other set's chain can read
 // their partition. A first request for a leaf's entropy is therefore the
 // count pass over its two operands and stops there — nothing filled,
-// allocated, published, evicted or spilled. A leaf's partition exists
-// only if someone asks for the partition itself (Get: scheme ranking,
-// decomposition), and then it is cached like any other. The columns are
+// allocated, published, evicted or spilled. Scheme ranking and
+// decomposition want the classes themselves — which rows open them, which
+// class a row is in — and get them the same way (classes.go): one count
+// pass over the operands, laid out into tables the caller owns. A leaf's
+// partition exists only if someone asks for the partition itself (Get),
+// and then it is cached like any other. The columns are
 // cut into at least two blocks of near-equal width (Config.BlockSize is
 // the widest allowed), because the operands are the sets inside one block
 // or clear of the last: about 2·2^(n/2) of the 2^n, where the paper's one
@@ -137,52 +140,6 @@ func (p *Partition) Size() int { return len(p.rows) }
 // projection onto the attribute set the partition represents.
 func (p *Partition) NumClasses() int {
 	return p.NumClusters() + p.n - len(p.rows)
-}
-
-// ClassReps appends to dst the smallest row id of every equivalence class —
-// the first row of each cluster and every stripped singleton row — in
-// ascending order: exactly the rows a first-occurrence projection keeps.
-// scratch needs NumRows entries and is overwritten; nothing else is
-// allocated once dst has the capacity.
-func (p *Partition) ClassReps(dst, scratch []int32) []int32 {
-	mark := scratch[:p.n]
-	clear(mark)
-	for ci := 0; ci < p.NumClusters(); ci++ {
-		for _, tid := range p.Cluster(ci)[1:] {
-			mark[tid] = 1
-		}
-	}
-	for i, m := range mark {
-		if m == 0 {
-			dst = append(dst, int32(i))
-		}
-	}
-	return dst
-}
-
-// ClassIDs writes a dense row -> class id map into dst (NumRows entries)
-// and returns the number of classes: cluster i keeps id i, the stripped
-// singleton rows take the ids after the clusters in ascending row order.
-// Unlike the engine's probe it gives every class an id and retains nothing.
-func (p *Partition) ClassIDs(dst []int32) int {
-	ids := dst[:p.n]
-	for i := range ids {
-		ids[i] = -1
-	}
-	nc := p.NumClusters()
-	for ci := 0; ci < nc; ci++ {
-		for _, tid := range p.Cluster(ci) {
-			ids[tid] = int32(ci)
-		}
-	}
-	next := int32(nc)
-	for i, id := range ids {
-		if id < 0 {
-			ids[i] = next
-			next++
-		}
-	}
-	return int(next)
 }
 
 // SizeBytes bounds the resident footprint of the partition in bytes: the

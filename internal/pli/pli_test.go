@@ -225,60 +225,3 @@ func TestPartitionSizeShrinksAsSetsGrow(t *testing.T) {
 		prev = next
 	}
 }
-
-// TestClassRepsAndIDs checks the class view of a stripped partition against
-// row keys: the representatives are exactly the first occurrences, in row
-// order (what a grouping projection keeps); ClassIDs is dense and equates
-// two rows iff they agree on the attribute set; NumClasses counts both.
-// Single-attribute partitions of bare codes store clusters in code order,
-// not first-row order, and must come out the same.
-func TestClassRepsAndIDs(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 50; trial++ {
-		r := randomRelation(rng, 1+rng.Intn(80), 4, 2+rng.Intn(5))
-		c := NewCache(r, DefaultConfig())
-		for _, attrs := range []bitset.AttrSet{bitset.Single(rng.Intn(4)), bitset.Of(0, 2), bitset.Of(1, 2, 3), bitset.Full(4)} {
-			p := c.Get(attrs)
-			n := r.NumRows()
-			var wantReps []int32
-			classOf := map[string]int32{}
-			for i := 0; i < n; i++ {
-				k := r.RowKey(i, attrs)
-				if _, seen := classOf[k]; !seen {
-					classOf[k] = -1
-					wantReps = append(wantReps, int32(i))
-				}
-			}
-			scratch := make([]int32, n)
-			got := p.ClassReps([]int32{-7}, scratch)
-			if got[0] != -7 || len(got)-1 != len(wantReps) {
-				t.Fatalf("trial %d %v: %d reps appended, want %d", trial, attrs, len(got)-1, len(wantReps))
-			}
-			for i, rep := range got[1:] {
-				if rep != wantReps[i] {
-					t.Fatalf("trial %d %v: reps %v, want %v", trial, attrs, got[1:], wantReps)
-				}
-			}
-			if p.NumClasses() != len(wantReps) {
-				t.Fatalf("trial %d %v: NumClasses = %d, want %d", trial, attrs, p.NumClasses(), len(wantReps))
-			}
-			ids := make([]int32, n)
-			if nc := p.ClassIDs(ids); nc != len(wantReps) {
-				t.Fatalf("trial %d %v: ClassIDs returned %d classes, want %d", trial, attrs, nc, len(wantReps))
-			}
-			used := make([]bool, len(wantReps))
-			for i := 0; i < n; i++ {
-				k := r.RowKey(i, attrs)
-				if id := classOf[k]; id < 0 {
-					if ids[i] < 0 || int(ids[i]) >= len(used) || used[ids[i]] {
-						t.Fatalf("trial %d %v: row %d opens class id %d, out of range or taken", trial, attrs, i, ids[i])
-					}
-					used[ids[i]] = true
-					classOf[k] = ids[i]
-				} else if ids[i] != id {
-					t.Fatalf("trial %d %v: row %d has id %d, its class has %d", trial, attrs, i, ids[i], id)
-				}
-			}
-		}
-	}
-}

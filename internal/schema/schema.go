@@ -8,7 +8,7 @@ package schema
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/bitset"
@@ -258,7 +258,7 @@ func BuildJoinTree(s Schema) (*JoinTree, error) {
 		bestW[j] = bags[0].Intersect(bags[j]).Len()
 		bestTo[j] = 0
 	}
-	var edges [][2]int
+	edges := make([][2]int, 0, m-1)
 	for len(edges) < m-1 {
 		pick, pickW := -1, -1
 		for j := 0; j < m; j++ {
@@ -298,7 +298,7 @@ func newJoinTree(bags []bitset.AttrSet, edges [][2]int) *JoinTree {
 		adj[e[1]] = append(adj[e[1]], e[0])
 	}
 	for _, a := range adj {
-		sort.Ints(a)
+		slices.Sort(a)
 	}
 	return &JoinTree{Bags: bags, Edges: edges, adj: adj}
 }
@@ -329,6 +329,8 @@ func (t *JoinTree) Schema() Schema {
 func (t *JoinTree) VerifyRunningIntersection() error {
 	attrs := t.Attrs()
 	var err error
+	visited := make([]bool, len(t.Bags))
+	queue := make([]int, 0, len(t.Bags))
 	attrs.ForEach(func(a int) bool {
 		holders := 0
 		start := -1
@@ -343,12 +345,11 @@ func (t *JoinTree) VerifyRunningIntersection() error {
 		}
 		// BFS restricted to bags containing a.
 		reached := 1
-		visited := make([]bool, len(t.Bags))
+		clear(visited)
 		visited[start] = true
-		queue := []int{start}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+		queue = append(queue[:0], start)
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
 			for _, v := range t.adj[u] {
 				if !visited[v] && t.Bags[v].Contains(a) {
 					visited[v] = true

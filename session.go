@@ -479,19 +479,20 @@ func (s *Session) JOfSchema(sch Schema) (float64, error) {
 
 // Analyze computes decomposition-quality metrics (storage savings S,
 // spurious-tuple rate E, width measures) of schema sch over the session's
-// relation. It counts over the partitions of sch's bags and separators in
-// the session's PLI cache, so ranking many schemes never re-groups the
-// relation, and the cache's budgets (WithMemoryBudget, WithSpillDir)
-// change its cost, never the metrics. Phase 1 counts the entropy of a
-// chain leaf without storing its partition, and most bags are chain
-// leaves, so the first ranking after a cold mine builds most bag
-// partitions; later rankings find them cached.
+// relation: AnalyzeAll of the one schema. It counts over the classes of
+// sch's bags and separators, grouped from the partitions in the session's
+// PLI cache and never published back into it, so the cache's budgets
+// (WithMemoryBudget, WithSpillDir) change its cost, never the metrics.
+// Single calls share nothing: each groups its own bags and separators
+// again, so rank many schemes with one AnalyzeAll.
 func (s *Session) Analyze(sch Schema) (Metrics, error) {
 	return decompose.Analyze(s.oracle, sch)
 }
 
 // AnalyzeAll is Analyze over a batch of schemas, ranked on WithWorkers
-// goroutines (GOMAXPROCS by default) that each take the next schema.
+// goroutines (GOMAXPROCS by default). A batch shares its class tables:
+// each distinct bag and separator of the batch is grouped once, however
+// many schemes use it, and every schema is counted over those tables.
 // Metrics and errors are indexed like schemas: a schema Analyze rejects
 // has zero Metrics and its error at its index. Metrics are exact counts,
 // so they are the same at any fan-out.
@@ -500,7 +501,8 @@ func (s *Session) AnalyzeAll(schemas []Schema, opts ...Option) ([]Metrics, []err
 }
 
 // Decompose projects the session's relation onto every relation schema of
-// sch, from the same cached partitions Analyze counts over.
+// sch, selecting the rows from the same class representatives Analyze
+// counts over.
 func (s *Session) Decompose(sch Schema) (*Decomposition, error) {
 	return decompose.Decompose(s.oracle, sch)
 }

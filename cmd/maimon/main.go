@@ -200,8 +200,10 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
-		// Through the session, so the projections and the metrics below
-		// come from one set of cached partitions.
+		// Through the session: the projections and the metrics below
+		// each group the bags from the partitions the mine left cached.
+		// Nothing is kept between the two calls, so a bag is grouped
+		// twice, an O(rows) pass each time.
 		d, err := sess.Decompose(sch)
 		if err != nil {
 			fail("%v", err)

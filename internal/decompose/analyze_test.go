@@ -9,6 +9,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/entropy"
+	"repro/internal/pli"
 	"repro/internal/relation"
 	"repro/internal/schema"
 )
@@ -234,35 +235,93 @@ func TestAnalyzeAllBatch(t *testing.T) {
 		}
 		batch = append(batch, mined...)
 		rejected := map[int]bool{2: true, 4: true}
-		for _, workers := range []int{1, 4} {
-			mets, errs := AnalyzeAll(entropy.New(r), batch, workers)
-			for i, s := range batch {
-				if (errs[i] != nil) != rejected[i] {
-					t.Fatalf("trial %d, workers %d, schema %d %v: error %v", trial, workers, i, s, errs[i])
-				}
-				if rejected[i] {
-					if mets[i] != (Metrics{}) {
-						t.Fatalf("trial %d, workers %d: rejected schema %d has metrics %+v", trial, workers, i, mets[i])
+		// No budget ranks the batch over one set of tables; 1 byte, one
+		// schema per run; 20 tables' worth, runs of a few schemas.
+		for _, budget := range []int64{0, 1, 80 * int64(r.NumRows())} {
+			for _, workers := range []int{1, 4} {
+				cfg := pli.DefaultConfig()
+				cfg.MaxBytes = budget
+				mets, errs := AnalyzeAll(entropy.NewShared(r, cfg), batch, workers)
+				for i, s := range batch {
+					if (errs[i] != nil) != rejected[i] {
+						t.Fatalf("trial %d, budget %d, workers %d, schema %d %v: error %v", trial, budget, workers, i, s, errs[i])
 					}
-					continue
-				}
-				want, err := analyzeLiteral(r, s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if mets[i] != want {
-					t.Fatalf("trial %d, workers %d, %v:\n got  %+v\n want %+v", trial, workers, s, mets[i], want)
-				}
-				if want.JoinSize <= 5000 {
-					joined, err := MaterializeJoin(r, s)
+					if rejected[i] {
+						if mets[i] != (Metrics{}) {
+							t.Fatalf("trial %d, budget %d, workers %d: rejected schema %d has metrics %+v", trial, budget, workers, i, mets[i])
+						}
+						continue
+					}
+					want, err := analyzeLiteral(r, s)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if float64(joined.NumRows()) != want.JoinSize {
-						t.Fatalf("trial %d, %v: counted %v, materialized %d", trial, s, want.JoinSize, joined.NumRows())
+					if mets[i] != want {
+						t.Fatalf("trial %d, budget %d, workers %d, %v:\n got  %+v\n want %+v", trial, budget, workers, s, mets[i], want)
+					}
+					if budget != 0 || workers != 1 {
+						continue
+					}
+					if want.JoinSize <= 5000 {
+						joined, err := MaterializeJoin(r, s)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if float64(joined.NumRows()) != want.JoinSize {
+							t.Fatalf("trial %d, %v: counted %v, materialized %d", trial, s, want.JoinSize, joined.NumRows())
+						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestChunkEndFitsBudget: under a budget every run of trees AnalyzeAll
+// ranks together holds at most budget bytes of tables at 4 bytes a row
+// per distinct bag and separator, unless it is a single tree, and the runs
+// tile the batch; with no budget the batch is one run.
+func TestChunkEndFitsBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	split := 0 // runs past the first at one table's budget
+	for trial := 0; trial < 10; trial++ {
+		r := randomRelation(t, rng, trial)
+		schemes, _ := core.NewMiner(entropy.New(r), core.DefaultOptions(0.4)).MineSchemes(30)
+		trees := []*schema.JoinTree{nil}
+		for _, sc := range schemes {
+			tree, err := schema.BuildJoinTree(sc.Schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trees = append(trees, tree, nil)
+		}
+		rows := r.NumRows()
+		if hi := chunkEnd(trees, 0, rows, 0); hi != len(trees) {
+			t.Fatalf("trial %d: no budget ends the first run at %d of %d", trial, hi, len(trees))
+		}
+		for _, tables := range []int64{1, 3, 8, 1000} {
+			budget := tables * 4 * int64(rows)
+			for lo := 0; lo < len(trees); {
+				hi := chunkEnd(trees, lo, rows, budget)
+				sets := map[bitset.AttrSet]bool{}
+				built := 0
+				for _, tree := range trees[lo:hi] {
+					if tree != nil {
+						built++
+						eachTableSet(tree, func(set bitset.AttrSet, _ pli.ClassView) { sets[set] = true })
+					}
+				}
+				if hi <= lo || (built > 1 && int64(len(sets)) > tables) {
+					t.Fatalf("trial %d, %d tables: run [%d, %d) has %d trees and %d tables", trial, tables, lo, hi, built, len(sets))
+				}
+				if tables == 1 && lo > 0 {
+					split++
+				}
+				lo = hi
+			}
+		}
+	}
+	if split == 0 {
+		t.Fatal("no batch was split into runs")
 	}
 }

@@ -68,16 +68,18 @@ func Analyze(o *entropy.Oracle, s schema.Schema) (Metrics, error) {
 }
 
 // AnalyzeAll computes the metrics of a batch of schemas on up to workers
-// goroutines, in three par.For stages over the whole batch: build every
-// join tree; build one class table per distinct bag, separator and Ω
-// (classTables); count every join over the shared tables. A schema that
-// does not cover the relation, or is cyclic, leaves zero Metrics and its
-// error at its index. The tables are read from o's PLI cache — a resident
-// partition as it stands, any other set by a count pass over its operands
-// — and nothing is published for them, so a cache budget changes the
-// cost, never the metrics, and the metrics do not depend on workers or on
-// which goroutine ranked which schema. Safe for concurrent use on any
-// oracle.
+// goroutines, in three par.For stages: build every join tree; build one
+// class table per distinct bag, separator and Ω (classTables); count every
+// join over the shared tables. A schema that does not cover the relation,
+// or is cyclic, leaves zero Metrics and its error at its index. The tables
+// are read from o's PLI cache — a resident partition as it stands, any
+// other set by a count pass over its operands — and nothing is published
+// for them. Under a cache memory budget the tables are held to the budget
+// too: the batch is ranked in runs of consecutive schemas whose tables,
+// bounded at 4 bytes a row per set, fit in it (chunkEnd), and sets that
+// recur in a later run are grouped again. So a budget changes the cost,
+// never the metrics, and the metrics do not depend on workers or on which
+// goroutine ranked which schema. Safe for concurrent use on any oracle.
 func AnalyzeAll(o *entropy.Oracle, schemas []schema.Schema, workers int) ([]Metrics, []error) {
 	mets := make([]Metrics, len(schemas))
 	errs := make([]error, len(schemas))
@@ -90,9 +92,20 @@ func AnalyzeAll(o *entropy.Oracle, schemas []schema.Schema, workers int) ([]Metr
 		}, nil
 	})
 
-	if !slices.ContainsFunc(trees, func(t *schema.JoinTree) bool { return t != nil }) {
-		return mets, errs
+	for lo := 0; lo < len(trees); {
+		hi := chunkEnd(trees, lo, r.NumRows(), o.CacheBudget())
+		if slices.ContainsFunc(trees[lo:hi], func(t *schema.JoinTree) bool { return t != nil }) {
+			rank(o, schemas[lo:hi], trees[lo:hi], mets[lo:hi], workers)
+		}
+		lo = hi
 	}
+	return mets, errs
+}
+
+// rank fills mets with the metrics of the schemas whose trees are not nil,
+// over one set of class tables.
+func rank(o *entropy.Oracle, schemas []schema.Schema, trees []*schema.JoinTree, mets []Metrics, workers int) {
+	r := o.Relation()
 	t := newClassTables(r.AllAttrs(), trees)
 	par.For(len(t.sets), workers, func() (func(int) bool, func()) {
 		a := pli.GetArena()
@@ -118,7 +131,35 @@ func AnalyzeAll(o *entropy.Oracle, schemas []schema.Schema, workers int) ([]Metr
 			return true
 		}, nil
 	})
-	return mets, errs
+}
+
+// chunkEnd returns the end of the run of trees from lo that AnalyzeAll
+// ranks over one set of class tables: every remaining tree when budget is
+// 0, else the longest run — of at least one tree that is not nil — whose
+// distinct bags and separators, at 4 bytes a row each (no table holds
+// more), fit in budget bytes.
+func chunkEnd(trees []*schema.JoinTree, lo, rows int, budget int64) int {
+	if budget <= 0 {
+		return len(trees)
+	}
+	var sets []bitset.AttrSet
+	taken := false
+	for hi := lo; hi < len(trees); hi++ {
+		if trees[hi] == nil {
+			continue
+		}
+		before := len(sets)
+		eachTableSet(trees[hi], func(set bitset.AttrSet, _ pli.ClassView) {
+			if !slices.Contains(sets, set) {
+				sets = append(sets, set)
+			}
+		})
+		if taken && len(sets) > before && int64(len(sets))*4*int64(rows) > budget {
+			return hi
+		}
+		taken = true
+	}
+	return len(trees)
 }
 
 // joinTree checks that s covers r and returns its join tree.
@@ -145,6 +186,19 @@ type classSet struct {
 	classes pli.Classes
 }
 
+// eachTableSet calls f with every bag of tree and every non-empty
+// separator of its edges, with the view a table of it is read through.
+func eachTableSet(tree *schema.JoinTree, f func(bitset.AttrSet, pli.ClassView)) {
+	for _, bag := range tree.Bags {
+		f(bag, pli.ClassReps)
+	}
+	for _, e := range tree.Edges {
+		if sep := tree.Bags[e[0]].Intersect(tree.Bags[e[1]]); !sep.IsEmpty() {
+			f(sep, pli.ClassIDs)
+		}
+	}
+}
+
 // newClassTables collects Ω and the distinct bags and separators of the
 // trees that were built (nil trees are skipped).
 func newClassTables(all bitset.AttrSet, trees []*schema.JoinTree) *classTables {
@@ -156,16 +210,10 @@ func newClassTables(all bitset.AttrSet, trees []*schema.JoinTree) *classTables {
 	}
 	sets := append(make([]classSet, 0, uses), classSet{attrs: all})
 	for _, tree := range trees {
-		if tree == nil {
-			continue
-		}
-		for _, bag := range tree.Bags {
-			sets = append(sets, classSet{attrs: bag, view: pli.ClassReps})
-		}
-		for _, e := range tree.Edges {
-			if sep := tree.Bags[e[0]].Intersect(tree.Bags[e[1]]); !sep.IsEmpty() {
-				sets = append(sets, classSet{attrs: sep, view: pli.ClassIDs})
-			}
+		if tree != nil {
+			eachTableSet(tree, func(set bitset.AttrSet, view pli.ClassView) {
+				sets = append(sets, classSet{attrs: set, view: view})
+			})
 		}
 	}
 	slices.SortFunc(sets, func(a, b classSet) int { return cmp.Compare(a.attrs, b.attrs) })

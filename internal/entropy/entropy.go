@@ -235,6 +235,10 @@ func (o *Oracle) Classes(a *pli.Arena, attrs bitset.AttrSet, view pli.ClassView)
 	return o.cache.Classes(a, attrs, view)
 }
 
+// CacheBudget returns the memory budget of the PLI cache behind the
+// oracle (pli.Config.MaxBytes); 0 means none.
+func (o *Oracle) CacheBudget() int64 { return o.cache.MaxBytes() }
+
 // NumAttrs returns the number of attributes of the underlying relation.
 func (o *Oracle) NumAttrs() int { return o.rel.NumCols() }
 

@@ -117,7 +117,9 @@ type schemeStats struct {
 // scheme cap: the schemes are enumerated up to the cap, then ranked as one
 // batch, which shares the class tables of their bags and separators.
 // Mined schemes cover the relation and are acyclic, so every one is
-// ranked.
+// ranked. The budget stops the enumeration only: the ranking that follows
+// does not check it, so a phase can overrun its budget by one ranking of
+// at most maxSchemes schemes (every one enumerated, if maxSchemes <= 0).
 func (c Config) collectSchemes(o *entropy.Oracle, eps float64, maxSchemes int) []schemeStats {
 	m := c.minerFor(o, eps)
 	res := budgeted(c, m, m.MineMVDs)

@@ -257,6 +257,10 @@ func (c *Cache) shard(attrs bitset.AttrSet) *cacheShard {
 	return &c.shards[stripe.Hash(uint64(attrs))&c.mask]
 }
 
+// MaxBytes returns the cache's memory budget (Config.MaxBytes); 0 means
+// none.
+func (c *Cache) MaxBytes() int64 { return c.cfg.MaxBytes }
+
 // Relation returns the relation the cache serves.
 func (c *Cache) Relation() *relation.Relation { return c.rel }
 

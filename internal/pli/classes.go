@@ -97,7 +97,9 @@ func (c *Cache) Classes(a *Arena, attrs bitset.AttrSet, view ClassView) Classes 
 // every row that is not the first of its class, its bit set in a.later
 // and its class's first row in its a.groups slot; every other row opens a
 // class. Rows are ascending within every cluster, so the first row met of
-// a group is its smallest.
+// a group is its smallest. With q, that is one pass (classPass) where
+// grouping the rows of IntersectView(p, q) would be three — count, fill,
+// then the walk above — and scheme ranking is mostly these passes.
 func (a *Arena) classesOf(p, q *Partition, view ClassView) Classes {
 	n := p.n
 	a.groups = grow(a.groups, n)

@@ -493,7 +493,9 @@ func (s *Session) Analyze(sch Schema) (Metrics, error) {
 // goroutines (GOMAXPROCS by default). A batch shares its class tables:
 // each distinct bag and separator of the batch is grouped once, however
 // many schemes use it, and every schema is counted over those tables.
-// Metrics and errors are indexed like schemas: a schema Analyze rejects
+// The tables sit beside the PLI cache, at up to 4 bytes a row each; under
+// WithMemoryBudget the batch is ranked in runs of schemas whose tables fit
+// that budget, so ranking holds at most the budget again. Metrics and errors are indexed like schemas: a schema Analyze rejects
 // has zero Metrics and its error at its index. Metrics are exact counts,
 // so they are the same at any fan-out.
 func (s *Session) AnalyzeAll(schemas []Schema, opts ...Option) ([]Metrics, []error) {

@@ -87,7 +87,7 @@ func TestBudgetPolicyMatrixDeterminism(t *testing.T) {
 				if st.PLIStats.BytesLive > pliBudget {
 					t.Fatalf("%s: BytesLive %d over budget %d at rest", label, st.PLIStats.BytesLive, pliBudget)
 				}
-				if st.PLIStats.Evictions == 0 {
+				if st.PLIStats.Drops+st.PLIStats.Demotions == 0 {
 					t.Fatalf("%s: PLI budget %d forced no evictions", label, pliBudget)
 				}
 			case "memo/8":

@@ -228,7 +228,7 @@ func main() {
 	if *verbose {
 		st := sess.Stats()
 		fmt.Fprintf(os.Stderr, "oracle: %d H calls (%d cached); PLI: %d entries, %d bytes live, %d evictions\n",
-			st.HCalls, st.HCached, st.PLIStats.Entries, st.PLIStats.BytesLive, st.PLIStats.Evictions)
+			st.HCalls, st.HCached, st.PLIStats.Entries, st.PLIStats.BytesLive, st.PLIStats.Drops+st.PLIStats.Demotions)
 	}
 	if *trace {
 		if t := sess.Trace(); t != nil {
@@ -266,7 +266,9 @@ func printProgress(p maimon.Progress) {
 }
 
 // pickSchema parses the explicit -schema spec or mines schemes through
-// the session and picks the one with the best storage savings.
+// the session and picks the one with the best storage savings. A mine
+// that yields no scheme fails with its error, if it has one; a partial
+// one is used with the warning -mode schemes prints.
 func pickSchema(ctx context.Context, sess *maimon.Session, spec string, opts []maimon.Option) (maimon.Schema, error) {
 	r := sess.Relation()
 	if spec != "" {
@@ -280,10 +282,14 @@ func pickSchema(ctx context.Context, sess *maimon.Session, spec string, opts []m
 		}
 		return maimon.NewSchema(bags)
 	}
-	schemes, _, _ := sess.MineSchemes(ctx, opts...)
+	schemes, _, err := sess.MineSchemes(ctx, opts...)
 	if len(schemes) == 0 {
+		if err != nil {
+			return maimon.Schema{}, err
+		}
 		return maimon.Schema{}, fmt.Errorf("no schemes mined; raise -epsilon or pass -schema")
 	}
+	warnTimeout(err)
 	best := schemes[0]
 	bestSavings := -1e18
 	mets, errs := analyzeAll(sess, schemes)

@@ -678,10 +678,13 @@ func TestNegativeBorderBoundThm122(t *testing.T) {
 
 func TestOptionsPairsRestriction(t *testing.T) {
 	r := paperR()
-	opts := DefaultOptions(0)
-	opts.Pairs = [][2]int{{4, 0}} // only the (E,A) pair, deliberately unordered
-	m := NewMiner(entropy.New(r), opts)
-	res := m.MineMVDs()
+	m := NewMiner(entropy.New(r), DefaultOptions(0))
+	// Only the (E,A) pair, deliberately unordered.
+	ps, err := m.MinePairMVDs([][2]int{{4, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := MergePairs(ps)
 	if len(res.MinSeps) == 0 {
 		t.Fatal("no separators for the requested pair")
 	}

@@ -50,19 +50,16 @@ func (r *MVDResult) NumMinSeps() int {
 	return n
 }
 
-// MineMVDs is MVDMiner (Fig. 3): for every attribute pair (or the pairs
-// restricted by Options.Pairs), mine the minimal separators and then the
-// full ε-MVDs for each separator; return their union Mε.
+// MineMVDs is MVDMiner (Fig. 3): for every attribute pair, mine the
+// minimal separators and then the full ε-MVDs for each separator; return
+// their union Mε. MergePairs(MinePairMVDs(pairs)) is the same over a
+// subset of the pairs.
 //
 // With Options.Workers > 1 the pairs are fanned out across a bounded
 // worker pool and the outcomes merged back in canonical pair order; the
 // result is identical to a serial run.
 func (m *Miner) MineMVDs() *MVDResult {
-	pairs := m.opts.Pairs
-	if pairs == nil {
-		pairs = allPairs(m.oracle.NumAttrs())
-	}
-	return m.minePairs(pairs, "mvds", true)
+	return m.minePairs(allPairs(m.oracle.NumAttrs()), "mvds", true)
 }
 
 // MineMinSepsAll runs only the separator phase for every pair — the

@@ -28,10 +28,6 @@ type Options struct {
 	// the ablation bench turns it off.
 	PairwiseConsistency bool
 
-	// Pairs, when non-nil, restricts MVDMiner to these attribute pairs;
-	// nil means all pairs (the normal mode).
-	Pairs [][2]int
-
 	// Progress, when non-nil, receives structured progress events from
 	// the mining loops (see Progress for the emission points). The
 	// callback runs synchronously on the mining goroutine.

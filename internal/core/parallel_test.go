@@ -148,7 +148,7 @@ func TestParallelMatchesSerialUnderMemoryBudget(t *testing.T) {
 			}
 			// budget < footprint, so the budgeted run must have crossed it
 			// at least once — the comparison above really ran under churn.
-			if st := o.Stats().PLIStats; st.Evictions == 0 {
+			if st := o.Stats().PLIStats; st.Drops+st.Demotions == 0 {
 				t.Fatalf("%s eps=%v: budget %d forced no evictions (footprint %d)", name, eps, budget, budget*8)
 			}
 		}
@@ -274,15 +274,18 @@ func TestParallelProgressAggregation(t *testing.T) {
 	}
 }
 
-// TestParallelRestrictedPairs exercises Options.Pairs under the fan-out.
+// TestParallelRestrictedPairs mines a pair subset under the fan-out.
 func TestParallelRestrictedPairs(t *testing.T) {
 	r := datagen.Nursery().Head(1000)
 	pairs := [][2]int{{0, 8}, {1, 7}, {2, 5}}
 	mk := func(workers int) *MVDResult {
 		opts := DefaultOptions(0.1)
 		opts.Workers = workers
-		opts.Pairs = pairs
-		return NewMiner(shared(r), opts).MineMVDs()
+		ps, err := NewMiner(shared(r), opts).MinePairMVDs(pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return MergePairs(ps)
 	}
 	serial, par := mk(1), mk(3)
 	if !reflect.DeepEqual(par.MinSeps, serial.MinSeps) {

@@ -1,17 +1,10 @@
 package core
 
-import (
-	"sort"
-
-	"repro/internal/info"
-)
-
 // Ranked schema generation is the paper's stated future work (Sec. 9):
 // "we intend to investigate acyclic schema generation in ranked order.
 // The categories to rank on may be the extent of decomposition (e.g.,
-// width of the schema), or other measures." This file implements the
-// post-enumeration ranking plus a bounded top-k collector that keeps the
-// enumeration streaming.
+// width of the schema), or other measures." Ranking a mined set is
+// decompose.AnalyzeAll for the metrics, then a sort by a RankCriterion.
 
 // RankCriterion orders schemes.
 type RankCriterion int
@@ -23,8 +16,6 @@ const (
 	RankByRelations
 	// RankByWidth prefers smaller width (treewidth+1 of the schema).
 	RankByWidth
-	// RankByIntersectionWidth prefers smaller separators.
-	RankByIntersectionWidth
 )
 
 // Less reports whether a ranks strictly before b under the criterion,
@@ -39,79 +30,9 @@ func (c RankCriterion) Less(a, b *Scheme) bool {
 		if wa, wb := a.Schema.Width(), b.Schema.Width(); wa != wb {
 			return wa < wb
 		}
-	case RankByIntersectionWidth:
-		if wa, wb := a.Schema.IntersectionWidth(), b.Schema.IntersectionWidth(); wa != wb {
-			return wa < wb
-		}
 	}
 	if a.J != b.J {
 		return a.J < b.J
 	}
 	return a.Schema.Fingerprint() < b.Schema.Fingerprint()
-}
-
-// RankSchemes sorts schemes in place by the criterion.
-func RankSchemes(schemes []*Scheme, crit RankCriterion) {
-	sort.Slice(schemes, func(i, j int) bool { return crit.Less(schemes[i], schemes[j]) })
-}
-
-// TopK maintains the k best schemes seen under a criterion; use it as the
-// EnumerateSchemes callback to rank without materializing the whole
-// output (the enumeration itself is exhaustive; TopK bounds memory, not
-// work).
-type TopK struct {
-	k    int
-	crit RankCriterion
-	best []*Scheme
-}
-
-// NewTopK returns a collector for the k best schemes (k ≥ 1).
-func NewTopK(k int, crit RankCriterion) *TopK {
-	if k < 1 {
-		k = 1
-	}
-	return &TopK{k: k, crit: crit}
-}
-
-// Add offers a scheme; it always returns true so it can be used directly
-// as an EnumerateSchemes callback that never stops early.
-func (t *TopK) Add(s *Scheme) bool {
-	// Insertion position by criterion.
-	pos := sort.Search(len(t.best), func(i int) bool { return t.crit.Less(s, t.best[i]) })
-	if pos >= t.k {
-		return true
-	}
-	t.best = append(t.best, nil)
-	copy(t.best[pos+1:], t.best[pos:])
-	t.best[pos] = s
-	if len(t.best) > t.k {
-		t.best = t.best[:t.k]
-	}
-	return true
-}
-
-// Best returns the collected schemes in rank order.
-func (t *TopK) Best() []*Scheme { return t.best }
-
-// FilterByJ keeps the schemes with J ≤ maxJ (with the library tolerance).
-// Sec. 4 of the paper notes ASMiner reports schemas up to J ≤ (m−1)ε by
-// construction; callers wanting the stricter J ≤ ε guarantee of
-// Problem 4.1 filter with this helper.
-func FilterByJ(schemes []*Scheme, maxJ float64) []*Scheme {
-	out := make([]*Scheme, 0, len(schemes))
-	for _, s := range schemes {
-		if info.LeqEps(s.J, maxJ) {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// MineSchemesRanked runs both phases and returns the k best schemes under
-// the criterion, enumerating within the miner's usual limits.
-func (m *Miner) MineSchemesRanked(k int, crit RankCriterion) ([]*Scheme, *MVDResult) {
-	res := m.MineMVDs()
-	top := NewTopK(k, crit)
-	m.EnumerateSchemes(res.MVDs, top.Add)
-	return top.Best(), res
 }

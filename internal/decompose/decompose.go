@@ -93,7 +93,7 @@ func AnalyzeAll(o *entropy.Oracle, schemas []schema.Schema, workers int) ([]Metr
 	})
 
 	for lo := 0; lo < len(trees); {
-		hi := chunkEnd(trees, lo, r.NumRows(), o.CacheBudget())
+		hi := chunkEnd(trees, lo, r.NumRows(), o.Cache().MaxBytes())
 		if slices.ContainsFunc(trees[lo:hi], func(t *schema.JoinTree) bool { return t != nil }) {
 			rank(o, schemas[lo:hi], trees[lo:hi], mets[lo:hi], workers)
 		}
@@ -111,7 +111,7 @@ func rank(o *entropy.Oracle, schemas []schema.Schema, trees []*schema.JoinTree, 
 		a := pli.GetArena()
 		return func(i int) bool {
 			set := &t.sets[i]
-			set.classes = o.Classes(a, set.attrs, set.view)
+			set.classes = o.Cache().Classes(a, set.attrs, set.view)
 			return true
 		}, func() { pli.PutArena(a) }
 	})

@@ -29,7 +29,7 @@ type Decomposition struct {
 
 // Decompose projects o's relation onto every bag of the schema's join
 // tree. The rows of R[Ωi] are Ωi's class representatives from o's PLI
-// cache (entropy.Oracle.Classes) — ascending, so they are the first
+// cache (pli.Cache.Classes) — ascending, so they are the first
 // occurrences a grouping projection keeps, in the same order — read off a
 // resident partition or counted from the bag's operands, the tables
 // Analyze ranks over.
@@ -46,7 +46,7 @@ func Decompose(o *entropy.Oracle, s schema.Schema) (*Decomposition, error) {
 	a := pli.GetArena()
 	defer pli.PutArena(a)
 	for i, bag := range tree.Bags {
-		reps := o.Classes(a, bag, pli.ClassReps).Reps
+		reps := o.Cache().Classes(a, bag, pli.ClassReps).Reps
 		rows := make([]int, len(reps))
 		for k, row := range reps {
 			rows[k] = int(row)
@@ -298,11 +298,22 @@ func relationNames(attrs bitset.AttrSet, d *Decomposition) []string {
 
 // WriteCSVs materializes the decomposition as one CSV file per bag in
 // dir, named by the bag's attribute names joined with underscores (e.g.
-// "A_B_D.csv"). The directory must exist.
+// "A_B_D.csv"). The directory must exist. Two bags whose names join to
+// the same file name (columns A, B and A_B give {A,B} and {A_B} both
+// "A_B.csv") are an error, reported before any file is written.
 func (d *Decomposition) WriteCSVs(dir string) error {
+	names := make([]string, len(d.Projections))
+	bagOf := make(map[string]int, len(d.Projections))
 	for i, proj := range d.Projections {
-		name := strings.Join(proj.Names(), "_") + ".csv"
-		f, err := os.Create(filepath.Join(dir, name))
+		names[i] = strings.Join(proj.Names(), "_") + ".csv"
+		if j, taken := bagOf[names[i]]; taken {
+			return fmt.Errorf("decompose: bags {%s} and {%s} would both be written to %s",
+				strings.Join(d.Projections[j].Names(), ","), strings.Join(proj.Names(), ","), names[i])
+		}
+		bagOf[names[i]] = i
+	}
+	for i, proj := range d.Projections {
+		f, err := os.Create(filepath.Join(dir, names[i]))
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/bitset"
@@ -208,6 +209,30 @@ func TestWriteCSVsEmptyValueInOneAttributeBag(t *testing.T) {
 	}
 	if !back.Equal(r.Project(bitset.Single(1))) {
 		t.Fatalf("B.csv reads back as %d rows, want 2", back.NumRows())
+	}
+}
+
+// TestWriteCSVsRejectsCollidingNames: bags {A,B} and {A_B} both join to
+// "A_B.csv"; writing one over the other would lose a relation, so the
+// call fails, naming both bags, and writes nothing.
+func TestWriteCSVsRejectsCollidingNames(t *testing.T) {
+	r := relation.MustFromRows([]string{"A", "B", "A_B"}, [][]string{{"x", "u", "1"}, {"y", "v", "2"}})
+	d, err := Decompose(entropy.New(r), schema.MustNew(bitset.Of(0, 1), bitset.Single(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	err = d.WriteCSVs(dir)
+	if err == nil {
+		t.Fatal("colliding bag file names were written without an error")
+	}
+	for _, bag := range []string{"{A,B}", "{A_B}"} {
+		if !strings.Contains(err.Error(), bag) {
+			t.Fatalf("error %q does not name bag %s", err, bag)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("%d files written before the collision was reported", len(entries))
 	}
 }
 

@@ -44,7 +44,6 @@ type Stats struct {
 type Oracle struct {
 	rel   *relation.Relation
 	cache *pli.Cache
-	logN  float64
 
 	// dense is the memo when the relation has at most
 	// bitset.DenseMaxAttrs attributes and no budget below its size was
@@ -151,7 +150,6 @@ func NewShared(r *relation.Relation, cfg pli.Config) *Oracle {
 	o := &Oracle{
 		rel:    r,
 		cache:  pli.NewCache(r, cfg),
-		logN:   math.Log2(float64(r.NumRows())),
 		dense:  bitset.NewDense[atomic.Uint64](r.NumCols()),
 		shards: make([]memoShard, n),
 		mask:   uint64(n - 1),
@@ -216,28 +214,10 @@ func (o *Oracle) Close() error { return o.cache.Close() }
 // Relation returns the relation the oracle serves.
 func (o *Oracle) Relation() *relation.Relation { return o.rel }
 
-// Partition returns the stripped partition of attrs from the PLI cache
-// behind the entropies — a hit, a spill promotion or an intersect
-// cascade, counted and budgeted like any other fetch. The partition is
-// immutable and stays valid while the caller holds it, even once the
-// cache has evicted it. Safe for concurrent use: the cache carries its
-// own locking.
-func (o *Oracle) Partition(attrs bitset.AttrSet) *pli.Partition {
-	return o.cache.Get(attrs)
-}
-
-// Classes returns the classes of attrs with the views asked for, on the
-// caller's arena, from the PLI cache behind the entropies: read off a
-// resident partition, or counted from the set's two operands without the
-// set's partition being built or published (pli.Cache.Classes). Safe for
-// concurrent use, one arena per goroutine.
-func (o *Oracle) Classes(a *pli.Arena, attrs bitset.AttrSet, view pli.ClassView) pli.Classes {
-	return o.cache.Classes(a, attrs, view)
-}
-
-// CacheBudget returns the memory budget of the PLI cache behind the
-// oracle (pli.Config.MaxBytes); 0 means none.
-func (o *Oracle) CacheBudget() int64 { return o.cache.MaxBytes() }
+// Cache returns the PLI cache behind the entropies. What callers fetch
+// from it (Get, Classes) is counted and budgeted like the oracle's own
+// fetches. Safe for concurrent use: the cache carries its own locking.
+func (o *Oracle) Cache() *pli.Cache { return o.cache }
 
 // NumAttrs returns the number of attributes of the underlying relation.
 func (o *Oracle) NumAttrs() int { return o.rel.NumCols() }
@@ -410,10 +390,6 @@ func miSum(hxy, hxz, hxyz, hx float64) float64 {
 	}
 	return v
 }
-
-// LogN returns log2 N, the entropy of the full relation when all rows are
-// distinct (Sec. 3.2).
-func (o *Oracle) LogN() float64 { return o.logN }
 
 // Local is a worker-local view of an oracle: the oracle's memo, cache,
 // and counters, plus a dedicated PLI arena for this goroutine's

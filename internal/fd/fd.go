@@ -112,7 +112,9 @@ func (m *Miner) g3(lhs bitset.AttrSet, rhs int) float64 {
 	col := m.rel.Column(rhs)
 	counts := make([]int, m.rel.DomainSize(rhs))
 	removals := 0
-	for _, cluster := range m.oracle.Partition(lhs).Clusters() {
+	p := m.oracle.Cache().Get(lhs)
+	for ci := 0; ci < p.NumClusters(); ci++ {
+		cluster := p.Cluster(ci)
 		best := 0
 		for _, tid := range cluster {
 			counts[col[tid]]++
@@ -134,11 +136,9 @@ func (m *Miner) IsUnique(attrs bitset.AttrSet) bool {
 	if n == 0 {
 		return true
 	}
-	p := m.oracle.Partition(attrs)
-	dupes := 0
-	for _, c := range p.Clusters() {
-		dupes += len(c) - 1
-	}
+	// Each cluster keeps its first row; every other row is a duplicate.
+	p := m.oracle.Cache().Get(attrs)
+	dupes := p.Size() - p.NumClusters()
 	return float64(dupes)/float64(n) <= m.opts.Epsilon+1e-9
 }
 

@@ -11,7 +11,7 @@ import (
 // flat scratch arrays that grow to the workload's high-water mark and are
 // then reused, so steady-state intersections perform zero amortized
 // allocations beyond the retained result itself (and none at all on the
-// view and count-only paths).
+// count-only path).
 //
 // The engine exploits that probe[tid] is a q-cluster id + 1 bounded by
 // q.NumClusters(): grouping is a dense counts array indexed by that slot
@@ -37,8 +37,7 @@ import (
 //
 // An Arena is not safe for concurrent use; check one out per goroutine
 // (the parallel miners hold one per worker via entropy.Oracle.Local) or
-// use the package pool (GetArena/PutArena), which the convenience
-// wrappers fall back to.
+// use the package pool (GetArena/PutArena).
 type Arena struct {
 	counts  []int32 // probe slot (q-cluster id + 1) -> running count / fill cursor; all zero between ops
 	touched []int32 // counts slots touched by the current p-cluster (fill pass)
@@ -52,8 +51,6 @@ type Arena struct {
 	firsts  []uint64 // bitmap over row ids: first rows of surviving groups; all zero between ops
 	later   []uint64 // bitmap over row ids for Cache.Classes: rows that are not first of their class; all zero between ops
 	offsets []int32  // staged offsets of the would-be result
-	rows    []int32  // backing rows for IntersectView results
-	view    Partition
 
 	// staged operands and shape from the latest count pass; Intersect and
 	// the cache's price-then-decide path consume them.
@@ -71,7 +68,7 @@ var arenaPool = sync.Pool{New: func() any { return NewArena() }}
 func GetArena() *Arena { return arenaPool.Get().(*Arena) }
 
 // PutArena returns an arena to the package pool. The caller must not use
-// the arena — or any IntersectView result backed by it — afterwards.
+// the arena afterwards.
 func PutArena(a *Arena) {
 	a.clearStaged()
 	arenaPool.Put(a)
@@ -84,9 +81,10 @@ func PutArena(a *Arena) {
 func (a *Arena) clearStaged() { a.stagedP, a.stagedQ = nil, nil }
 
 // Intersect returns the stripped partition for the union of the attribute
-// sets represented by p and q, as an owned, immutable Partition (the only
-// allocations are the result's own arrays). Byte-identical to FromAttrs
-// over that union.
+// sets represented by p and q — rows are equivalent iff they are
+// equivalent under both, the paper's CNT/TID join-group-by (Sec. 6.3) —
+// as an owned, immutable Partition (the only allocations are the result's
+// own arrays). Byte-identical to FromAttrs over that union.
 func (a *Arena) Intersect(p, q *Partition) *Partition {
 	a.stage(p, q)
 	return a.finish()
@@ -106,30 +104,6 @@ func (a *Arena) finish() *Partition {
 	a.fill(out.rows)
 	a.clearStaged()
 	return out
-}
-
-// IntersectView computes the same partition as Intersect but backs it
-// with the arena's own buffers: zero allocations in steady state. The
-// returned partition is valid only until the arena's next operation (or
-// PutArena) and must not be retained or shared across goroutines; callers
-// that need to keep it use Intersect instead.
-func (a *Arena) IntersectView(p, q *Partition) *Partition {
-	a.stage(p, q)
-	v := &a.view
-	v.n = a.stagedP.n
-	v.hsum = a.hsum
-	v.rows = nil
-	v.offsets = nil
-	v.probe.Store(nil)
-	v.clusters.Store(nil)
-	if a.nClusters > 0 {
-		a.rows = grow(a.rows, a.nRows)
-		a.fill(a.rows[:a.nRows])
-		v.rows = a.rows[:a.nRows]
-		v.offsets = a.offsets[:a.nClusters+1]
-	}
-	a.clearStaged()
-	return v
 }
 
 // IntersectEntropy returns the entropy of the intersection partition

@@ -70,15 +70,6 @@ func TestArenaIntersectEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: fused entropies diverge: arena %v direct %v map %v",
 				trial, got.Entropy(), want.Entropy(), ref.Entropy())
 		}
-		// The view form must describe the same partition while it is live.
-		view := a.IntersectView(px, py)
-		if !Equal(view, want) {
-			t.Fatalf("trial %d: IntersectView(%v,%v) != FromAttrs", trial, x, y)
-		}
-		// And the pooled package-level wrapper too.
-		if !Equal(Intersect(px, py), want) {
-			t.Fatalf("trial %d: pooled Intersect(%v,%v) != FromAttrs", trial, x, y)
-		}
 	}
 }
 
@@ -132,12 +123,18 @@ func TestArenaReuseAcrossShapes(t *testing.T) {
 	}
 }
 
+// resultAllocs is what a warm Arena.Intersect with a non-empty result
+// allocates: the retained Partition and its rows and offsets arrays.
+// Anything more means the count and fill passes' scratch is leaking back
+// to the heap.
+const resultAllocs = 3
+
 // TestIntersectZeroAllocSteadyState is the allocation-regression gate of
 // the intersection engine: once an arena has grown to a workload's
-// high-water mark, the view and count-only paths must perform zero
-// amortized allocations per call. A regression here rebuilds the per-call
-// garbage the arena rewrite removed, so CI runs this in the race-parallel
-// job.
+// high-water mark, the count-only path must perform zero amortized
+// allocations per call, and the build (count, then fill) exactly those of
+// its result. A regression here rebuilds the per-call garbage the arena
+// rewrite removed, so CI runs this in the race-parallel job.
 func TestIntersectZeroAllocSteadyState(t *testing.T) {
 	r := datagen.Nursery().Head(2000)
 	pa := SingleAttribute(r, 0)
@@ -145,25 +142,18 @@ func TestIntersectZeroAllocSteadyState(t *testing.T) {
 	a := GetArena()
 	defer PutArena(a)
 	// Warm: grow the arena scratch and build the operands' probe arrays.
-	a.IntersectView(pa, pb)
+	a.Intersect(pa, pb)
 	a.IntersectEntropy(pa, pb)
 
-	if avg := testing.AllocsPerRun(100, func() {
-		a.IntersectView(pa, pb)
-	}); avg != 0 {
-		t.Errorf("warm IntersectView allocates %v times per run, want 0", avg)
-	}
 	if avg := testing.AllocsPerRun(100, func() {
 		a.IntersectEntropy(pa, pb)
 	}); avg != 0 {
 		t.Errorf("warm IntersectEntropy allocates %v times per run, want 0", avg)
 	}
-	// The owned form may allocate only the retained result: struct, rows,
-	// offsets. Anything more means scratch is leaking back to the heap.
 	if avg := testing.AllocsPerRun(100, func() {
 		a.Intersect(pa, pb)
-	}); avg > 3 {
-		t.Errorf("warm owned Intersect allocates %v times per run, want <= 3 (result only)", avg)
+	}); avg != resultAllocs {
+		t.Errorf("warm Intersect allocates %v times per run, want %d (result only)", avg, resultAllocs)
 	}
 }
 

@@ -22,9 +22,8 @@ type Stats struct {
 	Entries      int   // partitions currently cached (live, post-eviction, all shards)
 	BytesLive    int64 // bytes retained by evictable (multi-attribute) partitions
 	BytesPinned  int64 // bytes retained by pinned (single-attribute) partitions, outside the budget
-	Evictions    int   // partitions evicted to stay within the memory budget (Drops + Demotions)
-	Drops        int   // evictions that discarded the partition — the next request recomputes
-	Demotions    int   // evictions that spilled the partition to the disk tier instead
+	Drops        int   // partitions evicted to stay within the memory budget and discarded — the next request recomputes
+	Demotions    int   // partitions evicted to stay within the memory budget and spilled to the disk tier instead
 	BytesTouched int64 // partition bytes scanned by the intersection engine (row ids read + probe lookups)
 
 	SpillBytes  int64 // on-disk footprint of the spill tier (0 without a SpillDir)
@@ -264,11 +263,8 @@ func (c *Cache) MaxBytes() int64 { return c.cfg.MaxBytes }
 // Relation returns the relation the cache serves.
 func (c *Cache) Relation() *relation.Relation { return c.rel }
 
-// Stats returns a snapshot of the cache counters. Evictions is kept as
-// the sum of Drops and Demotions so pre-spill dashboards keep reading
-// the same total.
+// Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
-	drops, demotions := int(c.drops.Load()), int(c.demotions.Load())
 	st := Stats{
 		Hits:         int(c.hits.Load()),
 		Misses:       int(c.misses.Load()),
@@ -277,9 +273,8 @@ func (c *Cache) Stats() Stats {
 		Entries:      int(c.entries.Load()),
 		BytesLive:    c.bytesLive.Load(),
 		BytesPinned:  c.bytesPinned.Load(),
-		Evictions:    drops + demotions,
-		Drops:        drops,
-		Demotions:    demotions,
+		Drops:        int(c.drops.Load()),
+		Demotions:    int(c.demotions.Load()),
 		BytesTouched: c.bytesTouched.Load(),
 		SpillHits:    int(c.spillHits.Load()),
 		SpillReadNS:  c.spillReadNS.Load(),

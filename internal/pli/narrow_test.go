@@ -52,20 +52,21 @@ func TestKernelAtInt16Boundary(t *testing.T) {
 }
 
 // TestKernelZeroAllocAtInt16Boundary is TestIntersectZeroAllocSteadyState
-// at the boundary row counts: once warm, the view and count-only paths
-// perform zero amortized allocations per call on either side of 32767.
+// at the boundary row counts: once warm, the count-only path performs zero
+// amortized allocations per call on either side of 32767, and the build
+// exactly those of its result.
 func TestKernelZeroAllocAtInt16Boundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(32768))
 	for _, rows := range int16BoundaryRows {
 		r := skewedRelation(rng, rows, 2)
 		pa, pb := SingleAttribute(r, 0), SingleAttribute(r, 1)
 		a := NewArena()
-		a.IntersectView(pa, pb)
+		a.Intersect(pa, pb)
 		a.IntersectEntropy(pa, pb)
 		if avg := testing.AllocsPerRun(20, func() {
-			a.IntersectView(pa, pb)
-		}); avg != 0 {
-			t.Errorf("rows=%d: warm IntersectView allocates %v times per run, want 0", rows, avg)
+			a.Intersect(pa, pb)
+		}); avg != resultAllocs {
+			t.Errorf("rows=%d: warm Intersect allocates %v times per run, want %d", rows, avg, resultAllocs)
 		}
 		if avg := testing.AllocsPerRun(20, func() {
 			a.IntersectEntropy(pa, pb)
@@ -115,8 +116,8 @@ func pairedRelation(rng *rand.Rand, k int) *relation.Relation {
 // probed, the arena, the map grouping and the direct construction must
 // produce identical partitions, the streaming count must return the
 // materialized entropy bit for bit, the probe must have the width its
-// cluster count allows, and the view and count-only paths must allocate
-// nothing once warm.
+// cluster count allows, and once warm the count-only path must allocate
+// nothing and the build only its result.
 func TestKernelAtProbeWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(65535))
 	for _, k := range probeWidthClusters {
@@ -145,9 +146,9 @@ func TestKernelAtProbeWidths(t *testing.T) {
 				t.Fatalf("k=%d: column %d was probed; the paired column should be", k, other)
 			}
 			if avg := testing.AllocsPerRun(5, func() {
-				a.IntersectView(px, paired)
-			}); avg != 0 {
-				t.Errorf("k=%d, column %d: warm IntersectView allocates %v times per run, want 0", k, other, avg)
+				a.Intersect(px, paired)
+			}); avg != resultAllocs {
+				t.Errorf("k=%d, column %d: warm Intersect allocates %v times per run, want %d", k, other, avg, resultAllocs)
 			}
 			if avg := testing.AllocsPerRun(5, func() {
 				a.IntersectEntropy(px, paired)

@@ -63,19 +63,18 @@ import (
 // Entropy is a constant-time read instead of a pass over the clusters.
 //
 // A Partition built by SingleAttribute, FromAttrs or an Arena is immutable
-// after construction and safe for concurrent readers: the lazy probe and
-// the lazy Clusters views are published through atomic pointers, so
-// partitions handed out by a shared Cache may be intersected from many
-// goroutines at once. (Concurrent first builds may duplicate work; exactly
-// one result wins, and both are identical.)
+// after construction and safe for concurrent readers: the lazy probe is
+// published through an atomic pointer, so partitions handed out by a
+// shared Cache may be intersected from many goroutines at once.
+// (Concurrent first builds may duplicate work; exactly one result wins,
+// and both are identical.)
 type Partition struct {
 	n       int     // number of rows in the underlying relation
 	rows    []int32 // concatenated cluster row ids (ascending within a cluster)
 	offsets []int32 // cluster i = rows[offsets[i]:offsets[i+1]]; nil when no clusters
 	hsum    int64   // Σ |c|·log2|c| over clusters in fixed point (hsum.Scale of n)
 
-	probe    atomic.Pointer[probeMap]  // lazy row -> cluster map, built on first use as the probed operand
-	clusters atomic.Pointer[[][]int32] // lazy zero-copy views for Clusters()
+	probe atomic.Pointer[probeMap] // lazy row -> cluster map, built on first use as the probed operand
 }
 
 // probeMap is a partition's row -> cluster map. Slot tid holds cluster id
@@ -112,22 +111,6 @@ func (p *Partition) NumClusters() int {
 // partition's backing array; callers must not modify it.
 func (p *Partition) Cluster(i int) []int32 {
 	return p.rows[p.offsets[i]:p.offsets[i+1]]
-}
-
-// Clusters exposes the equivalence classes as zero-copy subslice views of
-// the flat backing array; callers must not modify them. The view headers
-// are built lazily, once, and shared by all callers.
-func (p *Partition) Clusters() [][]int32 {
-	if cs := p.clusters.Load(); cs != nil {
-		return *cs
-	}
-	nc := p.NumClusters()
-	views := make([][]int32, nc)
-	for i := 0; i < nc; i++ {
-		views[i] = p.rows[p.offsets[i]:p.offsets[i+1]]
-	}
-	p.clusters.CompareAndSwap(nil, &views)
-	return *p.clusters.Load()
 }
 
 // Size returns the total number of row ids stored — the ||π|| measure that
@@ -283,21 +266,10 @@ func SingleAttribute(r *relation.Relation, j int) *Partition {
 	return p
 }
 
-// Intersect returns the stripped partition for the union of the attribute
-// sets represented by p and q: rows are equivalent iff they are equivalent
-// under both. This is the paper's CNT/TID join-group-by (Sec. 6.3) realized
-// as a dense count-then-fill grouping on a pooled Arena; callers on a hot
-// path should hold their own Arena and call its Intersect directly.
-func Intersect(p, q *Partition) *Partition {
-	a := GetArena()
-	defer PutArena(a)
-	return a.Intersect(p, q)
-}
-
 // FromAttrs computes the stripped partition of the attribute set attrs of r
 // directly, by hashing whole projected rows. It is the reference
-// implementation used to validate Intersect and as a fallback for cold
-// caches; O(N·|attrs|).
+// implementation used to validate Arena.Intersect and as a fallback for
+// cold caches; O(N·|attrs|).
 func FromAttrs(r *relation.Relation, attrs bitset.AttrSet) *Partition {
 	if attrs.IsEmpty() {
 		// The empty attribute set puts all rows in one class.

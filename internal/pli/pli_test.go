@@ -52,7 +52,7 @@ func TestSingleAttributeStripsSingletons(t *testing.T) {
 	if p.NumClusters() != 1 {
 		t.Fatalf("E clusters = %d, want 1", p.NumClusters())
 	}
-	if got := p.Clusters()[0]; len(got) != 2 || got[0] != 2 || got[1] != 3 {
+	if got := p.Cluster(0); len(got) != 2 || got[0] != 2 || got[1] != 3 {
 		t.Fatalf("E cluster = %v", got)
 	}
 	// Column A: a1 at rows 0,3; a2 at rows 1,2.
@@ -66,10 +66,10 @@ func TestIntersectMatchesDirect(t *testing.T) {
 	r := paperR(t)
 	pa := SingleAttribute(r, 0)
 	pd := SingleAttribute(r, 3)
-	got := Intersect(pa, pd)
+	got := NewArena().Intersect(pa, pd)
 	want := FromAttrs(r, bitset.Of(0, 3))
 	if !Equal(got, want) {
-		t.Fatalf("Intersect != FromAttrs:\n%v\n%v", got.Clusters(), want.Clusters())
+		t.Fatalf("Intersect != FromAttrs:\n%v %v\n%v %v", got.rows, got.offsets, want.rows, want.offsets)
 	}
 }
 
@@ -137,6 +137,7 @@ func widen[W probeSlot](probe []W) []int {
 
 func TestQuickIntersectEqualsDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	arena := NewArena()
 	for trial := 0; trial < 60; trial++ {
 		r := randomRelation(rng, 30+rng.Intn(50), 4, 3)
 		a := bitset.AttrSet(rng.Intn(15)) & bitset.Full(4)
@@ -144,7 +145,7 @@ func TestQuickIntersectEqualsDirect(t *testing.T) {
 		if a.IsEmpty() || b.IsEmpty() {
 			continue
 		}
-		got := Intersect(FromAttrs(r, a), FromAttrs(r, b))
+		got := arena.Intersect(FromAttrs(r, a), FromAttrs(r, b))
 		want := FromAttrs(r, a.Union(b))
 		if !Equal(got, want) {
 			t.Fatalf("trial %d: Intersect(%v,%v) mismatch", trial, a, b)
@@ -206,7 +207,7 @@ func TestIntersectPanicsOnMismatchedRelations(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Intersect(FromAttrs(r1, bitset.Single(0)), FromAttrs(r2, bitset.Single(0)))
+	NewArena().Intersect(FromAttrs(r1, bitset.Single(0)), FromAttrs(r2, bitset.Single(0)))
 }
 
 func TestPartitionSizeShrinksAsSetsGrow(t *testing.T) {

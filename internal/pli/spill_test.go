@@ -30,8 +30,7 @@ func spillWorkload(t *testing.T, cfg Config, rounds int) (*Cache, []bitset.AttrS
 // TestSpillDemotesAndPromotes is the tier's core contract: under a tight
 // budget with a spill directory, evictions demote expensive partitions
 // to disk, repeat requests promote them back (SpillHits), every served
-// partition still matches the reference construction, and the split
-// eviction counters reconcile (Evictions = Drops + Demotions).
+// partition still matches the reference construction.
 func TestSpillDemotesAndPromotes(t *testing.T) {
 	c, sets := spillWorkload(t, Config{BlockSize: 4, SpillDir: t.TempDir()}, 3)
 	st := c.Stats()
@@ -40,9 +39,6 @@ func TestSpillDemotesAndPromotes(t *testing.T) {
 	}
 	if st.SpillHits == 0 {
 		t.Fatalf("repeat rounds promoted nothing from spill: %+v", st)
-	}
-	if st.Evictions != st.Drops+st.Demotions {
-		t.Fatalf("Evictions %d != Drops %d + Demotions %d", st.Evictions, st.Drops, st.Demotions)
 	}
 	if st.SpillBytes <= 0 {
 		t.Fatalf("SpillBytes = %d with %d demotions", st.SpillBytes, st.Demotions)
@@ -60,14 +56,11 @@ func TestSpillDemotesAndPromotes(t *testing.T) {
 func TestSpillOffStatsUnchanged(t *testing.T) {
 	c, _ := spillWorkload(t, Config{BlockSize: 4}, 2)
 	st := c.Stats()
-	if st.Evictions == 0 {
+	if st.Drops == 0 {
 		t.Fatalf("tight budget forced no evictions: %+v", st)
 	}
 	if st.Demotions != 0 || st.SpillHits != 0 || st.SpillBytes != 0 || st.SpillReadNS != 0 {
 		t.Fatalf("spill counters moved without a spill dir: %+v", st)
-	}
-	if st.Evictions != st.Drops {
-		t.Fatalf("Evictions %d != Drops %d with spill off", st.Evictions, st.Drops)
 	}
 }
 
@@ -163,7 +156,7 @@ func TestSpillConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	st := c.Stats()
-	if st.Evictions == 0 {
+	if st.Drops+st.Demotions == 0 {
 		t.Fatalf("concurrent churn under budget %d evicted nothing: %+v", budget, st)
 	}
 }

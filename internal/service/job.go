@@ -235,7 +235,7 @@ func memorySnapshot(sess *maimon.Session) *MemoryStatus {
 	return &MemoryStatus{
 		BytesLive:      st.PLIStats.BytesLive,
 		BytesPinned:    st.PLIStats.BytesPinned,
-		Evictions:      st.PLIStats.Evictions,
+		Evictions:      st.PLIStats.Drops + st.PLIStats.Demotions,
 		PLIEntries:     st.PLIStats.Entries,
 		HCached:        st.HCached,
 		EntropyOnly:    st.PLIStats.EntropyOnly,

@@ -203,7 +203,7 @@ func (t *Telemetry) bindManager(m *Manager) {
 		sum(func(s maimon.Stats) float64 { return float64(s.PLIStats.BytesTouched) }))
 	r.GaugeFunc("maimon_pli_evictions",
 		"PLI partitions evicted under the memory budget across all live sessions.",
-		sum(func(s maimon.Stats) float64 { return float64(s.PLIStats.Evictions) }))
+		sum(func(s maimon.Stats) float64 { return float64(s.PLIStats.Drops + s.PLIStats.Demotions) }))
 	r.GaugeFunc("maimon_pli_entries",
 		"PLI partitions currently cached across all live sessions.",
 		sum(func(s maimon.Stats) float64 { return float64(s.PLIStats.Entries) }))

@@ -115,8 +115,9 @@ type Progress struct {
 // runs, frozen at its completion. The session is shared by every job on
 // the dataset, so the numbers describe the dataset's cache, not this
 // job alone: bytes_live is the PLI occupancy against the service's
-// -cache-bytes budget, evictions counts partitions dropped to stay
-// inside it (each one a future recompute, never a changed result).
+// -cache-bytes budget, evictions counts partitions dropped or spilled to
+// stay inside it (the cache's Drops + Demotions; each one a future
+// recompute or promotion, never a changed result).
 type MemoryStatus struct {
 	BytesLive int64 `json:"bytes_live"`
 	// BytesPinned is the weight of the pinned single-attribute

@@ -70,7 +70,8 @@ func TestSessionParallelMatchesSerial(t *testing.T) {
 // force evictions mid-run}, on the planted and nursery datasets. It also
 // pins the budget semantics a warm session lives by: repeated mines
 // under a fixed WithMemoryBudget keep BytesLive within the budget at
-// rest and accumulate nonzero Evictions in Session.Stats().
+// rest and accumulate nonzero evictions (Drops + Demotions) in
+// Session.Stats().
 func TestSessionParallelEvictionMatchesSerial(t *testing.T) {
 	planted, _, err := datagen.Planted(datagen.PlantedSpec{
 		Bags: datagen.ChainBags(10, 4, 1), Seed: 23, RootTuples: 10, ExtPerSep: 2, NoiseCells: 0.01,
@@ -147,7 +148,7 @@ func TestSessionParallelEvictionMatchesSerial(t *testing.T) {
 						name, workers, round, st.PLIStats.BytesLive, budget)
 				}
 			}
-			if st := s.Stats(); st.PLIStats.Evictions == 0 {
+			if st := s.Stats(); st.PLIStats.Drops+st.PLIStats.Demotions == 0 {
 				t.Fatalf("%s workers=%d: budget %d forced no evictions", name, workers, budget)
 			}
 		}

@@ -23,14 +23,6 @@ import (
 // runs synchronously on the mining goroutine and must be fast.
 type Progress = core.Progress
 
-// PLIConfig tunes the PLI partition cache behind a session's entropy
-// oracle: BlockSize is the paper's L (Sec. 6.3), the widest a block of the
-// balanced column layout may be, MaxBytes is the memory budget eviction
-// enforces (0 = unlimited; WithMemoryBudget is the shorthand), Shards
-// overrides the cache's shard count, and SpillDir / SpillMaxBytes configure
-// the disk spill tier (WithSpillDir, WithSpillBudget).
-type PLIConfig = pli.Config
-
 // MineTrace is the stage-level record of one mining call: one phase per
 // top-level mining phase, each with wall time, the entropy/PLI work it
 // caused (as counter deltas), and a per-stage breakdown (separator
@@ -60,10 +52,6 @@ type (
 // mines is the signature of warm-state reuse.
 type Stats = entropy.Stats
 
-// DefaultPLIConfig mirrors the paper's implementation choices (L = 10,
-// unlimited cache).
-func DefaultPLIConfig() PLIConfig { return pli.DefaultConfig() }
-
 // config is the resolved option set. A Session keeps the Open-time config
 // as its per-call defaults; each mining call starts from a copy.
 type config struct {
@@ -72,8 +60,7 @@ type config struct {
 	maxSchemes    int
 	pruning       bool
 	workers       int // 0 = GOMAXPROCS (the WithWorkers default)
-	pairs         [][2]int
-	pliCfg        PLIConfig
+	pliCfg        pli.Config
 	entropyBudget int64 // entropy-memo byte budget; 0 = unlimited
 	progress      func(Progress)
 	trace         *MineTrace
@@ -115,10 +102,6 @@ func WithMaxSchemes(n int) Option { return func(c *config) { c.maxSchemes = n } 
 // only.
 func WithPruning(on bool) Option { return func(c *config) { c.pruning = on } }
 
-// WithPairs restricts MVDMiner to the given attribute pairs; nil (the
-// default) mines all pairs.
-func WithPairs(pairs [][2]int) Option { return func(c *config) { c.pairs = pairs } }
-
 // WithWorkers sets the fan-out of the parallel mining pipeline and of
 // scheme ranking: attribute pairs (the paper's Fig. 3 loop) are distributed
 // across n worker miners over the session's shared single-flight oracle,
@@ -130,11 +113,6 @@ func WithPairs(pairs [][2]int) Option { return func(c *config) { c.pairs = pairs
 // mines serially, as the paper's single-threaded system does.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
-// WithPLIConfig sets the PLI cache configuration of the session's entropy
-// oracle. It is honored by Open only — the oracle is built once per
-// session — and ignored by the per-call mining methods.
-func WithPLIConfig(cfg PLIConfig) Option { return func(c *config) { c.pliCfg = cfg } }
-
 // WithMemoryBudget bounds the bytes the session's PLI partition cache
 // retains (the entropy memo is governed separately — see
 // WithEntropyBudget). When mining pushes the cache past the budget, cold
@@ -142,10 +120,11 @@ func WithPLIConfig(cfg PLIConfig) Option { return func(c *config) { c.pliCfg = c
 // partitions always pinned — and recomputed if needed again, so a budget
 // trades recomputation for residency and never changes mining results: a
 // run under any budget is byte-identical to an unlimited one. bytes <= 0
-// means unlimited (the default). Honored by Open only, like
-// WithPLIConfig; Session.Stats reports the live occupancy
-// (PLIStats.BytesLive, with pinned bytes in PLIStats.BytesPinned) and
-// the eviction count (PLIStats.Evictions).
+// means unlimited (the default). Honored by Open only — the cache is
+// built once per session — and ignored by the per-call mining methods.
+// Session.Stats reports the live occupancy (PLIStats.BytesLive, with
+// pinned bytes in PLIStats.BytesPinned) and the evictions
+// (PLIStats.Drops + PLIStats.Demotions).
 func WithMemoryBudget(bytes int64) Option {
 	return func(c *config) { c.pliCfg.MaxBytes = bytes }
 }
@@ -215,7 +194,6 @@ func WithTrace(t *MineTrace) Option { return func(c *config) { c.trace = t } }
 func (c config) coreOptions() core.Options {
 	o := core.DefaultOptions(c.epsilon)
 	o.PairwiseConsistency = c.pruning
-	o.Pairs = c.pairs
 	o.Progress = c.progress
 	o.Trace = c.trace
 	o.Workers = c.fanout()
@@ -269,8 +247,9 @@ type Session struct {
 }
 
 // Open builds a session over r. Options become the session's per-call
-// defaults (WithPLIConfig additionally sizes the oracle, which is built
-// here, once).
+// defaults; the memory and spill options (WithMemoryBudget,
+// WithEntropyBudget, WithSpillDir, WithSpillBudget) also size the oracle,
+// which is built here, once.
 func Open(r *Relation, opts ...Option) (*Session, error) {
 	if r == nil {
 		return nil, errors.New("maimon: Open on a nil relation")
@@ -495,7 +474,9 @@ func (s *Session) Analyze(sch Schema) (Metrics, error) {
 // many schemes use it, and every schema is counted over those tables.
 // The tables sit beside the PLI cache, at up to 4 bytes a row each; under
 // WithMemoryBudget the batch is ranked in runs of schemas whose tables fit
-// that budget, so ranking holds at most the budget again. Metrics and errors are indexed like schemas: a schema Analyze rejects
+// that budget, so ranking holds at most the budget again.
+//
+// Metrics and errors are indexed like schemas: a schema Analyze rejects
 // has zero Metrics and its error at its index. Metrics are exact counts,
 // so they are the same at any fan-out.
 func (s *Session) AnalyzeAll(schemas []Schema, opts ...Option) ([]Metrics, []error) {

@@ -76,10 +76,6 @@ func TestSpillMatrixDeterminism(t *testing.T) {
 			}
 			check(label, mine(s, workers))
 			st := s.Stats().PLIStats
-			if st.Evictions != st.Drops+st.Demotions {
-				t.Fatalf("%s: Evictions %d != Drops %d + Demotions %d",
-					label, st.Evictions, st.Drops, st.Demotions)
-			}
 			if !spill && (st.Demotions != 0 || st.SpillHits != 0) {
 				t.Fatalf("%s: spill counters moved with spill off: %+v", label, st)
 			}

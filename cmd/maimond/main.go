@@ -241,8 +241,8 @@ func main() {
 		logger.Error("shutdown", "error", err)
 	}
 	mgr.Close() // cancels queued and running jobs, drains the pool
-	// With the pool drained no job can reach a session; persist every
-	// spill index so the next start re-opens the segments warm.
+	// With the pool drained no job can reach a session; sync every spill
+	// tier's segments, which the next start rescans to open warm.
 	if err := reg.CloseAll(); err != nil {
 		logger.Error("closing sessions", "error", err)
 	}

@@ -205,8 +205,8 @@ func (o *Oracle) memoShardOf(attrs bitset.AttrSet) *memoShard {
 	return &o.shards[stripe.Hash(uint64(attrs))&o.mask]
 }
 
-// Close releases the PLI cache's disk spill tier (persisting its index
-// so the next session over the same directory starts warm). A no-op
+// Close releases the PLI cache's disk spill tier; its segments stay on
+// disk, so the next session over the same directory starts warm. A no-op
 // without a spill tier; idempotent. The oracle itself stays usable for
 // in-memory work, but nothing spills or promotes afterwards.
 func (o *Oracle) Close() error { return o.cache.Close() }

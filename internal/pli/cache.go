@@ -239,9 +239,9 @@ func layout(n, maxWidth int) (blocks []bitset.AttrSet, blockOf []uint8) {
 	return blocks, blockOf
 }
 
-// Close persists the spill tier's index (so the next Open over the same
-// directory starts warm) and releases its file handles. Partitions
-// already promoted stay valid — their views outlive the store — but no
+// Close syncs the spill tier's segments and releases its file handles;
+// the next Open over the same directory rescans them and starts warm.
+// Partitions already promoted own their arrays and stay valid, but no
 // new spill reads or demotions happen afterwards. A cache without a
 // spill tier has nothing to close. Idempotent.
 func (c *Cache) Close() error {
@@ -449,8 +449,8 @@ func (c *Cache) materialize(attrs bitset.AttrSet, build func() (*Partition, int6
 }
 
 // spillLoad promotes attrs from the disk spill tier, if present there: a
-// checksummed sequential read back into a Partition whose arrays may be
-// zero-copy views of the store's sealed mappings. The record's stored
+// checksummed sequential read copied into a Partition that owns its
+// arrays. The record's stored
 // recompute cost survives the round trip, so a promoted entry is judged
 // by the same demote-vs-drop rule next time. ok is false on any miss — no
 // store, never demoted, or a record that failed validation (which the

@@ -261,9 +261,9 @@ func (g *Registry) remove(name string) (bool, int64) {
 	return true, e.id
 }
 
-// CloseAll closes every registered session, persisting each spill index
-// so a restarted daemon re-opens the segments warm. Called at shutdown,
-// after the job manager has drained — a removed-but-still-mining
+// CloseAll closes every registered session, syncing each spill tier's
+// segments; a restarted daemon rescans them and starts warm. Called at
+// shutdown, after the job manager has drained — a removed-but-still-mining
 // session's spill tier must not be closed under it, which is why Remove
 // never closes. Returns the first error.
 func (g *Registry) CloseAll() error {

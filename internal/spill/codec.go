@@ -7,8 +7,8 @@ import (
 
 // hostLittle reports whether the host stores int32s in the record's
 // on-disk byte order (little-endian). When it does, the payload arrays
-// can be reinterpreted in place — the zero-copy path sealed mappings
-// rely on; otherwise the codec falls back to element-wise conversion.
+// move between memory and the record in one bulk copy; otherwise the
+// codec converts element by element.
 var hostLittle = func() bool {
 	var x uint16 = 1
 	return *(*byte)(unsafe.Pointer(&x)) == 1
@@ -28,25 +28,17 @@ func encodeInt32s(dst []byte, v []int32) {
 	}
 }
 
-// decodeInt32sView reinterprets b as an int32 slice without copying when
-// the host byte order allows it; the result aliases b and must be
-// treated as read-only. On a big-endian host it degrades to a copy.
-func decodeInt32sView(b []byte) []int32 {
-	if len(b) == 0 {
-		return nil
-	}
-	if hostLittle {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
-	}
-	return decodeInt32sCopy(b)
-}
-
-// decodeInt32sCopy decodes b into a freshly allocated int32 slice.
-func decodeInt32sCopy(b []byte) []int32 {
+// decodeInt32s decodes the little-endian int32s in b into a freshly
+// allocated slice.
+func decodeInt32s(b []byte) []int32 {
 	if len(b) == 0 {
 		return nil
 	}
 	out := make([]int32, len(b)/4)
+	if hostLittle {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), len(b)), b)
+		return out
+	}
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 	}

@@ -12,23 +12,20 @@
 // partition: a fixed header (attribute-set key, array lengths, the fused
 // entropy sum and the partition's recompute cost) followed by the raw
 // little-endian row-id and offset arrays, CRC-checksummed end to end. A
-// record is exactly the flat in-memory layout of a pli.Partition, so a
-// sealed segment can be mmapped and served as zero-copy views; the
-// active segment is served by pread until it seals.
+// record is exactly the flat in-memory layout of a pli.Partition; Get
+// reads it back by pread into arrays the caller owns.
 //
 // Durability is deliberately loose: nothing is fsynced on Put, and a
 // torn tail (daemon killed mid-spill) is detected by the bounds and
 // checksum validation and treated as a cache miss, never as an error —
 // the spill tier is a cost optimization, and every failure mode must
-// degrade to "recompute", not "corrupt" or "crash". Close persists an
-// index snapshot so the next Open restores the full index without
-// rescanning; the snapshot is consumed (deleted) at Open, so a crash
-// after it falls back to the segment scan.
+// degrade to "recompute", not "corrupt" or "crash". Open rebuilds the
+// index by scanning record headers, so a clean shutdown and a crash
+// reopen the same way.
 package spill
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -43,8 +40,8 @@ import (
 
 // Flat is the raw shape of a flat partition — the fields pli.Partition
 // stores, without the type (this package must not import pli: the cache
-// imports us). Rows and Offsets returned by Get may be zero-copy views
-// into a read-only mapping and must not be modified.
+// imports us). Rows and Offsets returned by Get are fresh copies the
+// caller owns.
 type Flat struct {
 	NumRows int     // rows of the underlying relation
 	Rows    []int32 // concatenated cluster row ids
@@ -69,7 +66,9 @@ const (
 	defaultSegmentBytes = 8 << 20
 	minSegmentBytes     = 64 << 10
 
-	indexSnapshotName = "index.json"
+	// legacyIndexName is the index snapshot earlier builds wrote at
+	// Close. Open deletes it unread: the segment scan is the index.
+	legacyIndexName = "index.json"
 )
 
 // errTooLarge rejects a Put whose record alone exceeds the byte budget.
@@ -103,24 +102,21 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// recRef locates one record: its segment sequence number, the record's
-// offset in that file, and its payload weight.
+// recRef locates one record: its live segment and the record's offset
+// in that file.
 type recRef struct {
-	Seg     int64 `json:"seg"`
-	Off     int64 `json:"off"`
-	Payload int64 `json:"p"`
+	seg *segment
+	off int64
 }
 
 // segment is one on-disk file of the store. A sealed segment is
-// immutable and, when the platform allows, mmapped for zero-copy reads;
-// the active (last) segment grows by appends and is read by pread.
+// immutable; the active (last) segment grows by appends. Both are read
+// by pread.
 type segment struct {
-	seq      int64
 	path     string
 	f        *os.File
 	size     int64
-	writable bool   // still accepting appends (the active segment)
-	data     []byte // read-only mapping when sealed and mmap succeeded
+	writable bool // still accepting appends (the active segment)
 }
 
 // Store is an append-only spill store. Safe for concurrent use.
@@ -138,14 +134,13 @@ type Store struct {
 }
 
 // Open opens (or creates) the spill store under cfg.Dir. Existing
-// segments with the right shape stamp are re-opened — through the index
-// snapshot a clean shutdown left, or by scanning record headers after a
-// crash — so a restarted process starts with a warm spill index.
+// segments with the right shape stamp are re-opened and their record
+// headers scanned, so a restarted process starts with a warm spill index.
 // Segments stamped with a different shape hash are discarded with a
 // structured log line: a mismatched spill directory must never poison a
 // mine, so it degrades to an empty store. So does a directory an earlier
-// build wrote at another format version — its segments and index snapshot
-// are deleted unread, with one log line, and the tier is rebuilt.
+// build wrote at another format version — its segments are deleted
+// unread, with one log line, and the tier is rebuilt.
 func Open(cfg Config) (*Store, error) {
 	log := cfg.Logger
 	if log == nil {
@@ -180,24 +175,19 @@ func (s *Store) segPath(seq int64) string {
 	return filepath.Join(s.cfg.Dir, fmt.Sprintf("spill-%08d.seg", seq))
 }
 
-// reopen restores the store from an existing directory: snapshot first,
-// segment scan as the fallback. All recovered segments are sealed; the
-// next Put opens a fresh active segment.
+// reopen restores the store from an existing directory by scanning its
+// segments. All recovered segments are sealed; the next Put opens a
+// fresh active segment.
 func (s *Store) reopen() error {
 	seqs, err := s.listSegments()
 	if err != nil {
 		return err
 	}
-	snapPath := filepath.Join(s.cfg.Dir, indexSnapshotName)
-	snap, snapOK := s.loadSnapshot(snapPath, seqs)
-	// The snapshot is consumed: a process that dies after this point
-	// falls back to the scan, which trusts only what the checksums and
-	// bounds admit. Close writes a fresh one.
-	os.Remove(snapPath)
+	os.Remove(filepath.Join(s.cfg.Dir, legacyIndexName))
 	otherFormat := 0
 	for _, seq := range seqs {
 		path := s.segPath(seq)
-		seg, err := s.openSealed(seq, path)
+		seg, err := s.openSealed(path)
 		if errors.Is(err, errOtherFormat) {
 			otherFormat++
 			os.Remove(path)
@@ -216,16 +206,7 @@ func (s *Store) reopen() error {
 		if seq >= s.nextSeq {
 			s.nextSeq = seq + 1
 		}
-		if !snapOK {
-			s.scanSegment(seg)
-		}
-	}
-	if snapOK {
-		for k, ref := range snap {
-			if s.segment(ref.Seg) != nil {
-				s.index[k] = ref
-			}
-		}
+		s.scanSegment(seg)
 	}
 	if otherFormat > 0 {
 		s.log.Warn("spill: directory was written at another format version; starting cold",
@@ -252,51 +233,11 @@ func (s *Store) listSegments() ([]int64, error) {
 	return seqs, nil
 }
 
-// indexSnapshot is the JSON shape Close persists.
-type indexSnapshot struct {
-	Version int               `json:"version"`
-	Shape   string            `json:"shape"`
-	Entries map[string]recRef `json:"entries"`
-}
-
-// loadSnapshot reads and validates the index snapshot; ok is false when
-// it is absent, malformed, or stamped with a different shape (the caller
-// then falls back to scanning the segments themselves).
-func (s *Store) loadSnapshot(path string, seqs []int64) (map[uint64]recRef, bool) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
-	}
-	var snap indexSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		s.log.Warn("spill: ignoring malformed index snapshot", "dir", s.cfg.Dir, "error", err)
-		return nil, false
-	}
-	if snap.Version != formatVersion {
-		// The segments carry the same version; reopen reports them, once.
-		return nil, false
-	}
-	if snap.Shape != fmt.Sprintf("%016x", s.cfg.ShapeHash) {
-		// The segment headers carry the same stamp, so openSealed will
-		// discard the files; the snapshot just goes first.
-		return nil, false
-	}
-	out := make(map[uint64]recRef, len(snap.Entries))
-	for k, ref := range snap.Entries {
-		var key uint64
-		if _, err := fmt.Sscanf(k, "%x", &key); err != nil {
-			return nil, false
-		}
-		out[key] = ref
-	}
-	return out, true
-}
-
-// openSealed opens one pre-existing segment as sealed: header validated,
-// mmapped when possible. Returns (nil, nil) after discarding a segment
-// whose shape stamp does not match the store's relation, and
-// errOtherFormat for one written at another format version.
-func (s *Store) openSealed(seq int64, path string) (*segment, error) {
+// openSealed opens one pre-existing segment as sealed, its header
+// validated. Returns (nil, nil) after discarding a segment whose shape
+// stamp does not match the store's relation, and errOtherFormat for one
+// written at another format version.
+func (s *Store) openSealed(path string) (*segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -328,11 +269,7 @@ func (s *Store) openSealed(seq int64, path string) (*segment, error) {
 			"dataset_shape", fmt.Sprintf("%016x", s.cfg.ShapeHash))
 		return nil, nil
 	}
-	seg := &segment{seq: seq, path: path, f: f, size: st.Size()}
-	if data, err := mmapFile(f, seg.size); err == nil {
-		seg.data = data
-	}
-	return seg, nil
+	return &segment{path: path, f: f, size: st.Size()}, nil
 }
 
 // scanSegment walks a sealed segment's records and indexes the valid
@@ -344,17 +281,17 @@ func (s *Store) scanSegment(seg *segment) {
 	off := int64(fileHeaderSize)
 	for off+recHeaderSize <= seg.size {
 		var hdr [recHeaderSize]byte
-		if _, err := seg.readAt(hdr[:], off); err != nil {
+		if _, err := seg.f.ReadAt(hdr[:], off); err != nil {
 			break
 		}
-		key, numIDs, numOff, recLen, ok := parseRecHeader(hdr[:])
+		key, _, _, recLen, ok := parseRecHeader(hdr[:])
 		if !ok || off+recLen > seg.size {
 			s.log.Warn("spill: segment has a torn tail; serving the valid prefix",
 				"dir", s.cfg.Dir, "segment", seg.path, "valid_bytes", off, "file_bytes", seg.size)
 			seg.size = off
 			break
 		}
-		s.index[key] = recRef{Seg: seg.seq, Off: off, Payload: 4 * int64(numIDs+numOff)}
+		s.index[key] = recRef{seg: seg, off: off}
 		off += recLen
 	}
 }
@@ -373,28 +310,6 @@ func parseRecHeader(hdr []byte) (key uint64, numIDs, numOff int, recLen int64, o
 		return 0, 0, 0, 0, false
 	}
 	return key, numIDs, numOff, recLen, true
-}
-
-// segment returns the live segment with the given seq, or nil.
-func (s *Store) segment(seq int64) *segment {
-	for _, seg := range s.segs {
-		if seg.seq == seq {
-			return seg
-		}
-	}
-	return nil
-}
-
-// readAt reads from the segment — the mapping when sealed and mapped,
-// pread otherwise.
-func (g *segment) readAt(dst []byte, off int64) (int, error) {
-	if g.data != nil {
-		if off < 0 || off+int64(len(dst)) > int64(len(g.data)) {
-			return 0, io.ErrUnexpectedEOF
-		}
-		return copy(dst, g.data[off:]), nil
-	}
-	return g.f.ReadAt(dst, off)
 }
 
 // Contains reports whether key has a valid index entry (the record's
@@ -446,26 +361,31 @@ func (s *Store) Put(key uint64, f Flat) error {
 		// so later appends cannot interleave with the partial record.
 		s.log.Warn("spill: write failed; sealing segment at its valid prefix",
 			"dir", s.cfg.Dir, "segment", seg.path, "error", err)
-		s.sealLocked(seg)
+		seg.writable = false
 		return err
 	}
 	seg.size += recLen
 	s.bytes += recLen
-	s.index[key] = recRef{Seg: seg.seq, Off: off, Payload: f.PayloadBytes()}
+	s.index[key] = recRef{seg: seg, off: off}
 	if seg.size >= s.segMax {
-		s.sealLocked(seg)
+		seg.writable = false
 	}
 	s.enforceBudgetLocked()
 	return nil
 }
 
-// activeLocked returns the active segment, creating one (with its file
-// header) if the store has none.
+// activeLocked returns the segment a need-byte record appends to,
+// creating one (with its file header) if the store has none. An active
+// segment that could not take the record and still fit MaxBytes is
+// sealed first: the record starts a fresh segment, and the budget can
+// then evict the old one.
 func (s *Store) activeLocked(need int64) (*segment, error) {
 	if n := len(s.segs); n > 0 {
-		if seg := s.segs[n-1]; seg.writable && seg.f != nil {
+		seg := s.segs[n-1]
+		if seg.writable && (s.cfg.MaxBytes <= 0 || seg.size+need <= s.cfg.MaxBytes) {
 			return seg, nil
 		}
+		seg.writable = false
 	}
 	seq := s.nextSeq
 	s.nextSeq++
@@ -483,34 +403,19 @@ func (s *Store) activeLocked(need int64) (*segment, error) {
 		os.Remove(path)
 		return nil, fmt.Errorf("spill: writing segment header: %w", err)
 	}
-	seg := &segment{seq: seq, path: path, f: f, size: fileHeaderSize, writable: true}
+	seg := &segment{path: path, f: f, size: fileHeaderSize, writable: true}
 	s.segs = append(s.segs, seg)
 	s.bytes += fileHeaderSize
 	return seg, nil
 }
 
-// sealLocked freezes a segment: no more appends; mmap it for zero-copy
-// reads when the platform allows.
-func (s *Store) sealLocked(seg *segment) {
-	if seg.data != nil || seg.f == nil {
-		return
-	}
-	seg.writable = false
-	if data, err := mmapFile(seg.f, seg.size); err == nil {
-		seg.data = data
-	}
-}
-
 // enforceBudgetLocked deletes the oldest sealed segments until the store
-// fits MaxBytes. Their partitions become plain cache misses. Mappings of
-// deleted segments are deliberately never unmapped — promoted partitions
-// may still alias them — so the address space (not the disk) carries
-// them until process exit.
+// fits MaxBytes. Their partitions become plain cache misses.
 func (s *Store) enforceBudgetLocked() {
 	if s.cfg.MaxBytes <= 0 {
 		return
 	}
-	for s.bytes > s.cfg.MaxBytes && len(s.segs) > 1 {
+	for s.bytes > s.cfg.MaxBytes && len(s.segs) > 0 && !s.segs[0].writable {
 		victim := s.segs[0]
 		s.segs = s.segs[1:]
 		s.dropSegmentLocked(victim)
@@ -522,16 +427,13 @@ func (s *Store) enforceBudgetLocked() {
 func (s *Store) dropSegmentLocked(victim *segment) {
 	dropped := 0
 	for k, ref := range s.index {
-		if ref.Seg == victim.seq {
+		if ref.seg == victim {
 			delete(s.index, k)
 			dropped++
 		}
 	}
 	s.bytes -= victim.size
-	if victim.f != nil {
-		victim.f.Close()
-		victim.f = nil
-	}
+	victim.f.Close()
 	os.Remove(victim.path)
 	s.log.Debug("spill: dropped oldest segment for the byte budget",
 		"dir", s.cfg.Dir, "segment", victim.path, "records", dropped, "bytes", victim.size)
@@ -539,9 +441,7 @@ func (s *Store) dropSegmentLocked(victim *segment) {
 
 // Get reads the record for key back. ok is false on any miss — absent,
 // torn, checksum-failed, or closed — and a failed record is unindexed so
-// the next request goes straight to recompute. Rows/Offsets of a record
-// served from a sealed mapping are zero-copy views; active-segment reads
-// are copied out.
+// the next request goes straight to recompute.
 func (s *Store) Get(key uint64) (Flat, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -552,16 +452,11 @@ func (s *Store) Get(key uint64) (Flat, bool) {
 	if !ok {
 		return Flat{}, false
 	}
-	seg := s.segment(ref.Seg)
-	if seg == nil {
-		delete(s.index, key)
-		return Flat{}, false
-	}
-	f, err := readRecord(seg, ref.Off, key)
+	f, err := readRecord(ref.seg, ref.off, key)
 	if err != nil {
 		delete(s.index, key)
 		s.log.Warn("spill: record failed validation; treating as a miss",
-			"dir", s.cfg.Dir, "segment", seg.path, "offset", ref.Off, "error", err)
+			"dir", s.cfg.Dir, "segment", ref.seg.path, "offset", ref.off, "error", err)
 		return Flat{}, false
 	}
 	return f, true
@@ -569,7 +464,7 @@ func (s *Store) Get(key uint64) (Flat, bool) {
 
 // recordLen is the full appended length of a record: header + payload,
 // padded to 8 bytes so every record (and its int32 payload) stays
-// aligned in the mapping.
+// 8-byte aligned in the file.
 func recordLen(f Flat) int64 {
 	n := recHeaderSize + f.PayloadBytes()
 	return (n + 7) &^ 7
@@ -602,7 +497,7 @@ func writeRecord(w io.WriterAt, off int64, key uint64, f Flat, recLen int64) err
 // bounds, and the CRC over header fields + payload.
 func readRecord(seg *segment, off int64, wantKey uint64) (Flat, error) {
 	var hdr [recHeaderSize]byte
-	if _, err := seg.readAt(hdr[:], off); err != nil {
+	if _, err := seg.f.ReadAt(hdr[:], off); err != nil {
 		return Flat{}, fmt.Errorf("short header: %w", err)
 	}
 	key, numIDs, numOff, recLen, ok := parseRecHeader(hdr[:])
@@ -620,37 +515,22 @@ func readRecord(seg *segment, off int64, wantKey uint64) (Flat, error) {
 		Hsum:    int64(binary.LittleEndian.Uint64(hdr[32:40])),
 		Cost:    math.Float64frombits(binary.LittleEndian.Uint64(hdr[40:48])),
 	}
-	payloadLen := 4 * (numIDs + numOff)
-	wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-	crc := crc32.ChecksumIEEE(hdr[8:])
-	if seg.data != nil {
-		// Sealed + mapped: checksum the mapped payload, then hand out
-		// zero-copy views.
-		payload := seg.data[off+recHeaderSize : off+recHeaderSize+int64(payloadLen)]
-		if crc32.Update(crc, crc32.IEEETable, payload) != wantCRC {
-			return Flat{}, errors.New("checksum mismatch")
-		}
-		f.Rows = decodeInt32sView(payload[:4*numIDs])
-		f.Offsets = decodeInt32sView(payload[4*numIDs:])
-		return f, nil
-	}
-	payload := make([]byte, payloadLen)
-	if _, err := seg.readAt(payload, off+recHeaderSize); err != nil {
+	payload := make([]byte, 4*(numIDs+numOff))
+	if _, err := seg.f.ReadAt(payload, off+recHeaderSize); err != nil {
 		return Flat{}, fmt.Errorf("short payload: %w", err)
 	}
-	if crc32.Update(crc, crc32.IEEETable, payload) != wantCRC {
+	crc := crc32.Update(crc32.ChecksumIEEE(hdr[8:]), crc32.IEEETable, payload)
+	if crc != binary.LittleEndian.Uint32(hdr[4:8]) {
 		return Flat{}, errors.New("checksum mismatch")
 	}
-	f.Rows = decodeInt32sCopy(payload[:4*numIDs])
-	f.Offsets = decodeInt32sCopy(payload[4*numIDs:])
+	f.Rows = decodeInt32s(payload[:4*numIDs])
+	f.Offsets = decodeInt32s(payload[4*numIDs:])
 	return f, nil
 }
 
-// Close seals the active segment, persists the index snapshot, and
-// closes the file handles. Mappings stay alive — promoted partitions may
-// still reference them — so Close must only run once reads against
-// already-promoted partitions can no longer start new spill reads.
-// Idempotent.
+// Close syncs and closes every segment file; the next Open over the
+// directory finds every record by scanning. Partitions already promoted
+// own their arrays and stay valid. Idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -658,34 +538,13 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	snap := indexSnapshot{
-		Version: formatVersion,
-		Shape:   fmt.Sprintf("%016x", s.cfg.ShapeHash),
-		Entries: make(map[string]recRef, len(s.index)),
-	}
-	for k, ref := range s.index {
-		snap.Entries[fmt.Sprintf("%x", k)] = ref
-	}
 	var firstErr error
-	data, err := json.Marshal(snap)
-	if err == nil {
-		tmp := filepath.Join(s.cfg.Dir, indexSnapshotName+".tmp")
-		if err := os.WriteFile(tmp, data, 0o644); err != nil {
-			firstErr = err
-		} else if err := os.Rename(tmp, filepath.Join(s.cfg.Dir, indexSnapshotName)); err != nil {
-			firstErr = err
-		}
-	} else {
-		firstErr = err
-	}
 	for _, seg := range s.segs {
-		if seg.f != nil {
-			if err := seg.f.Sync(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			seg.f.Close()
-			seg.f = nil
+		if err := seg.f.Sync(); err != nil && firstErr == nil {
+			firstErr = err
 		}
+		seg.f.Close()
+		seg.f = nil
 	}
 	return firstErr
 }

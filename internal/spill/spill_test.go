@@ -4,15 +4,17 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 func discardLogger() *slog.Logger {
-	return slog.New(slog.NewTextHandler(os.NewFile(0, os.DevNull), &slog.HandlerOptions{Level: slog.LevelError + 4}))
+	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
 func testFlat(seed int32, rows, clusters int) Flat {
@@ -113,9 +115,9 @@ func TestSpillReput(t *testing.T) {
 	}
 }
 
-// TestSpillWarmReopen closes a store cleanly and reopens it: the index
-// snapshot must restore every record without a scan, and the reopened
-// (sealed, possibly mmapped) segments must serve identical bytes.
+// TestSpillWarmReopen closes a store cleanly and reopens it: the
+// segment scan must restore every record, and the reopened (sealed)
+// segments must serve identical bytes.
 func TestSpillWarmReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, Config{Dir: dir, ShapeHash: 77})
@@ -130,15 +132,9 @@ func TestSpillWarmReopen(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, indexSnapshotName)); err != nil {
-		t.Fatalf("Close did not persist the index snapshot: %v", err)
-	}
 
 	s2 := openTest(t, Config{Dir: dir, ShapeHash: 77})
 	defer s2.Close()
-	if _, err := os.Stat(filepath.Join(dir, indexSnapshotName)); !os.IsNotExist(err) {
-		t.Fatal("Open must consume (delete) the index snapshot")
-	}
 	if s2.Len() != len(want) {
 		t.Fatalf("reopened Len = %d, want %d", s2.Len(), len(want))
 	}
@@ -150,11 +146,13 @@ func TestSpillWarmReopen(t *testing.T) {
 	}
 }
 
-// TestSpillCrashReopen reopens without a snapshot (simulated crash):
-// the segment scan must rebuild the index from record headers.
+// TestSpillCrashReopen reopens a directory whose store was never closed
+// (simulated crash: nothing synced): the segment scan must rebuild the
+// index from record headers.
 func TestSpillCrashReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, Config{Dir: dir, ShapeHash: 5})
+	defer s.Close()
 	want := map[uint64]Flat{}
 	for k := uint64(1); k <= 8; k++ {
 		f := testFlat(int32(k*3), 25, 2)
@@ -163,10 +161,6 @@ func TestSpillCrashReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	os.Remove(filepath.Join(dir, indexSnapshotName)) // the "crash"
 
 	s2 := openTest(t, Config{Dir: dir, ShapeHash: 5})
 	defer s2.Close()
@@ -197,9 +191,8 @@ func TestSpillCrashMidSpillTruncated(t *testing.T) {
 	seg := s.segs[len(s.segs)-1]
 	torn := s.index[2]
 	s.Close()
-	os.Remove(filepath.Join(dir, indexSnapshotName))
 	// Chop the file inside record 2's payload.
-	if err := os.Truncate(seg.path, torn.Off+recHeaderSize+4); err != nil {
+	if err := os.Truncate(seg.path, torn.off+recHeaderSize+4); err != nil {
 		t.Fatal(err)
 	}
 
@@ -227,7 +220,7 @@ func TestSpillCorruptPayloadIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt([]byte{0xFF}, ref.Off+recHeaderSize+2); err != nil {
+	if _, err := f.WriteAt([]byte{0xFF}, ref.off+recHeaderSize+2); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -241,8 +234,8 @@ func TestSpillCorruptPayloadIsMiss(t *testing.T) {
 }
 
 // TestSpillShapeMismatchDiscards reopens a directory under a different
-// shape hash: the store must discard the stale segments (and snapshot)
-// and start empty instead of erroring or serving foreign partitions.
+// shape hash: the store must discard the stale segments and start empty
+// instead of erroring or serving foreign partitions.
 func TestSpillShapeMismatchDiscards(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, Config{Dir: dir, ShapeHash: 100})
@@ -290,14 +283,12 @@ func (h warnCounter) WithGroup(string) slog.Handler      { return h }
 
 // TestSpillEarlierFormatOpensCold hand-writes a directory as a format
 // version 1 build left it — two segments whose records carry a float64
-// where version 2 reads the integer sum, and a clean-shutdown index
-// snapshot pointing at them. Open must not serve a byte of it: the store
-// starts empty, the files are gone, exactly one warning is logged, and the
-// directory is rebuilt at the current version.
+// where version 2 reads the integer sum. Open must not serve a byte of
+// it: the store starts empty, the files are gone, exactly one warning is
+// logged, and the directory is rebuilt at the current version.
 func TestSpillEarlierFormatOpensCold(t *testing.T) {
 	dir := t.TempDir()
 	const shape = 0xfeed
-	var payload int64
 	for seq := int64(1); seq <= 2; seq++ {
 		rec := testFlat(int32(seq), 20, 2)
 		rec.Hsum = int64(math.Float64bits(86.43856189774725)) // 20·log2 20, as version 1 stored it
@@ -317,12 +308,6 @@ func TestSpillEarlierFormatOpensCold(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.Close()
-		payload = rec.PayloadBytes()
-	}
-	snap := fmt.Sprintf(`{"version":1,"shape":"%016x","entries":{"1":{"seg":1,"off":32,"p":%d},"2":{"seg":2,"off":32,"p":%d}}}`,
-		shape, payload, payload)
-	if err := os.WriteFile(filepath.Join(dir, indexSnapshotName), []byte(snap), 0o644); err != nil {
-		t.Fatal(err)
 	}
 
 	warns := 0
@@ -412,5 +397,125 @@ func TestSpillRotationKeepsAllReadable(t *testing.T) {
 		if !ok || !flatEqual(got, w) {
 			t.Fatalf("Get(%d) across rotation: mismatch (hit=%v)", k, ok)
 		}
+	}
+}
+
+// TestSpillLegacyIndexSnapshotRemoved opens a directory an earlier build
+// closed cleanly, leaving an index.json snapshot beside its segments:
+// Open must delete the snapshot unread and still find every record by
+// scanning.
+func TestSpillLegacyIndexSnapshotRemoved(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, Config{Dir: dir, ShapeHash: 9})
+	want := map[uint64]Flat{}
+	for k := uint64(1); k <= 6; k++ {
+		want[k] = testFlat(int32(k), 35, 3)
+		if err := s.Put(k, want[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A stale snapshot that indexes nothing: trusting it would open cold.
+	snap := filepath.Join(dir, legacyIndexName)
+	if err := os.WriteFile(snap, []byte(`{"version":2,"shape":"0000000000000009","entries":{}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openTest(t, Config{Dir: dir, ShapeHash: 9})
+	defer s2.Close()
+	if _, err := os.Stat(snap); !os.IsNotExist(err) {
+		t.Fatalf("Open left the earlier build's %s in place (stat: %v)", legacyIndexName, err)
+	}
+	if s2.Len() != len(want) {
+		t.Fatalf("reopened Len = %d, want %d", s2.Len(), len(want))
+	}
+	for k, w := range want {
+		if got, ok := s2.Get(k); !ok || !flatEqual(got, w) {
+			t.Fatalf("Get(%d) beside a legacy snapshot: mismatch (hit=%v)", k, ok)
+		}
+	}
+}
+
+// TestSpillBudgetBoundsLargeAppend fills the active segment to just under
+// its rotation threshold, then Puts one record that fits the budget on
+// its own but not beside that segment. The store must start a fresh
+// segment for it and evict the old one, so neither Bytes nor the files on
+// disk ever rest above MaxBytes.
+func TestSpillBudgetBoundsLargeAppend(t *testing.T) {
+	const budget = 1 << 20
+	dir := t.TempDir()
+	s := openTest(t, Config{Dir: dir, ShapeHash: 4, MaxBytes: budget})
+	defer s.Close()
+	small := testFlat(1, 1000, 9)
+	for k := uint64(1); fileHeaderSize+int64(k)*recordLen(small) < s.segMax; k++ {
+		if err := s.Put(k, small); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.segs) != 1 || !s.segs[0].writable {
+		t.Fatalf("setup: want one active segment below the rotation threshold, have %d", len(s.segs))
+	}
+	big := testFlat(2, 240000, 1)
+	if fileHeaderSize+recordLen(big) > budget {
+		t.Fatal("setup: the large record must fit the budget on its own")
+	}
+	if err := s.Put(1<<40, big); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Bytes(); got > budget {
+		t.Fatalf("Bytes = %d after the large Put, above the %d budget", got, budget)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var onDisk int64
+	for _, e := range ents {
+		fi, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += fi.Size()
+	}
+	if onDisk > budget {
+		t.Fatalf("%d bytes of spill files on disk, above the %d budget", onDisk, budget)
+	}
+	if got, ok := s.Get(1 << 40); !ok || !flatEqual(got, big) {
+		t.Fatal("the large record must be served back intact")
+	}
+}
+
+// TestSpillCloseLeavesNoMappings rotates and evicts under a tight budget,
+// then closes: no memory mapping of any file under the spill directory
+// may outlive the store, deleted segments included.
+func TestSpillCloseLeavesNoMappings(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, Config{Dir: dir, ShapeHash: 3, MaxBytes: 256 << 10})
+	for k := uint64(1); k <= 400; k++ {
+		if err := s.Put(k, testFlat(int32(k), 500, 16)); err != nil {
+			t.Fatalf("Put(%d): %v", k, err)
+		}
+		if k%50 == 0 {
+			s.Get(k) // serve from a sealed segment too
+			s.Get(k - 40)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skipf("cannot read the process's memory mappings: %v", err)
+	}
+	n := 0
+	for _, line := range strings.Split(string(maps), "\n") {
+		if strings.Contains(line, dir) {
+			n++
+		}
+	}
+	if n != 0 {
+		t.Fatalf("%d mappings under %s outlive the closed store", n, dir)
 	}
 }

@@ -138,8 +138,8 @@ func WithMemoryBudget(bytes int64) Option {
 // data starts the session warm, while one from different data is
 // discarded with a log line. Like every budget knob this changes cost,
 // never results — mining output is byte-identical to spill-off. Honored
-// by Open only; call Session.Close to persist the spill index for the
-// next warm start. "" (the default) disables the tier.
+// by Open only; call Session.Close to sync the segments and release
+// their file handles. "" (the default) disables the tier.
 func WithSpillDir(dir string) Option {
 	return func(c *config) { c.pliCfg.SpillDir = dir }
 }
@@ -264,8 +264,8 @@ func Open(r *Relation, opts ...Option) (*Session, error) {
 func (s *Session) Relation() *Relation { return s.rel }
 
 // Close releases the session's disk spill tier, if WithSpillDir enabled
-// one: the spill index is persisted so the next session over the same
-// directory and relation starts warm. In-memory mining state is
+// one: its segments are synced and stay on disk, so the next session over
+// the same directory and relation rescans them and starts warm. In-memory mining state is
 // unaffected — a closed session can keep mining, it just stops spilling.
 // A session without a spill tier has nothing to close. Idempotent.
 func (s *Session) Close() error { return s.oracle.Close() }

@@ -87,7 +87,7 @@ func TestSpillMatrixDeterminism(t *testing.T) {
 }
 
 // TestSpillSessionWarmRestart is the maimond restart path on the public
-// API: a spilling session is closed (persisting its spill index), a new
+// API: a spilling session is closed (syncing its spill segments), a new
 // session opens over the same directory, and the re-mine both promotes
 // from the previous session's segments and still produces identical
 // output.

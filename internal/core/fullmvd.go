@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -30,7 +31,7 @@ type Miner struct {
 	cause error           // first stop cause (context error or ErrInterrupted)
 
 	// keys holds each separator key's search root, with its dependent
-	// pairs' settled verdicts and full-MVD lists, for the duration of the
+	// pairs' verdicts and its settled full MVDs, for the duration of the
 	// mine; forked workers share it. roots is this miner's private
 	// table of the settled, non-aborted roots it has read from keys when
 	// keys is hashed; a dense keys is read directly. scratch is this
@@ -66,17 +67,23 @@ type source interface {
 
 // SearchStats counts getFullMVDs work across a mining run.
 type SearchStats struct {
-	// Searches counts the lattice walks run: one per key, pair of root
-	// dependents and stage (separator test, or K = 0 full-MVD list) in a
-	// mine, plus one per K > 0 GetFullMVDs. A request whose slot has
-	// settled is answered from the key memo and runs no search.
+	// Searches counts the lattice walks run: one unrestricted walk per
+	// key whose full MVDs a mine lists, one early-stopping search per key
+	// and pair of dependents of a root wider than splitMaxDeps whose
+	// separator verdict a mine asks for, and one per K > 0 GetFullMVDs. A
+	// request answered from the key memo — a settled walk or verdict, or
+	// a narrower root's split table — runs no search.
 	Searches int
-	Visited  int // candidate MVDs popped and evaluated
-	Pruned   int // candidates discarded by the pairwise-consistency repair
-	// JEvals counts the J-measures the searches run consulted, one per
+	// Visited counts the candidate MVDs those searches popped and
+	// evaluated, and Pruned the neighbors they discarded because the
+	// pairwise-consistency repair united the pair a search keeps apart
+	// (or was stopped); an unrestricted walk keeps no pair apart.
+	Visited int
+	Pruned  int
+	// JEvals counts the J-measures the searches consulted, one per
 	// candidate visited. A search's root is scored once per key and mine
 	// and read from the key memo by every later search with that key; a
-	// request answered from a settled slot consults none.
+	// request answered from the key memo consults none.
 	JEvals  int
 	Repairs int // getPairwiseConsistentMVD merge steps performed
 }
@@ -116,33 +123,73 @@ func (m *Miner) SearchStats() SearchStats { return m.searchStats }
 // Options.PairwiseConsistency is set, candidates are first repaired with
 // the forced merges of getPairwiseConsistentMVD (Fig. 16).
 //
-// A k = 0 list is searched once per key and pair of root dependents for
-// the life of the miner (see keyMemo): every later pair whose a and b fall
-// in the same two dependents of sep's root gets the same list back. That
-// list is shared, not copied — the caller must not modify it or the
-// dependents of its MVDs. Any k > 0 searches afresh and returns a list of
-// the caller's own.
+// A k = 0 list is the key's full MVDs that separate a and b: sep is
+// walked once, unrestricted, for the life of the miner (see keyMemo), and
+// every pair filters what that walk found. The returned slice is the
+// caller's, but the dependents of its MVDs are shared — the caller must
+// not modify them. Any k > 0 searches afresh, kept from uniting a and b,
+// and returns a list of the caller's own.
 func (m *Miner) GetFullMVDs(sep bitset.AttrSet, a, b int, k int) []mvd.MVD {
-	root, slot := m.pairSlot(sep, a, b)
-	if slot < 0 {
+	if k == 0 {
+		return m.appendFullMVDs(nil, sep, a, b)
+	}
+	if _, slot := m.pairSlot(sep, a, b); slot < 0 {
 		return nil
 	}
-	if k > 0 {
-		m.search(sep, a, b, k, true)
-		return m.fullMVDs(sep)
+	m.search(sep, a, b, k, true)
+	return m.fullMVDs(sep)
+}
+
+// appendFullMVDs appends GetFullMVDs(sep, a, b, 0) to dst, growing dst at
+// most once.
+func (m *Miner) appendFullMVDs(dst []mvd.MVD, sep bitset.AttrSet, a, b int) []mvd.MVD {
+	root, slot := m.pairSlot(sep, a, b)
+	if slot < 0 {
+		return dst
 	}
-	fs := &root.fullSlots()[slot]
-	if m.keys.claim(&fs.state) != slotOpen {
-		return fs.mvds
+	fulls := m.keyFulls(sep, root)
+	n := 0
+	for _, phi := range fulls {
+		if phi.Separates(a, b) {
+			n++
+		}
 	}
-	m.search(sep, a, b, 0, true)
-	out := m.fullMVDs(sep)
-	if m.stopped() {
-		m.keys.settle(&fs.state, slotOpen)
+	if n > cap(dst)-len(dst) {
+		// One allocation, at least doubling like append; slices.Grow
+		// takes two under the race detector.
+		dst = append(make([]mvd.MVD, 0, max(len(dst)+n, 2*cap(dst))), dst...)
+	}
+	for _, phi := range fulls {
+		if phi.Separates(a, b) {
+			dst = append(dst, phi)
+		}
+	}
+	return dst
+}
+
+// keyFulls returns the full MVDs of sep's unrestricted walk, sorted,
+// walking the key on its first request of the mine. A walk the stop cuts
+// short settles nothing — the key reopens, and the next request under a
+// live context walks it afresh — but it leaves its partial list on the
+// root for the callers that wake to the same stop, as their own searches
+// would have returned theirs.
+func (m *Miner) keyFulls(sep bitset.AttrSet, root *keyRoot) []mvd.MVD {
+	if m.keys.claim(&root.walk) != slotOpen {
+		return *root.fulls
+	}
+	if m.stopped() && root.fulls != nil {
+		out := *root.fulls
+		m.keys.settle(&root.walk, slotOpen)
 		return out
 	}
-	fs.mvds = out
-	m.keys.settle(&fs.state, slotDone)
+	m.search(sep, -1, -1, 0, true)
+	out := m.fullMVDs(sep)
+	root.fulls = &out
+	if m.stopped() {
+		m.keys.settle(&root.walk, slotOpen)
+	} else {
+		m.keys.settle(&root.walk, slotDone)
+	}
 	return out
 }
 
@@ -150,14 +197,23 @@ func (m *Miner) GetFullMVDs(sep bitset.AttrSet, a, b int, k int) []mvd.MVD {
 // search with key sep collected: a holder refined by another holder is not
 // full. (Holders reached along different DFS paths can be coarsenings of
 // one another.) Only the survivors leave the scratch storage.
+//
+// A walk can collect tens of thousands of holders, so each pair is first
+// tested on two words per holder (see holderSig); only a pair that passes
+// is compared dependent by dependent.
 func (m *Miner) fullMVDs(sep bitset.AttrSet) []mvd.MVD {
 	s := &m.scratch
+	sigs := s.sigs[:0]
+	for _, ref := range s.holders {
+		sigs = append(sigs, newHolderSig(s.deps(ref)))
+	}
+	s.sigs = sigs
 	var out []mvd.MVD
 	for i, ri := range s.holders {
 		phi := mvd.MVD{Key: sep, Deps: s.deps(ri)}
 		dominated := false
 		for j, rj := range s.holders {
-			if i != j && (mvd.MVD{Key: sep, Deps: s.deps(rj)}).StrictlyRefines(phi) {
+			if sigs[j].mayStrictlyRefine(sigs[i]) && (mvd.MVD{Key: sep, Deps: s.deps(rj)}).Refines(phi) {
 				dominated = true
 				break
 			}
@@ -170,14 +226,56 @@ func (m *Miner) fullMVDs(sep bitset.AttrSet) []mvd.MVD {
 	return out
 }
 
+// holderSig is what a strict refinement must show of a candidate: all
+// candidates of a search split the same attributes, and a strict
+// refinement splits them into more dependents, each inside one of the
+// coarser candidate's. So each of the coarser candidate's dependents
+// keeps its least attribute as the least of one of the refinement's, and
+// an attribute the refinement keeps with the next attribute of the split
+// set the coarser candidate keeps with it too.
+type holderSig struct {
+	n      int    // dependents
+	mins   uint64 // their least attributes
+	joined uint64 // attributes in the dependent of the next attribute
+}
+
+func newHolderSig(deps []bitset.AttrSet) holderSig {
+	var all bitset.AttrSet
+	for _, d := range deps {
+		all = all.Union(d)
+	}
+	sig := holderSig{n: len(deps)}
+	for _, d := range deps {
+		sig.mins |= 1 << uint(d.Min())
+		for rest := uint64(d); rest != 0; rest &= rest - 1 {
+			x := rest & -rest
+			if above := uint64(all) &^ (x<<1 - 1); above&-above&uint64(d) != 0 {
+				sig.joined |= x
+			}
+		}
+	}
+	return sig
+}
+
+// mayStrictlyRefine reports whether a candidate with signature s can
+// strictly refine one with signature o: false proves it does not.
+func (s holderSig) mayStrictlyRefine(o holderSig) bool {
+	return s.n > o.n && o.mins&^s.mins == 0 && s.joined&^o.joined == 0
+}
+
 // SeparatorHolds reports whether sep admits any ε-MVD separating a and b —
-// the test used by MineMinSeps and ReduceMinSep (K = 1 call sites). The
-// verdict is searched once per key and pair of root dependents for the
-// life of the miner (see keyMemo); a settled one is an atomic load.
+// the test used by MineMinSeps and ReduceMinSep (K = 1 call sites). On a
+// root of at most splitMaxDeps dependents the verdict is a bit of the
+// split table its owner filled; on a wider one it is searched once per
+// key and pair of root dependents for the life of the miner (see
+// keyMemo), and a settled one is an atomic load.
 func (m *Miner) SeparatorHolds(sep bitset.AttrSet, a, b int) bool {
 	root, slot := m.pairSlot(sep, a, b)
 	if slot < 0 {
 		return false
+	}
+	if root.verdicts == nil {
+		return root.holds&(1<<slot) != 0
 	}
 	v := &root.verdicts[slot]
 	if s := m.keys.claim(v); s != slotOpen {
@@ -210,11 +308,12 @@ func (m *Miner) pairSlot(sep bitset.AttrSet, a, b int) (*keyRoot, int) {
 	return root, root.slot(a, b)
 }
 
-// search is the lattice walk behind GetFullMVDs and SeparatorHolds, for a
-// pair pairSlot accepted. It returns the number of holders found — it
-// stops at k when k > 0 — and, when collect is set, leaves them in
-// scratch.holders in discovery order. The entry points run it only for a
-// slot they claimed, so it counts the searches run, not those requested.
+// search is the lattice walk behind GetFullMVDs and SeparatorHolds, kept
+// from uniting a pair pairSlot accepted, or unrestricted — a key's walk —
+// when a < 0. It returns the number of holders found — it stops at k when
+// k > 0 — and, when collect is set, leaves them in scratch.holders in
+// discovery order. The entry points run it only for a walk or slot they
+// claimed, so it counts the searches run, not those requested.
 //
 // The walk runs in the miner's scratch storage (see searchScratch) and
 // allocates nothing once the scratch has grown to the search's size.
@@ -222,7 +321,7 @@ func (m *Miner) search(sep bitset.AttrSet, a, b, k int, collect bool) int {
 	s := &m.scratch
 	s.reset()
 	root := m.keyRoot(sep)
-	if root.aborted || root.slot(a, b) < 0 {
+	if root.aborted || (a >= 0 && root.slot(a, b) < 0) {
 		return 0
 	}
 	m.searchStats.Searches++
@@ -264,15 +363,19 @@ func candJ(s *searchScratch, root *keyRoot, ref candRef) float64 {
 
 // expand pushes the not-yet-visited search-space neighbors of the
 // candidate at ref (Eq. 13): every merge of two of its dependents that
-// keeps a and b apart, repaired first when pruning is on. Neighbors are
-// built one at a time at the arena's tail, in canonical (i, j) order, and
-// only the new ones stay there. A neighbor carries its parent's terms but
-// the union's, which is the one entropy looked up here.
+// keeps a and b apart (every merge when a < 0), repaired first when
+// pruning is on. Neighbors are built one at a time at the arena's tail, in
+// canonical (i, j) order, and only the new ones stay there. A neighbor
+// carries its parent's terms but the union's, which is the one entropy
+// looked up here.
 func (m *Miner) expand(sep bitset.AttrSet, root *keyRoot, ref candRef, a, b int) {
 	s := &m.scratch
 	n := int(ref.n)
-	cur := mvd.MVD{Key: sep, Deps: s.deps(ref)}
-	ia, ib := cur.DepIndexOf(a), cur.DepIndexOf(b)
+	ia, ib := -1, -1
+	if a >= 0 {
+		cur := mvd.MVD{Key: sep, Deps: s.deps(ref)}
+		ia, ib = cur.DepIndexOf(a), cur.DepIndexOf(b)
+	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if (i == ia && j == ib) || (i == ib && j == ia) {
@@ -304,10 +407,10 @@ func (m *Miner) expand(sep bitset.AttrSet, root *keyRoot, ref candRef, a, b int)
 }
 
 // keyRoot returns the root candidate of every search with key sep — the
-// all-singletons MVD, repaired when pruning is on — with its terms and J,
-// computing them on the first request of the mine (see keyMemo). Over a
-// hashed key memo, a root this miner has read settled before comes from
-// its private table.
+// all-singletons MVD, repaired when pruning is on — with its terms and
+// separator verdicts, computing them on the first request of the mine
+// (see keyMemo). Over a hashed key memo, a root this miner has read
+// settled before comes from its private table.
 func (m *Miner) keyRoot(sep bitset.AttrSet) *keyRoot {
 	private := m.keys.dense == nil
 	if private {
@@ -340,11 +443,59 @@ func (m *Miner) keyRoot(sep bitset.AttrSet) *keyRoot {
 			return r
 		}
 	}
-	r.publish(deps, terms, hKey, m.src.H(bitset.Full(m.oracle.NumAttrs())))
+	hAll := m.src.H(bitset.Full(m.oracle.NumAttrs()))
+	var holds uint64
+	if len(deps) <= splitMaxDeps {
+		// Filled before the root is published: a reader never sees a
+		// root without its verdicts.
+		holds = m.splitVerdicts(sep, deps, terms, hKey, hAll)
+	}
+	r.publish(deps, terms, hKey, hAll, holds)
 	if private {
 		m.roots.put(sep, r)
 	}
 	return r
+}
+
+// splitVerdicts is the separator table of a root of at most splitMaxDeps
+// dependents (see keyMemo): bit slot(i, j) is set when some two-way split
+// of deps puts dependents i and j on opposite sides and has J ≤ ε. It
+// looks up H(key ∪ X) for every union X of dependents but the whole and
+// the single ones, whose terms the root carries — unless the root itself
+// holds: then it separates every pair, as a search finds at its first
+// candidate, and no lookup is needed.
+func (m *Miner) splitVerdicts(key bitset.AttrSet, deps []bitset.AttrSet, terms []float64, hKey, hAll float64) uint64 {
+	n := len(deps)
+	if info.LeqEps(info.JMVDTerms(terms, hKey, hAll), m.opts.Epsilon) {
+		return 1<<(n*(n-1)/2) - 1
+	}
+	all := 1<<n - 1
+	unions, h := &m.scratch.splitUnions, &m.scratch.splitH
+	unions[0] = key
+	for x := 1; x < all; x++ {
+		low := bits.TrailingZeros(uint(x))
+		unions[x] = unions[x&(x-1)].Union(deps[low])
+		if x&(x-1) == 0 {
+			h[x] = terms[low]
+		} else {
+			h[x] = m.src.H(unions[x])
+		}
+	}
+	var holds uint64
+	for x := 1; x < all; x += 2 { // each split once, by the side holding dependent 0
+		y := all ^ x
+		if !info.LeqEps(info.JMVDTerms([]float64{h[x], h[y]}, hKey, hAll), m.opts.Epsilon) {
+			continue
+		}
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if (x>>i)&1 != (x>>j)&1 {
+					holds |= 1 << pairIndex(i, j, n)
+				}
+			}
+		}
+	}
+	return holds
 }
 
 // repair is getPairwiseConsistentMVD (Fig. 16), in place: while some

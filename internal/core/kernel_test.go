@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -100,8 +101,8 @@ func TestKeyRootsMatchLiteralRepair(t *testing.T) {
 							t.Fatalf("%s eps=%v workers=%d key %v: memo holds %v (aborted=%v), literal repair gives %v",
 								name, eps, workers, sep, got, root.aborted, want)
 						}
-						if wantJ := info.JMVD(ref, want); root.j != wantJ {
-							t.Fatalf("%s eps=%v workers=%d key %v: memo J = %v, want %v", name, eps, workers, sep, root.j, wantJ)
+						if j, wantJ := info.JMVDTerms(root.terms, root.hKey, root.hAll), info.JMVD(ref, want); j != wantJ {
+							t.Fatalf("%s eps=%v workers=%d key %v: memo J = %v, want %v", name, eps, workers, sep, j, wantJ)
 						}
 					}
 				}
@@ -283,18 +284,32 @@ func literalMineMinSeps(m *Miner, a, b int, holds func(sep bitset.AttrSet) bool)
 	return seps, tr
 }
 
-// checkSettledSlots checks every pair slot m's key memo settled against a
-// search of its own on ref, a miner sharing no memo with m: a verdict
-// must be whether that search finds a holder, a full-MVD list must be the
-// full MVDs it finds. No slot may be left busy, and each slot's index
-// must be the one keyRoot.slot gives its dependents. It returns how many
-// verdicts and lists it checked.
-func checkSettledSlots(t *testing.T, m, ref *Miner) (verdicts, lists int) {
+// checkKeyAnswers checks every answer m's key memo holds against a search
+// of its own on ref, a miner with m's options sharing no memo with m. A
+// settled walk must hold the full MVDs of ref's unrestricted walk. Then,
+// for each pair of a root's dependents: its verdict — a bit of the split
+// table, or a slot settled by a search — must be whether ref's search kept
+// from uniting the pair finds a holder; and once the key is walked, the
+// pair's GetFullMVDs(K = 0), filtered from the walk, must be the full MVDs
+// ref's restricted search returns. No walk or verdict slot may be left
+// busy, a split table may set no bit past its last pair, and each pair's
+// slot must be the one keyRoot.slot gives its dependents. It returns how
+// many split-table verdicts, searched verdicts and walks it checked.
+func checkKeyAnswers(t *testing.T, m, ref *Miner) (split, searched, walks int) {
 	t.Helper()
 	for sep, root := range keyRoots(m.keys) {
-		var fulls []fullSlot
-		if p := root.fulls.Load(); p != nil {
-			fulls = *p
+		walked := false
+		switch st := root.walk.Load(); st {
+		case slotOpen:
+		case slotDone:
+			walks++
+			walked = true
+			ref.search(sep, -1, -1, 0, true)
+			if want := ref.fullMVDs(sep); !slices.EqualFunc(*root.fulls, want, mvd.MVD.Equal) {
+				t.Fatalf("key %v: settled walk %v, a fresh walk %v", sep, *root.fulls, want)
+			}
+		default:
+			t.Fatalf("key %v: walk left in state %d", sep, st)
 		}
 		slot := 0
 		for x := range root.deps {
@@ -303,47 +318,174 @@ func checkSettledSlots(t *testing.T, m, ref *Miner) (verdicts, lists int) {
 				if got := root.slot(b, a); got != slot {
 					t.Fatalf("key %v dependents %d,%d: slot %d, want %d", sep, x, y, got, slot)
 				}
-				switch st := root.verdicts[slot].Load(); st {
-				case slotOpen:
-				case slotNo, slotYes:
-					verdicts++
-					if want := ref.search(sep, a, b, 1, false) > 0; (st == slotYes) != want {
-						t.Fatalf("key %v pair (%d,%d): settled verdict %v, a fresh search %v", sep, a, b, st == slotYes, want)
+				holds, settled := root.holds&(1<<slot) != 0, root.verdicts == nil
+				if settled {
+					split++
+				} else {
+					switch st := root.verdicts[slot].Load(); st {
+					case slotOpen:
+					case slotNo, slotYes:
+						holds, settled = st == slotYes, true
+						searched++
+					default:
+						t.Fatalf("key %v pair (%d,%d): verdict slot left in state %d", sep, a, b, st)
 					}
-				default:
-					t.Fatalf("key %v pair (%d,%d): verdict slot left in state %d", sep, a, b, st)
 				}
-				if fulls == nil {
+				if settled && holds != (ref.search(sep, a, b, 1, false) > 0) {
+					t.Fatalf("key %v pair (%d,%d): verdict %v, a search kept from uniting them %v", sep, a, b, holds, !holds)
+				}
+				if !walked {
 					continue
 				}
-				switch st := fulls[slot].state.Load(); st {
-				case slotOpen:
-				case slotDone:
-					lists++
-					ref.search(sep, a, b, 0, true)
-					want := ref.fullMVDs(sep)
-					if !slices.EqualFunc(fulls[slot].mvds, want, mvd.MVD.Equal) {
-						t.Fatalf("key %v pair (%d,%d): settled list %v, a fresh search %v", sep, a, b, fulls[slot].mvds, want)
-					}
-				default:
-					t.Fatalf("key %v pair (%d,%d): list slot left in state %d", sep, a, b, st)
+				ref.search(sep, a, b, 0, true)
+				if got, want := m.GetFullMVDs(sep, a, b, 0), ref.fullMVDs(sep); !slices.EqualFunc(got, want, mvd.MVD.Equal) {
+					t.Fatalf("key %v pair (%d,%d): list %v from the walk, a search kept from uniting them %v", sep, a, b, got, want)
 				}
 			}
 		}
+		if root.verdicts == nil && root.holds>>slot != 0 {
+			t.Fatalf("key %v: split table %#x sets bits past its %d pairs", sep, root.holds, slot)
+		}
 	}
-	return verdicts, lists
+	return split, searched, walks
+}
+
+// answerEveryPair asks m's key memo, for every key it holds and every pair
+// of the key root's dependents, both questions: the separator verdict and
+// the full MVDs, so every verdict slot settles and every key is walked.
+func answerEveryPair(m *Miner) {
+	for sep, root := range keyRoots(m.keys) {
+		for x := range root.deps {
+			for y := x + 1; y < len(root.deps); y++ {
+				a, b := root.deps[x].Min(), root.deps[y].Max()
+				m.SeparatorHolds(sep, a, b)
+				m.GetFullMVDs(sep, a, b, 0)
+			}
+		}
+	}
+}
+
+// TestKeyAnswersMatchSearch checks the two facts the key memo answers a
+// pair by (see keyMemo), for every key a mine asked about and every pair
+// of the key root's dependents: the split table's verdict is the verdict
+// of the early-stopping search kept from uniting the pair, and the full
+// MVDs filtered from the key's one walk are the full MVDs that search
+// returns. Each case mines at 1 and 4 workers, then answers every pair of
+// every key the mine asked about. With pruning on it runs nursery and the
+// planted relations at four thresholds, and the 17-column Letter analog,
+// over the hashed key memo, at the two its full mine finishes at in a
+// test's time. With pruning off, where a wide root's search covers the
+// whole lattice above it, it runs the noisy planted relation at two
+// thresholds and nursery at one. FuzzKeyAnswers covers both settings at
+// random thresholds on random relations.
+func TestKeyAnswersMatchSearch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every pair of every key of 34 mines, each against two searches")
+	}
+	rels := parallelTestRelations(t)
+	spec, err := datagen.Lookup("Letter", 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rels["letter"] = spec.Generate()
+	all := []float64{0, 0.02, 0.1, 0.3}
+	split, searched := 0, 0
+	for _, c := range []struct {
+		name    string
+		eps     []float64
+		pruning bool
+	}{
+		{"nursery", all, true},
+		{"planted", all, true},
+		{"planted-noisy", all, true},
+		{"letter", []float64{0, 0.02}, true},
+		{"planted-noisy", []float64{0, 0.1}, false},
+		{"nursery", []float64{0.3}, false},
+	} {
+		r := rels[c.name]
+		for _, eps := range c.eps {
+			for _, workers := range []int{1, 4} {
+				opts := DefaultOptions(eps)
+				opts.PairwiseConsistency = c.pruning
+				opts.Workers = workers
+				m := NewMiner(shared(r), opts)
+				if res := m.MineMVDs(); res.Err != nil {
+					t.Fatal(res.Err)
+				}
+				if hashed := m.keys.dense == nil; hashed != (r.NumCols() > bitset.DenseMaxAttrs) {
+					t.Fatalf("%s: %d columns mined over a hashed key memo: %v", c.name, r.NumCols(), hashed)
+				}
+				answerEveryPair(m)
+				opts.Workers = 1
+				s, v, w := checkKeyAnswers(t, m, NewMiner(entropy.New(r), opts))
+				keys := 0
+				for _, root := range keyRoots(m.keys) {
+					if len(root.deps) > 1 {
+						keys++
+					}
+				}
+				if w != keys {
+					t.Fatalf("%s eps=%v pruning=%v workers=%d: %d of %d keys with a pair walked", c.name, eps, c.pruning, workers, w, keys)
+				}
+				split += s
+				searched += v
+			}
+		}
+	}
+	if split == 0 || searched == 0 {
+		t.Fatalf("%d split-table verdicts and %d searched verdicts checked, want both", split, searched)
+	}
+}
+
+// FuzzKeyAnswers is TestKeyAnswersMatchSearch on a random relation of at
+// most 8 columns and 40 rows, at a random threshold, with pruning on or
+// off: every key of the lattice, every pair of its root's dependents.
+// With pruning on, each pair's list must also be what Fig. 17 run
+// literally gives (literalFullMVDs).
+func FuzzKeyAnswers(f *testing.F) {
+	f.Add(int64(1), uint8(5), uint8(30), uint8(2), uint8(10), true)
+	f.Add(int64(7), uint8(8), uint8(40), uint8(3), uint8(0), true)
+	f.Add(int64(3), uint8(7), uint8(12), uint8(2), uint8(30), false)
+	f.Add(int64(9), uint8(8), uint8(25), uint8(4), uint8(2), false)
+	f.Fuzz(func(t *testing.T, seed int64, cols, rows, domain, eps uint8, pruning bool) {
+		r := randomRelation(rand.New(rand.NewSource(seed)), 1+int(rows)%40, 2+int(cols)%7, 1+int(domain)%4)
+		opts := DefaultOptions(float64(eps%64) / 100)
+		opts.PairwiseConsistency = pruning
+		m := NewMiner(entropy.New(r), opts)
+		for sep := range bitset.AttrSet(1 << r.NumCols()) {
+			m.keyRoot(sep)
+		}
+		answerEveryPair(m)
+		checkKeyAnswers(t, m, NewMiner(entropy.New(r), opts))
+		if !pruning {
+			return
+		}
+		ref := entropy.New(r)
+		for sep, root := range keyRoots(m.keys) {
+			for x := range root.deps {
+				for y := x + 1; y < len(root.deps); y++ {
+					a, b := root.deps[x].Min(), root.deps[y].Max()
+					got, want := m.GetFullMVDs(sep, a, b, 0), literalFullMVDs(ref, sep, a, b, r.NumCols(), opts.Epsilon)
+					if !slices.EqualFunc(got, want, mvd.MVD.Equal) {
+						t.Fatalf("key %v pair (%d,%d): %v from the walk, %v from Fig. 17", sep, a, b, got, want)
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestVerdictMemoMatchesSearch checks MineMinSeps' separator tests,
-// settled on the key roots' slots, on every pair of nursery and a planted
-// relation at two thresholds: the separators and the MinSepTrace
-// (Processed, Wasted, MaxWastedRun, Separators) of each pair equal those
-// of a replay that searches every test afresh — which runs strictly more
-// searches over the lot — and after all pairs every settled verdict
-// equals a fresh search on a fresh miner.
+// answered by the key roots' split tables and verdict slots, on every pair
+// of nursery and a planted relation at two thresholds: the separators and
+// the MinSepTrace (Processed, Wasted, MaxWastedRun, Separators) of each
+// pair equal those of a replay that searches every test afresh — which
+// runs strictly more searches over the lot — and after all pairs every
+// split-table verdict and every settled slot equals a fresh search on a
+// fresh miner. Both kinds of verdict must occur.
 func TestVerdictMemoMatchesSearch(t *testing.T) {
 	rels := parallelTestRelations(t)
-	memo, literal, verdicts := 0, 0, 0
+	memo, literal, split, searched := 0, 0, 0, 0
 	for _, name := range []string{"nursery", "planted-noisy"} {
 		r := rels[name]
 		n := r.NumCols()
@@ -366,31 +508,32 @@ func TestVerdictMemoMatchesSearch(t *testing.T) {
 					}
 				}
 			}
-			v, _ := checkSettledSlots(t, m, newMiner(r, eps))
-			verdicts += v
+			s, v, _ := checkKeyAnswers(t, m, newMiner(r, eps))
+			split += s
+			searched += v
 		}
 	}
-	if verdicts == 0 || memo >= literal {
-		t.Fatalf("%d verdicts settled; %d searches with the memo, %d without", verdicts, memo, literal)
+	if split == 0 || searched == 0 || memo >= literal {
+		t.Fatalf("%d split-table and %d searched verdicts; %d searches with the memo, %d without", split, searched, memo, literal)
 	}
 }
 
 // replayRequests replays phase 1 of a mine literally — Fig. 5 for every
 // pair, then getFullMVDs for every separator found — searching every
-// request afresh. It returns the number of distinct (key, a's root
-// dependent, b's root dependent, stage) requests whose two dependents
-// differ, and the candidates their searches visit: what a mine that
-// searches each once must count. The roots come from literalRepair.
+// request afresh. It returns the searches a mine that answers pairs from
+// their keys must run, and the candidates they visit: one unrestricted
+// walk per separator key, and one search per distinct (key, a's root
+// dependent, b's root dependent) separator test whose two dependents
+// differ on a root wider than splitMaxDeps. The roots come from
+// literalRepair.
 func replayRequests(r *relation.Relation, eps float64) (searches, visited int) {
 	m := newMiner(r, eps)
 	ref := entropy.New(r)
-	type request struct {
-		key, da, db bitset.AttrSet
-		k           int
-	}
-	seen := make(map[request]bool)
+	type request struct{ key, da, db bitset.AttrSet }
+	tested := make(map[request]bool)
+	walked := make(map[bitset.AttrSet]bool)
 	roots := make(map[bitset.AttrSet]mvd.MVD)
-	run := func(key bitset.AttrSet, a, b, k int) int {
+	holds := func(key bitset.AttrSet, a, b int) bool {
 		root, ok := roots[key]
 		if !ok {
 			root, _ = mvd.Singletons(key, r.NumCols())
@@ -398,13 +541,13 @@ func replayRequests(r *relation.Relation, eps float64) (searches, visited int) {
 			roots[key] = root
 		}
 		before := m.SearchStats().Visited
-		found := m.search(key, a, b, k, k == 0)
+		found := m.search(key, a, b, 1, false) > 0
 		da, db := root.Deps[root.DepIndexOf(a)], root.Deps[root.DepIndexOf(b)]
 		if bitset.Compare(da, db) > 0 {
 			da, db = db, da
 		}
-		if req := (request{key, da, db, k}); da != db && !seen[req] {
-			seen[req] = true
+		if req := (request{key, da, db}); len(root.Deps) > splitMaxDeps && da != db && !tested[req] {
+			tested[req] = true
 			searches++
 			visited += m.SearchStats().Visited - before
 		}
@@ -413,25 +556,34 @@ func replayRequests(r *relation.Relation, eps float64) (searches, visited int) {
 	n := r.NumCols()
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
-			seps, _ := literalMineMinSeps(m, a, b, func(sep bitset.AttrSet) bool { return run(sep, a, b, 1) > 0 })
+			seps, _ := literalMineMinSeps(m, a, b, func(sep bitset.AttrSet) bool { return holds(sep, a, b) })
 			for _, sep := range seps {
-				run(sep, a, b, 0)
+				if !walked[sep] {
+					walked[sep] = true
+					before := m.SearchStats().Visited
+					m.search(sep, -1, -1, 0, true)
+					searches++
+					visited += m.SearchStats().Visited - before
+				}
 			}
 		}
 	}
 	return searches, visited
 }
 
-// TestSearchOncePerDependentPair is the invariant of the key memo's pair
-// slots: a mine runs one search per key, pair of root dependents and
-// stage, at any fan-out. On nursery and a noisy planted relation at three
-// thresholds, mined with 1 and 8 workers, SearchStats' Searches and
-// Visited equal a literal replay's count of distinct requests, and every
-// settled verdict and full-MVD list equals a fresh search. Then a mine is
-// stopped from its progress hook and re-mined on the same Miner under a
-// fresh context: the result equals an uninterrupted mine and every slot
-// still equals a fresh search, so no stopped search settled a slot.
-func TestSearchOncePerDependentPair(t *testing.T) {
+// TestOneWalkPerKey is the invariant of the key memo's answers: a mine
+// walks each separator key once and runs one separator search per key and
+// pair of dependents of a root wider than splitMaxDeps, at any fan-out. On
+// nursery and a noisy planted relation at three thresholds, mined with 1
+// and 8 workers, SearchStats' Searches and Visited equal a literal
+// replay's count, every key the mine found as a separator is walked, and
+// every answer equals a fresh search. A walk and a wide root's separator
+// search that the stop cuts short settle nothing: a stopped caller reads
+// the stopped walk's list, and a live one walks the key afresh. Then a mine is stopped
+// from its progress hook and re-mined on the same Miner under a fresh
+// context: the result equals an uninterrupted mine and every answer still
+// equals a fresh search.
+func TestOneWalkPerKey(t *testing.T) {
 	rels := parallelTestRelations(t)
 	for _, name := range []string{"nursery", "planted-noisy"} {
 		r := rels[name]
@@ -441,21 +593,65 @@ func TestSearchOncePerDependentPair(t *testing.T) {
 				opts := DefaultOptions(eps)
 				opts.Workers = workers
 				m := NewMiner(shared(r), opts)
-				if res := m.MineMVDs(); res.Err != nil {
+				res := m.MineMVDs()
+				if res.Err != nil {
 					t.Fatal(res.Err)
 				}
 				if st := m.SearchStats(); st.Searches != wantSearches || st.Visited != wantVisited {
-					t.Fatalf("%s eps=%v workers=%d: %d searches over %d candidates, replay has %d distinct requests over %d",
+					t.Fatalf("%s eps=%v workers=%d: %d searches over %d candidates, replay has %d over %d",
 						name, eps, workers, st.Searches, st.Visited, wantSearches, wantVisited)
 				}
-				if v, l := checkSettledSlots(t, m, newMiner(r, eps)); v == 0 || (eps > 0 && l == 0) {
-					t.Fatalf("%s eps=%v workers=%d: %d verdicts, %d lists settled", name, eps, workers, v, l)
+				for _, seps := range res.MinSeps {
+					for _, sep := range seps {
+						if root := m.keyRoot(sep); root.walk.Load() != slotDone {
+							t.Fatalf("%s eps=%v workers=%d: separator %v not walked", name, eps, workers, sep)
+						}
+					}
+				}
+				if s, _, w := checkKeyAnswers(t, m, newMiner(r, eps)); s == 0 || w == 0 {
+					t.Fatalf("%s eps=%v workers=%d: %d split-table verdicts, %d walks", name, eps, workers, s, w)
 				}
 			}
 		}
 	}
 
 	r := rels["nursery"]
+	done, stop := context.WithCancel(context.Background())
+	stop()
+	// Each search certainly stops before its first candidate: its key's
+	// root is settled, and the context is done.
+	m := newMiner(r, 0.3)
+	key, a, b := bitset.Of(1, 7), 0, 8
+	root := m.keyRoot(key)
+	if root.slot(a, b) < 0 {
+		t.Fatalf("root %v unites %d and %d: no walk to stop", root.deps, a, b)
+	}
+	got := m.WithContext(done).GetFullMVDs(key, a, b, 0)
+	if st := m.SearchStats(); st.Searches != 1 || len(got) != 0 || root.walk.Load() != slotOpen {
+		t.Fatalf("a stopped walk (%d searches) returned %v and left the walk in state %d", st.Searches, got, root.walk.Load())
+	}
+	// Stopped again, a caller reads the partial list and walks nothing;
+	// under a live context the key is walked afresh, and settles.
+	if got = m.GetFullMVDs(key, a, b, 0); m.SearchStats().Searches != 1 || len(got) != 0 {
+		t.Fatalf("a stopped caller ran %d searches for %v", m.SearchStats().Searches, got)
+	}
+	got = m.WithContext(context.Background()).GetFullMVDs(key, a, b, 0)
+	if m.SearchStats().Searches != 2 || len(got) == 0 || root.walk.Load() != slotDone {
+		t.Fatalf("a live walk after a stopped one: %d searches, %v, walk state %d", m.SearchStats().Searches, got, root.walk.Load())
+	}
+	checkKeyAnswers(t, m, newMiner(r, 0.3))
+	opts := DefaultOptions(0.3)
+	opts.PairwiseConsistency = false // the root of ∅ keeps all 9 dependents
+	m = NewMiner(entropy.New(r), opts)
+	root = m.keyRoot(bitset.Empty())
+	if len(root.deps) <= splitMaxDeps {
+		t.Fatalf("root of ∅ has %d dependents: no separator search to stop", len(root.deps))
+	}
+	holds := m.WithContext(done).SeparatorHolds(bitset.Empty(), a, b)
+	if st := m.SearchStats(); st.Searches != 1 || holds || root.verdicts[root.slot(a, b)].Load() != slotOpen {
+		t.Fatalf("a stopped separator search (%d searches) answered %v and settled its slot", st.Searches, holds)
+	}
+
 	for _, workers := range []int{1, 8} {
 		opts := DefaultOptions(0.3)
 		opts.Workers = workers
@@ -467,16 +663,6 @@ func TestSearchOncePerDependentPair(t *testing.T) {
 			}
 		}
 		m := NewMiner(shared(r), opts)
-		// One search certainly stopped mid-walk: its key's root is settled,
-		// the context is done, and the walk breaks before its first
-		// candidate. Its slot must stay open.
-		key, a, b := bitset.Of(1, 7), 0, 8
-		root := m.keyRoot(key)
-		done, stop := context.WithCancel(context.Background())
-		stop()
-		if m.WithContext(done).SeparatorHolds(key, a, b) || root.verdicts[root.slot(a, b)].Load() != slotOpen {
-			t.Fatalf("workers=%d: a stopped search settled its slot", workers)
-		}
 		if res := m.WithContext(ctx).MineMVDs(); !errors.Is(res.Err, context.Canceled) {
 			t.Fatalf("workers=%d: stopped mine Err = %v, want context.Canceled", workers, res.Err)
 		}
@@ -486,7 +672,7 @@ func TestSearchOncePerDependentPair(t *testing.T) {
 			t.Fatalf("workers=%d: re-mine after a stop gives %d MVDs (err %v), an uninterrupted mine %d",
 				workers, len(got.MVDs), got.Err, len(want.MVDs))
 		}
-		checkSettledSlots(t, m, newMiner(r, 0.3))
+		checkKeyAnswers(t, m, newMiner(r, 0.3))
 		cancel()
 	}
 }
@@ -494,11 +680,13 @@ func TestSearchOncePerDependentPair(t *testing.T) {
 // TestSearchKernelAllocs is the allocation gate of the search kernel. On
 // a warm miner — entropies memoized, the key's root in the key memo, the
 // scratch grown — a K = 1 search allocates nothing, however many
-// candidates it visits and prunes, and a K = 0 search allocates only for
-// the full MVDs it returns. Settled, SeparatorHolds and GetFullMVDs(K = 0)
-// allocate nothing and search nothing, and so does reading a settled root
-// from the dense key memo. MineMinSeps — settled roots, open slots,
-// transversal buffers — allocates only for the slice it returns.
+// candidates it visits and prunes, and a K = 0 search or a key's walk
+// allocates only for the full MVDs it returns. A settled SeparatorHolds —
+// a split-table bit, or a wide root's settled slot — allocates nothing and
+// searches nothing, and so does reading a settled root from the dense key
+// memo; a settled GetFullMVDs(K = 0) allocates only the slice it returns.
+// MineMinSeps — settled roots, open slots, transversal buffers — allocates
+// only for the slice it returns.
 func TestSearchKernelAllocs(t *testing.T) {
 	r := datagen.Nursery()
 	a, b := 0, 8
@@ -516,12 +704,6 @@ func TestSearchKernelAllocs(t *testing.T) {
 	if holds != 0 {
 		t.Errorf("warm K = 1 search: %v allocs/run over %d candidates, want 0", holds, perRun)
 	}
-	m.SeparatorHolds(key, a, b)
-	before = m.SearchStats()
-	if settled := testing.AllocsPerRun(20, func() { m.SeparatorHolds(key, a, b) }); settled != 0 || m.SearchStats() != before {
-		t.Errorf("settled SeparatorHolds: %v allocs/run, searched %+v after %+v; want 0 allocs, no search",
-			settled, m.SearchStats(), before)
-	}
 	root := m.keyRoot(key)
 	if m.keys.dense == nil || m.keys.shards != nil || m.roots.used != 0 {
 		t.Fatalf("nursery's %d attributes: dense key memo %v, shards %d, %d roots in the private table",
@@ -535,60 +717,92 @@ func TestSearchKernelAllocs(t *testing.T) {
 		t.Errorf("settled dense key-root read: %v allocs/run, want 0", settled)
 	}
 
+	// Pruning off keeps the root of ∅ at all 9 dependents, so its verdicts
+	// are searched; the root of {1, 7} has 7 and a split table.
+	opts := DefaultOptions(0.1)
+	opts.PairwiseConsistency = false
+	wide := NewMiner(entropy.New(r), opts)
+	for _, c := range []struct {
+		m     *Miner
+		key   bitset.AttrSet
+		split bool
+	}{{wide, key, false}, {m, bitset.Of(1, 7), true}} {
+		if root := c.m.keyRoot(c.key); (root.verdicts == nil) != c.split || root.slot(a, b) < 0 {
+			t.Fatalf("root of %v: %d dependents, split table %v, want %v", c.key, len(root.deps), root.verdicts == nil, c.split)
+		}
+		c.m.SeparatorHolds(c.key, a, b)
+		before = c.m.SearchStats()
+		if settled := testing.AllocsPerRun(20, func() { c.m.SeparatorHolds(c.key, a, b) }); settled != 0 || c.m.SearchStats() != before {
+			t.Errorf("settled SeparatorHolds on %v: %v allocs/run, searched %+v after %+v; want 0 allocs, no search",
+				c.key, settled, c.m.SearchStats(), before)
+		}
+	}
+
 	m = newMiner(r, 0.3)
-	m.search(key, a, b, 0, true)
-	out := m.fullMVDs(key)
-	before = m.SearchStats()
-	full := testing.AllocsPerRun(5, func() {
-		m.search(key, a, b, 0, true)
-		out = m.fullMVDs(key)
-	})
-	perRun = (m.SearchStats().Visited - before.Visited) / 6
-	if perRun < 1000 {
-		t.Fatalf("K = 0 search gate is too easy: %d candidates visited per run", perRun)
+	for _, pair := range [][2]int{{a, b}, {-1, -1}} {
+		m.search(key, pair[0], pair[1], 0, true)
+		out := m.fullMVDs(key)
+		before = m.SearchStats()
+		full := testing.AllocsPerRun(5, func() {
+			m.search(key, pair[0], pair[1], 0, true)
+			out = m.fullMVDs(key)
+		})
+		perRun = (m.SearchStats().Visited - before.Visited) / 6
+		if perRun < 1000 {
+			t.Fatalf("K = 0 search gate (pair %v) is too easy: %d candidates visited per run", pair, perRun)
+		}
+		// Per returned MVD: its dependents and its slot in the result,
+		// which grows by doubling.
+		if limit := float64(2*len(out) + 2); len(out) == 0 || full > limit {
+			t.Errorf("warm K = 0 search (pair %v): %v allocs/run for %d MVDs over %d candidates, want ≤ %v",
+				pair, full, len(out), perRun, limit)
+		}
 	}
-	// Per returned MVD: its dependents and its slot in the result, which
-	// grows by doubling.
-	if limit := float64(2*len(out) + 2); len(out) == 0 || full > limit {
-		t.Errorf("warm K = 0 search: %v allocs/run for %d MVDs over %d candidates, want ≤ %v",
-			full, len(out), perRun, limit)
-	}
-	m.GetFullMVDs(key, a, b, 0)
+	out := m.GetFullMVDs(key, a, b, 0)
 	before = m.SearchStats()
 	settled := testing.AllocsPerRun(20, func() { out = m.GetFullMVDs(key, a, b, 0) })
-	if settled != 0 || len(out) == 0 || m.SearchStats() != before {
-		t.Errorf("settled GetFullMVDs(K = 0): %v allocs/run for %d MVDs, searched %+v after %+v; want 0 allocs, no search",
+	if settled != 1 || len(out) == 0 || m.SearchStats() != before {
+		t.Errorf("settled GetFullMVDs(K = 0): %v allocs/run for %d MVDs, searched %+v after %+v; want 1 alloc, no search",
 			settled, len(out), m.SearchStats(), before)
 	}
 
-	// (2,3) has four separators: the enumerator takes edges and hands out
-	// transversals, and reductions and transversals re-test separators.
-	// Every run reopens the slots, so it searches again.
-	m = newMiner(r, 0.1)
-	seps := m.MineMinSeps(2, 3)
-	before = m.SearchStats()
-	roots := keyRoots(m.keys) // every run asks for the same keys
-	mine := testing.AllocsPerRun(5, func() {
-		for _, root := range roots {
-			for j := range root.verdicts {
-				root.verdicts[j].Store(slotOpen)
+	// At ε = 0.1, (2,3) has four separators: the enumerator takes edges
+	// and hands out transversals, and reductions and transversals re-test
+	// separators. At ε = 0.3, (1,6) tests two keys whose roots are wider
+	// than splitMaxDeps. Every run reopens the wide roots' slots, so it
+	// searches again.
+	for _, c := range []struct {
+		eps          float64
+		a, b         int
+		seps, visits int // at least, per run
+	}{{0.1, 2, 3, 4, 0}, {0.3, 1, 6, 1, 100}} {
+		m = newMiner(r, c.eps)
+		seps := m.MineMinSeps(c.a, c.b)
+		before = m.SearchStats()
+		roots := keyRoots(m.keys) // every run asks for the same keys
+		mine := testing.AllocsPerRun(5, func() {
+			for _, root := range roots {
+				for j := range root.verdicts {
+					root.verdicts[j].Store(slotOpen)
+				}
 			}
+			seps = m.MineMinSeps(c.a, c.b)
+		})
+		if perRun = (m.SearchStats().Visited - before.Visited) / 6; perRun < c.visits || len(seps) < c.seps {
+			t.Fatalf("MineMinSeps gate at eps=%v (%d,%d) is too easy: %d separators, %d candidates visited per run",
+				c.eps, c.a, c.b, len(seps), perRun)
 		}
-		seps = m.MineMinSeps(2, 3)
-	})
-	if perRun = (m.SearchStats().Visited - before.Visited) / 6; perRun < 100 || len(seps) == 0 {
-		t.Fatalf("MineMinSeps gate is too easy: %d separators, %d candidates visited per run", len(seps), perRun)
-	}
-	if mine > 1 {
-		t.Errorf("warm MineMinSeps: %v allocs/run for %d separators over %d candidates, want ≤ 1 (the result)",
-			mine, len(seps), perRun)
+		if mine > 1 {
+			t.Errorf("warm MineMinSeps at eps=%v (%d,%d): %v allocs/run for %d separators over %d candidates, want ≤ 1 (the result)",
+				c.eps, c.a, c.b, mine, len(seps), perRun)
+		}
 	}
 }
 
 // TestHashedKeyMemoMatchesDense mines nursery and a noisy planted
 // relation over the dense key memo their width gives and over the hashed
 // one wider relations get, at 1 and 4 workers: the MVDs, the separators
-// and every search counter agree, and every slot the hashed memo settled
+// and every search counter agree, and every answer the hashed memo holds
 // equals a fresh search.
 func TestHashedKeyMemoMatchesDense(t *testing.T) {
 	rels := parallelTestRelations(t)
@@ -611,8 +825,8 @@ func TestHashedKeyMemoMatchesDense(t *testing.T) {
 				if g, w := hashed.SearchStats(), dense.SearchStats(); g != w {
 					t.Fatalf("%s eps=%v workers=%d: hashed key memo searched %+v, dense %+v", name, eps, workers, g, w)
 				}
-				if v, _ := checkSettledSlots(t, hashed, newMiner(r, eps)); v == 0 {
-					t.Fatalf("%s eps=%v workers=%d: the hashed key memo settled no verdict", name, eps, workers)
+				if s, _, w := checkKeyAnswers(t, hashed, newMiner(r, eps)); s == 0 || w == 0 {
+					t.Fatalf("%s eps=%v workers=%d: the hashed key memo holds %d split-table verdicts, %d walks", name, eps, workers, s, w)
 				}
 			}
 		}

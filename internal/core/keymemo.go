@@ -6,14 +6,13 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bitset"
-	"repro/internal/info"
 	"repro/internal/mvd"
 	"repro/internal/stripe"
 )
 
 // keyMemo remembers, per separator key, the root candidate of the
-// getFullMVDs search, its J and the entropies that J is summed from: the
-// dependents' terms H(key ∪ Cᵢ), H(key) and H(Ω). Every search with the
+// getFullMVDs search, its terms and the entropies its J is summed from:
+// the dependents' terms H(key ∪ Cᵢ), H(key) and H(Ω). Every search with the
 // key starts out carrying them, and they are read once per key, never
 // once per worker. All of it depends on the key, ε and the pruning
 // setting only — never on the attribute pair a search is run for: the
@@ -23,16 +22,30 @@ import (
 // root is repaired and scored once per key, and every later search starts
 // from the stored value.
 //
-// The search itself depends on the pair only through the root dependents
-// of a and b: every candidate coarsens the root, a neighbor is skipped or
-// pruned exactly when it unites a's and b's root dependents, and the walk
-// is otherwise the same. So the root also carries one slot per unordered
-// pair of its dependents and per stage — the SeparatorHolds verdict (K = 1)
-// and the GetFullMVDs(K = 0) list — and each is searched once per mine and
-// read by every later pair whose a and b fall in the same two dependents.
-// On the bench's 13-column relation at ε = 0.1 that halves the candidates
-// a mine visits (142,572 → 67,551); TestSearchOncePerDependentPair pins
-// one search per key and dependent pair.
+// The key's root also answers both questions a pair asks of the key, for
+// every pair at once:
+//
+//   - GetFullMVDs(K = 0). Every refinement of a candidate that separates a
+//     and b separates them too, so a walk kept from uniting a and b finds
+//     exactly the holders of the unrestricted walk that separate them, and
+//     its full MVDs are the key's full MVDs F(key) that separate them. So
+//     the key is walked once, with no pair to keep apart, and F(key) is
+//     stored on the root; a pair filters it.
+//   - SeparatorHolds (K = 1). J only falls when dependents merge, and a
+//     forced repair merge never crosses a two-way split that holds. So an
+//     ε-MVD with the key separates a and b iff some split {X, R∖X} of the
+//     root's dependents with a's in X and b's outside has J ≤ ε. For a
+//     root of m dependents that table costs 2^m − 2 unions, no more
+//     lookups than one expansion of the root (C(m,2) neighbors, each
+//     repaired in up to m − 1 merges) while m ≤ 7; the root's owner fills
+//     it before it publishes the root, one verdict bit per pair of its
+//     dependents. A wider root keeps one verdict slot per pair, each
+//     searched once per mine by an early-stopping search.
+//
+// On the bench's 13-column relation at ε = 0.1 no root is wider than 7
+// after repair, so a mine runs no K = 1 search and one walk per key it
+// lists full MVDs for; TestKeyAnswersMatchSearch pins both answers
+// against the per-pair searches, and TestOneWalkPerKey the count.
 //
 // The memo lives as long as its Miner — one mine, one ε, one pruning
 // setting — and is shared by the miner's forked workers. It is
@@ -44,20 +57,20 @@ import (
 // KiB per mine at 13 attributes): the root is installed in its slot by
 // compare-and-swap, and a settled root is one atomic load. Wider, it is
 // striped maps under locks, and since a settled root never changes but
-// for its slots' states, each miner also keeps the roots it has seen in a
-// private table (Miner.roots) and reads them there — no lock, no map, no
-// latch — coming here only for a key it has not seen. Either way this
-// stays the one place a root is computed. A pair slot is single-flight
-// too, claimed by compare-and-swap: a settled slot is one atomic load, and
-// only a caller that finds a search in flight takes the memo's lock, to
-// sleep until the owner settles it.
+// for its walk and slots, each miner also keeps the roots it has seen in
+// a private table (Miner.roots) and reads them there — no lock, no map,
+// no latch — coming here only for a key it has not seen. Either way this
+// stays the one place a root is computed. A walk and a verdict slot are
+// single-flight too, claimed by compare-and-swap: a settled one is one
+// atomic load, and only a caller that finds its owner in flight takes the
+// memo's lock, to sleep until the owner settles it.
 type keyMemo struct {
 	dense  bitset.Dense[atomic.Pointer[keyRoot]] // nil when too wide
 	shards []keyShard                            // nil when dense
 	mask   uint64
 
-	// mu and settled put callers to sleep on a slot whose search is in
-	// flight; an owner takes mu only when its slot was marked slotWaited.
+	// mu and settled put callers to sleep on a walk or slot whose search
+	// is in flight; an owner takes mu only when it was marked slotWaited.
 	mu      sync.Mutex
 	settled sync.Cond
 }
@@ -70,44 +83,47 @@ type keyShard struct {
 
 // keyRoot is one key's root candidate. The goroutine that installed it
 // fills it and releases ready (held from installation, so waiting costs no
-// channel); the fields are immutable afterwards, except the slots'
-// contents.
+// channel); the fields are immutable afterwards, except the walk's and
+// the verdict slots'.
 type keyRoot struct {
 	ready   sync.WaitGroup
 	deps    []bitset.AttrSet // canonical dependents of the root
 	terms   []float64        // terms[i] = H(key ∪ deps[i])
 	hKey    float64          // H(key)
 	hAll    float64          // H(Ω) = H(key ∪ every dependent)
-	j       float64          // J of the root
 	aborted bool             // the mine was stopped mid-repair: no root
 
-	// One slot per unordered dependent pair (see slot): the state of its
-	// SeparatorHolds verdict, and — allocated on the key's first
-	// GetFullMVDs(K = 0) — its full-MVD list.
+	// walk is the state of the key's unrestricted walk, and fulls the
+	// full MVDs it found, sorted: set by the walk's owner before it
+	// settles walk — at slotDone, read-only from then on; reopened, the
+	// partial list of a walk the stop cut short (see Miner.keyFulls).
+	walk  atomic.Uint32
+	fulls *[]mvd.MVD
+
+	// The SeparatorHolds verdicts, one per unordered dependent pair (see
+	// slot): bits of the split table on a root of at most splitMaxDeps
+	// dependents, else slot states searched on demand.
+	holds    uint64
 	verdicts []atomic.Uint32
-	fulls    atomic.Pointer[[]fullSlot]
 }
 
-// fullSlot is one dependent pair's GetFullMVDs(K = 0) result: mvds is
-// written by the slot's owner before it settles state at slotDone, and is
-// read-only from then on.
-type fullSlot struct {
-	state atomic.Uint32
-	mvds  []mvd.MVD
-}
-
-// The states of a pair slot. A slot is open until a caller claims it
-// (busy), and settles once its owner's search completes; an owner whose
-// search was stopped reopens it instead, since a stopped search's holder
-// count is not a verdict.
+// The states of a walk or a verdict slot. It is open until a caller
+// claims it (busy), and settles once its owner's search completes; an
+// owner whose search was stopped reopens it instead, since a stopped
+// search's holders are not an answer.
 const (
 	slotOpen   uint32    = iota // not searched
 	slotBusy                    // claimed: the owner's search is running
 	slotWaited                  // busy, and some caller sleeps on it
 	slotNo                      // settled verdict: no ε-MVD separates the pair
 	slotYes                     // settled verdict: one does
-	slotDone   = slotYes        // settled full-MVD list
+	slotDone   = slotYes        // settled walk
 )
+
+// splitMaxDeps is the widest root whose verdicts come from the split
+// table: the largest m with 2^m − 2 ≤ C(m,2)·(m − 1), 126 ≤ 126 (at 8,
+// 254 > 196).
+const splitMaxDeps = 7
 
 // newKeyMemo returns an empty memo for keys over n attributes.
 func newKeyMemo(n int) *keyMemo {
@@ -163,14 +179,16 @@ func (k *keyMemo) acquire(sep bitset.AttrSet) (r *keyRoot, owner bool) {
 }
 
 // publish completes the owner's entry with copies of deps and terms, the
-// J they give, and open slots for its dependent pairs.
-func (r *keyRoot) publish(deps []bitset.AttrSet, terms []float64, hKey, hAll float64) {
+// split-table verdicts holds of a root of at most splitMaxDeps
+// dependents, and open verdict slots for a wider one.
+func (r *keyRoot) publish(deps []bitset.AttrSet, terms []float64, hKey, hAll float64, holds uint64) {
 	r.deps = slices.Clone(deps)
 	r.terms = slices.Clone(terms)
 	r.hKey, r.hAll = hKey, hAll
-	r.j = info.JMVDTerms(terms, hKey, hAll)
-	n := len(deps)
-	r.verdicts = make([]atomic.Uint32, n*(n-1)/2)
+	r.holds = holds
+	if n := len(deps); n > splitMaxDeps {
+		r.verdicts = make([]atomic.Uint32, n*(n-1)/2)
+	}
 	r.ready.Done()
 }
 
@@ -191,9 +209,8 @@ func (k *keyMemo) abort(sep bitset.AttrSet, r *keyRoot) {
 }
 
 // slot returns the index of the unordered pair of root dependents that a
-// and b fall in — row-major over the upper triangle, so dependents i < j
-// of n have slot i(2n−i−1)/2 + j−i−1 — or -1 when they share a dependent
-// (the root does not separate them, so no search runs).
+// and b fall in (see pairIndex), or -1 when they share a dependent (the
+// root does not separate them, so no search runs).
 func (r *keyRoot) slot(a, b int) int {
 	i, j := -1, -1
 	for x, d := range r.deps {
@@ -207,27 +224,17 @@ func (r *keyRoot) slot(a, b int) int {
 	if i == j || i < 0 || j < 0 {
 		return -1
 	}
-	if i > j {
-		i, j = j, i
-	}
-	return i*(2*len(r.deps)-i-1)/2 + j - i - 1
+	return pairIndex(min(i, j), max(i, j), len(r.deps))
 }
 
-// fullSlots returns the root's full-MVD slots, allocating them on the
-// key's first request.
-func (r *keyRoot) fullSlots() []fullSlot {
-	if p := r.fulls.Load(); p != nil {
-		return *p
-	}
-	s := make([]fullSlot, len(r.verdicts))
-	if r.fulls.CompareAndSwap(nil, &s) {
-		return s
-	}
-	return *r.fulls.Load()
+// pairIndex is the slot of dependents i < j of n: row-major over the upper
+// triangle.
+func pairIndex(i, j, n int) int {
+	return i*(2*n-i-1)/2 + j - i - 1
 }
 
-// claim returns the settled state of the slot st, waiting while another
-// caller's search for it is in flight — or slotOpen, when the caller has
+// claim returns the settled state of the walk or slot st, waiting while
+// another caller's search for it is in flight — or slotOpen, when the caller has
 // claimed it and must end its claim with settle.
 func (k *keyMemo) claim(st *atomic.Uint32) uint32 {
 	for {
@@ -262,7 +269,7 @@ func (k *keyMemo) wait(st *atomic.Uint32) {
 }
 
 // settle ends the owner's claim on st with state s — a verdict, slotDone,
-// or slotOpen to give the slot up unsearched — and wakes its waiters.
+// or slotOpen to give it up unsearched — and wakes its waiters.
 func (k *keyMemo) settle(st *atomic.Uint32, s uint32) {
 	if st.Swap(s) == slotWaited {
 		k.mu.Lock()

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestSlotClaimWaits drives one pair slot from eight goroutines. One
+// TestSlotClaimWaits drives one slot from eight goroutines. One
 // claims it and holds it until another has marked it waited; then it
 // reopens the slot unsettled, as a stopped search does. Exactly one more
 // caller must claim it and settle it, and every caller must come back

@@ -42,12 +42,12 @@ func (m *Miner) LastMinSepTrace() MinSepTrace { return m.minsepTrace }
 // separators found so far (Thm. 6.1): a new minimal separator exists iff
 // some minimal transversal's complement (within Ω \ {a,b}) separates.
 //
-// Each separator test is a SeparatorHolds, so a separator the transversal
-// loop or a reduction re-tests — within the pair or for another pair in
-// the same two root dependents — is a settled slot of the key memo, not a
-// search. The enumerator and the separator list are the miner's scratch,
-// reused pair after pair: a warm call allocates only the slice it
-// returns.
+// Each separator test is a SeparatorHolds, answered from the key memo: a
+// bit of the key root's split table, or on a wider root a slot settled
+// once for every pair in the same two root dependents — so a separator the
+// transversal loop or a reduction re-tests is never searched again. The
+// enumerator and the separator list are the miner's scratch, reused pair
+// after pair: a warm call allocates only the slice it returns.
 func (m *Miner) MineMinSeps(a, b int) []bitset.AttrSet {
 	n := m.oracle.NumAttrs()
 	universe := bitset.Full(n).Remove(a).Remove(b)

@@ -101,8 +101,8 @@ func (a *progressAgg) pairDone(out *PairMVDs, visited int) {
 // (par.For) each mine pairs with their own miner view — a fork reading H
 // through a worker-local view — and fill the pairs' outcome slots; a
 // one-worker mine runs the same fork on the calling goroutine. Outcomes
-// are indexed like pairs and locally deduped in discovery order; the
-// cross-pair merge is the caller's. A pair the stop left unmined keeps
+// are indexed like pairs, each pair's MVDs distinct and in discovery
+// order; the cross-pair merge is the caller's. A pair the stop left unmined keeps
 // no separators. expand=false restricts the work to the separator phase.
 func (m *Miner) minePairMVDs(pairs [][2]int, phase string, expand bool) ([]PairMVDs, error) {
 	m.beginPhase()
@@ -150,28 +150,21 @@ func (m *Miner) minePairMVDs(pairs [][2]int, phase string, expand bool) ([]PairM
 }
 
 // expandPair fills out.MVDs with the full MVDs of every separator of the
-// pair, locally deduped in discovery order.
+// pair, in discovery order. No MVD repeats: each separator is a distinct
+// key, and one key's list has none.
 func (w *Miner) expandPair(out *PairMVDs) {
 	t0 := time.Now()
 	before := w.searchStats
-	found := int64(0) // pre-dedup returns, so the count is fan-out invariant
-	seen := make(map[string]bool)
 	for _, sep := range out.Seps {
 		if w.stopped() {
 			break
 		}
-		// The list may be one another pair settled: it is only read, and
-		// its MVDs are shared as they are.
-		for _, phi := range w.GetFullMVDs(sep, out.A, out.B, 0) {
-			found++
-			if fp := phi.Fingerprint(); !seen[fp] {
-				seen[fp] = true
-				out.MVDs = append(out.MVDs, phi)
-			}
-		}
+		// The dependents of the MVDs are shared with the key memo and
+		// every other pair that reads the key: they are only read.
+		out.MVDs = w.appendFullMVDs(out.MVDs, sep, out.A, out.B)
 	}
 	// Calls are the searches run, not the lists requested.
-	w.recordStage(&w.stages.fullmvd, t0, before, int64(w.searchStats.Searches-before.Searches), found)
+	w.recordStage(&w.stages.fullmvd, t0, before, int64(w.searchStats.Searches-before.Searches), int64(len(out.MVDs)))
 }
 
 // minePairs is minePairMVDs merged by MergePairs in pair order, so

@@ -21,7 +21,8 @@ type searchScratch struct {
 	arena   []bitset.AttrSet
 	terms   []float64
 	stack   []candRef
-	holders []candRef // candidates found to hold, for GetFullMVDs
+	holders []candRef   // candidates found to hold, for GetFullMVDs
+	sigs    []holderSig // the holders' signatures, while fullMVDs filters them
 
 	// The visited set: open addressing with linear probing over a
 	// power-of-two table kept at most half full. A slot whose epoch is
@@ -37,6 +38,11 @@ type searchScratch struct {
 	// it is published to the key memo.
 	root      [bitset.MaxAttrs]bitset.AttrSet
 	rootTerms [bitset.MaxAttrs]float64
+	// splitUnions and splitH are a root's split table in the making (see
+	// splitVerdicts): key ∪ X and its entropy for each union X of its
+	// dependents, indexed by the bit set of X.
+	splitUnions [1 << splitMaxDeps]bitset.AttrSet
+	splitH      [1 << splitMaxDeps]float64
 
 	// MineMinSeps' storage, reused pair after pair: the transversal
 	// enumerator and the separators found before they are copied out.

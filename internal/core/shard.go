@@ -50,7 +50,7 @@ func ShardPairs(n, shard, numShards int) [][2]int {
 type PairMVDs struct {
 	A, B int
 	Seps []bitset.AttrSet
-	MVDs []mvd.MVD // locally deduped, discovery order (pre cross-pair dedup)
+	MVDs []mvd.MVD // distinct, discovery order (pre cross-pair dedup)
 }
 
 // MinePairMVDs mines the given attribute pairs — separators, then full

@@ -559,7 +559,7 @@ func BenchmarkMicro_GetFullMVDs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := core.NewMiner(entropy.New(r), core.DefaultOptions(0.3))
-		_ = m.GetFullMVDs(key, 0, 8, 0)
+		_ = m.GetFullMVDs(key, 0, 8)
 	}
 }
 

@@ -5,11 +5,11 @@
 // statements: R ⊨ X ↠ Y|Z iff Y ⟂ Z | X holds in the empirical
 // distribution of R, where XYZ exhausts the attribute set. This package
 // makes the correspondence explicit — converting mined MVDs to CI
-// statements and back — and provides the semi-graphoid reasoning
-// machinery over CI statements (symmetry, decomposition, weak union,
-// contraction), whose soundness over empirical distributions is checked
-// by property tests. Graphical-model tooling speaks CI; this is the
-// adapter a downstream user needs to feed Maimon's output into it.
+// statements — and provides two semi-graphoid derivations over CI
+// statements (decomposition, weak union), whose soundness over empirical
+// distributions is checked by property tests. Graphical-model tooling
+// speaks CI; this is the adapter a downstream user needs to feed Maimon's
+// output into it.
 package ci
 
 import (
@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/entropy"
-	"repro/internal/info"
 	"repro/internal/mvd"
 )
 
@@ -46,15 +45,6 @@ func New(y, z, x bitset.AttrSet) (Statement, error) {
 	return Statement{Y: y, Z: z, X: x}, nil
 }
 
-// MustNew is New that panics on error.
-func MustNew(y, z, x bitset.AttrSet) Statement {
-	s, err := New(y, z, x)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // String renders the statement in letter notation.
 func (s Statement) String() string {
 	return fmt.Sprintf("%v ⟂ %v | %v", s.Y, s.Z, s.X)
@@ -65,33 +55,11 @@ func (s Statement) Format(names []string) string {
 	return fmt.Sprintf("%s ⟂ %s | %s", s.Y.Format(names), s.Z.Format(names), s.X.Format(names))
 }
 
-// Attrs returns X ∪ Y ∪ Z.
-func (s Statement) Attrs() bitset.AttrSet { return s.X.Union(s.Y).Union(s.Z) }
-
-// IsSaturated reports whether the statement mentions all n attributes —
-// the class of CI statements equivalent to MVDs.
-func (s Statement) IsSaturated(n int) bool { return s.Attrs() == bitset.Full(n) }
-
 // I measures the statement against an empirical distribution: the
 // conditional mutual information I(Y;Z|X) in bits. The statement holds
 // (at tolerance) iff I ≈ 0, and ε-holds iff I ≤ ε — identical to the
 // J-measure of the corresponding standard MVD.
 func (s Statement) I(o *entropy.Oracle) float64 { return o.MI(s.Y, s.Z, s.X) }
-
-// Holds reports I(Y;Z|X) ≤ eps with the library tolerance.
-func (s Statement) Holds(o *entropy.Oracle, eps float64) bool {
-	return info.LeqEps(s.I(o), eps)
-}
-
-// FromMVD converts a standard (two-dependent) MVD to its saturated CI
-// statement. Multi-dependent MVDs convert to one statement per dependent
-// via ToStandard; use Expand for all of them.
-func FromMVD(m mvd.MVD) (Statement, error) {
-	if !m.IsStandard() {
-		return Statement{}, fmt.Errorf("ci: MVD %v is not standard; use Expand", m)
-	}
-	return New(m.Deps[0], m.Deps[1], m.Key)
-}
 
 // Expand converts a generalized MVD X ↠ Y1|…|Ym into the m−1 saturated CI
 // statements Yi ⟂ (rest) | X for i < m (the encoding of Beeri et al. that
@@ -110,23 +78,9 @@ func Expand(m mvd.MVD) []Statement {
 	return out
 }
 
-// ToMVD converts a saturated CI statement over n attributes back to the
-// standard MVD X ↠ Y|Z.
-func (s Statement) ToMVD(n int) (mvd.MVD, error) {
-	if !s.IsSaturated(n) {
-		return mvd.MVD{}, fmt.Errorf("ci: %v is not saturated over %d attributes", s, n)
-	}
-	return mvd.New(s.X, []bitset.AttrSet{s.Y, s.Z})
-}
-
 // Semi-graphoid axioms. Each derivation below is sound for empirical
 // distributions (they are instances of Shannon inequalities); the
 // property tests verify soundness numerically.
-
-// Symmetry returns Z ⟂ Y | X (always valid).
-func (s Statement) Symmetry() Statement {
-	return Statement{Y: s.Y, Z: s.Z, X: s.X} // canonical form already symmetric
-}
 
 // Decompose returns Y ⟂ Z' | X for a non-empty Z' ⊆ Z: if the original
 // statement holds, so does the decomposed one (I is monotone in Z).
@@ -147,25 +101,6 @@ func (s Statement) WeakUnion(w bitset.AttrSet) (Statement, error) {
 		return Statement{}, fmt.Errorf("ci: weak union would empty a side")
 	}
 	return New(s.Y, rest, s.X.Union(w))
-}
-
-// Contract combines Y ⟂ Z | X∪W and Y ⟂ W | X into Y ⟂ Z∪W | X
-// (contraction). It validates the shape of the two inputs.
-func Contract(a, b Statement) (Statement, error) {
-	// Identify: a = Y ⟂ Z | X∪W, b = Y ⟂ W | X with matching Y.
-	y := a.Y
-	if b.Y != y && b.Z != y {
-		// allow the Y side of b on either slot
-		return Statement{}, fmt.Errorf("ci: contraction inputs do not share a side")
-	}
-	w := b.Z
-	if b.Z == y {
-		w = b.Y
-	}
-	if !w.SubsetOf(a.X) || !b.X.SubsetOf(a.X) || a.X != b.X.Union(w) {
-		return Statement{}, fmt.Errorf("ci: conditioning sets do not align for contraction")
-	}
-	return New(y, a.Z.Union(w), b.X)
 }
 
 // MinedToCI converts a mined MVD set (Mε) into the distinct saturated CI

@@ -1,12 +1,12 @@
 package ci
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bitset"
 	"repro/internal/entropy"
+	"repro/internal/info"
 	"repro/internal/mvd"
 	"repro/internal/relation"
 )
@@ -50,6 +50,15 @@ func randomRelation(rng *rand.Rand, rows, cols, domain int) *relation.Relation {
 	return r
 }
 
+func mustNew(t *testing.T, y, z, x bitset.AttrSet) Statement {
+	t.Helper()
+	s, err := New(y, z, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestNewCanonicalizes(t *testing.T) {
 	s, err := New(at(t, "CD"), at(t, "AB"), at(t, "E"))
 	if err != nil {
@@ -82,32 +91,19 @@ func TestMVDEquivalenceOnPaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := FromMVD(m)
-	if err != nil {
-		t.Fatal(err)
+	ss := Expand(m)
+	if len(ss) != 1 {
+		t.Fatalf("standard MVD expanded to %d statements", len(ss))
 	}
-	if !s.Holds(o, 0) {
+	s := ss[0]
+	if s.X != m.Key || s.Y != m.Deps[0] || s.Z != m.Deps[1] {
+		t.Fatalf("statement %v does not carry %v", s, m)
+	}
+	if s.X.Union(s.Y).Union(s.Z) != bitset.Full(6) {
+		t.Fatalf("%v should be saturated", s)
+	}
+	if !info.LeqEps(s.I(o), 0) {
 		t.Fatalf("%v should hold exactly, I = %v", s, s.I(o))
-	}
-	if !s.IsSaturated(6) {
-		t.Fatal("should be saturated")
-	}
-	back, err := s.ToMVD(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Equal(m) {
-		t.Fatalf("round trip: %v", back)
-	}
-}
-
-func TestFromMVDRejectsGeneralized(t *testing.T) {
-	m := mvd.MustNew(bitset.Single(0), bitset.Single(1), bitset.Single(2), bitset.Single(3))
-	if _, err := FromMVD(m); err == nil {
-		t.Fatal("generalized MVD accepted by FromMVD")
-	}
-	if got := Expand(m); len(got) != 2 {
-		t.Fatalf("Expand gave %d statements, want m-1 = 2", len(got))
 	}
 }
 
@@ -116,19 +112,14 @@ func TestExpandStatementsHoldForExactMVD(t *testing.T) {
 	o := entropy.New(paperR())
 	m, _ := mvd.Parse("A->F|BCDE")
 	for _, s := range Expand(m) {
-		if !s.Holds(o, 0) {
+		if !info.LeqEps(s.I(o), 0) {
 			t.Fatalf("%v fails with I = %v", s, s.I(o))
 		}
 	}
-}
-
-func TestToMVDRequiresSaturation(t *testing.T) {
-	s := MustNew(at(t, "A"), at(t, "B"), at(t, "C"))
-	if _, err := s.ToMVD(6); err == nil {
-		t.Fatal("unsaturated statement lifted to MVD")
-	}
-	if _, err := s.ToMVD(3); err != nil {
-		t.Fatalf("saturated over 3: %v", err)
+	// A generalized MVD X ↠ Y1|…|Ym expands to m−1 statements.
+	g := mvd.MustNew(bitset.Single(0), bitset.Single(1), bitset.Single(2), bitset.Single(3))
+	if got := Expand(g); len(got) != 2 {
+		t.Fatalf("Expand gave %d statements, want m-1 = 2", len(got))
 	}
 }
 
@@ -139,7 +130,7 @@ func TestQuickDecompositionSound(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		r := randomRelation(rng, 50, 6, 2)
 		o := entropy.New(r)
-		s := MustNew(bitset.Of(0), bitset.Of(1, 2, 3), bitset.Of(4, 5))
+		s := mustNew(t, bitset.Of(0), bitset.Of(1, 2, 3), bitset.Of(4, 5))
 		sub, err := s.Decompose(bitset.Of(1, 2))
 		if err != nil {
 			t.Fatal(err)
@@ -156,7 +147,7 @@ func TestQuickWeakUnionSound(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		r := randomRelation(rng, 50, 6, 2)
 		o := entropy.New(r)
-		s := MustNew(bitset.Of(0), bitset.Of(1, 2, 3), bitset.Of(4, 5))
+		s := mustNew(t, bitset.Of(0), bitset.Of(1, 2, 3), bitset.Of(4, 5))
 		wu, err := s.WeakUnion(bitset.Of(1))
 		if err != nil {
 			t.Fatal(err)
@@ -165,36 +156,6 @@ func TestQuickWeakUnionSound(t *testing.T) {
 		if wu.I(o) > s.I(o)+1e-9 {
 			t.Fatalf("weak union increased I: %v > %v", wu.I(o), s.I(o))
 		}
-	}
-}
-
-func TestQuickContractionSound(t *testing.T) {
-	// Contraction: I(Y; ZW | X) = I(Y; W | X) + I(Y; Z | XW) (chain
-	// rule), so the contracted statement's I is the sum of the inputs'.
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 120; trial++ {
-		r := randomRelation(rng, 50, 6, 2)
-		o := entropy.New(r)
-		x := bitset.Of(4)
-		w := bitset.Of(2)
-		a := MustNew(bitset.Of(0), bitset.Of(1, 3), x.Union(w)) // Y ⟂ Z | XW
-		b := MustNew(bitset.Of(0), w, x)                        // Y ⟂ W | X
-		c, err := Contract(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := a.I(o) + b.I(o)
-		if math.Abs(c.I(o)-want) > 1e-9 {
-			t.Fatalf("contraction identity: %v vs %v", c.I(o), want)
-		}
-	}
-}
-
-func TestContractValidatesShape(t *testing.T) {
-	a := MustNew(at(t, "A"), at(t, "B"), at(t, "CE"))
-	b := MustNew(at(t, "A"), at(t, "D"), at(t, "E")) // w=D not ⊆ a.X
-	if _, err := Contract(a, b); err == nil {
-		t.Fatal("misaligned contraction accepted")
 	}
 }
 
@@ -208,7 +169,7 @@ func TestMinedToCIDedups(t *testing.T) {
 }
 
 func TestReportAndFormat(t *testing.T) {
-	s := MustNew(at(t, "A"), at(t, "B"), at(t, "C"))
+	s := mustNew(t, at(t, "A"), at(t, "B"), at(t, "C"))
 	names := []string{"x", "y", "z"}
 	if got := s.Format(names); got != "x ⟂ y | z" {
 		t.Fatalf("Format = %q", got)

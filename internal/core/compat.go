@@ -43,9 +43,6 @@ func Compatible(phi1, phi2 mvd.MVD) bool {
 	return false
 }
 
-// Incompatible is ϕ1 ♯ ϕ2 of Def. 7.1.
-func Incompatible(phi1, phi2 mvd.MVD) bool { return !Compatible(phi1, phi2) }
-
 // keyMasks is the word-parallel prefilter of the incompatibility-graph
 // build. Def. 7.1 splits into two independent halves, ϕ1 = X ↠ A1|…|Am
 // offering some Ai and ϕ2 = Y ↠ B1|…|Bk some Bj, and the key part of each

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -91,7 +92,7 @@ func sameSets(a, b []bitset.AttrSet) bool {
 
 func TestGetFullMVDsOutputsHold(t *testing.T) {
 	m := newMiner(paperR(), 0)
-	got := m.GetFullMVDs(at(t, "BD"), 4, 0, 0) // key BD, separate E from A
+	got := m.GetFullMVDs(at(t, "BD"), 4, 0) // key BD, separate E from A
 	if len(got) == 0 {
 		t.Fatal("no full MVDs with key BD separating E,A")
 	}
@@ -119,7 +120,7 @@ func TestGetFullMVDsMatchesBruteForce(t *testing.T) {
 				if key.Contains(a) || key.Contains(b) {
 					continue
 				}
-				got := m.GetFullMVDs(key, a, b, 0)
+				got := m.GetFullMVDs(key, a, b)
 				want := naive.FullMVDs(nv, key, a, b, eps)
 				if len(got) != len(want) {
 					t.Fatalf("eps=%v key=%v: got %v, want %v", eps, key, got, want)
@@ -131,18 +132,6 @@ func TestGetFullMVDsMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestGetFullMVDsRespectsK(t *testing.T) {
-	m := newMiner(paperRWithRedTuple(), 1.0)
-	all := m.GetFullMVDs(bitset.Empty(), 4, 5, 0)
-	if len(all) < 1 {
-		t.Skip("no MVDs to limit")
-	}
-	one := m.GetFullMVDs(bitset.Empty(), 4, 5, 1)
-	if len(one) != 1 {
-		t.Fatalf("K=1 returned %d MVDs", len(one))
 	}
 }
 
@@ -158,7 +147,7 @@ func TestGetFullMVDsPanicsOnBadPair(t *testing.T) {
 			t.Fatalf("the key memo was consulted: %d roots installed", len(roots))
 		}
 	}()
-	m.GetFullMVDs(at(t, "AE"), 4, 5, 0)
+	m.GetFullMVDs(at(t, "AE"), 4, 5)
 }
 
 func TestPairwiseConsistencyOptimizationPreservesOutput(t *testing.T) {
@@ -169,8 +158,8 @@ func TestPairwiseConsistencyOptimizationPreservesOutput(t *testing.T) {
 			without := NewMiner(entropy.New(rel), Options{Epsilon: eps, PairwiseConsistency: false})
 			for _, keySpec := range []string{"BD", "A", "∅"} {
 				key := at(t, keySpec)
-				got := withOpt.GetFullMVDs(key, 4, 5, 0)
-				want := without.GetFullMVDs(key, 4, 5, 0)
+				got := withOpt.GetFullMVDs(key, 4, 5)
+				want := without.GetFullMVDs(key, 4, 5)
 				if len(got) != len(want) {
 					t.Fatalf("eps=%v key=%v: opt %v vs plain %v", eps, key, got, want)
 				}
@@ -558,7 +547,7 @@ func TestQuickMinerAgainstBruteForceRandomRelations(t *testing.T) {
 						trial, eps, a, b, got, want)
 				}
 				for _, sep := range got {
-					gotF := m.GetFullMVDs(sep, a, b, 0)
+					gotF := m.GetFullMVDs(sep, a, b)
 					wantF := naive.FullMVDs(nv, sep, a, b, eps)
 					if len(gotF) != len(wantF) {
 						t.Fatalf("trial %d eps=%v key=%v: full MVDs %v want %v",
@@ -621,6 +610,62 @@ func TestMinSepsCompleteAtWidth(t *testing.T) {
 			}
 		}
 		t.Logf("eps=%v: %d minimal separators over %d pairs", eps, res.NumMinSeps(), len(pairs))
+	}
+}
+
+// TestFullMVDsCompleteAtWidth is Phase 1's second half at the benchmark's
+// width: on the same `wide` relation at ε ∈ {0, 0.1, 0.3}, for a sample of
+// the (pair, minimal separator) a mine emits with at most 8 attributes
+// outside the separator — every one of them, or an even stride of 400
+// where there are more — the full MVDs GetFullMVDs lists, read from the
+// mine's own key memo, are exactly those naive.FullMVDs finds by scanning
+// every partition of those attributes.
+func TestFullMVDsCompleteAtWidth(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three mines of the 13-column relation and a brute-force scan per sample")
+	}
+	r, _, err := datagen.Planted(datagen.PlantedSpec{
+		Bags: datagen.ChainBags(13, 4, 1), RootTuples: 120, ExtPerSep: 3, NoiseCells: 0.01, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := shared(r)
+	n := r.NumCols()
+	for _, eps := range []float64{0, 0.1, 0.3} {
+		m := NewMiner(o, DefaultOptions(eps))
+		res := m.MineMVDs()
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		type emitted struct {
+			p   Pair
+			sep bitset.AttrSet
+		}
+		var all []emitted
+		for _, p := range allPairs(n) {
+			for _, sep := range res.MinSeps[Pair{p[0], p[1]}] {
+				if n-sep.Len() <= 8 {
+					all = append(all, emitted{Pair{p[0], p[1]}, sep})
+				}
+			}
+		}
+		if len(all) == 0 {
+			t.Fatalf("eps=%v: no emitted separator leaves at most 8 attributes", eps)
+		}
+		stride := (len(all) + 399) / 400
+		checked, mvds := 0, 0
+		for i := 0; i < len(all); i += stride {
+			e := all[i]
+			got := m.GetFullMVDs(e.sep, e.p.A, e.p.B)
+			want := naive.FullMVDs(o, e.sep, e.p.A, e.p.B, eps)
+			if !slices.EqualFunc(got, want, mvd.MVD.Equal) {
+				t.Fatalf("eps=%v pair %v key %v: GetFullMVDs %v, brute force %v", eps, e.p, e.sep, got, want)
+			}
+			checked++
+			mvds += len(got)
+		}
+		t.Logf("eps=%v: %d of %d (pair, separator) checked, %d full MVDs", eps, checked, len(all), mvds)
 	}
 }
 

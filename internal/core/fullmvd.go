@@ -70,9 +70,9 @@ type SearchStats struct {
 	// Searches counts the lattice walks run: one unrestricted walk per
 	// key whose full MVDs a mine lists, one early-stopping search per key
 	// and pair of dependents of a root wider than splitMaxDeps whose
-	// separator verdict a mine asks for, and one per K > 0 GetFullMVDs. A
-	// request answered from the key memo — a settled walk or verdict, or
-	// a narrower root's split table — runs no search.
+	// separator verdict a mine asks for. A request answered from the key
+	// memo — a settled walk or verdict, or a narrower root's split table —
+	// runs no search.
 	Searches int
 	// Visited counts the candidate MVDs those searches popped and
 	// evaluated, and Pruned the neighbors they discarded because the
@@ -112,9 +112,9 @@ func (m *Miner) Options() Options { return m.opts }
 // SearchStats returns accumulated search counters.
 func (m *Miner) SearchStats() SearchStats { return m.searchStats }
 
-// GetFullMVDs is getFullMVDs/getFullMVDsOpt (paper Figs. 6 and 17): it
-// returns up to k full ε-MVDs with key sep in which attributes a and b lie
-// in distinct dependents. k = 0 means unlimited (the paper's K = ∞).
+// GetFullMVDs is getFullMVDs/getFullMVDsOpt (paper Figs. 6 and 17) at
+// the paper's K = ∞: it returns the full ε-MVDs with key sep in which
+// attributes a and b lie in distinct dependents.
 //
 // The search walks the dependent-partition lattice from the most refined
 // candidate (all singletons) towards coarser ones, expanding a candidate's
@@ -123,24 +123,16 @@ func (m *Miner) SearchStats() SearchStats { return m.searchStats }
 // Options.PairwiseConsistency is set, candidates are first repaired with
 // the forced merges of getPairwiseConsistentMVD (Fig. 16).
 //
-// A k = 0 list is the key's full MVDs that separate a and b: sep is
-// walked once, unrestricted, for the life of the miner (see keyMemo), and
-// every pair filters what that walk found. The returned slice is the
-// caller's, but the dependents of its MVDs are shared — the caller must
-// not modify them. Any k > 0 searches afresh, kept from uniting a and b,
-// and returns a list of the caller's own.
-func (m *Miner) GetFullMVDs(sep bitset.AttrSet, a, b int, k int) []mvd.MVD {
-	if k == 0 {
-		return m.appendFullMVDs(nil, sep, a, b)
-	}
-	if _, slot := m.pairSlot(sep, a, b); slot < 0 {
-		return nil
-	}
-	m.search(sep, a, b, k, true)
-	return m.fullMVDs(sep)
+// The list is the key's full MVDs that separate a and b: sep is walked
+// once, unrestricted, for the life of the miner (see keyMemo), and every
+// pair filters what that walk found. The returned slice is the caller's,
+// but the dependents of its MVDs are shared — the caller must not modify
+// them.
+func (m *Miner) GetFullMVDs(sep bitset.AttrSet, a, b int) []mvd.MVD {
+	return m.appendFullMVDs(nil, sep, a, b)
 }
 
-// appendFullMVDs appends GetFullMVDs(sep, a, b, 0) to dst, growing dst at
+// appendFullMVDs appends GetFullMVDs(sep, a, b) to dst, growing dst at
 // most once.
 func (m *Miner) appendFullMVDs(dst []mvd.MVD, sep bitset.AttrSet, a, b int) []mvd.MVD {
 	root, slot := m.pairSlot(sep, a, b)
@@ -198,9 +190,11 @@ func (m *Miner) keyFulls(sep bitset.AttrSet, root *keyRoot) []mvd.MVD {
 // full. (Holders reached along different DFS paths can be coarsenings of
 // one another.) Only the survivors leave the scratch storage.
 //
-// A walk can collect tens of thousands of holders, so each pair is first
-// tested on two words per holder (see holderSig); only a pair that passes
-// is compared dependent by dependent.
+// A walk can collect millions of holders, so each pair is first tested
+// on two words per holder (see holderSig); only a pair that passes is
+// compared dependent by dependent. The filter is quadratic in the
+// holders, so it polls the stop signal once per holder it verifies and,
+// once stopped, returns the full MVDs verified so far.
 func (m *Miner) fullMVDs(sep bitset.AttrSet) []mvd.MVD {
 	s := &m.scratch
 	sigs := s.sigs[:0]
@@ -210,6 +204,9 @@ func (m *Miner) fullMVDs(sep bitset.AttrSet) []mvd.MVD {
 	s.sigs = sigs
 	var out []mvd.MVD
 	for i, ri := range s.holders {
+		if m.stopped() {
+			break
+		}
 		phi := mvd.MVD{Key: sep, Deps: s.deps(ri)}
 		dominated := false
 		for j, rj := range s.holders {

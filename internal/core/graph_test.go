@@ -95,7 +95,7 @@ func keyPartFails(phi, psi mvd.MVD) bool {
 }
 
 // checkGraph builds the incompatibility graph of ms at each worker count
-// and holds it to pairwise Incompatible: same adjacency, symmetric, no
+// and holds it to pairwise Compatible: same adjacency, symmetric, no
 // self-loops, and the reference edge count.
 func checkGraph(t *testing.T, name string, ms []mvd.MVD) {
 	t.Helper()
@@ -104,7 +104,7 @@ func checkGraph(t *testing.T, name string, ms []mvd.MVD) {
 	refEdges := int64(0)
 	for i := range ms {
 		for j := i + 1; j < n; j++ {
-			if Incompatible(ms[i], ms[j]) {
+			if !Compatible(ms[i], ms[j]) {
 				ref[i*n+j], ref[j*n+i] = true, true
 				refEdges++
 			}
@@ -125,7 +125,7 @@ func checkGraph(t *testing.T, name string, ms []mvd.MVD) {
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if got := g.HasEdge(i, j); got != ref[i*n+j] {
-					t.Fatalf("%s workers=%d: edge {%d,%d} = %v, pairwise Incompatible says %v (%v / %v)",
+					t.Fatalf("%s workers=%d: edge {%d,%d} = %v, want %v from pairwise Compatible (%v / %v)",
 						name, workers, i, j, got, ref[i*n+j], ms[i], ms[j])
 				}
 			}
@@ -135,7 +135,7 @@ func checkGraph(t *testing.T, name string, ms []mvd.MVD) {
 
 // TestIncompatibilityGraphMatchesPairwise holds the bit-row build — the
 // key prefilter, the exact test on its survivors, the in-place rows and
-// the block-transpose mirror — to pairwise Incompatible on random MVD
+// the block-transpose mirror — to pairwise Compatible on random MVD
 // lists (full and non-full, list lengths around word boundaries) and on
 // the MVDs mined from the benchmark's `wide` relation.
 func TestIncompatibilityGraphMatchesPairwise(t *testing.T) {
@@ -160,7 +160,7 @@ func TestIncompatibilityGraphMatchesPairwise(t *testing.T) {
 						switch {
 						case keyFail:
 							keyFails++
-						case Incompatible(ms[i], ms[j]):
+						case !Compatible(ms[i], ms[j]):
 							exactFails++
 						default:
 							compatible++

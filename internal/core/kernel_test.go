@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/datagen"
@@ -126,7 +127,7 @@ func TestNeighborRepairMatchesLiteral(t *testing.T) {
 		n := r.NumCols()
 		for _, key := range []bitset.AttrSet{bitset.Empty(), bitset.Of(1), bitset.Of(1, 7), bitset.Of(2, 3, 6)} {
 			a, b := key.Complement(n).Min(), key.Complement(n).Max()
-			got := m.GetFullMVDs(key, a, b, 0)
+			got := m.GetFullMVDs(key, a, b)
 			want := literalFullMVDs(ref, key, a, b, n, eps)
 			if len(got) != len(want) {
 				t.Fatalf("eps=%v key %v: got %v, want %v", eps, key, got, want)
@@ -290,7 +291,7 @@ func literalMineMinSeps(m *Miner, a, b int, holds func(sep bitset.AttrSet) bool)
 // for each pair of a root's dependents: its verdict — a bit of the split
 // table, or a slot settled by a search — must be whether ref's search kept
 // from uniting the pair finds a holder; and once the key is walked, the
-// pair's GetFullMVDs(K = 0), filtered from the walk, must be the full MVDs
+// pair's GetFullMVDs, filtered from the walk, must be the full MVDs
 // ref's restricted search returns. No walk or verdict slot may be left
 // busy, a split table may set no bit past its last pair, and each pair's
 // slot must be the one keyRoot.slot gives its dependents. It returns how
@@ -338,7 +339,7 @@ func checkKeyAnswers(t *testing.T, m, ref *Miner) (split, searched, walks int) {
 					continue
 				}
 				ref.search(sep, a, b, 0, true)
-				if got, want := m.GetFullMVDs(sep, a, b, 0), ref.fullMVDs(sep); !slices.EqualFunc(got, want, mvd.MVD.Equal) {
+				if got, want := m.GetFullMVDs(sep, a, b), ref.fullMVDs(sep); !slices.EqualFunc(got, want, mvd.MVD.Equal) {
 					t.Fatalf("key %v pair (%d,%d): list %v from the walk, a search kept from uniting them %v", sep, a, b, got, want)
 				}
 			}
@@ -359,7 +360,7 @@ func answerEveryPair(m *Miner) {
 			for y := x + 1; y < len(root.deps); y++ {
 				a, b := root.deps[x].Min(), root.deps[y].Max()
 				m.SeparatorHolds(sep, a, b)
-				m.GetFullMVDs(sep, a, b, 0)
+				m.GetFullMVDs(sep, a, b)
 			}
 		}
 	}
@@ -465,7 +466,7 @@ func FuzzKeyAnswers(f *testing.F) {
 			for x := range root.deps {
 				for y := x + 1; y < len(root.deps); y++ {
 					a, b := root.deps[x].Min(), root.deps[y].Max()
-					got, want := m.GetFullMVDs(sep, a, b, 0), literalFullMVDs(ref, sep, a, b, r.NumCols(), opts.Epsilon)
+					got, want := m.GetFullMVDs(sep, a, b), literalFullMVDs(ref, sep, a, b, r.NumCols(), opts.Epsilon)
 					if !slices.EqualFunc(got, want, mvd.MVD.Equal) {
 						t.Fatalf("key %v pair (%d,%d): %v from the walk, %v from Fig. 17", sep, a, b, got, want)
 					}
@@ -626,16 +627,16 @@ func TestOneWalkPerKey(t *testing.T) {
 	if root.slot(a, b) < 0 {
 		t.Fatalf("root %v unites %d and %d: no walk to stop", root.deps, a, b)
 	}
-	got := m.WithContext(done).GetFullMVDs(key, a, b, 0)
+	got := m.WithContext(done).GetFullMVDs(key, a, b)
 	if st := m.SearchStats(); st.Searches != 1 || len(got) != 0 || root.walk.Load() != slotOpen {
 		t.Fatalf("a stopped walk (%d searches) returned %v and left the walk in state %d", st.Searches, got, root.walk.Load())
 	}
 	// Stopped again, a caller reads the partial list and walks nothing;
 	// under a live context the key is walked afresh, and settles.
-	if got = m.GetFullMVDs(key, a, b, 0); m.SearchStats().Searches != 1 || len(got) != 0 {
+	if got = m.GetFullMVDs(key, a, b); m.SearchStats().Searches != 1 || len(got) != 0 {
 		t.Fatalf("a stopped caller ran %d searches for %v", m.SearchStats().Searches, got)
 	}
-	got = m.WithContext(context.Background()).GetFullMVDs(key, a, b, 0)
+	got = m.WithContext(context.Background()).GetFullMVDs(key, a, b)
 	if m.SearchStats().Searches != 2 || len(got) == 0 || root.walk.Load() != slotDone {
 		t.Fatalf("a live walk after a stopped one: %d searches, %v, walk state %d", m.SearchStats().Searches, got, root.walk.Load())
 	}
@@ -684,7 +685,7 @@ func TestOneWalkPerKey(t *testing.T) {
 // allocates only for the full MVDs it returns. A settled SeparatorHolds —
 // a split-table bit, or a wide root's settled slot — allocates nothing and
 // searches nothing, and so does reading a settled root from the dense key
-// memo; a settled GetFullMVDs(K = 0) allocates only the slice it returns.
+// memo; a settled GetFullMVDs allocates only the slice it returns.
 // MineMinSeps — settled roots, open slots, transversal buffers — allocates
 // only for the slice it returns.
 func TestSearchKernelAllocs(t *testing.T) {
@@ -758,11 +759,11 @@ func TestSearchKernelAllocs(t *testing.T) {
 				pair, full, len(out), perRun, limit)
 		}
 	}
-	out := m.GetFullMVDs(key, a, b, 0)
+	out := m.GetFullMVDs(key, a, b)
 	before = m.SearchStats()
-	settled := testing.AllocsPerRun(20, func() { out = m.GetFullMVDs(key, a, b, 0) })
+	settled := testing.AllocsPerRun(20, func() { out = m.GetFullMVDs(key, a, b) })
 	if settled != 1 || len(out) == 0 || m.SearchStats() != before {
-		t.Errorf("settled GetFullMVDs(K = 0): %v allocs/run for %d MVDs, searched %+v after %+v; want 1 alloc, no search",
+		t.Errorf("settled GetFullMVDs: %v allocs/run for %d MVDs, searched %+v after %+v; want 1 alloc, no search",
 			settled, len(out), m.SearchStats(), before)
 	}
 
@@ -830,5 +831,50 @@ func TestHashedKeyMemoMatchesDense(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFullMVDsFilterStops: the filter that keeps a walk's full MVDs
+// compares its holders pair by pair, so a stop must cut it short, and the
+// key it was filtering must stay open. 2^17 holders each split attributes
+// 0…12 four ways, so none refines another and a filter run to the end
+// makes 2^34 comparisons; under a context cancelled 20 ms in it must
+// return within a second, with fewer MVDs than holders.
+func TestFullMVDsFilterStops(t *testing.T) {
+	m := newMiner(paperR(), 0)
+	key := bitset.Of(1, 3)
+	root := m.keyRoot(key)
+	const holders = 1 << 17
+	s := &m.scratch
+	s.reset()
+	for i := 0; i < holders; i++ {
+		// Dependent d holds attribute d and each of 4…12 whose base-4
+		// digit of i is d: distinct i, distinct splits.
+		var deps [4]bitset.AttrSet
+		for d := range deps {
+			deps[d] = bitset.Single(d)
+		}
+		for x, v := 4, i; x <= 12; x, v = x+1, v/4 {
+			deps[v%4] = deps[v%4].Add(x)
+		}
+		tail, _ := s.tail(len(deps))
+		ref, ok := s.keep(append(tail, deps[:]...))
+		if !ok {
+			t.Fatalf("holder %d repeats an earlier one", i)
+		}
+		s.holders = append(s.holders, ref)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m.WithContext(ctx)
+	stop := time.AfterFunc(20*time.Millisecond, cancel)
+	defer stop.Stop()
+	start := time.Now()
+	out := m.fullMVDs(bitset.Empty())
+	if took := time.Since(start); took > time.Second || len(out) >= holders {
+		t.Fatalf("filter of %d holders returned %d MVDs after %v; want a stop within 1s", holders, len(out), took)
+	}
+	if m.keyFulls(key, root); root.walk.Load() != slotOpen {
+		t.Fatalf("a stopped walk left key %v in state %d", key, root.walk.Load())
 	}
 }

@@ -25,7 +25,7 @@ import (
 // The key's root also answers both questions a pair asks of the key, for
 // every pair at once:
 //
-//   - GetFullMVDs(K = 0). Every refinement of a candidate that separates a
+//   - GetFullMVDs. Every refinement of a candidate that separates a
 //     and b separates them too, so a walk kept from uniting a and b finds
 //     exactly the holders of the unrestricted walk that separate them, and
 //     its full MVDs are the key's full MVDs F(key) that separate them. So

@@ -22,7 +22,7 @@
 // call the worker and take the next — so a shard is sent once, and a fast
 // worker simply takes more shards. A retriable failure (network error,
 // 5xx, truncated or mismatched result) puts the shard back on the queue
-// after exponential backoff, up to MaxAttempts, and marks the worker
+// after exponential backoff, up to maxAttempts, and marks the worker
 // unhealthy. HTTP 4xx answers (bad request, unknown dataset,
 // dataset-shape mismatch) are permanent and fail the mine with a clear
 // error. Worker health is also probed via /v1/readyz: an unhealthy
@@ -64,6 +64,19 @@ const lanesPerWorker = 2
 // this many is taken for hung, and its shards go back on the queue.
 const abortAfterProbes = 3
 
+// baseBackoff and maxBackoff shape the exponential backoff before a
+// failed shard rejoins the queue: baseBackoff × 2^(attempt-1), capped at
+// maxBackoff.
+const (
+	baseBackoff = 100 * time.Millisecond
+	maxBackoff  = 5 * time.Second
+)
+
+// requestTimeout bounds one shard RPC (the mine-level context still
+// applies). It is the backstop for a worker that answers probes but never
+// answers a shard.
+const requestTimeout = 10 * time.Minute
+
 // ErrBusy rejects a mine when the coordinator is at its admission bound.
 // Deliberately not queued: the caller (or its load balancer) decides
 // whether to wait, shed, or go elsewhere.
@@ -82,29 +95,11 @@ type Config struct {
 	// Workers are the base URLs of the maimond workers shards are
 	// dispatched to (e.g. "http://10.0.0.2:8080"). At least one.
 	Workers []string
-	// Client is the HTTP client for shard RPCs and health probes;
-	// nil uses a dedicated client with sane connection reuse.
-	Client *http.Client
 	// ShardsPerWorker scales the shard count: numShards =
 	// ShardsPerWorker × len(Workers) (default 4). More shards than
 	// workers keeps every worker busy until the end of the mine and
 	// bounds the work lost to one failed shard.
 	ShardsPerWorker int
-	// MaxAttempts bounds how many times one shard is dispatched before
-	// the mine fails (default 2 × len(Workers), at least 4). Every
-	// retriable failure marks its worker unhealthy, and an unhealthy
-	// worker's lanes stop taking shards while another worker is healthy,
-	// so a single failing worker does not exhaust the budget.
-	MaxAttempts int
-	// BaseBackoff and MaxBackoff shape the exponential backoff before a
-	// failed shard rejoins the queue: BaseBackoff × 2^(attempt-1),
-	// capped at MaxBackoff (defaults 100ms and 5s).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// RequestTimeout bounds one shard RPC (default 10m; the mine-level
-	// context still applies). It is the backstop for a worker that
-	// answers probes but never answers a shard.
-	RequestTimeout time.Duration
 	// MaxMines bounds concurrent distributed mines; a mine beyond it is
 	// rejected with ErrBusy rather than queued (default 8).
 	MaxMines int
@@ -134,29 +129,8 @@ func (c Config) withDefaults() (Config, error) {
 		}
 		c.Workers[i] = u
 	}
-	if c.Client == nil {
-		c.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 16,
-			IdleConnTimeout:     90 * time.Second,
-		}}
-	}
 	if c.ShardsPerWorker <= 0 {
 		c.ShardsPerWorker = 4
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 2 * len(c.Workers)
-		if c.MaxAttempts < 4 {
-			c.MaxAttempts = 4
-		}
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 100 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 5 * time.Second
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 10 * time.Minute
 	}
 	if c.MaxMines <= 0 {
 		c.MaxMines = 8
@@ -229,11 +203,18 @@ func (w *worker) abortInflight() {
 // Coordinator shards distributed mines across a fixed worker fleet. Safe
 // for concurrent use; Close stops the health prober.
 type Coordinator struct {
-	cfg       Config
-	workers   []*worker
-	numShards int
-	log       *slog.Logger
-	met       *metrics
+	cfg     Config
+	client  *http.Client // shard RPCs and health probes
+	workers []*worker
+	// maxAttempts bounds how many times one shard is dispatched before
+	// the mine fails: 2 × len(workers), at least 4. Every retriable
+	// failure marks its worker unhealthy, and an unhealthy worker's
+	// lanes stop taking shards while another worker is healthy, so a
+	// single failing worker does not exhaust the budget.
+	maxAttempts int
+	numShards   int
+	log         *slog.Logger
+	met         *metrics
 
 	mines chan struct{} // admission tokens (non-blocking acquire)
 
@@ -253,13 +234,18 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	c := &Coordinator{
-		cfg:       cfg,
-		numShards: cfg.ShardsPerWorker * len(cfg.Workers),
-		log:       cfg.Logger,
-		mines:     make(chan struct{}, cfg.MaxMines),
-		healthC:   make(chan struct{}),
-		stopProbe: make(chan struct{}),
-		probeDone: make(chan struct{}),
+		cfg: cfg,
+		client: &http.Client{Transport: &http.Transport{
+			MaxIdleConnsPerHost: 16,
+			IdleConnTimeout:     90 * time.Second,
+		}},
+		maxAttempts: max(4, 2*len(cfg.Workers)),
+		numShards:   cfg.ShardsPerWorker * len(cfg.Workers),
+		log:         cfg.Logger,
+		mines:       make(chan struct{}, cfg.MaxMines),
+		healthC:     make(chan struct{}),
+		stopProbe:   make(chan struct{}),
+		probeDone:   make(chan struct{}),
 	}
 	c.met = newMetrics(cfg.Registry)
 	for _, u := range cfg.Workers {
@@ -349,7 +335,7 @@ func (c *Coordinator) probeOne(w *worker) bool {
 	if err != nil {
 		return false
 	}
-	resp, err := c.cfg.Client.Do(req)
+	resp, err := c.client.Do(req)
 	if err != nil {
 		return false
 	}
@@ -399,17 +385,11 @@ func (c *Coordinator) sidelined(w *worker) bool {
 }
 
 // backoff returns the exponential delay before retry number attempt
-// (attempt ≥ 1): BaseBackoff × 2^(attempt-1), capped at MaxBackoff.
-func (c *Coordinator) backoff(attempt int) time.Duration {
-	d := c.cfg.BaseBackoff
-	for i := 1; i < attempt; i++ {
+// (attempt ≥ 1): baseBackoff × 2^(attempt-1), capped at maxBackoff.
+func backoff(attempt int) time.Duration {
+	d := baseBackoff
+	for i := 1; i < attempt && d < maxBackoff; i++ {
 		d *= 2
-		if d >= c.cfg.MaxBackoff {
-			return c.cfg.MaxBackoff
-		}
 	}
-	if d > c.cfg.MaxBackoff {
-		d = c.cfg.MaxBackoff
-	}
-	return d
+	return min(d, maxBackoff)
 }

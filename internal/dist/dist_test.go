@@ -89,14 +89,22 @@ func serveWorker(t *testing.T, rels map[string]*relation.Relation, wrap func(htt
 
 // newCoordinator builds a coordinator over the given workers with fast
 // test timings and no background prober; overrides tweak the config.
+// Its backoff sleeps a hundredth of the coordinator's delay (1 ms for
+// the first retry).
 func newCoordinator(t *testing.T, urls []string, mut func(*dist.Config)) *dist.Coordinator {
 	t.Helper()
 	cfg := dist.Config{
 		Workers:         urls,
 		ShardsPerWorker: 2,
-		BaseBackoff:     time.Millisecond,
-		MaxBackoff:      8 * time.Millisecond,
 		ProbeInterval:   -1,
+		Sleep: func(ctx context.Context, d time.Duration) error {
+			select {
+			case <-time.After(d / 100):
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		},
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -323,8 +331,8 @@ func TestDistributedMemoExchangeDeterminismWorkers(t *testing.T) {
 }
 
 // TestRetryBackoffPinnedWorkers pins the retry schedule: a shard failing
-// twice with 500 is re-dispatched with exponential backoff (base, 2×base)
-// and then succeeds, and the merged result is still exact.
+// twice with 500 is re-dispatched with exponential backoff (100 ms, then
+// 200 ms) and then succeeds, and the merged result is still exact.
 func TestRetryBackoffPinnedWorkers(t *testing.T) {
 	rels := map[string]*relation.Relation{"planted": testRelations(t)["planted"]}
 	ts, proxy := newWorker(t, rels, disttest.FailFirst(2, disttest.Fail500))
@@ -333,9 +341,6 @@ func TestRetryBackoffPinnedWorkers(t *testing.T) {
 	var slept []time.Duration
 	coord := newCoordinator(t, []string{ts.URL}, func(c *dist.Config) {
 		c.ShardsPerWorker = 1 // one shard → one retry chain to pin
-		c.BaseBackoff = 10 * time.Millisecond
-		c.MaxBackoff = 80 * time.Millisecond
-		c.MaxAttempts = 4
 		c.Sleep = func(ctx context.Context, d time.Duration) error {
 			mu.Lock()
 			slept = append(slept, d)
@@ -360,7 +365,7 @@ func TestRetryBackoffPinnedWorkers(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	wantSleeps := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
+	wantSleeps := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond}
 	if !reflect.DeepEqual(slept, wantSleeps) {
 		t.Fatalf("backoff schedule %v, want %v", slept, wantSleeps)
 	}
@@ -390,14 +395,14 @@ func TestTruncatedResponseRetriedWorkers(t *testing.T) {
 }
 
 // TestDeadWorkerFailsWithClearError: with the only worker dropping every
-// connection, the mine must fail after MaxAttempts with an error naming
-// the shard and attempt count — not hang and not return a result.
+// connection, the mine must fail after its attempt budget (4 for one
+// worker) with an error naming the shard and attempt count — not hang and
+// not return a result.
 func TestDeadWorkerFailsWithClearError(t *testing.T) {
 	rels := map[string]*relation.Relation{"planted": testRelations(t)["planted"]}
 	ts, _ := newWorker(t, rels, disttest.Always(disttest.Die))
 	coord := newCoordinator(t, []string{ts.URL}, func(c *dist.Config) {
 		c.ShardsPerWorker = 1
-		c.MaxAttempts = 3
 		c.Sleep = func(context.Context, time.Duration) error { return nil }
 	})
 	r := rels["planted"]
@@ -412,7 +417,7 @@ func TestDeadWorkerFailsWithClearError(t *testing.T) {
 	if err == nil || ctx.Err() != nil {
 		t.Fatalf("want prompt failure, got err=%v ctxErr=%v", err, ctx.Err())
 	}
-	for _, frag := range []string{"shard", "3 attempts"} {
+	for _, frag := range []string{"shard", "4 attempts"} {
 		if !strings.Contains(err.Error(), frag) {
 			t.Fatalf("error %q does not mention %q", err, frag)
 		}
@@ -456,7 +461,6 @@ func TestAdmissionControlBusyWorkers(t *testing.T) {
 	coord := newCoordinator(t, []string{ts.URL}, func(c *dist.Config) {
 		c.ShardsPerWorker = 1
 		c.MaxMines = 1
-		c.MaxAttempts = 1
 	})
 	r := rels["planted"]
 	spec := dist.Spec{Dataset: "planted", Epsilon: 0.1, NumAttrs: r.NumCols(), Rows: r.NumRows()}
@@ -520,7 +524,6 @@ func TestWedgedMineIsolationWorkers(t *testing.T) {
 	coord := newCoordinator(t, []string{ts.URL}, func(c *dist.Config) {
 		c.ShardsPerWorker = 4
 		c.MaxMines = 4
-		c.MaxAttempts = 1
 	})
 	r := rels["wedged"]
 
@@ -693,7 +696,7 @@ func TestFailingWorkerSidelinedWorkers(t *testing.T) {
 		})
 		coord := newCoordinator(t, []string{bad.URL, good.URL}, func(c *dist.Config) {
 			c.ShardsPerWorker = 8
-			c.BaseBackoff, c.MaxBackoff = 0, 0
+			c.Sleep = nil // the coordinator's own backoff
 		})
 		got, rep, err := coord.MineMVDs(context.Background(), dist.Spec{
 			Dataset: "planted", Epsilon: 0.1, NumAttrs: r.NumCols(), Rows: r.NumRows(),

@@ -307,7 +307,7 @@ func (m *mineRun) run(w *worker, i int) {
 		c.log.Warn("worker unhealthy", "worker", w.url, "err", err)
 	}
 	p.attempts++
-	if p.attempts >= c.cfg.MaxAttempts {
+	if p.attempts >= c.maxAttempts {
 		m.fail(fmt.Errorf("dist: shard %d/%d of %q failed after %d attempts: %w",
 			p.shard, c.numShards, m.spec.Dataset, p.attempts, err))
 		return
@@ -316,7 +316,7 @@ func (m *mineRun) run(w *worker, i int) {
 		"dataset", m.spec.Dataset, "shard", p.shard, "attempt", p.attempts, "err", err)
 	w.retries.Inc()
 	m.update(func() { m.rep.Retries++ })
-	if c.cfg.Sleep(m.ctx, c.backoff(p.attempts)) == nil {
+	if c.cfg.Sleep(m.ctx, backoff(p.attempts)) == nil {
 		m.queue <- i
 	}
 }
@@ -358,7 +358,7 @@ func (c *Coordinator) callShard(ctx context.Context, spec Spec, p *shardPlan, w 
 	if err != nil {
 		return nil, false, 0, &permanentError{fmt.Errorf("encoding shard request: %w", err)}
 	}
-	rctx, rcancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
+	rctx, rcancel := context.WithTimeout(ctx, requestTimeout)
 	defer rcancel()
 	defer context.AfterFunc(w.aborted(), rcancel)()
 	req, err := http.NewRequestWithContext(rctx, http.MethodPost, w.url+"/v1/shards", bytes.NewReader(body))
@@ -368,7 +368,7 @@ func (c *Coordinator) callShard(ctx context.Context, spec Spec, p *shardPlan, w 
 	req.Header.Set("Content-Type", "application/json")
 
 	t0, downs := time.Now(), w.downs.Load()
-	resp, err := c.cfg.Client.Do(req)
+	resp, err := c.client.Do(req)
 	if err != nil {
 		w.failures.Inc()
 		return nil, false, 0, fmt.Errorf("worker %s: %w", w.url, err)

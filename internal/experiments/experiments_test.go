@@ -131,7 +131,11 @@ func TestQuantiles(t *testing.T) {
 
 func TestDedupeSchemes(t *testing.T) {
 	skipIfShort(t)
-	r := relationOf("Bridges", 200)
+	spec, err := datagen.Lookup("Bridges", 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := spec.Generate()
 	cfg := Config{Budget: time.Second}
 	a := cfg.collectSchemes(entropy.New(r), 0, 20)
 	merged := dedupeSchemes(a, a)

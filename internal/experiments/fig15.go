@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/entropy"
-	"repro/internal/relation"
 )
 
 // fig15Datasets are the eight datasets of Fig. 15.
@@ -74,13 +73,4 @@ func orDash(v int) string {
 		return "-"
 	}
 	return strconv.Itoa(v)
-}
-
-// relationOf is a convenience for tests.
-func relationOf(name string, scale int) *relation.Relation {
-	spec, err := datagen.Lookup(name, scale)
-	if err != nil {
-		panic(err)
-	}
-	return spec.Generate()
 }

@@ -72,7 +72,7 @@ func expandFullMVDs(cfg Config, m *core.Miner, seps *core.MVDResult) (count int,
 	timedOut = budgeted(cfg, m, func() bool {
 		for _, p := range seps.SortedPairs() {
 			for _, sep := range seps.MinSeps[p] {
-				mvds := m.GetFullMVDs(sep, p.A, p.B, 0)
+				mvds := m.GetFullMVDs(sep, p.A, p.B)
 				if m.Context().Err() != nil {
 					return true
 				}

@@ -21,13 +21,3 @@ func ToMVD(f FD, n int) (mvd.MVD, bool) {
 	}
 	return m, true
 }
-
-// KeysFromUCCs converts unique column combinations to candidate MVD keys:
-// a UCC conditions every pair of remaining attributes independently (all
-// rows are distinct given the UCC), so it separates every pair. These are
-// the trivial separators MVD mining must subsume.
-func KeysFromUCCs(uccs []bitset.AttrSet) []bitset.AttrSet {
-	out := append([]bitset.AttrSet(nil), uccs...)
-	bitset.SortSets(out)
-	return out
-}

@@ -78,12 +78,6 @@ func JMVDTerms(terms []float64, hx, hall float64) float64 {
 	return v
 }
 
-// JStandard returns J(X ↠ Y|Z) = I(Y;Z|X) without constructing an MVD
-// value; y and z need not cover Ω.
-func JStandard(o Source, x, y, z bitset.AttrSet) float64 {
-	return o.MI(y.Diff(x), z.Diff(x), x)
-}
-
 // JTree returns Lee's measure of a join tree (Eq. 6):
 //
 //	J(T) = Σ_v H(χ(v)) − Σ_(u,v) H(χ(u)∩χ(v)) − H(χ(T))

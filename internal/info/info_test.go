@@ -171,16 +171,6 @@ func TestJSchemaRejectsCyclic(t *testing.T) {
 	}
 }
 
-func TestJStandard(t *testing.T) {
-	o := entropy.New(paperR())
-	// Same value whether or not x overlaps y,z (they are diffed out).
-	v1 := JStandard(o, at(t, "A"), at(t, "F"), at(t, "BCDE"))
-	v2 := JStandard(o, at(t, "A"), at(t, "AF"), at(t, "ABCDE"))
-	if math.Abs(v1-v2) > 1e-12 {
-		t.Fatalf("JStandard overlap handling: %v vs %v", v1, v2)
-	}
-}
-
 // Property: Prop. 5.1 inequality (7): dropping attributes from the
 // dependents cannot increase J:
 // J(X ↠ Y1|…|Ym) ≤ J(X ↠ Y1Z1|…|YmZm).

@@ -3,23 +3,15 @@
 // pairwise-compatible MVDs are exactly the maximal independent sets of the
 // incompatibility graph (Eq. 15).
 //
-// Two enumerators are provided:
-//
-//   - EnumerateBK: Bron–Kerbosch with pivoting run on the complement graph
-//     (maximal independent sets of G = maximal cliques of Ḡ). Output-
-//     sensitive and very fast in practice; the default engine.
-//   - EnumerateJPY: the Johnson–Papadimitriou–Yannakakis / Cohen-Kimelfeld-
-//     Sagiv scheme the paper cites ([11, 22], Thm. 7.3): starting from the
-//     lexicographically first maximal independent set, repeatedly extend
-//     seeds (S \ N(v)) ∪ {v} and re-maximalize, popping candidates in
-//     lexicographic order from a priority queue. Polynomial delay
-//     (O(|V|³) per output) at the cost of keeping discovered sets.
-//
-// Both invoke a callback per set and stop early when it returns false.
+// EnumerateBK runs Bron–Kerbosch with pivoting on the complement graph
+// (maximal independent sets of G = maximal cliques of Ḡ): output-sensitive
+// and fast in practice. It invokes a callback per set and stops early when
+// the callback returns false. The paper's polynomial-delay scheme
+// ([11, 22], Thm. 7.3) is not implemented; BK is checked against brute
+// force instead.
 package mis
 
 import (
-	"container/heap"
 	"math/bits"
 	"sort"
 
@@ -190,58 +182,6 @@ func (g *Graph) bk(r []int, p, x words, emit func([]int) bool) bool {
 	return cont
 }
 
-// Maximalize greedily extends the independent set seed (which must itself
-// be independent) to a maximal one, adding eligible vertices in increasing
-// order — the lexicographic completion used by EnumerateJPY.
-func (g *Graph) Maximalize(seed words) words {
-	s := seed.clone()
-	blocked := newWords(g.n)
-	s.forEach(func(v int) { blocked.or(g.adj[v]) })
-	for v := 0; v < g.n; v++ {
-		if !s.has(v) && !blocked.has(v) {
-			s.set(v)
-			blocked.or(g.adj[v])
-		}
-	}
-	return s
-}
-
-// EnumerateJPY enumerates maximal independent sets with the queue-based
-// polynomial-delay scheme of [11, 22]. Memory grows with the number of
-// sets discovered; prefer EnumerateBK unless delay bounds matter.
-func (g *Graph) EnumerateJPY(emit func(set []int) bool) {
-	if g.n == 0 {
-		emit([]int{})
-		return
-	}
-	first := g.Maximalize(newWords(g.n))
-	seen := map[string]bool{first.key(): true}
-	pq := &wordsHeap{first}
-	heap.Init(pq)
-	for pq.Len() > 0 {
-		s := heap.Pop(pq).(words)
-		if !emit(s.toSlice()) {
-			return
-		}
-		// Children: for each v ∉ S, drop v's neighbors from S, add v,
-		// re-maximalize lexicographically.
-		for v := 0; v < g.n; v++ {
-			if s.has(v) {
-				continue
-			}
-			seed := s.clone()
-			seed.andNot(g.adj[v])
-			seed.set(v)
-			t := g.Maximalize(seed)
-			k := t.key()
-			if !seen[k] {
-				seen[k] = true
-				heap.Push(pq, t)
-			}
-		}
-	}
-}
-
 // IsIndependent reports whether the given vertex set is independent.
 func (g *Graph) IsIndependent(set []int) bool {
 	for i := 0; i < len(set); i++ {
@@ -321,12 +261,6 @@ func (w words) and(o words) {
 	}
 }
 
-func (w words) or(o words) {
-	for i := range w {
-		w[i] |= o[i]
-	}
-}
-
 func (w words) andNot(o words) {
 	for i := range w {
 		w[i] &^= o[i]
@@ -353,49 +287,4 @@ func (w words) forEach(f func(i int)) {
 			x &^= 1 << uint(b)
 		}
 	}
-}
-
-func (w words) toSlice() []int {
-	out := make([]int, 0, w.count())
-	w.forEach(func(i int) { out = append(out, i) })
-	return out
-}
-
-func (w words) key() string {
-	b := make([]byte, 8*len(w))
-	for i, x := range w {
-		for k := 0; k < 8; k++ {
-			b[8*i+k] = byte(x >> (8 * k))
-		}
-	}
-	return string(b)
-}
-
-// less orders bitsets by their vertex sequences lexicographically
-// (smallest-first); used by the JPY priority queue.
-func (w words) less(o words) bool {
-	// Compare as sorted vertex lists: the set whose smallest differing
-	// element is present wins.
-	for i := range w {
-		if w[i] != o[i] {
-			diff := w[i] ^ o[i]
-			low := uint64(1) << uint(bits.TrailingZeros64(diff))
-			return w[i]&low != 0
-		}
-	}
-	return false
-}
-
-type wordsHeap []words
-
-func (h wordsHeap) Len() int            { return len(h) }
-func (h wordsHeap) Less(i, j int) bool  { return h[i].less(h[j]) }
-func (h wordsHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *wordsHeap) Push(x interface{}) { *h = append(*h, x.(words)) }
-func (h *wordsHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }

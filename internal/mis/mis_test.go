@@ -15,15 +15,6 @@ func collectBK(g *Graph) [][]int {
 	return out
 }
 
-func collectJPY(g *Graph) [][]int {
-	var out [][]int
-	g.EnumerateJPY(func(set []int) bool {
-		out = append(out, set)
-		return true
-	})
-	return out
-}
-
 func canon(sets [][]int) []string {
 	keys := make([]string, len(sets))
 	for i, s := range sets {
@@ -88,14 +79,6 @@ func TestEarlyStop(t *testing.T) {
 	})
 	if count != 1 {
 		t.Fatalf("early stop visited %d", count)
-	}
-	count = 0
-	g.EnumerateJPY(func(set []int) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Fatalf("JPY early stop visited %d", count)
 	}
 }
 
@@ -249,47 +232,10 @@ func TestQuickBKMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestQuickJPYMatchesBK(t *testing.T) {
-	rng := rand.New(rand.NewSource(56))
-	for trial := 0; trial < 100; trial++ {
-		n := 2 + rng.Intn(10)
-		g := randomGraph(rng, n, rng.Float64())
-		got := canon(collectJPY(g))
-		want := canon(collectBK(g))
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: JPY %d sets, BK %d", trial, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d mismatch", trial)
-			}
-		}
-	}
-}
-
-func TestMaximalize(t *testing.T) {
-	g := NewGraph(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
-	seed := newWords(5)
-	seed.set(1)
-	s := g.Maximalize(seed)
-	out := s.toSlice()
-	if !g.IsMaximalIndependent(out) {
-		t.Fatalf("Maximalize result %v not maximal", out)
-	}
-	if !s.has(1) {
-		t.Fatal("seed vertex dropped")
-	}
-}
-
 func TestEnumerateOnEmptyVertexSet(t *testing.T) {
 	// The empty graph has exactly one maximal independent set: ∅.
 	g := NewGraph(0)
 	if sets := collectBK(g); len(sets) != 1 || len(sets[0]) != 0 {
-		t.Fatalf("got %v", sets)
-	}
-	if sets := collectJPY(g); len(sets) != 1 || len(sets[0]) != 0 {
 		t.Fatalf("got %v", sets)
 	}
 }

@@ -734,15 +734,3 @@ func (c *Cache) countIntersect(p, q *Partition) {
 	c.intersects.Add(1)
 	c.bytesTouched.Add(scanBytes(p, q))
 }
-
-// shardEntries returns the live entry count per shard — introspection for
-// the shard-distribution tests.
-func (c *Cache) shardEntries() []int {
-	out := make([]int, len(c.shards))
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		out[i] = len(c.shards[i].parts)
-		c.shards[i].mu.Unlock()
-	}
-	return out
-}

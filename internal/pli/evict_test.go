@@ -101,6 +101,17 @@ func TestEvictionPinsSingleAttributes(t *testing.T) {
 	}
 }
 
+// shardEntries returns the live entry count per shard.
+func (c *Cache) shardEntries() []int {
+	out := make([]int, len(c.shards))
+	for i := range c.shards {
+		c.shards[i].mu.Lock()
+		out[i] = len(c.shards[i].parts)
+		c.shards[i].mu.Unlock()
+	}
+	return out
+}
+
 // TestShardDistribution: the shard hash must spread attribute sets out —
 // with 8 shards and dozens of live sets, several shards must be occupied
 // beyond the pre-seeded singles.

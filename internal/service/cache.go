@@ -65,7 +65,7 @@ type resultCache struct {
 	// the JobResults it prevents leaking.
 	retired map[int64]bool
 
-	hits, misses, evictions int64
+	hits, misses int64
 }
 
 // newResultCache builds the cache: capEntries 0 means
@@ -118,7 +118,6 @@ func (c *resultCache) put(k cacheKey, r *JobResult) {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)
 		delete(c.m, oldest.Value.(*cacheEnt).k)
-		c.evictions++
 	}
 }
 

@@ -28,8 +28,10 @@ func TestRegistryLifecycle(t *testing.T) {
 	if got := len(reg.List()); got != 1 {
 		t.Fatalf("List has %d entries", got)
 	}
-	if !reg.Remove("d") || reg.Remove("d") {
-		t.Fatal("Remove semantics")
+	mgr := service.NewManager(reg, service.Config{Workers: 1})
+	defer mgr.Close()
+	if !mgr.RemoveDataset("d") || mgr.RemoveDataset("d") {
+		t.Fatal("RemoveDataset semantics")
 	}
 	if _, ok := reg.Get("d"); ok {
 		t.Fatal("removed dataset still found")

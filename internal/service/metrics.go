@@ -31,7 +31,6 @@ type Telemetry struct {
 	jobsDone      *obs.Counter
 	jobsFailed    *obs.Counter
 	jobsCancelled *obs.Counter
-	jobsCacheHit  *obs.Counter
 	jobsRunning   *obs.Gauge
 	jobDuration   *obs.Histogram
 
@@ -61,8 +60,6 @@ func NewTelemetry(reg *obs.Registry, log *slog.Logger) *Telemetry {
 	t.jobsDone = completed("done")
 	t.jobsFailed = completed("failed")
 	t.jobsCancelled = completed("cancelled")
-	t.jobsCacheHit = reg.Counter("maimond_jobs_cache_hits_total",
-		"Submitted jobs answered instantly from the result cache.")
 	t.jobsRunning = reg.Gauge("maimond_jobs_running",
 		"Mining jobs currently executing on the worker pool.")
 	t.jobDuration = reg.Histogram("maimond_job_duration_seconds",
@@ -228,7 +225,6 @@ func (t *Telemetry) jobSubmitted(job *Job) {
 	}
 	t.jobsSubmitted.Inc()
 	if job.cacheHit {
-		t.jobsCacheHit.Inc()
 		t.jobsDone.Inc()
 	}
 	t.log.Info("job submitted",

@@ -242,14 +242,9 @@ func (g *Registry) EachSession(fn func(name string, s *maimon.Session)) {
 	}
 }
 
-// Remove deletes the dataset and reports whether it existed along with
+// remove deletes the dataset and reports whether it existed along with
 // the removed incarnation's id (for cache invalidation). Jobs already
 // running on it keep their session reference and finish normally.
-func (g *Registry) Remove(name string) bool {
-	removed, _ := g.remove(name)
-	return removed
-}
-
 func (g *Registry) remove(name string) (bool, int64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -264,7 +259,7 @@ func (g *Registry) remove(name string) (bool, int64) {
 // CloseAll closes every registered session, syncing each spill tier's
 // segments; a restarted daemon rescans them and starts warm. Called at
 // shutdown, after the job manager has drained — a removed-but-still-mining
-// session's spill tier must not be closed under it, which is why Remove
+// session's spill tier must not be closed under it, which is why remove
 // never closes. Returns the first error.
 func (g *Registry) CloseAll() error {
 	g.mu.RLock()

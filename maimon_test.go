@@ -12,6 +12,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/datagen"
 	"repro/internal/decompose"
+	"repro/internal/mvd"
 	"repro/internal/schema"
 )
 
@@ -326,9 +327,13 @@ func TestCIStatementsPublic(t *testing.T) {
 	if len(stmts) == 0 {
 		t.Fatal("no CI statements")
 	}
-	// Every statement must hold exactly over the empirical distribution.
+	// Every statement must be saturated and hold exactly over the
+	// empirical distribution.
 	for _, st := range stmts {
-		m, err := st.ToMVD(r.NumCols())
+		if st.X.Union(st.Y).Union(st.Z) != bitset.Full(r.NumCols()) {
+			t.Fatalf("statement %v is not saturated", st)
+		}
+		m, err := mvd.New(st.X, []AttrSet{st.Y, st.Z})
 		if err != nil {
 			t.Fatal(err)
 		}

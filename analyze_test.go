@@ -267,9 +267,7 @@ func TestAnalyzeAllConcurrent(t *testing.T) {
 // lossless schemes, so a lossy one is required per relation, not per ε.
 func TestSchemeJBoundsSpuriousRate(t *testing.T) {
 	planted, _ := rankingInput(t, 300)
-	wide, _, err := datagen.Planted(datagen.PlantedSpec{
-		Bags: datagen.ChainBags(13, 4, 1), RootTuples: 120, ExtPerSep: 3, NoiseCells: 0.01, Seed: 7,
-	})
+	wide, err := datagen.Ladder("wide")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -243,12 +243,10 @@ func BenchmarkParallelWarmMining(b *testing.B) {
 	}
 }
 
-// benchWide is the benchmark's `wide` relation (bench/inputs.go): 3,240
+// benchWide is the benchmark's `wide` relation (datagen.Ladder): 3,240
 // rows × 13 columns, planted chain of 4-attribute bags, 1 % cell noise.
 func benchWide(b *testing.B) *Relation {
-	r, _, err := datagen.Planted(datagen.PlantedSpec{
-		Bags: datagen.ChainBags(13, 4, 1), RootTuples: 120, ExtPerSep: 3, NoiseCells: 0.01, Seed: 7,
-	})
+	r, err := datagen.Ladder("wide")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -367,9 +365,7 @@ func BenchmarkPhase2Warm(b *testing.B) {
 // and separator once, a single Analyze its own every call, so "serial"
 // against "batch" is what sharing the class tables saves.
 func BenchmarkAnalyzeRank(b *testing.B) {
-	r, _, err := datagen.Planted(datagen.PlantedSpec{
-		Bags: datagen.ChainBags(9, 3, 1), Domain: 24, RootTuples: 1000, ExtPerSep: 3, NoiseCells: 0.01, Seed: 7,
-	})
+	r, err := datagen.Ladder("mid")
 	if err != nil {
 		b.Fatal(err)
 	}

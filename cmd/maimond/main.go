@@ -7,18 +7,19 @@
 //
 // Usage:
 //
-//	maimond [-addr :8080] [-workers N] [-mine-workers 1] [-queue 256]
-//	        [-job-timeout 0] [-cache-bytes 0] [-entropy-bytes 0]
-//	        [-spill-dir ""] [-spill-bytes 0] [-result-cache 0]
+//	maimond [-addr :8080] [-workers N] [-mine-workers 1]
+//	        [-cache-bytes 0] [-entropy-bytes 0]
+//	        [-spill-dir ""] [-spill-bytes 0]
 //	        [-log-level info] [-log-json] [-debug-addr ""]
 //	        [-load name=path.csv ...] [-nursery]
-//	        [-coordinator http://w1:8080,http://w2:8080]
-//	        [-shards-per-worker 4] [-dist-mines 8] [-probe-interval 5s]
+//	        [-coordinator http://w1:8080,http://w2:8080] [-probe-interval 5s]
 //
 // With -coordinator, the daemon additionally acts as the distributed
 // mining coordinator: phase 1 of every job is sharded across the listed
 // worker maimond instances (each of which must have the same datasets
 // registered) and merged back byte-identically; phase 2 runs locally.
+// The job pool is the one bound on concurrent mines: each job runs at
+// most one distributed mine, so at most -workers of them run at once.
 // Any maimond serves the worker side automatically via POST /v1/shards.
 // (The worker-URL flag is -coordinator, not -workers: -workers was
 // already taken by the job pool size.)
@@ -107,23 +108,17 @@ func main() {
 		addr         = flag.String("addr", ":8080", "HTTP listen address")
 		workers      = flag.Int("workers", 0, "mining worker pool size — concurrent jobs (0 = GOMAXPROCS)")
 		mineWorkers  = flag.Int("mine-workers", 1, "default per-job parallel fan-out (jobs may override with \"workers\"; capped at GOMAXPROCS)")
-		queue        = flag.Int("queue", 256, "job queue depth (submits beyond it are rejected)")
-		jobTimeout   = flag.Duration("job-timeout", 0, "default per-job mining timeout (0 = none)")
-		maxJobs      = flag.Int("max-jobs", 1024, "job records retained; oldest finished jobs evicted beyond it")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "per-dataset PLI cache memory budget in bytes; cold partitions are evicted past it (0 = unlimited)")
 		entropyBytes = flag.Int64("entropy-bytes", 0, "per-dataset entropy-memo memory budget in bytes; cold entropies are evicted past it (0 = unlimited); at most 16 columns, 0 or a budget of at least 8·2^columns bytes keeps the never-evicted dense memo of that size instead; where the memo is hashed, each mining worker's read-through view, up to 2 MiB per phase, is not counted")
 		spillDir     = flag.String("spill-dir", "", "disk spill tier root: evicted PLI partitions worth re-reading are demoted into per-dataset segment stores under this directory instead of dropped; re-opened warm on restart (empty = disabled)")
 		spillBytes   = flag.Int64("spill-bytes", 0, "per-dataset on-disk budget of the spill tier; oldest segments deleted past it (0 = unlimited)")
-		resultCache  = flag.Int("result-cache", 0, "completed job results retained, LRU past the cap (0 = default 256, -1 = disable result caching)")
 		logLevel     = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 		logJSON      = flag.Bool("log-json", false, "emit logs as JSON lines instead of text")
 		debugAddr    = flag.String("debug-addr", "", "listen address for the net/http/pprof debug server (empty = disabled; bind to loopback)")
 		nursery      = flag.Bool("nursery", false, "preload the paper's nursery dataset as \"nursery\"")
 
-		coordinator     = flag.String("coordinator", "", "comma-separated worker base URLs; when set, phase 1 of every job is sharded across them (distributed mining)")
-		shardsPerWorker = flag.Int("shards-per-worker", 4, "distributed: shards per worker (numShards = this × workers)")
-		distMines       = flag.Int("dist-mines", 8, "distributed: max concurrent distributed mines; beyond it submits fail busy")
-		probeInterval   = flag.Duration("probe-interval", 5*time.Second, "distributed: worker /v1/readyz probe period (negative disables active probing)")
+		coordinator   = flag.String("coordinator", "", "comma-separated worker base URLs; when set, phase 1 of every job is sharded across them (distributed mining)")
+		probeInterval = flag.Duration("probe-interval", 5*time.Second, "distributed: worker /v1/readyz probe period (negative disables active probing)")
 	)
 	flag.Var(&loads, "load", "preload a dataset: name=path.csv (repeatable)")
 	flag.Parse()
@@ -181,12 +176,10 @@ func main() {
 	if *coordinator != "" {
 		var err error
 		coord, err = dist.New(dist.Config{
-			Workers:         strings.Split(*coordinator, ","),
-			ShardsPerWorker: *shardsPerWorker,
-			MaxMines:        *distMines,
-			ProbeInterval:   *probeInterval,
-			Registry:        tel.Registry(),
-			Logger:          logger,
+			Workers:       strings.Split(*coordinator, ","),
+			ProbeInterval: *probeInterval,
+			Registry:      tel.Registry(),
+			Logger:        logger,
 		})
 		if err != nil {
 			fatal("building coordinator", "error", err)
@@ -197,14 +190,10 @@ func main() {
 	}
 
 	mgr := service.NewManager(reg, service.Config{
-		Workers:            *workers,
-		MineWorkers:        *mineWorkers,
-		QueueDepth:         *queue,
-		DefaultTimeout:     *jobTimeout,
-		MaxJobs:            *maxJobs,
-		ResultCacheEntries: *resultCache,
-		Telemetry:          tel,
-		Coordinator:        coord,
+		Workers:     *workers,
+		MineWorkers: *mineWorkers,
+		Telemetry:   tel,
+		Coordinator: coord,
 	})
 	srv := &http.Server{
 		Addr:              *addr,

@@ -575,9 +575,7 @@ func TestMinSepsCompleteAtWidth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("brute force over 78 pairs at three thresholds")
 	}
-	r, _, err := datagen.Planted(datagen.PlantedSpec{
-		Bags: datagen.ChainBags(13, 4, 1), RootTuples: 120, ExtPerSep: 3, NoiseCells: 0.01, Seed: 7,
-	})
+	r, err := datagen.Ladder("wide")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -624,9 +622,7 @@ func TestFullMVDsCompleteAtWidth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three mines of the 13-column relation and a brute-force scan per sample")
 	}
-	r, _, err := datagen.Planted(datagen.PlantedSpec{
-		Bags: datagen.ChainBags(13, 4, 1), RootTuples: 120, ExtPerSep: 3, NoiseCells: 0.01, Seed: 7,
-	})
+	r, err := datagen.Ladder("wide")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,9 +63,7 @@ var wideEps = []float64{0.02, 0.05, 0.1}
 func wideMVDs(t *testing.T) (*entropy.Oracle, [][]mvd.MVD) {
 	t.Helper()
 	wide.once.Do(func() {
-		r, _, err := datagen.Planted(datagen.PlantedSpec{
-			Bags: datagen.ChainBags(13, 4, 1), RootTuples: 120, ExtPerSep: 3, NoiseCells: 0.01, Seed: 7,
-		})
+		r, err := datagen.Ladder("wide")
 		if err != nil {
 			panic(err)
 		}

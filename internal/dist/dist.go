@@ -6,7 +6,7 @@
 //
 // The decomposition follows the paper's structure. Phase 1 is
 // embarrassingly parallel over attribute pairs, so pairs are hashed to
-// numShards = ShardsPerWorker × len(Workers) shards with the same fmix64
+// numShards = shardsPerWorker × len(Workers) shards with the same fmix64
 // policy the PLI and entropy caches stripe by (core.ShardOfPair /
 // internal/stripe); each shard travels as one POST /v1/shards request
 // carrying only (dataset, shard, numShards, ε) — both sides derive the
@@ -29,8 +29,9 @@
 // worker's lanes stop taking shards while another worker is healthy, so
 // a retry lands elsewhere, and abortAfterProbes failed probes in a row
 // abort the RPCs in flight to that worker, so a hung worker's shards
-// return to the queue. Admission control bounds concurrent mines
-// (ErrBusy, never queued).
+// return to the queue. The coordinator does not bound concurrent mines:
+// the caller's job pool (service.Manager runs at most -workers jobs, each
+// at most one mine) is the one admission control.
 package dist
 
 import (
@@ -77,10 +78,10 @@ const (
 // answers a shard.
 const requestTimeout = 10 * time.Minute
 
-// ErrBusy rejects a mine when the coordinator is at its admission bound.
-// Deliberately not queued: the caller (or its load balancer) decides
-// whether to wait, shed, or go elsewhere.
-var ErrBusy = errors.New("dist: coordinator at capacity (admission control)")
+// shardsPerWorker scales the shard count: numShards = shardsPerWorker ×
+// len(Workers). More shards than workers keeps every worker busy until
+// the end of the mine and bounds the work lost to one failed shard.
+const shardsPerWorker = 4
 
 // permanentError marks a shard failure that no retry can fix — the
 // worker understood the request and rejected it (unknown dataset,
@@ -95,14 +96,6 @@ type Config struct {
 	// Workers are the base URLs of the maimond workers shards are
 	// dispatched to (e.g. "http://10.0.0.2:8080"). At least one.
 	Workers []string
-	// ShardsPerWorker scales the shard count: numShards =
-	// ShardsPerWorker × len(Workers) (default 4). More shards than
-	// workers keeps every worker busy until the end of the mine and
-	// bounds the work lost to one failed shard.
-	ShardsPerWorker int
-	// MaxMines bounds concurrent distributed mines; a mine beyond it is
-	// rejected with ErrBusy rather than queued (default 8).
-	MaxMines int
 	// ProbeInterval is the /v1/readyz health-probe period (default 5s;
 	// negative disables active probing — marking on RPC failure and
 	// success still applies).
@@ -115,6 +108,10 @@ type Config struct {
 	// Sleep is the backoff sleeper — a test seam; nil sleeps on a timer
 	// honoring ctx.
 	Sleep func(ctx context.Context, d time.Duration) error
+
+	// shardsPerWorker overrides the constant of that name when positive —
+	// a test seam for one-, two-, three- and eight-shard fleets.
+	shardsPerWorker int
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -129,11 +126,8 @@ func (c Config) withDefaults() (Config, error) {
 		}
 		c.Workers[i] = u
 	}
-	if c.ShardsPerWorker <= 0 {
-		c.ShardsPerWorker = 4
-	}
-	if c.MaxMines <= 0 {
-		c.MaxMines = 8
+	if c.shardsPerWorker <= 0 {
+		c.shardsPerWorker = shardsPerWorker
 	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 5 * time.Second
@@ -216,8 +210,6 @@ type Coordinator struct {
 	log         *slog.Logger
 	met         *metrics
 
-	mines chan struct{} // admission tokens (non-blocking acquire)
-
 	hmu     sync.Mutex
 	healthC chan struct{} // closed and replaced whenever a worker's health flips
 
@@ -240,9 +232,8 @@ func New(cfg Config) (*Coordinator, error) {
 			IdleConnTimeout:     90 * time.Second,
 		}},
 		maxAttempts: max(4, 2*len(cfg.Workers)),
-		numShards:   cfg.ShardsPerWorker * len(cfg.Workers),
+		numShards:   cfg.shardsPerWorker * len(cfg.Workers),
 		log:         cfg.Logger,
-		mines:       make(chan struct{}, cfg.MaxMines),
 		healthC:     make(chan struct{}),
 		stopProbe:   make(chan struct{}),
 		probeDone:   make(chan struct{}),

@@ -94,9 +94,8 @@ func serveWorker(t *testing.T, rels map[string]*relation.Relation, wrap func(htt
 func newCoordinator(t *testing.T, urls []string, mut func(*dist.Config)) *dist.Coordinator {
 	t.Helper()
 	cfg := dist.Config{
-		Workers:         urls,
-		ShardsPerWorker: 2,
-		ProbeInterval:   -1,
+		Workers:       urls,
+		ProbeInterval: -1,
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			select {
 			case <-time.After(d / 100):
@@ -106,6 +105,7 @@ func newCoordinator(t *testing.T, urls []string, mut func(*dist.Config)) *dist.C
 			}
 		},
 	}
+	cfg.SetShardsPerWorker(2)
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -340,7 +340,7 @@ func TestRetryBackoffPinnedWorkers(t *testing.T) {
 	var mu sync.Mutex
 	var slept []time.Duration
 	coord := newCoordinator(t, []string{ts.URL}, func(c *dist.Config) {
-		c.ShardsPerWorker = 1 // one shard → one retry chain to pin
+		c.SetShardsPerWorker(1) // one shard → one retry chain to pin
 		c.Sleep = func(ctx context.Context, d time.Duration) error {
 			mu.Lock()
 			slept = append(slept, d)
@@ -377,7 +377,7 @@ func TestTruncatedResponseRetriedWorkers(t *testing.T) {
 	rels := map[string]*relation.Relation{"planted": testRelations(t)["planted"]}
 	ts, _ := newWorker(t, rels, disttest.FailFirst(1, disttest.Truncate))
 	coord := newCoordinator(t, []string{ts.URL}, func(c *dist.Config) {
-		c.ShardsPerWorker = 1
+		c.SetShardsPerWorker(1)
 		c.Sleep = func(context.Context, time.Duration) error { return nil }
 	})
 	r := rels["planted"]
@@ -402,7 +402,7 @@ func TestDeadWorkerFailsWithClearError(t *testing.T) {
 	rels := map[string]*relation.Relation{"planted": testRelations(t)["planted"]}
 	ts, _ := newWorker(t, rels, disttest.Always(disttest.Die))
 	coord := newCoordinator(t, []string{ts.URL}, func(c *dist.Config) {
-		c.ShardsPerWorker = 1
+		c.SetShardsPerWorker(1)
 		c.Sleep = func(context.Context, time.Duration) error { return nil }
 	})
 	r := rels["planted"]
@@ -433,7 +433,7 @@ func TestWorkerDeathRedispatchWorkers(t *testing.T) {
 	alive, _ := newWorker(t, rels, nil)
 	dying, dyingProxy := newWorker(t, rels, disttest.DieAfter(1))
 	coord := newCoordinator(t, []string{alive.URL, dying.URL}, func(c *dist.Config) {
-		c.ShardsPerWorker = 3
+		c.SetShardsPerWorker(3)
 		c.Sleep = func(context.Context, time.Duration) error { return nil }
 	})
 	r := rels["nursery"]
@@ -450,41 +450,6 @@ func TestWorkerDeathRedispatchWorkers(t *testing.T) {
 	}
 	if rep.Retries < 1 {
 		t.Fatalf("worker death caused no re-dispatch: %+v", rep)
-	}
-}
-
-// TestAdmissionControlBusyWorkers: at the MaxMines bound a new mine is
-// rejected immediately with ErrBusy, never queued.
-func TestAdmissionControlBusyWorkers(t *testing.T) {
-	rels := map[string]*relation.Relation{"planted": testRelations(t)["planted"]}
-	ts, proxy := newWorker(t, rels, disttest.Always(disttest.Hang))
-	coord := newCoordinator(t, []string{ts.URL}, func(c *dist.Config) {
-		c.ShardsPerWorker = 1
-		c.MaxMines = 1
-	})
-	r := rels["planted"]
-	spec := dist.Spec{Dataset: "planted", Epsilon: 0.1, NumAttrs: r.NumCols(), Rows: r.NumRows()}
-
-	ctx1, cancel1 := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := coord.MineMVDs(ctx1, spec)
-		done <- err
-	}()
-	// Wait until the first mine is actually in flight on the worker.
-	deadline := time.Now().Add(10 * time.Second)
-	for proxy.Calls() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first mine never dispatched")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, _, err := coord.MineMVDs(context.Background(), spec); !errors.Is(err, dist.ErrBusy) {
-		t.Fatalf("second mine: want ErrBusy, got %v", err)
-	}
-	cancel1()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("first mine after cancel: want context.Canceled, got %v", err)
 	}
 }
 
@@ -522,8 +487,7 @@ func TestWedgedMineIsolationWorkers(t *testing.T) {
 		return &datasetGate{backend: h, hangOn: "wedged"}
 	})
 	coord := newCoordinator(t, []string{ts.URL}, func(c *dist.Config) {
-		c.ShardsPerWorker = 4
-		c.MaxMines = 4
+		c.SetShardsPerWorker(4)
 	})
 	r := rels["wedged"]
 
@@ -550,6 +514,93 @@ func TestWedgedMineIsolationWorkers(t *testing.T) {
 	}
 }
 
+// mineBarrier holds every shard request until requests from want
+// distinct mines (told apart by ε) have arrived, or until timeout after
+// the first — so a test can hold that many mines in flight at once.
+type mineBarrier struct {
+	want    int
+	timeout time.Duration
+
+	mu      sync.Mutex
+	seen    map[float64]bool
+	release chan struct{}
+	once    sync.Once
+}
+
+func newMineBarrier(want int, timeout time.Duration) *mineBarrier {
+	return &mineBarrier{want: want, timeout: timeout, seen: make(map[float64]bool), release: make(chan struct{})}
+}
+
+func (b *mineBarrier) open() { b.once.Do(func() { close(b.release) }) }
+
+func (b *mineBarrier) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/shards") {
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			var req wire.ShardRequest
+			_ = json.Unmarshal(body, &req)
+			b.mu.Lock()
+			if len(b.seen) == 0 {
+				time.AfterFunc(b.timeout, b.open)
+			}
+			b.seen[req.Epsilon] = true
+			if len(b.seen) >= b.want {
+				b.open()
+			}
+			b.mu.Unlock()
+			select {
+			case <-b.release:
+			case <-r.Context().Done():
+				return
+			}
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// TestJobPoolBoundsDistributedMinesWorkers: the manager's job pool is the
+// one bound on concurrent distributed mines. With nine pool workers and
+// nine distributed jobs held in flight together, every job ends done —
+// the coordinator adds no second gate that fails a job the pool accepted.
+func TestJobPoolBoundsDistributedMinesWorkers(t *testing.T) {
+	const jobs = 9
+	rels := map[string]*relation.Relation{"planted": testRelations(t)["planted"]}
+	barrier := newMineBarrier(jobs, 3*time.Second)
+	w1 := serveWorker(t, rels, barrier.wrap)
+	w2 := serveWorker(t, rels, barrier.wrap)
+	coord := newCoordinator(t, []string{w1.URL, w2.URL}, nil)
+
+	reg := service.NewRegistry()
+	if _, err := reg.Add("planted", rels["planted"]); err != nil {
+		t.Fatal(err)
+	}
+	mgr := service.NewManager(reg, service.Config{Workers: jobs, Coordinator: coord})
+	t.Cleanup(mgr.Close)
+
+	var submitted []*service.Job
+	for i := range jobs {
+		// Distinct epsilons keep the result cache out of the way.
+		job, err := mgr.Submit(service.JobRequest{
+			Dataset: "planted", Mode: service.ModeMVDs, Epsilon: 0.05 + 0.01*float64(i),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		submitted = append(submitted, job)
+	}
+	for _, job := range submitted {
+		select {
+		case <-job.Done():
+		case <-time.After(60 * time.Second):
+			t.Fatalf("job %s did not finish", job.ID())
+		}
+		if st := job.Status(); st.State != service.StateDone {
+			t.Errorf("job %s (ε=%v): state %s, error %q", job.ID(), st.Epsilon, st.State, st.Error)
+		}
+	}
+}
+
 // TestUnknownDatasetPermanentWorkers: a 404 from the worker is permanent
 // — the mine fails on the first attempt with the worker's message, no
 // retries.
@@ -557,7 +608,7 @@ func TestUnknownDatasetPermanentWorkers(t *testing.T) {
 	rels := map[string]*relation.Relation{"planted": testRelations(t)["planted"]}
 	ts, _ := newWorker(t, rels, nil)
 	coord := newCoordinator(t, []string{ts.URL}, func(c *dist.Config) {
-		c.ShardsPerWorker = 1
+		c.SetShardsPerWorker(1)
 		c.Sleep = func(context.Context, time.Duration) error { return nil }
 	})
 	got, rep, err := coord.MineMVDs(context.Background(), dist.Spec{
@@ -695,7 +746,7 @@ func TestFailingWorkerSidelinedWorkers(t *testing.T) {
 			})
 		})
 		coord := newCoordinator(t, []string{bad.URL, good.URL}, func(c *dist.Config) {
-			c.ShardsPerWorker = 8
+			c.SetShardsPerWorker(8)
 			c.Sleep = nil // the coordinator's own backoff
 		})
 		got, rep, err := coord.MineMVDs(context.Background(), dist.Spec{
@@ -740,7 +791,7 @@ func TestSlowProbeKeepsShardsWorkers(t *testing.T) {
 		})
 	})
 	coord := newCoordinator(t, []string{ts.URL}, func(c *dist.Config) {
-		c.ShardsPerWorker = 1
+		c.SetShardsPerWorker(1)
 		c.ProbeInterval = 50 * time.Millisecond
 	})
 	r := rels["planted"]
@@ -780,7 +831,7 @@ func TestHungWorkerLosesShardsWorkers(t *testing.T) {
 		})
 	})
 	coord := newCoordinator(t, []string{fast.URL, hung.URL}, func(c *dist.Config) {
-		c.ShardsPerWorker = 3
+		c.SetShardsPerWorker(3)
 		c.ProbeInterval = 50 * time.Millisecond
 	})
 	r := rels["planted"]
@@ -813,7 +864,7 @@ func TestSlowWorkerServesFewerShardsWorkers(t *testing.T) {
 		return disttest.Delayed{Sleep: 300 * time.Millisecond, Then: disttest.Pass}
 	})
 	coord := newCoordinator(t, []string{fast.URL, slow.URL}, func(c *dist.Config) {
-		c.ShardsPerWorker = 8
+		c.SetShardsPerWorker(8)
 	})
 	want := singleNode(t, r, 0.1)
 	got, rep, err := coord.MineMVDs(context.Background(), dist.Spec{

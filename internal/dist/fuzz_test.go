@@ -14,7 +14,7 @@ import (
 // carry the plan's pairs in plan order: all of them, or a prefix when the
 // worker reports an interrupt.
 func FuzzValidateShard(f *testing.F) {
-	c, err := New(Config{Workers: []string{"http://127.0.0.1:1"}, ShardsPerWorker: 2, ProbeInterval: -1})
+	c, err := New(Config{Workers: []string{"http://127.0.0.1:1"}, shardsPerWorker: 2, ProbeInterval: -1})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -19,10 +19,9 @@ var shardLatencyBounds = []float64{0.01, 0.05, 0.1, 0.5, 1, 5, 30, 120, 600}
 type metrics struct {
 	reg *obs.Registry
 
-	bytesMerged      *obs.Counter
-	admissionRejects *obs.Counter
-	mines            *obs.Counter
-	minesFailed      *obs.Counter
+	bytesMerged *obs.Counter
+	mines       *obs.Counter
+	minesFailed *obs.Counter
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
@@ -30,8 +29,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		reg: reg,
 		bytesMerged: reg.Counter("maimond_shard_bytes_merged_total",
 			"Bytes of shard-result bodies decoded and merged by the coordinator."),
-		admissionRejects: reg.Counter("maimond_shard_admission_rejects_total",
-			"Distributed mines rejected at admission because the coordinator was at MaxMines."),
 		mines: reg.Counter("maimond_dist_mines_total",
 			"Distributed mines accepted by the coordinator."),
 		minesFailed: reg.Counter("maimond_dist_mines_failed_total",

@@ -121,8 +121,7 @@ type mineRun struct {
 // deadline merges the shards completed so far and returns them with
 // res.Err == core.ErrInterrupted; ctx cancellation likewise merges and
 // returns context.Canceled; a shard exhausting its attempts or failing
-// permanently returns (nil, report, err). ErrBusy is returned
-// immediately when the coordinator is at its MaxMines admission bound.
+// permanently returns (nil, report, err).
 func (c *Coordinator) MineMVDs(ctx context.Context, spec Spec) (*core.MVDResult, *Report, error) {
 	if spec.Dataset == "" {
 		return nil, nil, errors.New("dist: spec needs a dataset name")
@@ -130,13 +129,6 @@ func (c *Coordinator) MineMVDs(ctx context.Context, spec Spec) (*core.MVDResult,
 	if spec.NumAttrs < 3 {
 		return nil, nil, fmt.Errorf("dist: dataset %q: need at least 3 attributes, have %d", spec.Dataset, spec.NumAttrs)
 	}
-	select {
-	case c.mines <- struct{}{}:
-	default:
-		c.met.admissionRejects.Inc()
-		return nil, nil, ErrBusy
-	}
-	defer func() { <-c.mines }()
 	c.met.mines.Inc()
 
 	// Plan: every non-empty shard of the pair space. Pair lists are

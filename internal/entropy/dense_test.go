@@ -16,9 +16,7 @@ import (
 // chain of 4-attribute bags with 1 % noise, about 3,200 rows.
 func wideRelation(t *testing.T) *relation.Relation {
 	t.Helper()
-	r, _, err := datagen.Planted(datagen.PlantedSpec{
-		Bags: datagen.ChainBags(13, 4, 1), RootTuples: 120, ExtPerSep: 3, NoiseCells: 0.01, Seed: 7,
-	})
+	r, err := datagen.Ladder("wide")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -244,6 +245,40 @@ func TestParseExpositionTimestampTolerated(t *testing.T) {
 	}
 	if e.Samples[0].Value != 1.5 {
 		t.Errorf("value = %v, want 1.5", e.Samples[0].Value)
+	}
+}
+
+// TestParseExpositionBytes: parsing a small exposition allocates in
+// proportion to its lines, not the 1 MiB line limit — the scanner's
+// buffer grows on demand.
+func TestParseExpositionBytes(t *testing.T) {
+	const in = "# HELP foo a\n# TYPE foo counter\nfoo 1\n"
+	const runs = 100
+	parse := func() {
+		if _, err := ParseExposition(strings.NewReader(in)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parse() // warm-up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		parse()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got >= 64<<10 {
+		t.Errorf("ParseExposition of a 3-line exposition allocates %d B/op, want < 64 KiB", got)
+	} else {
+		t.Logf("%d B/op", got)
+	}
+}
+
+// TestParseExpositionLongLine: a line past the 1 MiB limit is an error,
+// not a truncated parse.
+func TestParseExpositionLongLine(t *testing.T) {
+	in := "# HELP foo " + strings.Repeat("a", 1<<20) + "\n# TYPE foo counter\nfoo 1\n"
+	if _, err := ParseExposition(strings.NewReader(in)); err == nil {
+		t.Fatal("ParseExposition accepted a line longer than 1 MiB")
 	}
 }
 

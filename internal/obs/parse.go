@@ -95,7 +95,7 @@ func baseName(name string) string {
 func ParseExposition(r io.Reader) (*Exposition, error) {
 	e := &Exposition{Families: make(map[string]*ExpoFamily)}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // grows with the longest line, up to 1 MiB
 	lineNo := 0
 	sampleSeen := make(map[string]bool) // families that already have samples
 	for sc.Scan() {

@@ -10,17 +10,12 @@ import (
 	"repro/internal/relation"
 )
 
-// benchRelation builds the benchmark harness's planted input name
-// (bench/inputs.go: same specs, same planting seed 7) with its rows
-// permuted and every column's values renamed by seed.
+// benchRelation builds the ladder rung name (datagen.Ladder, the inputs
+// the benchmark harness plants) with its rows permuted and every column's
+// values renamed by seed, as the harness does.
 func benchRelation(t testing.TB, name string, seed int64) *relation.Relation {
 	t.Helper()
-	spec := map[string]datagen.PlantedSpec{
-		"wide": {Bags: datagen.ChainBags(13, 4, 1), RootTuples: 120, ExtPerSep: 3, NoiseCells: 0.01, Seed: 7},
-		"tall": {Bags: datagen.ChainBags(9, 3, 1), Domain: 24, RootTuples: 6000, ExtPerSep: 3, NoiseCells: 0.01, Seed: 7},
-		"mid":  {Bags: datagen.ChainBags(9, 3, 1), Domain: 24, RootTuples: 1000, ExtPerSep: 3, NoiseCells: 0.01, Seed: 7},
-	}[name]
-	base, _, err := datagen.Planted(spec)
+	base, err := datagen.Ladder(name)
 	if err != nil {
 		t.Fatal(err)
 	}

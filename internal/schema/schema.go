@@ -65,20 +65,6 @@ func MustNew(relations ...bitset.AttrSet) Schema {
 	return s
 }
 
-// FromMVD returns the simple acyclic schema an MVD represents:
-// {XY1, XY2, ..., XYm} (Sec. 3.1).
-func FromMVD(m mvd.MVD) Schema {
-	rels := make([]bitset.AttrSet, len(m.Deps))
-	for i, d := range m.Deps {
-		rels[i] = m.Key.Union(d)
-	}
-	s, err := New(rels)
-	if err != nil {
-		panic(err) // unreachable: MVD dependents are non-empty
-	}
-	return s
-}
-
 // M returns the number of relations.
 func (s Schema) M() int { return len(s.Relations) }
 

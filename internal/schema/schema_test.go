@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
-	"repro/internal/mvd"
 )
 
 func at(t *testing.T, s string) bitset.AttrSet {
@@ -128,17 +127,6 @@ func TestBuildJoinTreeSingleBag(t *testing.T) {
 	}
 	if len(tree.Support()) != 0 {
 		t.Fatal("single bag has empty support")
-	}
-}
-
-func TestFromMVD(t *testing.T) {
-	m, _ := mvd.Parse("X->AB|C") // key X=23
-	s := FromMVD(m)
-	if s.M() != 2 {
-		t.Fatalf("M = %d", s.M())
-	}
-	if !s.IsAcyclic() {
-		t.Fatal("MVD schema must be acyclic")
 	}
 }
 

@@ -5,10 +5,10 @@ import (
 	"sync"
 )
 
-// DefaultResultCacheEntries is the default retention cap of the result
-// cache. A JobResult can be large (every mined scheme and MVD, formatted)
-// — a resident daemon keeps the most recently useful few hundred, not
-// every result it ever produced.
+// DefaultResultCacheEntries is the retention cap of the result cache. A
+// JobResult can be large (every mined scheme and MVD, formatted) — a
+// resident daemon keeps the most recently useful few hundred, not every
+// result it ever produced.
 const DefaultResultCacheEntries = 256
 
 // cacheKey identifies a mining outcome per session incarnation: same
@@ -68,16 +68,8 @@ type resultCache struct {
 	hits, misses int64
 }
 
-// newResultCache builds the cache: capEntries 0 means
-// DefaultResultCacheEntries, negative disables caching entirely (every
-// get misses, every put is dropped — cap 0 internally).
+// newResultCache builds a cache retaining capEntries results.
 func newResultCache(capEntries int) *resultCache {
-	switch {
-	case capEntries == 0:
-		capEntries = DefaultResultCacheEntries
-	case capEntries < 0:
-		capEntries = 0 // disabled
-	}
 	return &resultCache{
 		cap:     capEntries,
 		m:       make(map[cacheKey]*list.Element),
@@ -100,8 +92,8 @@ func (c *resultCache) get(k cacheKey) *JobResult {
 }
 
 func (c *resultCache) put(k cacheKey, r *JobResult) {
-	if r == nil || r.Interrupted || c.cap == 0 {
-		return // partial results are not reusable; cap 0 = cache disabled
+	if r == nil || r.Interrupted {
+		return // partial results are not reusable
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

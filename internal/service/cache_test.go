@@ -67,10 +67,12 @@ func TestResultCacheRetiredSessionEagerlyEvicted(t *testing.T) {
 	}
 }
 
-// TestResultCacheDefaultCap: a non-positive cap falls back to the
-// documented default and still bounds the cache.
+// TestResultCacheDefaultCap: a manager's result cache retains
+// DefaultResultCacheEntries results and no more.
 func TestResultCacheDefaultCap(t *testing.T) {
-	c := newResultCache(0)
+	m := NewManager(NewRegistry(), Config{Workers: 1})
+	defer m.Close()
+	c := m.cache
 	if c.cap != DefaultResultCacheEntries {
 		t.Fatalf("cap = %d, want %d", c.cap, DefaultResultCacheEntries)
 	}

@@ -19,6 +19,16 @@ import (
 // a worker forever.
 const DefaultMaxSchemes = 100
 
+// queueDepth bounds how many jobs may wait. A full queue rejects submits
+// (backpressure) instead of growing without bound.
+const queueDepth = 256
+
+// maxJobs bounds how many job records the manager retains. Past the
+// bound, the oldest terminal jobs (and their results) are evicted on
+// submit — a resident daemon must not accumulate every result it ever
+// produced. Live (queued/running) jobs are never evicted.
+const maxJobs = 1024
+
 // Config sizes the manager.
 type Config struct {
 	// Workers is the size of the mining worker pool — how many jobs run
@@ -32,24 +42,6 @@ type Config struct {
 	// than concurrent jobs; total CPU demand is roughly
 	// Workers × MineWorkers.
 	MineWorkers int
-	// QueueDepth bounds how many jobs may wait; ≤ 0 means 256. A full
-	// queue rejects submits (backpressure) instead of growing without
-	// bound.
-	QueueDepth int
-	// DefaultTimeout applies to jobs that don't set timeout_ms; 0 means
-	// no default (jobs run until done or cancelled).
-	DefaultTimeout time.Duration
-	// MaxJobs bounds how many job records the manager retains; ≤ 0 means
-	// 1024. Past the bound, the oldest terminal jobs (and their results)
-	// are evicted on submit — a resident daemon must not accumulate every
-	// result it ever produced. Live (queued/running) jobs are never
-	// evicted.
-	MaxJobs int
-	// ResultCacheEntries caps how many completed job results the result
-	// cache retains (LRU past the cap). 0 means
-	// DefaultResultCacheEntries; a negative value disables result caching
-	// entirely (every submit mines, nothing is retained).
-	ResultCacheEntries int
 	// Telemetry, when non-nil, receives the manager's metrics and
 	// structured logs (job lifecycle, queue depth, result-cache and
 	// session counters). nil disables all instrumentation at zero cost.
@@ -57,9 +49,11 @@ type Config struct {
 	// Coordinator, when non-nil, switches phase 1 of every job to
 	// distributed execution: the coordinator shards the attribute-pair
 	// space across its worker fleet and merges the results
-	// (byte-identical to local mining), and phase 2 stays local. The
-	// manager does not own the coordinator's lifecycle — the embedder
-	// (cmd/maimond) closes it.
+	// (byte-identical to local mining), and phase 2 stays local. Each
+	// job runs at most one distributed mine, so Workers bounds them too;
+	// the coordinator has no admission gate of its own. The manager does
+	// not own the coordinator's lifecycle — the embedder (cmd/maimond)
+	// closes it.
 	Coordinator *dist.Coordinator
 }
 
@@ -69,12 +63,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MineWorkers <= 0 {
 		c.MineWorkers = 1
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
-	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 1024
 	}
 	return c
 }
@@ -106,28 +94,36 @@ type Manager struct {
 	queue      chan *Job
 	wg         sync.WaitGroup
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	order  []*Job // submission order, for listing and eviction
-	seq    int64
-	closed bool
+	mu      sync.Mutex
+	maxJobs int // retention bound; the constant maxJobs outside tests
+	jobs    map[string]*Job
+	order   []*Job // submission order, for listing and eviction
+	seq     int64
+	closed  bool
 }
 
 // NewManager starts a manager with cfg.Workers mining workers over the
 // given registry. Call Close to stop it.
 func NewManager(reg *Registry, cfg Config) *Manager {
+	return newManager(reg, cfg, queueDepth, maxJobs)
+}
+
+// newManager is NewManager with the queue depth and the job retention
+// bound given.
+func newManager(reg *Registry, cfg Config, depth, retain int) *Manager {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		reg:        reg,
-		cache:      newResultCache(cfg.ResultCacheEntries),
+		cache:      newResultCache(DefaultResultCacheEntries),
 		cfg:        cfg,
 		tel:        cfg.Telemetry,
 		coord:      cfg.Coordinator,
 		shardSem:   make(chan struct{}, cfg.Workers),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		queue:      make(chan *Job, cfg.QueueDepth),
+		queue:      make(chan *Job, depth),
+		maxJobs:    retain,
 		jobs:       make(map[string]*Job),
 	}
 	m.tel.bindManager(m)
@@ -174,9 +170,6 @@ func (m *Manager) normalize(req JobRequest) (JobRequest, error) {
 	}
 	if req.TimeoutMS < 0 {
 		return req, fmt.Errorf("service: timeout_ms must be ≥ 0, got %d", req.TimeoutMS)
-	}
-	if req.TimeoutMS == 0 && m.cfg.DefaultTimeout > 0 {
-		req.TimeoutMS = m.cfg.DefaultTimeout.Milliseconds()
 	}
 	switch {
 	case req.MaxSchemes == 0:
@@ -245,7 +238,7 @@ func (m *Manager) Submit(req JobRequest) (*Job, error) {
 func (m *Manager) register(job *Job) {
 	m.jobs[job.id] = job
 	m.order = append(m.order, job)
-	for i := 0; len(m.jobs) > m.cfg.MaxJobs && i < len(m.order); {
+	for i := 0; len(m.jobs) > m.maxJobs && i < len(m.order); {
 		if !m.order[i].State().Terminal() {
 			i++
 			continue

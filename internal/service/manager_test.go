@@ -66,7 +66,7 @@ func TestManagerDefaultsApplied(t *testing.T) {
 	if _, err := reg.Add("d", datagen.Nursery().Head(50)); err != nil {
 		t.Fatal(err)
 	}
-	mgr := service.NewManager(reg, service.Config{Workers: 1, DefaultTimeout: 30 * time.Second})
+	mgr := service.NewManager(reg, service.Config{Workers: 1})
 	defer mgr.Close()
 	job, err := mgr.Submit(service.JobRequest{Dataset: "d"})
 	if err != nil {
@@ -79,20 +79,17 @@ func TestManagerDefaultsApplied(t *testing.T) {
 	if req.MaxSchemes != service.DefaultMaxSchemes {
 		t.Errorf("default max_schemes = %d", req.MaxSchemes)
 	}
-	if req.TimeoutMS != (30 * time.Second).Milliseconds() {
-		t.Errorf("default timeout_ms = %d", req.TimeoutMS)
-	}
 	<-job.Done()
 }
 
-// TestJobRetentionBound: beyond MaxJobs records, the oldest finished
+// TestJobRetentionBound: beyond the retention bound, the oldest finished
 // jobs are evicted so a resident daemon's memory stays bounded.
 func TestJobRetentionBound(t *testing.T) {
 	reg := service.NewRegistry()
 	if _, err := reg.AddCSV("d", strings.NewReader("A,B,C\nx,y,z\nx,v,w\nu,y,w\n"), true); err != nil {
 		t.Fatal(err)
 	}
-	mgr := service.NewManager(reg, service.Config{Workers: 1, MaxJobs: 3})
+	mgr := service.NewManagerRetaining(reg, service.Config{Workers: 1}, 3)
 	defer mgr.Close()
 	var ids []string
 	for i := 0; i < 6; i++ {

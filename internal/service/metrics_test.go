@@ -201,27 +201,6 @@ func TestReadyzFlipsOnClose(t *testing.T) {
 	}
 }
 
-// TestResultCacheDisabled: ResultCacheEntries = -1 turns result caching
-// off entirely — an identical resubmit mines again instead of answering
-// from cache.
-func TestResultCacheDisabled(t *testing.T) {
-	ts, mgr := newTestServer(t, service.Config{Workers: 1, ResultCacheEntries: -1})
-	if _, err := mgr.Registry().Add("planted", plantedRelation(t)); err != nil {
-		t.Fatal(err)
-	}
-	req := service.JobRequest{Dataset: "planted", Epsilon: 0.01}
-	first := submitJob(t, ts, req)
-	waitDone(t, ts, first.ID)
-	second := submitJob(t, ts, req)
-	if second.CacheHit {
-		t.Fatal("ResultCacheEntries=-1 still served a cache hit")
-	}
-	waitDone(t, ts, second.ID)
-	if hits, _, entries := mgr.CacheStats(); hits != 0 || entries != 0 {
-		t.Errorf("disabled cache reports hits=%d entries=%d, want 0/0", hits, entries)
-	}
-}
-
 // TestEntropyOnlySurfacedInStatus: under a starvation-level memory budget
 // the engine answers intersections as streaming counts without
 // materializing partitions; that count must surface through the job's

@@ -41,7 +41,12 @@ func slowRelation() *relation.Relation { return datagen.Uniform(200, 12, 3, 7) }
 
 func newTestServer(t *testing.T, cfg service.Config) (*httptest.Server, *service.Manager) {
 	t.Helper()
-	mgr := service.NewManager(service.NewRegistry(), cfg)
+	return serveManager(t, service.NewManager(service.NewRegistry(), cfg))
+}
+
+// serveManager serves mgr on a test server; both close at cleanup.
+func serveManager(t *testing.T, mgr *service.Manager) (*httptest.Server, *service.Manager) {
+	t.Helper()
 	ts := httptest.NewServer(service.NewServer(mgr))
 	t.Cleanup(func() {
 		ts.Close()
@@ -538,7 +543,7 @@ func (rr repeatReader) Read(p []byte) (int, error) {
 
 // TestQueueBackpressure: a full queue rejects submissions with 503.
 func TestQueueBackpressure(t *testing.T) {
-	ts, mgr := newTestServer(t, service.Config{Workers: 1, QueueDepth: 1})
+	ts, mgr := serveManager(t, service.NewManagerWithQueue(service.NewRegistry(), service.Config{Workers: 1}, 1))
 	if _, err := mgr.Registry().Add("slow", slowRelation()); err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/info"
 	"repro/internal/mvd"
 	"repro/internal/obs"
+	"repro/internal/stripe"
 )
 
 // Miner binds an entropy oracle to mining options. All phase-1 and phase-2
@@ -37,7 +38,7 @@ type Miner struct {
 	// keys is hashed; a dense keys is read directly. scratch is this
 	// miner's own search storage.
 	keys    *keyMemo
-	roots   rootTable
+	roots   stripe.Table[bitset.AttrSet, *keyRoot]
 	scratch searchScratch
 
 	// searchStats accumulates across getFullMVDs invocations.
@@ -411,14 +412,14 @@ func (m *Miner) expand(sep bitset.AttrSet, root *keyRoot, ref candRef, a, b int)
 func (m *Miner) keyRoot(sep bitset.AttrSet) *keyRoot {
 	private := m.keys.dense == nil
 	if private {
-		if r, ok := m.roots.get(sep); ok {
+		if r, ok := m.roots.Get(sep); ok {
 			return r
 		}
 	}
 	r, owner := m.keys.acquire(sep)
 	if !owner {
 		if private && !r.aborted {
-			m.roots.put(sep, r)
+			m.roots.Put(sep, r)
 		}
 		return r
 	}
@@ -447,9 +448,9 @@ func (m *Miner) keyRoot(sep bitset.AttrSet) *keyRoot {
 		// root without its verdicts.
 		holds = m.splitVerdicts(sep, deps, terms, hKey, hAll)
 	}
-	r.publish(deps, terms, hKey, hAll, holds)
+	m.keys.publish(sep, r, deps, terms, hKey, hAll, holds)
 	if private {
-		m.roots.put(sep, r)
+		m.roots.Put(sep, r)
 	}
 	return r
 }

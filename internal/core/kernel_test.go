@@ -50,10 +50,8 @@ func keyRoots(k *keyMemo) map[bitset.AttrSet]*keyRoot {
 			out[bitset.AttrSet(i)] = r
 		}
 	}
-	for i := range k.shards {
-		for sep, r := range k.shards[i].m {
-			out[sep] = r
-		}
+	if k.hashed != nil {
+		k.hashed.Range(func(sep bitset.AttrSet, r *keyRoot) { out[sep] = r })
 	}
 	return out
 }
@@ -706,9 +704,9 @@ func TestSearchKernelAllocs(t *testing.T) {
 		t.Errorf("warm K = 1 search: %v allocs/run over %d candidates, want 0", holds, perRun)
 	}
 	root := m.keyRoot(key)
-	if m.keys.dense == nil || m.keys.shards != nil || m.roots.used != 0 {
-		t.Fatalf("nursery's %d attributes: dense key memo %v, shards %d, %d roots in the private table",
-			r.NumCols(), m.keys.dense != nil, len(m.keys.shards), m.roots.used)
+	if m.keys.dense == nil || m.keys.hashed != nil || m.roots.Len() != 0 {
+		t.Fatalf("nursery's %d attributes: dense key memo %v, hashed %v, %d roots in the private table",
+			r.NumCols(), m.keys.dense != nil, m.keys.hashed != nil, m.roots.Len())
 	}
 	if settled := testing.AllocsPerRun(20, func() {
 		if m.keyRoot(key) != root {

@@ -55,19 +55,18 @@ import (
 // not depend on Workers. Over at most bitset.DenseMaxAttrs attributes it
 // is a table indexed by the key, one pointer per set of the lattice (64
 // KiB per mine at 13 attributes): the root is installed in its slot by
-// compare-and-swap, and a settled root is one atomic load. Wider, it is
-// striped maps under locks, and since a settled root never changes but
+// compare-and-swap, and a settled root is one atomic load. Wider, it is a
+// stripe.Store with no budget, and since a settled root never changes but
 // for its walk and slots, each miner also keeps the roots it has seen in
-// a private table (Miner.roots) and reads them there — no lock, no map,
-// no latch — coming here only for a key it has not seen. Either way this
-// stays the one place a root is computed. A walk and a verdict slot are
+// a private stripe.Table (Miner.roots) and reads them there — no lock, no
+// map, no latch — coming here only for a key it has not seen. Either way
+// this stays the one place a root is computed. A walk and a verdict slot are
 // single-flight too, claimed by compare-and-swap: a settled one is one
 // atomic load, and only a caller that finds its owner in flight takes the
 // memo's lock, to sleep until the owner settles it.
 type keyMemo struct {
-	dense  bitset.Dense[atomic.Pointer[keyRoot]] // nil when too wide
-	shards []keyShard                            // nil when dense
-	mask   uint64
+	dense  bitset.Dense[atomic.Pointer[keyRoot]]   // nil when too wide
+	hashed *stripe.Store[bitset.AttrSet, *keyRoot] // nil when dense
 
 	// mu and settled put callers to sleep on a walk or slot whose search
 	// is in flight; an owner takes mu only when it was marked slotWaited.
@@ -75,16 +74,10 @@ type keyMemo struct {
 	settled sync.Cond
 }
 
-type keyShard struct {
-	mu sync.Mutex
-	m  map[bitset.AttrSet]*keyRoot
-	_  [64]byte // keep neighboring shards' locks off one cache line
-}
-
-// keyRoot is one key's root candidate. The goroutine that installed it
-// fills it and releases ready (held from installation, so waiting costs no
-// channel); the fields are immutable afterwards, except the walk's and
-// the verdict slots'.
+// keyRoot is one key's root candidate. The goroutine that owns it fills
+// it and releases ready (held from installation, so waiting on a dense
+// slot costs no channel); the fields are immutable afterwards, except the
+// walk's and the verdict slots'.
 type keyRoot struct {
 	ready   sync.WaitGroup
 	deps    []bitset.AttrSet // canonical dependents of the root
@@ -129,23 +122,15 @@ const splitMaxDeps = 7
 func newKeyMemo(n int) *keyMemo {
 	k := &keyMemo{dense: bitset.NewDense[atomic.Pointer[keyRoot]](n)}
 	if k.dense == nil {
-		s := stripe.Count(0)
-		k.shards, k.mask = make([]keyShard, s), uint64(s-1)
-		for i := range k.shards {
-			k.shards[i].m = make(map[bitset.AttrSet]*keyRoot)
-		}
+		k.hashed = stripe.NewStore[bitset.AttrSet, *keyRoot](0, 0, nil, nil)
 	}
 	k.settled.L = &k.mu
 	return k
 }
 
-func (k *keyMemo) shard(sep bitset.AttrSet) *keyShard {
-	return &k.shards[stripe.Hash(uint64(sep))&k.mask]
-}
-
 // acquire returns sep's root. owner is true for the one caller that must
-// compute it and then publish or abort; everyone else gets it complete
-// (having waited for the owner if need be).
+// compute it and then publish or abort; everyone else gets it complete or
+// aborted (having waited for the owner if need be).
 func (k *keyMemo) acquire(sep bitset.AttrSet) (r *keyRoot, owner bool) {
 	if k.dense != nil {
 		slot := k.dense.At(sep)
@@ -163,25 +148,17 @@ func (k *keyMemo) acquire(sep bitset.AttrSet) (r *keyRoot, owner bool) {
 			}
 		}
 	}
-	sh := k.shard(sep)
-	sh.mu.Lock()
-	r, ok := sh.m[sep]
-	if !ok {
+	if r, owner = k.hashed.Acquire(sep); owner {
 		r = &keyRoot{}
 		r.ready.Add(1)
-		sh.m[sep] = r
 	}
-	sh.mu.Unlock()
-	if ok {
-		r.ready.Wait()
-	}
-	return r, !ok
+	return r, owner
 }
 
-// publish completes the owner's entry with copies of deps and terms, the
-// split-table verdicts holds of a root of at most splitMaxDeps
-// dependents, and open verdict slots for a wider one.
-func (r *keyRoot) publish(deps []bitset.AttrSet, terms []float64, hKey, hAll float64, holds uint64) {
+// publish completes the owner's root r of sep with copies of deps and
+// terms, the split-table verdicts holds of a root of at most
+// splitMaxDeps dependents, and open verdict slots for a wider one.
+func (k *keyMemo) publish(sep bitset.AttrSet, r *keyRoot, deps []bitset.AttrSet, terms []float64, hKey, hAll float64, holds uint64) {
 	r.deps = slices.Clone(deps)
 	r.terms = slices.Clone(terms)
 	r.hKey, r.hAll = hKey, hAll
@@ -190,21 +167,21 @@ func (r *keyRoot) publish(deps []bitset.AttrSet, terms []float64, hKey, hAll flo
 		r.verdicts = make([]atomic.Uint32, n*(n-1)/2)
 	}
 	r.ready.Done()
+	if k.hashed != nil {
+		k.hashed.Publish(sep, r, false)
+	}
 }
 
-// abort withdraws the owner's entry: current waiters see it aborted, and
+// abort withdraws the owner's root: current waiters see it aborted, and
 // a later phase of the same miner (under a freshly bound context) finds
 // the key absent and repairs it afresh.
 func (k *keyMemo) abort(sep bitset.AttrSet, r *keyRoot) {
+	r.aborted = true
 	if k.dense != nil {
 		k.dense.At(sep).Store(nil)
 	} else {
-		sh := k.shard(sep)
-		sh.mu.Lock()
-		delete(sh.m, sep)
-		sh.mu.Unlock()
+		k.hashed.Abort(sep, r)
 	}
-	r.aborted = true
 	r.ready.Done()
 }
 

@@ -155,54 +155,3 @@ func mergeTerms(dst, terms []float64, i, j, at int, hu float64) []float64 {
 	dst = append(dst, hu)
 	return append(dst, terms[at+2:]...)
 }
-
-// rootTable is the miner's private table of the settled roots it has read
-// from a hashed key memo (a dense one is read directly): an
-// open-addressed AttrSet → *keyRoot map, linear probing over a
-// power-of-two table kept at most half full, indexed by stripe.Hash. A
-// slot with a nil root is vacant; the empty set is a key like any other.
-type rootTable struct {
-	slots []rootSlot
-	used  int
-}
-
-type rootSlot struct {
-	key bitset.AttrSet
-	r   *keyRoot
-}
-
-func (t *rootTable) get(k bitset.AttrSet) (*keyRoot, bool) {
-	if t.used > 0 {
-		mask := uint64(len(t.slots) - 1)
-		for i := stripe.Hash(uint64(k)) & mask; t.slots[i].r != nil; i = (i + 1) & mask {
-			if t.slots[i].key == k {
-				return t.slots[i].r, true
-			}
-		}
-	}
-	return nil, false
-}
-
-// put records k → r; k must be absent and r non-nil.
-func (t *rootTable) put(k bitset.AttrSet, r *keyRoot) {
-	if 2*(t.used+1) > len(t.slots) {
-		old := t.slots
-		t.slots = make([]rootSlot, max(64, 2*len(old)))
-		for _, s := range old {
-			if s.r != nil {
-				t.place(s)
-			}
-		}
-	}
-	t.place(rootSlot{key: k, r: r})
-	t.used++
-}
-
-func (t *rootTable) place(s rootSlot) {
-	mask := uint64(len(t.slots) - 1)
-	i := stripe.Hash(uint64(s.key)) & mask
-	for t.slots[i].r != nil {
-		i = (i + 1) & mask
-	}
-	t.slots[i] = s
-}

@@ -20,6 +20,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dist"
 	"repro/internal/dist/disttest"
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/service"
 	"repro/internal/wire"
@@ -702,7 +703,12 @@ func TestEachShardSentOnceWorkers(t *testing.T) {
 // backoff. In the second case the worker's other in-flight shard
 // succeeds after the failure; that success began before the failure, so
 // it must not bring the worker back. The healthy worker is slow, so the
-// queue is never empty when a failed shard rejoins it.
+// queue is never empty when a failed shard rejoins it. Both orders are
+// made by events, not by the clock: the first shard is answered only
+// once the worker's second lane has sent its shard, and "afterwards"
+// means after the coordinator begins its first retry backoff (it marks
+// the worker unhealthy just before) — the failing worker's dispatch
+// count then must be its final count.
 func TestFailingWorkerSidelinedWorkers(t *testing.T) {
 	rels := map[string]*relation.Relation{"planted": testRelations(t)["planted"]}
 	r := rels["planted"]
@@ -715,8 +721,8 @@ func TestFailingWorkerSidelinedWorkers(t *testing.T) {
 			return disttest.Delayed{Sleep: 100 * time.Millisecond, Then: disttest.Pass}
 		})
 		var mu sync.Mutex
-		var failedAt time.Time
-		calls, late, failed := 0, 0, 0
+		calls, failed := 0, 0
+		second := make(chan struct{})
 		bad := serveWorker(t, rels, func(h http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if !strings.HasSuffix(r.URL.Path, "/shards") {
@@ -726,17 +732,23 @@ func TestFailingWorkerSidelinedWorkers(t *testing.T) {
 				mu.Lock()
 				calls++
 				call := calls
-				if !failedAt.IsZero() && time.Since(failedAt) > 200*time.Millisecond {
-					late++
+				if call == 2 {
+					close(second)
 				}
 				fail := failCall(call)
 				if fail {
 					failed++
-					if failedAt.IsZero() {
-						failedAt = time.Now()
-					}
 				}
 				mu.Unlock()
+				if call == 1 {
+					// Answer the first shard once the worker's other lane
+					// has sent its own: that request then began before the
+					// failure, whatever the scheduler does.
+					select {
+					case <-second:
+					case <-time.After(10 * time.Second):
+					}
+				}
 				if fail {
 					http.Error(w, "injected failure", http.StatusInternalServerError)
 					return
@@ -745,9 +757,26 @@ func TestFailingWorkerSidelinedWorkers(t *testing.T) {
 				h.ServeHTTP(w, r)
 			})
 		})
+		reg := obs.NewRegistry()
+		badDispatches := reg.Counter("maimond_shard_dispatches_total",
+			"Shard RPCs sent, by worker (includes retries).", obs.L("worker", bad.URL))
+		sidelinedAt := -1.0 // bad's dispatches when it was first marked unhealthy
 		coord := newCoordinator(t, []string{bad.URL, good.URL}, func(c *dist.Config) {
 			c.SetShardsPerWorker(8)
-			c.Sleep = nil // the coordinator's own backoff
+			c.Registry = reg
+			c.Sleep = func(ctx context.Context, d time.Duration) error { // the coordinator's own backoff
+				mu.Lock()
+				if sidelinedAt < 0 {
+					sidelinedAt = badDispatches.Value()
+				}
+				mu.Unlock()
+				select {
+				case <-time.After(d):
+					return nil
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			}
 		})
 		got, rep, err := coord.MineMVDs(context.Background(), dist.Spec{
 			Dataset: "planted", Epsilon: 0.1, NumAttrs: r.NumCols(), Rows: r.NumRows(),
@@ -757,8 +786,9 @@ func TestFailingWorkerSidelinedWorkers(t *testing.T) {
 		}
 		requireSameResult(t, name, got, want)
 		mu.Lock()
+		late := int(badDispatches.Value() - sidelinedAt)
 		if failed < 1 || late > 0 || rep.Retries != failed || goodProxy.Calls()+calls-failed != rep.Shards {
-			t.Fatalf("%s: failing worker took %d shards (%d failed, %d after it was sidelined), healthy worker %d; report %+v",
+			t.Fatalf("%s: failing worker took %d shards (%d failed, %d sent after it was sidelined), healthy worker %d; report %+v",
 				name, calls, failed, late, goodProxy.Calls(), rep)
 		}
 		mu.Unlock()

@@ -10,7 +10,6 @@ package entropy
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/bitset"
@@ -49,67 +48,47 @@ type Oracle struct {
 	// bitset.DenseMaxAttrs attributes and no budget below its size was
 	// set (see SetMemoBudget): slot s holds the float64 bits of H(s), or
 	// absent. It is never evicted, a warm read is one atomic load and
-	// takes no lock, and the shards below keep only their in-flight
-	// latches and counters. nil otherwise: the shards hold the memo.
+	// takes no lock. nil otherwise: memo holds the entropies.
 	dense bitset.Dense[atomic.Uint64]
 
-	// The memo is split into power-of-two shards by a hash of the
-	// attribute set (the same striping as the PLI cache underneath); each
-	// shard owns its slice of the memo, its in-flight latches, and
-	// plain-int counters, all under one short mutex, so warm hits on
-	// different sets touch different locks and counter cache lines. Misses
-	// are single-flight per attribute set: a miss installs an in-flight
-	// latch, releases the shard lock, counts (or, for a set other sets'
-	// partitions are assembled from, builds) the partition, then
+	// memo makes a miss single-flight per attribute set: the first reader
+	// owns the set, counts (or, for a set other sets' partitions are
+	// assembled from, builds) its partition without holding a lock, and
 	// publishes, so distinct sets compute in parallel and duplicates wait
-	// only on their own latch. The memo itself can be bounded: at 64
+	// only on their own set. Over a dense memo the owner writes the
+	// entropy there and keeps nothing here; otherwise memo holds every
+	// entropy, inline at memoEntryBytes each. It can be bounded: at 64
 	// attributes × many ε sweeps the 8-byte entropies plus their map
 	// overhead become the dominant resident weight, so SetMemoBudget
-	// gives each shard a slice of it, kept by the PLI cache's clock. An
-	// evicted entropy is simply recomputed from the PLI cache on the next
-	// read — read off the partition if the cache materialized one,
-	// counted again from its operands if the set is a chain leaf — so a
-	// budget changes cost, never results.
-	shards  []memoShard
-	mask    uint64
-	bounded bool // SetMemoBudget was called: shards keep clocks and evict
+	// gives the store a byte budget. An evicted entropy is simply
+	// recomputed from the PLI cache on the next read — read off the
+	// partition if the cache materialized one, counted again from its
+	// operands if the set is a chain leaf — so a budget changes cost,
+	// never results.
+	memo      *stripe.Store[bitset.AttrSet, float64]
+	evictions atomic.Int64
+
+	// counts stripes the call counters by the same hash as the memo, so
+	// warm hits on different sets bump different cache lines.
+	counts []counterShard
+	mask   uint64
 }
 
-// memoShard is one stripe of the oracle: memo slice, in-flight
-// latches, and counters, padded so neighboring shards do not share cache
-// lines (the whole point of striping the counters). The counters are
-// lock-free atomics within the padded shard: a warm read of the dense
-// memo and an MI evaluation bump them without acquiring the shard mutex.
-type memoShard struct {
-	mu       sync.Mutex
-	memo     map[bitset.AttrSet]memoVal // nil while the oracle is dense
-	inflight map[bitset.AttrSet]*flight
-
+// counterShard is one stripe of the call counters, padded so neighboring
+// stripes do not share a cache line: a warm read of the dense memo and an
+// MI evaluation bump them with no lock at all.
+type counterShard struct {
 	hCalls  atomic.Int64
 	hCached atomic.Int64
 	miCalls atomic.Int64
 
-	// Memo-eviction state, all under mu: the shard's slice of the budget
-	// in entries, the eviction count, and the clock over the memoized sets
-	// (empty when the memo is unbounded). The shard's accounted bytes are
-	// len(memo) × memoEntryBytes.
-	maxEntries int
-	evictions  int
-	clock      stripe.Clock[bitset.AttrSet]
-
 	_ [64]byte
 }
 
-// memoVal is one memoized entropy plus its clock reference bit. On a
-// bounded memo every hit and publish sets it, as the PLI cache does, and
-// the sweep clears it; an unbounded memo keeps no clock and sets no bits.
-type memoVal struct {
-	h   float64
-	ref bool
-}
-
-// memoEntryBytes is the accounted resident weight of one memo entry:
-// 8-byte key + 16-byte value + map bucket overhead.
+// memoEntryBytes is the accounted resident weight of one hashed memo
+// entry: the 8-byte key, the 8-byte entropy and its reference bit, and
+// the map's slot overhead. TestMemoEntryHeap holds the heap it takes
+// to at most half again this.
 const memoEntryBytes = 48
 
 // absent is the dense memo's mark for a set whose entropy is not known:
@@ -119,14 +98,6 @@ const absent = ^uint64(0)
 // New builds an oracle over r with the default PLI cache configuration.
 func New(r *relation.Relation) *Oracle {
 	return NewShared(r, pli.DefaultConfig())
-}
-
-// flight is one in-flight entropy computation: done is closed once h is
-// published. The goroutine that installed the flight computes; duplicate
-// requests for the same set wait on it.
-type flight struct {
-	done chan struct{}
-	h    float64
 }
 
 // NewShared builds an oracle over r with an explicit PLI configuration.
@@ -151,58 +122,50 @@ func NewShared(r *relation.Relation, cfg pli.Config) *Oracle {
 		rel:    r,
 		cache:  pli.NewCache(r, cfg),
 		dense:  bitset.NewDense[atomic.Uint64](r.NumCols()),
-		shards: make([]memoShard, n),
+		counts: make([]counterShard, n),
 		mask:   uint64(n - 1),
 	}
 	for i := range o.dense {
 		o.dense[i].Store(absent)
 	}
-	for i := range o.shards {
-		if o.dense == nil {
-			o.shards[i].memo = make(map[bitset.AttrSet]memoVal)
-		}
-		o.shards[i].inflight = make(map[bitset.AttrSet]*flight)
-	}
+	o.memo = o.newMemo(0)
 	return o
+}
+
+// newMemo returns an empty memo store under the given byte budget.
+func (o *Oracle) newMemo(budget int64) *stripe.Store[bitset.AttrSet, float64] {
+	return stripe.NewStore(len(o.counts), budget,
+		func(float64) int64 { return memoEntryBytes },
+		func(bitset.AttrSet, float64) { o.evictions.Add(1) })
 }
 
 // SetMemoBudget bounds the bytes the entropy memo retains. A budget the
 // dense memo fits in (8·2ⁿ bytes over n ≤ bitset.DenseMaxAttrs
 // attributes) leaves it as it is: it holds every set, so nothing is ever
 // evicted. A smaller one, or any budget over a wider relation, makes the
-// memo the shards' hash tables, bounded. The budget is sliced in whole
-// entries: of its E = ⌊bytes/memoEntryBytes⌋ entries each of the S shards
-// holds ⌊E/S⌋ or ⌈E/S⌉, so the slices sum to at most the budget (a shard
-// may hold none). When a publish pushes a shard past its slice, the
-// shard's second-chance clock evicts until it fits: an entry read or
-// published since the last sweep gets one lap of grace, a cold one goes.
-// Evicted entropies are recomputed on demand, so the budget changes cost,
-// never results. <= 0 leaves the memo unbounded. Call before mining
-// begins (session open time): a dense memo given up here is dropped with
-// whatever it held.
+// memo a hashed stripe.Store under that byte budget, each entry priced at
+// memoEntryBytes. The budget is one rule, the PLI cache's: when a publish
+// takes the memo over it, the second-chance clock of the shard that grew,
+// then of the others, evicts until it fits — an entry read or published
+// since the last sweep gets one lap of grace, a cold one goes — and an
+// entropy that still does not fit is not kept. Evicted entropies are
+// recomputed on demand, so the budget changes cost, never results. <= 0
+// leaves the memo unbounded. Call before mining begins (session open
+// time): the memo given up here is dropped with whatever it held.
 func (o *Oracle) SetMemoBudget(bytes int64) {
 	if bytes <= 0 || o.dense != nil && bytes >= o.denseBytes() {
 		return
 	}
-	if o.dense != nil {
-		o.dense = nil
-		for i := range o.shards {
-			o.shards[i].memo = make(map[bitset.AttrSet]memoVal)
-		}
-	}
-	entries, n := bytes/memoEntryBytes, int64(len(o.shards))
-	for i := range o.shards {
-		o.shards[i].maxEntries = int((entries + n - 1 - int64(i)) / n)
-	}
-	o.bounded = true
+	o.dense = nil
+	o.memo = o.newMemo(bytes)
 }
 
 // denseBytes is the dense memo's size, 8 bytes per slot; 0 without one.
 func (o *Oracle) denseBytes() int64 { return 8 * int64(len(o.dense)) }
 
-// memoShardOf maps an attribute set to its memo shard.
-func (o *Oracle) memoShardOf(attrs bitset.AttrSet) *memoShard {
-	return &o.shards[stripe.Hash(uint64(attrs))&o.mask]
+// countsOf maps an attribute set to its counter stripe.
+func (o *Oracle) countsOf(attrs bitset.AttrSet) *counterShard {
+	return &o.counts[stripe.Hash(uint64(attrs))&o.mask]
 }
 
 // Close releases the PLI cache's disk spill tier; its segments stay on
@@ -222,19 +185,17 @@ func (o *Oracle) Cache() *pli.Cache { return o.cache }
 // NumAttrs returns the number of attributes of the underlying relation.
 func (o *Oracle) NumAttrs() int { return o.rel.NumCols() }
 
-// Stats returns a snapshot of the oracle counters. The striped per-shard
-// counters are summed shard by shard (the memo sizes each under its
-// shard's lock), so the snapshot is consistent with any mining that has
-// completed (happens-before) the call. A dense memo is accounted at its
-// whole size from the start.
+// Stats returns a snapshot of the oracle counters, consistent with any
+// mining that has completed (happens-before) the call. A dense memo is
+// accounted at its whole size from the start.
 func (o *Oracle) Stats() Stats {
-	s := Stats{PLIStats: o.cache.Stats(), MemoBytes: o.denseBytes()}
-	for i := range o.shards {
-		sh := &o.shards[i]
-		sh.mu.Lock()
-		s.MemoBytes += int64(len(sh.memo)) * memoEntryBytes
-		s.MemoEvictions += sh.evictions
-		sh.mu.Unlock()
+	s := Stats{
+		PLIStats:      o.cache.Stats(),
+		MemoBytes:     o.denseBytes() + o.memo.Bytes(),
+		MemoEvictions: int(o.evictions.Load()),
+	}
+	for i := range o.counts {
+		sh := &o.counts[i]
 		s.HCalls += int(sh.hCalls.Load())
 		s.HCached += int(sh.hCached.Load())
 		s.MICalls += int(sh.miCalls.Load())
@@ -247,17 +208,16 @@ func (o *Oracle) Stats() Stats {
 func (o *Oracle) H(attrs bitset.AttrSet) float64 { return o.hWith(nil, attrs) }
 
 // hWith is H on an optional caller arena. A warm read of a dense memo is
-// one atomic load; otherwise one short critical section on the attribute
-// set's shard covers the memo probe and — on a miss — installing or
-// finding the in-flight latch. The shard lock is never held across the
-// partition computation, so distinct sets compute concurrently (on the
-// same shard included) while duplicates of the same set wait on their
-// flight. The compute runs on the caller's arena when one is threaded in
-// (workers mining through a Local), or on a pooled arena otherwise — this
-// single-flight compute is the one place partitions are counted and
-// built, so it is where the arena matters.
+// one atomic load; otherwise the memo store's Acquire either answers the
+// read or makes this caller the set's owner. No lock is held across the
+// partition computation, so distinct sets compute concurrently while
+// duplicates of the same set wait for their owner. The compute runs on
+// the caller's arena when one is threaded in (workers mining through a
+// Local), or on a pooled arena otherwise — this single-flight compute is
+// the one place partitions are counted and built, so it is where the
+// arena matters.
 func (o *Oracle) hWith(a *pli.Arena, attrs bitset.AttrSet) float64 {
-	sh := o.memoShardOf(attrs)
+	sh := o.countsOf(attrs)
 	sh.hCalls.Add(1)
 	if attrs.IsEmpty() {
 		return 0
@@ -266,49 +226,34 @@ func (o *Oracle) hWith(a *pli.Arena, attrs bitset.AttrSet) float64 {
 		sh.hCached.Add(1)
 		return h
 	}
-	sh.mu.Lock()
-	// A dense entry is published before its latch is withdrawn, so under
-	// the lock a set is in the memo or in flight once it has been.
-	if h, ok := o.memoGet(sh, attrs); ok {
+	h, owner := o.memo.Acquire(attrs)
+	if !owner {
+		// Answered from the memo, or by the owner this call waited for:
+		// a cached serve.
 		sh.hCached.Add(1)
-		sh.mu.Unlock()
 		return h
 	}
-	if f, ok := sh.inflight[attrs]; ok {
-		// Answered from the latch once the owner publishes: a cached
-		// serve.
+	// A dense entry is written before its owner lets go of the set, so
+	// an owner finds the set there once it has been computed.
+	if h, ok := o.denseGet(attrs); ok {
+		o.memo.Abort(attrs, h)
 		sh.hCached.Add(1)
-		sh.mu.Unlock()
-		<-f.done
-		return f.h
+		return h
 	}
-	f := &flight{done: make(chan struct{})}
-	sh.inflight[attrs] = f
-	sh.mu.Unlock()
-
 	if a != nil {
-		f.h = o.cache.EntropyWith(a, attrs)
+		h = o.cache.EntropyWith(a, attrs)
 	} else {
 		pa := pli.GetArena()
-		f.h = o.cache.EntropyWith(pa, attrs)
+		h = o.cache.EntropyWith(pa, attrs)
 		pli.PutArena(pa)
 	}
-
-	sh.mu.Lock()
-	switch {
-	case o.dense != nil:
-		o.dense.At(attrs).Store(math.Float64bits(f.h))
-	case o.bounded:
-		sh.memo[attrs] = memoVal{h: f.h, ref: true}
-		sh.clock.Add(attrs)
-		sh.clock.Sweep(sh.overBudget, sh.secondChance, sh.evict)
-	default:
-		sh.memo[attrs] = memoVal{h: f.h}
+	if o.dense != nil {
+		o.dense.At(attrs).Store(math.Float64bits(h))
+		o.memo.Abort(attrs, h)
+	} else {
+		o.memo.Publish(attrs, h, false)
 	}
-	delete(sh.inflight, attrs)
-	sh.mu.Unlock()
-	close(f.done)
-	return f.h
+	return h
 }
 
 // denseGet reads attrs from the dense memo, lock-free; false when there
@@ -321,42 +266,14 @@ func (o *Oracle) denseGet(attrs bitset.AttrSet) (float64, bool) {
 	return math.Float64frombits(b), b != absent
 }
 
-// memoGet reads attrs from the memo, dense or the shard's, setting a
-// bounded entry's reference bit; the caller holds sh.mu.
-func (o *Oracle) memoGet(sh *memoShard, attrs bitset.AttrSet) (float64, bool) {
-	if o.dense != nil {
-		return o.denseGet(attrs)
-	}
-	v, ok := sh.memo[attrs]
-	if ok && o.bounded && !v.ref {
-		sh.memo[attrs] = memoVal{h: v.h, ref: true}
-	}
-	return v.h, ok
-}
-
-// overBudget, secondChance and evict are the memo's side of the clock
-// sweep; the caller holds sh.mu.
-func (sh *memoShard) overBudget() bool { return len(sh.memo) > sh.maxEntries }
-
-func (sh *memoShard) secondChance(attrs bitset.AttrSet) bool {
-	v := sh.memo[attrs]
-	sh.memo[attrs] = memoVal{h: v.h}
-	return v.ref
-}
-
-func (sh *memoShard) evict(attrs bitset.AttrSet) {
-	delete(sh.memo, attrs)
-	sh.evictions++
-}
-
 // CondH returns the conditional entropy H(Y|X) = H(XY) − H(X).
 func (o *Oracle) CondH(y, x bitset.AttrSet) float64 {
 	return o.H(x.Union(y)) - o.H(x)
 }
 
-// countMI bumps the MI counter: a striped per-shard atomic, no lock
+// countMI bumps the MI counter: a striped atomic, no lock
 // acquisition — MI is evaluated once per J on J-heavy workloads.
-func (o *Oracle) countMI(x bitset.AttrSet) { o.memoShardOf(x).miCalls.Add(1) }
+func (o *Oracle) countMI(x bitset.AttrSet) { o.countsOf(x).miCalls.Add(1) }
 
 // MI returns the conditional mutual information
 //
@@ -400,10 +317,10 @@ func miSum(hxy, hxz, hxyz, hx float64) float64 {
 // serial mine included.
 //
 // Over a dense memo a warm read is the oracle's own lock-free load. Over
-// the shards' hash tables the view keeps a private read-through memo of
+// the hashed memo the view keeps a private read-through stripe.Table of
 // every entropy it has seen (capped so a pathological sweep cannot grow
 // it without bound); entropies are immutable, so a locally retained value
-// an entropy budget has since evicted from the shared shards is still
+// an entropy budget has since evicted from the shared memo is still
 // exact. Either way a warm read counts as a cached H call in
 // worker-private counters that Release flushes into the oracle's stats —
 // workers release their views before each phase barrier, so
@@ -411,99 +328,37 @@ func miSum(hxy, hxz, hxyz, hx float64) float64 {
 // totals as a serial mine.
 //
 // A Local is bound to one goroutine at a time; Release returns its arena
-// to the pool. H/CondH/MI/MICarried are semantically identical to the
+// to the pool. H/MI/MICarried are semantically identical to the
 // oracle's own (same memo, same single-flight, same counters), so a Local
 // satisfies the same entropy-source contract miners program against.
 type Local struct {
 	o                        *Oracle
 	a                        *pli.Arena
-	memo                     localMemo
+	memo                     stripe.Table[bitset.AttrSet, float64]
 	hCalls, hCached, miCalls int
 }
 
 // localMemoCap bounds a view's read-through memo; past it, new sets pass
-// through to the shared shards uncached (existing entries keep serving).
+// through to the shared memo uncached (existing entries keep serving).
 const localMemoCap = 1 << 16
-
-// localMemo is the view's read-through memo: an open-addressed
-// AttrSet → entropy table with linear probing, indexed by stripe.Hash and
-// kept at most half full. A warm H is the mining search's innermost
-// operation, and a Go map probe was a fifth of the search profile. The
-// empty set is never stored (H answers it first), so key 0 marks a vacant
-// slot; nothing is ever deleted.
-type localMemo struct {
-	slots []localSlot // power-of-two length, or nil before the first put
-	n     int
-}
-
-type localSlot struct {
-	key bitset.AttrSet
-	h   float64
-}
-
-func (t *localMemo) get(k bitset.AttrSet) (float64, bool) {
-	if t.slots == nil {
-		return 0, false
-	}
-	mask := uint64(len(t.slots) - 1)
-	for i := stripe.Hash(uint64(k)) & mask; ; i = (i + 1) & mask {
-		switch s := &t.slots[i]; s.key {
-		case k:
-			return s.h, true
-		case 0:
-			return 0, false
-		}
-	}
-}
-
-// put records k → h unless the memo is at localMemoCap; k must be
-// non-empty and absent.
-func (t *localMemo) put(k bitset.AttrSet, h float64) {
-	if t.n >= localMemoCap {
-		return
-	}
-	if 2*(t.n+1) > len(t.slots) {
-		old := t.slots
-		t.slots = make([]localSlot, max(512, 2*len(old)))
-		for _, s := range old {
-			if s.key != 0 {
-				t.place(s)
-			}
-		}
-	}
-	t.place(localSlot{key: k, h: h})
-	t.n++
-}
-
-func (t *localMemo) place(s localSlot) {
-	mask := uint64(len(t.slots) - 1)
-	i := stripe.Hash(uint64(s.key)) & mask
-	for t.slots[i].key != 0 {
-		i = (i + 1) & mask
-	}
-	t.slots[i] = s
-}
 
 // Local checks a worker-local view out of the arena pool.
 func (o *Oracle) Local() *Local {
 	return &Local{o: o, a: pli.GetArena()}
 }
 
-// Oracle returns the oracle behind the view.
-func (l *Local) Oracle() *Oracle { return l.o }
-
 // Release returns the view's arena to the pool, flushes the read-through
 // counters into the shared stats, and drops the private memo; the Local
 // must not be used afterwards.
 func (l *Local) Release() {
 	if l.hCalls+l.miCalls > 0 {
-		sh := &l.o.shards[0]
+		sh := &l.o.counts[0]
 		sh.hCalls.Add(int64(l.hCalls))
 		sh.hCached.Add(int64(l.hCached))
 		sh.miCalls.Add(int64(l.miCalls))
 		l.hCalls, l.hCached, l.miCalls = 0, 0, 0
 	}
-	l.memo = localMemo{}
+	l.memo = stripe.Table[bitset.AttrSet, float64]{}
 	if l.a != nil {
 		pli.PutArena(l.a)
 		l.a = nil
@@ -515,8 +370,7 @@ func (l *Local) Release() {
 // two counter bumps, no shard lock, no allocation.
 func (l *Local) H(attrs bitset.AttrSet) float64 {
 	// The empty set is answered without a memo — a call, never a cached
-	// one, exactly as the oracle counts it — and stays out of the local
-	// memo, whose vacant-slot mark it is.
+	// one, exactly as the oracle counts it.
 	if attrs.IsEmpty() {
 		l.hCalls++
 		return 0
@@ -529,19 +383,16 @@ func (l *Local) H(attrs bitset.AttrSet) float64 {
 		}
 		return l.o.hWith(l.a, attrs)
 	}
-	if h, ok := l.memo.get(attrs); ok {
+	if h, ok := l.memo.Get(attrs); ok {
 		l.hCalls++
 		l.hCached++
 		return h
 	}
 	h := l.o.hWith(l.a, attrs)
-	l.memo.put(attrs, h)
+	if l.memo.Len() < localMemoCap {
+		l.memo.Put(attrs, h)
+	}
 	return h
-}
-
-// CondH returns H(Y|X) = H(XY) − H(X).
-func (l *Local) CondH(y, x bitset.AttrSet) float64 {
-	return l.H(x.Union(y)) - l.H(x)
 }
 
 // MI is Oracle.MI computed on the view's arena. Like the H counters, the

@@ -3,6 +3,7 @@ package entropy
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/bitset"
@@ -62,10 +63,10 @@ func TestMemoBudgetEviction(t *testing.T) {
 	}
 }
 
-// TestMemoBudgetBelowOneEntryPerShard: a budget too small to give every
-// shard one entry still bounds the memo. It is sliced in whole entries —
-// 100 B is two 48 B entries over eight shards, so six shards hold none —
-// and the memo never rests above it, while every entropy stays exact.
+// TestMemoBudgetBelowOneEntryPerShard: a budget smaller than one entry
+// per shard still bounds the memo. It is one budget over all eight
+// shards — 100 B holds two 48 B entries — and the memo never rests above
+// it, while every entropy stays exact.
 func TestMemoBudgetBelowOneEntryPerShard(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	r := datagen.Uniform(300, 8, 4, 43)
@@ -117,10 +118,7 @@ func TestMemoBudgetKeepsHotEntry(t *testing.T) {
 	// admission bit, may take the hot set once; every sweep after that
 	// finds a cold entry first, so the hot set must end resident.
 	hotReads := st.HCached - base.HCached
-	sh := &o.shards[0]
-	sh.mu.Lock()
-	_, resident := sh.memo[hot]
-	sh.mu.Unlock()
+	_, resident := o.memo.Get(hot)
 	if !resident {
 		t.Fatalf("hot entry evicted despite %d touches (evictions %d)", hotReads, st.MemoEvictions)
 	}
@@ -228,8 +226,8 @@ func testLocalMatchesOracleCounts(t *testing.T, cols int) {
 	}
 	l := viewed.Local()
 	got := replay(l)
-	if dense := viewed.dense != nil; dense == (l.memo.slots != nil) {
-		t.Fatalf("dense memo %v, the view's private memo holds %d entries", dense, l.memo.n)
+	if dense := viewed.dense != nil; dense == (l.memo.Len() > 0) {
+		t.Fatalf("dense memo %v, the view's private memo holds %d entries", dense, l.memo.Len())
 	}
 	l.Release()
 	for i := range want {
@@ -272,5 +270,43 @@ func TestLocalReadThroughZeroAlloc(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("warm local read-through allocates %v times per run, want 0", avg)
+	}
+}
+
+// TestMemoEntryHeap holds the hashed memo to the weight it accounts: after
+// 1<<16 distinct entropies in an unbounded hashed memo, the heap it
+// retains (HeapAlloc after a collection) is at most half again
+// memoEntryBytes per entry. A heap object per entry would read two or
+// three times that, and a budget would then hold far less than it says.
+func TestMemoEntryHeap(t *testing.T) {
+	r := datagen.Uniform(50, bitset.DenseMaxAttrs+1, 3, 61)
+	o := NewShared(r, pli.Config{})
+	if o.dense != nil {
+		t.Fatal("a relation past bitset.DenseMaxAttrs got a dense memo")
+	}
+	const n = 1 << 16
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for s := bitset.AttrSet(1); s <= n; s++ {
+		if _, owner := o.memo.Acquire(s); !owner {
+			t.Fatalf("fresh set %v was not owned", s)
+		}
+		o.memo.Publish(s, float64(s), false)
+	}
+	after := heap()
+	runtime.KeepAlive(o)
+	if st := o.Stats(); st.MemoBytes != n*memoEntryBytes {
+		t.Fatalf("MemoBytes = %d for %d entries, want %d", st.MemoBytes, n, n*memoEntryBytes)
+	}
+	perEntry := float64(after-before) / n
+	t.Logf("%.1f B of heap per memo entry, %d accounted", perEntry, memoEntryBytes)
+	if perEntry > 1.5*memoEntryBytes {
+		t.Fatalf("%.1f B of heap per memo entry, over 1.5 × the %d accounted", perEntry, memoEntryBytes)
 	}
 }

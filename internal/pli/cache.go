@@ -2,7 +2,6 @@ package pli
 
 import (
 	"log/slog"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -93,20 +92,19 @@ func DefaultConfig() Config { return Config{BlockSize: 10} }
 // bench relation (blocks of 7 and 6) that is all but 177 of the 8,178
 // multi-attribute sets.
 //
-// The cache is split into power-of-two shards by a hash of the attribute
-// set; each shard owns its slice of the map plus a second-chance clock
-// (stripe.Clock) over its evictable entries, driving eviction under the
-// byte budget (Config.MaxBytes), so an eviction sweep locks one shard at a
-// time and never blocks concurrent Gets on the others.
+// The partitions live in a stripe.Store: power-of-two shards by a hash of
+// the attribute set, each with a second-chance clock over its evictable
+// entries that keeps the cache within its byte budget (Config.MaxBytes),
+// so an eviction sweep locks one shard at a time and never blocks
+// concurrent Gets on the others. Single-attribute partitions are pinned;
+// an evicted partition is demoted to the spill tier or dropped (retire).
 //
-// Cache is safe for concurrent use: each attribute set is guarded by a
-// latch-per-entry — the first goroutine to request a set installs an
-// in-flight entry, releases the shard lock, computes the partition, then
-// publishes it, so duplicate requests block only on their own entry while
-// distinct sets compute in parallel. Waits follow the strict-subset order
-// of the blockwise assembly, so they cannot cycle. In-flight entries are
-// never in an eviction clock, so eviction cannot tear a latch out from
-// under its waiters.
+// Cache is safe for concurrent use: the store is single-flight — the
+// first goroutine to request a set owns it, computes the partition
+// without holding a lock, then publishes it, so duplicate requests wait
+// only on their own set while distinct sets compute in parallel. Waits
+// follow the strict-subset order of the blockwise assembly, so they
+// cannot cycle. A set in flight is never in an eviction clock.
 //
 // All computation runs on an Arena. GetWith/EntropyWith thread the
 // caller's worker-local arena through the whole blockwise chain; the
@@ -117,14 +115,7 @@ type Cache struct {
 	blocks  []bitset.AttrSet
 	blockOf []uint8 // attribute -> index of its block
 
-	shards []cacheShard
-	mask   uint64
-
-	// bytesLive is global so the budget check is one atomic load; the
-	// per-shard clocks only drive *which* entry goes.
-	entries     atomic.Int64
-	bytesLive   atomic.Int64
-	bytesPinned atomic.Int64
+	parts *stripe.Store[bitset.AttrSet, cached]
 
 	hits         atomic.Int64
 	misses       atomic.Int64
@@ -141,34 +132,11 @@ type Cache struct {
 	store *spill.Store
 }
 
-// cacheShard is one slice of the cache: its part of the map plus the
-// clock over its evictable (published, unpinned) entries.
-type cacheShard struct {
-	mu    sync.Mutex
-	parts map[bitset.AttrSet]*entry
-	clock stripe.Clock[*entry]
-
-	_ [64]byte // keep hot shard state off its neighbors' cache lines
-}
-
-// entry is one cache slot: ready is closed once p is published. The
-// goroutine that installed the entry computes; everyone else waits. ref
-// is the clock reference bit — set on every touch, cleared (one lap of
-// grace) by the sweep before the entry may be evicted.
-type entry struct {
-	ready  chan struct{}
-	p      *Partition
-	attrs  bitset.AttrSet
-	bytes  int64   // SizeBytes of p, fixed at publish
-	cost   float64 // recompute cost: bytes the partition's own build scanned
-	pinned bool    // single-attribute partitions are never evicted
-	ref    atomic.Bool
-}
-
-func newEntry(attrs bitset.AttrSet, p *Partition) *entry {
-	e := &entry{ready: make(chan struct{}), p: p, attrs: attrs, bytes: p.SizeBytes(), pinned: true}
-	close(e.ready)
-	return e
+// cached is one resident partition and its recompute cost: the bytes its
+// own build scanned, which decides demote or drop when it is evicted.
+type cached struct {
+	p    *Partition
+	cost float64
 }
 
 // NewCache builds a cache over r with the given configuration and
@@ -178,23 +146,11 @@ func NewCache(r *relation.Relation, cfg Config) *Cache {
 		cfg.BlockSize = 10
 	}
 	n := r.NumCols()
-	numShards := stripe.Count(cfg.Shards)
-	c := &Cache{
-		rel:    r,
-		cfg:    cfg,
-		shards: make([]cacheShard, numShards),
-		mask:   uint64(numShards - 1),
-	}
-	for i := range c.shards {
-		c.shards[i].parts = make(map[bitset.AttrSet]*entry)
-	}
+	c := &Cache{rel: r, cfg: cfg}
+	c.parts = stripe.NewStore(cfg.Shards, cfg.MaxBytes, func(e cached) int64 { return e.p.SizeBytes() }, c.retire)
 	c.blocks, c.blockOf = layout(n, cfg.BlockSize)
 	for j := 0; j < n; j++ {
-		s := bitset.Single(j)
-		e := newEntry(s, SingleAttribute(r, j))
-		c.shard(s).parts[s] = e
-		c.entries.Add(1)
-		c.bytesPinned.Add(e.bytes)
+		c.parts.Publish(bitset.Single(j), cached{p: SingleAttribute(r, j)}, true)
 	}
 	if cfg.SpillDir != "" {
 		st, err := spill.Open(spill.Config{
@@ -251,17 +207,9 @@ func (c *Cache) Close() error {
 	return c.store.Close()
 }
 
-// shard maps an attribute set to its shard.
-func (c *Cache) shard(attrs bitset.AttrSet) *cacheShard {
-	return &c.shards[stripe.Hash(uint64(attrs))&c.mask]
-}
-
 // MaxBytes returns the cache's memory budget (Config.MaxBytes); 0 means
 // none.
 func (c *Cache) MaxBytes() int64 { return c.cfg.MaxBytes }
-
-// Relation returns the relation the cache serves.
-func (c *Cache) Relation() *relation.Relation { return c.rel }
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
@@ -270,9 +218,9 @@ func (c *Cache) Stats() Stats {
 		Misses:       int(c.misses.Load()),
 		Intersects:   int(c.intersects.Load()),
 		EntropyOnly:  int(c.entropyOnly.Load()),
-		Entries:      int(c.entries.Load()),
-		BytesLive:    c.bytesLive.Load(),
-		BytesPinned:  c.bytesPinned.Load(),
+		Entries:      c.parts.Len(),
+		BytesLive:    c.parts.Bytes(),
+		BytesPinned:  c.parts.PinnedBytes(),
 		Drops:        int(c.drops.Load()),
 		Demotions:    int(c.demotions.Load()),
 		BytesTouched: c.bytesTouched.Load(),
@@ -368,16 +316,11 @@ func (c *Cache) GetWith(a *Arena, attrs bitset.AttrSet) *Partition {
 // in flight, as a hit that refreshes the entry's eviction standing; ok is
 // false when the set is not cached.
 func (c *Cache) resident(attrs bitset.AttrSet) (*Partition, bool) {
-	sh := c.shard(attrs)
-	sh.mu.Lock()
-	e, ok := sh.parts[attrs]
-	sh.mu.Unlock()
+	e, ok := c.parts.Get(attrs)
 	if !ok {
 		return nil, false
 	}
-	<-e.ready
 	c.hits.Add(1)
-	e.ref.Store(true)
 	return e.p, true
 }
 
@@ -409,43 +352,33 @@ func (c *Cache) EntropyWith(a *Arena, attrs bitset.AttrSet) float64 {
 }
 
 // materialize returns the partition for attrs, building it via build at
-// most once per cached entry: the installer computes and publishes, every
-// concurrent duplicate waits on the entry's latch. build returns the
+// most once per cached entry: the owner computes and publishes, every
+// concurrent duplicate waits for it. build returns the
 // partition plus its recompute cost (the bytes the build actually
 // scanned, cascaded child rebuilds included), which decides demote vs
 // drop when the entry is evicted.
 // Published entries are subject to eviction; a later request for an
 // evicted set lands here again — and, when a spill tier holds the set's
-// demoted record, the installer promotes it with one sequential read
-// instead of calling build at all. The promotion happens inside the
-// single-flight window: concurrent duplicates wait on the same latch
-// whether the installer computed or read from disk. The second return
-// reports how this call was served — servedWarm means it rode an entry
-// some other goroutine published first (no compute happened here).
+// demoted record, the owner promotes it with one sequential read instead
+// of calling build at all. The promotion happens inside the single-flight
+// window: concurrent duplicates wait for the owner whether it computed or
+// read from disk. The second return reports how this call was served —
+// servedWarm means it rode an entry some other goroutine published first
+// (no compute happened here).
 func (c *Cache) materialize(attrs bitset.AttrSet, build func() (*Partition, int64)) (*Partition, served) {
-	sh := c.shard(attrs)
-	sh.mu.Lock()
-	e, ok := sh.parts[attrs]
-	if !ok {
-		e = &entry{ready: make(chan struct{}), attrs: attrs, pinned: attrs.Len() <= 1}
-		sh.parts[attrs] = e
-		sh.mu.Unlock()
-		sv := servedFresh
-		if p, cost, ok := c.spillLoad(attrs); ok {
-			e.p, e.cost = p, cost
-			sv = servedSpill
-		} else {
-			var cost int64
-			e.p, cost = build()
-			e.cost = float64(cost)
-		}
-		c.publish(sh, e)
-		return e.p, sv
+	e, owner := c.parts.Acquire(attrs)
+	if !owner {
+		return e.p, servedWarm
 	}
-	sh.mu.Unlock()
-	<-e.ready
-	e.ref.Store(true)
-	return e.p, servedWarm
+	sv := servedFresh
+	if p, cost, ok := c.spillLoad(attrs); ok {
+		e, sv = cached{p, cost}, servedSpill
+	} else {
+		p, cost := build()
+		e = cached{p, float64(cost)}
+	}
+	c.parts.Publish(attrs, e, attrs.Len() <= 1)
+	return e.p, sv
 }
 
 // spillLoad promotes attrs from the disk spill tier, if present there: a
@@ -469,48 +402,6 @@ func (c *Cache) spillLoad(attrs bitset.AttrSet) (*Partition, float64, bool) {
 	return &Partition{n: f.NumRows, rows: f.Rows, offsets: f.Offsets, hsum: f.Hsum}, f.Cost, true
 }
 
-// publish completes an in-flight entry: account its bytes, release the
-// waiters, enter it into its shard's clock, and evict if the
-// insert pushed the cache over budget. The order matters — the latch
-// opens before the entry becomes evictable, so waiters always read e.p.
-func (c *Cache) publish(sh *cacheShard, e *entry) {
-	e.bytes = e.p.SizeBytes()
-	e.ref.Store(true)
-	close(e.ready)
-	// Entries counts published partitions only: an in-flight latch holds
-	// no partition yet and must not show up in Stats.Entries as a live slot.
-	c.entries.Add(1)
-	if e.pinned {
-		c.bytesPinned.Add(e.bytes)
-		return
-	}
-	c.bytesLive.Add(e.bytes)
-	sh.mu.Lock()
-	sh.clock.Add(e)
-	sh.mu.Unlock()
-	c.enforceBudget(sh)
-	if c.overBudget() {
-		// The sweep could not make room (everything else pinned, in
-		// flight, or too recently touched to give up): revert this insert
-		// rather than let the cache rest above its budget. Waiters
-		// already hold the partition through their entry pointer; the
-		// next request simply recomputes. This keeps the resting
-		// occupancy bound unconditional — an insert either fits or
-		// undoes itself.
-		c.drop(sh, e)
-	}
-}
-
-// drop removes a published entry unless the sweep has beaten us to it:
-// an entry is in its shard's clock exactly while it is cached.
-func (c *Cache) drop(sh *cacheShard, e *entry) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.clock.Remove(e) {
-		c.retire(sh, e)
-	}
-}
-
 // spillReadPenalty weighs a byte read back from the spill tier against a
 // byte scanned by the intersection engine when retire decides a
 // partition's fate. Disk (even page-cache-warm disk) is slower per byte
@@ -519,21 +410,17 @@ func (c *Cache) drop(sh *cacheShard, e *entry) {
 // scanning to be worth keeping.
 const spillReadPenalty = 4
 
-// retire finishes an eviction once the entry has left its shard's clock;
-// the caller holds sh.mu. It removes the map slot, releases the byte
-// accounting, then either demotes the partition to the spill tier (when
-// rebuilding it would cost more than reading it back) or drops it.
-// Waiters that already hold the *entry are unaffected — the partition
-// itself is immutable and reachable through their pointer. The
-// demote-vs-drop rule is the point of the cost-aware plumbing: e.cost is
-// the bytes the partition's own build cascade scanned, the read cost is
-// its flat payload weighted by spillReadPenalty — cheap-to-rebuild
-// partitions aren't worth the disk.
-func (c *Cache) retire(sh *cacheShard, e *entry) {
-	delete(sh.parts, e.attrs)
-	c.entries.Add(-1)
-	c.bytesLive.Add(-e.bytes)
-	if c.demote(e) {
+// retire is the store's eviction hook, run under the evicted entry's
+// shard lock once the store has released its slot and bytes: it either
+// demotes the partition to the spill tier (when rebuilding it would cost
+// more than reading it back) or drops it. Whoever already holds the
+// partition is unaffected — it is immutable. The demote-vs-drop rule is
+// the point of the cost-aware plumbing: e.cost is the bytes the
+// partition's own build cascade scanned, the read cost is its flat
+// payload weighted by spillReadPenalty — cheap-to-rebuild partitions
+// aren't worth the disk.
+func (c *Cache) retire(attrs bitset.AttrSet, e cached) {
+	if c.demote(attrs, e) {
 		c.demotions.Add(1)
 	} else {
 		c.drops.Add(1)
@@ -545,15 +432,15 @@ func (c *Cache) retire(sh *cacheShard, e *entry) {
 // already holds skips the rewrite — partitions are deterministic, so the
 // record a previous demotion wrote is still the partition — and still
 // counts as a demotion.
-func (c *Cache) demote(e *entry) bool {
-	if c.store == nil || e.p == nil {
+func (c *Cache) demote(attrs bitset.AttrSet, e cached) bool {
+	if c.store == nil {
 		return false
 	}
 	payload := 4 * int64(len(e.p.rows)+len(e.p.offsets))
 	if e.cost <= float64(payload*spillReadPenalty) {
 		return false
 	}
-	key := uint64(e.attrs)
+	key := uint64(attrs)
 	if c.store.Contains(key) {
 		return true
 	}
@@ -565,46 +452,6 @@ func (c *Cache) demote(e *entry) bool {
 		Cost:    e.cost,
 	})
 	return err == nil
-}
-
-// overBudget reports whether the cache currently exceeds its byte budget.
-func (c *Cache) overBudget() bool {
-	return c.cfg.MaxBytes > 0 && c.bytesLive.Load() > c.cfg.MaxBytes
-}
-
-// enforceBudget evicts cold partitions until the cache fits its budget
-// again, starting at the shard that just grew and sweeping the others
-// round-robin. Each shard is locked only for its own sweep. If everything
-// left is pinned, in-flight, or re-referenced during the sweep the pass
-// gives up; the next publish tries again.
-func (c *Cache) enforceBudget(prefer *cacheShard) {
-	if !c.overBudget() {
-		return
-	}
-	start := 0
-	for i := range c.shards {
-		if &c.shards[i] == prefer {
-			start = i
-			break
-		}
-	}
-	for i := 0; i < len(c.shards); i++ {
-		if !c.overBudget() {
-			return
-		}
-		c.sweep(&c.shards[(start+i)%len(c.shards)])
-	}
-}
-
-// sweep runs one shard's clock while the cache is over budget: a
-// referenced entry gets its bit cleared (second chance), an unreferenced
-// one is evicted.
-func (c *Cache) sweep(sh *cacheShard) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.clock.Sweep(c.overBudget,
-		func(e *entry) bool { return e.ref.CompareAndSwap(true, false) },
-		func(e *entry) { c.retire(sh, e) })
 }
 
 // split names the one intersection that produces attrs (two attributes

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/datagen"
+	"repro/internal/stripe"
 )
 
 // getSets pulls every set in order through the cache once.
@@ -103,12 +104,10 @@ func TestEvictionPinsSingleAttributes(t *testing.T) {
 
 // shardEntries returns the live entry count per shard.
 func (c *Cache) shardEntries() []int {
-	out := make([]int, len(c.shards))
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		out[i] = len(c.shards[i].parts)
-		c.shards[i].mu.Unlock()
-	}
+	out := make([]int, c.parts.Shards())
+	c.parts.Range(func(s bitset.AttrSet, _ cached) {
+		out[stripe.Hash(uint64(s))&uint64(len(out)-1)]++
+	})
 	return out
 }
 
@@ -119,7 +118,7 @@ func TestShardDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	r := datagen.Uniform(300, 12, 3, 17)
 	c := NewCache(r, Config{BlockSize: 4, Shards: 8})
-	if got := len(c.shards); got != 8 {
+	if got := c.parts.Shards(); got != 8 {
 		t.Fatalf("Shards: 8 built %d shards", got)
 	}
 	getSets(c, randomSets(rng, 12, 60))
@@ -145,12 +144,12 @@ func TestShardCountRounding(t *testing.T) {
 	r := datagen.Uniform(50, 4, 3, 19)
 	for _, tc := range []struct{ req, want int }{{1, 1}, {3, 4}, {8, 8}, {9, 16}} {
 		c := NewCache(r, Config{Shards: tc.req})
-		if got := len(c.shards); got != tc.want {
+		if got := c.parts.Shards(); got != tc.want {
 			t.Fatalf("Shards: %d built %d shards, want %d", tc.req, got, tc.want)
 		}
 	}
-	if c := NewCache(r, Config{}); len(c.shards)&(len(c.shards)-1) != 0 || len(c.shards) == 0 {
-		t.Fatalf("default shard count %d is not a power of two", len(c.shards))
+	if c := NewCache(r, Config{}); c.parts.Shards()&(c.parts.Shards()-1) != 0 || c.parts.Shards() == 0 {
+		t.Fatalf("default shard count %d is not a power of two", c.parts.Shards())
 	}
 }
 
@@ -203,10 +202,14 @@ func TestCacheConcurrentEviction(t *testing.T) {
 	}
 	wg.Wait()
 	// A sweep racing the tail end of the churn may give up on entries the
-	// last Gets were still touching; one final uncontended sweep settles
-	// the cache under its budget (in production the next publish does
-	// this).
-	c.enforceBudget(&c.shards[0])
+	// last Gets were still touching; one final uncontended pass settles
+	// the cache under its budget: each miss in it publishes, and an
+	// uncontended publish sweeps until the cache fits or undoes itself.
+	misses := c.Stats().Misses
+	getSets(c, sets)
+	if c.Stats().Misses == misses {
+		t.Fatal("the settling pass missed nothing, so it never swept")
+	}
 	st := c.Stats()
 	if st.Drops+st.Demotions == 0 {
 		t.Fatalf("concurrent churn under budget %d forced no evictions: %+v", budget, st)

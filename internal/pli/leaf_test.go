@@ -13,16 +13,11 @@ import (
 // cachedSets lists the multi-attribute sets resident in c.
 func cachedSets(c *Cache) []bitset.AttrSet {
 	var out []bitset.AttrSet
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for s := range sh.parts {
-			if s.Len() > 1 {
-				out = append(out, s)
-			}
+	c.parts.Range(func(s bitset.AttrSet, _ cached) {
+		if s.Len() > 1 {
+			out = append(out, s)
 		}
-		sh.mu.Unlock()
-	}
+	})
 	return out
 }
 

@@ -43,7 +43,7 @@ func TestSpillDemotesAndPromotes(t *testing.T) {
 	if st.SpillBytes <= 0 {
 		t.Fatalf("SpillBytes = %d with %d demotions", st.SpillBytes, st.Demotions)
 	}
-	r := c.Relation()
+	r := c.rel
 	for _, s := range sets {
 		if got, want := c.Get(s), FromAttrs(r, s); !Equal(got, want) {
 			t.Fatalf("partition for %v differs from reference after spill churn", s)
@@ -77,7 +77,7 @@ func TestSpillWarmRestart(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	r := c.Relation()
+	r := c.rel
 	c2 := NewCache(r, Config{BlockSize: 4, MaxBytes: c.cfg.MaxBytes, SpillDir: dir})
 	defer c2.Close()
 	getSets(c2, sets)

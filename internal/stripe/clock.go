@@ -2,7 +2,7 @@ package stripe
 
 import "slices"
 
-// Clock is the second-chance clock both budgeted stores evict by: one
+// Clock is the second-chance clock a budgeted Store evicts by: one
 // shard's evictable keys in a ring, and a hand. The reference bits live
 // in the store's own entries, so the sweep reads them through a
 // callback. The caller holds the shard's lock. The zero value is empty.

@@ -1,10 +1,10 @@
-// Package stripe holds the tiny shared pieces of the repo's sharded
-// cache layer: a power-of-two shard count, the hash of a 64-bit key (an
-// AttrSet, a uint64 of attribute bits) to a shard, and the Clock.
-//
-// Both the PLI partition cache and the entropy memo shard the same way —
-// N power-of-two shards indexed by a finalized hash of the attribute
-// set — and choose victims by the same rule, so both live here once.
+// Package stripe holds the repository's one sharded cache layer: Store,
+// the sharded, single-flight, byte-budgeted map under the PLI partition
+// cache, the entropy memo and the search's key memo; Clock, the
+// second-chance rule its budget evicts by; Table, the single-goroutine
+// probe table a mining worker fronts a Store with; and the power-of-two
+// shard count and the hash of a 64-bit key (an AttrSet, a uint64 of
+// attribute bits) they share.
 package stripe
 
 import "runtime"

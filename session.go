@@ -156,9 +156,11 @@ func WithSpillBudget(bytes int64) Option {
 // The memo caches one 8-byte entropy per distinct attribute set ever
 // evaluated; across long ε sweeps over wide relations it becomes the
 // dominant resident weight, so past the budget the memo evicts by the
-// same second-chance clock as the PLI cache — an entropy read since the
-// last sweep gets one more lap, a cold one goes — and recomputes evicted
-// entropies from the PLI cache on the next read. Results are
+// PLI cache's rule — one budget over the whole memo, at 48 bytes an
+// entry, kept by a second-chance clock: an entropy read since the last
+// sweep gets one more lap, a cold one goes, and one that cannot fit is
+// not kept — and recomputes evicted entropies from the PLI cache on the
+// next read. Results are
 // byte-identical under any budget. bytes <= 0 means unlimited (the
 // default). Honored by Open only; Session.Stats reports the memo
 // occupancy (MemoBytes) and eviction count (MemoEvictions).

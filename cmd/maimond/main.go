@@ -34,15 +34,16 @@
 //	GET    /v1/jobs/{id}         poll status and live mining progress
 //	GET    /v1/jobs/{id}/result  fetch schemes / MVDs / metrics when done
 //	DELETE /v1/jobs/{id}         cancel a queued or running job
-//	GET    /v1/healthz           liveness, worker and cache counters
+//	GET    /v1/healthz           liveness
 //	GET    /v1/readyz            readiness (503 once shutting down)
 //	GET    /metrics              Prometheus text exposition
 //
 // Observability: every job-lifecycle event is logged through log/slog
 // with the job and dataset ids attached (-log-level trims it, -log-json
 // switches to JSON lines for log shippers); /metrics exposes the
-// registry of counters, gauges and latency histograms the service and
-// its mining sessions maintain; -debug-addr starts a second, private
+// counters, gauges and job and shard latency histograms the service and
+// its mining sessions maintain (README.md lists each family and what it
+// is for); -debug-addr starts a second, private
 // listener serving net/http/pprof — keep it off public interfaces.
 package main
 

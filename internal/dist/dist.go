@@ -160,7 +160,8 @@ type worker struct {
 	url     string
 	healthy atomic.Bool
 	// downs counts the times w was marked unhealthy. A successful RPC
-	// restores w only if no failure was recorded while it ran.
+	// restores w only if no failure was recorded since its lane took
+	// the shard.
 	downs atomic.Int64
 	// failedProbes counts failed probes in a row; only the prober uses it.
 	failedProbes int

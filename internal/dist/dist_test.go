@@ -10,8 +10,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -795,6 +797,129 @@ func TestFailingWorkerSidelinedWorkers(t *testing.T) {
 	}
 }
 
+// TestShardTakenBeforeFailureKeepsWorkerSidelinedWorkers: a shard a lane
+// took while its worker was healthy, but whose request left only after
+// another of the worker's shards failed, must not bring the worker back
+// when it succeeds — the lane's decision to send it predates the
+// failure. Worker X's first shard is held at X until X's second lane has
+// taken the other shard (a retry after Y's 500) and stalled before
+// sending it; then X's first shard fails, and the stalled request is let
+// go and succeeds. X must still be unhealthy when that success is
+// merged.
+func TestShardTakenBeforeFailureKeepsWorkerSidelinedWorkers(t *testing.T) {
+	rels := map[string]*relation.Relation{"planted": testRelations(t)["planted"]}
+	r := rels["planted"]
+	want := singleNode(t, r, 0.1)
+	// failFirst fails a worker's first shard with 500 once release is
+	// closed, after signalling that it arrived; later shards pass.
+	failFirst := func(arrived, release chan struct{}) func(http.Handler) http.Handler {
+		var calls atomic.Int64
+		return func(h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if !strings.HasSuffix(r.URL.Path, "/shards") || calls.Add(1) > 1 {
+					h.ServeHTTP(w, r)
+					return
+				}
+				close(arrived)
+				select {
+				case <-release:
+					http.Error(w, "injected failure", http.StatusInternalServerError)
+				case <-r.Context().Done():
+				}
+			})
+		}
+	}
+	xArrived, xFail := make(chan struct{}), make(chan struct{})
+	yArrived, yFail := make(chan struct{}), make(chan struct{})
+	x := serveWorker(t, rels, failFirst(xArrived, xFail))
+	y := serveWorker(t, rels, failFirst(yArrived, yFail))
+
+	reg := obs.NewRegistry()
+	xDispatches := reg.Counter("maimond_shard_dispatches_total",
+		"Shard RPCs sent, by worker (includes retries).", obs.L("worker", x.URL))
+	checked := make(chan struct{})
+	var sleeps atomic.Int64
+	coord := newCoordinator(t, []string{x.URL, y.URL}, func(c *dist.Config) {
+		c.SetShardsPerWorker(1) // two shards: X's first lane takes one, Y's the other
+		c.Registry = reg
+		c.Sleep = func(ctx context.Context, _ time.Duration) error {
+			if sleeps.Add(1) == 2 {
+				// X's own retry waits until X's health is read, so no
+				// request sent after X's failure can restore X first.
+				select {
+				case <-checked:
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			}
+			return nil
+		}
+	})
+	var xHealthyAtMerge atomic.Int64 // 0 unread, 1 unhealthy, 2 healthy
+	type outcome struct {
+		res *core.MVDResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	// On an early failure the cleanup ends the mine and lets go of any
+	// RPC still held, so no lane or handler outlives the test.
+	ctx, cancel := context.WithCancel(context.Background())
+	var release func()
+	t.Cleanup(func() {
+		cancel()
+		if release != nil {
+			release()
+		}
+	})
+	go func() {
+		res, _, err := coord.MineMVDs(ctx, dist.Spec{
+			Dataset: "planted", Epsilon: 0.1, NumAttrs: r.NumCols(), Rows: r.NumRows(),
+			OnShard: func(p dist.ShardProgress) {
+				if p.ShardsDone == 1 && xHealthyAtMerge.Load() == 0 {
+					xHealthyAtMerge.Store(1)
+					if coord.Healthy(x.URL) {
+						xHealthyAtMerge.Store(2)
+					}
+					close(checked)
+				}
+			},
+		})
+		done <- outcome{res, err}
+	}()
+	wait := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	closed := func(c chan struct{}) bool {
+		select {
+		case <-c:
+			return true
+		default:
+			return false
+		}
+	}
+	wait("both first shards to arrive", func() bool { return closed(xArrived) && closed(yArrived) })
+	release = coord.HoldRPCs(x.URL)
+	close(yFail) // Y's shard goes back on the queue; only X's idle lane may take it
+	wait("X's second lane to take Y's shard", func() bool { return xDispatches.Value() == 2 })
+	close(xFail)
+	wait("X's failure to be recorded", func() bool { return !coord.Healthy(x.URL) })
+	release()
+	release = nil
+	out := <-done
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	requireSameResult(t, "planted", out.res, want)
+	if got := xHealthyAtMerge.Load(); got != 1 {
+		t.Fatalf("worker healthy after a success whose shard was taken before its failure (state %d)", got)
+	}
+}
+
 // TestSlowProbeKeepsShardsWorkers: two failed readiness probes in a row
 // while a shard is running mark the worker unhealthy but do not abort the
 // shard, so it is sent once.
@@ -967,6 +1092,107 @@ func TestFinalShardSnapshotWorkers(t *testing.T) {
 	if st.Dist.ShardsDone != st.Dist.ShardsTotal || st.Progress.PairsDone != st.Progress.PairsTotal {
 		t.Fatalf("finished job reports shards %d/%d, pairs %d/%d", st.Dist.ShardsDone, st.Dist.ShardsTotal,
 			st.Progress.PairsDone, st.Progress.PairsTotal)
+	}
+}
+
+// TestCoordinatorMetricFamiliesWorkers: a coordinator's /metrics, after
+// a schemes job over HTTP, carries exactly these families — the
+// manager's plus the fan-out series. A family added or removed must be
+// added to or removed from this list, and to README's Observability
+// table.
+func TestCoordinatorMetricFamiliesWorkers(t *testing.T) {
+	rels := map[string]*relation.Relation{"planted": testRelations(t)["planted"]}
+	w1, _ := newWorker(t, rels, nil)
+	w2, _ := newWorker(t, rels, nil)
+	tel := service.NewTelemetry(obs.NewRegistry(), nil)
+	coord := newCoordinator(t, []string{w1.URL, w2.URL}, func(c *dist.Config) {
+		c.Registry = tel.Registry()
+	})
+	reg := service.NewRegistry()
+	if _, err := reg.Add("planted", rels["planted"]); err != nil {
+		t.Fatal(err)
+	}
+	mgr := service.NewManager(reg, service.Config{Workers: 2, Telemetry: tel, Coordinator: coord})
+	ts := httptest.NewServer(service.NewServer(mgr))
+	t.Cleanup(func() {
+		ts.Close()
+		mgr.Close()
+	})
+
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"dataset":"planted","epsilon":0.1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st service.JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, ok := mgr.Job(st.ID)
+	if !ok {
+		t.Fatalf("job %q not found", st.ID)
+	}
+	<-job.Done()
+	if st := job.Status(); st.State != service.StateDone {
+		t.Fatalf("job: state %s, error %q", st.State, st.Error)
+	}
+
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := obs.ParseExposition(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for name := range e.Families {
+		got = append(got, name)
+	}
+	slices.Sort(got)
+	want := []string{
+		"maimon_entropy_h_cached",
+		"maimon_entropy_h_calls",
+		"maimon_entropy_mi_calls",
+		"maimon_pli_bytes_live",
+		"maimon_pli_bytes_pinned",
+		"maimon_pli_bytes_touched",
+		"maimon_pli_entries",
+		"maimon_pli_entropy_only",
+		"maimon_pli_evictions",
+		"maimon_pli_hits",
+		"maimon_pli_intersects",
+		"maimon_pli_misses",
+		"maimon_spill_bytes",
+		"maimon_spill_demotions_total",
+		"maimon_spill_hits_total",
+		"maimon_spill_read_seconds",
+		"maimon_stage_calls_total",
+		"maimon_stage_cpu_seconds_total",
+		"maimond_build_info",
+		"maimond_datasets_registered",
+		"maimond_entropy_memo_bytes",
+		"maimond_entropy_memo_evictions_total",
+		"maimond_http_requests_total",
+		"maimond_job_duration_seconds",
+		"maimond_jobs_completed_total",
+		"maimond_jobs_queue_depth",
+		"maimond_jobs_running",
+		"maimond_jobs_submitted_total",
+		"maimond_result_cache_hits_total",
+		"maimond_result_cache_misses_total",
+		"maimond_shard_bytes_merged_total",
+		"maimond_shard_dispatches_total",
+		"maimond_shard_failures_total",
+		"maimond_shard_latency_seconds",
+		"maimond_shard_retries_total",
+		"maimond_shards_served_total",
+		"maimond_worker_healthy",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("coordinator /metrics families:\n got %q\nwant %q", got, want)
 	}
 }
 

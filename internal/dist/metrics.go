@@ -12,16 +12,14 @@ import (
 // the buckets are roughly log-spaced.
 var shardLatencyBounds = []float64{0.01, 0.05, 0.1, 0.5, 1, 5, 30, 120, 600}
 
-// metrics is the coordinator's slice of the obs registry: fleet-level
-// counters plus per-worker families labelled by worker URL. Everything is
+// metrics is the coordinator's slice of the obs registry: the merged-bytes
+// counter plus per-worker families labelled by worker URL. Everything is
 // registered eagerly in New so the series exist (at zero) from the first
-// scrape, matching the PR 6 registry convention.
+// scrape.
 type metrics struct {
 	reg *obs.Registry
 
 	bytesMerged *obs.Counter
-	mines       *obs.Counter
-	minesFailed *obs.Counter
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
@@ -29,10 +27,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		reg: reg,
 		bytesMerged: reg.Counter("maimond_shard_bytes_merged_total",
 			"Bytes of shard-result bodies decoded and merged by the coordinator."),
-		mines: reg.Counter("maimond_dist_mines_total",
-			"Distributed mines accepted by the coordinator."),
-		minesFailed: reg.Counter("maimond_dist_mines_failed_total",
-			"Distributed mines that ended in an error (not counting clean interrupts)."),
 	}
 }
 

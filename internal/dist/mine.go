@@ -129,7 +129,6 @@ func (c *Coordinator) MineMVDs(ctx context.Context, spec Spec) (*core.MVDResult,
 	if spec.NumAttrs < 3 {
 		return nil, nil, fmt.Errorf("dist: dataset %q: need at least 3 attributes, have %d", spec.Dataset, spec.NumAttrs)
 	}
-	c.met.mines.Inc()
 
 	// Plan: every non-empty shard of the pair space. Pair lists are
 	// derived locally and never shipped; the worker re-derives the same
@@ -190,7 +189,6 @@ func (c *Coordinator) MineMVDs(ctx context.Context, spec Spec) (*core.MVDResult,
 				"dataset", spec.Dataset, "cause", ctxErr, "shards", rep.Shards)
 			return res, &rep, res.Err
 		}
-		c.met.minesFailed.Inc()
 		c.log.Error("distributed mine failed", "dataset", spec.Dataset, "err", m.err)
 		return nil, &rep, m.err
 	}
@@ -237,13 +235,17 @@ func (m *mineRun) fail(err error) {
 // (next < 0: none), then takes the next shard off the queue, and repeats
 // until the mine is over. While w is sidelined it leaves shards to the
 // other workers' lanes, and puts back one it took as w was sidelined.
+// w's failure count is read before the sidelined check, so the decision
+// to send and the rule for restoring w on success (see callShard) see
+// the same instant: a failure recorded after the check keeps w down.
 func (m *mineRun) lane(w *worker, next int) {
 	for {
 		if next >= 0 {
+			downs := w.downs.Load()
 			if m.c.sidelined(w) {
 				m.queue <- next
 			} else {
-				m.run(w, next)
+				m.run(w, next, downs)
 			}
 			next = -1
 		}
@@ -264,15 +266,15 @@ func (m *mineRun) lane(w *worker, next int) {
 // run sends shard i to w once and settles the outcome: record the
 // result, fail the mine, or mark w unhealthy and put the shard back on
 // the queue after backoff, so the retry goes to another worker while one
-// is healthy.
-func (m *mineRun) run(w *worker, i int) {
+// is healthy. downs is w's failure count when the lane took the shard.
+func (m *mineRun) run(w *worker, i int, downs int64) {
 	c, p := m.c, &m.plan[i]
 	w.dispatches.Inc()
 	m.mu.Lock()
 	m.rep.Dispatches++
 	m.mu.Unlock()
 
-	out, intr, size, err := c.callShard(m.ctx, m.spec, p, w)
+	out, intr, size, err := c.callShard(m.ctx, m.spec, p, w, downs)
 	if err == nil {
 		m.update(func() {
 			m.results[i] = out
@@ -334,8 +336,8 @@ func (m *mineRun) merge() *core.MVDResult {
 // other than 408/429 are permanent; everything else — network error,
 // 5xx, decode failure, truncation, pair-sequence mismatch — is
 // retriable. A success restores w's health unless a failure of w was
-// recorded while the RPC ran.
-func (c *Coordinator) callShard(ctx context.Context, spec Spec, p *shardPlan, w *worker) ([]core.PairMVDs, bool, int, error) {
+// recorded since downs was read, when the lane took the shard.
+func (c *Coordinator) callShard(ctx context.Context, spec Spec, p *shardPlan, w *worker, downs int64) ([]core.PairMVDs, bool, int, error) {
 	body, err := json.Marshal(wire.ShardRequest{
 		Dataset:        spec.Dataset,
 		Epsilon:        spec.Epsilon,
@@ -359,7 +361,7 @@ func (c *Coordinator) callShard(ctx context.Context, spec Spec, p *shardPlan, w 
 	}
 	req.Header.Set("Content-Type", "application/json")
 
-	t0, downs := time.Now(), w.downs.Load()
+	t0 := time.Now()
 	resp, err := c.client.Do(req)
 	if err != nil {
 		w.failures.Inc()

@@ -4,11 +4,9 @@
 // mine trace types the core miner fills in.
 //
 // The record path — Counter.Add, Gauge.Set, Histogram.Observe — performs
-// zero allocations and is safe for concurrent use, so instruments can sit
-// on the engine's hot paths without perturbing its allocation gates.
-// Counters are striped across padded atomic cells to keep concurrent
-// writers off each other's cache lines; reads (Value, WritePrometheus)
-// fold the stripes.
+// zero allocations and is safe for concurrent use. Its callers record
+// once per job, shard RPC or HTTP request, never per entropy or
+// partition, so each counter and gauge is one atomic float64.
 //
 // Cardinality is the caller's responsibility: children are created up
 // front (registration is get-or-create and locked), then recorded on
@@ -18,7 +16,6 @@ package obs
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"regexp"
 	"sort"
 	"strconv"
@@ -33,63 +30,45 @@ type Label struct{ Key, Value string }
 // L is shorthand for Label{k, v}.
 func L(k, v string) Label { return Label{Key: k, Value: v} }
 
-// numStripes is the stripe count of a Counter — a small power of two:
-// enough to spread concurrent miners across cache lines, cheap to fold.
-const numStripes = 8
+// atomicFloat is a float64 updated atomically, stored as its bits.
+type atomicFloat struct{ bits atomic.Uint64 }
 
-// cell is one padded atomic float64 (stored as bits). The padding keeps
-// neighboring cells — and neighboring metrics — off one cache line.
-type cell struct {
-	bits atomic.Uint64
-	_    [56]byte
-}
-
-func (c *cell) add(v float64) {
+func (f *atomicFloat) add(v float64) {
 	for {
-		old := c.bits.Load()
-		if c.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+		old := f.bits.Load()
+		if f.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
 			return
 		}
 	}
 }
 
-func (c *cell) load() float64 { return math.Float64frombits(c.bits.Load()) }
+func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()) }
 
-func (c *cell) store(v float64) { c.bits.Store(math.Float64bits(v)) }
+func (f *atomicFloat) store(v float64) { f.bits.Store(math.Float64bits(v)) }
 
-// Counter is a monotone cumulative metric. Add picks a random stripe
-// (per-thread runtime randomness, no lock, no allocation), so concurrent
-// writers contend on 1/numStripes of the cache lines a single atomic
-// would; Value sums the stripes.
+// Counter is a monotone cumulative metric.
 type Counter struct {
-	stripes [numStripes]cell
+	v atomicFloat
 }
 
 // Add increments the counter by v; negative deltas are ignored (a counter
 // never goes down).
 func (c *Counter) Add(v float64) {
-	if v <= 0 {
-		return
+	if v > 0 {
+		c.v.add(v)
 	}
-	c.stripes[rand.Uint64()&(numStripes-1)].add(v)
 }
 
 // Inc adds 1.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value returns the folded counter value.
-func (c *Counter) Value() float64 {
-	s := 0.0
-	for i := range c.stripes {
-		s += c.stripes[i].load()
-	}
-	return s
-}
+// Value returns the counter value.
+func (c *Counter) Value() float64 { return c.v.load() }
 
 // Gauge is a value that can go up and down. Set/Add/Value are lock-free
 // and allocation-free.
 type Gauge struct {
-	v cell
+	v atomicFloat
 }
 
 // Set stores v.
@@ -113,7 +92,7 @@ func (g *Gauge) Value() float64 { return g.v.load() }
 type Histogram struct {
 	bounds []float64 // upper bounds, strictly increasing; +Inf implicit
 	counts []atomic.Int64
-	sum    cell
+	sum    atomicFloat
 	count  atomic.Int64
 }
 

@@ -42,9 +42,10 @@ type Config struct {
 	// than concurrent jobs; total CPU demand is roughly
 	// Workers × MineWorkers.
 	MineWorkers int
-	// Telemetry, when non-nil, receives the manager's metrics and
-	// structured logs (job lifecycle, queue depth, result-cache and
-	// session counters). nil disables all instrumentation at zero cost.
+	// Telemetry receives the manager's metrics and structured logs (job
+	// lifecycle, queue depth, result-cache and session counters). nil
+	// gets a private bundle: metrics kept and served on /metrics, logs
+	// discarded.
 	Telemetry *Telemetry
 	// Coordinator, when non-nil, switches phase 1 of every job to
 	// distributed execution: the coordinator shards the attribute-pair
@@ -64,6 +65,9 @@ func (c Config) withDefaults() Config {
 	if c.MineWorkers <= 0 {
 		c.MineWorkers = 1
 	}
+	if c.Telemetry == nil {
+		c.Telemetry = NewTelemetry(nil, nil)
+	}
 	return c
 }
 
@@ -81,7 +85,7 @@ type Manager struct {
 	reg   *Registry
 	cache *resultCache
 	cfg   Config
-	tel   *Telemetry // nil-safe: all hooks no-op when absent
+	tel   *Telemetry
 
 	// coord, when non-nil, runs every job's phase 1 distributed;
 	// shardSem bounds concurrent inbound shard mines (this node acting
@@ -140,8 +144,7 @@ func (m *Manager) Registry() *Registry { return m.reg }
 // Workers returns the worker-pool size.
 func (m *Manager) Workers() int { return m.cfg.Workers }
 
-// Telemetry returns the manager's telemetry bundle (nil when the manager
-// was built without one; Telemetry methods are nil-safe).
+// Telemetry returns the manager's telemetry bundle.
 func (m *Manager) Telemetry() *Telemetry { return m.tel }
 
 // Ready reports whether the manager is accepting submissions — the
@@ -152,9 +155,6 @@ func (m *Manager) Ready() bool {
 	defer m.mu.Unlock()
 	return !m.closed
 }
-
-// CacheStats returns (hits, misses, entries) of the result cache.
-func (m *Manager) CacheStats() (int64, int64, int) { return m.cache.stats() }
 
 // normalize validates req and fills in manager defaults.
 func (m *Manager) normalize(req JobRequest) (JobRequest, error) {

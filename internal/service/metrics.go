@@ -14,8 +14,8 @@ import (
 
 // Telemetry bundles the service's observability surface: the metrics
 // registry GET /metrics scrapes and the structured logger the job
-// lifecycle writes to. A nil *Telemetry is fully inert — every method is
-// nil-safe — so library users of Manager pay nothing unless they opt in.
+// lifecycle writes to. Every Manager has one: NewManager builds a
+// private bundle when Config.Telemetry is nil.
 //
 // Metric naming: maimond_* series describe the service process (jobs,
 // queue, HTTP, result cache) and counters carry the _total suffix;
@@ -35,8 +35,6 @@ type Telemetry struct {
 	jobDuration   *obs.Histogram
 
 	shardsServed *obs.Counter
-
-	httpInFlight *obs.Gauge
 }
 
 // NewTelemetry builds a telemetry bundle over the given registry and
@@ -67,8 +65,6 @@ func NewTelemetry(reg *obs.Registry, log *slog.Logger) *Telemetry {
 		[]float64{.005, .025, .1, .5, 1, 5, 30, 120, 600, 1800})
 	t.shardsServed = reg.Counter("maimond_shards_served_total",
 		"Distributed-mine shard requests this node answered successfully as a worker.")
-	t.httpInFlight = reg.Gauge("maimond_http_requests_in_flight",
-		"HTTP requests currently being served.")
 	reg.GaugeFunc("maimond_build_info",
 		"Constant 1, labeled with the Go runtime version the binary was built with.",
 		func() float64 { return 1 }, obs.L("go_version", runtime.Version()))
@@ -80,7 +76,7 @@ func NewTelemetry(reg *obs.Registry, log *slog.Logger) *Telemetry {
 // hot path), so get-or-create child registration per (phase, stage) is
 // fine — the label space is the paper's four stages.
 func (t *Telemetry) observeTrace(tr *obs.MineTrace) {
-	if t == nil || tr == nil {
+	if tr == nil {
 		return
 	}
 	for i := range tr.Phases {
@@ -97,55 +93,29 @@ func (t *Telemetry) observeTrace(tr *obs.MineTrace) {
 	}
 }
 
-// Registry returns the underlying metrics registry (nil on a nil bundle).
-func (t *Telemetry) Registry() *obs.Registry {
-	if t == nil {
-		return nil
-	}
-	return t.reg
-}
+// Registry returns the underlying metrics registry.
+func (t *Telemetry) Registry() *obs.Registry { return t.reg }
 
-// Logger returns the structured logger (a discard logger on a nil bundle).
-func (t *Telemetry) Logger() *slog.Logger {
-	if t == nil {
-		return slog.New(slog.DiscardHandler)
-	}
-	return t.log
-}
+// Logger returns the structured logger.
+func (t *Telemetry) Logger() *slog.Logger { return t.log }
 
-// bindManager registers the gauges that read live manager state: queue
-// depth, worker-pool size, retained jobs, result-cache counters, dataset
-// count, and the session-derived maimon_* sums. Called once from
-// NewManager; re-binding a registry keeps the first callback
-// (obs.GaugeFunc semantics), which only matters if two managers share
-// one registry — an embedding this package does not ship.
+// bindManager registers the series that read live manager state: queue
+// depth, result-cache counters, dataset count, and the session-derived
+// maimon_* sums. Called once from NewManager; re-binding a registry
+// keeps the first callback (obs.GaugeFunc semantics), which only matters
+// if two managers share one registry — an embedding this package does
+// not ship.
 func (t *Telemetry) bindManager(m *Manager) {
-	if t == nil {
-		return
-	}
 	r := t.reg
 	r.GaugeFunc("maimond_jobs_queue_depth",
 		"Jobs waiting in the bounded submit queue.",
 		func() float64 { return float64(len(m.queue)) })
-	r.GaugeFunc("maimond_worker_pool_size",
-		"Size of the mining worker pool.",
-		func() float64 { return float64(m.cfg.Workers) })
-	r.GaugeFunc("maimond_jobs_retained",
-		"Job records currently retained (live and terminal).",
-		func() float64 {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			return float64(len(m.jobs))
-		})
 	r.CounterFunc("maimond_result_cache_hits_total",
 		"Result-cache lookups served from cache.",
 		func() float64 { h, _, _ := m.cache.stats(); return float64(h) })
 	r.CounterFunc("maimond_result_cache_misses_total",
 		"Result-cache lookups that missed.",
 		func() float64 { _, mi, _ := m.cache.stats(); return float64(mi) })
-	r.GaugeFunc("maimond_result_cache_entries",
-		"Completed job results currently retained by the result cache.",
-		func() float64 { _, _, n := m.cache.stats(); return float64(n) })
 	r.GaugeFunc("maimond_datasets_registered",
 		"Datasets currently registered (one warm session each).",
 		func() float64 { return float64(m.reg.Len()) })
@@ -220,9 +190,6 @@ func (t *Telemetry) bindManager(m *Manager) {
 
 // jobSubmitted records a Submit outcome.
 func (t *Telemetry) jobSubmitted(job *Job) {
-	if t == nil {
-		return
-	}
 	t.jobsSubmitted.Inc()
 	if job.cacheHit {
 		t.jobsDone.Inc()
@@ -235,9 +202,6 @@ func (t *Telemetry) jobSubmitted(job *Job) {
 
 // jobStarted records a queued → running transition.
 func (t *Telemetry) jobStarted(job *Job) {
-	if t == nil {
-		return
-	}
 	t.jobsRunning.Inc()
 	t.log.Info("job started", "job", job.id, "dataset", job.req.Dataset)
 }
@@ -245,9 +209,6 @@ func (t *Telemetry) jobStarted(job *Job) {
 // jobFinished records a running job reaching a terminal state; elapsed
 // is the execution wall time (not queued time).
 func (t *Telemetry) jobFinished(job *Job, state State, elapsed time.Duration, errMsg string) {
-	if t == nil {
-		return
-	}
 	t.jobsRunning.Dec()
 	t.jobDuration.Observe(elapsed.Seconds())
 	switch state {
@@ -274,18 +235,12 @@ func (t *Telemetry) jobFinished(job *Job, state State, elapsed time.Duration, er
 
 // jobCancelledQueued records a job cancelled before any worker ran it.
 func (t *Telemetry) jobCancelledQueued(job *Job) {
-	if t == nil {
-		return
-	}
 	t.jobsCancelled.Inc()
 	t.log.Info("job cancelled while queued", "job", job.id, "dataset", job.req.Dataset)
 }
 
 // shardServed records one inbound shard mine (this node as a worker).
 func (t *Telemetry) shardServed(req wire.ShardRequest, pairs int, elapsed time.Duration, err error) {
-	if t == nil {
-		return
-	}
 	if err != nil {
 		t.log.Warn("shard mine failed",
 			"dataset", req.Dataset, "shard", req.Shard, "num_shards", req.NumShards,
@@ -300,17 +255,11 @@ func (t *Telemetry) shardServed(req wire.ShardRequest, pairs int, elapsed time.D
 
 // datasetAdded / datasetRemoved log registry changes.
 func (t *Telemetry) datasetAdded(info DatasetInfo) {
-	if t == nil {
-		return
-	}
 	t.log.Info("dataset registered",
 		"dataset", info.Name, "rows", info.Rows, "cols", info.Cols)
 }
 
 func (t *Telemetry) datasetRemoved(name string) {
-	if t == nil {
-		return
-	}
 	t.log.Info("dataset removed", "dataset", name)
 }
 
@@ -325,31 +274,19 @@ func (w *statusRecorder) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// instrument wraps mux with the HTTP telemetry middleware: an in-flight
-// gauge, a per-route latency histogram, and a requests counter labeled
-// by route, method and status class. The route label is the ServeMux
-// pattern that matched (resolved via mux.Handler before serving, so
-// /v1/jobs/{id} stays one series no matter how many jobs exist);
-// unmatched requests fall under "unmatched". A nil Telemetry returns
-// mux unchanged.
+// instrument wraps mux with the HTTP request counter, labeled by route,
+// method and status code. The route label is the ServeMux pattern that
+// matched (resolved via mux.Handler before serving, so /v1/jobs/{id}
+// stays one series no matter how many jobs exist); unmatched requests
+// fall under "unmatched".
 func (t *Telemetry) instrument(mux *http.ServeMux) http.Handler {
-	if t == nil {
-		return mux
-	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		route := "unmatched"
 		if _, pattern := mux.Handler(r); pattern != "" {
 			route = pattern
 		}
-		t.httpInFlight.Inc()
-		defer t.httpInFlight.Dec()
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		start := time.Now()
 		mux.ServeHTTP(rec, r)
-		elapsed := time.Since(start).Seconds()
-		t.reg.Histogram("maimond_http_request_duration_seconds",
-			"HTTP request latency by matched route.",
-			nil, obs.L("route", route)).Observe(elapsed)
 		t.reg.Counter("maimond_http_requests_total",
 			"HTTP requests served, by matched route, method and status code.",
 			obs.L("route", route), obs.L("method", r.Method),

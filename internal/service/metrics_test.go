@@ -3,6 +3,7 @@ package service_test
 import (
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -58,14 +59,51 @@ func sampleValue(e *obs.Exposition, name string, labels map[string]string) (floa
 	return sum, found
 }
 
+// managerFamilies is every metric family a manager without a
+// coordinator exports once it has served HTTP and mined a job. A family
+// added or removed must be added to or removed from this list, and to
+// README's Observability table.
+var managerFamilies = []string{
+	"maimon_entropy_h_cached",
+	"maimon_entropy_h_calls",
+	"maimon_entropy_mi_calls",
+	"maimon_pli_bytes_live",
+	"maimon_pli_bytes_pinned",
+	"maimon_pli_bytes_touched",
+	"maimon_pli_entries",
+	"maimon_pli_entropy_only",
+	"maimon_pli_evictions",
+	"maimon_pli_hits",
+	"maimon_pli_intersects",
+	"maimon_pli_misses",
+	"maimon_spill_bytes",
+	"maimon_spill_demotions_total",
+	"maimon_spill_hits_total",
+	"maimon_spill_read_seconds",
+	"maimon_stage_calls_total",
+	"maimon_stage_cpu_seconds_total",
+	"maimond_build_info",
+	"maimond_datasets_registered",
+	"maimond_entropy_memo_bytes",
+	"maimond_entropy_memo_evictions_total",
+	"maimond_http_requests_total",
+	"maimond_job_duration_seconds",
+	"maimond_jobs_completed_total",
+	"maimond_jobs_queue_depth",
+	"maimond_jobs_running",
+	"maimond_jobs_submitted_total",
+	"maimond_result_cache_hits_total",
+	"maimond_result_cache_misses_total",
+	"maimond_shards_served_total",
+}
+
 // TestMetricsEndToEnd is the in-process version of the CI scrape gate:
-// boot the service with telemetry, run a mining job over HTTP, then
-// scrape /metrics and hold the output to the same checks promcheck
-// applies — strict exposition format, at least 20 distinct series, every
-// core series present — plus value-level checks a generic linter cannot.
+// boot the service, run a mining job over HTTP, then scrape /metrics and
+// hold the output to the same checks promcheck applies — strict
+// exposition format, at least 20 distinct series — plus the exact family
+// set and value-level checks a generic linter cannot.
 func TestMetricsEndToEnd(t *testing.T) {
-	tel := service.NewTelemetry(obs.NewRegistry(), nil)
-	ts, mgr := newTestServer(t, service.Config{Workers: 1, Telemetry: tel})
+	ts, mgr := newTestServer(t, service.Config{Workers: 1})
 	if _, err := mgr.Registry().Add("planted", plantedRelation(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -76,34 +114,13 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if n := e.SeriesCount(); n < 20 {
 		t.Errorf("/metrics has %d distinct series, want >= 20", n)
 	}
-	for _, name := range []string{
-		"maimond_jobs_submitted_total",
-		"maimond_jobs_completed_total",
-		"maimond_jobs_running",
-		"maimond_jobs_queue_depth",
-		"maimond_jobs_retained",
-		"maimond_worker_pool_size",
-		"maimond_job_duration_seconds_bucket",
-		"maimond_result_cache_hits_total",
-		"maimond_result_cache_misses_total",
-		"maimond_result_cache_entries",
-		"maimond_datasets_registered",
-		"maimond_build_info",
-		"maimond_http_requests_total",
-		"maimond_http_requests_in_flight",
-		"maimond_http_request_duration_seconds_bucket",
-		"maimon_entropy_h_calls",
-		"maimon_entropy_mi_calls",
-		"maimon_pli_hits",
-		"maimon_pli_intersects",
-		"maimon_pli_bytes_live",
-		"maimon_pli_bytes_touched",
-		"maimon_stage_cpu_seconds_total",
-		"maimon_stage_calls_total",
-	} {
-		if !e.Has(name) {
-			t.Errorf("/metrics is missing series %q", name)
-		}
+	var got []string
+	for name := range e.Families {
+		got = append(got, name)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, managerFamilies) {
+		t.Errorf("/metrics families:\n got %q\nwant %q", got, managerFamilies)
 	}
 	checks := []struct {
 		name   string
@@ -115,7 +132,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 		{"maimond_jobs_running", nil, 0},
 		{"maimond_job_duration_seconds_count", nil, 1},
 		{"maimond_datasets_registered", nil, 1},
-		{"maimond_worker_pool_size", nil, 1},
 	}
 	for _, c := range checks {
 		got, ok := sampleValue(e, c.name, c.labels)
@@ -152,28 +168,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 	e2 := scrapeMetrics(t, ts.URL)
 	if v, _ := sampleValue(e2, "maimond_result_cache_hits_total", nil); v != 1 {
 		t.Errorf("maimond_result_cache_hits_total = %v after a cached submit, want 1", v)
-	}
-}
-
-// TestMetricsDisabled: a manager without a telemetry bundle still serves
-// every API route; /metrics answers 503.
-func TestMetricsDisabled(t *testing.T) {
-	ts, _ := newTestServer(t, service.Config{Workers: 1})
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("/metrics without telemetry: status %d, want 503", resp.StatusCode)
-	}
-	resp, err = http.Get(ts.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/v1/healthz without telemetry: status %d, want 200", resp.StatusCode)
 	}
 }
 

@@ -29,14 +29,13 @@ const maxUploadBytes = 64 << 20
 //	                                           event stream)
 //	GET    /v1/jobs/{id}/result                fetch a done job's result
 //	DELETE /v1/jobs/{id}                       cancel a queued/running job
-//	GET    /v1/healthz                         liveness + pool/cache counters
+//	GET    /v1/healthz                         liveness
 //	GET    /v1/readyz                          readiness (503 once closed)
 //	GET    /metrics                            Prometheus text exposition
 //
 // All responses are JSON except /metrics; errors use {"error": "..."}
-// with a matching status code. When the manager carries a Telemetry
-// bundle, every route is wrapped in the HTTP middleware (per-route
-// latency histograms, request counters, in-flight gauge).
+// with a matching status code. Every request is counted in
+// maimond_http_requests_total by route, method and status code.
 func NewServer(m *Manager) http.Handler {
 	s := &server{mgr: m}
 	mux := http.NewServeMux()
@@ -215,14 +214,10 @@ func (s *server) deleteJob(w http.ResponseWriter, r *http.Request) {
 
 // healthz is liveness: the process is up and serving. It always answers
 // 200 — a live-but-not-ready daemon (e.g. draining at shutdown) still
-// reports healthy here and not-ready on /readyz.
+// reports healthy here and not-ready on /readyz. Counters live on
+// /metrics.
 func (s *server) healthz(w http.ResponseWriter, r *http.Request) {
-	hits, misses, entries := s.mgr.CacheStats()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":  "ok",
-		"workers": s.mgr.Workers(),
-		"cache":   map[string]int64{"hits": hits, "misses": misses, "entries": int64(entries)},
-	})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // readyz is readiness: 200 while the manager accepts submissions, 503
@@ -236,13 +231,8 @@ func (s *server) readyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // metrics serves the Prometheus text exposition of the manager's
-// registry; 503 when the manager runs without telemetry.
+// registry.
 func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
-	reg := s.mgr.Telemetry().Registry()
-	if reg == nil {
-		writeError(w, http.StatusServiceUnavailable, "telemetry disabled")
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = reg.WritePrometheus(w)
+	_ = s.mgr.Telemetry().Registry().WritePrometheus(w)
 }

@@ -353,16 +353,11 @@ func TestResultCacheHit(t *testing.T) {
 	}
 	waitDone(t, ts, third.ID)
 
-	resp, err := http.Get(ts.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	health := decodeJSON[struct {
-		Cache struct{ Hits, Misses, Entries int64 } `json:"cache"`
-	}](t, resp.Body)
-	resp.Body.Close()
-	if health.Cache.Hits < 1 || health.Cache.Entries < 2 {
-		t.Fatalf("cache counters: %+v", health.Cache)
+	e := scrapeMetrics(t, ts.URL)
+	hits, _ := sampleValue(e, "maimond_result_cache_hits_total", nil)
+	misses, _ := sampleValue(e, "maimond_result_cache_misses_total", nil)
+	if hits != 1 || misses != 2 {
+		t.Fatalf("result cache: %v hits, %v misses; want 1 and 2", hits, misses)
 	}
 }
 

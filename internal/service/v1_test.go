@@ -32,7 +32,7 @@ func TestV1RoutesOnly(t *testing.T) {
 	}
 	health := decodeJSON[map[string]any](t, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || health["status"] != "ok" {
+	if resp.StatusCode != http.StatusOK || len(health) != 1 || health["status"] != "ok" {
 		t.Fatalf("/v1/healthz: status %d, body %v", resp.StatusCode, health)
 	}
 

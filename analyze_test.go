@@ -263,11 +263,18 @@ func TestAnalyzeAllConcurrent(t *testing.T) {
 // code paths that agree only if both are right. Besides nursery and a
 // planted chain it runs at the benchmark's width, on the 13-column `wide`
 // relation deduplicated, at three ε with every mined scheme up to the
-// benchmark's cap of 100 ranked in one batch per ε. ε = 0 may mine only
-// lossless schemes, so a lossy one is required per relation, not per ε.
+// benchmark's cap of 100 ranked in one batch per ε. The Ditag Feature
+// analog (13 columns, two derived from base columns, so exact FDs hold;
+// 10,000 rows before dedup) runs at ε = 0, where those FDs shape every
+// mined scheme, and at 0.1. ε = 0 may mine only lossless schemes, so a
+// lossy one is required per relation, not per ε.
 func TestSchemeJBoundsSpuriousRate(t *testing.T) {
 	planted, _ := rankingInput(t, 300)
 	wide, err := datagen.Ladder("wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ditag, err := datagen.Lookup("Ditag Feature", 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,6 +287,7 @@ func TestSchemeJBoundsSpuriousRate(t *testing.T) {
 		{"nursery", Nursery(), []float64{0.3}, 60},
 		{"planted", planted.Dedup(), []float64{0.1}, 60},
 		{"wide", wide.Dedup(), []float64{0, 0.1, 0.3}, 100},
+		{"ditag", ditag.Generate().Dedup(), []float64{0, 0.1}, 100},
 	} {
 		s, err := Open(tc.r)
 		if err != nil {

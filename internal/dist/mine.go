@@ -26,9 +26,6 @@ type Spec struct {
 	Dataset string
 	// Epsilon is the approximation threshold ε ≥ 0 in bits.
 	Epsilon float64
-	// DisablePruning turns off pairwise-consistency pruning on the
-	// workers (ablation runs only).
-	DisablePruning bool
 	// ShardWorkers is the worker-local goroutine fan-out per shard; 0
 	// applies each worker's default.
 	ShardWorkers int
@@ -339,15 +336,14 @@ func (m *mineRun) merge() *core.MVDResult {
 // recorded since downs was read, when the lane took the shard.
 func (c *Coordinator) callShard(ctx context.Context, spec Spec, p *shardPlan, w *worker, downs int64) ([]core.PairMVDs, bool, int, error) {
 	body, err := json.Marshal(wire.ShardRequest{
-		Dataset:        spec.Dataset,
-		Epsilon:        spec.Epsilon,
-		Shard:          p.shard,
-		NumShards:      c.numShards,
-		NumAttrs:       spec.NumAttrs,
-		Rows:           spec.Rows,
-		Workers:        spec.ShardWorkers,
-		DisablePruning: spec.DisablePruning,
-		TimeoutMS:      spec.TimeoutMS,
+		Dataset:   spec.Dataset,
+		Epsilon:   spec.Epsilon,
+		Shard:     p.shard,
+		NumShards: c.numShards,
+		NumAttrs:  spec.NumAttrs,
+		Rows:      spec.Rows,
+		Workers:   spec.ShardWorkers,
+		TimeoutMS: spec.TimeoutMS,
 	})
 	if err != nil {
 		return nil, false, 0, &permanentError{fmt.Errorf("encoding shard request: %w", err)}

@@ -14,3 +14,11 @@ func NewManagerWithQueue(reg *Registry, cfg Config, depth int) *Manager {
 func NewManagerRetaining(reg *Registry, cfg Config, retain int) *Manager {
 	return newManager(reg, cfg, queueDepth, retain)
 }
+
+// ResultCacheEntries is the number of keys the result cache serves, for
+// the tests that bound it by the retained jobs.
+func (m *Manager) ResultCacheEntries() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.served)
+}

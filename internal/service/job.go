@@ -93,6 +93,10 @@ type Job struct {
 	errMsg   string
 	result   *JobResult
 	cacheHit bool
+	// key is the result-cache key the job is served under, set (under
+	// Manager.mu) when it finishes done or is itself a hit; eviction
+	// drops the entry only if it still names this job.
+	key      cacheKey
 	created  time.Time
 	started  time.Time
 	finished time.Time

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	maimon "repro"
@@ -26,8 +27,35 @@ const queueDepth = 256
 // maxJobs bounds how many job records the manager retains. Past the
 // bound, the oldest terminal jobs (and their results) are evicted on
 // submit — a resident daemon must not accumulate every result it ever
-// produced. Live (queued/running) jobs are never evicted.
+// produced. Live (queued/running) jobs are never evicted. The retained
+// records are also the result cache, so this bounds it too.
 const maxJobs = 1024
+
+// cacheKey identifies a mining outcome per session incarnation: same
+// session (and thus the same underlying data), same threshold, same
+// options ⇒ same result (mining is deterministic). Keying on the session
+// id rather than the dataset name means a dataset removed and
+// re-registered under the same name — a new session over possibly
+// different data — can never be served a stale result. Timeout is
+// deliberately not part of the key — only complete (non-interrupted) runs
+// are served again, and a complete result is valid under any timeout.
+// Workers is excluded for the same reason: the parallel pipeline is
+// deterministic, so a result mined at any fan-out answers a request at
+// any other.
+type cacheKey struct {
+	session    int64
+	epsilon    float64
+	mode       string
+	maxSchemes int
+}
+
+func keyOf(session int64, req JobRequest) cacheKey {
+	k := cacheKey{session: session, epsilon: req.Epsilon, mode: req.Mode, maxSchemes: req.MaxSchemes}
+	if req.Mode == ModeMVDs {
+		k.maxSchemes = 0 // phase 1 never reads it
+	}
+	return k
+}
 
 // Config sizes the manager.
 type Config struct {
@@ -77,15 +105,15 @@ var ErrQueueFull = errors.New("service: job queue full")
 // ErrClosed rejects operations on a closed manager.
 var ErrClosed = errors.New("service: manager closed")
 
-// Manager owns the job lifecycle: it validates submissions, serves cache
-// hits instantly, queues the rest onto a bounded worker pool, and runs
-// each job under its own cancellable context (child of the manager's, so
-// Close cancels everything in flight).
+// Manager owns the job lifecycle: it validates submissions, serves a
+// repeated job from the result of a retained one, queues the rest onto a
+// bounded worker pool, and runs each job under its own cancellable
+// context (child of the manager's, so Close cancels everything in
+// flight).
 type Manager struct {
-	reg   *Registry
-	cache *resultCache
-	cfg   Config
-	tel   *Telemetry
+	reg *Registry
+	cfg Config
+	tel *Telemetry
 
 	// coord, when non-nil, runs every job's phase 1 distributed;
 	// shardSem bounds concurrent inbound shard mines (this node acting
@@ -102,8 +130,14 @@ type Manager struct {
 	maxJobs int // retention bound; the constant maxJobs outside tests
 	jobs    map[string]*Job
 	order   []*Job // submission order, for listing and eviction
-	seq     int64
-	closed  bool
+	// served is the result cache: for each key, the newest retained job
+	// that finished done and not interrupted under it. Results are served
+	// by pointer and must be treated as immutable by all readers.
+	served map[cacheKey]*Job
+	seq    int64
+	closed bool
+
+	hits, misses atomic.Int64 // Submit's lookups in served
 }
 
 // NewManager starts a manager with cfg.Workers mining workers over the
@@ -119,7 +153,6 @@ func newManager(reg *Registry, cfg Config, depth, retain int) *Manager {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		reg:        reg,
-		cache:      newResultCache(DefaultResultCacheEntries),
 		cfg:        cfg,
 		tel:        cfg.Telemetry,
 		coord:      cfg.Coordinator,
@@ -129,6 +162,7 @@ func newManager(reg *Registry, cfg Config, depth, retain int) *Manager {
 		queue:      make(chan *Job, depth),
 		maxJobs:    retain,
 		jobs:       make(map[string]*Job),
+		served:     make(map[cacheKey]*Job),
 	}
 	m.tel.bindManager(m)
 	m.wg.Add(cfg.Workers)
@@ -202,7 +236,9 @@ func (m *Manager) mineWorkers(workers int) int {
 }
 
 // Submit validates and enqueues a mining job. A result-cache hit returns
-// a job that is already done, carrying the cached result.
+// a job that is already done, carrying the served job's result; the hit
+// then becomes the entry, so a result that keeps being asked for stays
+// retained.
 func (m *Manager) Submit(req JobRequest) (*Job, error) {
 	req, err := m.normalize(req)
 	if err != nil {
@@ -216,13 +252,19 @@ func (m *Manager) Submit(req JobRequest) (*Job, error) {
 	m.seq++
 	job := newJob(fmt.Sprintf("j-%d", m.seq), req, m.baseCtx)
 	_, sessionID, _ := m.reg.lookup(req.Dataset)
-	if cached := m.cache.get(keyOf(sessionID, req)); cached != nil {
+	key := keyOf(sessionID, req)
+	if hit := m.served[key]; hit != nil {
+		m.hits.Add(1)
+		res, _ := hit.Result()
 		job.cacheHit = true
-		job.finish(StateDone, cached, "")
+		job.finish(StateDone, res, "")
+		job.key = key
+		m.served[key] = job
 		m.register(job)
 		m.tel.jobSubmitted(job)
 		return job, nil
 	}
+	m.misses.Add(1)
 	select {
 	case m.queue <- job:
 		m.register(job)
@@ -234,16 +276,20 @@ func (m *Manager) Submit(req JobRequest) (*Job, error) {
 }
 
 // register records a job and evicts the oldest terminal jobs beyond the
-// retention bound. Caller holds m.mu.
+// retention bound, each with its result-cache entry. Caller holds m.mu.
 func (m *Manager) register(job *Job) {
 	m.jobs[job.id] = job
 	m.order = append(m.order, job)
 	for i := 0; len(m.jobs) > m.maxJobs && i < len(m.order); {
-		if !m.order[i].State().Terminal() {
+		old := m.order[i]
+		if !old.State().Terminal() {
 			i++
 			continue
 		}
-		delete(m.jobs, m.order[i].id)
+		if m.served[old.key] == old {
+			delete(m.served, old.key)
+		}
+		delete(m.jobs, old.id)
 		m.order = append(m.order[:i], m.order[i+1:]...)
 	}
 }
@@ -283,13 +329,13 @@ func (m *Manager) Cancel(id string) (State, error) {
 	return job.State(), nil
 }
 
-// RemoveDataset unregisters a dataset and invalidates the cached results
-// of its session incarnation. Running jobs keep their session reference
-// and finish normally.
+// RemoveDataset unregisters a dataset. Running jobs keep their session
+// reference and finish normally. Its results need no invalidation: they
+// are keyed by an incarnation id no later request carries, and they
+// leave with their jobs.
 func (m *Manager) RemoveDataset(name string) bool {
-	ok, id := m.reg.remove(name)
+	ok := m.reg.remove(name)
 	if ok {
-		m.cache.invalidateSession(id)
 		m.tel.datasetRemoved(name)
 	}
 	return ok
@@ -364,11 +410,18 @@ func (m *Manager) run(job *Job) {
 		m.tel.jobFinished(job, StateFailed, time.Since(start), err.Error())
 	default:
 		result.Interrupted = errors.Is(err, core.ErrInterrupted)
+		// Finishing under m.mu indexes the job before its Done closes and
+		// before eviction can see it terminal. It is keyed by the session
+		// it mined: a job finishing after its dataset was removed gets an
+		// entry no later request reaches, which leaves with the job.
+		m.mu.Lock()
 		job.finish(StateDone, result, "")
+		if !result.Interrupted {
+			job.key = keyOf(sessionID, job.req)
+			m.served[job.key] = job
+		}
+		m.mu.Unlock()
 		m.tel.jobFinished(job, StateDone, time.Since(start), "")
-		// put refuses retired session ids, so a job finishing after its
-		// dataset was removed cannot insert an unreachable cache entry.
-		m.cache.put(keyOf(sessionID, job.req), result)
 	}
 }
 
@@ -390,7 +443,6 @@ func (m *Manager) mine(ctx context.Context, sess *maimon.Session, job *Job) (*Jo
 	defer m.tel.observeTrace(&tr)
 	opts := []maimon.Option{
 		maimon.WithEpsilon(req.Epsilon),
-		maimon.WithPruning(!req.DisablePruning),
 		maimon.WithWorkers(req.Workers),
 		maimon.WithProgress(job.observe),
 		maimon.WithTrace(&tr),
@@ -474,12 +526,11 @@ func (m *Manager) mineDistributed(ctx context.Context, sess *maimon.Session, job
 	r := sess.Relation()
 	job.setPhase("mvds")
 	res, _, err := m.coord.MineMVDs(ctx, dist.Spec{
-		Dataset:        req.Dataset,
-		Epsilon:        req.Epsilon,
-		DisablePruning: req.DisablePruning,
-		ShardWorkers:   req.Workers,
-		NumAttrs:       r.NumCols(),
-		Rows:           r.NumRows(),
+		Dataset:      req.Dataset,
+		Epsilon:      req.Epsilon,
+		ShardWorkers: req.Workers,
+		NumAttrs:     r.NumCols(),
+		Rows:         r.NumRows(),
 		OnShard: func(p dist.ShardProgress) {
 			job.shardsDone.Store(int64(p.ShardsDone))
 			job.shardsTotal.Store(int64(p.ShardsTotal))

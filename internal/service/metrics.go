@@ -112,10 +112,10 @@ func (t *Telemetry) bindManager(m *Manager) {
 		func() float64 { return float64(len(m.queue)) })
 	r.CounterFunc("maimond_result_cache_hits_total",
 		"Result-cache lookups served from cache.",
-		func() float64 { h, _, _ := m.cache.stats(); return float64(h) })
+		func() float64 { return float64(m.hits.Load()) })
 	r.CounterFunc("maimond_result_cache_misses_total",
 		"Result-cache lookups that missed.",
-		func() float64 { _, mi, _ := m.cache.stats(); return float64(mi) })
+		func() float64 { return float64(m.misses.Load()) })
 	r.GaugeFunc("maimond_datasets_registered",
 		"Datasets currently registered (one warm session each).",
 		func() float64 { return float64(m.reg.Len()) })

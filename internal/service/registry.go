@@ -4,7 +4,8 @@
 // dataset mines against the same warm entropy state; a job manager
 // running mining jobs on a bounded worker pool with an async lifecycle
 // (queued → running → done/failed/cancelled) and per-job cancellation via
-// context; a result cache keyed per session; and the HTTP handler
+// context, whose retained jobs also answer a repeated job per session
+// incarnation (the result cache); and the HTTP handler
 // exposing it all as a JSON API, versioned under /v1.
 //
 // The split from the library facade is deliberate: the facade owns the
@@ -242,18 +243,15 @@ func (g *Registry) EachSession(fn func(name string, s *maimon.Session)) {
 	}
 }
 
-// remove deletes the dataset and reports whether it existed along with
-// the removed incarnation's id (for cache invalidation). Jobs already
-// running on it keep their session reference and finish normally.
-func (g *Registry) remove(name string) (bool, int64) {
+// remove deletes the dataset and reports whether it existed. Jobs
+// already running on it keep their session reference and finish
+// normally.
+func (g *Registry) remove(name string) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	e, ok := g.m[name]
-	if !ok {
-		return false, 0
-	}
+	_, ok := g.m[name]
 	delete(g.m, name)
-	return true, e.id
+	return ok
 }
 
 // CloseAll closes every registered session, syncing each spill tier's

@@ -45,7 +45,7 @@ func newTestServer(t *testing.T, cfg service.Config) (*httptest.Server, *service
 }
 
 // serveManager serves mgr on a test server; both close at cleanup.
-func serveManager(t *testing.T, mgr *service.Manager) (*httptest.Server, *service.Manager) {
+func serveManager(t testing.TB, mgr *service.Manager) (*httptest.Server, *service.Manager) {
 	t.Helper()
 	ts := httptest.NewServer(service.NewServer(mgr))
 	t.Cleanup(func() {
@@ -358,6 +358,38 @@ func TestResultCacheHit(t *testing.T) {
 	misses, _ := sampleValue(e, "maimond_result_cache_misses_total", nil)
 	if hits != 1 || misses != 2 {
 		t.Fatalf("result cache: %v hits, %v misses; want 1 and 2", hits, misses)
+	}
+}
+
+// TestMVDsCacheKeyIgnoresMaxSchemes: an mvds job never enumerates
+// schemes, so two mvds requests that differ only in max_schemes share one
+// mine — the second is a hit serving an identical result body.
+func TestMVDsCacheKeyIgnoresMaxSchemes(t *testing.T) {
+	ts, mgr := newTestServer(t, service.Config{Workers: 1})
+	if _, err := mgr.Registry().Add("planted", plantedRelation(t)); err != nil {
+		t.Fatal(err)
+	}
+	resultBody := func(id string) []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("result: status %d, %v: %s", resp.StatusCode, err, b)
+		}
+		return b
+	}
+	first := submitJob(t, ts, service.JobRequest{Dataset: "planted", Epsilon: 0.1, Mode: service.ModeMVDs, MaxSchemes: 5})
+	waitDone(t, ts, first.ID)
+	second := submitJob(t, ts, service.JobRequest{Dataset: "planted", Epsilon: 0.1, Mode: service.ModeMVDs, MaxSchemes: 10})
+	if !second.CacheHit || second.State != service.StateDone {
+		t.Fatalf("max_schemes 10 after 5: cache_hit=%v state=%q, want a hit", second.CacheHit, second.State)
+	}
+	if a, b := resultBody(first.ID), resultBody(second.ID); !bytes.Equal(a, b) {
+		t.Fatalf("result bodies differ:\n%s\n%s", a, b)
 	}
 }
 

@@ -78,7 +78,6 @@ func (m *Manager) MineShard(ctx context.Context, req wire.ShardRequest) (*wire.S
 	var tr maimon.MineTrace
 	out, err := sess.MinePairMVDs(ctx, pairs,
 		maimon.WithEpsilon(req.Epsilon),
-		maimon.WithPruning(!req.DisablePruning),
 		maimon.WithWorkers(m.mineWorkers(req.Workers)),
 		maimon.WithTrace(&tr),
 	)

@@ -33,9 +33,6 @@ type ShardRequest struct {
 	// Workers is the worker-local parallel fan-out for this shard's
 	// pairs; 0 applies the worker's own default.
 	Workers int `json:"workers,omitempty"`
-	// DisablePruning turns off the pairwise-consistency optimization
-	// (ablation runs only).
-	DisablePruning bool `json:"disable_pruning,omitempty"`
 	// TimeoutMS bounds the shard mine on the worker; a timed-out shard
 	// returns partial per-pair results with Interrupted set.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`

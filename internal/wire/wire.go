@@ -59,9 +59,6 @@ type JobRequest struct {
 	// (Config.MineWorkers); values are capped at GOMAXPROCS. Results are
 	// deterministic regardless of the fan-out.
 	Workers int `json:"workers,omitempty"`
-	// DisablePruning turns off the pairwise-consistency optimization
-	// (ablation runs only).
-	DisablePruning bool `json:"disable_pruning,omitempty"`
 }
 
 // SchemeResult is one mined acyclic schema with its quality metrics.

@@ -99,9 +99,10 @@ func (m *Miner) EnumerateSchemes(mvds []mvd.MVD, emit func(*Scheme) bool) {
 // MVDs on wide approximate inputs), so cancellation is polled once per
 // row, not only once enumeration starts. Rows are written in place by
 // up to Options.Workers goroutines (mis.Graph.FillUpper); each row is
-// its key failures (keyMasks) plus the pairs the exact Compatible test
-// rejects among the rest, so the edge set, and thus every enumerated
-// scheme, is the same at every worker count.
+// Def. 7.1 decided 64 columns at a time from the column planes
+// (keyMasks), with Compatible run only on same-key pairs, so the edge
+// set, and thus every enumerated scheme, is the same at every worker
+// count.
 func (m *Miner) buildIncompatibilityGraph(g *mis.Graph, ms []mvd.MVD) (bool, int64) {
 	km := newKeyMasks(ms)
 	edges, ok := g.FillUpper(m.opts.Workers, func() func(int, []uint64) bool {

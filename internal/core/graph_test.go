@@ -15,6 +15,7 @@ import (
 	"repro/internal/entropy"
 	"repro/internal/mis"
 	"repro/internal/mvd"
+	"repro/internal/relation"
 )
 
 // randomMVDs returns n valid MVDs over u attributes. With probability
@@ -131,48 +132,89 @@ func checkGraph(t *testing.T, name string, ms []mvd.MVD) {
 	}
 }
 
+// sameKeyMVDs returns n full MVDs over u attributes that all share one
+// random key, so every pair of them reaches the graph row's same-key
+// bits, the ones decided by the scalar Compatible.
+func sameKeyMVDs(rng *rand.Rand, n, u int) []mvd.MVD {
+	var key bitset.AttrSet
+	for a := 0; a < u; a++ {
+		if rng.Intn(4) == 0 {
+			key = key.Add(a)
+		}
+	}
+	out := make([]mvd.MVD, 0, n)
+	for len(out) < n {
+		deps := make([]bitset.AttrSet, 2+rng.Intn(4))
+		key.Complement(u).ForEach(func(a int) bool {
+			d := rng.Intn(len(deps))
+			deps[d] = deps[d].Add(a)
+			return true
+		})
+		var nonEmpty []bitset.AttrSet
+		for _, d := range deps {
+			if !d.IsEmpty() {
+				nonEmpty = append(nonEmpty, d)
+			}
+		}
+		if m, err := mvd.New(key, nonEmpty); err == nil {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
 // TestIncompatibilityGraphMatchesPairwise holds the bit-row build — the
-// key prefilter, the exact test on its survivors, the in-place rows and
-// the block-transpose mirror — to pairwise Compatible on random MVD
-// lists (full and non-full, list lengths around word boundaries) and on
+// word evaluation of Def. 7.1 over the column planes, the scalar test on
+// its same-key bits, the in-place rows and the block-transpose mirror —
+// to pairwise Compatible on random MVD lists (full and non-full, list
+// lengths around word boundaries, and full MVDs sharing one key) and on
 // the MVDs mined from the benchmark's `wide` relation.
 func TestIncompatibilityGraphMatchesPairwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
-	var keyFails, exactFails, compatible int
-	for _, n := range []int{0, 1, 63, 64, 65, 129, 300} {
-		for _, u := range []int{5, 9, 13, 40} {
-			for _, pAbsent := range []float64{0, 0.15} {
-				ms := randomMVDs(rng, n, u, pAbsent)
-				checkGraph(t, fmt.Sprintf("n=%d u=%d absent=%v", n, u, pAbsent), ms)
-				km := newKeyMasks(ms)
-				s := km.newKeyRow()
-				row := make([]uint64, (n+63)/64)
-				for i := range ms {
-					clear(row)
-					km.keyFail(s, ms[i], i, row)
-					for j := i + 1; j < n; j++ {
-						keyFail := row[j/64]&(1<<uint(j%64)) != 0
-						if keyFail != keyPartFails(ms[i], ms[j]) {
-							t.Fatalf("%v vs %v: key-fail bit %v, Def. 7.1's key part says %v", ms[i], ms[j], keyFail, !keyFail)
-						}
-						switch {
-						case keyFail:
-							keyFails++
-						case !Compatible(ms[i], ms[j]):
-							exactFails++
-						default:
-							compatible++
-						}
-					}
+	var keyFails, exactFails, compatible, sameKey int
+	check := func(name string, ms []mvd.MVD) {
+		checkGraph(t, name, ms)
+		km := newKeyMasks(ms)
+		s := km.newKeyRow()
+		row := make([]uint64, (len(ms)+63)/64)
+		for i := range ms {
+			clear(row)
+			km.incompatibleRow(s, ms, i, row)
+			for j := i + 1; j < len(ms); j++ {
+				edge := row[j/64]&(1<<uint(j%64)) != 0
+				keyFail := keyPartFails(ms[i], ms[j])
+				if keyFail && !edge {
+					t.Fatalf("%s: %v vs %v: no edge, but Def. 7.1's key part fails", name, ms[i], ms[j])
+				}
+				switch {
+				case keyFail:
+					keyFails++
+				case !Compatible(ms[i], ms[j]):
+					exactFails++
+				default:
+					compatible++
+				}
+				if !keyFail && ms[i].Key == ms[j].Key {
+					sameKey++
 				}
 			}
 		}
 	}
-	// The lists must reach every branch: edges from the prefilter, edges
-	// only the exact test finds, and compatible pairs.
-	if keyFails == 0 || exactFails == 0 || compatible == 0 {
-		t.Fatalf("random lists too narrow: %d key failures, %d exact-only edges, %d compatible pairs",
-			keyFails, exactFails, compatible)
+	for _, n := range []int{0, 1, 63, 64, 65, 129, 300} {
+		for _, u := range []int{5, 9, 13, 40} {
+			for _, pAbsent := range []float64{0, 0.15} {
+				check(fmt.Sprintf("n=%d u=%d absent=%v", n, u, pAbsent), randomMVDs(rng, n, u, pAbsent))
+			}
+		}
+	}
+	for _, u := range []int{6, 13, 20} {
+		check(fmt.Sprintf("same key n=100 u=%d", u), sameKeyMVDs(rng, 100, u))
+	}
+	// The lists must reach every branch: key-part failures, edges only
+	// the rest of Def. 7.1 finds, compatible pairs, and same-key pairs.
+	if keyFails == 0 || exactFails == 0 || compatible == 0 || sameKey == 0 {
+		t.Fatalf("random lists too narrow: %d key failures, %d exact-only edges, %d compatible pairs, %d same-key pairs",
+			keyFails, exactFails, compatible, sameKey)
 	}
 	if testing.Short() {
 		return
@@ -183,10 +225,11 @@ func TestIncompatibilityGraphMatchesPairwise(t *testing.T) {
 	}
 }
 
-// FuzzIncompatibility checks the key prefilter and the exact verdict
-// against Compatible on fuzzer-chosen MVD pairs over ≤ 16 attributes.
-// Each uint64 assigns attribute a the nibble v = (p >> 4a) & 15: 0 leaves
-// a out of the MVD, 1 puts it in the key, v ≥ 2 in dependent v−2.
+// FuzzIncompatibility checks the graph row's verdict against Compatible,
+// in both list orders, on fuzzer-chosen MVD pairs over ≤ 16 attributes
+// and up to 14 dependents (L = 4 index bits). Each uint64 assigns
+// attribute a the nibble v = (p >> 4a) & 15: 0 leaves a out of the MVD, 1
+// puts it in the key, v ≥ 2 in dependent v−2.
 func FuzzIncompatibility(f *testing.F) {
 	f.Add(uint64(0x32), uint64(0x23))
 	f.Add(uint64(0x432), uint64(0x1432))
@@ -226,20 +269,13 @@ func FuzzIncompatibility(f *testing.F) {
 		if Compatible(psi, phi) != compatible {
 			t.Fatalf("Compatible not symmetric on %v, %v", phi, psi)
 		}
-		wantKeyFail := keyPartFails(phi, psi)
+		if keyPartFails(phi, psi) && compatible {
+			t.Fatalf("%v vs %v: key failure on a compatible pair", phi, psi)
+		}
 		for _, ms := range [][]mvd.MVD{{phi, psi}, {psi, phi}} {
 			km := newKeyMasks(ms)
-			s := km.newKeyRow()
 			row := make([]uint64, 1)
-			km.keyFail(s, ms[0], 0, row)
-			if keyFail := row[0] == 2; keyFail != wantKeyFail || row[0]&^2 != 0 {
-				t.Fatalf("%v vs %v: key-fail row %#x, want key failure %v", ms[0], ms[1], row[0], wantKeyFail)
-			}
-			if wantKeyFail && compatible {
-				t.Fatalf("%v vs %v: key failure on a compatible pair", ms[0], ms[1])
-			}
-			row[0] = 0
-			km.incompatibleRow(s, ms, 0, row)
+			km.incompatibleRow(km.newKeyRow(), ms, 0, row)
 			if edge := row[0] == 2; edge == compatible || row[0]&^2 != 0 {
 				t.Fatalf("%v vs %v: row %#x, Compatible = %v", ms[0], ms[1], row[0], compatible)
 			}
@@ -323,5 +359,61 @@ func TestIncompatibilityGraphAllocs(t *testing.T) {
 				workers, full, len(ms), eighth, len(ms)/8, limit)
 		}
 		t.Logf("workers=%d: %v allocs over %d MVDs", workers, full, len(ms))
+	}
+}
+
+var graphLists struct {
+	once  sync.Once
+	lists []graphList
+}
+
+type graphList struct {
+	name string
+	ms   []mvd.MVD
+}
+
+// BenchmarkIncompatibilityGraph times one serial graph build over three
+// mined lists of different widths: the benchmark's `wide` relation
+// (13 columns) at ε 0.1, the Hepatitis analog (20 columns, up to 13
+// dependents) at ε 0 and the Echocardiogram analog (13 columns) at
+// ε 0.1. Each list is mined once per test binary.
+func BenchmarkIncompatibilityGraph(b *testing.B) {
+	graphLists.once.Do(func() {
+		wideRel, err := datagen.Ladder("wide")
+		if err != nil {
+			panic(err)
+		}
+		mine := func(name string, r *relation.Relation, eps float64) {
+			opts := DefaultOptions(eps)
+			opts.Workers = 2
+			ms := NewMiner(shared(r), opts).MineMVDs().MVDs
+			mvd.Sort(ms)
+			graphLists.lists = append(graphLists.lists, graphList{name, ms})
+		}
+		mine("wide_eps01", wideRel, 0.1)
+		for _, d := range []struct {
+			name, dataset string
+			eps           float64
+		}{{"hep20_eps0", "Hepatitis", 0}, {"echo_eps01", "Echocardiogram", 0.1}} {
+			spec, err := datagen.Lookup(d.dataset, 10000)
+			if err != nil {
+				panic(err)
+			}
+			mine(d.name, spec.Generate(), d.eps)
+		}
+	})
+	for _, l := range graphLists.lists {
+		b.Run(l.name, func(b *testing.B) {
+			m := NewMiner(nil, DefaultOptions(0))
+			var edges int64
+			for b.Loop() {
+				var ok bool
+				if ok, edges = m.buildIncompatibilityGraph(mis.NewGraph(len(l.ms)), l.ms); !ok {
+					b.Fatal("build cut short")
+				}
+			}
+			b.ReportMetric(float64(len(l.ms)), "mvds")
+			b.ReportMetric(float64(edges), "edges")
+		})
 	}
 }

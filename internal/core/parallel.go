@@ -8,6 +8,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/mvd"
 	"repro/internal/par"
+	"repro/internal/stripe"
 )
 
 // This file is the per-attribute-pair loop of MVDMiner and of the
@@ -51,18 +52,13 @@ type progressAgg struct {
 	pairsDone  atomic.Int64
 
 	mu         sync.Mutex
-	seen       map[string]bool // live MVD dedup, display only
+	seen       mvdSet // live MVD dedup, display only
 	separators int
 	candidates int
-	mvds       int
 }
 
 func newProgressAgg(emit func(Progress), phase string, total int) *progressAgg {
-	a := &progressAgg{emit: emit, phase: phase, pairsTotal: total}
-	if emit != nil {
-		a.seen = make(map[string]bool)
-	}
-	return a
+	return &progressAgg{emit: emit, phase: phase, pairsTotal: total}
 }
 
 // pairDone folds one completed pair into the aggregate and emits an
@@ -79,10 +75,7 @@ func (a *progressAgg) pairDone(out *PairMVDs, visited int) {
 	a.separators += len(out.Seps)
 	a.candidates += visited
 	for _, phi := range out.MVDs {
-		if fp := phi.Fingerprint(); !a.seen[fp] {
-			a.seen[fp] = true
-			a.mvds++
-		}
+		a.seen.add(phi)
 	}
 	p := Progress{
 		Phase:      a.phase,
@@ -90,7 +83,7 @@ func (a *progressAgg) pairDone(out *PairMVDs, visited int) {
 		PairsTotal: a.pairsTotal,
 		Separators: a.separators,
 		Candidates: a.candidates,
-		MVDs:       a.mvds,
+		MVDs:       len(a.seen.list),
 	}
 	a.emit(p)
 	a.mu.Unlock()
@@ -177,28 +170,71 @@ func (m *Miner) minePairs(pairs [][2]int, phase string, expand bool) *MVDResult 
 }
 
 // MergePairs reduces per-pair outcomes to one MVDResult: each pair keeps
-// its separators, full MVDs are deduplicated by fingerprint across pairs
-// (first occurrence wins), and the union is sorted canonically. Given the
+// its separators, full MVDs are deduplicated across pairs (first
+// occurrence wins), and the union is sorted canonically. Given the
 // outcomes in canonical pair order it is the merge of a single-node mine,
 // which is how a coordinator reassembles shards mined on other machines
 // byte for byte. A pair absent from ps contributes nothing, like a pair
 // an interrupted mine never reached.
 func MergePairs(ps []PairMVDs) *MVDResult {
 	res := &MVDResult{MinSeps: make(map[Pair][]bitset.AttrSet)}
-	seen := make(map[string]bool)
+	var seen mvdSet
 	for _, p := range ps {
 		if len(p.Seps) > 0 {
 			res.MinSeps[Pair{p.A, p.B}] = p.Seps
 		}
 		for _, phi := range p.MVDs {
-			if fp := phi.Fingerprint(); !seen[fp] {
-				seen[fp] = true
-				res.MVDs = append(res.MVDs, phi)
-			}
+			seen.add(phi)
 		}
 	}
+	res.MVDs = seen.list
 	mvd.Sort(res.MVDs)
 	return res
+}
+
+// mvdSet keeps the first occurrence of each distinct MVD, in insertion
+// order. Members are found by a 64-bit hash of the MVD and confirmed with
+// MVD.Equal; the members that share a hash are chained through next from
+// the first of them, the one the table holds. The zero value is empty.
+type mvdSet struct {
+	list  []mvd.MVD
+	first stripe.Table[uint64, int32] // hash → position of its first member
+	next  []int32                     // position → next member with its hash, or -1
+}
+
+// hashMVD chains stripe.Hash over the key and the dependents.
+func hashMVD(m mvd.MVD) uint64 {
+	h := stripe.Hash(uint64(m.Key))
+	for _, d := range m.Deps {
+		h = stripe.Hash(h ^ uint64(d))
+	}
+	return h
+}
+
+// add inserts m unless an equal MVD is already in s, and reports whether
+// it did.
+func (s *mvdSet) add(m mvd.MVD) bool { return s.insert(hashMVD(m), m) }
+
+// insert is add with m's hash h given.
+func (s *mvdSet) insert(h uint64, m mvd.MVD) bool {
+	at := int32(len(s.list))
+	i, ok := s.first.Get(h)
+	if !ok {
+		s.first.Put(h, at)
+	} else {
+		for ; ; i = s.next[i] {
+			if s.list[i].Equal(m) {
+				return false
+			}
+			if s.next[i] < 0 {
+				break
+			}
+		}
+		s.next[i] = at
+	}
+	s.list = append(s.list, m)
+	s.next = append(s.next, -1)
+	return true
 }
 
 // allPairs returns the canonical attribute-pair list (a < b).

@@ -3,12 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bitset"
 	"repro/internal/datagen"
 	"repro/internal/entropy"
+	"repro/internal/mvd"
 	"repro/internal/pli"
 	"repro/internal/relation"
 )
@@ -294,6 +297,107 @@ func TestParallelRestrictedPairs(t *testing.T) {
 	for p := range par.MinSeps {
 		if !(bitset.Of(p.A, p.B) == bitset.Of(0, 8) || bitset.Of(p.A, p.B) == bitset.Of(1, 7) || bitset.Of(p.A, p.B) == bitset.Of(2, 5)) {
 			t.Fatalf("unexpected pair %v in restricted mine", p)
+		}
+	}
+}
+
+// mergeByFingerprint is MergePairs' reference rule: the first occurrence
+// of each MVD by Fingerprint, then mvd.Sort.
+func mergeByFingerprint(ps []PairMVDs) *MVDResult {
+	res := &MVDResult{MinSeps: make(map[Pair][]bitset.AttrSet)}
+	seen := make(map[string]bool)
+	for _, p := range ps {
+		if len(p.Seps) > 0 {
+			res.MinSeps[Pair{p.A, p.B}] = p.Seps
+		}
+		for _, phi := range p.MVDs {
+			if fp := phi.Fingerprint(); !seen[fp] {
+				seen[fp] = true
+				res.MVDs = append(res.MVDs, phi)
+			}
+		}
+	}
+	mvd.Sort(res.MVDs)
+	return res
+}
+
+// TestMergePairsMatchesFingerprintRule holds the hashed dedup of
+// MergePairs to the fingerprint rule on random pair lists whose repeated
+// MVDs are equal copies in distinct backing slices: the same result, and
+// each kept MVD is the first occurrence itself, not a later copy.
+func TestMergePairsMatchesFingerprintRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 50; trial++ {
+		pool := randomMVDs(rng, 1+rng.Intn(200), 4+rng.Intn(12), 0.1)
+		ps := make([]PairMVDs, rng.Intn(40))
+		for i := range ps {
+			ps[i].A, ps[i].B = i, i+1
+			if rng.Intn(3) > 0 {
+				ps[i].Seps = []bitset.AttrSet{bitset.Single(rng.Intn(8))}
+			}
+			for n := rng.Intn(30); n > 0; n-- {
+				phi := pool[rng.Intn(len(pool))]
+				phi.Deps = slices.Clone(phi.Deps)
+				ps[i].MVDs = append(ps[i].MVDs, phi)
+			}
+		}
+		got, want := MergePairs(ps), mergeByFingerprint(ps)
+		if !reflect.DeepEqual(got.MinSeps, want.MinSeps) {
+			t.Fatalf("trial %d: MinSeps differ", trial)
+		}
+		if len(got.MVDs) != len(want.MVDs) {
+			t.Fatalf("trial %d: %d MVDs, the fingerprint rule keeps %d", trial, len(got.MVDs), len(want.MVDs))
+		}
+		for k := range got.MVDs {
+			if !got.MVDs[k].Equal(want.MVDs[k]) || &got.MVDs[k].Deps[0] != &want.MVDs[k].Deps[0] {
+				t.Fatalf("trial %d: MVD %d is %v, the fingerprint rule keeps %v (or another occurrence of it)",
+					trial, k, got.MVDs[k], want.MVDs[k])
+			}
+		}
+	}
+}
+
+// TestMVDSetKeepsHashCollisions feeds the set one hash for different
+// MVDs: each is kept, in order, and an equal copy of any is not.
+func TestMVDSetKeepsHashCollisions(t *testing.T) {
+	ms := []mvd.MVD{
+		mvd.MustNew(bitset.Of(0), bitset.Of(1), bitset.Of(2)),
+		mvd.MustNew(bitset.Of(0), bitset.Of(1, 2), bitset.Of(3)),
+		mvd.MustNew(bitset.Of(4), bitset.Of(1), bitset.Of(2)),
+	}
+	var s mvdSet
+	for i, m := range ms {
+		if !s.insert(42, m) {
+			t.Fatalf("%v (member %d) rejected on a hash collision", m, i)
+		}
+	}
+	for _, m := range ms {
+		m.Deps = slices.Clone(m.Deps)
+		if s.insert(42, m) {
+			t.Fatalf("equal copy of %v inserted again", m)
+		}
+	}
+	if !reflect.DeepEqual(s.list, ms) {
+		t.Fatalf("set holds %v, want %v", s.list, ms)
+	}
+}
+
+// TestProgressFinalMVDsMatchesResult: the last phase-1 event's MVD count
+// (the progress aggregate's own dedup) is the size of the merged Mε, on
+// `wide` at ε 0.1, serial and with two workers.
+func TestProgressFinalMVDsMatchesResult(t *testing.T) {
+	o, _ := wideMVDs(t)
+	for _, workers := range []int{1, 2} {
+		opts := DefaultOptions(0.1)
+		opts.Workers = workers
+		var last Progress
+		opts.Progress = func(p Progress) { last = p }
+		res := NewMiner(o, opts).MineMVDs()
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if last.MVDs != len(res.MVDs) || last.PairsDone != last.PairsTotal {
+			t.Fatalf("workers=%d: final event %+v, result has %d MVDs", workers, last, len(res.MVDs))
 		}
 	}
 }

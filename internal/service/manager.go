@@ -137,7 +137,8 @@ type Manager struct {
 	seq    int64
 	closed bool
 
-	hits, misses atomic.Int64 // Submit's lookups in served
+	hits   atomic.Int64 // Submit's lookups served from a retained job
+	misses atomic.Int64 // uncached jobs that started mining
 }
 
 // NewManager starts a manager with cfg.Workers mining workers over the
@@ -264,7 +265,6 @@ func (m *Manager) Submit(req JobRequest) (*Job, error) {
 		m.tel.jobSubmitted(job)
 		return job, nil
 	}
-	m.misses.Add(1)
 	select {
 	case m.queue <- job:
 		m.register(job)
@@ -396,6 +396,7 @@ func (m *Manager) run(job *Job) {
 		defer cancel()
 	}
 	start := time.Now()
+	m.misses.Add(1)
 	result, err := m.mine(ctx, sess, job)
 	result.ElapsedMS = time.Since(start).Milliseconds()
 

@@ -114,7 +114,7 @@ func (t *Telemetry) bindManager(m *Manager) {
 		"Result-cache lookups served from cache.",
 		func() float64 { return float64(m.hits.Load()) })
 	r.CounterFunc("maimond_result_cache_misses_total",
-		"Result-cache lookups that missed.",
+		"Uncached jobs that started mining.",
 		func() float64 { return float64(m.misses.Load()) })
 	r.GaugeFunc("maimond_datasets_registered",
 		"Datasets currently registered (one warm session each).",

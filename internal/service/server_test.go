@@ -592,3 +592,74 @@ func TestQueueBackpressure(t *testing.T) {
 	cancelJob(t, ts, queued.ID)
 	cancelJob(t, ts, running.ID)
 }
+
+// TestResultCacheMissesCountMines: the miss counter counts uncached jobs
+// that started mining. A submit refused with 503, a job cancelled while
+// queued and a job whose dataset was removed before it ran mine nothing,
+// and leave maimond_result_cache_misses_total where it was.
+func TestResultCacheMissesCountMines(t *testing.T) {
+	ts, mgr := serveManager(t, service.NewManagerWithQueue(service.NewRegistry(), service.Config{Workers: 1}, 1))
+	for name, r := range map[string]*relation.Relation{"slow": slowRelation(), "gone": slowRelation(), "planted": plantedRelation(t)} {
+		if _, err := mgr.Registry().Add(name, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	misses := func(want float64, after string) {
+		t.Helper()
+		if got, _ := sampleValue(scrapeMetrics(t, ts.URL), "maimond_result_cache_misses_total", nil); got != want {
+			t.Fatalf("after %s: %v result-cache misses, want %v", after, got, want)
+		}
+	}
+	isRunning := func(s service.JobStatus) bool { return s.State == service.StateRunning }
+	isTerminal := func(s service.JobStatus) bool { return s.State.Terminal() }
+	// drained waits until the one worker has taken every queued job.
+	drained := func() {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			if depth, _ := sampleValue(scrapeMetrics(t, ts.URL), "maimond_jobs_queue_depth", nil); depth == 0 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("queue never drained")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	running := submitJob(t, ts, service.JobRequest{Dataset: "slow", Epsilon: 0.3})
+	waitFor(t, ts, running.ID, 10*time.Second, isRunning)
+	misses(1, "one job mining")
+	queued := submitJob(t, ts, service.JobRequest{Dataset: "slow", Epsilon: 0.25})
+	misses(1, "one job queued")
+	body, _ := json.Marshal(service.JobRequest{Dataset: "slow", Epsilon: 0.2})
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submit to full queue: status %d, want 503", resp.StatusCode)
+	}
+	misses(1, "a 503")
+	cancelJob(t, ts, queued.ID)
+	cancelJob(t, ts, running.ID)
+	waitFor(t, ts, running.ID, 10*time.Second, isTerminal)
+	drained()
+	misses(1, "a job cancelled while queued")
+
+	running = submitJob(t, ts, service.JobRequest{Dataset: "slow", Epsilon: 0.3})
+	waitFor(t, ts, running.ID, 10*time.Second, isRunning)
+	orphan := submitJob(t, ts, service.JobRequest{Dataset: "gone", Epsilon: 0.3})
+	if !mgr.RemoveDataset("gone") {
+		t.Fatal("dataset gone not removed")
+	}
+	cancelJob(t, ts, running.ID)
+	if st := waitFor(t, ts, orphan.ID, 10*time.Second, isTerminal); st.State != service.StateFailed {
+		t.Fatalf("job on a removed dataset ended %q, want failed", st.State)
+	}
+	misses(2, "a job whose dataset was removed before it ran")
+
+	waitDone(t, ts, submitJob(t, ts, service.JobRequest{Dataset: "planted", Epsilon: 0.1}).ID)
+	misses(3, "a mined job")
+}

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -388,51 +390,58 @@ func TestKeyAnswersMatchSearch(t *testing.T) {
 	}
 	rels["letter"] = spec.Generate()
 	all := []float64{0, 0.02, 0.1, 0.3}
-	split, searched := 0, 0
-	for _, c := range []struct {
-		name    string
-		eps     []float64
-		pruning bool
-	}{
-		{"nursery", all, true},
-		{"planted", all, true},
-		{"planted-noisy", all, true},
-		{"letter", []float64{0, 0.02}, true},
-		{"planted-noisy", []float64{0, 0.1}, false},
-		{"nursery", []float64{0.3}, false},
-	} {
-		r := rels[c.name]
-		for _, eps := range c.eps {
-			for _, workers := range []int{1, 4} {
-				opts := DefaultOptions(eps)
-				opts.PairwiseConsistency = c.pruning
-				opts.Workers = workers
-				m := NewMiner(shared(r), opts)
-				if res := m.MineMVDs(); res.Err != nil {
-					t.Fatal(res.Err)
-				}
-				if hashed := m.keys.dense == nil; hashed != (r.NumCols() > bitset.DenseMaxAttrs) {
-					t.Fatalf("%s: %d columns mined over a hashed key memo: %v", c.name, r.NumCols(), hashed)
-				}
-				answerEveryPair(m)
-				opts.Workers = 1
-				s, v, w := checkKeyAnswers(t, m, NewMiner(entropy.New(r), opts))
-				keys := 0
-				for _, root := range keyRoots(m.keys) {
-					if len(root.deps) > 1 {
-						keys++
+	var split, searched atomic.Int64
+	// The cells are independent: each mines over its own oracles, so they
+	// run as parallel subtests, and the counts are checked once all end.
+	t.Run("cells", func(t *testing.T) {
+		for _, c := range []struct {
+			name    string
+			eps     []float64
+			pruning bool
+		}{
+			{"nursery", all, true},
+			{"planted", all, true},
+			{"planted-noisy", all, true},
+			{"letter", []float64{0, 0.02}, true},
+			{"planted-noisy", []float64{0, 0.1}, false},
+			{"nursery", []float64{0.3}, false},
+		} {
+			r := rels[c.name]
+			for _, eps := range c.eps {
+				t.Run(fmt.Sprintf("%s/eps=%v/pruning=%v", c.name, eps, c.pruning), func(t *testing.T) {
+					t.Parallel()
+					for _, workers := range []int{1, 4} {
+						opts := DefaultOptions(eps)
+						opts.PairwiseConsistency = c.pruning
+						opts.Workers = workers
+						m := NewMiner(shared(r), opts)
+						if res := m.MineMVDs(); res.Err != nil {
+							t.Fatal(res.Err)
+						}
+						if hashed := m.keys.dense == nil; hashed != (r.NumCols() > bitset.DenseMaxAttrs) {
+							t.Fatalf("%s: %d columns mined over a hashed key memo: %v", c.name, r.NumCols(), hashed)
+						}
+						answerEveryPair(m)
+						opts.Workers = 1
+						s, v, w := checkKeyAnswers(t, m, NewMiner(entropy.New(r), opts))
+						keys := 0
+						for _, root := range keyRoots(m.keys) {
+							if len(root.deps) > 1 {
+								keys++
+							}
+						}
+						if w != keys {
+							t.Fatalf("%s eps=%v pruning=%v workers=%d: %d of %d keys with a pair walked", c.name, eps, c.pruning, workers, w, keys)
+						}
+						split.Add(int64(s))
+						searched.Add(int64(v))
 					}
-				}
-				if w != keys {
-					t.Fatalf("%s eps=%v pruning=%v workers=%d: %d of %d keys with a pair walked", c.name, eps, c.pruning, workers, w, keys)
-				}
-				split += s
-				searched += v
+				})
 			}
 		}
-	}
-	if split == 0 || searched == 0 {
-		t.Fatalf("%d split-table verdicts and %d searched verdicts checked, want both", split, searched)
+	})
+	if split.Load() == 0 || searched.Load() == 0 {
+		t.Fatalf("%d split-table verdicts and %d searched verdicts checked, want both", split.Load(), searched.Load())
 	}
 }
 

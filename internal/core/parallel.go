@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/bitset"
+	"repro/internal/entropy"
 	"repro/internal/mvd"
 	"repro/internal/par"
 	"repro/internal/stripe"
@@ -21,12 +22,14 @@ import (
 // fork returns a worker view of the miner: same oracle, options and
 // context, fresh counters. The progress callback is stripped — the
 // fan-out aggregates and emits progress itself. The worker reads H
-// through a worker-local entropy view — same memo and single-flight as
-// the shared oracle, plus a dedicated PLI arena, so its entropy misses
-// never contend on the arena pool or allocate intersection scratch. The
-// returned release must run when the worker is done.
-func (m *Miner) fork() (w *Miner, release func()) {
-	loc := m.oracle.Local()
+// through a worker-local entropy view joined to the phase's team — same
+// memo and single-flight as the shared oracle, under an entropy budget
+// the entropies its peers have counted, and a dedicated PLI arena, so
+// its entropy misses never contend on the arena pool or allocate
+// intersection scratch. The returned release must run when the worker
+// is done.
+func (m *Miner) fork(team *entropy.Team) (w *Miner, release func()) {
+	loc := team.Local()
 	w = &Miner{oracle: m.oracle, src: loc, opts: m.opts, ctx: m.ctx, done: m.done, keys: m.keys}
 	w.opts.Progress = nil
 	return w, loc.Release
@@ -108,8 +111,12 @@ func (m *Miner) minePairMVDs(pairs [][2]int, phase string, expand bool) ([]PairM
 	agg := newProgressAgg(m.opts.Progress, phase, len(pairs))
 	var statsMu sync.Mutex
 	var last MinSepTrace // the final pair's, whichever worker mined it
+	// The workers' entropy views, readable by one another until par.For
+	// returns: under an entropy budget, within the phase each set is
+	// counted once at any fan-out.
+	team := m.oracle.Team(min(m.opts.Workers, len(pairs)))
 	par.For(len(pairs), m.opts.Workers, func() (func(int) bool, func()) {
-		w, release := m.fork()
+		w, release := m.fork(team)
 		return func(i int) bool {
 				if w.stopped() {
 					return false

@@ -207,16 +207,20 @@ func (o *Oracle) Stats() Stats {
 // H(∅) = 0 and H(Ω) = log2 N when rows are distinct.
 func (o *Oracle) H(attrs bitset.AttrSet) float64 { return o.hWith(nil, attrs) }
 
-// hWith is H on an optional caller arena. A warm read of a dense memo is
-// one atomic load; otherwise the memo store's Acquire either answers the
-// read or makes this caller the set's owner. No lock is held across the
-// partition computation, so distinct sets compute concurrently while
-// duplicates of the same set wait for their owner. The compute runs on
-// the caller's arena when one is threaded in (workers mining through a
-// Local), or on a pooled arena otherwise — this single-flight compute is
-// the one place partitions are counted and built, so it is where the
-// arena matters.
-func (o *Oracle) hWith(a *pli.Arena, attrs bitset.AttrSet) float64 {
+// hWith is H for a worker view l, or for no view when l is nil. A warm
+// read of a dense memo is one atomic load; otherwise the memo store's
+// Acquire either answers the read or makes this caller the set's owner.
+// No lock is held across the partition computation, so distinct sets
+// compute concurrently while duplicates of the same set wait for their
+// owner. An owner first looks again where a computed entropy may be kept
+// outside the memo — the dense memo, and the views of l's peers — and
+// hands a value found there over with Abort; so within one phase a set
+// the memo has evicted is still counted once. The compute runs on the
+// view's arena, or on a pooled arena without one — this single-flight
+// compute is the one place partitions are counted and built, so it is
+// where the arena matters. The view keeps the entropy before the memo
+// publishes it, so a peer that owns the set next finds it there.
+func (o *Oracle) hWith(l *Local, attrs bitset.AttrSet) float64 {
 	sh := o.countsOf(attrs)
 	sh.hCalls.Add(1)
 	if attrs.IsEmpty() {
@@ -231,17 +235,23 @@ func (o *Oracle) hWith(a *pli.Arena, attrs bitset.AttrSet) float64 {
 		// Answered from the memo, or by the owner this call waited for:
 		// a cached serve.
 		sh.hCached.Add(1)
+		l.keep(attrs, h)
 		return h
 	}
-	// A dense entry is written before its owner lets go of the set, so
-	// an owner finds the set there once it has been computed.
-	if h, ok := o.denseGet(attrs); ok {
+	// A dense entry is written, and a view's kept, before its owner lets
+	// go of the set, so an owner finds the set in one of them once it
+	// has been computed.
+	h, ok := o.denseGet(attrs)
+	if !ok {
+		h, ok = l.peerGet(attrs)
+	}
+	if ok {
 		o.memo.Abort(attrs, h)
 		sh.hCached.Add(1)
 		return h
 	}
-	if a != nil {
-		h = o.cache.EntropyWith(a, attrs)
+	if l != nil {
+		h = o.cache.EntropyWith(l.a, attrs)
 	} else {
 		pa := pli.GetArena()
 		h = o.cache.EntropyWith(pa, attrs)
@@ -251,6 +261,7 @@ func (o *Oracle) hWith(a *pli.Arena, attrs bitset.AttrSet) float64 {
 		o.dense.At(attrs).Store(math.Float64bits(h))
 		o.memo.Abort(attrs, h)
 	} else {
+		l.keep(attrs, h)
 		o.memo.Publish(attrs, h, false)
 	}
 	return h
@@ -313,43 +324,86 @@ func miSum(hxy, hxz, hxyz, hx float64) float64 {
 // single-flight computes, so a worker mining through it never touches the
 // arena pool, never allocates intersection scratch, and answers its warm
 // entropy reads without crossing the oracle's shard locks. The mining
-// pipeline hands one to each worker goroutine, the lone worker of a
-// serial mine included.
+// pipeline hands one to each worker goroutine of a phase, the lone worker
+// of a serial mine included, all joined to one Team.
 //
-// Over a dense memo a warm read is the oracle's own lock-free load. Over
-// the hashed memo the view keeps a private read-through stripe.Table of
-// every entropy it has seen (capped so a pathological sweep cannot grow
-// it without bound); entropies are immutable, so a locally retained value
-// an entropy budget has since evicted from the shared memo is still
-// exact. Either way a warm read counts as a cached H call in
+// Over a dense memo a warm read is the oracle's own lock-free load, and
+// the view keeps nothing. Over the hashed memo the view is a
+// stripe.Words that belongs to its worker: only the worker writes it —
+// every entropy the worker computes, before the memo publishes it, and
+// every entropy the memo serves it — and, where the memo has a budget,
+// the other workers of its team read it without a lock. A read looks in
+// the worker's own view, then in its peers', then in the shared memo,
+// and the owner of a memo claim looks in its peers' views again before
+// it counts. So within one phase each set is counted at most once,
+// whatever the entropy budget has evicted from the memo and whatever the
+// fan-out, as long as no view is full. Entropies are immutable, so a value a view retains is exact. A
+// view is capped at localMemoCap entries, past which it keeps nothing
+// new (existing entries keep serving); its entries are outside the
+// memo's budget. Either way a warm read counts as a cached H call in
 // worker-private counters that Release flushes into the oracle's stats —
 // workers release their views before each phase barrier, so
 // phase-boundary Stats snapshots see the same HCalls/HCached/MICalls
 // totals as a serial mine.
 //
 // A Local is bound to one goroutine at a time; Release returns its arena
-// to the pool. H/MI/MICarried are semantically identical to the
-// oracle's own (same memo, same single-flight, same counters), so a Local
+// to the pool, and its view stays readable to its peers for as long as
+// the team is. H/MI/MICarried are semantically identical to the oracle's
+// own (same memo, same single-flight, same counters), so a Local
 // satisfies the same entropy-source contract miners program against.
 type Local struct {
 	o                        *Oracle
 	a                        *pli.Arena
-	memo                     stripe.Table[bitset.AttrSet, float64]
+	team                     *Team
+	memo                     stripe.Words // bitset.AttrSet → float64 bits
 	hCalls, hCached, miCalls int
 }
 
-// localMemoCap bounds a view's read-through memo; past it, new sets pass
-// through to the shared memo uncached (existing entries keep serving).
+// localMemoCap bounds a view; past it, new sets pass through to the
+// shared memo unkept (existing entries keep serving).
 const localMemoCap = 1 << 16
 
-// Local checks a worker-local view out of the arena pool.
-func (o *Oracle) Local() *Local {
-	return &Local{o: o, a: pli.GetArena()}
+// Team is the worker views of one parallel phase: each worker's Local
+// joins it, and reads the views of the others. A view stays readable
+// after its worker releases it, for as long as the team is referenced —
+// a phase drops its team once every worker is done. Only a memo that
+// evicts has its views shared: an unbudgeted one keeps every entropy a
+// peer has counted, and reaching it there takes one shard lock where a
+// probe of each peer's view, once the views outgrow the caches, takes a
+// cache miss apiece.
+type Team struct {
+	o      *Oracle
+	views  []atomic.Pointer[stripe.Words]
+	joined atomic.Int64
 }
 
-// Release returns the view's arena to the pool, flushes the read-through
-// counters into the shared stats, and drops the private memo; the Local
-// must not be used afterwards.
+// Team returns an empty team of up to n views over o: the phase's
+// worker count. Over a dense or an unbudgeted memo no view is shared.
+func (o *Oracle) Team(n int) *Team {
+	t := &Team{o: o}
+	if o.dense == nil && o.memo.Budget() > 0 {
+		t.views = make([]atomic.Pointer[stripe.Words], max(n, 1))
+	}
+	return t
+}
+
+// Local checks a worker view out of the arena pool and joins it to the
+// team. Views past the team's n read their peers but are not read by
+// them; over a memo that does not evict, none is read by another.
+func (t *Team) Local() *Local {
+	l := &Local{o: t.o, a: pli.GetArena(), team: t}
+	if i := t.joined.Add(1) - 1; i < int64(len(t.views)) {
+		t.views[i].Store(&l.memo)
+	}
+	return l
+}
+
+// Local checks a worker-local view with no peers out of the arena pool.
+func (o *Oracle) Local() *Local { return o.Team(1).Local() }
+
+// Release returns the view's arena to the pool and flushes the
+// read-through counters into the shared stats; the Local must not be
+// used afterwards. Its view is kept for the team's other workers.
 func (l *Local) Release() {
 	if l.hCalls+l.miCalls > 0 {
 		sh := &l.o.counts[0]
@@ -358,7 +412,6 @@ func (l *Local) Release() {
 		sh.miCalls.Add(int64(l.miCalls))
 		l.hCalls, l.hCached, l.miCalls = 0, 0, 0
 	}
-	l.memo = stripe.Table[bitset.AttrSet, float64]{}
 	if l.a != nil {
 		pli.PutArena(l.a)
 		l.a = nil
@@ -366,7 +419,7 @@ func (l *Local) Release() {
 }
 
 // H is Oracle.H computed on the view's arena, read through the dense memo
-// or the view's private one: a warm read is a load or a table probe and
+// or the team's views: a warm read is a load or a few table probes and
 // two counter bumps, no shard lock, no allocation.
 func (l *Local) H(attrs bitset.AttrSet) float64 {
 	// The empty set is answered without a memo — a call, never a cached
@@ -375,24 +428,44 @@ func (l *Local) H(attrs bitset.AttrSet) float64 {
 		l.hCalls++
 		return 0
 	}
-	if l.o.dense != nil {
-		if h, ok := l.o.denseGet(attrs); ok {
-			l.hCalls++
-			l.hCached++
-			return h
+	h, ok := l.o.denseGet(attrs)
+	if !ok && l.o.dense == nil {
+		if b, own := l.memo.Get(uint64(attrs)); own {
+			h, ok = math.Float64frombits(b), true
+		} else {
+			h, ok = l.peerGet(attrs)
 		}
-		return l.o.hWith(l.a, attrs)
 	}
-	if h, ok := l.memo.Get(attrs); ok {
+	if ok {
 		l.hCalls++
 		l.hCached++
 		return h
 	}
-	h := l.o.hWith(l.a, attrs)
-	if l.memo.Len() < localMemoCap {
-		l.memo.Put(attrs, h)
+	return l.o.hWith(l, attrs)
+}
+
+// keep writes a hashed memo's entropy into the view, unless it is full;
+// a no-op over a dense memo or without a view (l nil).
+func (l *Local) keep(attrs bitset.AttrSet, h float64) {
+	if l != nil && l.o.dense == nil && l.memo.Len() < localMemoCap {
+		l.memo.Put(uint64(attrs), math.Float64bits(h))
 	}
-	return h
+}
+
+// peerGet reads attrs from the views of l's team other than its own;
+// false without a view (l nil) or when no peer holds the set.
+func (l *Local) peerGet(attrs bitset.AttrSet) (float64, bool) {
+	if l == nil {
+		return 0, false
+	}
+	for i := range l.team.views {
+		if w := l.team.views[i].Load(); w != nil && w != &l.memo {
+			if b, ok := w.Get(uint64(attrs)); ok {
+				return math.Float64frombits(b), true
+			}
+		}
+	}
+	return 0, false
 }
 
 // MI is Oracle.MI computed on the view's arena. Like the H counters, the

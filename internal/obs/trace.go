@@ -16,7 +16,11 @@ import (
 // separators, same candidate MVDs, same single-flight entropy computes),
 // so the stage counts and the entropy-level oracle counts (HCalls,
 // HComputes, HCached, MICalls) are identical across fan-outs, as is the
-// PLI hits+misses sum. The PLI-layer detail below that is not: how a
+// PLI hits+misses sum. Under an entropy budget that evicts, phase 1's
+// counts hold too — its workers read one another's entropy views before
+// the memo — but a later phase reads through the memo alone, whose
+// contents after eviction follow the order the workers published in, so
+// its HComputes and HCached can differ by a few. The PLI-layer detail below that is not: how a
 // partition chain is assembled depends on what compute order has already
 // cached, so the hit/miss split, Intersects, EntropyOnly, and
 // BytesTouched can shift slightly with scheduling. CountsOnly reduces a

@@ -83,6 +83,9 @@ func (s *Store[K, V]) Len() int { return int(s.entries.Load()) }
 // budget bounds.
 func (s *Store[K, V]) Bytes() int64 { return s.bytes.Load() }
 
+// Budget returns the byte budget; <= 0 means unbounded.
+func (s *Store[K, V]) Budget() int64 { return s.budget }
+
 // PinnedBytes returns the priced bytes of the pinned entries.
 func (s *Store[K, V]) PinnedBytes() int64 { return s.pinned.Load() }
 

@@ -2,7 +2,8 @@
 // the sharded, single-flight, byte-budgeted map under the PLI partition
 // cache, the entropy memo and the search's key memo; Clock, the
 // second-chance rule its budget evicts by; Table, the single-goroutine
-// probe table a mining worker fronts a Store with; and the power-of-two
+// probe table; Words, the single-writer probe table a mining worker
+// fronts a Store with and its peers read; and the power-of-two
 // shard count and the hash of a 64-bit key (an AttrSet, a uint64 of
 // attribute bits) they share.
 package stripe

@@ -171,11 +171,13 @@ func WithSpillBudget(bytes int64) Option {
 // that keeps it, a smaller one makes the memo hashed and bounded.
 //
 // Where the memo is hashed — above 16 attributes, or under a budget below
-// 8·2ⁿ bytes — the budget does not bound the mining workers' read-through
-// views: for the length of one phase each worker keeps the entropies it
-// has read in a private table of up to 2^16 entries (at most 2 MiB of
-// slots), on top of the budget. Over the dense table a worker keeps no
-// such view.
+// 8·2ⁿ bytes — each mining worker keeps a view of the entropies it has
+// counted or been served, up to 2^16 entries (at most 2 MiB of slots),
+// for the length of one phase, not counted in the budget. A view belongs
+// to one worker; under a budget the other workers of the phase read it
+// before they go to the memo, so within a phase an entropy is counted
+// once at any fan-out, whatever the budget evicts. Over the dense table
+// a worker keeps no such view.
 func WithEntropyBudget(bytes int64) Option {
 	return func(c *config) { c.entropyBudget = bytes }
 }

@@ -133,3 +133,58 @@ func TestWithTraceThreading(t *testing.T) {
 		t.Errorf("threaded trace not reset between calls: %d phases, want %d", len(tr.Phases), first)
 	}
 }
+
+// TestBudgetedFreshCountWorkerInvariant: under an entropy budget that
+// makes the memo hashed and evicting, the mining phase still counts each
+// entropy once at any fan-out — the workers read one another's views
+// before the memo — so its fresh H (HCalls − HCached over the phase), the
+// MVDs and the schemes are identical at workers 1, 2 and 4. The schemes
+// phase is not compared: it reads through the memo alone, whose contents
+// after eviction follow the order the workers published in.
+func TestBudgetedFreshCountWorkerInvariant(t *testing.T) {
+	r, err := datagen.Ladder("wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		fresh   int64
+		mvds    []MVD
+		schemes []string
+	}
+	mine := func(workers int) outcome {
+		s, err := Open(r, WithEntropyBudget(48<<10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		schemes, res, err := s.MineSchemes(context.Background(), WithEpsilon(0.1), WithMaxSchemes(100), WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.MemoEvictions == 0 {
+			t.Fatalf("workers=%d: the 48 KiB memo evicted nothing", workers)
+		}
+		ph := s.Trace().Phase("mvds")
+		if ph == nil {
+			t.Fatalf("workers=%d: trace has no mvds phase", workers)
+		}
+		out := outcome{fresh: ph.Oracle.HCalls - ph.Oracle.HCached, mvds: res.MVDs}
+		for _, sc := range schemes {
+			out.schemes = append(out.schemes, sc.Schema.Fingerprint())
+		}
+		return out
+	}
+	serial := mine(1)
+	for _, workers := range []int{2, 4} {
+		got := mine(workers)
+		if got.fresh != serial.fresh {
+			t.Errorf("workers=%d: %d fresh H in the mining phase, workers=1 counted %d", workers, got.fresh, serial.fresh)
+		}
+		if !reflect.DeepEqual(got.mvds, serial.mvds) {
+			t.Errorf("workers=%d: %d MVDs differ from workers=1's %d", workers, len(got.mvds), len(serial.mvds))
+		}
+		if !reflect.DeepEqual(got.schemes, serial.schemes) {
+			t.Errorf("workers=%d: schemes differ from workers=1's", workers)
+		}
+	}
+}

@@ -643,10 +643,6 @@ func BenchmarkMicro_SchemeEnumeration(b *testing.B) {
 	res := m.MineMVDs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		count := 0
-		m.EnumerateSchemes(res.MVDs, func(*core.Scheme) bool {
-			count++
-			return count < 50
-		})
+		m.EnumerateSchemes(res.MVDs, 50, func(*core.Scheme) bool { return true })
 	}
 }

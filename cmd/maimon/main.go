@@ -54,14 +54,14 @@ func main() {
 		epsilon      = flag.Float64("epsilon", 0, "approximation threshold ε in bits")
 		mode         = flag.String("mode", "schemes", "minseps | mvds | schemes | decompose")
 		timeout      = flag.Duration("timeout", time.Minute, "mining time budget (0 = unlimited)")
-		maxSchemes   = flag.Int("max-schemes", 100, "cap on schemes enumerated (0 = all)")
+		maxSchemes   = flag.Int("max-schemes", maimon.DefaultMaxSchemes, "cap on schemes enumerated, the library's default unless set (0 = all)")
 		withFDs      = flag.Bool("fds", false, "also mine exact FDs/UCCs (baseline)")
 		schemaSpec   = flag.String("schema", "", "decompose mode: explicit schema, bags separated by ';' (e.g. \"A,B,D;A,C,D;B,D,E;A,F\")")
 		outDir       = flag.String("out", "decomposed", "decompose mode: output directory")
 		rank         = flag.String("rank", "savings", "schemes mode ordering: savings | j | relations | width")
 		workers      = flag.Int("workers", 0, "parallel mining and ranking fan-out (0 = GOMAXPROCS, 1 = serial)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "PLI cache memory budget in bytes; cold partitions are evicted past it (0 = unlimited)")
-		entropyBytes = flag.Int64("entropy-bytes", 0, "entropy-memo memory budget in bytes; cold entropies are evicted past it (0 = unlimited); at most 16 columns, 0 or a budget of at least 8·2^columns bytes keeps the never-evicted dense memo of that size instead; where the memo is hashed, each mining worker keeps a view of up to 2^16 entropies (2 MiB) per phase, not counted here; under a budget its peers read it too, so no worker recounts what another counted")
+		entropyBytes = flag.Int64("entropy-bytes", 0, "entropy-memo memory budget in bytes; cold entropies are evicted past it (0 = unlimited); at most 16 columns, 0 or a budget of at least 8·2^columns bytes keeps the never-evicted dense memo of that size instead; where the memo is hashed, each mining worker keeps a view of up to 2^16 entropies (2 MiB), not counted here; under a budget its peers and the scheme phase read it too, and it lives until the mine ends, so nothing a worker counted is counted again")
 		spillDir     = flag.String("spill-dir", "", "disk spill tier: evicted partitions worth re-reading are demoted into segment files under this directory instead of dropped (empty = disabled)")
 		spillBytes   = flag.Int64("spill-bytes", 0, "on-disk budget of the spill tier; oldest segments deleted past it (0 = unlimited)")
 		verbose      = flag.Bool("v", false, "stream live progress (and schemes, as they arrive) to stderr")

@@ -64,14 +64,36 @@ func TestContextPreCancelled(t *testing.T) {
 	}
 }
 
-// A context deadline surfaces as ErrInterrupted, same as WithTimeout, so
-// timeout handling is uniform regardless of which mechanism fired.
+// A context deadline that fires mid-mine surfaces as ErrInterrupted, not
+// as the context's DeadlineExceeded, with the results mined so far: the
+// caller's context is the one deadline a mine has.
 func TestContextDeadlineMapsToErrInterrupted(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := mustOpen(t, slowRelation()).MineMVDs(ctx, WithEpsilon(0.3))
+	res, err := mustOpen(t, slowRelation()).MineMVDs(ctx, WithEpsilon(0.3))
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
+	}
+	if res == nil {
+		t.Fatal("partial result missing")
+	}
+}
+
+// SchemeSeq surfaces a deadline as a final ErrInterrupted yield, matching
+// the batch entry points.
+func TestSchemeSeqTimeoutYieldsErrInterrupted(t *testing.T) {
+	s, err := Open(slowRelation())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	var last error
+	for _, err := range s.SchemeSeq(ctx, WithEpsilon(0.3)) {
+		last = err
+	}
+	if !errors.Is(last, ErrInterrupted) {
+		t.Fatalf("final yield = %v, want ErrInterrupted", last)
 	}
 }
 

@@ -48,8 +48,9 @@ func main() {
 	// But MVD mining finds structure FDs cannot express: keys that are
 	// not determinants still separate attribute groups. The mine below
 	// reuses every entropy the J evaluations above already computed.
-	res, err := sess.MineMVDs(context.Background(),
-		maimon.WithEpsilon(0), maimon.WithTimeout(10*time.Second))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, err := sess.MineMVDs(ctx, maimon.WithEpsilon(0))
 	if err != nil && err != maimon.ErrInterrupted {
 		log.Fatal(err)
 	}

@@ -37,8 +37,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := sess.MineMVDs(context.Background(),
-		maimon.WithEpsilon(0), maimon.WithTimeout(15*time.Second))
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	res, err := sess.MineMVDs(ctx, maimon.WithEpsilon(0))
 	if err != nil && err != maimon.ErrInterrupted {
 		log.Fatal(err)
 	}

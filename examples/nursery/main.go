@@ -27,7 +27,7 @@ func main() {
 	r := maimon.Nursery()
 	fmt.Printf("Nursery: %d rows × %d attributes = %d cells\n", r.NumRows(), r.NumCols(), r.Cells())
 
-	sess, err := maimon.Open(r, maimon.WithTimeout(*budget), maimon.WithMaxSchemes(100))
+	sess, err := maimon.Open(r)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,9 +38,10 @@ func main() {
 	}
 	var all []entry
 	seen := map[string]bool{}
-	ctx := context.Background()
 	for _, eps := range []float64{0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5} {
+		ctx, cancel := context.WithTimeout(context.Background(), *budget)
 		schemes, _, err := sess.MineSchemes(ctx, maimon.WithEpsilon(eps))
+		cancel()
 		if err != nil && err != maimon.ErrInterrupted {
 			log.Fatal(err)
 		}

@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sess, err := maimon.Open(dirty, maimon.WithTimeout(10*time.Second), maimon.WithMaxSchemes(50))
+	sess, err := maimon.Open(dirty, maimon.WithMaxSchemes(50))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,9 +61,10 @@ func main() {
 	fmt.Printf("J on clean data:   %.4f bits (exact by construction)\n", jClean)
 	fmt.Printf("J after %.1f%% cell noise: %.4f bits\n", *noise*100, jDirty)
 
-	ctx := context.Background()
 	for _, eps := range []float64{0, jDirty * 1.1} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		schemes, res, err := sess.MineSchemes(ctx, maimon.WithEpsilon(eps))
+		cancel()
 		if err != nil && err != maimon.ErrInterrupted {
 			log.Fatal(err)
 		}

@@ -3,7 +3,7 @@
 // grow. Row growth should look roughly linear (entropy scans dominate);
 // column growth combinatorial (the separator search space explodes).
 // Each configuration is a distinct (sampled or projected) relation, so
-// each gets its own Session; the budget rides WithTimeout.
+// each gets its own Session; the budget is the mine's context deadline.
 package main
 
 import (
@@ -57,9 +57,10 @@ func run(r *maimon.Relation, eps float64, budget time.Duration) (time.Duration, 
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
 	start := time.Now()
-	res, merr := sess.MineMinSeps(context.Background(),
-		maimon.WithEpsilon(eps), maimon.WithTimeout(budget))
+	res, merr := sess.MineMinSeps(ctx, maimon.WithEpsilon(eps))
 	if res == nil {
 		log.Fatal(merr)
 	}

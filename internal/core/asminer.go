@@ -26,13 +26,24 @@ func (s *Scheme) M() int { return s.Schema.M() }
 // graph over the given MVDs (Eq. 15), enumerates its maximal independent
 // sets — the maximal pairwise-compatible subsets — and synthesizes one
 // acyclic schema from each via BuildAcyclicSchema (Fig. 9). emit is called
-// once per distinct schema; return false to stop early (the paper's
-// run-for-30-minutes protocol). Schemes that fail join-tree construction
-// (possible for approximate inputs whose compatible set is not tree-
-// consistent) are skipped.
-func (m *Miner) EnumerateSchemes(mvds []mvd.MVD, emit func(*Scheme) bool) {
+// once per distinct schema, for at most limit schemes (limit <= 0: all);
+// return false to stop early (the paper's run-for-30-minutes protocol).
+// Schemes that fail join-tree construction (possible for approximate
+// inputs whose compatible set is not tree-consistent) are skipped.
+//
+// Each scheme's J is read through one entropy view joined to the team of
+// the miner's last phase 1, so under an entropy budget an entropy that
+// phase counted is not counted again here, at any fan-out; without a
+// phase 1 the view joins a team of its own.
+func (m *Miner) EnumerateSchemes(mvds []mvd.MVD, limit int, emit func(*Scheme) bool) {
 	m.beginPhase()
 	defer m.tracePhase("schemes")()
+	team := m.team
+	if team == nil {
+		team = m.oracle.Team(1)
+	}
+	loc := team.Local()
+	defer loc.Release() // flushes the view's counters before the phase's snapshot
 	ms := append([]mvd.MVD(nil), mvds...)
 	mvd.Sort(ms)
 	g := mis.NewGraph(len(ms))
@@ -78,7 +89,7 @@ func (m *Miner) EnumerateSchemes(mvds []mvd.MVD, emit func(*Scheme) bool) {
 		s := &Scheme{
 			Schema:  sch,
 			Tree:    tree,
-			J:       info.JTree(m.src, tree),
+			J:       info.JTree(loc, tree),
 			Support: q,
 		}
 		streamed++
@@ -89,7 +100,7 @@ func (m *Miner) EnumerateSchemes(mvds []mvd.MVD, emit func(*Scheme) bool) {
 			Candidates: m.searchStats.Visited,
 			Schemes:    streamed,
 		})
-		return emit(s)
+		return emit(s) && (limit <= 0 || streamed < limit)
 	})
 }
 
@@ -124,22 +135,6 @@ func (m *Miner) buildIncompatibilityGraph(g *mis.Graph, ms []mvd.MVD) (bool, int
 		return false, 0
 	}
 	return true, edges
-}
-
-// MineSchemes runs both phases end to end and collects up to maxSchemes
-// schemes (0 = unlimited, subject to the bound context). An interruption
-// during either phase is reported through the returned MVDResult.Err.
-func (m *Miner) MineSchemes(maxSchemes int) ([]*Scheme, *MVDResult) {
-	res := m.MineMVDs()
-	var out []*Scheme
-	m.EnumerateSchemes(res.MVDs, func(s *Scheme) bool {
-		out = append(out, s)
-		return maxSchemes <= 0 || len(out) < maxSchemes
-	})
-	if res.Err == nil {
-		res.Err = m.interruptErr()
-	}
-	return out, res
 }
 
 // BuildAcyclicSchema is Fig. 9: starting from the universal schema {Ω},

@@ -37,8 +37,8 @@ func (m *Miner) WithContext(ctx context.Context) *Miner {
 
 // beginPhase starts a top-level mining phase: it clears the stop cause
 // left by an earlier phase or run, so each phase reports only its own
-// interruption (MineSchemes latches phase 1's error before phase 2
-// begins).
+// interruption (Session.MineSchemes latches phase 1's error before
+// phase 2 begins).
 func (m *Miner) beginPhase() { m.cause = nil }
 
 // Context returns the context bound with WithContext.

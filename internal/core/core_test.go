@@ -439,7 +439,7 @@ func TestEnumerateSchemesRunningExample(t *testing.T) {
 	res := m.MineMVDs()
 	paper := schema.MustNew(at(t, "ABD"), at(t, "ACD"), at(t, "BDE"), at(t, "AF"))
 	var all []*Scheme
-	m.EnumerateSchemes(res.MVDs, func(s *Scheme) bool {
+	m.EnumerateSchemes(res.MVDs, 0, func(s *Scheme) bool {
 		all = append(all, s)
 		if s.Schema.Equal(paper) {
 			t.Errorf("extendable paper schema enumerated as maximal")
@@ -473,7 +473,7 @@ func TestEnumerateSchemesExactHaveZeroJ(t *testing.T) {
 	// every synthesized schema (Cor. 5.2).
 	m := newMiner(paperR(), 0)
 	res := m.MineMVDs()
-	m.EnumerateSchemes(res.MVDs, func(s *Scheme) bool {
+	m.EnumerateSchemes(res.MVDs, 0, func(s *Scheme) bool {
 		if s.J > 1e-9 {
 			t.Fatalf("scheme %v has J = %v at ε=0", s.Schema, s.J)
 		}
@@ -483,7 +483,7 @@ func TestEnumerateSchemesExactHaveZeroJ(t *testing.T) {
 
 func TestMineSchemesEndToEnd(t *testing.T) {
 	m := newMiner(paperRWithRedTuple(), 0.3)
-	schemes, res := m.MineSchemes(0)
+	schemes, res := mineSchemes(m, 0)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -507,7 +507,7 @@ func TestEnumerateSchemesEmptyMVDSetGivesTrivialSchema(t *testing.T) {
 	// relation {Ω} with J = 0, m = 1.
 	m := newMiner(paperR(), 0)
 	var got []*Scheme
-	m.EnumerateSchemes(nil, func(s *Scheme) bool {
+	m.EnumerateSchemes(nil, 0, func(s *Scheme) bool {
 		got = append(got, s)
 		return true
 	})
@@ -523,11 +523,28 @@ func TestEnumerateSchemesEmptyMVDSetGivesTrivialSchema(t *testing.T) {
 }
 
 func TestMaxSchemesLimit(t *testing.T) {
-	m := newMiner(paperRWithRedTuple(), 0.4)
-	schemes, _ := m.MineSchemes(2)
-	if len(schemes) > 2 {
-		t.Fatalf("limit ignored: %d schemes", len(schemes))
+	all, _ := mineSchemes(newMiner(paperRWithRedTuple(), 0.4), 0)
+	if len(all) <= 2 {
+		t.Fatalf("need more than 2 schemes, got %d", len(all))
 	}
+	schemes, _ := mineSchemes(newMiner(paperRWithRedTuple(), 0.4), 2)
+	if len(schemes) != 2 {
+		t.Fatalf("limit 2: %d schemes", len(schemes))
+	}
+}
+
+// mineSchemes runs both phases on m and collects up to limit schemes
+// (0 = all); a stop in either phase is reported through res.Err.
+func mineSchemes(m *Miner, limit int) (schemes []*Scheme, res *MVDResult) {
+	res = m.MineMVDs()
+	m.EnumerateSchemes(res.MVDs, limit, func(s *Scheme) bool {
+		schemes = append(schemes, s)
+		return true
+	})
+	if res.Err == nil {
+		res.Err = m.Err()
+	}
+	return schemes, res
 }
 
 func TestQuickMinerAgainstBruteForceRandomRelations(t *testing.T) {
@@ -674,7 +691,7 @@ func TestQuickBuildAcyclicSchemaFromMinedSets(t *testing.T) {
 		m := newMiner(r, 0)
 		res := m.MineMVDs()
 		o := m.Oracle()
-		m.EnumerateSchemes(res.MVDs, func(s *Scheme) bool {
+		m.EnumerateSchemes(res.MVDs, 0, func(s *Scheme) bool {
 			if !s.Schema.IsAcyclic() {
 				t.Fatalf("cyclic schema %v", s.Schema)
 			}

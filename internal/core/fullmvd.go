@@ -41,6 +41,10 @@ type Miner struct {
 	roots   stripe.Table[bitset.AttrSet, *keyRoot]
 	scratch searchScratch
 
+	// team is the entropy views of the last phase 1, kept until the mine
+	// ends so that the scheme phase reads what that phase counted.
+	team *entropy.Team
+
 	// searchStats accumulates across getFullMVDs invocations.
 	searchStats SearchStats
 	minsepTrace MinSepTrace

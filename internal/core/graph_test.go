@@ -316,7 +316,7 @@ func TestIncompatibilityGraphCancellation(t *testing.T) {
 			}
 			m.WithContext(ctx)
 			emitted := 0
-			m.EnumerateSchemes(ms, func(*Scheme) bool {
+			m.EnumerateSchemes(ms, 0, func(*Scheme) bool {
 				emitted++
 				return true
 			})

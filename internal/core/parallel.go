@@ -111,10 +111,12 @@ func (m *Miner) minePairMVDs(pairs [][2]int, phase string, expand bool) ([]PairM
 	agg := newProgressAgg(m.opts.Progress, phase, len(pairs))
 	var statsMu sync.Mutex
 	var last MinSepTrace // the final pair's, whichever worker mined it
-	// The workers' entropy views, readable by one another until par.For
-	// returns: under an entropy budget, within the phase each set is
-	// counted once at any fan-out.
+	// The workers' entropy views: each reads the others', and the scheme
+	// phase reads them all through m.team, so under an entropy budget a
+	// set this phase counts is not counted again in the mine, at any
+	// fan-out.
 	team := m.oracle.Team(min(m.opts.Workers, len(pairs)))
+	m.team = team
 	par.For(len(pairs), m.opts.Workers, func() (func(int) bool, func()) {
 		w, release := m.fork(team)
 		return func(i int) bool {

@@ -54,9 +54,9 @@ func minedWith(r *relation.Relation, eps float64, workers int) (*MVDResult, []st
 	m := NewMiner(shared(r), opts)
 	res := m.MineMVDs()
 	var schemes []string
-	m.EnumerateSchemes(res.MVDs, func(s *Scheme) bool {
+	m.EnumerateSchemes(res.MVDs, 40, func(s *Scheme) bool {
 		schemes = append(schemes, s.Schema.Fingerprint())
-		return len(schemes) < 40
+		return true
 	})
 	return res, schemes
 }
@@ -131,9 +131,9 @@ func TestParallelMatchesSerialUnderMemoryBudget(t *testing.T) {
 				t.Fatalf("%s eps=%v: budgeted parallel error %v", name, eps, parRes.Err)
 			}
 			var parSchemes []string
-			m.EnumerateSchemes(parRes.MVDs, func(s *Scheme) bool {
+			m.EnumerateSchemes(parRes.MVDs, 40, func(s *Scheme) bool {
 				parSchemes = append(parSchemes, s.Schema.Fingerprint())
-				return len(parSchemes) < 40
+				return true
 			})
 			if len(parRes.MVDs) != len(serialRes.MVDs) {
 				t.Fatalf("%s eps=%v: %d budgeted-parallel MVDs vs %d serial", name, eps, len(parRes.MVDs), len(serialRes.MVDs))

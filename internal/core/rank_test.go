@@ -8,7 +8,7 @@ import (
 func minedSchemes(t *testing.T, eps float64) []*Scheme {
 	t.Helper()
 	m := newMiner(paperRWithRedTuple(), eps)
-	schemes, _ := m.MineSchemes(0)
+	schemes, _ := mineSchemes(m, 0)
 	if len(schemes) < 3 {
 		t.Fatalf("need several schemes, got %d", len(schemes))
 	}

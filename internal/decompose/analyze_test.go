@@ -93,6 +93,18 @@ func randomRelation(t *testing.T, rng *rand.Rand, trial int) *relation.Relation 
 	return relation.MustFromRows(names, data)
 }
 
+// mineSchemes mines o's relation at ε 0.4, both phases, and collects up
+// to limit schemes.
+func mineSchemes(o *entropy.Oracle, limit int) []*core.Scheme {
+	m := core.NewMiner(o, core.DefaultOptions(0.4))
+	var out []*core.Scheme
+	m.EnumerateSchemes(m.MineMVDs().MVDs, limit, func(s *core.Scheme) bool {
+		out = append(out, s)
+		return true
+	})
+	return out
+}
+
 // TestAnalyzeMatchesLiteral is the differential test of the partition
 // evaluator: on 40 random relations, every mined scheme plus hand-built
 // schemas with a single bag, disjoint bags and a star must give Metrics
@@ -111,7 +123,7 @@ func TestAnalyzeMatchesLiteral(t *testing.T) {
 			schema.MustNew(bitset.Single(0), bitset.Of(1, 2), bitset.Full(n).Diff(bitset.Of(0, 1, 2))),
 			schema.MustNew(bitset.Of(0, 1), bitset.Of(0, 2), bitset.Full(n).Diff(bitset.Of(1, 2))),
 		}
-		schemes, _ := core.NewMiner(o, core.DefaultOptions(0.4)).MineSchemes(20)
+		schemes := mineSchemes(o, 20)
 		for _, sc := range schemes {
 			schemas = append(schemas, sc.Schema)
 		}
@@ -210,7 +222,7 @@ func TestAnalyzeAllBatch(t *testing.T) {
 		r := randomRelation(t, rng, trial)
 		n := r.NumCols()
 		o := entropy.New(r)
-		schemes, _ := core.NewMiner(o, core.DefaultOptions(0.4)).MineSchemes(20)
+		schemes := mineSchemes(o, 20)
 		var mined []schema.Schema
 		for _, sc := range schemes {
 			mined = append(mined, sc.Schema)
@@ -286,7 +298,7 @@ func TestChunkEndFitsBudget(t *testing.T) {
 	split := 0 // runs past the first at one table's budget
 	for trial := 0; trial < 10; trial++ {
 		r := randomRelation(t, rng, trial)
-		schemes, _ := core.NewMiner(entropy.New(r), core.DefaultOptions(0.4)).MineSchemes(30)
+		schemes := mineSchemes(entropy.New(r), 30)
 		trees := []*schema.JoinTree{nil}
 		for _, sc := range schemes {
 			tree, err := schema.BuildJoinTree(sc.Schema)

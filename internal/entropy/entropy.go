@@ -325,7 +325,8 @@ func miSum(hxy, hxz, hxyz, hx float64) float64 {
 // arena pool, never allocates intersection scratch, and answers its warm
 // entropy reads without crossing the oracle's shard locks. The mining
 // pipeline hands one to each worker goroutine of a phase, the lone worker
-// of a serial mine included, all joined to one Team.
+// of a serial mine included, all joined to one Team, and one more to the
+// scheme phase, joined to the same Team.
 //
 // Over a dense memo a warm read is the oracle's own lock-free load, and
 // the view keeps nothing. Over the hashed memo the view is a
@@ -335,7 +336,7 @@ func miSum(hxy, hxz, hxyz, hx float64) float64 {
 // the other workers of its team read it without a lock. A read looks in
 // the worker's own view, then in its peers', then in the shared memo,
 // and the owner of a memo claim looks in its peers' views again before
-// it counts. So within one phase each set is counted at most once,
+// it counts. So within one team each set is counted at most once,
 // whatever the entropy budget has evicted from the memo and whatever the
 // fan-out, as long as no view is full. Entropies are immutable, so a value a view retains is exact. A
 // view is capped at localMemoCap entries, past which it keeps nothing
@@ -366,7 +367,8 @@ const localMemoCap = 1 << 16
 // Team is the worker views of one parallel phase: each worker's Local
 // joins it, and reads the views of the others. A view stays readable
 // after its worker releases it, for as long as the team is referenced —
-// a phase drops its team once every worker is done. Only a memo that
+// a mine keeps its mining phase's team until it ends, so that the scheme
+// phase's view can join it and read what that phase counted. Only a memo that
 // evicts has its views shared: an unbudgeted one keeps every entropy a
 // peer has counted, and reaching it there takes one shard lock where a
 // probe of each peer's view, once the views outgrow the caches, takes a

@@ -126,10 +126,10 @@ func (c Config) collectSchemes(o *entropy.Oracle, eps float64, maxSchemes int) [
 	return budgeted(c, m, func() []schemeStats {
 		var schemes []*core.Scheme
 		var schemas []schema.Schema
-		m.EnumerateSchemes(res.MVDs, func(s *core.Scheme) bool {
+		m.EnumerateSchemes(res.MVDs, maxSchemes, func(s *core.Scheme) bool {
 			schemes = append(schemes, s)
 			schemas = append(schemas, s.Schema)
-			return maxSchemes <= 0 || len(schemes) < maxSchemes
+			return true
 		})
 		mets, errs := decompose.AnalyzeAll(o, schemas, c.Workers)
 		out := make([]schemeStats, 0, len(schemes))

@@ -14,12 +14,6 @@ import (
 	"repro/internal/dist"
 )
 
-// DefaultMaxSchemes caps scheme enumeration for jobs that don't set
-// max_schemes — an unbounded enumeration on an adversarial dataset is
-// exponential, and a resident service must not let one request monopolize
-// a worker forever.
-const DefaultMaxSchemes = 100
-
 // queueDepth bounds how many jobs may wait. A full queue rejects submits
 // (backpressure) instead of growing without bound.
 const queueDepth = 256
@@ -208,7 +202,9 @@ func (m *Manager) normalize(req JobRequest) (JobRequest, error) {
 	}
 	switch {
 	case req.MaxSchemes == 0:
-		req.MaxSchemes = DefaultMaxSchemes
+		// An uncapped enumeration can be exponential; a resident service
+		// must not let one request hold a worker forever.
+		req.MaxSchemes = maimon.DefaultMaxSchemes
 	case req.MaxSchemes < 0:
 		req.MaxSchemes = 0 // unlimited, the core encoding
 	}

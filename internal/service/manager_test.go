@@ -80,7 +80,7 @@ func TestManagerDefaultsApplied(t *testing.T) {
 	if req.Mode != service.ModeSchemes {
 		t.Errorf("default mode = %q", req.Mode)
 	}
-	if req.MaxSchemes != service.DefaultMaxSchemes {
+	if req.MaxSchemes != maimon.DefaultMaxSchemes {
 		t.Errorf("default max_schemes = %d", req.MaxSchemes)
 	}
 	<-job.Done()

@@ -172,7 +172,7 @@ func expectedResult(t *testing.T, r *relation.Relation, eps float64, maxSchemes 
 
 func assertMatchesSync(t *testing.T, r *relation.Relation, eps float64, got service.JobResult) {
 	t.Helper()
-	schemas, js, mvds := expectedResult(t, r, eps, service.DefaultMaxSchemes)
+	schemas, js, mvds := expectedResult(t, r, eps, maimon.DefaultMaxSchemes)
 	if len(got.Schemes) != len(schemas) {
 		t.Fatalf("eps=%v: job mined %d schemes, sync mined %d", eps, len(got.Schemes), len(schemas))
 	}

@@ -51,7 +51,7 @@ type JobRequest struct {
 	// results (matching the library's ErrInterrupted contract).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// MaxSchemes caps how many schemes are enumerated; 0 applies the
-	// manager's default (DefaultMaxSchemes), -1 means unlimited.
+	// library's default (maimon.DefaultMaxSchemes), -1 means unlimited.
 	MaxSchemes int `json:"max_schemes,omitempty"`
 	// Workers is the parallel fan-out of this job's mining pipeline:
 	// attribute pairs are mined across that many goroutines over the

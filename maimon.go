@@ -102,8 +102,8 @@ type (
 )
 
 // ErrInterrupted is returned (as MVDResult.Err and the entry points'
-// error) when mining hit the configured timeout or the context's
-// deadline; partial results are still valid. Cancelling the context
+// error) when mining hit the deadline of the context passed to the
+// Session methods; partial results are still valid. Cancelling the context
 // passed to the Session methods instead surfaces context.Canceled, so
 // callers can distinguish a cancelled job from one that ran out of time.
 var ErrInterrupted = core.ErrInterrupted

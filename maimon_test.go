@@ -148,9 +148,13 @@ func TestReadCSVPublic(t *testing.T) {
 	}
 }
 
+// A deadline that has passed before the mine starts stops it at the
+// first poll, as ErrInterrupted.
 func TestTimeoutReportsInterrupted(t *testing.T) {
 	r := datagen.Uniform(200, 12, 3, 5)
-	_, err := mustOpen(t, r).MineMVDs(context.Background(), WithEpsilon(0.3), WithTimeout(time.Nanosecond))
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	_, err := mustOpen(t, r).MineMVDs(ctx, WithEpsilon(0.3))
 	if err != ErrInterrupted {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
@@ -254,8 +258,9 @@ func TestFullWorkflowIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := mustOpen(t, r)
-	schemes, _, err := sess.MineSchemes(context.Background(),
-		WithEpsilon(0.5), WithTimeout(20*time.Second), WithMaxSchemes(30))
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	schemes, _, err := sess.MineSchemes(ctx, WithEpsilon(0.5), WithMaxSchemes(30))
 	if err != nil && err != ErrInterrupted {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"iter"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/decompose"
@@ -56,7 +55,6 @@ type Stats = entropy.Stats
 // as its per-call defaults; each mining call starts from a copy.
 type config struct {
 	epsilon       float64
-	timeout       time.Duration
 	maxSchemes    int
 	pruning       bool
 	workers       int // 0 = GOMAXPROCS (the WithWorkers default)
@@ -67,7 +65,7 @@ type config struct {
 }
 
 func defaultSessionConfig() config {
-	return config{pruning: true, pliCfg: pli.DefaultConfig()}
+	return config{maxSchemes: DefaultMaxSchemes, pruning: true, pliCfg: pli.DefaultConfig()}
 }
 
 func (c config) with(opts []Option) config {
@@ -86,15 +84,15 @@ type Option func(*config)
 // default) mines exact dependencies.
 func WithEpsilon(eps float64) Option { return func(c *config) { c.epsilon = eps } }
 
-// WithTimeout bounds one mining call's total wall-clock time across both
-// phases; zero (the default) means unlimited. It is implemented as a
-// single context.WithTimeout layered over the caller's context, so
-// whichever of the caller's deadline and this timeout is earlier fires,
-// surfacing as ErrInterrupted.
-func WithTimeout(d time.Duration) Option { return func(c *config) { c.timeout = d } }
+// DefaultMaxSchemes is how many schemes a mining call enumerates unless
+// WithMaxSchemes says otherwise. The number of maximal compatible MVD
+// sets can be exponential in |Mε|, so an uncapped enumeration on a wide
+// approximate input may not end; maimon's -max-schemes and maimond's
+// max_schemes default to the same cap.
+const DefaultMaxSchemes = 100
 
-// WithMaxSchemes bounds how many schemes MineSchemes returns and
-// SchemeSeq yields (0 = all, the default).
+// WithMaxSchemes bounds how many schemes MineSchemes and SchemesFromMVDs
+// return and SchemeSeq yields: DefaultMaxSchemes by default, 0 for all.
 func WithMaxSchemes(n int) Option { return func(c *config) { c.maxSchemes = n } }
 
 // WithPruning toggles the pairwise-consistency optimization (paper App.
@@ -173,11 +171,12 @@ func WithSpillBudget(bytes int64) Option {
 // Where the memo is hashed — above 16 attributes, or under a budget below
 // 8·2ⁿ bytes — each mining worker keeps a view of the entropies it has
 // counted or been served, up to 2^16 entries (at most 2 MiB of slots),
-// for the length of one phase, not counted in the budget. A view belongs
-// to one worker; under a budget the other workers of the phase read it
-// before they go to the memo, so within a phase an entropy is counted
-// once at any fan-out, whatever the budget evicts. Over the dense table
-// a worker keeps no such view.
+// not counted in the budget. A view belongs to one worker; under a budget
+// the other workers of the phase, and then the scheme phase, read it
+// before they go to the memo, and it lives until the mine ends, so within
+// a mine an entropy the mining phase counted is not counted again at any
+// fan-out, whatever the budget evicts. Over the dense table a worker
+// keeps no such view.
 func WithEntropyBudget(bytes int64) Option {
 	return func(c *config) { c.entropyBudget = bytes }
 }
@@ -193,8 +192,8 @@ func WithProgress(fn func(Progress)) Option { return func(c *config) { c.progres
 // the moment the call returns even when other mines run concurrently.
 func WithTrace(t *MineTrace) Option { return func(c *config) { c.trace = t } }
 
-// coreOptions lowers the resolved config to core.Options. The timeout is
-// absent: it rides the context (mineContext), the miner's one stop signal.
+// coreOptions lowers the resolved config to core.Options. A deadline is
+// absent: it rides the caller's context, the miner's one stop signal.
 func (c config) coreOptions() core.Options {
 	o := core.DefaultOptions(c.epsilon)
 	o.PairwiseConsistency = c.pruning
@@ -210,18 +209,6 @@ func (c config) fanout() int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return c.workers
-}
-
-// mineContext derives the context one mining call observes: the caller's
-// ctx with the configured timeout layered on top when set.
-func (c config) mineContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if c.timeout > 0 {
-		return context.WithTimeout(ctx, c.timeout)
-	}
-	return context.WithCancel(ctx)
 }
 
 // Session is a reusable, concurrency-safe mining handle over one
@@ -288,39 +275,37 @@ func (s *Session) Stats() Stats { return s.oracle.Stats() }
 // wins; thread a trace through WithTrace to pin one call's breakdown.
 func (s *Session) Trace() *MineTrace { return s.lastTrace.Load() }
 
-// config resolves one call's options over the session defaults.
-func (s *Session) config(opts []Option) config { return s.base.with(opts) }
-
-// miner builds the per-call miner: session-shared oracle, call-local
-// options and context.
-func (s *Session) miner(cfg config, ctx context.Context) *core.Miner {
-	return core.NewMiner(s.oracle, cfg.coreOptions()).WithContext(ctx)
-}
-
-func (s *Session) checkArity(what string) error {
+// mine is the one way into a mining call. It refuses a relation of
+// fewer than 3 attributes, resolves opts over the session defaults, binds
+// a miner to ctx under a cancel that runs on return (which drops the
+// miner's AfterFunc), runs run, and publishes the miner's trace. run
+// returns the call's error.
+func (s *Session) mine(ctx context.Context, what string, opts []Option, run func(m *core.Miner, cfg config) error) error {
 	if s.rel.NumCols() < 3 {
 		return errors.New("maimon: need at least 3 attributes to mine " + what)
 	}
-	return nil
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	cfg := s.base.with(opts)
+	m := core.NewMiner(s.oracle, cfg.coreOptions()).WithContext(ctx)
+	defer func() { s.lastTrace.Store(m.Trace()) }()
+	return run(m, cfg)
 }
 
 // MineMVDs runs phase 1 (MVDMiner): it returns Mε, the full ε-MVDs with
 // minimal-separator keys, from which every ε-MVD of the relation follows
 // by Shannon inequalities (paper Thm. 5.7). Cancelling ctx stops the
 // search promptly and returns the ε-MVDs mined so far together with
-// context.Canceled; a deadline (ctx's or WithTimeout) surfaces as
-// ErrInterrupted.
-func (s *Session) MineMVDs(ctx context.Context, opts ...Option) (*MVDResult, error) {
-	if err := s.checkArity("MVDs"); err != nil {
-		return nil, err
-	}
-	cfg := s.config(opts)
-	ctx, cancel := cfg.mineContext(ctx)
-	defer cancel()
-	m := s.miner(cfg, ctx)
-	res := m.MineMVDs()
-	s.lastTrace.Store(m.Trace())
-	return res, res.Err
+// context.Canceled; ctx's deadline surfaces as ErrInterrupted.
+func (s *Session) MineMVDs(ctx context.Context, opts ...Option) (res *MVDResult, err error) {
+	err = s.mine(ctx, "MVDs", opts, func(m *core.Miner, _ config) error {
+		res = m.MineMVDs()
+		return res.Err
+	})
+	return res, err
 }
 
 // MinePairMVDs runs phase 1 over exactly the given attribute pairs and
@@ -333,16 +318,11 @@ func (s *Session) MineMVDs(ctx context.Context, opts ...Option) (*MVDResult, err
 // exactly what a single-node mine does (internal/dist owns that merge).
 // Outcomes are indexed like pairs; WithWorkers bounds the worker-local
 // fan-out and never changes the outcomes.
-func (s *Session) MinePairMVDs(ctx context.Context, pairs [][2]int, opts ...Option) ([]PairMVDs, error) {
-	if err := s.checkArity("MVDs"); err != nil {
-		return nil, err
-	}
-	cfg := s.config(opts)
-	ctx, cancel := cfg.mineContext(ctx)
-	defer cancel()
-	m := s.miner(cfg, ctx)
-	out, err := m.MinePairMVDs(pairs)
-	s.lastTrace.Store(m.Trace())
+func (s *Session) MinePairMVDs(ctx context.Context, pairs [][2]int, opts ...Option) (out []PairMVDs, err error) {
+	err = s.mine(ctx, "MVDs", opts, func(m *core.Miner, _ config) (err error) {
+		out, err = m.MinePairMVDs(pairs)
+		return err
+	})
 	return out, err
 }
 
@@ -355,55 +335,48 @@ func (s *Session) MinePairMVDs(ctx context.Context, pairs [][2]int, opts ...Opti
 // WithMaxSchemes bounds the enumeration; a deadline or cancelled ctx
 // surfaces as with the other mining methods, with the schemes synthesized
 // so far still valid.
-func (s *Session) SchemesFromMVDs(ctx context.Context, mvds []MVD, opts ...Option) ([]*Scheme, error) {
-	if err := s.checkArity("schemes"); err != nil {
-		return nil, err
-	}
-	cfg := s.config(opts)
-	ctx, cancel := cfg.mineContext(ctx)
-	defer cancel()
-	m := s.miner(cfg, ctx)
-	var out []*Scheme
-	m.EnumerateSchemes(mvds, func(sc *Scheme) bool {
-		out = append(out, sc)
-		return cfg.maxSchemes <= 0 || len(out) < cfg.maxSchemes
+func (s *Session) SchemesFromMVDs(ctx context.Context, mvds []MVD, opts ...Option) (out []*Scheme, err error) {
+	err = s.mine(ctx, "schemes", opts, func(m *core.Miner, cfg config) error {
+		m.EnumerateSchemes(mvds, cfg.maxSchemes, func(sc *Scheme) bool {
+			out = append(out, sc)
+			return true
+		})
+		return m.Err()
 	})
-	s.lastTrace.Store(m.Trace())
-	return out, m.Err()
+	return out, err
 }
 
 // MineMinSeps runs only the separator phase for every attribute pair —
 // the workload of the paper's scalability experiments (Sec. 8.3). The
 // result's MinSeps map is filled; no full MVDs are expanded.
-func (s *Session) MineMinSeps(ctx context.Context, opts ...Option) (*MVDResult, error) {
-	if err := s.checkArity("separators"); err != nil {
-		return nil, err
-	}
-	cfg := s.config(opts)
-	ctx, cancel := cfg.mineContext(ctx)
-	defer cancel()
-	m := s.miner(cfg, ctx)
-	res := m.MineMinSepsAll()
-	s.lastTrace.Store(m.Trace())
-	return res, res.Err
+func (s *Session) MineMinSeps(ctx context.Context, opts ...Option) (res *MVDResult, err error) {
+	err = s.mine(ctx, "separators", opts, func(m *core.Miner, _ config) error {
+		res = m.MineMinSepsAll()
+		return res.Err
+	})
+	return res, err
 }
 
 // MineSchemes runs both phases and returns the non-extendable acyclic
 // ε-schemas synthesized from maximal compatible MVD sets, along with the
 // phase-1 result. Schemes arrive in enumeration order; use AnalyzeAll to
 // rank them by savings and spurious-tuple rate, or SchemeSeq to consume
-// them as they are synthesized.
-func (s *Session) MineSchemes(ctx context.Context, opts ...Option) ([]*Scheme, *MVDResult, error) {
-	if err := s.checkArity("schemes"); err != nil {
-		return nil, nil, err
-	}
-	cfg := s.config(opts)
-	ctx, cancel := cfg.mineContext(ctx)
-	defer cancel()
-	m := s.miner(cfg, ctx)
-	schemes, res := m.MineSchemes(cfg.maxSchemes)
-	s.lastTrace.Store(m.Trace())
-	return schemes, res, res.Err
+// them as they are synthesized. A stop in either phase is reported as
+// the returned error and in the result's Err: phase 1's, if it stopped
+// there.
+func (s *Session) MineSchemes(ctx context.Context, opts ...Option) (schemes []*Scheme, res *MVDResult, err error) {
+	err = s.mine(ctx, "schemes", opts, func(m *core.Miner, cfg config) error {
+		res = m.MineMVDs()
+		m.EnumerateSchemes(res.MVDs, cfg.maxSchemes, func(sc *Scheme) bool {
+			schemes = append(schemes, sc)
+			return true
+		})
+		if res.Err == nil {
+			res.Err = m.Err()
+		}
+		return res.Err
+	})
+	return schemes, res, err
 }
 
 // SchemeSeq mines schemes as a stream: phase 1 runs first, then each
@@ -420,31 +393,19 @@ func (s *Session) MineSchemes(ctx context.Context, opts ...Option) ([]*Scheme, *
 //	}
 func (s *Session) SchemeSeq(ctx context.Context, opts ...Option) iter.Seq2[*Scheme, error] {
 	return func(yield func(*Scheme, error) bool) {
-		if err := s.checkArity("schemes"); err != nil {
-			yield(nil, err)
-			return
-		}
-		cfg := s.config(opts)
-		ctx, cancel := cfg.mineContext(ctx)
-		defer cancel()
-		m := s.miner(cfg, ctx)
-		defer func() { s.lastTrace.Store(m.Trace()) }()
-		res := m.MineMVDs()
-		if res.Err != nil {
-			yield(nil, res.Err)
-			return
-		}
-		count := 0
 		broke := false
-		m.EnumerateSchemes(res.MVDs, func(sc *Scheme) bool {
-			if !yield(sc, nil) {
-				broke = true
-				return false
+		err := s.mine(ctx, "schemes", opts, func(m *core.Miner, cfg config) error {
+			res := m.MineMVDs()
+			if res.Err != nil {
+				return res.Err
 			}
-			count++
-			return cfg.maxSchemes <= 0 || count < cfg.maxSchemes
+			m.EnumerateSchemes(res.MVDs, cfg.maxSchemes, func(sc *Scheme) bool {
+				broke = !yield(sc, nil)
+				return !broke
+			})
+			return m.Err()
 		})
-		if err := m.Err(); err != nil && !broke {
+		if err != nil && !broke {
 			yield(nil, err)
 		}
 	}
@@ -484,7 +445,7 @@ func (s *Session) Analyze(sch Schema) (Metrics, error) {
 // has zero Metrics and its error at its index. Metrics are exact counts,
 // so they are the same at any fan-out.
 func (s *Session) AnalyzeAll(schemas []Schema, opts ...Option) ([]Metrics, []error) {
-	return decompose.AnalyzeAll(s.oracle, schemas, s.config(opts).fanout())
+	return decompose.AnalyzeAll(s.oracle, schemas, s.base.with(opts).fanout())
 }
 
 // Decompose projects the session's relation onto every relation schema of

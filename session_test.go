@@ -189,22 +189,6 @@ func TestSchemeSeqCancelPromptly(t *testing.T) {
 	}
 }
 
-// SchemeSeq surfaces a deadline as a final ErrInterrupted yield, matching
-// the batch entry points.
-func TestSchemeSeqTimeoutYieldsErrInterrupted(t *testing.T) {
-	s, err := Open(slowRelation())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last error
-	for _, err := range s.SchemeSeq(context.Background(), WithEpsilon(0.3), WithTimeout(30*time.Millisecond)) {
-		last = err
-	}
-	if !errors.Is(last, ErrInterrupted) {
-		t.Fatalf("final yield = %v, want ErrInterrupted", last)
-	}
-}
-
 // Progress events must track the pair loop and the MVD count, ending on a
 // complete pass (PairsDone == PairsTotal) for an unbounded run.
 func TestSessionProgressEvents(t *testing.T) {
@@ -263,21 +247,26 @@ func TestSessionOptionDefaults(t *testing.T) {
 	}
 }
 
-// The session path arms exactly one timer: a timeout through WithTimeout
-// behaves identically to a context deadline (no double-budgeting), and
-// partial results are still returned.
-func TestSessionTimeoutSingleTimer(t *testing.T) {
-	r := datagen.Uniform(200, 12, 3, 5)
-	s, err := Open(r)
+// A session opened without WithMaxSchemes stops after DefaultMaxSchemes
+// schemes. On the 13-column ladder relation at ε 0.1 the uncapped
+// enumeration runs for minutes; the loop breaks one past the cap, so a
+// missing default fails fast.
+func TestSessionDefaultSchemeCap(t *testing.T) {
+	r, err := datagen.Ladder("wide")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.MineMVDs(context.Background(), WithEpsilon(0.3), WithTimeout(time.Nanosecond))
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("err = %v, want ErrInterrupted", err)
+	n := 0
+	for _, err := range mustOpen(t, r).SchemeSeq(context.Background(), WithEpsilon(0.1)) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n++; n > DefaultMaxSchemes {
+			break
+		}
 	}
-	if res == nil {
-		t.Fatal("partial result missing")
+	if n != DefaultMaxSchemes {
+		t.Fatalf("default cap: %d schemes yielded, want %d", n, DefaultMaxSchemes)
 	}
 }
 

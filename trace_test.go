@@ -139,17 +139,18 @@ func TestWithTraceThreading(t *testing.T) {
 // entropy once at any fan-out — the workers read one another's views
 // before the memo — so its fresh H (HCalls − HCached over the phase), the
 // MVDs and the schemes are identical at workers 1, 2 and 4. The schemes
-// phase is not compared: it reads through the memo alone, whose contents
-// after eviction follow the order the workers published in.
+// phase reads the mining phase's views too, so its fresh H is the same at
+// every fan-out as well, though the memo's contents after eviction follow
+// the order the workers published in.
 func TestBudgetedFreshCountWorkerInvariant(t *testing.T) {
 	r, err := datagen.Ladder("wide")
 	if err != nil {
 		t.Fatal(err)
 	}
 	type outcome struct {
-		fresh   int64
-		mvds    []MVD
-		schemes []string
+		fresh, schemeFresh int64
+		mvds               []MVD
+		schemes            []string
 	}
 	mine := func(workers int) outcome {
 		s, err := Open(r, WithEntropyBudget(48<<10))
@@ -164,11 +165,11 @@ func TestBudgetedFreshCountWorkerInvariant(t *testing.T) {
 		if st := s.Stats(); st.MemoEvictions == 0 {
 			t.Fatalf("workers=%d: the 48 KiB memo evicted nothing", workers)
 		}
-		ph := s.Trace().Phase("mvds")
-		if ph == nil {
-			t.Fatalf("workers=%d: trace has no mvds phase", workers)
+		ph, sp := s.Trace().Phase("mvds"), s.Trace().Phase("schemes")
+		if ph == nil || sp == nil {
+			t.Fatalf("workers=%d: trace lacks the mvds or the schemes phase", workers)
 		}
-		out := outcome{fresh: ph.Oracle.HCalls - ph.Oracle.HCached, mvds: res.MVDs}
+		out := outcome{fresh: ph.Oracle.HComputes, schemeFresh: sp.Oracle.HComputes, mvds: res.MVDs}
 		for _, sc := range schemes {
 			out.schemes = append(out.schemes, sc.Schema.Fingerprint())
 		}
@@ -179,6 +180,9 @@ func TestBudgetedFreshCountWorkerInvariant(t *testing.T) {
 		got := mine(workers)
 		if got.fresh != serial.fresh {
 			t.Errorf("workers=%d: %d fresh H in the mining phase, workers=1 counted %d", workers, got.fresh, serial.fresh)
+		}
+		if got.schemeFresh != serial.schemeFresh {
+			t.Errorf("workers=%d: %d fresh H in the scheme phase, workers=1 counted %d", workers, got.schemeFresh, serial.schemeFresh)
 		}
 		if !reflect.DeepEqual(got.mvds, serial.mvds) {
 			t.Errorf("workers=%d: %d MVDs differ from workers=1's %d", workers, len(got.mvds), len(serial.mvds))

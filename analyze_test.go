@@ -206,7 +206,7 @@ func TestAnalyzeAllMatchesAnalyze(t *testing.T) {
 		}
 		mineForRanking(t, s, 0.1, 40)
 		for _, w := range []int{4, 1} {
-			mets, errs := s.AnalyzeAll(schemas, WithWorkers(w))
+			mets, errs := s.AnalyzeAll(context.Background(), schemas, WithWorkers(w))
 			checkBatch(t, fmt.Sprintf("%s, workers %d", tc.name, w), mets, wantMets, errs, wantErrs)
 		}
 		if err := s.Close(); err != nil {
@@ -239,7 +239,7 @@ func TestAnalyzeAllConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			mets, errs := s.AnalyzeAll(schemas, WithWorkers(4))
+			mets, errs := s.AnalyzeAll(context.Background(), schemas, WithWorkers(4))
 			checkBatch(t, "concurrent batch", mets, wantMets, errs, wantErrs)
 		}()
 	}
@@ -301,7 +301,7 @@ func TestSchemeJBoundsSpuriousRate(t *testing.T) {
 			for i, sc := range schemes {
 				schemas[i] = sc.Schema
 			}
-			mets, errs := s.AnalyzeAll(schemas)
+			mets, errs := s.AnalyzeAll(context.Background(), schemas)
 			for i, sc := range schemes {
 				if errs[i] != nil {
 					t.Fatal(errs[i])

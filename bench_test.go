@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/ci"
-	"repro/internal/cnttid"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/decompose"
@@ -388,7 +387,7 @@ func BenchmarkAnalyzeRank(b *testing.B) {
 		return s, schemas
 	}
 	batch := func(b *testing.B, s *Session, schemas []Schema) {
-		_, errs := s.AnalyzeAll(schemas)
+		_, errs := s.AnalyzeAll(context.Background(), schemas)
 		for _, err := range errs {
 			if err != nil {
 				b.Fatal(err)
@@ -595,16 +594,6 @@ func BenchmarkMicro_FDMining(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = fd.NewMiner(r, fd.Options{Epsilon: 0.01}).Mine()
-	}
-}
-
-func BenchmarkMicro_CNTTIDEntropy(b *testing.B) {
-	r := benchNursery(b)
-	attrs := bitset.Of(0, 2, 4, 6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := cnttid.New(r) // cold engine, same protocol as the PLI bench
-		_ = e.H(attrs)
 	}
 }
 

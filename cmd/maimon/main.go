@@ -53,7 +53,7 @@ func main() {
 		header       = flag.Bool("header", true, "first CSV record is the header")
 		epsilon      = flag.Float64("epsilon", 0, "approximation threshold ε in bits")
 		mode         = flag.String("mode", "schemes", "minseps | mvds | schemes | decompose")
-		timeout      = flag.Duration("timeout", time.Minute, "mining time budget (0 = unlimited)")
+		timeout      = flag.Duration("timeout", time.Minute, "time budget for mining and ranking (0 = unlimited)")
 		maxSchemes   = flag.Int("max-schemes", maimon.DefaultMaxSchemes, "cap on schemes enumerated, the library's default unless set (0 = all)")
 		withFDs      = flag.Bool("fds", false, "also mine exact FDs/UCCs (baseline)")
 		schemaSpec   = flag.String("schema", "", "decompose mode: explicit schema, bags separated by ';' (e.g. \"A,B,D;A,C,D;B,D,E;A,F\")")
@@ -157,14 +157,16 @@ func main() {
 			s   *core.Scheme
 			met decompose.Metrics
 		}
-		// A scheme whose metrics cannot be computed has no place in the
-		// ranking, but it was mined: analyzeAll says so, and it is counted
-		// below.
-		var rows []row
-		mets, errs := analyzeAll(sess, schemes)
+		// Every mined scheme gets a row. One the ranking did not reach —
+		// it stopped with ctx, or analyzeAll reported its error — follows
+		// the ranked ones, in enumeration order, with no S and E.
+		var rows, unranked []row
+		mets, errs := analyzeAll(ctx, sess, schemes)
 		for i, s := range schemes {
 			if errs[i] == nil {
 				rows = append(rows, row{s, mets[i]})
+			} else {
+				unranked = append(unranked, row{s: s})
 			}
 		}
 		switch *rank {
@@ -193,7 +195,14 @@ func main() {
 				rw.s.J, rw.met.SavingsPct, rw.met.SpuriousPct,
 				rw.s.M(), rw.s.Schema.Width(), rw.s.Schema.Format(r.Names()))
 		}
+		for _, rw := range unranked {
+			fmt.Printf("%-8.3f %-8s %-9s %-3d %-6d  %s\n",
+				rw.s.J, "-", "-", rw.s.M(), rw.s.Schema.Width(), rw.s.Schema.Format(r.Names()))
+		}
 		fmt.Printf("%d schemes from %d full MVDs (ε=%.3f)\n", len(schemes), mvdCount, *epsilon)
+		if mineErr == nil && len(unranked) > 0 {
+			mineErr = ctx.Err()
+		}
 		warnTimeout(mineErr)
 	case "decompose":
 		sch, err := pickSchema(ctx, sess, *schemaSpec, opts)
@@ -292,7 +301,7 @@ func pickSchema(ctx context.Context, sess *maimon.Session, spec string, opts []m
 	warnTimeout(err)
 	best := schemes[0]
 	bestSavings := -1e18
-	mets, errs := analyzeAll(sess, schemes)
+	mets, errs := analyzeAll(ctx, sess, schemes)
 	for i, s := range schemes {
 		if errs[i] == nil && mets[i].SavingsPct > bestSavings {
 			best, bestSavings = s, mets[i].SavingsPct
@@ -301,17 +310,18 @@ func pickSchema(ctx context.Context, sess *maimon.Session, spec string, opts []m
 	return best.Schema, nil
 }
 
-// analyzeAll ranks the mined schemes on the session's -workers; a scheme
-// whose metrics cannot be computed is reported on stderr, not passed over
-// in silence.
-func analyzeAll(sess *maimon.Session, schemes []*maimon.Scheme) ([]maimon.Metrics, []error) {
+// analyzeAll ranks the mined schemes on the session's -workers until ctx
+// is done; a scheme whose metrics cannot be computed for another reason is
+// reported on stderr, not passed over in silence.
+func analyzeAll(ctx context.Context, sess *maimon.Session, schemes []*maimon.Scheme) ([]maimon.Metrics, []error) {
 	schemas := make([]maimon.Schema, len(schemes))
 	for i, s := range schemes {
 		schemas[i] = s.Schema
 	}
-	mets, errs := sess.AnalyzeAll(schemas)
+	mets, errs := sess.AnalyzeAll(ctx, schemas)
+	stopped := ctx.Err()
 	for i, err := range errs {
-		if err != nil {
+		if err != nil && err != stopped {
 			fmt.Fprintf(os.Stderr, "warning: no metrics for %s: %v\n", schemas[i].Format(sess.Relation().Names()), err)
 		}
 	}

@@ -57,11 +57,12 @@ func main() {
 	}
 	// One batch ranks them all: schemes of one relation share most of
 	// their bags and separators, and a batch groups each of those once.
+	// The budget is per mine; the ranking runs to the end.
 	schemas := make([]maimon.Schema, len(all))
 	for i, e := range all {
 		schemas[i] = e.scheme.Schema
 	}
-	mets, errs := sess.AnalyzeAll(schemas)
+	mets, errs := sess.AnalyzeAll(context.Background(), schemas)
 	ranked := all[:0]
 	for i, e := range all {
 		if errs[i] == nil {

@@ -59,7 +59,8 @@ func main() {
 
 func run(sess *maimon.Session, eps float64) {
 	r := sess.Relation()
-	schemes, result, err := sess.MineSchemes(context.Background(),
+	ctx := context.Background()
+	schemes, result, err := sess.MineSchemes(ctx,
 		maimon.WithEpsilon(eps), maimon.WithMaxSchemes(6))
 	if err != nil {
 		log.Fatal(err)
@@ -76,7 +77,7 @@ func run(sess *maimon.Session, eps float64) {
 	for i, s := range schemes {
 		schemas[i] = s.Schema
 	}
-	mets, errs := sess.AnalyzeAll(schemas)
+	mets, errs := sess.AnalyzeAll(ctx, schemas)
 	for i, s := range schemes {
 		if errs[i] != nil {
 			log.Fatal(errs[i])

@@ -2,12 +2,16 @@ package decompose
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/entropy"
 	"repro/internal/pli"
 	"repro/internal/relation"
@@ -228,7 +232,7 @@ func TestAnalyzeAllBatch(t *testing.T) {
 			mined = append(mined, sc.Schema)
 		}
 		before := o.Stats().PLIStats
-		AnalyzeAll(o, mined, 4)
+		AnalyzeAll(context.Background(), o, mined, 4)
 		if after := o.Stats().PLIStats; after.BytesLive != before.BytesLive || after.Entries != before.Entries {
 			t.Fatalf("trial %d: ranking %d mined schemes moved the cache from %d entries, %d B live to %d, %d B",
 				trial, len(mined), before.Entries, before.BytesLive, after.Entries, after.BytesLive)
@@ -253,7 +257,7 @@ func TestAnalyzeAllBatch(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				cfg := pli.DefaultConfig()
 				cfg.MaxBytes = budget
-				mets, errs := AnalyzeAll(entropy.NewShared(r, cfg), batch, workers)
+				mets, errs := AnalyzeAll(context.Background(), entropy.NewShared(r, cfg), batch, workers)
 				for i, s := range batch {
 					if (errs[i] != nil) != rejected[i] {
 						t.Fatalf("trial %d, budget %d, workers %d, schema %d %v: error %v", trial, budget, workers, i, s, errs[i])
@@ -286,6 +290,69 @@ func TestAnalyzeAllBatch(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAnalyzeAllStops ranks the schemes of the 13-column `wide` relation
+// at ε 0.1 under a context that is done before the call, and under
+// deadlines that fall at a quarter, a half and three quarters of an
+// unstopped ranking's time. A cancelled call ranks nothing: every schema
+// has zero Metrics and context.Canceled. Under a deadline every schema
+// has either the unstopped run's metrics or context.DeadlineExceeded. A
+// 1-byte cache budget ranks one schema per run of tables, so a deadline
+// falls between runs as well as inside one.
+func TestAnalyzeAllStops(t *testing.T) {
+	r, err := datagen.Ladder("wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := entropy.New(r)
+	m := core.NewMiner(o, core.DefaultOptions(0.1))
+	var schemas []schema.Schema
+	m.EnumerateSchemes(m.MineMVDs().MVDs, 200, func(s *core.Scheme) bool {
+		schemas = append(schemas, s.Schema)
+		return true
+	})
+	if len(schemas) < 50 {
+		t.Fatalf("mined %d schemes, want at least 50", len(schemas))
+	}
+	oracle := func() *entropy.Oracle {
+		cfg := pli.DefaultConfig()
+		cfg.MaxBytes = 1
+		return entropy.NewShared(r, cfg)
+	}
+	start := time.Now()
+	want, errs := AnalyzeAll(context.Background(), oracle(), schemas, 2)
+	took := time.Since(start)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("unstopped: schema %d: %v", i, err)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	mets, errs := AnalyzeAll(ctx, oracle(), schemas, 2)
+	for i := range schemas {
+		if errs[i] != context.Canceled || mets[i] != (Metrics{}) {
+			t.Fatalf("cancelled: schema %d has %+v, error %v", i, mets[i], errs[i])
+		}
+	}
+
+	for _, frac := range []float64{0.25, 0.5, 0.75} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(frac*float64(took)))
+		mets, errs := AnalyzeAll(ctx, oracle(), schemas, 2)
+		cancel()
+		ranked := 0
+		for i := range schemas {
+			switch {
+			case errs[i] == nil && mets[i] == want[i]:
+				ranked++
+			case !errors.Is(errs[i], context.DeadlineExceeded) || mets[i] != (Metrics{}):
+				t.Fatalf("deadline at %v of %v: schema %d has %+v, error %v; unstopped %+v", frac, took, i, mets[i], errs[i], want[i])
+			}
+		}
+		t.Logf("deadline at %v of %v: %d of %d schemas ranked", frac, took, ranked, len(schemas))
 	}
 }
 

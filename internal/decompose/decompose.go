@@ -30,6 +30,7 @@ package decompose
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -63,7 +64,7 @@ type Metrics struct {
 // the attributes of the relation and be acyclic. Callers ranking several
 // schemas should batch them, since nothing is shared between calls.
 func Analyze(o *entropy.Oracle, s schema.Schema) (Metrics, error) {
-	mets, errs := AnalyzeAll(o, []schema.Schema{s}, 1)
+	mets, errs := AnalyzeAll(context.Background(), o, []schema.Schema{s}, 1)
 	return mets[0], errs[0]
 }
 
@@ -80,41 +81,61 @@ func Analyze(o *entropy.Oracle, s schema.Schema) (Metrics, error) {
 // recur in a later run are grouped again. So a budget changes the cost,
 // never the metrics, and the metrics do not depend on workers or on which
 // goroutine ranked which schema. Safe for concurrent use on any oracle.
-func AnalyzeAll(o *entropy.Oracle, schemas []schema.Schema, workers int) ([]Metrics, []error) {
+//
+// Once ctx is done no stage claims another item: a schema left unranked
+// has zero Metrics and ctx.Err() at its index, and every other schema has
+// the metrics an unstopped call gives it.
+func AnalyzeAll(ctx context.Context, o *entropy.Oracle, schemas []schema.Schema, workers int) ([]Metrics, []error) {
 	mets := make([]Metrics, len(schemas))
 	errs := make([]error, len(schemas))
+	ranked := make([]bool, len(schemas))
 	r := o.Relation()
 	trees := make([]*schema.JoinTree, len(schemas))
 	par.For(len(schemas), workers, func() (func(int) bool, func()) {
 		return func(i int) bool {
+			if ctx.Err() != nil {
+				return false
+			}
 			trees[i], errs[i] = joinTree(r, schemas[i])
 			return true
 		}, nil
 	})
 
-	for lo := 0; lo < len(trees); {
+	for lo := 0; lo < len(trees) && ctx.Err() == nil; {
 		hi := chunkEnd(trees, lo, r.NumRows(), o.Cache().MaxBytes())
 		if slices.ContainsFunc(trees[lo:hi], func(t *schema.JoinTree) bool { return t != nil }) {
-			rank(o, schemas[lo:hi], trees[lo:hi], mets[lo:hi], workers)
+			rank(ctx, o, schemas[lo:hi], trees[lo:hi], mets[lo:hi], ranked[lo:hi], workers)
 		}
 		lo = hi
+	}
+	for i := range errs {
+		if errs[i] == nil && !ranked[i] {
+			errs[i] = ctx.Err()
+		}
 	}
 	return mets, errs
 }
 
 // rank fills mets with the metrics of the schemas whose trees are not nil,
-// over one set of class tables.
-func rank(o *entropy.Oracle, schemas []schema.Schema, trees []*schema.JoinTree, mets []Metrics, workers int) {
+// over one set of class tables, and marks each one it fills in ranked. It
+// claims no table and no schema once ctx is done.
+func rank(ctx context.Context, o *entropy.Oracle, schemas []schema.Schema, trees []*schema.JoinTree, mets []Metrics, ranked []bool, workers int) {
 	r := o.Relation()
 	t := newClassTables(r.AllAttrs(), trees)
-	par.For(len(t.sets), workers, func() (func(int) bool, func()) {
+	built := par.For(len(t.sets), workers, func() (func(int) bool, func()) {
 		a := pli.GetArena()
 		return func(i int) bool {
+			if ctx.Err() != nil {
+				return false
+			}
 			set := &t.sets[i]
 			set.classes = o.Cache().Classes(a, set.attrs, set.view)
 			return true
 		}, func() { pli.PutArena(a) }
 	})
+	if !built {
+		return
+	}
 	for _, set := range t.sets {
 		if set.view&pli.ClassIDs != 0 {
 			t.maxSep = max(t.maxSep, set.classes.N)
@@ -125,8 +146,11 @@ func rank(o *entropy.Oracle, schemas []schema.Schema, trees []*schema.JoinTree, 
 	par.For(len(schemas), workers, func() (func(int) bool, func()) {
 		c := &counter{msg: make([]float64, t.maxSep)}
 		return func(i int) bool {
+			if ctx.Err() != nil {
+				return false
+			}
 			if trees[i] != nil {
-				mets[i] = c.metrics(t, schemas[i], trees[i], n, r.NumCols())
+				mets[i], ranked[i] = c.metrics(t, schemas[i], trees[i], n, r.NumCols()), true
 			}
 			return true
 		}, nil

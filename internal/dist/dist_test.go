@@ -584,8 +584,8 @@ func TestJobPoolBoundsDistributedMinesWorkers(t *testing.T) {
 	var submitted []*service.Job
 	for i := range jobs {
 		// Distinct epsilons keep the result cache out of the way.
-		job, err := mgr.Submit(service.JobRequest{
-			Dataset: "planted", Mode: service.ModeMVDs, Epsilon: 0.05 + 0.01*float64(i),
+		job, err := mgr.Submit(wire.JobRequest{
+			Dataset: "planted", Mode: wire.ModeMVDs, Epsilon: 0.05 + 0.01*float64(i),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -598,7 +598,7 @@ func TestJobPoolBoundsDistributedMinesWorkers(t *testing.T) {
 		case <-time.After(60 * time.Second):
 			t.Fatalf("job %s did not finish", job.ID())
 		}
-		if st := job.Status(); st.State != service.StateDone {
+		if st := job.Status(); st.State != wire.StateDone {
 			t.Errorf("job %s (ε=%v): state %s, error %q", job.ID(), st.Epsilon, st.State, st.Error)
 		}
 	}
@@ -1080,13 +1080,13 @@ func TestFinalShardSnapshotWorkers(t *testing.T) {
 	}
 	mgr := service.NewManager(reg, service.Config{Workers: 1, Coordinator: coord})
 	defer mgr.Close()
-	job, err := mgr.Submit(service.JobRequest{Dataset: "planted", Epsilon: 0.1, Mode: service.ModeMVDs})
+	job, err := mgr.Submit(wire.JobRequest{Dataset: "planted", Epsilon: 0.1, Mode: wire.ModeMVDs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-job.Done()
 	st := job.Status()
-	if st.State != service.StateDone || st.Dist == nil {
+	if st.State != wire.StateDone || st.Dist == nil {
 		t.Fatalf("coordinator job: %+v", st)
 	}
 	if st.Dist.ShardsDone != st.Dist.ShardsTotal || st.Progress.PairsDone != st.Progress.PairsTotal {
@@ -1123,7 +1123,7 @@ func TestCoordinatorMetricFamiliesWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st service.JobStatus
+	var st wire.JobStatus
 	err = json.NewDecoder(resp.Body).Decode(&st)
 	resp.Body.Close()
 	if err != nil {
@@ -1134,7 +1134,7 @@ func TestCoordinatorMetricFamiliesWorkers(t *testing.T) {
 		t.Fatalf("job %q not found", st.ID)
 	}
 	<-job.Done()
-	if st := job.Status(); st.State != service.StateDone {
+	if st := job.Status(); st.State != wire.StateDone {
 		t.Fatalf("job: state %s, error %q", st.State, st.Error)
 	}
 

@@ -131,7 +131,7 @@ func (c Config) collectSchemes(o *entropy.Oracle, eps float64, maxSchemes int) [
 			schemas = append(schemas, s.Schema)
 			return true
 		})
-		mets, errs := decompose.AnalyzeAll(o, schemas, c.Workers)
+		mets, errs := decompose.AnalyzeAll(context.Background(), o, schemas, c.Workers)
 		out := make([]schemeStats, 0, len(schemes))
 		for i, s := range schemes {
 			if errs[i] == nil {

@@ -11,53 +11,12 @@ import (
 	"repro/internal/wire"
 )
 
-// The JSON shapes of the job API live in internal/wire — one schema
-// shared by these handlers, the distributed coordinator (internal/dist),
-// and external clients. The service re-exports them under their original
-// names so existing embedders keep compiling.
-type (
-	// State is a job lifecycle state. Transitions: queued → running →
-	// done|failed|cancelled, plus queued → cancelled (cancelled before a
-	// worker picked it up) and queued → done (result-cache hit at submit).
-	State = wire.State
-	// JobRequest is the submit payload.
-	JobRequest = wire.JobRequest
-	// SchemeResult is one mined acyclic schema with its quality metrics.
-	SchemeResult = wire.SchemeResult
-	// MVDItem is one mined full ε-MVD.
-	MVDItem = wire.MVDItem
-	// JobResult is what GET /jobs/{id}/result serves once a job is done.
-	JobResult = wire.JobResult
-	// Progress is a live snapshot of how far a job has gotten.
-	Progress = wire.Progress
-	// MemoryStatus is the memory state of the session a job mines against.
-	MemoryStatus = wire.MemoryStatus
-	// DistStatus is the shard fan-out view of a coordinator-run job.
-	DistStatus = wire.DistStatus
-	// JobStatus is the wire representation of a job (GET /jobs/{id}).
-	JobStatus = wire.JobStatus
-)
-
-const (
-	StateQueued    = wire.StateQueued
-	StateRunning   = wire.StateRunning
-	StateDone      = wire.StateDone
-	StateFailed    = wire.StateFailed
-	StateCancelled = wire.StateCancelled
-)
-
-// Mining modes a job may request.
-const (
-	ModeSchemes = wire.ModeSchemes // both phases: full ε-MVDs, then acyclic schemes
-	ModeMVDs    = wire.ModeMVDs    // phase 1 only
-)
-
 // Job is one asynchronous mining job. All mutable fields are guarded by
 // mu except the progress counters, which the worker updates with atomics
 // from inside the mining callbacks.
 type Job struct {
 	id  string
-	req JobRequest
+	req wire.JobRequest
 
 	ctx    context.Context // cancelled by DELETE or manager shutdown
 	cancel context.CancelFunc
@@ -87,11 +46,11 @@ type Job struct {
 	distRetries atomic.Int64
 
 	mu       sync.Mutex
-	state    State
+	state    wire.State
 	phase    string
-	memFinal *MemoryStatus // session memory snapshot taken at finish
+	memFinal *wire.MemoryStatus // session memory snapshot taken at finish
 	errMsg   string
-	result   *JobResult
+	result   *wire.JobResult
 	cacheHit bool
 	// key is the result-cache key the job is served under, set (under
 	// Manager.mu) when it finishes done or is itself a hit; eviction
@@ -103,14 +62,14 @@ type Job struct {
 	done     chan struct{} // closed on entering a terminal state
 }
 
-func newJob(id string, req JobRequest, parent context.Context) *Job {
+func newJob(id string, req wire.JobRequest, parent context.Context) *Job {
 	ctx, cancel := context.WithCancel(parent)
 	return &Job{
 		id:      id,
 		req:     req,
 		ctx:     ctx,
 		cancel:  cancel,
-		state:   StateQueued,
+		state:   wire.StateQueued,
 		created: time.Now(),
 		done:    make(chan struct{}),
 	}
@@ -120,13 +79,13 @@ func newJob(id string, req JobRequest, parent context.Context) *Job {
 func (j *Job) ID() string { return j.id }
 
 // Request returns the submitted request (with manager defaults applied).
-func (j *Job) Request() JobRequest { return j.req }
+func (j *Job) Request() wire.JobRequest { return j.req }
 
 // Done is closed once the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // State returns the current lifecycle state.
-func (j *Job) State() State {
+func (j *Job) State() wire.State {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state
@@ -135,17 +94,17 @@ func (j *Job) State() State {
 // Result returns the job's result; ok is false until the job is done.
 // Cancelled jobs retain the partial result mined before cancellation, but
 // it is only exposed here for done jobs.
-func (j *Job) Result() (*JobResult, bool) {
+func (j *Job) Result() (*wire.JobResult, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateDone {
+	if j.state != wire.StateDone {
 		return nil, false
 	}
 	return j.result, true
 }
 
 // Status returns a consistent snapshot for serialization.
-func (j *Job) Status() JobStatus {
+func (j *Job) Status() wire.JobStatus {
 	// Snapshot the session stats before taking j.mu: Session.Stats walks
 	// the striped oracle counters and there is no reason to serialize
 	// status readers behind that.
@@ -155,7 +114,7 @@ func (j *Job) Status() JobStatus {
 	if mem == nil {
 		mem = j.memFinal
 	}
-	st := JobStatus{
+	st := wire.JobStatus{
 		ID:       j.id,
 		Dataset:  j.req.Dataset,
 		Mode:     j.req.Mode,
@@ -163,7 +122,7 @@ func (j *Job) Status() JobStatus {
 		State:    j.state,
 		Error:    j.errMsg,
 		CacheHit: j.cacheHit,
-		Progress: Progress{
+		Progress: wire.Progress{
 			Phase:      j.phase,
 			PairsDone:  int(j.pairsDone.Load()),
 			PairsTotal: int(j.pairsTotal.Load()),
@@ -175,7 +134,7 @@ func (j *Job) Status() JobStatus {
 		CreatedAt: j.created,
 	}
 	if total := j.shardsTotal.Load(); total > 0 {
-		st.Dist = &DistStatus{
+		st.Dist = &wire.DistStatus{
 			ShardsDone:  int(j.shardsDone.Load()),
 			ShardsTotal: int(total),
 			Retries:     int(j.distRetries.Load()),
@@ -197,10 +156,10 @@ func (j *Job) Status() JobStatus {
 func (j *Job) markRunning() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateQueued {
+	if j.state != wire.StateQueued {
 		return false
 	}
-	j.state = StateRunning
+	j.state = wire.StateRunning
 	j.started = time.Now()
 	j.phase = "mvds"
 	return true
@@ -231,12 +190,12 @@ func (j *Job) observe(p maimon.Progress) {
 
 // memorySnapshot captures a session's cache state for MemoryStatus;
 // nil in, nil out.
-func memorySnapshot(sess *maimon.Session) *MemoryStatus {
+func memorySnapshot(sess *maimon.Session) *wire.MemoryStatus {
 	if sess == nil {
 		return nil
 	}
 	st := sess.Stats()
-	return &MemoryStatus{
+	return &wire.MemoryStatus{
 		BytesLive:      st.PLIStats.BytesLive,
 		BytesPinned:    st.PLIStats.BytesPinned,
 		Evictions:      st.PLIStats.Drops + st.PLIStats.Demotions,
@@ -257,7 +216,7 @@ func memorySnapshot(sess *maimon.Session) *MemoryStatus {
 // dataset removal has otherwise released. It reports whether this call
 // performed the transition (false when the job was already terminal), so
 // callers can emit lifecycle telemetry exactly once per job.
-func (j *Job) finish(state State, result *JobResult, errMsg string) bool {
+func (j *Job) finish(state wire.State, result *wire.JobResult, errMsg string) bool {
 	if !state.Terminal() {
 		panic(fmt.Sprintf("service: finish with non-terminal state %q", state))
 	}
@@ -283,11 +242,11 @@ func (j *Job) finish(state State, result *JobResult, errMsg string) bool {
 // job yet). It reports whether the transition happened.
 func (j *Job) cancelQueued() bool {
 	j.mu.Lock()
-	if j.state != StateQueued {
+	if j.state != wire.StateQueued {
 		j.mu.Unlock()
 		return false
 	}
-	j.state = StateCancelled
+	j.state = wire.StateCancelled
 	j.errMsg = "cancelled before start"
 	j.finished = time.Now()
 	close(j.done)

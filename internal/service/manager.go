@@ -12,6 +12,7 @@ import (
 	maimon "repro"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/wire"
 )
 
 // queueDepth bounds how many jobs may wait. A full queue rejects submits
@@ -43,9 +44,9 @@ type cacheKey struct {
 	maxSchemes int
 }
 
-func keyOf(session int64, req JobRequest) cacheKey {
+func keyOf(session int64, req wire.JobRequest) cacheKey {
 	k := cacheKey{session: session, epsilon: req.Epsilon, mode: req.Mode, maxSchemes: req.MaxSchemes}
-	if req.Mode == ModeMVDs {
+	if req.Mode == wire.ModeMVDs {
 		k.maxSchemes = 0 // phase 1 never reads it
 	}
 	return k
@@ -186,13 +187,13 @@ func (m *Manager) Ready() bool {
 }
 
 // normalize validates req and fills in manager defaults.
-func (m *Manager) normalize(req JobRequest) (JobRequest, error) {
+func (m *Manager) normalize(req wire.JobRequest) (wire.JobRequest, error) {
 	switch req.Mode {
 	case "":
-		req.Mode = ModeSchemes
-	case ModeSchemes, ModeMVDs:
+		req.Mode = wire.ModeSchemes
+	case wire.ModeSchemes, wire.ModeMVDs:
 	default:
-		return req, fmt.Errorf("service: unknown mode %q (want %q or %q)", req.Mode, ModeSchemes, ModeMVDs)
+		return req, fmt.Errorf("service: unknown mode %q (want %q or %q)", req.Mode, wire.ModeSchemes, wire.ModeMVDs)
 	}
 	if req.Epsilon < 0 {
 		return req, fmt.Errorf("service: epsilon must be ≥ 0, got %v", req.Epsilon)
@@ -236,7 +237,7 @@ func (m *Manager) mineWorkers(workers int) int {
 // a job that is already done, carrying the served job's result; the hit
 // then becomes the entry, so a result that keeps being asked for stays
 // retained.
-func (m *Manager) Submit(req JobRequest) (*Job, error) {
+func (m *Manager) Submit(req wire.JobRequest) (*Job, error) {
 	req, err := m.normalize(req)
 	if err != nil {
 		return nil, err
@@ -254,7 +255,7 @@ func (m *Manager) Submit(req JobRequest) (*Job, error) {
 		m.hits.Add(1)
 		res, _ := hit.Result()
 		job.cacheHit = true
-		job.finish(StateDone, res, "")
+		job.finish(wire.StateDone, res, "")
 		job.key = key
 		m.served[key] = job
 		m.register(job)
@@ -310,14 +311,14 @@ func (m *Manager) Jobs() []*Job {
 // cancelled as soon as the miner observes it (one candidate evaluation).
 // The returned state is the job's state right after the request;
 // cancelling an already-terminal job is a no-op reporting that state.
-func (m *Manager) Cancel(id string) (State, error) {
+func (m *Manager) Cancel(id string) (wire.State, error) {
 	job, ok := m.Job(id)
 	if !ok {
 		return "", fmt.Errorf("service: unknown job %q", id)
 	}
 	if job.cancelQueued() {
 		m.tel.jobCancelledQueued(job)
-		return StateCancelled, nil
+		return wire.StateCancelled, nil
 	}
 	// Running or already terminal: cancelling the context is a no-op for
 	// terminal jobs (finish keeps the first terminal state).
@@ -364,7 +365,7 @@ func (m *Manager) run(job *Job) {
 	if job.ctx.Err() != nil { // cancelled (or manager closed) while queued
 		// finish reports false when cancelQueued already finished the job —
 		// that path emitted the cancelled event, so don't count it twice.
-		if job.finish(StateCancelled, nil, "cancelled before start") {
+		if job.finish(wire.StateCancelled, nil, "cancelled before start") {
 			m.tel.jobCancelledQueued(job)
 		}
 		return
@@ -376,8 +377,8 @@ func (m *Manager) run(job *Job) {
 	sess, sessionID, ok := m.reg.lookup(job.req.Dataset)
 	if !ok {
 		msg := fmt.Sprintf("dataset %q was removed before the job ran", job.req.Dataset)
-		job.finish(StateFailed, nil, msg)
-		m.tel.jobFinished(job, StateFailed, 0, msg)
+		job.finish(wire.StateFailed, nil, msg)
+		m.tel.jobFinished(job, wire.StateFailed, 0, msg)
 		return
 	}
 	// Expose the session to status readers while the job runs: GET
@@ -400,11 +401,11 @@ func (m *Manager) run(job *Job) {
 	case job.ctx.Err() != nil && errors.Is(job.ctx.Err(), context.Canceled):
 		// Explicit DELETE (or manager shutdown), regardless of how the
 		// miner surfaced it: the job is cancelled, not done.
-		job.finish(StateCancelled, result, "cancelled")
-		m.tel.jobFinished(job, StateCancelled, time.Since(start), "cancelled")
+		job.finish(wire.StateCancelled, result, "cancelled")
+		m.tel.jobFinished(job, wire.StateCancelled, time.Since(start), "cancelled")
 	case err != nil && !errors.Is(err, core.ErrInterrupted):
-		job.finish(StateFailed, nil, err.Error())
-		m.tel.jobFinished(job, StateFailed, time.Since(start), err.Error())
+		job.finish(wire.StateFailed, nil, err.Error())
+		m.tel.jobFinished(job, wire.StateFailed, time.Since(start), err.Error())
 	default:
 		result.Interrupted = errors.Is(err, core.ErrInterrupted)
 		// Finishing under m.mu indexes the job before its Done closes and
@@ -412,13 +413,13 @@ func (m *Manager) run(job *Job) {
 		// it mined: a job finishing after its dataset was removed gets an
 		// entry no later request reaches, which leaves with the job.
 		m.mu.Lock()
-		job.finish(StateDone, result, "")
+		job.finish(wire.StateDone, result, "")
 		if !result.Interrupted {
 			job.key = keyOf(sessionID, job.req)
 			m.served[job.key] = job
 		}
 		m.mu.Unlock()
-		m.tel.jobFinished(job, StateDone, time.Since(start), "")
+		m.tel.jobFinished(job, wire.StateDone, time.Since(start), "")
 	}
 }
 
@@ -431,7 +432,7 @@ func (m *Manager) run(job *Job) {
 // With a coordinator, phase 1 runs distributed (mineDistributed) and
 // phase 2 runs here on the merged Mε, under the same options — the job's
 // fan-out included — as a local mine.
-func (m *Manager) mine(ctx context.Context, sess *maimon.Session, job *Job) (*JobResult, error) {
+func (m *Manager) mine(ctx context.Context, sess *maimon.Session, job *Job) (*wire.JobResult, error) {
 	req := job.req
 	// Each job owns its trace (concurrent jobs on one session must not
 	// share); the stage breakdown feeds the per-stage metric counters
@@ -452,17 +453,17 @@ func (m *Manager) mine(ctx context.Context, sess *maimon.Session, job *Job) (*Jo
 	switch {
 	case m.coord != nil:
 		res, err = m.mineDistributed(ctx, sess, job)
-		if res != nil && err == nil && req.Mode == ModeSchemes {
+		if res != nil && err == nil && req.Mode == wire.ModeSchemes {
 			job.setPhase("schemes")
 			schemes, err = sess.SchemesFromMVDs(ctx, res.MVDs, opts...)
 		}
-	case req.Mode == ModeMVDs:
+	case req.Mode == wire.ModeMVDs:
 		res, err = sess.MineMVDs(ctx, opts...)
 	default:
 		schemes, res, err = sess.MineSchemes(ctx, opts...)
 	}
 
-	out := &JobResult{Dataset: req.Dataset, Epsilon: req.Epsilon, Mode: req.Mode}
+	out := &wire.JobResult{Dataset: req.Dataset, Epsilon: req.Epsilon, Mode: req.Mode}
 	if res == nil {
 		// Possible despite normalize(): the dataset was swapped for an
 		// unminable one (removed and re-registered under the same name)
@@ -471,44 +472,59 @@ func (m *Manager) mine(ctx context.Context, sess *maimon.Session, job *Job) (*Jo
 	}
 	names := sess.Relation().Names()
 	out.NumMinSeps = res.NumMinSeps()
-	out.MVDs = make([]MVDItem, len(res.MVDs))
+	out.MVDs = make([]wire.MVDItem, len(res.MVDs))
 	for i, phi := range res.MVDs {
-		out.MVDs[i] = MVDItem{MVD: phi.Format(names), J: sess.J(phi)}
+		out.MVDs[i] = wire.MVDItem{MVD: phi.Format(names), J: sess.J(phi)}
 	}
-	if req.Mode == ModeSchemes {
-		out.Schemes = m.rankSchemes(sess, job, schemes)
+	if req.Mode == wire.ModeSchemes {
+		var rankErr error
+		out.Schemes, rankErr = m.rankSchemes(ctx, sess, job, schemes)
+		if err == nil {
+			err = rankErr
+		}
 	}
 	return out, err
 }
 
 // rankSchemes attaches the decomposition metrics to every mined scheme,
-// ranking them at the job's fan-out. They are best-effort: a scheme whose
-// metrics cannot be computed still counts as mined — it keeps its entry,
-// without S and E — and the failure is logged against the job.
-func (m *Manager) rankSchemes(sess *maimon.Session, job *Job, schemes []*maimon.Scheme) []SchemeResult {
+// ranking them at the job's fan-out until ctx is done. They are
+// best-effort: a scheme whose metrics cannot be computed still counts as
+// mined — it keeps its entry, without S and E — and the failure is logged
+// against the job. A scheme the stop left unranked is not logged; the
+// returned error says the ranking stopped, as mine reports it: ctx's
+// deadline as core.ErrInterrupted, a cancellation as itself.
+func (m *Manager) rankSchemes(ctx context.Context, sess *maimon.Session, job *Job, schemes []*maimon.Scheme) ([]wire.SchemeResult, error) {
 	names := sess.Relation().Names()
 	schemas := make([]maimon.Schema, len(schemes))
 	for i, s := range schemes {
 		schemas[i] = s.Schema
 	}
-	mets, errs := sess.AnalyzeAll(schemas, maimon.WithWorkers(job.req.Workers))
-	var out []SchemeResult
+	mets, errs := sess.AnalyzeAll(ctx, schemas, maimon.WithWorkers(job.req.Workers))
+	stopped := ctx.Err()
+	var stopErr error
+	var out []wire.SchemeResult
 	for i, s := range schemes {
-		sr := SchemeResult{
+		sr := wire.SchemeResult{
 			Schema:    s.Schema.Format(names),
 			J:         s.J,
 			Relations: s.M(),
 			Width:     s.Schema.Width(),
 		}
-		if errs[i] != nil {
-			m.tel.Logger().Warn("scheme metrics failed", "job", job.id, "schema", sr.Schema, "error", errs[i])
-		} else {
+		switch {
+		case errs[i] == nil:
 			sr.SavingsPct = mets[i].SavingsPct
 			sr.SpuriousPct = mets[i].SpuriousPct
+		case errs[i] == stopped:
+			stopErr = stopped
+		default:
+			m.tel.Logger().Warn("scheme metrics failed", "job", job.id, "schema", sr.Schema, "error", errs[i])
 		}
 		out = append(out, sr)
 	}
-	return out
+	if stopErr == context.DeadlineExceeded {
+		stopErr = core.ErrInterrupted
+	}
+	return out, stopErr
 }
 
 // mineDistributed is phase 1 of mine() fanned out through the

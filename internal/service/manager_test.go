@@ -12,6 +12,7 @@ import (
 	maimon "repro"
 	"repro/internal/datagen"
 	"repro/internal/service"
+	"repro/internal/wire"
 )
 
 func TestRegistryLifecycle(t *testing.T) {
@@ -52,7 +53,7 @@ func TestManagerSubmitValidation(t *testing.T) {
 	}
 	mgr := service.NewManager(reg, service.Config{Workers: 1})
 	defer mgr.Close()
-	for _, req := range []service.JobRequest{
+	for _, req := range []wire.JobRequest{
 		{Dataset: "missing"},
 		{Dataset: "narrow"},                // < 3 attributes
 		{Dataset: "narrow", Epsilon: -0.1}, // negative ε
@@ -72,12 +73,12 @@ func TestManagerDefaultsApplied(t *testing.T) {
 	}
 	mgr := service.NewManager(reg, service.Config{Workers: 1})
 	defer mgr.Close()
-	job, err := mgr.Submit(service.JobRequest{Dataset: "d"})
+	job, err := mgr.Submit(wire.JobRequest{Dataset: "d"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	req := job.Request()
-	if req.Mode != service.ModeSchemes {
+	if req.Mode != wire.ModeSchemes {
 		t.Errorf("default mode = %q", req.Mode)
 	}
 	if req.MaxSchemes != maimon.DefaultMaxSchemes {
@@ -98,7 +99,7 @@ func TestJobRetentionBound(t *testing.T) {
 	var ids []string
 	for i := 0; i < 6; i++ {
 		// Distinct epsilons defeat the cache so every job really runs.
-		job, err := mgr.Submit(service.JobRequest{Dataset: "d", Epsilon: float64(i) * 0.01})
+		job, err := mgr.Submit(wire.JobRequest{Dataset: "d", Epsilon: float64(i) * 0.01})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,17 +125,17 @@ func TestManagerCloseCancelsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := service.NewManager(reg, service.Config{Workers: 1})
-	running, err := mgr.Submit(service.JobRequest{Dataset: "slow", Epsilon: 0.3})
+	running, err := mgr.Submit(wire.JobRequest{Dataset: "slow", Epsilon: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	queued, err := mgr.Submit(service.JobRequest{Dataset: "slow", Epsilon: 0.25})
+	queued, err := mgr.Submit(wire.JobRequest{Dataset: "slow", Epsilon: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Wait until the first job is actually mining.
 	deadline := time.Now().Add(10 * time.Second)
-	for running.State() != service.StateRunning {
+	for running.State() != wire.StateRunning {
 		if time.Now().After(deadline) {
 			t.Fatal("job never started")
 		}
@@ -145,13 +146,13 @@ func TestManagerCloseCancelsInFlight(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("Close took %v", elapsed)
 	}
-	if st := running.State(); st != service.StateCancelled {
+	if st := running.State(); st != wire.StateCancelled {
 		t.Fatalf("running job state after Close: %q", st)
 	}
-	if st := queued.State(); st != service.StateCancelled {
+	if st := queued.State(); st != wire.StateCancelled {
 		t.Fatalf("queued job state after Close: %q", st)
 	}
-	if _, err := mgr.Submit(service.JobRequest{Dataset: "slow", Epsilon: 0.2}); err != service.ErrClosed {
+	if _, err := mgr.Submit(wire.JobRequest{Dataset: "slow", Epsilon: 0.2}); err != service.ErrClosed {
 		t.Fatalf("submit after Close: err = %v", err)
 	}
 	mgr.Close() // idempotent
@@ -170,11 +171,11 @@ func TestJobWorkersPlumbing(t *testing.T) {
 	mgr := service.NewManager(reg, service.Config{Workers: 1, MineWorkers: 2})
 	defer mgr.Close()
 
-	if _, err := mgr.Submit(service.JobRequest{Dataset: "d", Workers: -1}); err == nil {
+	if _, err := mgr.Submit(wire.JobRequest{Dataset: "d", Workers: -1}); err == nil {
 		t.Error("negative workers accepted")
 	}
 
-	job, err := mgr.Submit(service.JobRequest{Dataset: "d", Epsilon: 0.1, Workers: 1 << 20})
+	job, err := mgr.Submit(wire.JobRequest{Dataset: "d", Epsilon: 0.1, Workers: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestJobWorkersPlumbing(t *testing.T) {
 		t.Fatalf("parallel job did not finish done: %+v", job.Status())
 	}
 
-	defaulted, err := mgr.Submit(service.JobRequest{Dataset: "d", Epsilon: 0.2})
+	defaulted, err := mgr.Submit(wire.JobRequest{Dataset: "d", Epsilon: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestJobWorkersPlumbing(t *testing.T) {
 
 	// Same dataset and ε as the parallel job, but workers=1: must be a
 	// result-cache hit carrying the identical result pointer.
-	again, err := mgr.Submit(service.JobRequest{Dataset: "d", Epsilon: 0.1, Workers: 1})
+	again, err := mgr.Submit(wire.JobRequest{Dataset: "d", Epsilon: 0.1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestJobStatusReportsMemory(t *testing.T) {
 	}
 	mgr := service.NewManager(reg, service.Config{Workers: 1})
 	defer mgr.Close()
-	job, err := mgr.Submit(service.JobRequest{Dataset: "nursery", Epsilon: 0.1, Mode: service.ModeMVDs})
+	job, err := mgr.Submit(wire.JobRequest{Dataset: "nursery", Epsilon: 0.1, Mode: wire.ModeMVDs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestJobStatusReportsMemory(t *testing.T) {
 		t.Fatal("job did not finish")
 	}
 	st := job.Status()
-	if st.State != service.StateDone {
+	if st.State != wire.StateDone {
 		t.Fatalf("state = %s (%s), want done", st.State, st.Error)
 	}
 	if st.Memory == nil {
@@ -262,7 +263,7 @@ func TestBudgetedRegistrySessions(t *testing.T) {
 	}
 	mgr := service.NewManager(reg, service.Config{Workers: 1})
 	defer mgr.Close()
-	job, err := mgr.Submit(service.JobRequest{Dataset: "nursery", Epsilon: 0.2, Mode: service.ModeMVDs})
+	job, err := mgr.Submit(wire.JobRequest{Dataset: "nursery", Epsilon: 0.2, Mode: wire.ModeMVDs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func TestBudgetedRegistrySessions(t *testing.T) {
 		t.Fatal("job did not finish")
 	}
 	st := job.Status()
-	if st.State != service.StateDone {
+	if st.State != wire.StateDone {
 		t.Fatalf("state = %s (%s), want done", st.State, st.Error)
 	}
 	if st.Memory == nil {
@@ -300,7 +301,7 @@ func tinyRegistry(t testing.TB) *service.Registry {
 }
 
 // submitWait submits req and waits for the job to reach a terminal state.
-func submitWait(t *testing.T, mgr *service.Manager, req service.JobRequest) *service.Job {
+func submitWait(t *testing.T, mgr *service.Manager, req wire.JobRequest) *service.Job {
 	t.Helper()
 	job, err := mgr.Submit(req)
 	if err != nil {
@@ -320,7 +321,7 @@ func submitWait(t *testing.T, mgr *service.Manager, req service.JobRequest) *ser
 func waitMining(t *testing.T, job *service.Job) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
-	for st := job.Status(); st.State != service.StateRunning || st.Memory == nil; st = job.Status() {
+	for st := job.Status(); st.State != wire.StateRunning || st.Memory == nil; st = job.Status() {
 		if st.State.Terminal() || time.Now().After(deadline) {
 			t.Fatalf("job %s never started mining: %+v", job.ID(), st)
 		}
@@ -335,7 +336,7 @@ func waitMining(t *testing.T, job *service.Job) {
 func TestResultCacheServesRetainedJobs(t *testing.T) {
 	mgr := service.NewManagerRetaining(tinyRegistry(t), service.Config{Workers: 1}, 3)
 	defer mgr.Close()
-	req := service.JobRequest{Dataset: "d", Epsilon: 0}
+	req := wire.JobRequest{Dataset: "d", Epsilon: 0}
 	first := submitWait(t, mgr, req)
 	want, ok := first.Result()
 	if !ok {
@@ -346,7 +347,7 @@ func TestResultCacheServesRetainedJobs(t *testing.T) {
 		t.Fatal("resubmission not served the first job's result")
 	}
 	for i := 1; i <= 2; i++ {
-		submitWait(t, mgr, service.JobRequest{Dataset: "d", Epsilon: float64(i) * 0.01})
+		submitWait(t, mgr, wire.JobRequest{Dataset: "d", Epsilon: float64(i) * 0.01})
 	}
 	if _, ok := mgr.Job(first.ID()); ok {
 		t.Fatalf("job %s still retained; the test needs it evicted", first.ID())
@@ -356,7 +357,7 @@ func TestResultCacheServesRetainedJobs(t *testing.T) {
 		t.Fatal("result not served once the job that mined it left retention")
 	}
 	for i := 3; i <= 5; i++ {
-		submitWait(t, mgr, service.JobRequest{Dataset: "d", Epsilon: float64(i) * 0.01})
+		submitWait(t, mgr, wire.JobRequest{Dataset: "d", Epsilon: float64(i) * 0.01})
 	}
 	if miss := submitWait(t, mgr, req); miss.Status().CacheHit {
 		t.Fatal("served a key whose jobs have all left retention")
@@ -370,7 +371,7 @@ func TestResultCacheBoundedByRetention(t *testing.T) {
 	mgr := service.NewManagerRetaining(tinyRegistry(t), service.Config{Workers: 1}, retain)
 	defer mgr.Close()
 	for i, eps := range []float64{0, 0, 0.01, 0.02, 0, 0.03, 0.04, 0.05, 0.01, 0.06} {
-		submitWait(t, mgr, service.JobRequest{Dataset: "d", Epsilon: eps})
+		submitWait(t, mgr, wire.JobRequest{Dataset: "d", Epsilon: eps})
 		if n, jobs := mgr.ResultCacheEntries(), len(mgr.Jobs()); n > jobs || n > retain {
 			t.Fatalf("after job %d: %d cache entries, %d retained jobs (cap %d)", i, n, jobs, retain)
 		}
@@ -397,7 +398,7 @@ func TestResultCacheServesOnlyCompleteResults(t *testing.T) {
 		}
 	}
 
-	timed := service.JobRequest{Dataset: "slow", Epsilon: 0.3, TimeoutMS: 50}
+	timed := wire.JobRequest{Dataset: "slow", Epsilon: 0.3, TimeoutMS: 50}
 	if res, _ := submitWait(t, mgr, timed).Result(); res == nil || !res.Interrupted {
 		t.Fatalf("timed-out job: result %+v, want done and interrupted", res)
 	}
@@ -406,7 +407,7 @@ func TestResultCacheServesOnlyCompleteResults(t *testing.T) {
 		t.Fatal("interrupted result served")
 	}
 
-	long := service.JobRequest{Dataset: "slow", Epsilon: 0.3}
+	long := wire.JobRequest{Dataset: "slow", Epsilon: 0.3}
 	for i := 0; i < 2; i++ {
 		job, err := mgr.Submit(long)
 		if err != nil {
@@ -420,7 +421,7 @@ func TestResultCacheServesOnlyCompleteResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		<-job.Done()
-		if st := job.State(); st != service.StateCancelled {
+		if st := job.State(); st != wire.StateCancelled {
 			t.Fatalf("cancelled job ended %q", st)
 		}
 		noEntry("cancelled")
@@ -432,7 +433,7 @@ func TestResultCacheServesOnlyCompleteResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim, err := mgr.Submit(service.JobRequest{Dataset: "d", Epsilon: 0})
+	victim, err := mgr.Submit(wire.JobRequest{Dataset: "d", Epsilon: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +447,7 @@ func TestResultCacheServesOnlyCompleteResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-victim.Done()
-	if st := victim.State(); st != service.StateFailed {
+	if st := victim.State(); st != wire.StateFailed {
 		t.Fatalf("victim ended %q, want failed", st)
 	}
 	noEntry("failed")
@@ -462,7 +463,7 @@ func TestResultCacheLateFinishAfterRemoval(t *testing.T) {
 	}
 	mgr := service.NewManager(reg, service.Config{Workers: 1})
 	defer mgr.Close()
-	req := service.JobRequest{Dataset: "d", Epsilon: 0.2} // mines for about half a second
+	req := wire.JobRequest{Dataset: "d", Epsilon: 0.2} // mines for about half a second
 	job, err := mgr.Submit(req)
 	if err != nil {
 		t.Fatal(err)
@@ -505,7 +506,7 @@ func TestResultCacheConcurrentSubmits(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				eps := float64((g+i)%3) * 0.01
-				job, err := mgr.Submit(service.JobRequest{Dataset: "d", Epsilon: eps})
+				job, err := mgr.Submit(wire.JobRequest{Dataset: "d", Epsilon: eps})
 				if err != nil {
 					t.Error(err)
 					return

@@ -208,15 +208,15 @@ func (t *Telemetry) jobStarted(job *Job) {
 
 // jobFinished records a running job reaching a terminal state; elapsed
 // is the execution wall time (not queued time).
-func (t *Telemetry) jobFinished(job *Job, state State, elapsed time.Duration, errMsg string) {
+func (t *Telemetry) jobFinished(job *Job, state wire.State, elapsed time.Duration, errMsg string) {
 	t.jobsRunning.Dec()
 	t.jobDuration.Observe(elapsed.Seconds())
 	switch state {
-	case StateDone:
+	case wire.StateDone:
 		t.jobsDone.Inc()
-	case StateFailed:
+	case wire.StateFailed:
 		t.jobsFailed.Inc()
-	case StateCancelled:
+	case wire.StateCancelled:
 		t.jobsCancelled.Inc()
 	}
 	attrs := []any{
@@ -226,7 +226,7 @@ func (t *Telemetry) jobFinished(job *Job, state State, elapsed time.Duration, er
 	if errMsg != "" {
 		attrs = append(attrs, "error", errMsg)
 	}
-	if state == StateFailed {
+	if state == wire.StateFailed {
 		t.log.Error("job finished", attrs...)
 	} else {
 		t.log.Info("job finished", attrs...)

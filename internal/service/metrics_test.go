@@ -12,6 +12,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/obs"
 	"repro/internal/service"
+	"repro/internal/wire"
 )
 
 // scrapeMetrics fetches and strictly parses /metrics.
@@ -107,7 +108,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if _, err := mgr.Registry().Add("planted", plantedRelation(t)); err != nil {
 		t.Fatal(err)
 	}
-	id := submitJob(t, ts, service.JobRequest{Dataset: "planted", Epsilon: 0.01}).ID
+	id := submitJob(t, ts, wire.JobRequest{Dataset: "planted", Epsilon: 0.01}).ID
 	waitDone(t, ts, id)
 
 	e := scrapeMetrics(t, ts.URL)
@@ -161,7 +162,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 
 	// A second identical submit is a result-cache hit; the counters and a
 	// re-scrape must agree.
-	id2 := submitJob(t, ts, service.JobRequest{Dataset: "planted", Epsilon: 0.01})
+	id2 := submitJob(t, ts, wire.JobRequest{Dataset: "planted", Epsilon: 0.01})
 	if !id2.CacheHit {
 		t.Fatal("second identical submit was not a cache hit")
 	}
@@ -207,7 +208,7 @@ func TestEntropyOnlySurfacedInStatus(t *testing.T) {
 	}
 	mgr := service.NewManager(reg, service.Config{Workers: 1, Telemetry: tel})
 	defer mgr.Close()
-	job, err := mgr.Submit(service.JobRequest{Dataset: "nursery", Epsilon: 0.1, Mode: service.ModeMVDs})
+	job, err := mgr.Submit(wire.JobRequest{Dataset: "nursery", Epsilon: 0.1, Mode: wire.ModeMVDs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestEntropyOnlySurfacedInStatus(t *testing.T) {
 		t.Fatal("job did not finish")
 	}
 	st := job.Status()
-	if st.State != service.StateDone {
+	if st.State != wire.StateDone {
 		t.Fatalf("state = %s (%s), want done", st.State, st.Error)
 	}
 	if st.Memory == nil || st.Memory.EntropyOnly == 0 {
@@ -242,11 +243,11 @@ func TestCancelledQueuedCountedOnce(t *testing.T) {
 	mgr := service.NewManager(reg, service.Config{Workers: 1, Telemetry: tel})
 	defer mgr.Close()
 
-	running, err := mgr.Submit(service.JobRequest{Dataset: "slow", Epsilon: 0.3})
+	running, err := mgr.Submit(wire.JobRequest{Dataset: "slow", Epsilon: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	queued, err := mgr.Submit(service.JobRequest{Dataset: "planted", Epsilon: 0.25})
+	queued, err := mgr.Submit(wire.JobRequest{Dataset: "planted", Epsilon: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestCancelledQueuedCountedOnce(t *testing.T) {
 	}
 	// A trailing fast job forces the single worker past the cancelled
 	// queue entry (FIFO) before we scrape.
-	tail, err := mgr.Submit(service.JobRequest{Dataset: "planted", Epsilon: 0.01})
+	tail, err := mgr.Submit(wire.JobRequest{Dataset: "planted", Epsilon: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}

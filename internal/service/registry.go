@@ -6,7 +6,8 @@
 // (queued → running → done/failed/cancelled) and per-job cancellation via
 // context, whose retained jobs also answer a repeated job per session
 // incarnation (the result cache); and the HTTP handler
-// exposing it all as a JSON API, versioned under /v1.
+// exposing it all as a JSON API, versioned under /v1. The API's JSON
+// shapes are internal/wire's, shared with internal/dist and clients.
 //
 // The split from the library facade is deliberate: the facade owns the
 // Session abstraction (warm oracle, streaming, progress events), while

@@ -125,7 +125,7 @@ func (s *server) deleteDataset(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) postJob(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
+	var req wire.JobRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -172,7 +172,7 @@ func (s *server) postShard(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) listJobs(w http.ResponseWriter, r *http.Request) {
 	jobs := s.mgr.Jobs()
-	out := make([]JobStatus, len(jobs))
+	out := make([]wire.JobStatus, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.Status()
 	}

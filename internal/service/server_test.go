@@ -19,6 +19,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/relation"
 	"repro/internal/service"
+	"repro/internal/wire"
 )
 
 // plantedRelation is the small, fast-to-mine dataset most tests submit
@@ -64,7 +65,7 @@ func decodeJSON[T any](t *testing.T, rd io.Reader) T {
 	return v
 }
 
-func submitJob(t *testing.T, ts *httptest.Server, req service.JobRequest) service.JobStatus {
+func submitJob(t *testing.T, ts *httptest.Server, req wire.JobRequest) wire.JobStatus {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
@@ -76,10 +77,10 @@ func submitJob(t *testing.T, ts *httptest.Server, req service.JobRequest) servic
 		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("submit: status %d: %s", resp.StatusCode, b)
 	}
-	return decodeJSON[service.JobStatus](t, resp.Body)
+	return decodeJSON[wire.JobStatus](t, resp.Body)
 }
 
-func jobStatus(t *testing.T, ts *httptest.Server, id string) service.JobStatus {
+func jobStatus(t *testing.T, ts *httptest.Server, id string) wire.JobStatus {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
 	if err != nil {
@@ -89,11 +90,11 @@ func jobStatus(t *testing.T, ts *httptest.Server, id string) service.JobStatus {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d polling job %s", resp.StatusCode, id)
 	}
-	return decodeJSON[service.JobStatus](t, resp.Body)
+	return decodeJSON[wire.JobStatus](t, resp.Body)
 }
 
 // waitFor polls the job until pred holds, failing the test at timeout.
-func waitFor(t *testing.T, ts *httptest.Server, id string, timeout time.Duration, pred func(service.JobStatus) bool) service.JobStatus {
+func waitFor(t *testing.T, ts *httptest.Server, id string, timeout time.Duration, pred func(wire.JobStatus) bool) wire.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
@@ -108,16 +109,16 @@ func waitFor(t *testing.T, ts *httptest.Server, id string, timeout time.Duration
 	}
 }
 
-func waitDone(t *testing.T, ts *httptest.Server, id string) service.JobStatus {
+func waitDone(t *testing.T, ts *httptest.Server, id string) wire.JobStatus {
 	t.Helper()
-	st := waitFor(t, ts, id, 60*time.Second, func(s service.JobStatus) bool { return s.State.Terminal() })
-	if st.State != service.StateDone {
+	st := waitFor(t, ts, id, 60*time.Second, func(s wire.JobStatus) bool { return s.State.Terminal() })
+	if st.State != wire.StateDone {
 		t.Fatalf("job %s finished %q (error %q), want done", id, st.State, st.Error)
 	}
 	return st
 }
 
-func jobResult(t *testing.T, ts *httptest.Server, id string) service.JobResult {
+func jobResult(t *testing.T, ts *httptest.Server, id string) wire.JobResult {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result")
 	if err != nil {
@@ -128,7 +129,7 @@ func jobResult(t *testing.T, ts *httptest.Server, id string) service.JobResult {
 		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("result: status %d: %s", resp.StatusCode, b)
 	}
-	return decodeJSON[service.JobResult](t, resp.Body)
+	return decodeJSON[wire.JobResult](t, resp.Body)
 }
 
 func cancelJob(t *testing.T, ts *httptest.Server, id string) {
@@ -170,7 +171,7 @@ func expectedResult(t *testing.T, r *relation.Relation, eps float64, maxSchemes 
 	return schemaStrs, js, mvds
 }
 
-func assertMatchesSync(t *testing.T, r *relation.Relation, eps float64, got service.JobResult) {
+func assertMatchesSync(t *testing.T, r *relation.Relation, eps float64, got wire.JobResult) {
 	t.Helper()
 	schemas, js, mvds := expectedResult(t, r, eps, maimon.DefaultMaxSchemes)
 	if len(got.Schemes) != len(schemas) {
@@ -218,8 +219,8 @@ func TestEndToEndUploadSubmitPollResult(t *testing.T) {
 		t.Fatalf("uploaded as %dx%d, want %dx%d", info.Rows, info.Cols, r.NumRows(), r.NumCols())
 	}
 
-	st := submitJob(t, ts, service.JobRequest{Dataset: "planted", Epsilon: 0})
-	if st.State != service.StateQueued && st.State != service.StateRunning && st.State != service.StateDone {
+	st := submitJob(t, ts, wire.JobRequest{Dataset: "planted", Epsilon: 0})
+	if st.State != wire.StateQueued && st.State != wire.StateRunning && st.State != wire.StateDone {
 		t.Fatalf("fresh job in state %q", st.State)
 	}
 	fin := waitDone(t, ts, st.ID)
@@ -256,7 +257,7 @@ func TestConcurrentJobsSharedDataset(t *testing.T) {
 		wg.Add(1)
 		go func(i int, eps float64) {
 			defer wg.Done()
-			st := submitJob(t, ts, service.JobRequest{Dataset: "planted", Epsilon: eps})
+			st := submitJob(t, ts, wire.JobRequest{Dataset: "planted", Epsilon: eps})
 			ids[i] = st.ID
 		}(i, eps)
 	}
@@ -275,16 +276,16 @@ func TestCancelInFlightJob(t *testing.T) {
 	if _, err := mgr.Registry().Add("slow", slowRelation()); err != nil {
 		t.Fatal(err)
 	}
-	st := submitJob(t, ts, service.JobRequest{Dataset: "slow", Epsilon: 0.3})
-	waitFor(t, ts, st.ID, 10*time.Second, func(s service.JobStatus) bool {
-		return s.State == service.StateRunning
+	st := submitJob(t, ts, wire.JobRequest{Dataset: "slow", Epsilon: 0.3})
+	waitFor(t, ts, st.ID, 10*time.Second, func(s wire.JobStatus) bool {
+		return s.State == wire.StateRunning
 	})
 	cancelJob(t, ts, st.ID)
 	start := time.Now()
-	fin := waitFor(t, ts, st.ID, 15*time.Second, func(s service.JobStatus) bool {
+	fin := waitFor(t, ts, st.ID, 15*time.Second, func(s wire.JobStatus) bool {
 		return s.State.Terminal()
 	})
-	if fin.State != service.StateCancelled {
+	if fin.State != wire.StateCancelled {
 		t.Fatalf("cancelled job finished %q, want cancelled", fin.State)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
@@ -308,14 +309,14 @@ func TestCancelQueuedJob(t *testing.T) {
 	if _, err := mgr.Registry().Add("slow", slowRelation()); err != nil {
 		t.Fatal(err)
 	}
-	running := submitJob(t, ts, service.JobRequest{Dataset: "slow", Epsilon: 0.3})
-	waitFor(t, ts, running.ID, 10*time.Second, func(s service.JobStatus) bool {
-		return s.State == service.StateRunning
+	running := submitJob(t, ts, wire.JobRequest{Dataset: "slow", Epsilon: 0.3})
+	waitFor(t, ts, running.ID, 10*time.Second, func(s wire.JobStatus) bool {
+		return s.State == wire.StateRunning
 	})
-	queued := submitJob(t, ts, service.JobRequest{Dataset: "slow", Epsilon: 0.25})
+	queued := submitJob(t, ts, wire.JobRequest{Dataset: "slow", Epsilon: 0.25})
 	cancelJob(t, ts, queued.ID)
 	fin := jobStatus(t, ts, queued.ID)
-	if fin.State != service.StateCancelled {
+	if fin.State != wire.StateCancelled {
 		t.Fatalf("queued job state %q after DELETE, want cancelled", fin.State)
 	}
 	if fin.Progress.Phase != "" {
@@ -331,14 +332,14 @@ func TestResultCacheHit(t *testing.T) {
 	if _, err := mgr.Registry().Add("planted", plantedRelation(t)); err != nil {
 		t.Fatal(err)
 	}
-	req := service.JobRequest{Dataset: "planted", Epsilon: 0.1}
+	req := wire.JobRequest{Dataset: "planted", Epsilon: 0.1}
 
 	first := submitJob(t, ts, req)
 	waitDone(t, ts, first.ID)
 	firstRes := jobResult(t, ts, first.ID)
 
 	second := submitJob(t, ts, req)
-	if !second.CacheHit || second.State != service.StateDone {
+	if !second.CacheHit || second.State != wire.StateDone {
 		t.Fatalf("resubmission: cache_hit=%v state=%q, want instant done from cache", second.CacheHit, second.State)
 	}
 	secondRes := jobResult(t, ts, second.ID)
@@ -347,7 +348,7 @@ func TestResultCacheHit(t *testing.T) {
 	}
 
 	// A different ε misses the cache.
-	third := submitJob(t, ts, service.JobRequest{Dataset: "planted", Epsilon: 0.11})
+	third := submitJob(t, ts, wire.JobRequest{Dataset: "planted", Epsilon: 0.11})
 	if third.CacheHit {
 		t.Fatal("different options served from cache")
 	}
@@ -382,10 +383,10 @@ func TestMVDsCacheKeyIgnoresMaxSchemes(t *testing.T) {
 		}
 		return b
 	}
-	first := submitJob(t, ts, service.JobRequest{Dataset: "planted", Epsilon: 0.1, Mode: service.ModeMVDs, MaxSchemes: 5})
+	first := submitJob(t, ts, wire.JobRequest{Dataset: "planted", Epsilon: 0.1, Mode: wire.ModeMVDs, MaxSchemes: 5})
 	waitDone(t, ts, first.ID)
-	second := submitJob(t, ts, service.JobRequest{Dataset: "planted", Epsilon: 0.1, Mode: service.ModeMVDs, MaxSchemes: 10})
-	if !second.CacheHit || second.State != service.StateDone {
+	second := submitJob(t, ts, wire.JobRequest{Dataset: "planted", Epsilon: 0.1, Mode: wire.ModeMVDs, MaxSchemes: 10})
+	if !second.CacheHit || second.State != wire.StateDone {
 		t.Fatalf("max_schemes 10 after 5: cache_hit=%v state=%q, want a hit", second.CacheHit, second.State)
 	}
 	if a, b := resultBody(first.ID), resultBody(second.ID); !bytes.Equal(a, b) {
@@ -401,7 +402,7 @@ func TestDatasetRemovalInvalidatesCache(t *testing.T) {
 	if _, err := mgr.Registry().Add("d", plantedRelation(t)); err != nil {
 		t.Fatal(err)
 	}
-	req := service.JobRequest{Dataset: "d", Epsilon: 0}
+	req := wire.JobRequest{Dataset: "d", Epsilon: 0}
 	first := submitJob(t, ts, req)
 	waitDone(t, ts, first.ID)
 
@@ -434,7 +435,7 @@ func TestNurseryJob(t *testing.T) {
 	if _, err := mgr.Registry().Add("nursery", r); err != nil {
 		t.Fatal(err)
 	}
-	st := submitJob(t, ts, service.JobRequest{Dataset: "nursery", Epsilon: 0.1})
+	st := submitJob(t, ts, wire.JobRequest{Dataset: "nursery", Epsilon: 0.1})
 	waitDone(t, ts, st.ID)
 	assertMatchesSync(t, r, 0.1, jobResult(t, ts, st.ID))
 }
@@ -447,12 +448,12 @@ func TestJobTimeoutCompletesInterrupted(t *testing.T) {
 	if _, err := mgr.Registry().Add("slow", slowRelation()); err != nil {
 		t.Fatal(err)
 	}
-	req := service.JobRequest{Dataset: "slow", Epsilon: 0.3, TimeoutMS: 100}
+	req := wire.JobRequest{Dataset: "slow", Epsilon: 0.3, TimeoutMS: 100}
 	st := submitJob(t, ts, req)
-	fin := waitFor(t, ts, st.ID, 30*time.Second, func(s service.JobStatus) bool {
+	fin := waitFor(t, ts, st.ID, 30*time.Second, func(s wire.JobStatus) bool {
 		return s.State.Terminal()
 	})
-	if fin.State != service.StateDone {
+	if fin.State != wire.StateDone {
 		t.Fatalf("timed-out job state %q, want done with partial results", fin.State)
 	}
 	res := jobResult(t, ts, st.ID)
@@ -574,13 +575,13 @@ func TestQueueBackpressure(t *testing.T) {
 	if _, err := mgr.Registry().Add("slow", slowRelation()); err != nil {
 		t.Fatal(err)
 	}
-	running := submitJob(t, ts, service.JobRequest{Dataset: "slow", Epsilon: 0.3})
-	waitFor(t, ts, running.ID, 10*time.Second, func(s service.JobStatus) bool {
-		return s.State == service.StateRunning
+	running := submitJob(t, ts, wire.JobRequest{Dataset: "slow", Epsilon: 0.3})
+	waitFor(t, ts, running.ID, 10*time.Second, func(s wire.JobStatus) bool {
+		return s.State == wire.StateRunning
 	})
-	queued := submitJob(t, ts, service.JobRequest{Dataset: "slow", Epsilon: 0.25})
+	queued := submitJob(t, ts, wire.JobRequest{Dataset: "slow", Epsilon: 0.25})
 
-	body, _ := json.Marshal(service.JobRequest{Dataset: "slow", Epsilon: 0.2})
+	body, _ := json.Marshal(wire.JobRequest{Dataset: "slow", Epsilon: 0.2})
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -610,8 +611,8 @@ func TestResultCacheMissesCountMines(t *testing.T) {
 			t.Fatalf("after %s: %v result-cache misses, want %v", after, got, want)
 		}
 	}
-	isRunning := func(s service.JobStatus) bool { return s.State == service.StateRunning }
-	isTerminal := func(s service.JobStatus) bool { return s.State.Terminal() }
+	isRunning := func(s wire.JobStatus) bool { return s.State == wire.StateRunning }
+	isTerminal := func(s wire.JobStatus) bool { return s.State.Terminal() }
 	// drained waits until the one worker has taken every queued job.
 	drained := func() {
 		t.Helper()
@@ -627,12 +628,12 @@ func TestResultCacheMissesCountMines(t *testing.T) {
 		}
 	}
 
-	running := submitJob(t, ts, service.JobRequest{Dataset: "slow", Epsilon: 0.3})
+	running := submitJob(t, ts, wire.JobRequest{Dataset: "slow", Epsilon: 0.3})
 	waitFor(t, ts, running.ID, 10*time.Second, isRunning)
 	misses(1, "one job mining")
-	queued := submitJob(t, ts, service.JobRequest{Dataset: "slow", Epsilon: 0.25})
+	queued := submitJob(t, ts, wire.JobRequest{Dataset: "slow", Epsilon: 0.25})
 	misses(1, "one job queued")
-	body, _ := json.Marshal(service.JobRequest{Dataset: "slow", Epsilon: 0.2})
+	body, _ := json.Marshal(wire.JobRequest{Dataset: "slow", Epsilon: 0.2})
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -648,18 +649,18 @@ func TestResultCacheMissesCountMines(t *testing.T) {
 	drained()
 	misses(1, "a job cancelled while queued")
 
-	running = submitJob(t, ts, service.JobRequest{Dataset: "slow", Epsilon: 0.3})
+	running = submitJob(t, ts, wire.JobRequest{Dataset: "slow", Epsilon: 0.3})
 	waitFor(t, ts, running.ID, 10*time.Second, isRunning)
-	orphan := submitJob(t, ts, service.JobRequest{Dataset: "gone", Epsilon: 0.3})
+	orphan := submitJob(t, ts, wire.JobRequest{Dataset: "gone", Epsilon: 0.3})
 	if !mgr.RemoveDataset("gone") {
 		t.Fatal("dataset gone not removed")
 	}
 	cancelJob(t, ts, running.ID)
-	if st := waitFor(t, ts, orphan.ID, 10*time.Second, isTerminal); st.State != service.StateFailed {
+	if st := waitFor(t, ts, orphan.ID, 10*time.Second, isTerminal); st.State != wire.StateFailed {
 		t.Fatalf("job on a removed dataset ended %q, want failed", st.State)
 	}
 	misses(2, "a job whose dataset was removed before it ran")
 
-	waitDone(t, ts, submitJob(t, ts, service.JobRequest{Dataset: "planted", Epsilon: 0.1}).ID)
+	waitDone(t, ts, submitJob(t, ts, wire.JobRequest{Dataset: "planted", Epsilon: 0.1}).ID)
 	misses(3, "a mined job")
 }

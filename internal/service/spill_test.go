@@ -13,18 +13,19 @@ import (
 	maimon "repro"
 	"repro/internal/datagen"
 	"repro/internal/relation"
+	"repro/internal/wire"
 )
 
 // runSpillJob registers nursery on a spill-enabled registry, mines it,
 // and returns the finished job's status.
-func runSpillJob(t *testing.T, reg *Registry) JobStatus {
+func runSpillJob(t *testing.T, reg *Registry) wire.JobStatus {
 	t.Helper()
 	if _, err := reg.Add("nursery", datagen.Nursery().Head(800)); err != nil {
 		t.Fatal(err)
 	}
 	mgr := NewManager(reg, Config{Workers: 1})
 	defer mgr.Close()
-	job, err := mgr.Submit(JobRequest{Dataset: "nursery", Epsilon: 0.2, Mode: ModeMVDs})
+	job, err := mgr.Submit(wire.JobRequest{Dataset: "nursery", Epsilon: 0.2, Mode: wire.ModeMVDs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func runSpillJob(t *testing.T, reg *Registry) JobStatus {
 		t.Fatal("job did not finish")
 	}
 	st := job.Status()
-	if st.State != StateDone {
+	if st.State != wire.StateDone {
 		t.Fatalf("state = %s (%s), want done", st.State, st.Error)
 	}
 	if st.Memory == nil {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/relation"
 	"repro/internal/service"
+	"repro/internal/wire"
 )
 
 // Every API route is served under /v1 only: the unversioned paths are 404.
@@ -61,7 +62,7 @@ func TestV1RoutesOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := decodeJSON[service.JobStatus](t, resp.Body)
+	st := decodeJSON[wire.JobStatus](t, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST /v1/jobs: status %d", resp.StatusCode)
@@ -72,7 +73,7 @@ func TestV1RoutesOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := decodeJSON[service.JobResult](t, resp.Body)
+	res := decodeJSON[wire.JobResult](t, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || len(res.MVDs) == 0 {
 		t.Fatalf("GET /v1/jobs/{id}/result: status %d, %d MVDs", resp.StatusCode, len(res.MVDs))
@@ -87,7 +88,7 @@ func TestJobProgressFromEventStream(t *testing.T) {
 	if _, err := mgr.Registry().Add("d", plantedRelation(t)); err != nil {
 		t.Fatal(err)
 	}
-	st := submitJob(t, ts, service.JobRequest{Dataset: "d", Epsilon: 0})
+	st := submitJob(t, ts, wire.JobRequest{Dataset: "d", Epsilon: 0})
 	fin := waitDone(t, ts, st.ID)
 	res := jobResult(t, ts, st.ID)
 
@@ -120,8 +121,8 @@ func TestJobFailsCleanlyWhenDatasetSwappedNarrow(t *testing.T) {
 	}
 	// Occupy the single worker so the job on "d" stays queued while the
 	// dataset is swapped underneath it.
-	blocker := submitJob(t, ts, service.JobRequest{Dataset: "slow", Epsilon: 0.3})
-	victim := submitJob(t, ts, service.JobRequest{Dataset: "d", Epsilon: 0})
+	blocker := submitJob(t, ts, wire.JobRequest{Dataset: "slow", Epsilon: 0.3})
+	victim := submitJob(t, ts, wire.JobRequest{Dataset: "d", Epsilon: 0})
 	if !mgr.RemoveDataset("d") {
 		t.Fatal("remove failed")
 	}
@@ -134,8 +135,8 @@ func TestJobFailsCleanlyWhenDatasetSwappedNarrow(t *testing.T) {
 	}
 	cancelJob(t, ts, blocker.ID)
 	fin := waitFor(t, ts, victim.ID, 30*time.Second,
-		func(s service.JobStatus) bool { return s.State.Terminal() })
-	if fin.State != service.StateFailed {
+		func(s wire.JobStatus) bool { return s.State.Terminal() })
+	if fin.State != wire.StateFailed {
 		t.Fatalf("swapped-dataset job finished %q (error %q), want failed", fin.State, fin.Error)
 	}
 }
@@ -148,7 +149,7 @@ func TestJobsShareWarmSession(t *testing.T) {
 	if _, err := mgr.Registry().Add("d", plantedRelation(t)); err != nil {
 		t.Fatal(err)
 	}
-	first := submitJob(t, ts, service.JobRequest{Dataset: "d", Epsilon: 0})
+	first := submitJob(t, ts, wire.JobRequest{Dataset: "d", Epsilon: 0})
 	waitDone(t, ts, first.ID)
 	sess, ok := mgr.Registry().Get("d")
 	if !ok {
@@ -156,7 +157,7 @@ func TestJobsShareWarmSession(t *testing.T) {
 	}
 	before := sess.Stats()
 
-	second := submitJob(t, ts, service.JobRequest{Dataset: "d", Epsilon: 0.1})
+	second := submitJob(t, ts, wire.JobRequest{Dataset: "d", Epsilon: 0.1})
 	fin := waitDone(t, ts, second.ID)
 	if fin.CacheHit {
 		t.Fatal("second job unexpectedly served from the result cache")

@@ -443,9 +443,10 @@ func (s *Session) Analyze(sch Schema) (Metrics, error) {
 //
 // Metrics and errors are indexed like schemas: a schema Analyze rejects
 // has zero Metrics and its error at its index. Metrics are exact counts,
-// so they are the same at any fan-out.
-func (s *Session) AnalyzeAll(schemas []Schema, opts ...Option) ([]Metrics, []error) {
-	return decompose.AnalyzeAll(s.oracle, schemas, s.base.with(opts).fanout())
+// so they are the same at any fan-out. Ranking stops once ctx is done: a
+// schema it did not reach has zero Metrics and ctx.Err() at its index.
+func (s *Session) AnalyzeAll(ctx context.Context, schemas []Schema, opts ...Option) ([]Metrics, []error) {
+	return decompose.AnalyzeAll(ctx, s.oracle, schemas, s.base.with(opts).fanout())
 }
 
 // Decompose projects the session's relation onto every relation schema of

@@ -593,7 +593,7 @@ func BenchmarkMicro_FDMining(b *testing.B) {
 	r := datagen.FunctionalChain(2000, 6, 5, 0.05, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = fd.NewMiner(r, fd.Options{Epsilon: 0.01}).Mine()
+		_ = fd.NewMiner(r).Mine()
 	}
 }
 

@@ -31,6 +31,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -189,15 +190,21 @@ func main() {
 		default:
 			fail("unknown rank %q", *rank)
 		}
-		fmt.Printf("%-8s %-8s %-9s %-3s %-6s  %s\n", "J", "S[%]", "E[%]", "m", "width", "schema")
+		// One write per buffer, not per row: the table can run to
+		// hundreds of thousands of rows.
+		table := bufio.NewWriter(os.Stdout)
+		fmt.Fprintf(table, "%-8s %-8s %-9s %-3s %-6s  %s\n", "J", "S[%]", "E[%]", "m", "width", "schema")
 		for _, rw := range rows {
-			fmt.Printf("%-8.3f %-8.1f %-9.2f %-3d %-6d  %s\n",
+			fmt.Fprintf(table, "%-8.3f %-8.1f %-9.2f %-3d %-6d  %s\n",
 				rw.s.J, rw.met.SavingsPct, rw.met.SpuriousPct,
 				rw.s.M(), rw.s.Schema.Width(), rw.s.Schema.Format(r.Names()))
 		}
 		for _, rw := range unranked {
-			fmt.Printf("%-8.3f %-8s %-9s %-3d %-6d  %s\n",
+			fmt.Fprintf(table, "%-8.3f %-8s %-9s %-3d %-6d  %s\n",
 				rw.s.J, "-", "-", rw.s.M(), rw.s.Schema.Width(), rw.s.Schema.Format(r.Names()))
+		}
+		if err := table.Flush(); err != nil {
+			fail("writing the schemes table: %v", err)
 		}
 		fmt.Printf("%d schemes from %d full MVDs (ε=%.3f)\n", len(schemes), mvdCount, *epsilon)
 		if mineErr == nil && len(unranked) > 0 {
@@ -257,7 +264,7 @@ func main() {
 			return
 		}
 		fmt.Println("\nFD/UCC baseline (exact):")
-		res := fd.NewMiner(r, fd.Options{}).Mine()
+		res := fd.NewMiner(r).Mine()
 		fmt.Print(res.Summary(r.Names()))
 	}
 }

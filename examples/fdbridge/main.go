@@ -28,7 +28,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fdRes := fd.NewMiner(r, fd.Options{}).Mine()
+	fdRes := fd.NewMiner(r).Mine()
 	fmt.Printf("FD/UCC baseline found %d minimal FDs, %d minimal UCCs:\n", len(fdRes.FDs), len(fdRes.UCCs))
 	fmt.Print(fdRes.Summary(r.Names()))
 

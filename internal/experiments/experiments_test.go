@@ -115,6 +115,23 @@ func TestAblationsSmoke(t *testing.T) {
 	}
 }
 
+// TestAblationMarksBudgetedRows: a mine the budget cuts off is marked TL,
+// so its partial counts are not read as a comparison.
+func TestAblationMarksBudgetedRows(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Budget = time.Nanosecond
+	lines := strings.Split(strings.TrimSpace(AblationPairwiseConsistency(cfg)), "\n")
+	rows := lines[2:] // the title and the column header
+	if len(rows) != 6 {
+		t.Fatalf("%d rows, want 3 ε × 2 settings:\n%s", len(rows), strings.Join(lines, "\n"))
+	}
+	for _, row := range rows {
+		if !strings.HasSuffix(row, " TL") {
+			t.Fatalf("row cut off by a 1 ns budget is not marked TL: %q", row)
+		}
+	}
+}
+
 func TestQuantiles(t *testing.T) {
 	min, q25, med, q75, max := quantiles([]float64{5, 1, 3, 2, 4})
 	if min != 1 || max != 5 || med != 3 {

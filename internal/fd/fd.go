@@ -11,10 +11,9 @@
 // demonstrating the substrate is reusable exactly as the paper's PLI
 // cache is across TANE/pyro-style systems.
 //
-// Two error measures are supported: the g3-style fraction of rows that
-// must be removed for the FD to hold (Kivinen–Mannila, the measure used by
-// TANE and Pyro), and the conditional entropy H(A|X) for symmetry with the
-// paper's information-theoretic approximation.
+// The miner finds exact FDs and UCCs only. An FD's error is the g3
+// fraction of rows that must be removed for it to hold (Kivinen–Mannila,
+// the measure TANE and Pyro threshold); X→A holds when it is 0.
 package fd
 
 import (
@@ -23,19 +22,8 @@ import (
 	"strings"
 
 	"repro/internal/bitset"
-	"repro/internal/entropy"
+	"repro/internal/pli"
 	"repro/internal/relation"
-)
-
-// Measure selects the approximation measure for FDs.
-type Measure int
-
-const (
-	// MeasureG3 holds X→A when g3(X→A) ≤ ε: the minimum fraction of rows
-	// whose removal makes the FD exact.
-	MeasureG3 Measure = iota
-	// MeasureEntropy holds X→A when H(A|X) ≤ ε bits.
-	MeasureEntropy
 )
 
 // FD is a functional dependency LHS → RHS (single right-hand attribute;
@@ -43,7 +31,6 @@ const (
 type FD struct {
 	LHS bitset.AttrSet
 	RHS int
-	Err float64 // measured error (g3 fraction or conditional entropy)
 }
 
 // Format renders the FD with attribute names.
@@ -60,51 +47,30 @@ func (f FD) String() string {
 	return f.LHS.String() + "->" + bitset.Single(f.RHS).String()
 }
 
-// Options configures a mining run.
-type Options struct {
-	Measure Measure
-	Epsilon float64 // error threshold; 0 mines exact FDs/UCCs
-	MaxLHS  int     // largest LHS size considered (0 = no limit)
-}
-
 // Result holds the minimal FDs and minimal UCCs found.
 type Result struct {
 	FDs  []FD
 	UCCs []bitset.AttrSet
 }
 
-// Miner mines FDs and UCCs over one relation. The g3 measure, the UCC
-// check and the entropy measure all read partitions from one oracle's PLI
-// cache, so each partition is built once.
+// Miner mines exact FDs and UCCs over one relation. The g3 measure and
+// the UCC check both read partitions from one PLI cache, so each
+// partition is built once.
 type Miner struct {
-	rel    *relation.Relation
-	oracle *entropy.Oracle
-	opts   Options
+	rel   *relation.Relation
+	cache *pli.Cache
 }
 
 // NewMiner builds an FD miner.
-func NewMiner(r *relation.Relation, opts Options) *Miner {
-	return &Miner{rel: r, oracle: entropy.New(r), opts: opts}
+func NewMiner(r *relation.Relation) *Miner {
+	return &Miner{rel: r, cache: pli.NewCache(r, pli.DefaultConfig())}
 }
 
-// Error returns the configured error measure of X→A.
-func (m *Miner) Error(lhs bitset.AttrSet, rhs int) float64 {
-	switch m.opts.Measure {
-	case MeasureEntropy:
-		return m.oracle.CondH(bitset.Single(rhs), lhs)
-	default:
-		return m.g3(lhs, rhs)
-	}
-}
-
-// holds applies the threshold with the library-wide tolerance.
-func (m *Miner) holds(err float64) bool { return err <= m.opts.Epsilon+1e-9 }
-
-// g3 computes the minimum fraction of tuples to delete so that lhs → rhs
-// holds exactly: per cluster of π*(lhs), all but the rows of the
-// plurality rhs value must go. (Rows in stripped lhs classes violate
+// Error returns g3(lhs → rhs), the minimum fraction of tuples to delete so
+// that the FD holds exactly: per cluster of π*(lhs), all but the rows of
+// the plurality rhs value must go. (Rows in stripped lhs classes violate
 // nothing.)
-func (m *Miner) g3(lhs bitset.AttrSet, rhs int) float64 {
+func (m *Miner) Error(lhs bitset.AttrSet, rhs int) float64 {
 	n := m.rel.NumRows()
 	if n == 0 {
 		return 0
@@ -112,7 +78,7 @@ func (m *Miner) g3(lhs bitset.AttrSet, rhs int) float64 {
 	col := m.rel.Column(rhs)
 	counts := make([]int, m.rel.DomainSize(rhs))
 	removals := 0
-	p := m.oracle.Cache().Get(lhs)
+	p := m.cache.Get(lhs)
 	for ci := 0; ci < p.NumClusters(); ci++ {
 		cluster := p.Cluster(ci)
 		best := 0
@@ -128,27 +94,15 @@ func (m *Miner) g3(lhs bitset.AttrSet, rhs int) float64 {
 	return float64(removals) / float64(n)
 }
 
-// IsUnique reports whether the attribute set is a (ε-approximate) UCC:
-// the fraction of rows participating in duplicate groups beyond the first
-// of each group is ≤ ε.
+// IsUnique reports whether the attribute set is a UCC: no two rows agree
+// on it, so its stripped partition has no cluster.
 func (m *Miner) IsUnique(attrs bitset.AttrSet) bool {
-	n := m.rel.NumRows()
-	if n == 0 {
-		return true
-	}
-	// Each cluster keeps its first row; every other row is a duplicate.
-	p := m.oracle.Cache().Get(attrs)
-	dupes := p.Size() - p.NumClusters()
-	return float64(dupes)/float64(n) <= m.opts.Epsilon+1e-9
+	return m.cache.Get(attrs).NumClusters() == 0
 }
 
 // Mine runs the levelwise search and returns minimal FDs and UCCs.
 func (m *Miner) Mine() *Result {
 	n := m.rel.NumCols()
-	maxLHS := m.opts.MaxLHS
-	if maxLHS <= 0 || maxLHS > n-1 {
-		maxLHS = n - 1
-	}
 	res := &Result{}
 
 	// foundFor[a] collects minimal LHSs for RHS a; used for minimality
@@ -157,7 +111,7 @@ func (m *Miner) Mine() *Result {
 	var foundUCC []bitset.AttrSet
 
 	level := []bitset.AttrSet{bitset.Empty()}
-	for size := 0; size <= maxLHS; size++ {
+	for size := 0; size < n; size++ {
 		var next []bitset.AttrSet
 		seen := map[bitset.AttrSet]bool{}
 		for _, lhs := range level {
@@ -173,13 +127,13 @@ func (m *Miner) Mine() *Result {
 				if !bitset.Minimal(lhs, foundFor[a]) || contains(foundFor[a], lhs) {
 					continue // a subset already determines a
 				}
-				if err := m.Error(lhs, a); m.holds(err) {
+				if m.Error(lhs, a) == 0 {
 					foundFor[a] = append(foundFor[a], lhs)
-					res.FDs = append(res.FDs, FD{LHS: lhs, RHS: a, Err: err})
+					res.FDs = append(res.FDs, FD{LHS: lhs, RHS: a})
 				}
 			}
 			// Expand the lattice.
-			if size < maxLHS {
+			if size < n-1 {
 				for a := 0; a < n; a++ {
 					if lhs.Contains(a) {
 						continue
@@ -234,7 +188,7 @@ func (r *Result) Summary(names []string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d minimal FDs, %d minimal UCCs\n", len(r.FDs), len(r.UCCs))
 	for _, f := range r.FDs {
-		fmt.Fprintf(&b, "  FD  %s (err=%.4f)\n", f.Format(names), f.Err)
+		fmt.Fprintf(&b, "  FD  %s\n", f.Format(names))
 	}
 	for _, u := range r.UCCs {
 		fmt.Fprintf(&b, "  UCC %s\n", u.Format(names))

@@ -105,8 +105,8 @@ type OracleDelta struct {
 	PLIHits   int64
 	PLIMisses int64
 	// Intersects counts pairwise partition intersections; EntropyOnly
-	// the subset answered as streaming counts without materializing
-	// (chain leaf or over budget); BytesTouched the partition bytes the
+	// the subset counted and never kept (a chain leaf's entropy or a
+	// class table); BytesTouched the partition bytes the
 	// intersection engine scanned doing it. Like the hit/miss split,
 	// these depend on the order computes cached their operands, so they
 	// are not invariant across worker fan-outs.
@@ -160,7 +160,7 @@ func (t *MineTrace) String() string {
 		d := p.Oracle
 		fmt.Fprintf(b, "phase %-8s wall %-10s H %d computed / %d cached of %d calls, %d MI\n",
 			p.Name, fmtDur(p.Wall), d.HComputes, d.HCached, d.HCalls, d.MICalls)
-		fmt.Fprintf(b, "  %-9s PLI %d misses / %d hits, %d intersects (%d entropy-only: chain leaf or over budget, %s touched)\n",
+		fmt.Fprintf(b, "  %-9s PLI %d misses / %d hits, %d intersects (%d entropy-only: chain leaf or class table, %s touched)\n",
 			"", d.PLIMisses, d.PLIHits, d.Intersects, d.EntropyOnly, fmtBytes(d.BytesTouched))
 		for _, s := range p.Stages {
 			fmt.Fprintf(b, "  %-9s cpu %-10s calls %-7d items %-7d J-evals %-8d candidates %d\n",

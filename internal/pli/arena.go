@@ -50,13 +50,7 @@ type Arena struct {
 	groups  []int32
 	firsts  []uint64 // bitmap over row ids: first rows of surviving groups; all zero between ops
 	later   []uint64 // bitmap over row ids for Cache.Classes: rows that are not first of their class; all zero between ops
-	offsets []int32  // staged offsets of the would-be result
-
-	// staged operands and shape from the latest count pass; Intersect and
-	// the cache's price-then-decide path consume them.
-	stagedP, stagedQ *Partition
-	nClusters, nRows int
-	hsum             int64
+	offsets []int32  // offsets of the result being built, fixed by canonicalize
 }
 
 // NewArena returns an empty arena; its scratch grows on first use.
@@ -69,16 +63,7 @@ func GetArena() *Arena { return arenaPool.Get().(*Arena) }
 
 // PutArena returns an arena to the package pool. The caller must not use
 // the arena afterwards.
-func PutArena(a *Arena) {
-	a.clearStaged()
-	arenaPool.Put(a)
-}
-
-// clearStaged drops the operand references of the latest count pass so a
-// resting arena (pooled, or held across H calls by an oracle or worker
-// view) never pins partitions — and their probe arrays — that the
-// cache's memory budget believes evicted.
-func (a *Arena) clearStaged() { a.stagedP, a.stagedQ = nil, nil }
+func PutArena(a *Arena) { arenaPool.Put(a) }
 
 // Intersect returns the stripped partition for the union of the attribute
 // sets represented by p and q — rows are equivalent iff they are
@@ -86,23 +71,38 @@ func (a *Arena) clearStaged() { a.stagedP, a.stagedQ = nil, nil }
 // as an owned, immutable Partition (the only allocations are the result's
 // own arrays). Byte-identical to FromAttrs over that union.
 func (a *Arena) Intersect(p, q *Partition) *Partition {
-	a.stage(p, q)
-	return a.finish()
+	p, q = iterateSmaller(p, q)
+	a.groups = grow(a.groups, p.n)
+	a.firsts = grow(a.firsts, (p.n+63)>>6)
+	// One count slot per q-cluster plus slot 0, where the probe routes
+	// q-singletons, so the counting loop is a pure increment with no
+	// per-row branch.
+	a.counts = grow(a.counts, q.NumClusters()+1)
+	switch pr := q.probeMap(); {
+	case pr.w1 != nil:
+		return buildIntersection(a, p, pr.w1)
+	case pr.w2 != nil:
+		return buildIntersection(a, p, pr.w2)
+	default:
+		return buildIntersection(a, p, pr.w4)
+	}
 }
 
-// finish materializes the staged count pass into an owned Partition,
-// allocating exactly the retained arrays. The cache calls it after
-// pricing a staged result; everyone else goes through Intersect.
-func (a *Arena) finish() *Partition {
-	out := &Partition{n: a.stagedP.n, hsum: a.hsum}
-	if a.nClusters == 0 {
+// buildIntersection is Intersect over the probe of slot type W: the count
+// pass records the size of every (p-cluster, q-cluster) group at its
+// first row, canonicalize fixes the result's shape and entropy sum, and
+// the fill pass places the rows, allocating exactly the retained arrays.
+func buildIntersection[W probeSlot](a *Arena, p *Partition, probe []W) *Partition {
+	countPass(a, p, probe)
+	clusters, rows, sum := a.canonicalize(hsum.For(p.n))
+	out := &Partition{n: p.n, hsum: sum}
+	if clusters == 0 {
 		return out
 	}
-	out.rows = make([]int32, a.nRows)
-	out.offsets = make([]int32, a.nClusters+1)
-	copy(out.offsets, a.offsets[:a.nClusters+1])
-	a.fill(out.rows)
-	a.clearStaged()
+	out.rows = make([]int32, rows)
+	out.offsets = make([]int32, clusters+1)
+	copy(out.offsets, a.offsets)
+	fillRows(a, p, probe, out.rows)
 	return out
 }
 
@@ -159,20 +159,6 @@ func entropySum[W probeSlot](counts []int32, p *Partition, probe []W, sc hsum.Sc
 	return sum
 }
 
-// stagedEntropy reads the entropy of the staged count pass and releases
-// the staged operands (the count result is all that is needed).
-func (a *Arena) stagedEntropy() float64 {
-	n := a.stagedP.n
-	a.clearStaged()
-	return hsum.For(n).Entropy(a.hsum)
-}
-
-// stagedSizeBytes prices the staged result without building it: what
-// SizeBytes would report for the partition finish would produce.
-func (a *Arena) stagedSizeBytes() int64 {
-	return sizeBytesFor(a.stagedP.n, a.nClusters, a.nRows)
-}
-
 // iterateSmaller orders the operands of an intersection: the first is
 // iterated, the second probed. Intersection is symmetric; scanning the
 // smaller side is what makes it cheap.
@@ -186,31 +172,6 @@ func iterateSmaller(p, q *Partition) (iter, probed *Partition) {
 	return p, q
 }
 
-// stage runs the count pass and canonicalization for p ∩ q — the build
-// path: the size of every (p-cluster, q-cluster) group recorded at its
-// first row, surviving groups ordered by first row, result offsets and the
-// fused entropy sum fixed. After stage, finish / fill materialize rows
-// without re-deriving shape.
-func (a *Arena) stage(p, q *Partition) {
-	p, q = iterateSmaller(p, q)
-	a.stagedP, a.stagedQ = p, q
-	a.groups = grow(a.groups, p.n)
-	a.firsts = grow(a.firsts, (p.n+63)>>6)
-	// One count slot per q-cluster plus slot 0, where the probe routes
-	// q-singletons, so the counting loop is a pure increment with no
-	// per-row branch.
-	a.counts = grow(a.counts, q.NumClusters()+1)
-	switch pr := q.probeMap(); {
-	case pr.w1 != nil:
-		countPass(a, p, pr.w1)
-	case pr.w2 != nil:
-		countPass(a, p, pr.w2)
-	default:
-		countPass(a, p, pr.w4)
-	}
-	a.canonicalize(hsum.For(p.n))
-}
-
 // canonicalize fixes the result's shape from the count pass: surviving
 // groups (size >= 2) in first-row order — the order sortClusters fixes
 // for the reference builders, and so the layout of the materialized
@@ -219,11 +180,11 @@ func (a *Arena) stage(p, q *Partition) {
 // *is* that order: linear in survivors + n/64, no comparison, no
 // allocation once offsets has grown. Each survivor's groups slot is turned
 // into its fill cursor on the way, and the bitmap is left all zero for the
-// next operation.
-func (a *Arena) canonicalize(sc hsum.Scale) {
+// next operation. It returns the result's cluster count, row count and
+// entropy sum; a.offsets holds its offsets.
+func (a *Arena) canonicalize(sc hsum.Scale) (clusters, rows int, sum int64) {
 	offsets := append(a.offsets[:0], 0)
 	cur := int32(0)
-	var sum int64
 	for w, set := range a.firsts {
 		for ; set != 0; set &= set - 1 {
 			first := w<<6 | bits.TrailingZeros64(set)
@@ -236,9 +197,7 @@ func (a *Arena) canonicalize(sc hsum.Scale) {
 		a.firsts[w] = 0
 	}
 	a.offsets = offsets
-	a.nClusters = len(offsets) - 1
-	a.nRows = int(cur)
-	a.hsum = sum
+	return len(offsets) - 1, int(cur), sum
 }
 
 // countPass groups the rows of each p-cluster by their q-cluster id, over
@@ -271,26 +230,15 @@ func countPass[W probeSlot](a *Arena, p *Partition, probe []W) {
 // a stripped singleton's 1 or a non-first row's 0: the sign bit of 1-size.
 func survives(size int32) uint64 { return uint64(uint32(1-size) >> 31) }
 
-// fill is the second pass: re-scan the staged p-clusters and place each
-// row id at its cluster's precomputed offset; the first row of a group
-// finds that offset in its own groups slot. dst must have length a.nRows.
-func (a *Arena) fill(dst []int32) {
-	switch pr := a.stagedQ.probeMap(); {
-	case pr.w1 != nil:
-		fillRows(a, dst, pr.w1)
-	case pr.w2 != nil:
-		fillRows(a, dst, pr.w2)
-	default:
-		fillRows(a, dst, pr.w4)
-	}
-}
-
-// fillRows is Arena.fill over the probe of slot type W. The counts slots are
-// indexed by probe value, as in the count pass; slot 0 (q-singletons) is
-// never touched here.
-func fillRows[W probeSlot](a *Arena, dst []int32, probe []W) {
-	for ci := 0; ci < a.stagedP.NumClusters(); ci++ {
-		cluster := a.stagedP.Cluster(ci)
+// fillRows is the second pass, over the probe of slot type W: re-scan the
+// p-clusters the count pass scanned and place each row id at its
+// cluster's precomputed offset; the first row of a group finds that offset
+// in its own groups slot. dst has the length canonicalize returned. The
+// counts slots are indexed by probe value, as in the count pass; slot 0
+// (q-singletons) is never touched here.
+func fillRows[W probeSlot](a *Arena, p *Partition, probe []W, dst []int32) {
+	for ci := 0; ci < p.NumClusters(); ci++ {
+		cluster := p.Cluster(ci)
 		a.touched = a.touched[:0]
 		for _, tid := range cluster {
 			qi := probe[tid]

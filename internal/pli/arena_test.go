@@ -158,18 +158,18 @@ func TestIntersectZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestCacheEntropyMatchesGet: the cache's entropy path — including the
-// streaming branch chain leaves and over-budget sets take — must agree
-// exactly with materialized partitions, and streaming must happen exactly
-// where it should: for every set under a budget nothing fits, for the
-// chain leaves and nothing else without one, and never for a set whose
-// partition is already resident.
+// streaming branch chain leaves take — must agree exactly with
+// materialized partitions, and streaming must happen exactly where it
+// should: for the chain leaves and nothing else, with or without a budget,
+// and never for a set whose partition is already resident. Under a budget
+// nothing fits, nothing stays.
 func TestCacheEntropyMatchesGet(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	r := skewedRelation(rng, 400, 8)
 	free := NewCache(r, Config{BlockSize: 3}) // Get first: every Entropy is a hit
 	cold := NewCache(r, Config{BlockSize: 3}) // Entropy only
 	// A budget below any multi-attribute partition's floor (64 + probe +
-	// rows) forces every entropy evaluation down the streaming path.
+	// rows): every partition built is retired as it is published.
 	tiny := NewCache(r, Config{BlockSize: 3, MaxBytes: 1})
 	asked, leaves := 0, 0
 	for trial := 0; trial < 60; trial++ {
@@ -192,8 +192,9 @@ func TestCacheEntropyMatchesGet(t *testing.T) {
 			t.Fatalf("trial %d: budgeted Entropy(%v) = %b, want %b", trial, attrs, got, want)
 		}
 	}
-	if st := tiny.Stats(); st.EntropyOnly != asked {
-		t.Fatalf("1-byte budget streamed %d of %d entropies: %+v", st.EntropyOnly, asked, st)
+	if st := tiny.Stats(); st.EntropyOnly != leaves || st.BytesLive != 0 {
+		t.Fatalf("1-byte budget streamed %d entropies, want the %d chain leaves, and rests at %d B: %+v",
+			st.EntropyOnly, leaves, st.BytesLive, st)
 	}
 	if st := cold.Stats(); st.EntropyOnly != leaves || leaves == 0 || leaves == asked {
 		t.Fatalf("unbudgeted cache streamed %d entropies, want the %d chain leaves of %d sets: %+v",
@@ -201,6 +202,39 @@ func TestCacheEntropyMatchesGet(t *testing.T) {
 	}
 	if st := free.Stats(); st.EntropyOnly != 0 {
 		t.Fatalf("cache streamed entropies of resident partitions: %+v", st)
+	}
+}
+
+// TestOperandEntropyIsGet: the entropy of a set some chain reads as an
+// operand is its Get. On twin caches, EntropyWith of every such set moves
+// the stats — hits, misses, entries, live bytes, intersections, drops —
+// exactly as GetWith does, unbudgeted, under a budget that evicts and
+// under one no partition fits.
+func TestOperandEntropyIsGet(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	r := skewedRelation(rng, 300, 7)
+	for _, budget := range []int64{0, 4 << 10, 1} {
+		cfg := Config{BlockSize: 3, MaxBytes: budget, Shards: 1}
+		viaEntropy, viaGet := NewCache(r, cfg), NewCache(r, cfg)
+		a, b := NewArena(), NewArena()
+		sets := 0
+		for _, i := range rng.Perm(1 << 7) {
+			set := bitset.AttrSet(i)
+			if viaEntropy.leaf(set) {
+				continue
+			}
+			sets++
+			h := viaEntropy.EntropyWith(a, set)
+			if want := viaGet.GetWith(b, set).Entropy(); h != want {
+				t.Fatalf("budget %d: EntropyWith(%v) = %b, GetWith().Entropy() = %b", budget, set, h, want)
+			}
+			if got, want := viaEntropy.Stats(), viaGet.Stats(); got != want {
+				t.Fatalf("budget %d: after %v EntropyWith's stats %+v, GetWith's %+v", budget, set, got, want)
+			}
+		}
+		if sets == 0 {
+			t.Fatalf("budget %d: no operand among the subsets", budget)
+		}
 	}
 }
 

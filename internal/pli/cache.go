@@ -17,7 +17,7 @@ type Stats struct {
 	Hits         int   // requests — top level (single attributes included) or a chain's for a multi-attribute operand — served by a resident partition
 	Misses       int   // such requests that had to compute: a partition built, or an entropy counted
 	Intersects   int   // pairwise partition intersections performed
-	EntropyOnly  int   // intersections answered as streaming counts, never materialized (chain leaf or over budget)
+	EntropyOnly  int   // intersections counted and never kept: a chain leaf's entropy or a class table
 	Entries      int   // partitions currently cached (live, post-eviction, all shards)
 	BytesLive    int64 // bytes retained by evictable (multi-attribute) partitions
 	BytesPinned  int64 // bytes retained by pinned (single-attribute) partitions, outside the budget
@@ -45,11 +45,9 @@ type Config struct {
 	// second-chance clock) until it fits again; evicted partitions are
 	// recomputed on demand, so a budget changes cost, never results.
 	// Single-attribute partitions are pinned — never evicted and not
-	// counted against the budget (Stats.BytesPinned reports them). The
-	// entropy path never materializes what cannot earn its bytes: a chain
-	// leaf — a set no other set's chain reads as an operand — at any
-	// budget, and a partition whose SizeBytes alone exceeds this one; both
-	// get their H from a streaming count (Stats.EntropyOnly). <= 0 means
+	// counted against the budget (Stats.BytesPinned reports them). A
+	// partition whose SizeBytes alone exceeds the budget is handed to its
+	// requester and retired at once, evicting nothing else. <= 0 means
 	// unlimited.
 	MaxBytes int64
 	// Shards is the number of cache shards (rounded up to a power of
@@ -266,37 +264,6 @@ func (c *Cache) count(sv served) {
 	}
 }
 
-// operandReads tallies how the multi-attribute operands of one build were
-// served, by the same rule as count. (Single attributes are pinned and
-// always resident; reading one says nothing about the cache.) The tally
-// reaches the stats only once its build is known to run: a request that
-// fetched operands and then lost the install race for the set itself
-// counts as the one hit it turned out to be, so every build owns exactly
-// one read of each operand and Hits + Misses does not depend on the order
-// or the fan-out requests arrive in.
-type operandReads struct{ hits, misses int64 }
-
-func (r *operandReads) add(set bitset.AttrSet, sv served) {
-	if set.Len() < 2 {
-		return
-	}
-	switch sv {
-	case servedWarm:
-		r.hits++
-	case servedFresh:
-		r.misses++
-	}
-}
-
-func (c *Cache) countOperands(r operandReads) {
-	if r.hits > 0 {
-		c.hits.Add(r.hits)
-	}
-	if r.misses > 0 {
-		c.misses.Add(r.misses)
-	}
-}
-
 // GetWith is Get on the caller's arena. Concurrent requests for the same
 // fresh set compute it once; the rest wait on its entry. A warm serve —
 // single-attribute sets and lost install races included — counts toward
@@ -333,22 +300,31 @@ func (c *Cache) Entropy(attrs bitset.AttrSet) float64 {
 }
 
 // EntropyWith returns the entropy of the partition for attrs — the value
-// every getEntropyR call bottoms out in. A resident partition answers
-// with its fused sum. Otherwise the set's two operands are fetched (built
-// and cached if need be) and counted: a chain leaf, or a set whose
-// partition could never rest within the memory budget (its SizeBytes
-// alone exceeds MaxBytes, so publishing would immediately revert), gets
-// its entropy from that count pass alone — bit-identical, nothing
-// materialized, nothing to evict — and any other set is finished into a
-// cached partition off the same counts. Hit and miss accounting matches
-// GetWith.
+// every getEntropyR call bottoms out in. A set some chain can read as an
+// operand is GetWith's partition, read for its fused sum. A chain leaf
+// that is not resident is counted instead: its two operands are fetched
+// (built and cached if need be) and the arena's streaming count over them
+// is the answer — bit-identical, nothing materialized, nothing to evict
+// (Stats.EntropyOnly). Hit and miss accounting matches GetWith.
 func (c *Cache) EntropyWith(a *Arena, attrs bitset.AttrSet) float64 {
+	if !c.leaf(attrs) {
+		return c.GetWith(a, attrs).Entropy()
+	}
 	if p, ok := c.resident(attrs); ok {
 		return p.Entropy()
 	}
-	h, sv := c.computeEntropy(a, attrs)
-	c.count(sv)
-	return h
+	return a.IntersectEntropy(c.counted(a, attrs))
+}
+
+// counted fetches the operands of a set that is counted and never kept —
+// a leaf's entropy, a class table — and accounts the count pass the caller
+// runs over them: a miss, an intersection, EntropyOnly.
+func (c *Cache) counted(a *Arena, attrs bitset.AttrSet) (left, right *Partition) {
+	left, right, _ = c.operands(a, attrs)
+	c.countIntersect(left, right)
+	c.misses.Add(1)
+	c.entropyOnly.Add(1)
+	return left, right
 }
 
 // materialize returns the partition for attrs, building it via build at
@@ -496,63 +472,35 @@ func (c *Cache) partition(a *Arena, attrs bitset.AttrSet) (*Partition, int64, se
 		if attrs.IsEmpty() {
 			return FromAttrs(c.rel, attrs), 0
 		}
-		left, right, chain, reads := c.operands(a, attrs)
-		c.countOperands(reads)
+		left, right, chain := c.operands(a, attrs)
 		paid = chain + scanBytes(left, right)
 		return c.intersect(a, left, right), paid
 	})
 	return p, paid, sv
 }
 
-// operands materializes the two partitions whose intersection is attrs
-// and returns them with the bytes their own chains scanned and the tally
-// of how they were served, which the caller owes the stats if it goes on
-// to build (or count) attrs.
-func (c *Cache) operands(a *Arena, attrs bitset.AttrSet) (left, right *Partition, paid int64, reads operandReads) {
+// operands fetches the two partitions whose intersection is attrs — each
+// through partition, so the chain below is built and published on the
+// way — and returns them with the bytes their own chains scanned. Each
+// multi-attribute read counts as GetWith counts a request. (Single
+// attributes are pinned and always resident; reading one says nothing
+// about the cache.) The callers — the owner of attrs' build, a leaf's
+// count, Classes — cannot lose an install race for attrs, so every read
+// counted is one the work used, and Hits + Misses does not depend on the
+// order or the fan-out requests arrive in.
+func (c *Cache) operands(a *Arena, attrs bitset.AttrSet) (left, right *Partition, paid int64) {
 	ls, rs := c.split(attrs)
-	left, lp, lsv := c.partition(a, ls)
-	right, rp, rsv := c.partition(a, rs)
-	reads.add(ls, lsv)
-	reads.add(rs, rsv)
-	return left, right, lp + rp, reads
+	left, lp := c.operand(a, ls)
+	right, rp := c.operand(a, rs)
+	return left, right, lp + rp
 }
 
-// computeEntropy answers an entropy miss. The operands are materialized
-// (they are the reusable currency of the cache). A chain leaf is then
-// counted: nothing can ever read its partition as an operand, so its
-// entropy is the arena's streaming count over the two operands — no shape,
-// no fill, no allocation, no publish, nothing to evict or spill. Any other
-// set is staged — counted and shaped, which prices it — and finished from
-// the staged counts into a cached partition, because some other set's
-// chain will ask for it; unless its partition could never rest within the
-// memory budget, in which case the staged sum is the answer.
-func (c *Cache) computeEntropy(a *Arena, attrs bitset.AttrSet) (float64, served) {
-	if attrs.IsEmpty() {
-		p, _, sv := c.partition(a, attrs)
-		return p.Entropy(), sv
+func (c *Cache) operand(a *Arena, set bitset.AttrSet) (*Partition, int64) {
+	p, paid, sv := c.partition(a, set)
+	if set.Len() >= 2 {
+		c.count(sv)
 	}
-	left, right, chainPaid, reads := c.operands(a, attrs)
-	c.countIntersect(left, right)
-	if c.leaf(attrs) {
-		c.countOperands(reads)
-		c.entropyOnly.Add(1)
-		return a.IntersectEntropy(left, right), servedFresh
-	}
-	a.stage(left, right)
-	if c.cfg.MaxBytes > 0 && a.stagedSizeBytes() > c.cfg.MaxBytes {
-		c.countOperands(reads)
-		c.entropyOnly.Add(1)
-		return a.stagedEntropy(), servedFresh
-	}
-	p, sv := c.materialize(attrs, func() (*Partition, int64) {
-		c.countOperands(reads)
-		return a.finish(), chainPaid + scanBytes(left, right)
-	})
-	// When the install race was lost, finish never ran; drop the staged
-	// operand references either way so the arena cannot pin partitions
-	// past this evaluation.
-	a.clearStaged()
-	return p.Entropy(), sv
+	return p, paid
 }
 
 func (c *Cache) intersect(a *Arena, p, q *Partition) *Partition {

@@ -69,9 +69,9 @@ func scaleByClass[W probeSlot](ids []W, w []float64, rows []int32, by []float64)
 
 // Classes returns the classes of attrs with the views asked for, on the
 // caller's arena. A resident partition is read as it stands (a hit).
-// Otherwise the set's two operands are fetched, as for an entropy, and one
-// count pass over them groups the rows — accounted like a chain leaf's
-// entropy: a miss, an intersection, EntropyOnly — and the set's own
+// Otherwise the set's two operands are fetched, as for a leaf's entropy,
+// and one count pass over them groups the rows — accounted like a chain
+// leaf's entropy: a miss, an intersection, EntropyOnly — and the set's own
 // partition is neither built nor published, whether or not it is a leaf.
 // The tables are the caller's and outlive the arena; nothing of them is
 // retained by the cache, so a ranking leaves Entries and BytesLive where
@@ -84,11 +84,7 @@ func (c *Cache) Classes(a *Arena, attrs bitset.AttrSet, view ClassView) Classes 
 	if attrs.IsEmpty() {
 		return a.classesOf(FromAttrs(c.rel, attrs), nil, view)
 	}
-	left, right, _, reads := c.operands(a, attrs)
-	c.countIntersect(left, right)
-	c.countOperands(reads)
-	c.misses.Add(1)
-	c.entropyOnly.Add(1)
+	left, right := c.counted(a, attrs)
 	return a.classesOf(left, right, view)
 }
 

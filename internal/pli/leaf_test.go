@@ -21,7 +21,7 @@ func cachedSets(c *Cache) []bitset.AttrSet {
 	return out
 }
 
-// TestLeafRuleExact checks the structural rule computeEntropy streams by
+// TestLeafRuleExact checks the structural rule EntropyWith streams by
 // against what the chains actually do. For every block layout of 2..11
 // columns, Get each subset on a fresh cache: whatever multi-attribute set
 // the cache then holds besides the one asked for was materialized as an
@@ -242,7 +242,7 @@ func TestCanonicalizeOrdersByFirstRow(t *testing.T) {
 					survivors = append(survivors, g)
 				}
 			}
-			a.canonicalize(sc)
+			clusters, rows, sum := a.canonicalize(sc)
 
 			slices.SortFunc(survivors, func(x, y group) int { return int(x.first - y.first) })
 			wantOffsets := []int32{0}
@@ -254,15 +254,15 @@ func TestCanonicalizeOrdersByFirstRow(t *testing.T) {
 				wantOffsets = append(wantOffsets, wantOffsets[len(wantOffsets)-1]+g.size)
 				wantHsum += sc.Term(int(g.size))
 			}
-			if a.nClusters != len(survivors) || a.nRows != int(wantOffsets[len(survivors)]) {
+			if clusters != len(survivors) || rows != int(wantOffsets[len(survivors)]) {
 				t.Fatalf("n=%d k=%d: shape %d clusters / %d rows, want %d / %d",
-					n, k, a.nClusters, a.nRows, len(survivors), wantOffsets[len(survivors)])
+					n, k, clusters, rows, len(survivors), wantOffsets[len(survivors)])
 			}
 			if !slices.Equal(a.offsets, wantOffsets) {
 				t.Fatalf("n=%d k=%d: offsets differ from the comparison-sorted order", n, k)
 			}
-			if a.hsum != wantHsum {
-				t.Fatalf("n=%d k=%d: hsum %d, want %d", n, k, a.hsum, wantHsum)
+			if sum != wantHsum {
+				t.Fatalf("n=%d k=%d: hsum %d, want %d", n, k, sum, wantHsum)
 			}
 			for _, g := range groups {
 				if g.size < 2 && a.groups[g.first] != g.size {

@@ -137,19 +137,9 @@ func (p *Partition) NumClasses() int {
 // count, cluster count and stored ids only), so budget arithmetic
 // reproduces across runs.
 func (p *Partition) SizeBytes() int64 {
-	return sizeBytesFor(p.n, p.NumClusters(), len(p.rows))
-}
-
-// sizeBytesFor is SizeBytes as a pure function of the shape, so the cache
-// can price a partition from an Arena's count pass before deciding whether
-// to materialize it at all.
-func sizeBytesFor(n, numClusters, numRows int) int64 {
 	const structOverhead = 64
-	offsets := int64(0)
-	if numClusters > 0 {
-		offsets = int64(numClusters+1) * 4
-	}
-	return structOverhead + offsets + int64(numRows)*4 + int64(n)*probeWidth(numClusters)
+	arrays := int64(len(p.offsets)+len(p.rows)) * 4
+	return structOverhead + arrays + int64(p.n)*probeWidth(p.NumClusters())
 }
 
 // probeWidth is the bytes per row of the probe of a partition with

@@ -151,7 +151,7 @@ func (t *Telemetry) bindManager(m *Manager) {
 		"Pairwise partition intersections across all live sessions.",
 		sum(func(s maimon.Stats) float64 { return float64(s.PLIStats.Intersects) }))
 	r.GaugeFunc("maimon_pli_entropy_only",
-		"Intersections answered as streaming counts, never materialized (chain leaf or over budget), across all live sessions.",
+		"Intersections counted and never kept (a chain leaf's entropy or a class table) across all live sessions.",
 		sum(func(s maimon.Stats) float64 { return float64(s.PLIStats.EntropyOnly) }))
 	r.GaugeFunc("maimon_pli_bytes_live",
 		"Bytes retained by evictable PLI partitions across all live sessions.",

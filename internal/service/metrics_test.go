@@ -196,9 +196,9 @@ func TestReadyzFlipsOnClose(t *testing.T) {
 	}
 }
 
-// TestEntropyOnlySurfacedInStatus: under a starvation-level memory budget
-// the engine answers intersections as streaming counts without
-// materializing partitions; that count must surface through the job's
+// TestEntropyOnlySurfacedInStatus: the engine counts a chain leaf's
+// entropy without materializing its partition, under a starvation-level
+// memory budget as without one; that count must surface through the job's
 // memory status (and, with telemetry, the maimon_pli_entropy_only gauge).
 func TestEntropyOnlySurfacedInStatus(t *testing.T) {
 	tel := service.NewTelemetry(obs.NewRegistry(), nil)

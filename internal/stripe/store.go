@@ -17,10 +17,12 @@ import (
 // value and a reference bit, no heap object of its own.
 //
 // A positive budget bounds the bytes of the published, unpinned values,
-// priced by size. A Publish that takes the store over its budget runs
-// the Clock of the shard that grew, then of the others in turn, until
-// the store fits; retire is called for each entry that goes. If the
-// sweeps cannot make room (every other entry pinned, in flight or
+// priced by size. A value priced above the whole budget can never fit: its
+// Publish hands it to the key's waiters and retires it at once, and
+// nothing else is evicted for it. A Publish that takes the store over its
+// budget runs the Clock of the shard that grew, then of the others in
+// turn, until the store fits; retire is called for each entry that goes.
+// If the sweeps cannot make room (every other entry pinned, in flight or
 // touched again during the sweep), the insert undoes itself: it is
 // retired too. So the bytes at rest never exceed the budget. Pinned
 // entries are never evicted and never charged; with no budget nothing is
@@ -61,8 +63,9 @@ type pending[V any] struct {
 
 // NewStore returns an empty store of Count(shards) shards. budget <= 0
 // means unbounded. size prices a value in bytes (nil prices every value
-// at 0). retire, when non-nil, is called for every evicted entry, under
-// its shard's lock: it must not call back into the store.
+// at 0). retire, when non-nil, is called for every evicted entry and
+// every value that can never fit, under its shard's lock: it must not call
+// back into the store.
 func NewStore[K ~uint64, V any](shards int, budget int64, size func(V) int64, retire func(K, V)) *Store[K, V] {
 	n := Count(shards)
 	s := &Store[K, V]{shards: make([]storeShard[K, V], n), mask: uint64(n - 1), budget: budget, size: size, retire: retire}
@@ -150,31 +153,40 @@ func (s *Store[K, V]) touch(sh *storeShard[K, V], k K, sl slot[V]) {
 // owner's claim; a key nobody acquired may be published too, unless it
 // is stored already. A pinned entry is kept for the life of the store
 // outside the budget; any other enters referenced and may take the store
-// over budget, which it then sweeps (see Store).
+// over budget, which it then sweeps, unless it can never fit, which it
+// retires (see Store).
 func (s *Store[K, V]) Publish(k K, v V, pinned bool) {
 	sh := s.shardOf(k)
+	n := s.price(v)
 	evictable := !pinned && s.budget > 0
-	// Counted before the entry can be evicted, so the counts never dip
-	// below what is stored.
-	s.entries.Add(1)
-	if n := s.price(v); pinned {
-		s.pinned.Add(n)
-	} else {
-		s.bytes.Add(n)
+	fits := !evictable || n <= s.budget
+	if fits {
+		// Counted before the entry can be evicted, so the counts never
+		// dip below what is stored.
+		s.entries.Add(1)
+		if pinned {
+			s.pinned.Add(n)
+		} else {
+			s.bytes.Add(n)
+		}
 	}
 	sh.mu.Lock()
 	f := sh.pending[k]
 	delete(sh.pending, k)
-	sh.m[k] = slot[V]{v: v, ref: evictable}
-	if evictable {
-		sh.clock.Add(k)
+	if fits {
+		sh.m[k] = slot[V]{v: v, ref: evictable}
+		if evictable {
+			sh.clock.Add(k)
+		}
+	} else if s.retire != nil {
+		s.retire(k, v)
 	}
 	sh.mu.Unlock()
 	if f != nil {
 		f.v = v
 		f.done.Done()
 	}
-	if evictable && s.over() {
+	if fits && evictable && s.over() {
 		s.sweep(int(Hash(uint64(k)) & s.mask))
 		if s.over() {
 			s.drop(sh, k)

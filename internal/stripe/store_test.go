@@ -1,6 +1,7 @@
 package stripe
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -201,5 +202,39 @@ func TestStoreTouchedKeySurvivesChurn(t *testing.T) {
 	}
 	if l.got[hot] != 0 || len(l.got) < 150 {
 		t.Fatalf("hot key retired %d times over %d evictions", l.got[hot], len(l.got))
+	}
+}
+
+func TestStoreRefusesWhatNeverFits(t *testing.T) {
+	s, l := sizedStore(1, 100)
+	s.Publish(1, 30, false)
+	s.Publish(2, 40, false)
+	if _, owner := s.Acquire(3); !owner {
+		t.Fatal("fresh key 3 was not owned")
+	}
+	// A reader that finds the key in flight waits for it and gets the
+	// value; one that comes after the publish finds nothing.
+	waited := make(chan error)
+	go func() {
+		var err error
+		if v, ok := s.Get(3); ok && v != 500 {
+			err = fmt.Errorf("waiter got %d, want the published 500", v)
+		}
+		waited <- err
+	}()
+	s.Publish(3, 500, false) // priced above the whole budget
+	if err := <-waited; err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range map[uint64]int64{1: 30, 2: 40} {
+		if v, ok := s.Get(k); !ok || v != want {
+			t.Fatalf("key %d = %d, %v after an oversize publish; want %d, true", k, v, ok, want)
+		}
+	}
+	if _, ok := s.Get(3); ok || s.Len() != 2 || s.Bytes() != 70 {
+		t.Fatalf("oversize entry stored: Len %d, Bytes %d; want 2, 70", s.Len(), s.Bytes())
+	}
+	if len(l.got) != 1 || l.got[3] != 1 {
+		t.Fatalf("retired %v, want the oversize key 3 once and nothing else", l.got)
 	}
 }

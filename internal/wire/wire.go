@@ -124,11 +124,9 @@ type MemoryStatus struct {
 	Evictions   int   `json:"evictions"`
 	PLIEntries  int   `json:"pli_entries"`
 	HCached     int   `json:"h_cached"`
-	// EntropyOnly counts intersections the engine answered as streaming
-	// counts without materializing the partition: chain leaves — sets no
-	// other set's partition is assembled from, most of a cold mine — and
-	// partitions too large for the budget never enter the cache, their
-	// entropy is computed on the fly instead.
+	// EntropyOnly counts intersections the engine counted and never kept:
+	// a chain leaf's entropy — a set no other set's partition is assembled
+	// from, most of a cold mine — or a class table for scheme ranking.
 	EntropyOnly int `json:"entropy_only"`
 	// MemoBytes/MemoEvictions describe the entropy memo above the PLI
 	// cache: its accounted residency and the entries dropped to stay

@@ -62,7 +62,7 @@ func main() {
 		rank         = flag.String("rank", "savings", "schemes mode ordering: savings | j | relations | width")
 		workers      = flag.Int("workers", 0, "parallel mining and ranking fan-out (0 = GOMAXPROCS, 1 = serial)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "PLI cache memory budget in bytes; cold partitions are evicted past it (0 = unlimited)")
-		entropyBytes = flag.Int64("entropy-bytes", 0, "entropy-memo memory budget in bytes; cold entropies are evicted past it (0 = unlimited); at most 16 columns, 0 or a budget of at least 8·2^columns bytes keeps the never-evicted dense memo of that size instead; where the memo is hashed, each mining worker keeps a view of up to 2^16 entropies (2 MiB), not counted here; under a budget its peers and the scheme phase read it too, and it lives until the mine ends, so nothing a worker counted is counted again")
+		entropyBytes = flag.Int64("entropy-bytes", 0, "entropy-memo memory budget in bytes (0 = unlimited; see README.md, Memory)")
 		spillDir     = flag.String("spill-dir", "", "disk spill tier: evicted partitions worth re-reading are demoted into segment files under this directory instead of dropped (empty = disabled)")
 		spillBytes   = flag.Int64("spill-bytes", 0, "on-disk budget of the spill tier; oldest segments deleted past it (0 = unlimited)")
 		verbose      = flag.Bool("v", false, "stream live progress (and schemes, as they arrive) to stderr")
@@ -101,9 +101,11 @@ func main() {
 	}
 	defer sess.Close()
 	// Track the MVD count through the event stream (cheap even without
-	// -v); with -v the same stream is echoed to stderr live.
+	// -v); with -v the same stream is echoed to stderr live. The last
+	// mining call leaves its stage trace in tr, for -trace.
 	mvdCount := 0
-	opts := []maimon.Option{maimon.WithProgress(func(p maimon.Progress) {
+	var tr maimon.MineTrace
+	opts := []maimon.Option{maimon.WithTrace(&tr), maimon.WithProgress(func(p maimon.Progress) {
 		if p.MVDs > mvdCount {
 			mvdCount = p.MVDs
 		}
@@ -247,9 +249,7 @@ func main() {
 			st.HCalls, st.HCached, st.PLIStats.Entries, st.PLIStats.BytesLive, st.PLIStats.Drops+st.PLIStats.Demotions)
 	}
 	if *trace {
-		if t := sess.Trace(); t != nil {
-			fmt.Fprint(os.Stderr, t.String())
-		}
+		fmt.Fprint(os.Stderr, tr.String())
 	}
 
 	// Mining is over: restore default signal handling so Ctrl-C now

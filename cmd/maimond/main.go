@@ -110,7 +110,7 @@ func main() {
 		workers      = flag.Int("workers", 0, "mining worker pool size — concurrent jobs (0 = GOMAXPROCS)")
 		mineWorkers  = flag.Int("mine-workers", 1, "default per-job parallel fan-out (jobs may override with \"workers\"; capped at GOMAXPROCS)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "per-dataset PLI cache memory budget in bytes; cold partitions are evicted past it (0 = unlimited)")
-		entropyBytes = flag.Int64("entropy-bytes", 0, "per-dataset entropy-memo memory budget in bytes; cold entropies are evicted past it (0 = unlimited); at most 16 columns, 0 or a budget of at least 8·2^columns bytes keeps the never-evicted dense memo of that size instead; where the memo is hashed, each mining worker keeps a view of up to 2^16 entropies (2 MiB), not counted here; under a budget its peers and the scheme phase read it too, and it lives until the mine ends, so nothing a worker counted is counted again")
+		entropyBytes = flag.Int64("entropy-bytes", 0, "per-dataset entropy-memo memory budget in bytes (0 = unlimited; see README.md, Memory)")
 		spillDir     = flag.String("spill-dir", "", "disk spill tier root: evicted PLI partitions worth re-reading are demoted into per-dataset segment stores under this directory instead of dropped; re-opened warm on restart (empty = disabled)")
 		spillBytes   = flag.Int64("spill-bytes", 0, "per-dataset on-disk budget of the spill tier; oldest segments deleted past it (0 = unlimited)")
 		logLevel     = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")

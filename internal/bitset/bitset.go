@@ -197,16 +197,21 @@ func (s AttrSet) Format(names []string) string {
 	if s == 0 {
 		return "∅"
 	}
-	parts := make([]string, 0, s.Len())
+	var b strings.Builder
+	first := true
 	s.ForEach(func(i int) bool {
+		if !first {
+			b.WriteByte(',')
+		}
+		first = false
 		if i < len(names) {
-			parts = append(parts, names[i])
+			b.WriteString(names[i])
 		} else {
-			parts = append(parts, fmt.Sprintf("#%d", i))
+			fmt.Fprintf(&b, "#%d", i)
 		}
 		return true
 	})
-	return strings.Join(parts, ",")
+	return b.String()
 }
 
 // Parse parses a set rendered by String in letters form ("ABD") or in the

@@ -803,7 +803,7 @@ func TestStatsAccumulate(t *testing.T) {
 	m := newMiner(paperR(), 0)
 	m.MineMVDs()
 	st := m.SearchStats()
-	if st.Searches == 0 || st.Visited == 0 || st.JEvals == 0 {
+	if st.Searches == 0 || st.Visited == 0 {
 		t.Fatalf("stats empty: %+v", st)
 	}
 	if math.IsNaN(float64(st.Visited)) {

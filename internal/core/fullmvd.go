@@ -49,11 +49,11 @@ type Miner struct {
 	searchStats SearchStats
 	minsepTrace MinSepTrace
 
-	// trace is the stage-level mine trace (Options.Trace when set, owned
-	// otherwise); stages accumulates the in-flight phase's stage counters.
-	// Workers fork with zero stages, merged back under the parallel
-	// driver's stats lock; only the parent miner appends phases.
-	trace  *obs.MineTrace
+	// trace is the stage-level mine trace; stages accumulates the
+	// in-flight phase's stage counters. Workers fork with zero stages,
+	// merged back under the parallel driver's stats lock; only the parent
+	// miner appends phases.
+	trace  obs.MineTrace
 	stages stageAccum
 
 	// afterGraphRow, when set (by tests), is called from the graph
@@ -82,30 +82,23 @@ type SearchStats struct {
 	// Visited counts the candidate MVDs those searches popped and
 	// evaluated, and Pruned the neighbors they discarded because the
 	// pairwise-consistency repair united the pair a search keeps apart
-	// (or was stopped); an unrestricted walk keeps no pair apart.
+	// (or was stopped); an unrestricted walk keeps no pair apart. Each
+	// candidate visited consults one J-measure, so Visited is also the
+	// J-evaluation count a trace reports. A search's root is scored once
+	// per key and mine and read from the key memo by every later search
+	// with that key; a request answered from the key memo consults none.
 	Visited int
 	Pruned  int
-	// JEvals counts the J-measures the searches consulted, one per
-	// candidate visited. A search's root is scored once per key and mine
-	// and read from the key memo by every later search with that key; a
-	// request answered from the key memo consults none.
-	JEvals  int
 	Repairs int // getPairwiseConsistentMVD merge steps performed
 }
 
 // NewMiner builds a miner over the oracle with the given options.
 func NewMiner(o *entropy.Oracle, opts Options) *Miner {
-	tr := opts.Trace
-	if tr == nil {
-		tr = &obs.MineTrace{}
-	} else {
-		tr.Reset()
-	}
 	n := 0 // a miner without an oracle builds phase-2 graphs only: it asks for no key
 	if o != nil {
 		n = o.NumAttrs()
 	}
-	return &Miner{oracle: o, src: o, opts: opts, ctx: context.Background(), done: new(atomic.Bool), keys: newKeyMemo(n), trace: tr}
+	return &Miner{oracle: o, src: o, opts: opts, ctx: context.Background(), done: new(atomic.Bool), keys: newKeyMemo(n)}
 }
 
 // Oracle exposes the underlying entropy oracle (stats reporting).
@@ -343,7 +336,6 @@ func (m *Miner) search(sep bitset.AttrSet, a, b, k int, collect bool) int {
 		ref := s.stack[len(s.stack)-1]
 		s.stack = s.stack[:len(s.stack)-1]
 		m.searchStats.Visited++
-		m.searchStats.JEvals++
 		if info.LeqEps(candJ(s, root, ref), m.opts.Epsilon) {
 			found++
 			if collect {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -665,12 +666,20 @@ func TestOneWalkPerKey(t *testing.T) {
 		opts.Workers = workers
 		want := NewMiner(shared(r), opts).MineMVDs()
 		ctx, cancel := context.WithCancel(context.Background())
+		var m *Miner
 		opts.Progress = func(p Progress) {
-			if p.PairsDone >= 3 {
+			if p.PairsDone >= 3 && ctx.Err() == nil {
 				cancel()
+				// The miner's stop flag is raised by a context.AfterFunc
+				// on a goroutine of its own: wait for it, so that the
+				// remaining pairs cannot all finish before the mine
+				// learns of the stop.
+				for !m.done.Load() {
+					runtime.Gosched()
+				}
 			}
 		}
-		m := NewMiner(shared(r), opts)
+		m = NewMiner(shared(r), opts)
 		if res := m.WithContext(ctx).MineMVDs(); !errors.Is(res.Err, context.Canceled) {
 			t.Fatalf("workers=%d: stopped mine Err = %v, want context.Canceled", workers, res.Err)
 		}

@@ -33,7 +33,9 @@ type MinSepTrace struct {
 	Separators   int // minimal separators found
 }
 
-// LastMinSepTrace returns the trace of the most recent MineMinSeps call.
+// LastMinSepTrace returns the trace of the most recent MineMinSeps call
+// on m. A mine over many pairs calls MineMinSeps on its workers' views
+// of m, not on m, so it leaves this trace as it was.
 func (m *Miner) LastMinSepTrace() MinSepTrace { return m.minsepTrace }
 
 // MineMinSeps is Fig. 5: enumerate all minimal a,b-separators of the

@@ -10,11 +10,7 @@
 //     with BuildAcyclicSchema (Fig. 9).
 package core
 
-import (
-	"errors"
-
-	"repro/internal/obs"
-)
+import "errors"
 
 // Options configures a mining run.
 type Options struct {
@@ -32,17 +28,6 @@ type Options struct {
 	// the mining loops (see Progress for the emission points). The
 	// callback runs synchronously on the mining goroutine.
 	Progress func(Progress)
-
-	// Trace, when non-nil, receives the stage-level mine trace: NewMiner
-	// resets it and every top-level phase (MineMVDs, MineMinSepsAll,
-	// EnumerateSchemes) appends one obs.PhaseTrace on completion, carrying
-	// the phase's wall time, the entropy/PLI counter deltas, and the
-	// per-stage breakdown. The miner always keeps a trace internally
-	// (Miner.Trace); setting this field shares it with the caller. Stage
-	// and entropy-level trace counts are deterministic across Workers
-	// settings; only durations and PLI-layer scheduling detail differ —
-	// see obs.MineTrace.CountsOnly.
-	Trace *obs.MineTrace
 
 	// Workers is the fan-out of the parallel mining pipeline. MineMVDs
 	// and MineMinSepsAll distribute attribute pairs across a bounded pool

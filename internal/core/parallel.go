@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bitset"
@@ -40,21 +39,19 @@ func (s *SearchStats) add(o SearchStats) {
 	s.Searches += o.Searches
 	s.Visited += o.Visited
 	s.Pruned += o.Pruned
-	s.JEvals += o.JEvals
 	s.Repairs += o.Repairs
 }
 
 // progressAgg serializes progress emission from worker goroutines and
-// keeps the cumulative counters the events carry. PairsDone is advanced
-// atomically; the other counters are folded in under mu as pairs
-// complete, so every event is a consistent snapshot.
+// keeps the cumulative counters the events carry, folded in under mu as
+// pairs complete, so every event is a consistent snapshot.
 type progressAgg struct {
 	emit       func(Progress)
 	phase      string
 	pairsTotal int
-	pairsDone  atomic.Int64
 
 	mu         sync.Mutex
+	pairsDone  int
 	seen       mvdSet // live MVD dedup, display only
 	separators int
 	candidates int
@@ -65,16 +62,14 @@ func newProgressAgg(emit func(Progress), phase string, total int) *progressAgg {
 }
 
 // pairDone folds one completed pair into the aggregate and emits an
-// event. With a nil callback only the atomic counter advances; with a
-// callback the increment happens under mu, so events carry strictly
+// event; it does nothing without a callback. Events carry strictly
 // increasing PairsDone and the final event reports PairsTotal.
 func (a *progressAgg) pairDone(out *PairMVDs, visited int) {
 	if a.emit == nil {
-		a.pairsDone.Add(1)
 		return
 	}
 	a.mu.Lock()
-	done := int(a.pairsDone.Add(1))
+	a.pairsDone++
 	a.separators += len(out.Seps)
 	a.candidates += visited
 	for _, phi := range out.MVDs {
@@ -82,7 +77,7 @@ func (a *progressAgg) pairDone(out *PairMVDs, visited int) {
 	}
 	p := Progress{
 		Phase:      a.phase,
-		PairsDone:  done,
+		PairsDone:  a.pairsDone,
 		PairsTotal: a.pairsTotal,
 		Separators: a.separators,
 		Candidates: a.candidates,
@@ -110,7 +105,6 @@ func (m *Miner) minePairMVDs(pairs [][2]int, phase string, expand bool) ([]PairM
 	}
 	agg := newProgressAgg(m.opts.Progress, phase, len(pairs))
 	var statsMu sync.Mutex
-	var last MinSepTrace // the final pair's, whichever worker mined it
 	// The workers' entropy views: each reads the others', and the scheme
 	// phase reads them all through m.team, so under an entropy budget a
 	// set this phase counts is not counted again in the mine, at any
@@ -126,9 +120,6 @@ func (m *Miner) minePairMVDs(pairs [][2]int, phase string, expand bool) ([]PairM
 				out := &outs[i]
 				before := w.searchStats.Visited
 				out.Seps = w.MineMinSeps(out.A, out.B)
-				if i == len(pairs)-1 {
-					last = w.minsepTrace
-				}
 				if expand {
 					w.expandPair(out)
 				}
@@ -142,9 +133,6 @@ func (m *Miner) minePairMVDs(pairs [][2]int, phase string, expand bool) ([]PairM
 				statsMu.Unlock()
 			}
 	})
-	// LastMinSepTrace reports the most recent MineMinSeps call: in pair
-	// order that is the final pair.
-	m.minsepTrace = last
 	// All workers observed the same context; one parent-side poll records
 	// the shared stop cause.
 	m.stopped()

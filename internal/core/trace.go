@@ -92,8 +92,9 @@ func (m *Miner) recordStage(c *stageCounters, t0 time.Time, before SearchStats, 
 	c.ns += time.Since(t0).Nanoseconds()
 	c.calls += calls
 	c.items += items
-	c.jEvals += int64(m.searchStats.JEvals - before.JEvals)
-	c.candidates += int64(m.searchStats.Visited - before.Visited)
+	visited := int64(m.searchStats.Visited - before.Visited)
+	c.jEvals += visited // one J per candidate visited
+	c.candidates += visited
 }
 
 // tracePhase opens a top-level phase span: it snapshots the oracle
@@ -117,10 +118,12 @@ func (m *Miner) tracePhase(name string) func() {
 
 // Trace returns the miner's stage-level mine trace: one phase per
 // top-level mining call performed so far (a MineSchemes run records
-// "mvds" then "schemes"). When Options.Trace was set, this is the same
-// object. Counts in a trace are deterministic across worker fan-outs;
-// only the durations vary.
-func (m *Miner) Trace() *obs.MineTrace { return m.trace }
+// "mvds" then "schemes"), each with the phase's wall time, the
+// entropy/PLI counter deltas and the per-stage breakdown. Stage and
+// entropy-level counts are deterministic across worker fan-outs; only
+// durations and PLI-layer scheduling detail vary — see
+// obs.MineTrace.CountsOnly.
+func (m *Miner) Trace() *obs.MineTrace { return &m.trace }
 
 // oracleDelta folds two oracle snapshots into the phase's substrate
 // work. Every field is a difference of cumulative counters, so the

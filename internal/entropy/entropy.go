@@ -68,21 +68,11 @@ type Oracle struct {
 	memo      *stripe.Store[bitset.AttrSet, float64]
 	evictions atomic.Int64
 
-	// counts stripes the call counters by the same hash as the memo, so
-	// warm hits on different sets bump different cache lines.
-	counts []counterShard
-	mask   uint64
-}
-
-// counterShard is one stripe of the call counters, padded so neighboring
-// stripes do not share a cache line: a warm read of the dense memo and an
-// MI evaluation bump them with no lock at all.
-type counterShard struct {
-	hCalls  atomic.Int64
-	hCached atomic.Int64
-	miCalls atomic.Int64
-
-	_ [64]byte
+	// The call counters of the reads that go through no view (H, MI and
+	// MICarried on the oracle itself), and the totals each view flushes
+	// on Release. A view counts its own reads, hits and misses alike, in
+	// private ints, so a mining worker bumps none of these per call.
+	hCalls, hCached, miCalls atomic.Int64
 }
 
 // memoEntryBytes is the accounted resident weight of one hashed memo
@@ -117,24 +107,22 @@ func New(r *relation.Relation) *Oracle {
 // indexed by the set, 8 bytes for each of the 2ⁿ sets (64 KiB at 13
 // attributes), allocated here; wider relations memoize in the shards.
 func NewShared(r *relation.Relation, cfg pli.Config) *Oracle {
-	n := stripe.Count(cfg.Shards)
 	o := &Oracle{
-		rel:    r,
-		cache:  pli.NewCache(r, cfg),
-		dense:  bitset.NewDense[atomic.Uint64](r.NumCols()),
-		counts: make([]counterShard, n),
-		mask:   uint64(n - 1),
+		rel:   r,
+		cache: pli.NewCache(r, cfg),
+		dense: bitset.NewDense[atomic.Uint64](r.NumCols()),
 	}
 	for i := range o.dense {
 		o.dense[i].Store(absent)
 	}
-	o.memo = o.newMemo(0)
+	o.memo = o.newMemo(cfg.Shards, 0)
 	return o
 }
 
-// newMemo returns an empty memo store under the given byte budget.
-func (o *Oracle) newMemo(budget int64) *stripe.Store[bitset.AttrSet, float64] {
-	return stripe.NewStore(len(o.counts), budget,
+// newMemo returns an empty memo store of stripe.Count(shards) shards under
+// the given byte budget.
+func (o *Oracle) newMemo(shards int, budget int64) *stripe.Store[bitset.AttrSet, float64] {
+	return stripe.NewStore(shards, budget,
 		func(float64) int64 { return memoEntryBytes },
 		func(bitset.AttrSet, float64) { o.evictions.Add(1) })
 }
@@ -157,16 +145,11 @@ func (o *Oracle) SetMemoBudget(bytes int64) {
 		return
 	}
 	o.dense = nil
-	o.memo = o.newMemo(bytes)
+	o.memo = o.newMemo(o.memo.Shards(), bytes)
 }
 
 // denseBytes is the dense memo's size, 8 bytes per slot; 0 without one.
 func (o *Oracle) denseBytes() int64 { return 8 * int64(len(o.dense)) }
-
-// countsOf maps an attribute set to its counter stripe.
-func (o *Oracle) countsOf(attrs bitset.AttrSet) *counterShard {
-	return &o.counts[stripe.Hash(uint64(attrs))&o.mask]
-}
 
 // Close releases the PLI cache's disk spill tier; its segments stay on
 // disk, so the next session over the same directory starts warm. A no-op
@@ -186,57 +169,59 @@ func (o *Oracle) Cache() *pli.Cache { return o.cache }
 func (o *Oracle) NumAttrs() int { return o.rel.NumCols() }
 
 // Stats returns a snapshot of the oracle counters, consistent with any
-// mining that has completed (happens-before) the call. A dense memo is
-// accounted at its whole size from the start.
+// mining that has completed (happens-before) the call: a view's calls
+// count once it is released. A dense memo is accounted at its whole size
+// from the start.
 func (o *Oracle) Stats() Stats {
-	s := Stats{
+	return Stats{
+		HCalls:        int(o.hCalls.Load()),
+		HCached:       int(o.hCached.Load()),
+		MICalls:       int(o.miCalls.Load()),
 		PLIStats:      o.cache.Stats(),
 		MemoBytes:     o.denseBytes() + o.memo.Bytes(),
 		MemoEvictions: int(o.evictions.Load()),
 	}
-	for i := range o.counts {
-		sh := &o.counts[i]
-		s.HCalls += int(sh.hCalls.Load())
-		s.HCached += int(sh.hCached.Load())
-		s.MICalls += int(sh.miCalls.Load())
-	}
-	return s
 }
 
 // H returns the empirical joint entropy H(Xα) in bits, per Eq. (5).
 // H(∅) = 0 and H(Ω) = log2 N when rows are distinct.
-func (o *Oracle) H(attrs bitset.AttrSet) float64 { return o.hWith(nil, attrs) }
+func (o *Oracle) H(attrs bitset.AttrSet) float64 {
+	o.hCalls.Add(1)
+	h, cached := o.hWith(nil, attrs)
+	if cached {
+		o.hCached.Add(1)
+	}
+	return h
+}
 
-// hWith is H for a worker view l, or for no view when l is nil. A warm
-// read of a dense memo is one atomic load; otherwise the memo store's
-// Acquire either answers the read or makes this caller the set's owner.
-// No lock is held across the partition computation, so distinct sets
-// compute concurrently while duplicates of the same set wait for their
-// owner. An owner first looks again where a computed entropy may be kept
-// outside the memo — the dense memo, and the views of l's peers — and
-// hands a value found there over with Abort; so within one phase a set
-// the memo has evicted is still counted once. The compute runs on the
-// view's arena, or on a pooled arena without one — this single-flight
-// compute is the one place partitions are counted and built, so it is
-// where the arena matters. The view keeps the entropy before the memo
-// publishes it, so a peer that owns the set next finds it there.
-func (o *Oracle) hWith(l *Local, attrs bitset.AttrSet) float64 {
-	sh := o.countsOf(attrs)
-	sh.hCalls.Add(1)
+// hWith is H for a worker view l, or for no view when l is nil; it
+// reports whether the entropy was served rather than computed, and its
+// caller counts the call. A warm read of a dense memo is one atomic load;
+// otherwise the memo store's Acquire either answers the read or makes
+// this caller the set's owner. No lock is held across the partition
+// computation, so distinct sets compute concurrently while duplicates of
+// the same set wait for their owner. An owner first looks again where a
+// computed entropy may be kept outside the memo — the dense memo, and the
+// views of l's peers — and hands a value found there over with Abort; so
+// within one phase a set the memo has evicted is still counted once. The
+// compute runs on the view's arena, or on a pooled arena without one —
+// this single-flight compute is the one place partitions are counted and
+// built, so it is where the arena matters. The view keeps the entropy
+// before the memo publishes it, so a peer that owns the set next finds it
+// there. The empty set is answered without a memo, never cached.
+func (o *Oracle) hWith(l *Local, attrs bitset.AttrSet) (h float64, cached bool) {
 	if attrs.IsEmpty() {
-		return 0
+		return 0, false
 	}
 	if h, ok := o.denseGet(attrs); ok {
-		sh.hCached.Add(1)
-		return h
+		return h, true
 	}
 	h, owner := o.memo.Acquire(attrs)
 	if !owner {
 		// Answered from the memo, or by the owner this call waited for:
 		// a cached serve.
-		sh.hCached.Add(1)
 		l.keep(attrs, h)
-		return h
+		return h, true
 	}
 	// A dense entry is written, and a view's kept, before its owner lets
 	// go of the set, so an owner finds the set in one of them once it
@@ -247,8 +232,7 @@ func (o *Oracle) hWith(l *Local, attrs bitset.AttrSet) float64 {
 	}
 	if ok {
 		o.memo.Abort(attrs, h)
-		sh.hCached.Add(1)
-		return h
+		return h, true
 	}
 	if l != nil {
 		h = o.cache.EntropyWith(l.a, attrs)
@@ -264,7 +248,7 @@ func (o *Oracle) hWith(l *Local, attrs bitset.AttrSet) float64 {
 		l.keep(attrs, h)
 		o.memo.Publish(attrs, h, false)
 	}
-	return h
+	return h, false
 }
 
 // denseGet reads attrs from the dense memo, lock-free; false when there
@@ -282,10 +266,6 @@ func (o *Oracle) CondH(y, x bitset.AttrSet) float64 {
 	return o.H(x.Union(y)) - o.H(x)
 }
 
-// countMI bumps the MI counter: a striped atomic, no lock
-// acquisition — MI is evaluated once per J on J-heavy workloads.
-func (o *Oracle) countMI(x bitset.AttrSet) { o.countsOf(x).miCalls.Add(1) }
-
 // MI returns the conditional mutual information
 //
 //	I(Y;Z|X) = H(XY) + H(XZ) − H(XYZ) − H(X)     (Eq. 2)
@@ -294,7 +274,7 @@ func (o *Oracle) countMI(x bitset.AttrSet) { o.countsOf(x).miCalls.Add(1) }
 // distributions, and clamping removes the tiny negative values that
 // floating-point cancellation can produce.
 func (o *Oracle) MI(y, z, x bitset.AttrSet) float64 {
-	o.countMI(x)
+	o.miCalls.Add(1)
 	return miSum(o.H(x.Union(y)), o.H(x.Union(z)), o.H(x.Union(y).Union(z)), o.H(x))
 }
 
@@ -305,7 +285,7 @@ func (o *Oracle) MI(y, z, x bitset.AttrSet) float64 {
 // already. It counts as one MI evaluation and one H call and sums in MI's
 // order, so the value is bit-identical to MI's.
 func (o *Oracle) MICarried(hxy, hxz, hx float64, y, z, x bitset.AttrSet) (mi, hxyz float64) {
-	o.countMI(x)
+	o.miCalls.Add(1)
 	hxyz = o.H(x.Union(y).Union(z))
 	return miSum(hxy, hxz, hxyz, hx), hxyz
 }
@@ -341,9 +321,9 @@ func miSum(hxy, hxz, hxyz, hx float64) float64 {
 // fan-out, as long as no view is full. Entropies are immutable, so a value a view retains is exact. A
 // view is capped at localMemoCap entries, past which it keeps nothing
 // new (existing entries keep serving); its entries are outside the
-// memo's budget. Either way a warm read counts as a cached H call in
-// worker-private counters that Release flushes into the oracle's stats —
-// workers release their views before each phase barrier, so
+// memo's budget. Every read through the view, served or computed, counts
+// in worker-private counters that Release flushes into the oracle's
+// stats — workers release their views before each phase barrier, so
 // phase-boundary Stats snapshots see the same HCalls/HCached/MICalls
 // totals as a serial mine.
 //
@@ -408,10 +388,9 @@ func (o *Oracle) Local() *Local { return o.Team(1).Local() }
 // used afterwards. Its view is kept for the team's other workers.
 func (l *Local) Release() {
 	if l.hCalls+l.miCalls > 0 {
-		sh := &l.o.counts[0]
-		sh.hCalls.Add(int64(l.hCalls))
-		sh.hCached.Add(int64(l.hCached))
-		sh.miCalls.Add(int64(l.miCalls))
+		l.o.hCalls.Add(int64(l.hCalls))
+		l.o.hCached.Add(int64(l.hCached))
+		l.o.miCalls.Add(int64(l.miCalls))
 		l.hCalls, l.hCached, l.miCalls = 0, 0, 0
 	}
 	if l.a != nil {
@@ -422,12 +401,13 @@ func (l *Local) Release() {
 
 // H is Oracle.H computed on the view's arena, read through the dense memo
 // or the team's views: a warm read is a load or a few table probes and
-// two counter bumps, no shard lock, no allocation.
+// two counter bumps, no shard lock, no allocation. Every call, a miss
+// included, is counted in the view.
 func (l *Local) H(attrs bitset.AttrSet) float64 {
+	l.hCalls++
 	// The empty set is answered without a memo — a call, never a cached
 	// one, exactly as the oracle counts it.
 	if attrs.IsEmpty() {
-		l.hCalls++
 		return 0
 	}
 	h, ok := l.o.denseGet(attrs)
@@ -438,12 +418,13 @@ func (l *Local) H(attrs bitset.AttrSet) float64 {
 			h, ok = l.peerGet(attrs)
 		}
 	}
-	if ok {
-		l.hCalls++
-		l.hCached++
-		return h
+	if !ok {
+		h, ok = l.o.hWith(l, attrs)
 	}
-	return l.o.hWith(l, attrs)
+	if ok {
+		l.hCached++
+	}
+	return h
 }
 
 // keep writes a hashed memo's entropy into the view, unless it is full;

@@ -76,10 +76,10 @@ func TestSharedParallelDistinct(t *testing.T) {
 	}
 }
 
-// TestSharedStripedCountersSum pins the accounting of the striped
-// per-shard counters: with G goroutines each issuing K H calls and K MI
-// calls, Stats must sum the shards back to exactly G·K of each — no
-// increments lost to striping, whatever shard each set hashes to.
+// TestSharedStripedCountersSum pins the accounting of the oracle's own
+// counters under concurrent calls that go through no view: with G
+// goroutines each issuing K H calls and K MI calls, Stats must report
+// exactly G·K of each — no increment lost, whatever set each call reads.
 func TestSharedStripedCountersSum(t *testing.T) {
 	r := datagen.Uniform(500, 6, 4, 21)
 	o := NewShared(r, pli.DefaultConfig())
@@ -103,7 +103,7 @@ func TestSharedStripedCountersSum(t *testing.T) {
 	st := o.Stats()
 	// Each MI issues 4 H calls of its own.
 	if want := goroutines * perG * 5; st.HCalls != want {
-		t.Fatalf("HCalls = %d, want %d (striped counters lost increments)", st.HCalls, want)
+		t.Fatalf("HCalls = %d, want %d (counters lost increments)", st.HCalls, want)
 	}
 	if want := goroutines * perG; st.MICalls != want {
 		t.Fatalf("MICalls = %d, want %d", st.MICalls, want)

@@ -44,7 +44,7 @@ func TestTeamCountsEachSetOnce(t *testing.T) {
 	if got := b.H(s); got != a.H(s) {
 		t.Fatalf("B read %v, A counted %v", got, a.H(s))
 	}
-	if got := o.hWith(b, s); got != a.H(s) {
+	if got, _ := o.hWith(b, s); got != a.H(s) {
 		t.Fatalf("B's claim on s read %v, A counted %v", got, a.H(s))
 	}
 	a.Release()

@@ -13,12 +13,13 @@ import (
 )
 
 // AblationPairwiseConsistency measures the effect of the App. 12.3
-// pruning (getFullMVDsOpt vs plain getFullMVDs): candidates visited, J
-// evaluations, and wall time for a full phase-1 run. The two outputs are
-// identical (TestPairwiseConsistencyOptimizationPreservesOutput). A row
-// marked TL is a mine the budget cut off: its counts are how far it got
-// before the budget, which varies from machine to machine, not a
-// comparison. Expected shape: the optimization reduces visited candidates
+// pruning (getFullMVDsOpt vs plain getFullMVDs): candidates visited (one
+// J evaluation each) and wall time for a full phase-1 run. The two
+// outputs are identical
+// (TestPairwiseConsistencyOptimizationPreservesOutput). A row marked TL
+// is a mine the budget cut off: its counts are how far it got before the
+// budget, which varies from machine to machine, not a comparison.
+// Expected shape: the optimization reduces visited candidates
 // substantially at small ε.
 func AblationPairwiseConsistency(cfg Config) string {
 	rep := newReport(cfg.Out)
@@ -29,8 +30,8 @@ func AblationPairwiseConsistency(cfg Config) string {
 	r := spec.Generate()
 	rep.printf("Ablation: pairwise-consistency pruning (Bridges analog, %d cols, %d rows)\n",
 		r.NumCols(), r.NumRows())
-	rep.printf("%8s %8s %10s %10s %10s %12s %10s %4s\n",
-		"ε", "pruning", "#MVDs", "visited", "J-evals", "time", "pruned", "TL")
+	rep.printf("%8s %8s %10s %10s %12s %10s %4s\n",
+		"ε", "pruning", "#MVDs", "visited", "time", "pruned", "TL")
 	for _, eps := range []float64{0, 0.1, 0.3} {
 		for _, pruning := range []bool{true, false} {
 			opts := core.DefaultOptions(eps)
@@ -40,8 +41,8 @@ func AblationPairwiseConsistency(cfg Config) string {
 			res := budgeted(cfg, m, m.MineMVDs)
 			elapsed := time.Since(start)
 			st := m.SearchStats()
-			rep.printf("%8.2f %8v %10d %10d %10d %12s %10d %4s\n",
-				eps, pruning, len(res.MVDs), st.Visited, st.JEvals,
+			rep.printf("%8.2f %8v %10d %10d %12s %10d %4s\n",
+				eps, pruning, len(res.MVDs), st.Visited,
 				elapsed.Round(time.Millisecond), st.Pruned, tlMark(res.Err != nil))
 		}
 	}

@@ -7,9 +7,8 @@ import (
 )
 
 // MineTrace is the stage-level record of one mining call: one PhaseTrace
-// per top-level phase, in execution order. The core miner fills it in —
-// always for its own bookkeeping, and into a caller-supplied trace when
-// one is threaded through (maimon.WithTrace, core.Options.Trace).
+// per top-level phase, in execution order. The core miner fills it in,
+// and maimon.WithTrace hands a copy to the caller when the call returns.
 //
 // The logical mining work in a trace is deterministic: a parallel mine
 // at any worker fan-out performs exactly the work of a serial one (same
@@ -124,9 +123,6 @@ func (t *MineTrace) Phase(name string) *PhaseTrace {
 	}
 	return nil
 }
-
-// Reset empties the trace for reuse across mining calls.
-func (t *MineTrace) Reset() { t.Phases = t.Phases[:0] }
 
 // CountsOnly returns a copy of the trace reduced to the projection that
 // is invariant across worker fan-outs: every duration is zeroed, the

@@ -100,14 +100,6 @@ func tracesEqual(a, b *MineTrace) bool {
 	return true
 }
 
-func TestTraceReset(t *testing.T) {
-	tr := sampleTrace()
-	tr.Reset()
-	if len(tr.Phases) != 0 {
-		t.Errorf("Reset left %d phases", len(tr.Phases))
-	}
-}
-
 func TestTraceString(t *testing.T) {
 	out := sampleTrace().String()
 	for _, want := range []string{"phase mvds", "phase schemes", "minsep", "fullmvd",

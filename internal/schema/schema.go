@@ -144,11 +144,18 @@ func (s Schema) String() string {
 
 // Format renders the schema with attribute names.
 func (s Schema) Format(names []string) string {
-	parts := make([]string, len(s.Relations))
+	var b strings.Builder
+	b.WriteByte('{')
 	for i, r := range s.Relations {
-		parts[i] = "[" + r.Format(names) + "]"
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteByte('[')
+		b.WriteString(r.Format(names))
+		b.WriteByte(']')
 	}
-	return "{" + strings.Join(parts, ", ") + "}"
+	b.WriteByte('}')
+	return b.String()
 }
 
 // IsAcyclic reports whether the schema admits a join tree, decided by GYO

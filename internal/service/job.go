@@ -8,12 +8,13 @@ import (
 	"time"
 
 	maimon "repro"
+	"repro/internal/dist"
 	"repro/internal/wire"
 )
 
-// Job is one asynchronous mining job. All mutable fields are guarded by
-// mu except the progress counters, which the worker updates with atomics
-// from inside the mining callbacks.
+// Job is one asynchronous mining job. All mutable fields but sess and key
+// are guarded by mu, the live progress included: the mining callbacks
+// store it there once per event.
 type Job struct {
 	id  string
 	req wire.JobRequest
@@ -29,25 +30,14 @@ type Job struct {
 	// the snapshot taken at finish, instead.
 	sess atomic.Pointer[maimon.Session]
 
-	// Live progress counters, stored from inside the miner's progress
-	// callback with atomics (the worker goroutine writes, any number of
-	// status readers race with it).
-	pairsDone  atomic.Int64
-	pairsTotal atomic.Int64
-	candidates atomic.Int64
-	mvds       atomic.Int64 // full MVDs mined so far (phase 1)
-	schemes    atomic.Int64 // schemes enumerated so far (phase 2)
-
-	// Distributed-execution counters, stored from the coordinator's
-	// shard-progress callback; shardsTotal > 0 marks the job as running
-	// distributed and surfaces JobStatus.Dist.
-	shardsDone  atomic.Int64
-	shardsTotal atomic.Int64
-	distRetries atomic.Int64
-
-	mu       sync.Mutex
-	state    wire.State
-	phase    string
+	mu    sync.Mutex
+	state wire.State
+	// progress is the live progress GET /v1/jobs/{id} serves, its Phase
+	// the job's phase; dist is the coordinator's shard progress, whose
+	// ShardsTotal > 0 marks the job as running distributed and surfaces
+	// JobStatus.Dist.
+	progress wire.Progress
+	dist     wire.DistStatus
 	memFinal *wire.MemoryStatus // session memory snapshot taken at finish
 	errMsg   string
 	result   *wire.JobResult
@@ -105,9 +95,6 @@ func (j *Job) Result() (*wire.JobResult, bool) {
 
 // Status returns a consistent snapshot for serialization.
 func (j *Job) Status() wire.JobStatus {
-	// Snapshot the session stats before taking j.mu: Session.Stats walks
-	// the striped oracle counters and there is no reason to serialize
-	// status readers behind that.
 	mem := memorySnapshot(j.sess.Load())
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -115,30 +102,20 @@ func (j *Job) Status() wire.JobStatus {
 		mem = j.memFinal
 	}
 	st := wire.JobStatus{
-		ID:       j.id,
-		Dataset:  j.req.Dataset,
-		Mode:     j.req.Mode,
-		Epsilon:  j.req.Epsilon,
-		State:    j.state,
-		Error:    j.errMsg,
-		CacheHit: j.cacheHit,
-		Progress: wire.Progress{
-			Phase:      j.phase,
-			PairsDone:  int(j.pairsDone.Load()),
-			PairsTotal: int(j.pairsTotal.Load()),
-			Candidates: int(j.candidates.Load()),
-			MVDs:       int(j.mvds.Load()),
-			Schemes:    int(j.schemes.Load()),
-		},
+		ID:        j.id,
+		Dataset:   j.req.Dataset,
+		Mode:      j.req.Mode,
+		Epsilon:   j.req.Epsilon,
+		State:     j.state,
+		Error:     j.errMsg,
+		CacheHit:  j.cacheHit,
+		Progress:  j.progress,
 		Memory:    mem,
 		CreatedAt: j.created,
 	}
-	if total := j.shardsTotal.Load(); total > 0 {
-		st.Dist = &wire.DistStatus{
-			ShardsDone:  int(j.shardsDone.Load()),
-			ShardsTotal: int(total),
-			Retries:     int(j.distRetries.Load()),
-		}
+	if j.dist.ShardsTotal > 0 {
+		d := j.dist
+		st.Dist = &d
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -161,31 +138,43 @@ func (j *Job) markRunning() bool {
 	}
 	j.state = wire.StateRunning
 	j.started = time.Now()
-	j.phase = "mvds"
+	j.progress.Phase = "mvds"
 	return true
 }
 
 func (j *Job) setPhase(p string) {
 	j.mu.Lock()
-	j.phase = p
+	j.progress.Phase = p
 	j.mu.Unlock()
 }
 
-// observe is the job's maimon.WithProgress sink: it mirrors each live
-// event from the core mining loops into the atomically-readable counters
-// GET /v1/jobs/{id} serves. The "minseps" phase never occurs here (jobs
-// mine MVDs or schemes), so Phase maps onto the job's phase directly.
+// observe is the job's maimon.WithProgress sink: it stores each live
+// event from the core mining loops as the progress GET /v1/jobs/{id}
+// serves. The "minseps" phase never occurs here (jobs mine MVDs or
+// schemes), so Phase maps onto the job's phase directly.
 func (j *Job) observe(p maimon.Progress) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	if p.Phase == "mvds" || p.PairsTotal > 0 {
-		j.pairsDone.Store(int64(p.PairsDone))
-		j.pairsTotal.Store(int64(p.PairsTotal))
+		j.progress.PairsDone = p.PairsDone
+		j.progress.PairsTotal = p.PairsTotal
 	}
-	j.candidates.Store(int64(p.Candidates))
-	j.mvds.Store(int64(p.MVDs))
+	j.progress.Candidates = p.Candidates
+	j.progress.MVDs = p.MVDs
 	if p.Phase == "schemes" {
-		j.schemes.Store(int64(p.Schemes))
+		j.progress.Schemes = p.Schemes
 	}
-	j.setPhase(p.Phase)
+	j.progress.Phase = p.Phase
+}
+
+// observeShard is the coordinator's shard-progress sink of a distributed
+// job: it stores the fleet's shard and pair counts.
+func (j *Job) observeShard(p dist.ShardProgress) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.dist = wire.DistStatus{ShardsDone: p.ShardsDone, ShardsTotal: p.ShardsTotal, Retries: p.Retries}
+	j.progress.PairsDone = p.PairsDone
+	j.progress.PairsTotal = p.PairsTotal
 }
 
 // memorySnapshot captures a session's cache state for MemoryStatus;

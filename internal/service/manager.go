@@ -544,17 +544,13 @@ func (m *Manager) mineDistributed(ctx context.Context, sess *maimon.Session, job
 		ShardWorkers: req.Workers,
 		NumAttrs:     r.NumCols(),
 		Rows:         r.NumRows(),
-		OnShard: func(p dist.ShardProgress) {
-			job.shardsDone.Store(int64(p.ShardsDone))
-			job.shardsTotal.Store(int64(p.ShardsTotal))
-			job.distRetries.Store(int64(p.Retries))
-			job.pairsDone.Store(int64(p.PairsDone))
-			job.pairsTotal.Store(int64(p.PairsTotal))
-		},
-		OnTrace: m.tel.observeTrace,
+		OnShard:      job.observeShard,
+		OnTrace:      m.tel.observeTrace,
 	})
 	if res != nil {
-		job.mvds.Store(int64(len(res.MVDs)))
+		job.mu.Lock()
+		job.progress.MVDs = len(res.MVDs)
+		job.mu.Unlock()
 	}
 	return res, err
 }

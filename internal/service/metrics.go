@@ -120,9 +120,9 @@ func (t *Telemetry) bindManager(m *Manager) {
 		"Datasets currently registered (one warm session each).",
 		func() float64 { return float64(m.reg.Len()) })
 
-	// Session-derived sums. Each callback walks every registered session's
-	// striped counters at scrape time — cheap (a few atomic loads per
-	// shard) and always consistent with what Session.Stats reports.
+	// Session-derived sums. Each callback reads every registered session's
+	// counters at scrape time — cheap (a few atomic loads per session and
+	// PLI shard) and always consistent with what Session.Stats reports.
 	sum := func(pick func(maimon.Stats) float64) func() float64 {
 		return func() float64 {
 			total := 0.0

@@ -46,7 +46,7 @@ type JobRequest struct {
 	Epsilon float64 `json:"epsilon"`
 	// Mode selects what to mine: "schemes" (default) or "mvds".
 	Mode string `json:"mode,omitempty"`
-	// TimeoutMS bounds the mining run; 0 applies the manager's default.
+	// TimeoutMS bounds the mining run; 0 means no limit.
 	// A timed-out job still completes as done with Interrupted partial
 	// results (matching the library's ErrInterrupted contract).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"iter"
 	"runtime"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/decompose"
@@ -31,9 +30,7 @@ type Progress = core.Progress
 // serial mine's work — so two traces of the same mine differ only in
 // durations and PLI-layer scheduling detail (hit/miss split, intersect
 // and byte counts); MineTrace.CountsOnly reduces a trace to the
-// invariant projection.
-// Session.Trace returns the last mine's trace; WithTrace threads a
-// caller-owned trace through one call.
+// invariant projection. WithTrace hands a call's trace to the caller.
 type MineTrace = obs.MineTrace
 
 // PhaseTrace, StageTrace and OracleDelta are the components of a
@@ -185,11 +182,12 @@ func WithEntropyBudget(bytes int64) Option {
 // from the core mining loops.
 func WithProgress(fn func(Progress)) Option { return func(c *config) { c.progress = fn } }
 
-// WithTrace threads a caller-owned MineTrace through a mining call: the
-// call resets it at entry and appends one PhaseTrace per top-level phase
-// it runs. Tracing is always on — Session.Trace returns the last call's
-// trace without this option — but a threaded trace is race-free to read
-// the moment the call returns even when other mines run concurrently.
+// WithTrace has a mining call fill a caller-owned MineTrace when it
+// returns: one PhaseTrace per top-level phase the call ran, replacing
+// what the trace held. It is the one way to read a mine's trace. Given to
+// a mining call, the trace is that call's alone and race-free to read
+// once it returns; given to Open, every call writes it, so concurrent
+// calls overwrite one another's.
 func WithTrace(t *MineTrace) Option { return func(c *config) { c.trace = t } }
 
 // coreOptions lowers the resolved config to core.Options. A deadline is
@@ -198,7 +196,6 @@ func (c config) coreOptions() core.Options {
 	o := core.DefaultOptions(c.epsilon)
 	o.PairwiseConsistency = c.pruning
 	o.Progress = c.progress
-	o.Trace = c.trace
 	o.Workers = c.fanout()
 	return o
 }
@@ -230,11 +227,6 @@ type Session struct {
 	rel    *Relation
 	oracle *entropy.Oracle
 	base   config
-
-	// lastTrace holds the stage trace of the most recently completed
-	// mining call (published atomically — concurrent mines each publish
-	// their own whole trace; none is ever mutated after publication).
-	lastTrace atomic.Pointer[MineTrace]
 }
 
 // Open builds a session over r. Options become the session's per-call
@@ -266,20 +258,11 @@ func (s *Session) Close() error { return s.oracle.Close() }
 // is the warm-oracle reuse the session exists for.
 func (s *Session) Stats() Stats { return s.oracle.Stats() }
 
-// Trace returns the stage-level trace of the most recently completed
-// mining call, or nil before the first one. Each call owns a fresh
-// trace, finished when the call returns, so the result is safe to read
-// and render (MineTrace.String) at any time — unless the session was
-// opened with a WithTrace default, in which case the next call resets
-// that shared trace. When calls run concurrently the last one to finish
-// wins; thread a trace through WithTrace to pin one call's breakdown.
-func (s *Session) Trace() *MineTrace { return s.lastTrace.Load() }
-
 // mine is the one way into a mining call. It refuses a relation of
 // fewer than 3 attributes, resolves opts over the session defaults, binds
 // a miner to ctx under a cancel that runs on return (which drops the
-// miner's AfterFunc), runs run, and publishes the miner's trace. run
-// returns the call's error.
+// miner's AfterFunc), runs run, and copies the miner's trace into the
+// WithTrace target, if any. run returns the call's error.
 func (s *Session) mine(ctx context.Context, what string, opts []Option, run func(m *core.Miner, cfg config) error) error {
 	if s.rel.NumCols() < 3 {
 		return errors.New("maimon: need at least 3 attributes to mine " + what)
@@ -291,7 +274,9 @@ func (s *Session) mine(ctx context.Context, what string, opts []Option, run func
 	defer cancel()
 	cfg := s.base.with(opts)
 	m := core.NewMiner(s.oracle, cfg.coreOptions()).WithContext(ctx)
-	defer func() { s.lastTrace.Store(m.Trace()) }()
+	if cfg.trace != nil {
+		defer func() { *cfg.trace = *m.Trace() }()
+	}
 	return run(m, cfg)
 }
 

@@ -31,12 +31,12 @@ func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := s.MineSchemes(ctx, WithEpsilon(0.1), WithMaxSchemes(30), WithWorkers(workers)); err != nil {
+			var tr MineTrace
+			if _, _, err := s.MineSchemes(ctx, WithEpsilon(0.1), WithMaxSchemes(30), WithWorkers(workers), WithTrace(&tr)); err != nil {
 				t.Fatal(err)
 			}
-			tr := s.Trace()
-			if tr == nil {
-				t.Fatalf("%s workers=%d: Session.Trace() = nil after MineSchemes", name, workers)
+			if len(tr.Phases) == 0 {
+				t.Fatalf("%s workers=%d: WithTrace trace empty after MineSchemes", name, workers)
 			}
 			return tr.CountsOnly()
 		}
@@ -57,13 +57,10 @@ func TestTraceShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	schemes, res, err := s.MineSchemes(context.Background(), WithEpsilon(0.1), WithMaxSchemes(20))
+	var tr MineTrace
+	schemes, res, err := s.MineSchemes(context.Background(), WithEpsilon(0.1), WithMaxSchemes(20), WithTrace(&tr))
 	if err != nil {
 		t.Fatal(err)
-	}
-	tr := s.Trace()
-	if tr == nil {
-		t.Fatal("Session.Trace() = nil after MineSchemes")
 	}
 	mvds := tr.Phase("mvds")
 	if mvds == nil {
@@ -108,8 +105,7 @@ func TestTraceShape(t *testing.T) {
 }
 
 // TestWithTraceThreading: a caller-owned trace passed per mining call is
-// the one the miner fills, it is reset between calls, and Session.Trace
-// returns that same object afterwards.
+// filled by it, and a second call replaces what the first left.
 func TestWithTraceThreading(t *testing.T) {
 	s, err := Open(Nursery().Head(600))
 	if err != nil {
@@ -121,9 +117,6 @@ func TestWithTraceThreading(t *testing.T) {
 	}
 	if len(tr.Phases) == 0 {
 		t.Fatal("WithTrace trace not filled by MineMVDs")
-	}
-	if s.Trace() != &tr {
-		t.Error("Session.Trace() does not return the threaded trace")
 	}
 	first := len(tr.Phases)
 	if _, err := s.MineMVDs(context.Background(), WithEpsilon(0.1), WithTrace(&tr)); err != nil {
@@ -158,14 +151,15 @@ func TestBudgetedFreshCountWorkerInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		schemes, res, err := s.MineSchemes(context.Background(), WithEpsilon(0.1), WithMaxSchemes(100), WithWorkers(workers))
+		var tr MineTrace
+		schemes, res, err := s.MineSchemes(context.Background(), WithEpsilon(0.1), WithMaxSchemes(100), WithWorkers(workers), WithTrace(&tr))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st := s.Stats(); st.MemoEvictions == 0 {
 			t.Fatalf("workers=%d: the 48 KiB memo evicted nothing", workers)
 		}
-		ph, sp := s.Trace().Phase("mvds"), s.Trace().Phase("schemes")
+		ph, sp := tr.Phase("mvds"), tr.Phase("schemes")
 		if ph == nil || sp == nil {
 			t.Fatalf("workers=%d: trace lacks the mvds or the schemes phase", workers)
 		}

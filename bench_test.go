@@ -600,7 +600,7 @@ func BenchmarkMicro_FDMining(b *testing.B) {
 func BenchmarkMicro_CIExpansion(b *testing.B) {
 	r := benchNursery(b)
 	m := core.NewMiner(entropy.New(r), core.DefaultOptions(0.3))
-	res := m.MineMVDs()
+	res, _ := m.MineMVDs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = ci.MinedToCI(res.MVDs)
@@ -629,7 +629,7 @@ func BenchmarkMicro_FullReducer(b *testing.B) {
 func BenchmarkMicro_SchemeEnumeration(b *testing.B) {
 	r := benchNursery(b)
 	m := core.NewMiner(entropy.New(r), core.DefaultOptions(0.3))
-	res := m.MineMVDs()
+	res, _ := m.MineMVDs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.EnumerateSchemes(res.MVDs, 50, func(*core.Scheme) bool { return true })

@@ -64,23 +64,23 @@ func TestContextPreCancelled(t *testing.T) {
 	}
 }
 
-// A context deadline that fires mid-mine surfaces as ErrInterrupted, not
-// as the context's DeadlineExceeded, with the results mined so far: the
+// A context deadline that fires mid-mine surfaces as the context's own
+// context.DeadlineExceeded, unwrapped, with the results mined so far: the
 // caller's context is the one deadline a mine has.
 func TestContextDeadlineMapsToErrInterrupted(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	res, err := mustOpen(t, slowRelation()).MineMVDs(ctx, WithEpsilon(0.3))
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("err = %v, want ErrInterrupted", err)
+	if err != context.DeadlineExceeded {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	if res == nil {
 		t.Fatal("partial result missing")
 	}
 }
 
-// SchemeSeq surfaces a deadline as a final ErrInterrupted yield, matching
-// the batch entry points.
+// SchemeSeq surfaces a deadline that fires mid-mine as a final
+// context.DeadlineExceeded yield, matching the batch entry points.
 func TestSchemeSeqTimeoutYieldsErrInterrupted(t *testing.T) {
 	s, err := Open(slowRelation())
 	if err != nil {
@@ -92,8 +92,67 @@ func TestSchemeSeqTimeoutYieldsErrInterrupted(t *testing.T) {
 	for _, err := range s.SchemeSeq(ctx, WithEpsilon(0.3)) {
 		last = err
 	}
-	if !errors.Is(last, ErrInterrupted) {
-		t.Fatalf("final yield = %v, want ErrInterrupted", last)
+	if last != context.DeadlineExceeded {
+		t.Fatalf("final yield = %v, want context.DeadlineExceeded", last)
+	}
+}
+
+// Every way into a mine stops under the context's own error: an expired
+// deadline as context.DeadlineExceeded, a cancellation as
+// context.Canceled, never renamed or wrapped.
+func TestEveryEntryPointStopsUnderContextError(t *testing.T) {
+	s := mustOpen(t, Nursery().Head(500))
+	schemes, res, err := s.MineSchemes(context.Background(), WithEpsilon(0.3), WithMaxSchemes(1))
+	if err != nil || len(schemes) == 0 {
+		t.Fatalf("setup mine: %d schemes, err %v", len(schemes), err)
+	}
+	entries := []struct {
+		name string
+		run  func(ctx context.Context) error
+	}{
+		{"MineMVDs", func(ctx context.Context) error {
+			_, err := s.MineMVDs(ctx, WithEpsilon(0.1))
+			return err
+		}},
+		{"MineMinSeps", func(ctx context.Context) error {
+			_, err := s.MineMinSeps(ctx, WithEpsilon(0.1))
+			return err
+		}},
+		{"MinePairMVDs", func(ctx context.Context) error {
+			_, err := s.MinePairMVDs(ctx, [][2]int{{0, 1}, {2, 3}}, WithEpsilon(0.1))
+			return err
+		}},
+		{"MineSchemes", func(ctx context.Context) error {
+			_, _, err := s.MineSchemes(ctx, WithEpsilon(0.1))
+			return err
+		}},
+		{"SchemesFromMVDs", func(ctx context.Context) error {
+			_, err := s.SchemesFromMVDs(ctx, res.MVDs, WithEpsilon(0.3))
+			return err
+		}},
+		{"SchemeSeq", func(ctx context.Context) error {
+			var last error
+			for _, err := range s.SchemeSeq(ctx, WithEpsilon(0.1)) {
+				last = err
+			}
+			return last
+		}},
+		{"AnalyzeAll", func(ctx context.Context) error {
+			_, errs := s.AnalyzeAll(ctx, []Schema{schemes[0].Schema})
+			return errs[0]
+		}},
+	}
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, e := range entries {
+		if err := e.run(expired); err != context.DeadlineExceeded {
+			t.Errorf("%s, expired deadline: err = %v, want context.DeadlineExceeded", e.name, err)
+		}
+		if err := e.run(cancelled); err != context.Canceled {
+			t.Errorf("%s, cancelled: err = %v, want context.Canceled", e.name, err)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"time"
@@ -51,7 +52,7 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	res, err := sess.MineMVDs(ctx, maimon.WithEpsilon(0))
-	if err != nil && err != maimon.ErrInterrupted {
+	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Fatal(err)
 	}
 	lifted := map[string]bool{}

@@ -8,6 +8,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"time"
@@ -40,7 +41,7 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	res, err := sess.MineMVDs(ctx, maimon.WithEpsilon(0))
-	if err != nil && err != maimon.ErrInterrupted {
+	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Fatal(err)
 	}
 	stmts := maimon.CIStatements(res.MVDs)

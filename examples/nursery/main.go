@@ -11,6 +11,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -42,7 +43,7 @@ func main() {
 		ctx, cancel := context.WithTimeout(context.Background(), *budget)
 		schemes, _, err := sess.MineSchemes(ctx, maimon.WithEpsilon(eps))
 		cancel()
-		if err != nil && err != maimon.ErrInterrupted {
+		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			log.Fatal(err)
 		}
 		for _, s := range schemes {

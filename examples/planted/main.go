@@ -9,6 +9,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -65,7 +66,7 @@ func main() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		schemes, res, err := sess.MineSchemes(ctx, maimon.WithEpsilon(eps))
 		cancel()
-		if err != nil && err != maimon.ErrInterrupted {
+		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			log.Fatal(err)
 		}
 		best := bestByRelations(schemes)

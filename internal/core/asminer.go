@@ -35,8 +35,11 @@ func (s *Scheme) M() int { return s.Schema.M() }
 // the miner's last phase 1, so under an entropy budget an entropy that
 // phase counted is not counted again here, at any fan-out; without a
 // phase 1 the view joins a team of its own.
-func (m *Miner) EnumerateSchemes(mvds []mvd.MVD, limit int, emit func(*Scheme) bool) {
-	m.beginPhase()
+//
+// The error is nil, or the bound context's error when it stopped the
+// enumeration; the schemes emitted before the stop are valid. A limit
+// reached or an emit returning false is not a stop.
+func (m *Miner) EnumerateSchemes(mvds []mvd.MVD, limit int, emit func(*Scheme) bool) error {
 	defer m.tracePhase("schemes")()
 	team := m.team
 	if team == nil {
@@ -53,7 +56,7 @@ func (m *Miner) EnumerateSchemes(mvds []mvd.MVD, limit int, emit func(*Scheme) b
 	m.recordStage(&m.stages.graph, graphT0, graphStats, 1, int64(len(ms)))
 	m.stages.graph.candidates += edges // incompatibility edges found (Eq. 15)
 	if !ok {
-		return // cancelled or past the deadline mid-build
+		return m.cause // cancelled or past the deadline mid-build
 	}
 	m.emitProgress(Progress{Phase: "schemes", MVDs: len(ms), Candidates: m.searchStats.Visited})
 	streamed := 0
@@ -102,6 +105,7 @@ func (m *Miner) EnumerateSchemes(mvds []mvd.MVD, limit int, emit func(*Scheme) b
 		})
 		return emit(s) && (limit <= 0 || streamed < limit)
 	})
+	return m.cause
 }
 
 // buildIncompatibilityGraph fills the empty graph g with the edges of

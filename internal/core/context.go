@@ -35,19 +35,16 @@ func (m *Miner) WithContext(ctx context.Context) *Miner {
 	return m
 }
 
-// beginPhase starts a top-level mining phase: it clears the stop cause
-// left by an earlier phase or run, so each phase reports only its own
-// interruption (Session.MineSchemes latches phase 1's error before
-// phase 2 begins).
-func (m *Miner) beginPhase() { m.cause = nil }
-
 // Context returns the context bound with WithContext.
 func (m *Miner) Context() context.Context { return m.ctx }
 
 // stopped reports whether mining should halt — the bound context was
-// cancelled or timed out — and records the first cause observed for
-// interruptErr. Every inner mining loop polls it once per candidate, so
-// cancellation latency is one candidate evaluation.
+// cancelled or timed out — and records the first cause observed,
+// ctx.Err() verbatim, as the error a stopped phase returns. Every inner
+// mining loop polls it once per candidate, so cancellation latency is
+// one candidate evaluation. The cause is kept until WithContext binds
+// another context; a later phase under the same context stops at its
+// first poll with that cause.
 func (m *Miner) stopped() bool {
 	if !m.done.Load() {
 		return false
@@ -56,26 +53,4 @@ func (m *Miner) stopped() bool {
 		m.cause = m.ctx.Err()
 	}
 	return true
-}
-
-// Err reports how the most recent mining phase stopped: nil for a
-// completed run, ErrInterrupted after the context's deadline, or the
-// context's cancellation error. It lets streaming callers that drive
-// EnumerateSchemes directly surface the same errors the batch entry
-// points report through MVDResult.Err.
-func (m *Miner) Err() error { return m.interruptErr() }
-
-// interruptErr translates the recorded stop cause into the error reported
-// through MVDResult.Err: a context deadline surfaces as ErrInterrupted,
-// explicit cancellation as context.Canceled, so callers can tell "told to
-// stop" from "ran out of time".
-func (m *Miner) interruptErr() error {
-	switch m.cause {
-	case nil:
-		return nil
-	case context.DeadlineExceeded:
-		return ErrInterrupted
-	default:
-		return m.cause
-	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"math"
 	"math/rand"
 	"runtime"
@@ -241,9 +240,9 @@ func TestMineMinSepsNoSeparator(t *testing.T) {
 
 func TestMVDMinerRunningExample(t *testing.T) {
 	m := newMiner(paperR(), 0)
-	res := m.MineMVDs()
-	if res.Err != nil {
-		t.Fatal(res.Err)
+	res, err := m.MineMVDs()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(res.MVDs) == 0 {
 		t.Fatal("no MVDs mined")
@@ -271,7 +270,7 @@ func TestMVDMinerDerivesSupportMVDs(t *testing.T) {
 	// Mε. We check the concrete form: some mined MVD with the same key
 	// refines it.
 	m := newMiner(paperR(), 0)
-	res := m.MineMVDs()
+	res, _ := m.MineMVDs()
 	for _, spec := range []string{"BD->E|ACF", "AD->CF|BE", "A->F|BCDE"} {
 		want, err := mvd.Parse(spec)
 		if err != nil {
@@ -304,7 +303,7 @@ func TestMVDMinerRedTupleApproximation(t *testing.T) {
 		t.Fatalf("J(BD↠E|ACF) = %v, expected ≈ 0.151", j)
 	}
 	// At ε = 0 every mined MVD holds exactly.
-	res0 := m0.MineMVDs()
+	res0, _ := m0.MineMVDs()
 	for _, mv := range res0.MVDs {
 		if jj := info.JMVD(m0.Oracle(), mv); jj > 1e-9 {
 			t.Fatalf("mined %v with J = %v at ε=0", mv, jj)
@@ -324,7 +323,7 @@ func TestMVDMinerRedTupleApproximation(t *testing.T) {
 		t.Errorf("no subset of BD among minimal (E,A)-separators at ε=0.2: %v", seps)
 	}
 	// And all mined MVDs hold at 0.2.
-	res2 := m2.MineMVDs()
+	res2, _ := m2.MineMVDs()
 	for _, mv := range res2.MVDs {
 		if jj := info.JMVD(m2.Oracle(), mv); jj > 0.2+1e-9 {
 			t.Fatalf("mined %v with J = %v at ε=0.2", mv, jj)
@@ -436,7 +435,7 @@ func TestEnumerateSchemesRunningExample(t *testing.T) {
 	// 4-relation schema {ABD,ACD,BDE,AF} is extendable and must NOT be in
 	// the output; but finer exact schemes must be, all with J = 0.
 	m := newMiner(paperR(), 0)
-	res := m.MineMVDs()
+	res, _ := m.MineMVDs()
 	paper := schema.MustNew(at(t, "ABD"), at(t, "ACD"), at(t, "BDE"), at(t, "AF"))
 	var all []*Scheme
 	m.EnumerateSchemes(res.MVDs, 0, func(s *Scheme) bool {
@@ -472,7 +471,7 @@ func TestEnumerateSchemesExactHaveZeroJ(t *testing.T) {
 	// At ε = 0 every support MVD holds exactly, so J(S) ≤ Σ J = 0 for
 	// every synthesized schema (Cor. 5.2).
 	m := newMiner(paperR(), 0)
-	res := m.MineMVDs()
+	res, _ := m.MineMVDs()
 	m.EnumerateSchemes(res.MVDs, 0, func(s *Scheme) bool {
 		if s.J > 1e-9 {
 			t.Fatalf("scheme %v has J = %v at ε=0", s.Schema, s.J)
@@ -483,9 +482,9 @@ func TestEnumerateSchemesExactHaveZeroJ(t *testing.T) {
 
 func TestMineSchemesEndToEnd(t *testing.T) {
 	m := newMiner(paperRWithRedTuple(), 0.3)
-	schemes, res := mineSchemes(m, 0)
-	if res.Err != nil {
-		t.Fatal(res.Err)
+	schemes, err := mineSchemes(m, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(schemes) == 0 {
 		t.Fatal("no schemes")
@@ -534,17 +533,17 @@ func TestMaxSchemesLimit(t *testing.T) {
 }
 
 // mineSchemes runs both phases on m and collects up to limit schemes
-// (0 = all); a stop in either phase is reported through res.Err.
-func mineSchemes(m *Miner, limit int) (schemes []*Scheme, res *MVDResult) {
-	res = m.MineMVDs()
-	m.EnumerateSchemes(res.MVDs, limit, func(s *Scheme) bool {
+// (0 = all); a stop in either phase is returned as the error.
+func mineSchemes(m *Miner, limit int) (schemes []*Scheme, err error) {
+	res, err := m.MineMVDs()
+	if err != nil {
+		return nil, err
+	}
+	err = m.EnumerateSchemes(res.MVDs, limit, func(s *Scheme) bool {
 		schemes = append(schemes, s)
 		return true
 	})
-	if res.Err == nil {
-		res.Err = m.Err()
-	}
-	return schemes, res
+	return schemes, err
 }
 
 func TestQuickMinerAgainstBruteForceRandomRelations(t *testing.T) {
@@ -602,9 +601,9 @@ func TestMinSepsCompleteAtWidth(t *testing.T) {
 	for _, eps := range []float64{0, 0.1, 0.3} {
 		opts := DefaultOptions(eps)
 		opts.Workers = workers
-		res := NewMiner(o, opts).MineMinSepsAll()
-		if res.Err != nil {
-			t.Fatal(res.Err)
+		res, err := NewMiner(o, opts).MineMinSepsAll()
+		if err != nil {
+			t.Fatal(err)
 		}
 		want := make([][]bitset.AttrSet, len(pairs))
 		var next atomic.Int64
@@ -647,9 +646,9 @@ func TestFullMVDsCompleteAtWidth(t *testing.T) {
 	n := r.NumCols()
 	for _, eps := range []float64{0, 0.1, 0.3} {
 		m := NewMiner(o, DefaultOptions(eps))
-		res := m.MineMVDs()
-		if res.Err != nil {
-			t.Fatal(res.Err)
+		res, err := m.MineMVDs()
+		if err != nil {
+			t.Fatal(err)
 		}
 		type emitted struct {
 			p   Pair
@@ -689,7 +688,7 @@ func TestQuickBuildAcyclicSchemaFromMinedSets(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		r := randomRelation(rng, 30, 5, 2)
 		m := newMiner(r, 0)
-		res := m.MineMVDs()
+		res, _ := m.MineMVDs()
 		o := m.Oracle()
 		m.EnumerateSchemes(res.MVDs, 0, func(s *Scheme) bool {
 			if !s.Schema.IsAcyclic() {
@@ -758,16 +757,16 @@ func TestDeadlineInterrupts(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	m := NewMiner(entropy.New(r), DefaultOptions(0.2)).WithContext(ctx)
-	if res := m.MineMVDs(); !errors.Is(res.Err, ErrInterrupted) {
-		t.Fatalf("expired deadline: Err = %v, want ErrInterrupted", res.Err)
+	if _, err := m.MineMVDs(); err != context.DeadlineExceeded {
+		t.Fatalf("expired deadline: err = %v, want context.DeadlineExceeded", err)
 	}
 }
 
 func TestMineMinSepsAll(t *testing.T) {
 	m := newMiner(paperR(), 0)
-	res := m.MineMinSepsAll()
-	if res.Err != nil {
-		t.Fatal(res.Err)
+	res, err := m.MineMinSepsAll()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if res.NumMinSeps() == 0 {
 		t.Fatal("no separators")
@@ -794,8 +793,8 @@ func TestMineMinSepsAllDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	m := NewMiner(entropy.New(randomRelation(rand.New(rand.NewSource(3)), 40, 8, 2)), DefaultOptions(0.2)).WithContext(ctx)
-	if res := m.MineMinSepsAll(); !errors.Is(res.Err, ErrInterrupted) {
-		t.Fatalf("expired deadline: Err = %v, want ErrInterrupted", res.Err)
+	if _, err := m.MineMinSepsAll(); err != context.DeadlineExceeded {
+		t.Fatalf("expired deadline: err = %v, want context.DeadlineExceeded", err)
 	}
 }
 

@@ -29,7 +29,7 @@ type Miner struct {
 	opts  Options
 	ctx   context.Context // bound by WithContext
 	done  *atomic.Bool    // set once ctx is done; what the loops poll
-	cause error           // first stop cause (context error or ErrInterrupted)
+	cause error           // first stop cause: ctx.Err() as stopped() saw it
 
 	// keys holds each separator key's search root, with its dependent
 	// pairs' verdicts and its settled full MVDs, for the duration of the

@@ -72,7 +72,8 @@ func wideMVDs(t *testing.T) (*entropy.Oracle, [][]mvd.MVD) {
 		for _, eps := range wideEps {
 			opts := DefaultOptions(eps)
 			opts.Workers = 2
-			wide.mvds = append(wide.mvds, NewMiner(wide.oracle, opts).MineMVDs().MVDs)
+			res, _ := NewMiner(wide.oracle, opts).MineMVDs()
+			wide.mvds = append(wide.mvds, res.MVDs)
 		}
 	})
 	return wide.oracle, wide.mvds
@@ -316,7 +317,7 @@ func TestIncompatibilityGraphCancellation(t *testing.T) {
 			}
 			m.WithContext(ctx)
 			emitted := 0
-			m.EnumerateSchemes(ms, 0, func(*Scheme) bool {
+			err := m.EnumerateSchemes(ms, 0, func(*Scheme) bool {
 				emitted++
 				return true
 			})
@@ -324,8 +325,8 @@ func TestIncompatibilityGraphCancellation(t *testing.T) {
 			if emitted != 0 {
 				t.Errorf("%s: %d schemes emitted after cancellation", name, emitted)
 			}
-			if err := m.Err(); !errors.Is(err, context.Canceled) {
-				t.Errorf("%s: Err() = %v, want context.Canceled", name, err)
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s: err = %v, want context.Canceled", name, err)
 			}
 			if mid && (rows.Load() == 0 || rows.Load() >= int64(len(ms))) {
 				t.Errorf("%s: %d of %d rows built, want a cut mid-build", name, rows.Load(), len(ms))
@@ -386,7 +387,8 @@ func BenchmarkIncompatibilityGraph(b *testing.B) {
 		mine := func(name string, r *relation.Relation, eps float64) {
 			opts := DefaultOptions(eps)
 			opts.Workers = 2
-			ms := NewMiner(shared(r), opts).MineMVDs().MVDs
+			res, _ := NewMiner(shared(r), opts).MineMVDs()
+			ms := res.MVDs
 			mvd.Sort(ms)
 			graphLists.lists = append(graphLists.lists, graphList{name, ms})
 		}

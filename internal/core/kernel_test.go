@@ -84,8 +84,8 @@ func TestKeyRootsMatchLiteralRepair(t *testing.T) {
 					if hashed {
 						hashKeys(m)
 					}
-					if res := m.MineMVDs(); res.Err != nil {
-						t.Fatal(res.Err)
+					if _, err := m.MineMVDs(); err != nil {
+						t.Fatal(err)
 					}
 					if hashed == (m.keys.dense != nil) {
 						t.Fatalf("%s: hashed=%v mine ran over a key memo with dense=%v", name, hashed, m.keys.dense != nil)
@@ -203,7 +203,7 @@ func TestCarriedTermsMatchOracle(t *testing.T) {
 		full := bitset.Full(r.NumCols())
 		for _, eps := range []float64{0, 0.05, 0.3} {
 			m := newMiner(r, eps)
-			res := m.MineMVDs()
+			res, _ := m.MineMVDs()
 			for _, p := range res.SortedPairs() {
 				for _, sep := range res.MinSeps[p] {
 					// The mine settled this pair's list: search again,
@@ -416,8 +416,8 @@ func TestKeyAnswersMatchSearch(t *testing.T) {
 						opts.PairwiseConsistency = c.pruning
 						opts.Workers = workers
 						m := NewMiner(shared(r), opts)
-						if res := m.MineMVDs(); res.Err != nil {
-							t.Fatal(res.Err)
+						if _, err := m.MineMVDs(); err != nil {
+							t.Fatal(err)
 						}
 						if hashed := m.keys.dense == nil; hashed != (r.NumCols() > bitset.DenseMaxAttrs) {
 							t.Fatalf("%s: %d columns mined over a hashed key memo: %v", c.name, r.NumCols(), hashed)
@@ -602,9 +602,9 @@ func TestOneWalkPerKey(t *testing.T) {
 				opts := DefaultOptions(eps)
 				opts.Workers = workers
 				m := NewMiner(shared(r), opts)
-				res := m.MineMVDs()
-				if res.Err != nil {
-					t.Fatal(res.Err)
+				res, err := m.MineMVDs()
+				if err != nil {
+					t.Fatal(err)
 				}
 				if st := m.SearchStats(); st.Searches != wantSearches || st.Visited != wantVisited {
 					t.Fatalf("%s eps=%v workers=%d: %d searches over %d candidates, replay has %d over %d",
@@ -664,7 +664,7 @@ func TestOneWalkPerKey(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		opts := DefaultOptions(0.3)
 		opts.Workers = workers
-		want := NewMiner(shared(r), opts).MineMVDs()
+		want, _ := NewMiner(shared(r), opts).MineMVDs()
 		ctx, cancel := context.WithCancel(context.Background())
 		var m *Miner
 		opts.Progress = func(p Progress) {
@@ -680,14 +680,14 @@ func TestOneWalkPerKey(t *testing.T) {
 			}
 		}
 		m = NewMiner(shared(r), opts)
-		if res := m.WithContext(ctx).MineMVDs(); !errors.Is(res.Err, context.Canceled) {
-			t.Fatalf("workers=%d: stopped mine Err = %v, want context.Canceled", workers, res.Err)
+		if _, err := m.WithContext(ctx).MineMVDs(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: stopped mine err = %v, want context.Canceled", workers, err)
 		}
 		m.WithContext(context.Background())
-		got := m.MineMVDs()
-		if got.Err != nil || !slices.EqualFunc(got.MVDs, want.MVDs, mvd.MVD.Equal) || !reflect.DeepEqual(got.MinSeps, want.MinSeps) {
+		got, err := m.MineMVDs()
+		if err != nil || !slices.EqualFunc(got.MVDs, want.MVDs, mvd.MVD.Equal) || !reflect.DeepEqual(got.MinSeps, want.MinSeps) {
 			t.Fatalf("workers=%d: re-mine after a stop gives %d MVDs (err %v), an uninterrupted mine %d",
-				workers, len(got.MVDs), got.Err, len(want.MVDs))
+				workers, len(got.MVDs), err, len(want.MVDs))
 		}
 		checkKeyAnswers(t, m, newMiner(r, 0.3))
 		cancel()
@@ -831,9 +831,10 @@ func TestHashedKeyMemoMatchesDense(t *testing.T) {
 				opts.Workers = workers
 				dense := NewMiner(shared(r), opts)
 				hashed := hashKeys(NewMiner(shared(r), opts))
-				want, got := dense.MineMVDs(), hashed.MineMVDs()
-				if got.Err != nil || want.Err != nil {
-					t.Fatal(got.Err, want.Err)
+				want, wantErr := dense.MineMVDs()
+				got, gotErr := hashed.MineMVDs()
+				if gotErr != nil || wantErr != nil {
+					t.Fatal(gotErr, wantErr)
 				}
 				if !slices.EqualFunc(got.MVDs, want.MVDs, mvd.MVD.Equal) || !reflect.DeepEqual(got.MinSeps, want.MinSeps) {
 					t.Fatalf("%s eps=%v workers=%d: hashed key memo mined %d MVDs, dense %d",

@@ -17,10 +17,6 @@ type MVDResult struct {
 	MVDs []mvd.MVD
 	// MinSeps maps each attribute pair to its minimal separators.
 	MinSeps map[Pair][]bitset.AttrSet
-	// Err is ErrInterrupted when a deadline expired mid-run, or
-	// context.Canceled when the miner's bound context was cancelled
-	// (results so far are valid but possibly incomplete); nil otherwise.
-	Err error
 }
 
 // Separators returns the distinct minimal separators across all pairs, in
@@ -58,15 +54,20 @@ func (r *MVDResult) NumMinSeps() int {
 // With Options.Workers > 1 the pairs are fanned out across a bounded
 // worker pool and the outcomes merged back in canonical pair order; the
 // result is identical to a serial run.
-func (m *Miner) MineMVDs() *MVDResult {
+//
+// The error is nil, or the bound context's error when it stopped the
+// mine; the result then holds the pairs mined before the stop, which are
+// valid.
+func (m *Miner) MineMVDs() (*MVDResult, error) {
 	return m.minePairs(allPairs(m.oracle.NumAttrs()), "mvds", true)
 }
 
 // MineMinSepsAll runs only the separator phase for every pair — the
 // workload measured by the paper's scalability experiments (Sec. 8.3),
 // which report that separator mining dominates total runtime. Like
-// MineMVDs it fans the pairs out when Options.Workers > 1.
-func (m *Miner) MineMinSepsAll() *MVDResult {
+// MineMVDs it fans the pairs out when Options.Workers > 1, and it
+// reports a stop the same way.
+func (m *Miner) MineMinSepsAll() (*MVDResult, error) {
 	return m.minePairs(allPairs(m.oracle.NumAttrs()), "minseps", false)
 }
 

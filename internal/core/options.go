@@ -10,8 +10,6 @@
 //     with BuildAcyclicSchema (Fig. 9).
 package core
 
-import "errors"
-
 // Options configures a mining run.
 type Options struct {
 	// Epsilon is the approximation threshold ε ≥ 0 on the J-measure
@@ -51,7 +49,3 @@ func DefaultOptions(epsilon float64) Options {
 		PairwiseConsistency: true,
 	}
 }
-
-// ErrInterrupted is returned through Result.Err when the bound context's
-// deadline passed; results gathered so far are still valid.
-var ErrInterrupted = errors.New("core: mining interrupted by deadline")

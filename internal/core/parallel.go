@@ -96,7 +96,6 @@ func (a *progressAgg) pairDone(out *PairMVDs, visited int) {
 // order; the cross-pair merge is the caller's. A pair the stop left unmined keeps
 // no separators. expand=false restricts the work to the separator phase.
 func (m *Miner) minePairMVDs(pairs [][2]int, phase string, expand bool) ([]PairMVDs, error) {
-	m.beginPhase()
 	defer m.tracePhase(phase)()
 	m.emitProgress(Progress{Phase: phase, PairsTotal: len(pairs)})
 	outs := make([]PairMVDs, len(pairs))
@@ -136,7 +135,7 @@ func (m *Miner) minePairMVDs(pairs [][2]int, phase string, expand bool) ([]PairM
 	// All workers observed the same context; one parent-side poll records
 	// the shared stop cause.
 	m.stopped()
-	return outs, m.interruptErr()
+	return outs, m.cause
 }
 
 // expandPair fills out.MVDs with the full MVDs of every separator of the
@@ -159,11 +158,9 @@ func (w *Miner) expandPair(out *PairMVDs) {
 
 // minePairs is minePairMVDs merged by MergePairs in pair order, so
 // res.MVDs and res.MinSeps come out byte-identical at every fan-out.
-func (m *Miner) minePairs(pairs [][2]int, phase string, expand bool) *MVDResult {
+func (m *Miner) minePairs(pairs [][2]int, phase string, expand bool) (*MVDResult, error) {
 	ps, err := m.minePairMVDs(pairs, phase, expand)
-	res := MergePairs(ps)
-	res.Err = err
-	return res
+	return MergePairs(ps), err
 }
 
 // MergePairs reduces per-pair outcomes to one MVDResult: each pair keeps

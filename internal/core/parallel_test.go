@@ -48,17 +48,17 @@ func shared(r *relation.Relation) *entropy.Oracle {
 // minedWith mines r end to end (phase 1 plus scheme enumeration) with the
 // given worker count over a fresh shared oracle and returns everything a
 // determinism comparison needs.
-func minedWith(r *relation.Relation, eps float64, workers int) (*MVDResult, []string) {
+func minedWith(r *relation.Relation, eps float64, workers int) (*MVDResult, []string, error) {
 	opts := DefaultOptions(eps)
 	opts.Workers = workers
 	m := NewMiner(shared(r), opts)
-	res := m.MineMVDs()
+	res, err := m.MineMVDs()
 	var schemes []string
 	m.EnumerateSchemes(res.MVDs, 40, func(s *Scheme) bool {
 		schemes = append(schemes, s.Schema.Fingerprint())
 		return true
 	})
-	return res, schemes
+	return res, schemes, err
 }
 
 // TestParallelMatchesSerial is the determinism contract of the parallel
@@ -68,10 +68,10 @@ func minedWith(r *relation.Relation, eps float64, workers int) (*MVDResult, []st
 func TestParallelMatchesSerial(t *testing.T) {
 	for name, r := range parallelTestRelations(t) {
 		for _, eps := range []float64{0, 0.1} {
-			serialRes, serialSchemes := minedWith(r, eps, 1)
-			parRes, parSchemes := minedWith(r, eps, 8)
-			if serialRes.Err != nil || parRes.Err != nil {
-				t.Fatalf("%s eps=%v: unexpected errors %v / %v", name, eps, serialRes.Err, parRes.Err)
+			serialRes, serialSchemes, serialErr := minedWith(r, eps, 1)
+			parRes, parSchemes, parErr := minedWith(r, eps, 8)
+			if serialErr != nil || parErr != nil {
+				t.Fatalf("%s eps=%v: unexpected errors %v / %v", name, eps, serialErr, parErr)
 			}
 			if len(parRes.MVDs) != len(serialRes.MVDs) {
 				t.Fatalf("%s eps=%v: %d parallel MVDs vs %d serial", name, eps, len(parRes.MVDs), len(serialRes.MVDs))
@@ -107,9 +107,9 @@ func TestParallelMatchesSerialUnderMemoryBudget(t *testing.T) {
 	}
 	for name, r := range parallelTestRelations(t) {
 		for _, eps := range []float64{0, 0.1} {
-			serialRes, serialSchemes := minedWith(r, eps, 1)
-			if serialRes.Err != nil {
-				t.Fatalf("%s eps=%v: serial error %v", name, eps, serialRes.Err)
+			serialRes, serialSchemes, err := minedWith(r, eps, 1)
+			if err != nil {
+				t.Fatalf("%s eps=%v: serial error %v", name, eps, err)
 			}
 			// Learn the unlimited footprint, then re-mine parallel at an
 			// eighth of it — tight enough to churn on every dataset.
@@ -126,9 +126,9 @@ func TestParallelMatchesSerialUnderMemoryBudget(t *testing.T) {
 			popts := DefaultOptions(eps)
 			popts.Workers = 8
 			m := NewMiner(o, popts)
-			parRes := m.MineMVDs()
-			if parRes.Err != nil {
-				t.Fatalf("%s eps=%v: budgeted parallel error %v", name, eps, parRes.Err)
+			parRes, err := m.MineMVDs()
+			if err != nil {
+				t.Fatalf("%s eps=%v: budgeted parallel error %v", name, eps, err)
 			}
 			var parSchemes []string
 			m.EnumerateSchemes(parRes.MVDs, 40, func(s *Scheme) bool {
@@ -162,12 +162,12 @@ func TestParallelMatchesSerialUnderMemoryBudget(t *testing.T) {
 func TestParallelMinSepsAllMatchesSerial(t *testing.T) {
 	r := datagen.Nursery().Head(1500)
 	for _, eps := range []float64{0, 0.2} {
-		serial := NewMiner(shared(r), func() Options { o := DefaultOptions(eps); o.Workers = 1; return o }()).MineMinSepsAll()
+		serial, serialErr := NewMiner(shared(r), func() Options { o := DefaultOptions(eps); o.Workers = 1; return o }()).MineMinSepsAll()
 		opts := DefaultOptions(eps)
 		opts.Workers = 6
-		par := NewMiner(shared(r), opts).MineMinSepsAll()
-		if serial.Err != nil || par.Err != nil {
-			t.Fatalf("eps=%v: unexpected errors %v / %v", eps, serial.Err, par.Err)
+		par, parErr := NewMiner(shared(r), opts).MineMinSepsAll()
+		if serialErr != nil || parErr != nil {
+			t.Fatalf("eps=%v: unexpected errors %v / %v", eps, serialErr, parErr)
 		}
 		if !reflect.DeepEqual(par.MinSeps, serial.MinSeps) {
 			t.Fatalf("eps=%v: MinSeps differ", eps)
@@ -195,8 +195,8 @@ func TestOneWorkerReadsThroughLocal(t *testing.T) {
 			}
 		}
 		m := NewMiner(o, opts)
-		if res := m.MineMVDs(); res.Err != nil || len(res.MVDs) == 0 {
-			t.Fatalf("workers=%d: mine failed: %v", workers, res.Err)
+		if res, err := m.MineMVDs(); err != nil || len(res.MVDs) == 0 {
+			t.Fatalf("workers=%d: mine failed: %v", workers, err)
 		}
 		if m.src != source(o) {
 			t.Errorf("workers=%d: miner left reading through %T after the phase", workers, m.src)
@@ -226,9 +226,9 @@ func TestParallelCancellation(t *testing.T) {
 		}
 	}
 	m := NewMiner(shared(r), opts).WithContext(ctx)
-	res := m.MineMVDs()
-	if !errors.Is(res.Err, context.Canceled) {
-		t.Fatalf("Err = %v, want context.Canceled", res.Err)
+	_, err := m.MineMVDs()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if events == 0 {
 		t.Fatal("no progress events before cancellation")
@@ -251,9 +251,9 @@ func TestParallelProgressAggregation(t *testing.T) {
 		last = p
 	}
 	m := NewMiner(shared(r), opts)
-	res := m.MineMVDs()
-	if res.Err != nil {
-		t.Fatal(res.Err)
+	res, err := m.MineMVDs()
+	if err != nil {
+		t.Fatal(err)
 	}
 	total := 9 * 8 / 2
 	if last.PairsDone != total || last.PairsTotal != total {
@@ -392,9 +392,9 @@ func TestProgressFinalMVDsMatchesResult(t *testing.T) {
 		opts.Workers = workers
 		var last Progress
 		opts.Progress = func(p Progress) { last = p }
-		res := NewMiner(o, opts).MineMVDs()
-		if res.Err != nil {
-			t.Fatal(res.Err)
+		res, err := NewMiner(o, opts).MineMVDs()
+		if err != nil {
+			t.Fatal(err)
 		}
 		if last.MVDs != len(res.MVDs) || last.PairsDone != last.PairsTotal {
 			t.Fatalf("workers=%d: final event %+v, result has %d MVDs", workers, last, len(res.MVDs))

@@ -61,9 +61,8 @@ type PairMVDs struct {
 // merge outcomes mined on different machines in canonical pair order and
 // obtain exactly a single-node result.
 //
-// The error is nil, ErrInterrupted after a deadline, or the context's
-// cancellation error; outcomes mined before the stop are valid, the rest
-// are empty.
+// The error is nil, or the bound context's error when it stopped the
+// mine; outcomes mined before the stop are valid, the rest are empty.
 func (m *Miner) MinePairMVDs(pairs [][2]int) ([]PairMVDs, error) {
 	return m.minePairMVDs(pairs, "mvds", true)
 }

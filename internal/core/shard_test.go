@@ -80,9 +80,9 @@ func TestShardedWorkersMatchSingleNode(t *testing.T) {
 		for _, eps := range []float64{0, 0.1} {
 			opts := DefaultOptions(eps)
 			opts.Workers = 1
-			single := NewMiner(shared(r), opts).MineMVDs()
-			if single.Err != nil {
-				t.Fatalf("%s eps=%v: single-node error %v", name, eps, single.Err)
+			single, err := NewMiner(shared(r), opts).MineMVDs()
+			if err != nil {
+				t.Fatalf("%s eps=%v: single-node error %v", name, eps, err)
 			}
 			n := r.NumCols()
 			for _, numShards := range []int{1, 3, 4} {

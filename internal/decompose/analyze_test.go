@@ -102,7 +102,8 @@ func randomRelation(t *testing.T, rng *rand.Rand, trial int) *relation.Relation 
 func mineSchemes(o *entropy.Oracle, limit int) []*core.Scheme {
 	m := core.NewMiner(o, core.DefaultOptions(0.4))
 	var out []*core.Scheme
-	m.EnumerateSchemes(m.MineMVDs().MVDs, limit, func(s *core.Scheme) bool {
+	res, _ := m.MineMVDs()
+	m.EnumerateSchemes(res.MVDs, limit, func(s *core.Scheme) bool {
 		out = append(out, s)
 		return true
 	})
@@ -309,7 +310,8 @@ func TestAnalyzeAllStops(t *testing.T) {
 	o := entropy.New(r)
 	m := core.NewMiner(o, core.DefaultOptions(0.1))
 	var schemas []schema.Schema
-	m.EnumerateSchemes(m.MineMVDs().MVDs, 200, func(s *core.Scheme) bool {
+	res, _ := m.MineMVDs()
+	m.EnumerateSchemes(res.MVDs, 200, func(s *core.Scheme) bool {
 		schemas = append(schemas, s.Schema)
 		return true
 	})

@@ -226,8 +226,9 @@ func TestWriteCSVsRejectsCollidingNames(t *testing.T) {
 	if err == nil {
 		t.Fatal("colliding bag file names were written without an error")
 	}
+	msg := err.Error()
 	for _, bag := range []string{"{A,B}", "{A_B}"} {
-		if !strings.Contains(err.Error(), bag) {
+		if !strings.Contains(msg, bag) {
 			t.Fatalf("error %q does not name bag %s", err, bag)
 		}
 	}

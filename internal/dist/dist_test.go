@@ -420,8 +420,9 @@ func TestDeadWorkerFailsWithClearError(t *testing.T) {
 	if err == nil || ctx.Err() != nil {
 		t.Fatalf("want prompt failure, got err=%v ctxErr=%v", err, ctx.Err())
 	}
+	msg := err.Error()
 	for _, frag := range []string{"shard", "4 attempts"} {
-		if !strings.Contains(err.Error(), frag) {
+		if !strings.Contains(msg, frag) {
 			t.Fatalf("error %q does not mention %q", err, frag)
 		}
 	}
@@ -604,6 +605,52 @@ func TestJobPoolBoundsDistributedMinesWorkers(t *testing.T) {
 	}
 }
 
+// TestFleetJobStatesUnderTimeoutWorkers: a distributed job with a
+// timeout_ms ends by what stopped it, read from the job's own timeout,
+// not from the error's name. A fleet whose shard attempts run out fails
+// the job; a fleet the timeout cuts ends it done and interrupted.
+func TestFleetJobStatesUnderTimeoutWorkers(t *testing.T) {
+	rels := map[string]*relation.Relation{"planted": testRelations(t)["planted"]}
+	for _, tc := range []struct {
+		name        string
+		action      disttest.Action
+		timeoutMS   int64
+		state       wire.State
+		interrupted bool
+	}{
+		{"dead fleet", disttest.Die, 60_000, wire.StateFailed, false},
+		{"hung fleet", disttest.Hang, 200, wire.StateDone, true},
+	} {
+		ts, _ := newWorker(t, rels, disttest.Always(tc.action))
+		coord := newCoordinator(t, []string{ts.URL}, func(c *dist.Config) {
+			c.SetShardsPerWorker(1)
+			c.Sleep = func(context.Context, time.Duration) error { return nil }
+		})
+		reg := service.NewRegistry()
+		if _, err := reg.Add("planted", rels["planted"]); err != nil {
+			t.Fatal(err)
+		}
+		mgr := service.NewManager(reg, service.Config{Workers: 1, Coordinator: coord})
+		t.Cleanup(mgr.Close)
+		job, err := mgr.Submit(wire.JobRequest{
+			Dataset: "planted", Mode: wire.ModeMVDs, Epsilon: 0.1, TimeoutMS: tc.timeoutMS,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-job.Done():
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: job did not finish", tc.name)
+		}
+		res, _ := job.Result()
+		if st := job.Status(); st.State != tc.state || (res != nil && res.Interrupted) != tc.interrupted {
+			t.Errorf("%s: state %s (error %q), interrupted %v; want %s, interrupted %v",
+				tc.name, st.State, st.Error, res != nil && res.Interrupted, tc.state, tc.interrupted)
+		}
+	}
+}
+
 // TestUnknownDatasetPermanentWorkers: a 404 from the worker is permanent
 // — the mine fails on the first attempt with the worker's message, no
 // retries.
@@ -620,7 +667,7 @@ func TestUnknownDatasetPermanentWorkers(t *testing.T) {
 	if got != nil || err == nil {
 		t.Fatalf("want permanent failure, got res=%v err=%v", got, err)
 	}
-	if !strings.Contains(err.Error(), "404") {
+	if msg := err.Error(); !strings.Contains(msg, "404") {
 		t.Fatalf("error %q does not carry the worker's 404", err)
 	}
 	if rep.Retries != 0 {

@@ -114,11 +114,11 @@ type mineRun struct {
 // (*Session).MineMVDs over the same dataset and ε — together with a
 // fan-out Report.
 //
-// The error contract mirrors the single-node miner: ctx hitting its
-// deadline merges the shards completed so far and returns them with
-// res.Err == core.ErrInterrupted; ctx cancellation likewise merges and
-// returns context.Canceled; a shard exhausting its attempts or failing
-// permanently returns (nil, report, err).
+// The error contract mirrors the single-node miner: ctx stopping the
+// mine merges the shards completed so far and returns them with
+// ctx.Err(); a worker's shard deadline (Spec.TimeoutMS) cutting a shard
+// returns the merge with context.DeadlineExceeded; a shard exhausting
+// its attempts or failing permanently returns (nil, report, err).
 func (c *Coordinator) MineMVDs(ctx context.Context, spec Spec) (*core.MVDResult, *Report, error) {
 	if spec.Dataset == "" {
 		return nil, nil, errors.New("dist: spec needs a dataset name")
@@ -171,34 +171,29 @@ func (c *Coordinator) MineMVDs(ctx context.Context, spec Spec) (*core.MVDResult,
 
 	if m.shardsDone < len(m.plan) {
 		// The caller's context expiring or being cancelled mid-mine
-		// follows the single-node contract: merge what completed, tag the
-		// result with the interrupt cause. Any other failure (permanent
-		// worker rejection, attempts exhausted) fails the mine outright.
+		// follows the single-node contract: merge what completed and
+		// return it with the context's error. Any other failure
+		// (permanent worker rejection, attempts exhausted) fails the mine
+		// outright.
 		if ctxErr := ctx.Err(); ctxErr != nil {
-			res := m.merge()
-			if errors.Is(ctxErr, context.DeadlineExceeded) {
-				res.Err = core.ErrInterrupted
-			} else {
-				res.Err = ctxErr
-			}
 			rep.Interrupted = true
 			c.log.Warn("distributed mine interrupted",
 				"dataset", spec.Dataset, "cause", ctxErr, "shards", rep.Shards)
-			return res, &rep, res.Err
+			return m.merge(), &rep, ctxErr
 		}
 		c.log.Error("distributed mine failed", "dataset", spec.Dataset, "err", m.err)
 		return nil, &rep, m.err
 	}
 
 	res := m.merge()
-	if rep.Interrupted {
-		res.Err = core.ErrInterrupted
-	}
 	c.log.Info("distributed mine done",
 		"dataset", spec.Dataset, "epsilon", spec.Epsilon, "shards", rep.Shards,
 		"dispatches", rep.Dispatches, "retries", rep.Retries,
 		"mvds", len(res.MVDs), "interrupted", rep.Interrupted)
-	return res, &rep, res.Err
+	if rep.Interrupted {
+		return res, &rep, context.DeadlineExceeded
+	}
+	return res, &rep, nil
 }
 
 // update applies f to the mine's accounting and sends OnShard the

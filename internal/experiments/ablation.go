@@ -38,12 +38,12 @@ func AblationPairwiseConsistency(cfg Config) string {
 			opts.PairwiseConsistency = pruning
 			m := core.NewMiner(entropy.New(r), opts)
 			start := time.Now()
-			res := budgeted(cfg, m, m.MineMVDs)
+			res, err := budgeted(cfg, m, m.MineMVDs)
 			elapsed := time.Since(start)
 			st := m.SearchStats()
 			rep.printf("%8.2f %8v %10d %10d %12s %10d %4s\n",
 				eps, pruning, len(res.MVDs), st.Visited,
-				elapsed.Round(time.Millisecond), st.Pruned, tlMark(res.Err != nil))
+				elapsed.Round(time.Millisecond), st.Pruned, tlMark(err != nil))
 		}
 	}
 	return rep.String()

@@ -99,7 +99,9 @@ func (c Config) minerFor(o *entropy.Oracle, eps float64) *core.Miner {
 // budget, as in the paper's per-phase time limits: a fresh
 // context.WithTimeout(cfg.budget()) is bound before the phase and
 // cancelled after it, so no phase inherits what an earlier one spent.
-func budgeted[T any](c Config, m *core.Miner, phase func() T) T {
+// It returns what the phase returns; a non-nil error is the budget's
+// stop, the TL mark of the reports.
+func budgeted[T any](c Config, m *core.Miner, phase func() (T, error)) (T, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.budget())
 	defer cancel()
 	m.WithContext(ctx)
@@ -122,11 +124,11 @@ type schemeStats struct {
 // at most maxSchemes schemes (every one enumerated, if maxSchemes <= 0).
 func (c Config) collectSchemes(o *entropy.Oracle, eps float64, maxSchemes int) []schemeStats {
 	m := c.minerFor(o, eps)
-	res := budgeted(c, m, m.MineMVDs)
-	return budgeted(c, m, func() []schemeStats {
+	res, _ := budgeted(c, m, m.MineMVDs)
+	out, _ := budgeted(c, m, func() ([]schemeStats, error) {
 		var schemes []*core.Scheme
 		var schemas []schema.Schema
-		m.EnumerateSchemes(res.MVDs, maxSchemes, func(s *core.Scheme) bool {
+		err := m.EnumerateSchemes(res.MVDs, maxSchemes, func(s *core.Scheme) bool {
 			schemes = append(schemes, s)
 			schemas = append(schemas, s.Schema)
 			return true
@@ -138,8 +140,9 @@ func (c Config) collectSchemes(o *entropy.Oracle, eps float64, maxSchemes int) [
 				out = append(out, schemeStats{scheme: s, metrics: mets[i]})
 			}
 		}
-		return out
+		return out, err
 	})
+	return out
 }
 
 // dedupeSchemes merges scheme collections across ε values, keeping one

@@ -43,7 +43,7 @@ func Fig18FullMVDs(cfg Config) string {
 			o := entropy.New(r)
 			// Phase A (untimed): minimal separators for every pair.
 			m := cfg.minerFor(o, eps)
-			seps := budgeted(cfg, m, m.MineMinSepsAll)
+			seps, sepsErr := budgeted(cfg, m, m.MineMinSepsAll)
 
 			// Phase B (timed): expand each separator to its full MVDs.
 			count, elapsed, timedOut := expandFullMVDs(cfg, cfg.minerFor(o, eps), seps)
@@ -54,7 +54,7 @@ func Fig18FullMVDs(cfg Config) string {
 			rep.printf("%8.2f %10d %10d %12s %10.1f %4s\n",
 				eps, len(seps.Separators()), count,
 				elapsed.Round(time.Millisecond), rate,
-				tlMark(timedOut || seps.Err != nil))
+				tlMark(timedOut || sepsErr != nil))
 		}
 	}
 	return rep.String()
@@ -69,22 +69,19 @@ func Fig18FullMVDs(cfg Config) string {
 func expandFullMVDs(cfg Config, m *core.Miner, seps *core.MVDResult) (count int, elapsed time.Duration, timedOut bool) {
 	seen := map[string]bool{}
 	start := time.Now()
-	timedOut = budgeted(cfg, m, func() bool {
+	count, err := budgeted(cfg, m, func() (int, error) {
 		for _, p := range seps.SortedPairs() {
 			for _, sep := range seps.MinSeps[p] {
 				mvds := m.GetFullMVDs(sep, p.A, p.B)
-				if m.Context().Err() != nil {
-					return true
+				if err := m.Context().Err(); err != nil {
+					return len(seen), err
 				}
 				for _, phi := range mvds {
-					if fp := phi.Fingerprint(); !seen[fp] {
-						seen[fp] = true
-						count++
-					}
+					seen[phi.Fingerprint()] = true
 				}
 			}
 		}
-		return false
+		return len(seen), nil
 	})
-	return count, time.Since(start), timedOut
+	return count, time.Since(start), err != nil
 }

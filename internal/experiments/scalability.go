@@ -88,8 +88,8 @@ func Fig14Cols(cfg Config) string {
 func timeMinSeps(cfg Config, r *relation.Relation, eps float64) (time.Duration, int, bool) {
 	m := cfg.minerFor(entropy.New(r), eps)
 	start := time.Now()
-	res := budgeted(cfg, m, m.MineMinSepsAll)
-	return time.Since(start), res.NumMinSeps(), res.Err != nil
+	res, err := budgeted(cfg, m, m.MineMinSepsAll)
+	return time.Since(start), res.NumMinSeps(), err != nil
 }
 
 func tlMark(timedOut bool) string {

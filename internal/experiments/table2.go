@@ -23,10 +23,10 @@ func Table2(cfg Config) string {
 		r := spec.Generate()
 		m := cfg.minerFor(entropy.New(r), 0)
 		start := time.Now()
-		res := budgeted(cfg, m, m.MineMVDs)
+		res, err := budgeted(cfg, m, m.MineMVDs)
 		elapsed := time.Since(start)
 		timeStr := elapsed.Round(time.Millisecond).String()
-		if res.Err != nil {
+		if err != nil {
 			timeStr = "TL"
 		}
 		rep.printf("%-22s %5d %9d %7d | %12s %9s | %12s %9s\n",

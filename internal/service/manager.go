@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -198,8 +199,8 @@ func (m *Manager) normalize(req wire.JobRequest) (wire.JobRequest, error) {
 	if req.Epsilon < 0 {
 		return req, fmt.Errorf("service: epsilon must be ≥ 0, got %v", req.Epsilon)
 	}
-	if req.TimeoutMS < 0 {
-		return req, fmt.Errorf("service: timeout_ms must be ≥ 0, got %d", req.TimeoutMS)
+	if err := checkTimeout(req.TimeoutMS); err != nil {
+		return req, err
 	}
 	switch {
 	case req.MaxSchemes == 0:
@@ -215,12 +216,28 @@ func (m *Manager) normalize(req wire.JobRequest) (wire.JobRequest, error) {
 	req.Workers = m.mineWorkers(req.Workers)
 	sess, ok := m.reg.Get(req.Dataset)
 	if !ok {
-		return req, fmt.Errorf("service: unknown dataset %q", req.Dataset)
+		return req, fmt.Errorf("service: %w %q", errUnknownDataset, req.Dataset)
 	}
 	if cols := sess.Relation().NumCols(); cols < 3 {
 		return req, fmt.Errorf("service: dataset %q has %d attributes; mining needs at least 3", req.Dataset, cols)
 	}
 	return req, nil
+}
+
+// errUnknownDataset is wrapped by a submit that names no registered
+// dataset; the server answers it 404, every other validation error 400.
+var errUnknownDataset = errors.New("unknown dataset")
+
+// maxTimeoutMS is the largest timeout_ms a time.Duration holds.
+const maxTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
+// checkTimeout refuses a timeout_ms below 0, or one too large for a
+// time.Duration, which would overflow into a deadline in the past.
+func checkTimeout(ms int64) error {
+	if ms < 0 || ms > maxTimeoutMS {
+		return fmt.Errorf("service: timeout_ms must be in [0, %d], got %d", maxTimeoutMS, ms)
+	}
+	return nil
 }
 
 // mineWorkers resolves the fan-out of one job or shard mine: ≤ 0 takes
@@ -396,18 +413,22 @@ func (m *Manager) run(job *Job) {
 	m.misses.Add(1)
 	result, err := m.mine(ctx, sess, job)
 	result.ElapsedMS = time.Since(start).Milliseconds()
+	// A stop is the job's timeout when that context is past its deadline,
+	// whatever the error is named: a fleet failure may wrap an HTTP
+	// client's own deadline, and that job failed.
+	interrupted := err != nil && ctx.Err() == context.DeadlineExceeded
 
 	switch {
-	case job.ctx.Err() != nil && errors.Is(job.ctx.Err(), context.Canceled):
+	case job.ctx.Err() == context.Canceled:
 		// Explicit DELETE (or manager shutdown), regardless of how the
 		// miner surfaced it: the job is cancelled, not done.
 		job.finish(wire.StateCancelled, result, "cancelled")
 		m.tel.jobFinished(job, wire.StateCancelled, time.Since(start), "cancelled")
-	case err != nil && !errors.Is(err, core.ErrInterrupted):
+	case err != nil && !interrupted:
 		job.finish(wire.StateFailed, nil, err.Error())
 		m.tel.jobFinished(job, wire.StateFailed, time.Since(start), err.Error())
 	default:
-		result.Interrupted = errors.Is(err, core.ErrInterrupted)
+		result.Interrupted = interrupted
 		// Finishing under m.mu indexes the job before its Done closes and
 		// before eviction can see it terminal. It is keyed by the session
 		// it mined: a job finishing after its dataset was removed gets an
@@ -426,8 +447,8 @@ func (m *Manager) run(job *Job) {
 // mine runs the requested phases through the dataset's shared session —
 // every entropy and PLI partition an earlier job computed is already warm
 // — with the job's observe sink receiving the live event stream. The
-// returned error is nil, core.ErrInterrupted (partial results after a
-// deadline), or a cancellation error.
+// returned error is nil, ctx's error when ctx stopped the mine or the
+// ranking (the results are partial), or the failure.
 //
 // With a coordinator, phase 1 runs distributed (mineDistributed) and
 // phase 2 runs here on the merged Mε, under the same options — the job's
@@ -491,8 +512,7 @@ func (m *Manager) mine(ctx context.Context, sess *maimon.Session, job *Job) (*wi
 // best-effort: a scheme whose metrics cannot be computed still counts as
 // mined — it keeps its entry, without S and E — and the failure is logged
 // against the job. A scheme the stop left unranked is not logged; the
-// returned error says the ranking stopped, as mine reports it: ctx's
-// deadline as core.ErrInterrupted, a cancellation as itself.
+// returned error, ctx's, says the ranking stopped.
 func (m *Manager) rankSchemes(ctx context.Context, sess *maimon.Session, job *Job, schemes []*maimon.Scheme) ([]wire.SchemeResult, error) {
 	names := sess.Relation().Names()
 	schemas := make([]maimon.Schema, len(schemes))
@@ -520,9 +540,6 @@ func (m *Manager) rankSchemes(ctx context.Context, sess *maimon.Session, job *Jo
 			m.tel.Logger().Warn("scheme metrics failed", "job", job.id, "schema", sr.Schema, "error", errs[i])
 		}
 		out = append(out, sr)
-	}
-	if stopErr == context.DeadlineExceeded {
-		stopErr = core.ErrInterrupted
 	}
 	return out, stopErr
 }

@@ -46,22 +46,35 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 }
 
+// TestManagerSubmitValidation: each invalid request is refused with an
+// error naming the field at fault. The field cases run on a minable
+// 3-column dataset, so no other check refuses them first.
 func TestManagerSubmitValidation(t *testing.T) {
 	reg := service.NewRegistry()
 	if _, err := reg.AddCSV("narrow", strings.NewReader("A,B\n1,2\n"), true); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := reg.AddCSV("d", strings.NewReader("A,B,C\n1,2,3\n"), true); err != nil {
+		t.Fatal(err)
+	}
 	mgr := service.NewManager(reg, service.Config{Workers: 1})
 	defer mgr.Close()
-	for _, req := range []wire.JobRequest{
-		{Dataset: "missing"},
-		{Dataset: "narrow"},                // < 3 attributes
-		{Dataset: "narrow", Epsilon: -0.1}, // negative ε
-		{Dataset: "narrow", Mode: "wat"},   // unknown mode
-		{Dataset: "narrow", TimeoutMS: -5}, // negative timeout
+	for _, tc := range []struct {
+		req  wire.JobRequest
+		want string // what the error must name
+	}{
+		{wire.JobRequest{Dataset: "missing"}, "unknown dataset"},
+		{wire.JobRequest{Dataset: "narrow"}, "at least 3"},
+		{wire.JobRequest{Dataset: "d", Epsilon: -0.1}, "epsilon"},
+		{wire.JobRequest{Dataset: "d", Mode: "wat"}, "mode"},
+		{wire.JobRequest{Dataset: "d", TimeoutMS: -5}, "timeout_ms"},
+		{wire.JobRequest{Dataset: "d", TimeoutMS: 9_300_000_000_000}, "timeout_ms"}, // overflows time.Duration
 	} {
-		if _, err := mgr.Submit(req); err == nil {
-			t.Errorf("request %+v accepted", req)
+		_, err := mgr.Submit(tc.req)
+		if err == nil {
+			t.Errorf("request %+v accepted", tc.req)
+		} else if msg := err.Error(); !strings.Contains(msg, tc.want) {
+			t.Errorf("request %+v: error %q does not name %q", tc.req, msg, tc.want)
 		}
 	}
 }

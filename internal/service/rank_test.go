@@ -8,7 +8,6 @@ import (
 	"time"
 
 	maimon "repro"
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/wire"
 )
@@ -16,9 +15,9 @@ import (
 // TestRankSchemesStops ranks a job's mined schemes under a live context,
 // a cancelled one and an expired one. Every scheme keeps its entry each
 // time. Under a done context none has S or E, nothing is logged as a
-// failed metric, and the error is the one a mine reports for the same
-// stop — context.Canceled, or core.ErrInterrupted for a deadline — so a
-// job whose ranking was cut short is never served as complete.
+// failed metric, and the error is the context's own, as a mine reports
+// it — context.Canceled, or context.DeadlineExceeded for a deadline — so
+// a job whose ranking was cut short is never served as complete.
 func TestRankSchemesStops(t *testing.T) {
 	sess, err := maimon.Open(datagen.Nursery().Head(800))
 	if err != nil {
@@ -42,7 +41,7 @@ func TestRankSchemesStops(t *testing.T) {
 		name string
 		ctx  context.Context
 		want error
-	}{{"live", context.Background(), nil}, {"cancelled", cancelled, context.Canceled}, {"expired", expired, core.ErrInterrupted}} {
+	}{{"live", context.Background(), nil}, {"cancelled", cancelled, context.Canceled}, {"expired", expired, context.DeadlineExceeded}} {
 		out, err := m.rankSchemes(c.ctx, sess, job, schemes)
 		if err != c.want || len(out) != len(schemes) {
 			t.Fatalf("%s: %d of %d schemes, error %v, want %v", c.name, len(out), len(schemes), err, c.want)

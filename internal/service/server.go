@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"repro/internal/wire"
 )
@@ -140,7 +139,7 @@ func (s *server) postJob(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusServiceUnavailable
 		case errors.Is(err, ErrClosed):
 			status = http.StatusServiceUnavailable
-		case strings.Contains(err.Error(), "unknown dataset"):
+		case errors.Is(err, errUnknownDataset):
 			status = http.StatusNotFound
 		}
 		writeError(w, status, err.Error())

@@ -482,17 +482,22 @@ func TestHTTPValidation(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	if s := post("/v1/jobs", `{"dataset":"missing"}`); s != http.StatusNotFound {
-		t.Errorf("unknown dataset: status %d, want 404", s)
-	}
-	if s := post("/v1/jobs", `{"dataset":"d","mode":"nonsense"}`); s != http.StatusBadRequest {
-		t.Errorf("bad mode: status %d, want 400", s)
-	}
-	if s := post("/v1/jobs", `{"dataset":"d","epsilon":-1}`); s != http.StatusBadRequest {
-		t.Errorf("negative epsilon: status %d, want 400", s)
-	}
-	if s := post("/v1/jobs", `{"dataset":"d","bogus":true}`); s != http.StatusBadRequest {
-		t.Errorf("unknown field: status %d, want 400", s)
+	// A job's status is decided by the cause, not by the message: a
+	// mode named "unknown dataset" is a bad mode.
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"unknown dataset", `{"dataset":"missing"}`, http.StatusNotFound},
+		{"bad mode", `{"dataset":"d","mode":"nonsense"}`, http.StatusBadRequest},
+		{"mode named unknown dataset", `{"dataset":"d","mode":"unknown dataset"}`, http.StatusBadRequest},
+		{"negative epsilon", `{"dataset":"d","epsilon":-1}`, http.StatusBadRequest},
+		{"timeout overflow", `{"dataset":"d","timeout_ms":9300000000000}`, http.StatusBadRequest},
+		{"unknown field", `{"dataset":"d","bogus":true}`, http.StatusBadRequest},
+	} {
+		if s := post("/v1/jobs", tc.body); s != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, s, tc.want)
+		}
 	}
 	if s := post("/v1/datasets?name=d", "A,B,C\n1,2,3\n"); s != http.StatusConflict {
 		t.Errorf("duplicate dataset: status %d, want 409", s)

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -37,8 +36,8 @@ func (m *Manager) MineShard(ctx context.Context, req wire.ShardRequest) (*wire.S
 	if req.NumShards < 1 || req.Shard < 0 || req.Shard >= req.NumShards {
 		return nil, http.StatusBadRequest, fmt.Errorf("service: shard %d out of range [0,%d)", req.Shard, req.NumShards)
 	}
-	if req.TimeoutMS < 0 {
-		return nil, http.StatusBadRequest, fmt.Errorf("service: timeout_ms must be ≥ 0, got %d", req.TimeoutMS)
+	if err := checkTimeout(req.TimeoutMS); err != nil {
+		return nil, http.StatusBadRequest, err
 	}
 	sess, ok := m.reg.Get(req.Dataset)
 	if !ok {
@@ -82,7 +81,9 @@ func (m *Manager) MineShard(ctx context.Context, req wire.ShardRequest) (*wire.S
 		maimon.WithTrace(&tr),
 	)
 	m.tel.observeTrace(&tr)
-	interrupted := errors.Is(err, core.ErrInterrupted)
+	// Interrupted means the shard's own timeout cut it, whatever the
+	// error is named.
+	interrupted := err != nil && ctx.Err() == context.DeadlineExceeded
 	if err != nil && !interrupted {
 		// Cancellation or an internal failure: there is no valid partial
 		// contract to serve, let the coordinator retry elsewhere.

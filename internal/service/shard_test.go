@@ -78,8 +78,8 @@ func TestShardEndpoint(t *testing.T) {
 
 // TestShardEndpointErrors pins the shard endpoint's status mapping:
 // unknown dataset 404, dataset-shape mismatch 409 (the silent-wrong-
-// answer guard), bad shard range 400, negative epsilon 400, and an
-// unknown field 400 naming it.
+// answer guard), bad shard range 400, negative epsilon 400, a timeout_ms
+// too large for a time.Duration 400, and an unknown field 400 naming it.
 func TestShardEndpointErrors(t *testing.T) {
 	ts, mgr := newTestServer(t, service.Config{Workers: 1})
 	r := plantedRelation(t)
@@ -97,6 +97,7 @@ func TestShardEndpointErrors(t *testing.T) {
 		{"shard out of range", wire.ShardRequest{Dataset: "d", Shard: 3, NumShards: 2, NumAttrs: r.NumCols()}, http.StatusBadRequest},
 		{"no shards", wire.ShardRequest{Dataset: "d", Shard: 0, NumShards: 0, NumAttrs: r.NumCols()}, http.StatusBadRequest},
 		{"negative epsilon", wire.ShardRequest{Dataset: "d", Epsilon: -1, Shard: 0, NumShards: 1, NumAttrs: r.NumCols()}, http.StatusBadRequest},
+		{"timeout overflow", wire.ShardRequest{Dataset: "d", Shard: 0, NumShards: 1, NumAttrs: r.NumCols(), TimeoutMS: 9_300_000_000_000}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, body := postShard(t, ts, tc.req)

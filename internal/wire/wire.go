@@ -48,7 +48,8 @@ type JobRequest struct {
 	Mode string `json:"mode,omitempty"`
 	// TimeoutMS bounds the mining run; 0 means no limit.
 	// A timed-out job still completes as done with Interrupted partial
-	// results (matching the library's ErrInterrupted contract).
+	// results, as a library mine past its context's deadline returns
+	// them with context.DeadlineExceeded.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// MaxSchemes caps how many schemes are enumerated; 0 applies the
 	// library's default (maimon.DefaultMaxSchemes), -1 means unlimited.
@@ -85,7 +86,7 @@ type JobResult struct {
 	Schemes     []SchemeResult `json:"schemes,omitempty"`
 	MVDs        []MVDItem      `json:"mvds"`
 	NumMinSeps  int            `json:"num_min_seps"`
-	Interrupted bool           `json:"interrupted,omitempty"` // deadline hit: results are partial
+	Interrupted bool           `json:"interrupted,omitempty"` // the job's timeout_ms cut it: results are partial
 	ElapsedMS   int64          `json:"elapsed_ms"`
 }
 

@@ -101,13 +101,6 @@ type (
 	Decomposition = decompose.Decomposition
 )
 
-// ErrInterrupted is returned (as MVDResult.Err and the entry points'
-// error) when mining hit the deadline of the context passed to the
-// Session methods; partial results are still valid. Cancelling the context
-// passed to the Session methods instead surfaces context.Canceled, so
-// callers can distinguish a cancelled job from one that ran out of time.
-var ErrInterrupted = core.ErrInterrupted
-
 // LoadCSV reads a relation from a CSV file. With header = true the first
 // record names the attributes. The file is read whole into memory, then
 // parsed on every core; the dialect and the errors are encoding/csv's

@@ -149,14 +149,14 @@ func TestReadCSVPublic(t *testing.T) {
 }
 
 // A deadline that has passed before the mine starts stops it at the
-// first poll, as ErrInterrupted.
+// first poll, as context.DeadlineExceeded.
 func TestTimeoutReportsInterrupted(t *testing.T) {
 	r := datagen.Uniform(200, 12, 3, 5)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	_, err := mustOpen(t, r).MineMVDs(ctx, WithEpsilon(0.3))
-	if err != ErrInterrupted {
-		t.Fatalf("err = %v, want ErrInterrupted", err)
+	if err != context.DeadlineExceeded {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
 
@@ -261,7 +261,7 @@ func TestFullWorkflowIntegration(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	schemes, _, err := sess.MineSchemes(ctx, WithEpsilon(0.5), WithMaxSchemes(30))
-	if err != nil && err != ErrInterrupted {
+	if err != nil && err != context.DeadlineExceeded {
 		t.Fatal(err)
 	}
 	if len(schemes) == 0 {

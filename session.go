@@ -284,11 +284,12 @@ func (s *Session) mine(ctx context.Context, what string, opts []Option, run func
 // minimal-separator keys, from which every ε-MVD of the relation follows
 // by Shannon inequalities (paper Thm. 5.7). Cancelling ctx stops the
 // search promptly and returns the ε-MVDs mined so far together with
-// context.Canceled; ctx's deadline surfaces as ErrInterrupted.
+// ctx.Err(): context.Canceled, or context.DeadlineExceeded past ctx's
+// deadline.
 func (s *Session) MineMVDs(ctx context.Context, opts ...Option) (res *MVDResult, err error) {
-	err = s.mine(ctx, "MVDs", opts, func(m *core.Miner, _ config) error {
-		res = m.MineMVDs()
-		return res.Err
+	err = s.mine(ctx, "MVDs", opts, func(m *core.Miner, _ config) (err error) {
+		res, err = m.MineMVDs()
+		return err
 	})
 	return res, err
 }
@@ -322,11 +323,10 @@ func (s *Session) MinePairMVDs(ctx context.Context, pairs [][2]int, opts ...Opti
 // so far still valid.
 func (s *Session) SchemesFromMVDs(ctx context.Context, mvds []MVD, opts ...Option) (out []*Scheme, err error) {
 	err = s.mine(ctx, "schemes", opts, func(m *core.Miner, cfg config) error {
-		m.EnumerateSchemes(mvds, cfg.maxSchemes, func(sc *Scheme) bool {
+		return m.EnumerateSchemes(mvds, cfg.maxSchemes, func(sc *Scheme) bool {
 			out = append(out, sc)
 			return true
 		})
-		return m.Err()
 	})
 	return out, err
 }
@@ -335,9 +335,9 @@ func (s *Session) SchemesFromMVDs(ctx context.Context, mvds []MVD, opts ...Optio
 // the workload of the paper's scalability experiments (Sec. 8.3). The
 // result's MinSeps map is filled; no full MVDs are expanded.
 func (s *Session) MineMinSeps(ctx context.Context, opts ...Option) (res *MVDResult, err error) {
-	err = s.mine(ctx, "separators", opts, func(m *core.Miner, _ config) error {
-		res = m.MineMinSepsAll()
-		return res.Err
+	err = s.mine(ctx, "separators", opts, func(m *core.Miner, _ config) (err error) {
+		res, err = m.MineMinSepsAll()
+		return err
 	})
 	return res, err
 }
@@ -346,20 +346,18 @@ func (s *Session) MineMinSeps(ctx context.Context, opts ...Option) (res *MVDResu
 // ε-schemas synthesized from maximal compatible MVD sets, along with the
 // phase-1 result. Schemes arrive in enumeration order; use AnalyzeAll to
 // rank them by savings and spurious-tuple rate, or SchemeSeq to consume
-// them as they are synthesized. A stop in either phase is reported as
-// the returned error and in the result's Err: phase 1's, if it stopped
-// there.
+// them as they are synthesized. A stop in either phase is returned as
+// ctx.Err(); a stop in phase 1 returns its partial result with no
+// schemes.
 func (s *Session) MineSchemes(ctx context.Context, opts ...Option) (schemes []*Scheme, res *MVDResult, err error) {
-	err = s.mine(ctx, "schemes", opts, func(m *core.Miner, cfg config) error {
-		res = m.MineMVDs()
-		m.EnumerateSchemes(res.MVDs, cfg.maxSchemes, func(sc *Scheme) bool {
+	err = s.mine(ctx, "schemes", opts, func(m *core.Miner, cfg config) (err error) {
+		if res, err = m.MineMVDs(); err != nil {
+			return err
+		}
+		return m.EnumerateSchemes(res.MVDs, cfg.maxSchemes, func(sc *Scheme) bool {
 			schemes = append(schemes, sc)
 			return true
 		})
-		if res.Err == nil {
-			res.Err = m.Err()
-		}
-		return res.Err
 	})
 	return schemes, res, err
 }
@@ -380,15 +378,14 @@ func (s *Session) SchemeSeq(ctx context.Context, opts ...Option) iter.Seq2[*Sche
 	return func(yield func(*Scheme, error) bool) {
 		broke := false
 		err := s.mine(ctx, "schemes", opts, func(m *core.Miner, cfg config) error {
-			res := m.MineMVDs()
-			if res.Err != nil {
-				return res.Err
+			res, err := m.MineMVDs()
+			if err != nil {
+				return err
 			}
-			m.EnumerateSchemes(res.MVDs, cfg.maxSchemes, func(sc *Scheme) bool {
+			return m.EnumerateSchemes(res.MVDs, cfg.maxSchemes, func(sc *Scheme) bool {
 				broke = !yield(sc, nil)
 				return !broke
 			})
-			return m.Err()
 		})
 		if err != nil && !broke {
 			yield(nil, err)

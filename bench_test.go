@@ -13,6 +13,7 @@ package maimon
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -626,12 +627,53 @@ func BenchmarkMicro_FullReducer(b *testing.B) {
 	}
 }
 
+var hepSchemes struct {
+	once   sync.Once
+	oracle *entropy.Oracle
+	mvds   []MVD
+}
+
+// BenchmarkMicro_SchemeEnumeration is phase 2 after the graph: one op
+// enumerates schemes over a mined Mε. "nursery" is the first 50 schemes
+// of Nursery at ε 0.3. "hep20_eps0" is the first 5,000 distinct schemes
+// of the Hepatitis analog (155 × 20) at ε 0, where most compatible sets
+// repeat a scheme; its Mε is mined, and the entropies J reads are warmed,
+// once per test binary. Both report the compatible sets synthesized and
+// the schemes emitted per op.
 func BenchmarkMicro_SchemeEnumeration(b *testing.B) {
-	r := benchNursery(b)
-	m := core.NewMiner(entropy.New(r), core.DefaultOptions(0.3))
-	res, _ := m.MineMVDs()
+	b.Run("nursery", func(b *testing.B) {
+		m := core.NewMiner(entropy.New(benchNursery(b)), core.DefaultOptions(0.3))
+		res, _ := m.MineMVDs()
+		benchEnumerate(b, m, res.MVDs, 50)
+	})
+	b.Run("hep20_eps0", func(b *testing.B) {
+		hepSchemes.once.Do(func() {
+			spec, err := datagen.Lookup("Hepatitis", 10000)
+			if err != nil {
+				panic(err)
+			}
+			hepSchemes.oracle = entropy.New(spec.Generate())
+			m := core.NewMiner(hepSchemes.oracle, core.DefaultOptions(0))
+			res, _ := m.MineMVDs()
+			hepSchemes.mvds = res.MVDs
+			m.EnumerateSchemes(res.MVDs, 5000, func(*core.Scheme) bool { return true })
+		})
+		benchEnumerate(b, core.NewMiner(hepSchemes.oracle, core.DefaultOptions(0)), hepSchemes.mvds, 5000)
+	})
+}
+
+func benchEnumerate(b *testing.B, m *core.Miner, ms []MVD, limit int) {
+	b.ReportAllocs()
 	b.ResetTimer()
+	var sets, schemes int64
 	for i := 0; i < b.N; i++ {
-		m.EnumerateSchemes(res.MVDs, 50, func(*core.Scheme) bool { return true })
+		m.EnumerateSchemes(ms, limit, func(*core.Scheme) bool { return true })
+		for _, st := range m.Trace().Phases[len(m.Trace().Phases)-1].Stages {
+			if st.Name == "synth" {
+				sets, schemes = sets+st.Calls, schemes+st.Items
+			}
+		}
 	}
+	b.ReportMetric(float64(sets)/float64(b.N), "sets/op")
+	b.ReportMetric(float64(schemes)/float64(b.N), "schemes/op")
 }

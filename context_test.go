@@ -175,7 +175,7 @@ func TestContextDoesNotChangeResults(t *testing.T) {
 			len(sync), len(resSync.MVDs), len(viaCtx), len(resCtx.MVDs))
 	}
 	for i := range sync {
-		if sync[i].Schema.Fingerprint() != viaCtx[i].Schema.Fingerprint() || sync[i].J != viaCtx[i].J {
+		if !sync[i].Schema.Equal(viaCtx[i].Schema) || sync[i].J != viaCtx[i].J {
 			t.Fatalf("scheme %d differs: %v vs %v", i, sync[i].Schema, viaCtx[i].Schema)
 		}
 	}

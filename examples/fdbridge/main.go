@@ -12,11 +12,13 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	maimon "repro"
 	"repro/internal/datagen"
 	"repro/internal/fd"
+	"repro/internal/mvd"
 )
 
 func main() {
@@ -55,15 +57,16 @@ func main() {
 	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Fatal(err)
 	}
-	lifted := map[string]bool{}
+	var lifted []maimon.MVD
 	for _, f := range fdRes.FDs {
 		if m, ok := fd.ToMVD(f, r.NumCols()); ok {
-			lifted[m.Fingerprint()] = true
+			lifted = append(lifted, m)
 		}
 	}
+	mvd.Sort(lifted)
 	extra := 0
 	for _, m := range res.MVDs {
-		if !lifted[m.Fingerprint()] {
+		if _, found := slices.BinarySearchFunc(lifted, m, mvd.Compare); !found {
 			extra++
 		}
 	}

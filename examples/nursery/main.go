@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	maimon "repro"
@@ -38,7 +39,6 @@ func main() {
 		met    maimon.Metrics
 	}
 	var all []entry
-	seen := map[string]bool{}
 	for _, eps := range []float64{0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5} {
 		ctx, cancel := context.WithTimeout(context.Background(), *budget)
 		schemes, _, err := sess.MineSchemes(ctx, maimon.WithEpsilon(eps))
@@ -47,12 +47,9 @@ func main() {
 			log.Fatal(err)
 		}
 		for _, s := range schemes {
-			fp := s.Schema.Fingerprint()
-			if seen[fp] {
-				continue
+			if !slices.ContainsFunc(all, func(e entry) bool { return e.scheme.Schema.Equal(s.Schema) }) {
+				all = append(all, entry{scheme: s})
 			}
-			seen[fp] = true
-			all = append(all, entry{scheme: s})
 		}
 		fmt.Printf("  ε=%.2f: %d distinct schemes so far\n", eps, len(all))
 	}

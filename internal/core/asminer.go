@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/bitset"
@@ -11,12 +12,11 @@ import (
 )
 
 // Scheme is one acyclic schema produced by phase 2, with the measures the
-// paper's evaluation reports.
+// paper's evaluation reports. The MVDs it rests on are Tree.Support().
 type Scheme struct {
-	Schema  schema.Schema
-	Tree    *schema.JoinTree
-	J       float64   // J(S) per Lee (Eq. 6), in bits
-	Support []mvd.MVD // the compatible MVD set Q the schema was built from
+	Schema schema.Schema
+	Tree   *schema.JoinTree
+	J      float64 // J(S) per Lee (Eq. 6), in bits
 }
 
 // M returns the number of relations in the scheme.
@@ -59,8 +59,15 @@ func (m *Miner) EnumerateSchemes(mvds []mvd.MVD, limit int, emit func(*Scheme) b
 		return m.cause // cancelled or past the deadline mid-build
 	}
 	m.emitProgress(Progress{Phase: "schemes", MVDs: len(ms), Candidates: m.searchStats.Visited})
+	// Each set arrives ascending over the sorted ms, so q is already in
+	// Fig. 9's order. A set is synthesized into the reused bags and told
+	// apart by them: only a new scheme is copied out, gets a join tree
+	// and a J.
+	universe := bitset.Full(m.oracle.NumAttrs())
+	var q []mvd.MVD
+	var bags []bitset.AttrSet
+	var seen firstSet[schema.Schema]
 	streamed := 0
-	seen := make(map[string]bool)
 	g.EnumerateBK(func(set []int) bool {
 		synthT0 := time.Now()
 		synthStats := m.searchStats
@@ -71,29 +78,24 @@ func (m *Miner) EnumerateSchemes(mvds []mvd.MVD, limit int, emit func(*Scheme) b
 		if m.stopped() {
 			return false
 		}
-		q := make([]mvd.MVD, len(set))
-		for k, idx := range set {
-			q[k] = ms[idx]
+		q = q[:0]
+		for _, idx := range set {
+			q = append(q, ms[idx])
 		}
-		sch, err := m.BuildAcyclicSchema(q)
-		if err != nil {
-			return true
+		bags = schema.Canonicalize(synthesize(bags, universe, q))
+		if len(bags) == 0 {
+			return true // no attributes: no schema
 		}
 		m.stages.synth.candidates++ // compatible sets that synthesized a schema
-		fp := sch.Fingerprint()
-		if seen[fp] {
+		h := hashSets(0, bags)
+		if seen.has(h, schema.Schema{Relations: bags}) {
 			return true
 		}
-		seen[fp] = true
+		sch := schema.Schema{Relations: slices.Clone(bags)}
+		seen.add(h, sch)
 		tree, err := schema.BuildJoinTree(sch)
 		if err != nil {
 			return true // not acyclic: cannot happen per Thm. 7.4, but stay safe
-		}
-		s := &Scheme{
-			Schema:  sch,
-			Tree:    tree,
-			J:       info.JTree(loc, tree),
-			Support: q,
 		}
 		streamed++
 		emitted = 1
@@ -103,7 +105,8 @@ func (m *Miner) EnumerateSchemes(mvds []mvd.MVD, limit int, emit func(*Scheme) b
 			Candidates: m.searchStats.Visited,
 			Schemes:    streamed,
 		})
-		return emit(s) && (limit <= 0 || streamed < limit)
+		return emit(&Scheme{Schema: sch, Tree: tree, J: info.JTree(loc, tree)}) &&
+			(limit <= 0 || streamed < limit)
 	})
 	return m.cause
 }
@@ -141,47 +144,46 @@ func (m *Miner) buildIncompatibilityGraph(g *mis.Graph, ms []mvd.MVD) (bool, int
 	return true, edges
 }
 
-// BuildAcyclicSchema is Fig. 9: starting from the universal schema {Ω},
-// apply each MVD of q in ascending key-cardinality order, splitting the
-// single relation that contains its key into the key-extended projections
-// of its dependents. Redundant MVDs (that fail to split, line 7) are
-// skipped. The result is acyclic and its join tree's support is contained
-// in q (Thm. 7.4).
-func (m *Miner) BuildAcyclicSchema(q []mvd.MVD) (schema.Schema, error) {
-	return BuildAcyclicSchema(bitset.Full(m.oracle.NumAttrs()), q)
+// BuildAcyclicSchema is Fig. 9 over the universe: starting from the
+// universal schema {Ω}, apply each MVD of q in ascending key-cardinality
+// order, splitting the single relation that contains its key into the
+// key-extended projections of its dependents. Redundant MVDs (that fail
+// to split, line 7) are skipped. The result is acyclic and its join
+// tree's support is contained in q (Thm. 7.4).
+func BuildAcyclicSchema(universe bitset.AttrSet, q []mvd.MVD) (schema.Schema, error) {
+	sorted := slices.Clone(q)
+	mvd.Sort(sorted)
+	return schema.New(synthesize(nil, universe, sorted))
 }
 
-// BuildAcyclicSchema is the standalone form over an explicit universe.
-func BuildAcyclicSchema(universe bitset.AttrSet, q []mvd.MVD) (schema.Schema, error) {
-	sorted := append([]mvd.MVD(nil), q...)
-	mvd.Sort(sorted)
-	current := []bitset.AttrSet{universe}
-	for _, phi := range sorted {
+// synthesize is Fig. 9's loop over q, which must be in mvd.Sort order.
+// It writes the relations into bags[:0] and returns them, in split
+// order, not canonicalized.
+func synthesize(bags []bitset.AttrSet, universe bitset.AttrSet, q []mvd.MVD) []bitset.AttrSet {
+	bags = append(bags[:0], universe)
+	for _, phi := range q {
 		// Find the relation containing the key (processing order makes it
 		// unique for compatible sets; pick the first deterministically).
-		target := -1
-		for i, omega := range current {
-			if phi.Key.SubsetOf(omega) {
-				target = i
-				break
-			}
-		}
+		target := slices.IndexFunc(bags, phi.Key.SubsetOf)
 		if target < 0 {
 			continue // key not embedded: the MVD cannot decompose anything
 		}
-		omega := current[target]
-		var parts []bitset.AttrSet
+		omega := bags[target]
+		parts := 0
 		for _, dep := range phi.Deps {
-			part := dep.Union(phi.Key).Intersect(omega)
-			if part != phi.Key {
-				parts = append(parts, part)
+			if dep.Union(phi.Key).Intersect(omega) != phi.Key {
+				parts++
 			}
 		}
-		if len(parts) < 2 {
+		if parts < 2 {
 			continue // redundant MVD (Fig. 9 line 7)
 		}
-		current = append(current[:target:target], current[target+1:]...)
-		current = append(current, parts...)
+		bags = slices.Delete(bags, target, target+1)
+		for _, dep := range phi.Deps {
+			if part := dep.Union(phi.Key).Intersect(omega); part != phi.Key {
+				bags = append(bags, part)
+			}
+		}
 	}
-	return schema.New(current)
+	return bags
 }

@@ -153,7 +153,7 @@ func literalFullMVDs(o *entropy.Oracle, key bitset.AttrSet, a, b, n int, eps flo
 	if !root.Separates(a, b) {
 		return nil
 	}
-	visited := map[string]bool{root.Fingerprint(): true}
+	visited := map[string]bool{root.String(): true}
 	stack := []mvd.MVD{root}
 	var out []mvd.MVD
 	for len(stack) > 0 {
@@ -166,8 +166,8 @@ func literalFullMVDs(o *entropy.Oracle, key bitset.AttrSet, a, b, n int, eps flo
 		for i := range phi.Deps {
 			for j := i + 1; j < len(phi.Deps); j++ {
 				nb := literalRepair(o, phi.Merge(i, j), eps)
-				if fp := nb.Fingerprint(); nb.Separates(a, b) && !visited[fp] {
-					visited[fp] = true
+				if key := nb.String(); nb.Separates(a, b) && !visited[key] {
+					visited[key] = true
 					stack = append(stack, nb)
 				}
 			}

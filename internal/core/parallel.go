@@ -52,7 +52,7 @@ type progressAgg struct {
 
 	mu         sync.Mutex
 	pairsDone  int
-	seen       mvdSet // live MVD dedup, display only
+	seen       firstSet[mvd.MVD] // live MVD dedup, display only
 	separators int
 	candidates int
 }
@@ -73,7 +73,7 @@ func (a *progressAgg) pairDone(out *PairMVDs, visited int) {
 	a.separators += len(out.Seps)
 	a.candidates += visited
 	for _, phi := range out.MVDs {
-		a.seen.add(phi)
+		a.seen.insert(hashMVD(phi), phi)
 	}
 	p := Progress{
 		Phase:      a.phase,
@@ -172,13 +172,13 @@ func (m *Miner) minePairs(pairs [][2]int, phase string, expand bool) (*MVDResult
 // an interrupted mine never reached.
 func MergePairs(ps []PairMVDs) *MVDResult {
 	res := &MVDResult{MinSeps: make(map[Pair][]bitset.AttrSet)}
-	var seen mvdSet
+	var seen firstSet[mvd.MVD]
 	for _, p := range ps {
 		if len(p.Seps) > 0 {
 			res.MinSeps[Pair{p.A, p.B}] = p.Seps
 		}
 		for _, phi := range p.MVDs {
-			seen.add(phi)
+			seen.insert(hashMVD(phi), phi)
 		}
 	}
 	res.MVDs = seen.list
@@ -186,48 +186,65 @@ func MergePairs(ps []PairMVDs) *MVDResult {
 	return res
 }
 
-// mvdSet keeps the first occurrence of each distinct MVD, in insertion
-// order. Members are found by a 64-bit hash of the MVD and confirmed with
-// MVD.Equal; the members that share a hash are chained through next from
-// the first of them, the one the table holds. The zero value is empty.
-type mvdSet struct {
-	list  []mvd.MVD
+// firstSet keeps the first occurrence of each distinct element, in
+// insertion order: Mε's MVDs in phase 1, the schemes emitted in phase 2.
+// Members are found by a 64-bit hash the caller gives (hashMVD,
+// hashSets) and confirmed with Equal; the members that share a hash are
+// chained through next from the first of them, the one the table holds.
+// The zero value is empty.
+type firstSet[T interface{ Equal(T) bool }] struct {
+	list  []T
 	first stripe.Table[uint64, int32] // hash → position of its first member
 	next  []int32                     // position → next member with its hash, or -1
 }
 
-// hashMVD chains stripe.Hash over the key and the dependents.
-func hashMVD(m mvd.MVD) uint64 {
-	h := stripe.Hash(uint64(m.Key))
-	for _, d := range m.Deps {
-		h = stripe.Hash(h ^ uint64(d))
+// hashSets chains stripe.Hash over the words of sets, starting from h.
+func hashSets(h uint64, sets []bitset.AttrSet) uint64 {
+	for _, s := range sets {
+		h = stripe.Hash(h ^ uint64(s))
 	}
 	return h
 }
 
-// add inserts m unless an equal MVD is already in s, and reports whether
-// it did.
-func (s *mvdSet) add(m mvd.MVD) bool { return s.insert(hashMVD(m), m) }
+// hashMVD chains stripe.Hash over the key and the dependents.
+func hashMVD(m mvd.MVD) uint64 { return hashSets(stripe.Hash(uint64(m.Key)), m.Deps) }
 
-// insert is add with m's hash h given.
-func (s *mvdSet) insert(h uint64, m mvd.MVD) bool {
-	at := int32(len(s.list))
+// has reports whether a member of s equals v, whose hash is h.
+func (s *firstSet[T]) has(h uint64, v T) bool {
 	i, ok := s.first.Get(h)
 	if !ok {
+		return false
+	}
+	for ; i >= 0; i = s.next[i] {
+		if s.list[i].Equal(v) {
+			return true
+		}
+	}
+	return false
+}
+
+// add appends v, whose hash is h; no member of s may equal it.
+func (s *firstSet[T]) add(h uint64, v T) {
+	at := int32(len(s.list))
+	if i, ok := s.first.Get(h); !ok {
 		s.first.Put(h, at)
 	} else {
-		for ; ; i = s.next[i] {
-			if s.list[i].Equal(m) {
-				return false
-			}
-			if s.next[i] < 0 {
-				break
-			}
+		for s.next[i] >= 0 {
+			i = s.next[i]
 		}
 		s.next[i] = at
 	}
-	s.list = append(s.list, m)
+	s.list = append(s.list, v)
 	s.next = append(s.next, -1)
+}
+
+// insert adds v, whose hash is h, unless a member of s equals it, and
+// reports whether it did.
+func (s *firstSet[T]) insert(h uint64, v T) bool {
+	if s.has(h, v) {
+		return false
+	}
+	s.add(h, v)
 	return true
 }
 

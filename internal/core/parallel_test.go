@@ -55,7 +55,7 @@ func minedWith(r *relation.Relation, eps float64, workers int) (*MVDResult, []st
 	res, err := m.MineMVDs()
 	var schemes []string
 	m.EnumerateSchemes(res.MVDs, 40, func(s *Scheme) bool {
-		schemes = append(schemes, s.Schema.Fingerprint())
+		schemes = append(schemes, s.Schema.String())
 		return true
 	})
 	return res, schemes, err
@@ -132,7 +132,7 @@ func TestParallelMatchesSerialUnderMemoryBudget(t *testing.T) {
 			}
 			var parSchemes []string
 			m.EnumerateSchemes(parRes.MVDs, 40, func(s *Scheme) bool {
-				parSchemes = append(parSchemes, s.Schema.Fingerprint())
+				parSchemes = append(parSchemes, s.Schema.String())
 				return true
 			})
 			if len(parRes.MVDs) != len(serialRes.MVDs) {
@@ -302,7 +302,7 @@ func TestParallelRestrictedPairs(t *testing.T) {
 }
 
 // mergeByFingerprint is MergePairs' reference rule: the first occurrence
-// of each MVD by Fingerprint, then mvd.Sort.
+// of each MVD by its string rendering, then mvd.Sort.
 func mergeByFingerprint(ps []PairMVDs) *MVDResult {
 	res := &MVDResult{MinSeps: make(map[Pair][]bitset.AttrSet)}
 	seen := make(map[string]bool)
@@ -311,8 +311,8 @@ func mergeByFingerprint(ps []PairMVDs) *MVDResult {
 			res.MinSeps[Pair{p.A, p.B}] = p.Seps
 		}
 		for _, phi := range p.MVDs {
-			if fp := phi.Fingerprint(); !seen[fp] {
-				seen[fp] = true
+			if key := phi.String(); !seen[key] {
+				seen[key] = true
 				res.MVDs = append(res.MVDs, phi)
 			}
 		}
@@ -322,7 +322,7 @@ func mergeByFingerprint(ps []PairMVDs) *MVDResult {
 }
 
 // TestMergePairsMatchesFingerprintRule holds the hashed dedup of
-// MergePairs to the fingerprint rule on random pair lists whose repeated
+// MergePairs to the string-keyed rule on random pair lists whose repeated
 // MVDs are equal copies in distinct backing slices: the same result, and
 // each kept MVD is the first occurrence itself, not a later copy.
 func TestMergePairsMatchesFingerprintRule(t *testing.T) {
@@ -365,7 +365,7 @@ func TestMVDSetKeepsHashCollisions(t *testing.T) {
 		mvd.MustNew(bitset.Of(0), bitset.Of(1, 2), bitset.Of(3)),
 		mvd.MustNew(bitset.Of(4), bitset.Of(1), bitset.Of(2)),
 	}
-	var s mvdSet
+	var s firstSet[mvd.MVD]
 	for i, m := range ms {
 		if !s.insert(42, m) {
 			t.Fatalf("%v (member %d) rejected on a hash collision", m, i)

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // Ranked schema generation is the paper's stated future work (Sec. 9):
 // "we intend to investigate acyclic schema generation in ranked order.
 // The categories to rank on may be the extent of decomposition (e.g.,
@@ -19,7 +21,7 @@ const (
 )
 
 // Less reports whether a ranks strictly before b under the criterion,
-// with deterministic tie-breaking (J, then fingerprint).
+// with deterministic tie-breaking (J, then the relations word by word).
 func (c RankCriterion) Less(a, b *Scheme) bool {
 	switch c {
 	case RankByRelations:
@@ -34,5 +36,5 @@ func (c RankCriterion) Less(a, b *Scheme) bool {
 	if a.J != b.J {
 		return a.J < b.J
 	}
-	return a.Schema.Fingerprint() < b.Schema.Fingerprint()
+	return slices.Compare(a.Schema.Relations, b.Schema.Relations) < 0
 }

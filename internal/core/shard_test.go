@@ -112,8 +112,8 @@ func TestShardedWorkersMatchSingleNode(t *testing.T) {
 						merged.MinSeps[Pair{out.A, out.B}] = out.Seps
 					}
 					for _, phi := range out.MVDs {
-						if fp := phi.Fingerprint(); !seen[fp] {
-							seen[fp] = true
+						if key := phi.String(); !seen[key] {
+							seen[key] = true
 							merged.MVDs = append(merged.MVDs, phi)
 						}
 					}

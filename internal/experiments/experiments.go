@@ -18,9 +18,11 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -146,26 +148,18 @@ func (c Config) collectSchemes(o *entropy.Oracle, eps float64, maxSchemes int) [
 }
 
 // dedupeSchemes merges scheme collections across ε values, keeping one
-// entry per distinct schema (the lowest-J occurrence).
+// entry per distinct schema (the lowest-J occurrence, the first of
+// equals), ordered by J, then by the relations word by word.
 func dedupeSchemes(collections ...[]schemeStats) []schemeStats {
-	best := map[string]schemeStats{}
-	for _, col := range collections {
-		for _, st := range col {
-			fp := st.scheme.Schema.Fingerprint()
-			if prev, ok := best[fp]; !ok || st.scheme.J < prev.scheme.J {
-				best[fp] = st
-			}
-		}
-	}
-	out := make([]schemeStats, 0, len(best))
-	for _, st := range best {
-		out = append(out, st)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].scheme.J != out[j].scheme.J {
-			return out[i].scheme.J < out[j].scheme.J
-		}
-		return out[i].scheme.Schema.Fingerprint() < out[j].scheme.Schema.Fingerprint()
+	out := slices.Concat(collections...)
+	slices.SortStableFunc(out, func(a, b schemeStats) int {
+		return cmp.Or(slices.Compare(a.scheme.Schema.Relations, b.scheme.Schema.Relations),
+			cmp.Compare(a.scheme.J, b.scheme.J))
+	})
+	out = slices.CompactFunc(out, func(a, b schemeStats) bool { return a.scheme.Schema.Equal(b.scheme.Schema) })
+	slices.SortFunc(out, func(a, b schemeStats) int {
+		return cmp.Or(cmp.Compare(a.scheme.J, b.scheme.J),
+			slices.Compare(a.scheme.Schema.Relations, b.scheme.Schema.Relations))
 	})
 	return out
 }

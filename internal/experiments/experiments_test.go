@@ -161,11 +161,11 @@ func TestDedupeSchemes(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, st := range merged {
-		fp := st.scheme.Schema.Fingerprint()
-		if seen[fp] {
+		key := st.scheme.Schema.String()
+		if seen[key] {
 			t.Fatal("duplicate schema after dedupe")
 		}
-		seen[fp] = true
+		seen[key] = true
 	}
 }
 

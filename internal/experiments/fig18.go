@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/entropy"
+	"repro/internal/mvd"
 )
 
 // fig18Datasets are the four datasets of Fig. 18 / Sec. 14.1.
@@ -67,21 +69,24 @@ func Fig18FullMVDs(cfg Config) string {
 // the time taken and whether the budget ended the phase; a list returned
 // after the budget ended may be partial and is not counted.
 func expandFullMVDs(cfg Config, m *core.Miner, seps *core.MVDResult) (count int, elapsed time.Duration, timedOut bool) {
-	seen := map[string]bool{}
+	var found []mvd.MVD
+	distinct := func() int {
+		mvd.Sort(found)
+		found = slices.CompactFunc(found, mvd.MVD.Equal)
+		return len(found)
+	}
 	start := time.Now()
 	count, err := budgeted(cfg, m, func() (int, error) {
 		for _, p := range seps.SortedPairs() {
 			for _, sep := range seps.MinSeps[p] {
 				mvds := m.GetFullMVDs(sep, p.A, p.B)
 				if err := m.Context().Err(); err != nil {
-					return len(seen), err
+					return distinct(), err
 				}
-				for _, phi := range mvds {
-					seen[phi.Fingerprint()] = true
-				}
+				found = append(found, mvds...)
 			}
 		}
-		return len(seen), nil
+		return distinct(), nil
 	})
 	return count, time.Since(start), err != nil
 }

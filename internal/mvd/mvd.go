@@ -225,26 +225,6 @@ func (m MVD) Equal(o MVD) bool {
 	return true
 }
 
-// Fingerprint returns a compact comparable key identifying the MVD up to
-// canonical form; used for dedup sets and map keys.
-func (m MVD) Fingerprint() string {
-	var b strings.Builder
-	b.Grow(8 * (len(m.Deps) + 1))
-	writeSet := func(s bitset.AttrSet) {
-		v := uint64(s)
-		var buf [8]byte
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		b.Write(buf[:])
-	}
-	writeSet(m.Key)
-	for _, d := range m.Deps {
-		writeSet(d)
-	}
-	return b.String()
-}
-
 // String renders the MVD in the paper's letter notation, e.g. "AD↠CF|BE".
 func (m MVD) String() string {
 	parts := make([]string, len(m.Deps))

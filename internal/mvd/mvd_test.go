@@ -212,11 +212,11 @@ func TestFingerprintDistinguishes(t *testing.T) {
 	a := MustNew(bitset.Of(0), bitset.Of(1), bitset.Of(2))
 	b := MustNew(bitset.Of(0), bitset.Of(1), bitset.Of(3))
 	c := MustNew(bitset.Of(0), bitset.Of(2), bitset.Of(1)) // same as a, reordered
-	if a.Fingerprint() == b.Fingerprint() {
-		t.Fatal("different MVDs share a fingerprint")
+	if a.Equal(b) || a.String() == b.String() {
+		t.Fatal("different MVDs share an identity")
 	}
-	if a.Fingerprint() != c.Fingerprint() {
-		t.Fatal("canonical forms should share a fingerprint")
+	if !a.Equal(c) || a.String() != c.String() {
+		t.Fatal("canonical forms should share an identity")
 	}
 }
 

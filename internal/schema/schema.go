@@ -22,38 +22,30 @@ type Schema struct {
 	Relations []bitset.AttrSet // canonical: sorted by (cardinality, value)
 }
 
-// New canonicalizes a list of relation schemas: duplicates and subsumed
-// sets (Ωi ⊆ Ωj, i ≠ j) are dropped. It errors when no non-empty set
-// remains.
+// New canonicalizes a copy of a list of relation schemas with Canonicalize.
+// It errors when no non-empty set remains.
 func New(relations []bitset.AttrSet) (Schema, error) {
-	// Dedup exact duplicates first, then drop proper subsets.
-	seen := make(map[bitset.AttrSet]bool, len(relations))
-	var distinct []bitset.AttrSet
-	for _, r := range relations {
-		if r.IsEmpty() || seen[r] {
-			continue
-		}
-		seen[r] = true
-		distinct = append(distinct, r)
-	}
-	var out []bitset.AttrSet
-	for _, r := range distinct {
-		subsumed := false
-		for _, other := range distinct {
-			if r.ProperSubsetOf(other) {
-				subsumed = true
-				break
-			}
-		}
-		if !subsumed {
-			out = append(out, r)
-		}
-	}
+	out := Canonicalize(slices.Clone(relations))
 	if len(out) == 0 {
 		return Schema{}, errors.New("schema: no relations")
 	}
-	bitset.SortSets(out)
 	return Schema{Relations: out}, nil
+}
+
+// Canonicalize puts rels in canonical form in place and returns the
+// prefix that holds it: sorted by bitset.Compare, with empty, duplicate
+// and subsumed sets (Ωi ⊆ Ωj, i ≠ j) dropped.
+func Canonicalize(rels []bitset.AttrSet) []bitset.AttrSet {
+	bitset.SortSets(rels)
+	rels = slices.Compact(rels)
+	out := rels[:0]
+	for i, r := range rels {
+		// A proper superset of r has more attributes, so it sorts later.
+		if !r.IsEmpty() && !slices.ContainsFunc(rels[i+1:], r.SubsetOf) {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // MustNew is New that panics on error.
@@ -122,15 +114,6 @@ func (s Schema) Equal(o Schema) bool {
 		}
 	}
 	return true
-}
-
-// Fingerprint returns a comparable identity for dedup sets.
-func (s Schema) Fingerprint() string {
-	var b strings.Builder
-	for _, r := range s.Relations {
-		fmt.Fprintf(&b, "%016x", uint64(r))
-	}
-	return b.String()
 }
 
 // String renders the schema in letter notation: {ABD, ACD, BDE, AF}.
@@ -310,7 +293,7 @@ func (t *JoinTree) Attrs() bitset.AttrSet {
 
 // Schema returns the schema defined by the tree's bags.
 func (t *JoinTree) Schema() Schema {
-	s, err := New(append([]bitset.AttrSet(nil), t.Bags...))
+	s, err := New(t.Bags)
 	if err != nil {
 		panic(err)
 	}

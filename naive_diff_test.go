@@ -55,8 +55,8 @@ func TestSessionMatchesNaiveOracle(t *testing.T) {
 					}
 					for _, sep := range seps {
 						for _, phi := range naive.FullMVDs(oracle, sep, a, b, eps) {
-							if fp := phi.Fingerprint(); !seen[fp] {
-								seen[fp] = true
+							if key := phi.String(); !seen[key] {
+								seen[key] = true
 								wantMVDs = append(wantMVDs, phi)
 							}
 						}
@@ -69,7 +69,17 @@ func TestSessionMatchesNaiveOracle(t *testing.T) {
 				for _, workers := range []int{1, 4} {
 					label := fmt.Sprintf("relation %d (%d×%d) eps=%v pruning=%v workers=%d",
 						ri, r.NumRows(), n, eps, pruning, workers)
-					res, err := s.MineMVDs(ctx, WithEpsilon(eps), WithPruning(pruning), WithWorkers(workers))
+					var res *MVDResult
+					if pruning {
+						res, err = s.MineMVDs(ctx, WithEpsilon(eps), WithWorkers(workers))
+					} else {
+						// The session always prunes: the ablation mines
+						// through the core miner.
+						opts := core.DefaultOptions(eps)
+						opts.PairwiseConsistency = false
+						opts.Workers = workers
+						res, err = core.NewMiner(entropy.New(r), opts).MineMVDs()
+					}
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}

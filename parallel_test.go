@@ -55,7 +55,7 @@ func TestSessionParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("%s eps=%v: %d parallel schemes vs %d serial", name, eps, len(parSchemes), len(serialSchemes))
 			}
 			for i := range serialSchemes {
-				if parSchemes[i].Schema.Fingerprint() != serialSchemes[i].Schema.Fingerprint() {
+				if !parSchemes[i].Schema.Equal(serialSchemes[i].Schema) {
 					t.Fatalf("%s eps=%v: scheme %d differs", name, eps, i)
 				}
 			}
@@ -105,7 +105,7 @@ func TestSessionParallelEvictionMatchesSerial(t *testing.T) {
 			}
 			out := outcome{mvds: len(res.MVDs), minseps: res.NumMinSeps()}
 			for _, sc := range schemes {
-				out.schemes = append(out.schemes, sc.Schema.Fingerprint())
+				out.schemes = append(out.schemes, sc.Schema.String())
 			}
 			return out
 		}

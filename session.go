@@ -53,7 +53,6 @@ type Stats = entropy.Stats
 type config struct {
 	epsilon       float64
 	maxSchemes    int
-	pruning       bool
 	workers       int // 0 = GOMAXPROCS (the WithWorkers default)
 	pliCfg        pli.Config
 	entropyBudget int64 // entropy-memo byte budget; 0 = unlimited
@@ -62,7 +61,7 @@ type config struct {
 }
 
 func defaultSessionConfig() config {
-	return config{maxSchemes: DefaultMaxSchemes, pruning: true, pliCfg: pli.DefaultConfig()}
+	return config{maxSchemes: DefaultMaxSchemes, pliCfg: pli.DefaultConfig()}
 }
 
 func (c config) with(opts []Option) config {
@@ -91,11 +90,6 @@ const DefaultMaxSchemes = 100
 // WithMaxSchemes bounds how many schemes MineSchemes and SchemesFromMVDs
 // return and SchemeSeq yields: DefaultMaxSchemes by default, 0 for all.
 func WithMaxSchemes(n int) Option { return func(c *config) { c.maxSchemes = n } }
-
-// WithPruning toggles the pairwise-consistency optimization (paper App.
-// 12.3). It is on by default; turning it off is intended for ablation
-// only.
-func WithPruning(on bool) Option { return func(c *config) { c.pruning = on } }
 
 // WithWorkers sets the fan-out of the parallel mining pipeline and of
 // scheme ranking: attribute pairs (the paper's Fig. 3 loop) are distributed
@@ -194,7 +188,6 @@ func WithTrace(t *MineTrace) Option { return func(c *config) { c.trace = t } }
 // absent: it rides the caller's context, the miner's one stop signal.
 func (c config) coreOptions() core.Options {
 	o := core.DefaultOptions(c.epsilon)
-	o.PairwiseConsistency = c.pruning
 	o.Progress = c.progress
 	o.Workers = c.fanout()
 	return o

@@ -68,7 +68,7 @@ func TestSessionWarmMatchesOneShot(t *testing.T) {
 			len(warm), len(warmRes.MVDs), len(cold), len(coldRes.MVDs))
 	}
 	for i := range warm {
-		if warm[i].Schema.Fingerprint() != cold[i].Schema.Fingerprint() || warm[i].J != cold[i].J {
+		if !warm[i].Schema.Equal(cold[i].Schema) || warm[i].J != cold[i].J {
 			t.Fatalf("scheme %d differs: %v vs %v", i, warm[i].Schema, cold[i].Schema)
 		}
 	}
@@ -113,7 +113,7 @@ func TestSessionConcurrentMining(t *testing.T) {
 			t.Fatalf("ε=%v: concurrent run mined %d schemes, solo run %d", eps, len(got[i]), len(want))
 		}
 		for k := range want {
-			if got[i][k].Schema.Fingerprint() != want[k].Schema.Fingerprint() {
+			if !got[i][k].Schema.Equal(want[k].Schema) {
 				t.Fatalf("ε=%v: scheme %d differs under concurrency", eps, k)
 			}
 		}

@@ -31,7 +31,7 @@ func TestSpillMatrixDeterminism(t *testing.T) {
 		}
 		out := outcome{mvds: len(res.MVDs), minseps: res.NumMinSeps()}
 		for _, sc := range schemes {
-			out.schemes = append(out.schemes, sc.Schema.Fingerprint())
+			out.schemes = append(out.schemes, sc.Schema.String())
 		}
 		return out
 	}

@@ -165,7 +165,7 @@ func TestBudgetedFreshCountWorkerInvariant(t *testing.T) {
 		}
 		out := outcome{fresh: ph.Oracle.HComputes, schemeFresh: sp.Oracle.HComputes, mvds: res.MVDs}
 		for _, sc := range schemes {
-			out.schemes = append(out.schemes, sc.Schema.Fingerprint())
+			out.schemes = append(out.schemes, sc.Schema.String())
 		}
 		return out
 	}
